@@ -57,7 +57,7 @@ module Phase = struct
       true;
       true;
       true (* svc_slot: per consensus message *);
-      true (* svc_integrity: per delivered entry *);
+      true (* svc_integrity: per guard-mismatch recovery *);
       false;
       false;
       true (* svc_gossip: per Tag message *);

@@ -77,7 +77,7 @@ module Phase : sig
   val svc_slot : phase
   (** Driving the current slot's consensus engine (receive/tick/decide). *)
 
-  val svc_integrity : phase  (** The per-entry integrity guard. *)
+  val svc_integrity : phase  (** Local recovery after an integrity-guard mismatch. *)
 
   val svc_audit : phase  (** The cyclic log/KV self-audit. *)
 

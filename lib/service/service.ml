@@ -378,10 +378,10 @@ let run_measured ?obs ?profile ~wl (params : params) =
       storm_times
   in
   let recoveries = List.fold_left (fun acc (_, s) -> acc + Tob.recoveries s.tob) 0 live in
+  (* The reference replica is the head of [live], so its digests head
+     [summaries]. *)
   let log_digest, kv_digest =
-    match reference with
-    | Some s -> (Tob.content_digest s.tob, Tob.kv_recomputed s.tob)
-    | None -> (0, 0)
+    match summaries with (_, log, kv) :: _ -> (log, kv) | [] -> (0, 0)
   in
   ( {
       n;

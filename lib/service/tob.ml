@@ -381,10 +381,14 @@ let recover_local t ~now =
   note t (Recovered { slots = t.committed });
   emit t ~now (Ftss_obs.Event.Recover { pid = t.self; slots = t.committed })
 
+(* The O(1) guard compare runs before every step, so only a mismatch —
+   the recovery it triggers — opens a span. *)
 let integrity_check t ~now =
-  pf_enter t Prof.Phase.svc_integrity;
-  if t.style.recover && t.guard <> guard_of t then recover_local t ~now;
-  pf_leave t
+  if t.style.recover && t.guard <> guard_of t then begin
+    pf_enter t Prof.Phase.svc_integrity;
+    recover_local t ~now;
+    pf_leave t
+  end
 
 (* The cyclic self-audit: re-derive the KV digest from the table, and
    re-validate one window of log content against the stored prefix
@@ -451,17 +455,17 @@ let on_cons t ~now ~src ~slot m =
       | Mv_consensus.Continue -> outs)
   end
 
+(* [slot >= committed]: [deliver] drops decisions for committed slots. *)
 let on_decide t ~now ~slot batch =
   if slot = t.committed then begin
     commit_batch t ~now batch;
     drain_future t ~now;
     if has_pending t then enter_engine t else []
   end
-  else if slot > t.committed then begin
+  else begin
     Hashtbl.replace t.future slot batch;
     []
   end
-  else []
 
 let on_tag t ~src ~len ~round ~cp ~cp_log ~kvh ~kv_d =
   t.peer_len.(src) <- len;
@@ -568,6 +572,10 @@ let deliver t ~now ~src msg =
       let outs = on_cons t ~now ~src ~slot m in
       pf_leave t;
       outs
+    | Decide { slot; _ } when slot < t.committed ->
+      (* Most decisions are the per-tick re-broadcast of a slot already
+         committed here: nothing to do, and not worth a span. *)
+      []
     | Decide { slot; batch } ->
       pf_enter t Prof.Phase.svc_slot;
       let outs = on_decide t ~now ~slot batch in

@@ -69,9 +69,9 @@ type t
     pre-sizes the op-id bitsets. [profile] attributes the replica's
     work to the span profiler's [svc_*] phases on the given lane:
     [svc_slot] (consensus stepping, decide, apply), [svc_integrity]
-    (the per-step guard check), [svc_audit] (the cyclic deep audit),
-    [svc_catchup] (pull protocol both sides), [svc_gossip] (Tag
-    heartbeat handling). Unset, the instrumentation is a single option
+    (local recovery after a guard mismatch), [svc_audit] (the cyclic
+    deep audit), [svc_catchup] (pull protocol both sides), [svc_gossip]
+    (Tag heartbeat handling). Unset, the instrumentation is a single option
     test per site. *)
 val create :
   ?obs:Ftss_obs.Obs.t ->

@@ -28,20 +28,115 @@ let test_kv_semantics () =
   Kv.apply a { Kv.id = 0; kind = Kv.Put; key = 1; v1 = 0; v2 = 0 };
   check "put0 <> absent" true (Kv.digest a <> Kv.digest b)
 
+(* --- the Hashtbl reference model: the differential oracle for [Kv] --- *)
+
+(* The state digest by definition: the sum of one mix per live entry,
+   folded over the model's contents. *)
+let model_digest m =
+  Hashtbl.fold (fun k v acc -> (acc + Kv.mix (Kv.mix 0xD1_6E57 k) v) land max_int) m 0
+
+let model_get m key = Option.value ~default:0 (Hashtbl.find_opt m key)
+
+let model_apply m (o : Kv.op) =
+  match o.Kv.kind with
+  | Kv.Get -> ()
+  | Kv.Put -> Hashtbl.replace m o.Kv.key o.Kv.v1
+  | Kv.Cas -> if model_get m o.Kv.key = o.Kv.v1 then Hashtbl.replace m o.Kv.key o.Kv.v2
+  | Kv.Delete -> Hashtbl.remove m o.Kv.key
+
+(* [Kv.corrupt]'s table draws, in order: the hit count; per hit a coin,
+   then the value before the key for a replacement, or the key of a
+   removal. Its trailing digest-field draws touch no entry. *)
+let model_corrupt rng ~keys m =
+  let hits = 1 + Rng.int rng 8 in
+  for _ = 1 to hits do
+    if Rng.bool rng then begin
+      let value = Rng.int rng 1_000_000 in
+      Hashtbl.replace m (Rng.int rng (max 1 keys)) value
+    end
+    else Hashtbl.remove m (Rng.int rng (max 1 keys))
+  done
+
+(* Equal contents: the same size and every model binding present. *)
+let same_contents t m =
+  Kv.cardinal t = Hashtbl.length m
+  && Hashtbl.fold (fun k v ok -> ok && Kv.mem t k && Kv.get t k = v) m true
+
 let test_kv_incremental_digest_matches_recompute () =
-  let t = Kv.create () in
+  let t = Kv.create () and m = Hashtbl.create 64 in
   let rng = Rng.create 11 in
   for id = 0 to 4999 do
     let kind =
       match Rng.int rng 4 with 0 -> Kv.Put | 1 -> Kv.Get | 2 -> Kv.Cas | _ -> Kv.Delete
     in
-    Kv.apply t
-      { Kv.id; kind; key = Rng.int rng 64; v1 = Rng.int rng 16; v2 = Rng.int rng 100 }
+    let o = { Kv.id; kind; key = Rng.int rng 64; v1 = Rng.int rng 16; v2 = Rng.int rng 100 } in
+    Kv.apply t o;
+    model_apply m o
   done;
   check_int "incremental = recompute" (Kv.recompute_digest t) (Kv.digest t);
-  Kv.corrupt rng ~keys:64 t;
+  Kv.corrupt (Rng.create 12) ~keys:64 t;
+  model_corrupt (Rng.create 12) ~keys:64 m;
   (* after raw scrambling, recompute is the ground truth the audit uses *)
-  check "recompute independent of field" true (Kv.recompute_digest t >= 0)
+  check "corrupt scrambles as the model does" true (same_contents t m);
+  check_int "recompute reads the table, not the field" (model_digest m)
+    (Kv.recompute_digest t)
+
+(* Keys chosen to collide and wrap around the table: a tiny range,
+   multiples of the capacities the table passes through, negative keys,
+   keys at and beyond 2^40, the extreme ints, and a wide range whose
+   mostly fresh keys drive the table through two or three grow steps. *)
+let kv_key =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, int_range 0 7);
+        (2, map (fun k -> k * 8192) (int_range (-32) 32));
+        (1, int_range (-3000) (-1));
+        (1, map (fun k -> (1 lsl 40) + k) (int_range 0 3000));
+        (1, map (fun k -> k lsl 40) (int_range (-8) 8));
+        (1, oneofl [ min_int; max_int; -1 ]);
+        (6, int_bound (1 lsl 20));
+      ])
+
+let kv_op =
+  QCheck.Gen.(
+    map
+      (fun (kind, key, v1, v2) -> { Kv.id = 0; kind; key; v1; v2 })
+      (quad
+         (frequency
+            [ (1, return Kv.Get); (5, return Kv.Put); (2, return Kv.Cas); (2, return Kv.Delete) ])
+         kv_key (int_range 0 3) (int_range 0 1_000)))
+
+(* After every op, the table answers like the model for the op's key,
+   and its size, incremental digest and scanned digest all equal the
+   model's; at the end the contents are equal, and a seeded corruption
+   scrambles both the same way. *)
+let prop_kv_matches_model =
+  QCheck.Test.make ~name:"Kv agrees with a Hashtbl model over colliding keys and grow steps"
+    ~count:12
+    QCheck.(
+      pair (make ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+              Gen.(list_size (int_range 1_000 4_000) kv_op))
+        small_nat)
+    (fun (ops, seed) ->
+      let t = Kv.create () and m = Hashtbl.create 64 in
+      List.for_all
+        (fun (o : Kv.op) ->
+          Kv.apply t o;
+          model_apply m o;
+          let d = model_digest m in
+          Kv.get t o.Kv.key = model_get m o.Kv.key
+          && Kv.mem t o.Kv.key = Hashtbl.mem m o.Kv.key
+          && Kv.cardinal t = Hashtbl.length m
+          && Kv.digest t = d
+          && Kv.recompute_digest t = d)
+        ops
+      && same_contents t m
+      && begin
+        Kv.corrupt (Rng.create seed) ~keys:8 t;
+        model_corrupt (Rng.create seed) ~keys:8 m;
+        same_contents t m && Kv.recompute_digest t = model_digest m
+      end)
 
 let test_kv_order_independence () =
   (* state digest is order-independent; batch digest is order-dependent *)
@@ -267,6 +362,7 @@ let suite =
           test_kv_incremental_digest_matches_recompute;
         Alcotest.test_case "kv digest order (in)dependence" `Quick
           test_kv_order_independence;
+        QCheck_alcotest.to_alcotest prop_kv_matches_model;
         Alcotest.test_case "workload shape" `Quick test_workload_shape;
         Alcotest.test_case "workload determinism" `Quick test_workload_determinism;
         Alcotest.test_case "mv consensus agreement" `Quick test_mv_agreement;
