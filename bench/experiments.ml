@@ -992,8 +992,8 @@ let e14 m =
       ]
   in
   let n = 5 in
-  let headline_report = ref None in
-  let row ~label ~style ~ops ~sessions ~window ~batch_max ~faults ~headline () =
+  let headline = ref None in
+  let row ~label ~style ~ops ~sessions ~window ~batch_max ~faults ~headline:is_headline () =
     let wl =
       W.create ~n
         { W.default_spec with W.ops; sessions; window; seed = 101 }
@@ -1001,8 +1001,13 @@ let e14 m =
     let params =
       { (S.default_params ~n ~seed:202) with S.style; batch_max; faults }
     in
+    let minor0, promoted0, _ = Gc.counters () in
     let r = S.run ~wl params in
-    if headline then headline_report := Some r;
+    let minor1, promoted1, _ = Gc.counters () in
+    if is_headline then begin
+      let per_op w = w /. float_of_int (max 1 r.S.unique_ops) in
+      headline := Some (r, per_op (minor1 -. minor0), per_op (promoted1 -. promoted0))
+    end;
     let lat f = match r.S.latency with Some l -> f l | None -> Float.nan in
     let heal =
       List.fold_left
@@ -1083,9 +1088,21 @@ let e14 m =
       }
     ~headline:false ();
   Table.print table;
-  match !headline_report with
-  | Some r -> Format.printf "@.%a@." S.pp_report r
+  (* Allocation per committed op on the headline call (one domain, so the
+     domain's GC counters see all of it). Both are deterministic for a
+     given build, so they are gated here rather than by bench-diff. *)
+  match !headline with
   | None -> ()
+  | Some (r, minor, promoted) ->
+    Format.printf "@.%a@." S.pp_report r;
+    M.set (M.gauge m "minor_words_per_op.headline") minor;
+    M.set (M.gauge m "promoted_words_per_op.headline") promoted;
+    Format.printf "headline allocation: %.1f minor / %.2f promoted words per committed op \
+                   (gates: 50 / 2)@." minor promoted;
+    if minor > 50.0 then
+      failwith (Printf.sprintf "E14: %.1f minor words per committed op (> 50)" minor);
+    if promoted > 2.0 then
+      failwith (Printf.sprintf "E14: %.2f promoted words per committed op (> 2)" promoted)
 
 (* ------------------------------------------------------------------ *)
 (* E15 — monitor-plane overhead: the E14 storm scenario with every     *)

@@ -121,13 +121,14 @@ let process ?obs ?profile ~wl ~params:(params : params) ~oracle () =
         let now = Sim.now ctx and self = Sim.self ctx in
         (* Client arrivals attached to this replica since the last tick. *)
         let ids = Workload.per_replica wl self in
-        let fresh = ref [] in
+        let first = s.cursor in
         while s.cursor < Array.length ids && Workload.arrival wl ids.(s.cursor) <= now do
-          fresh := Workload.op wl ids.(s.cursor) :: !fresh;
           s.cursor <- s.cursor + 1
         done;
-        if !fresh <> [] then
-          send_outs ctx (Tob.submit s.tob ~now (Array.of_list (List.rev !fresh)));
+        if s.cursor > first then
+          send_outs ctx
+            (Tob.submit s.tob ~now
+               (Array.init (s.cursor - first) (fun i -> Workload.op wl ids.(first + i))));
         (* The failure-detector stack. *)
         let fd, fmsg =
           Esfd.tick s.fd ~self
@@ -253,10 +254,10 @@ let run_measured ?obs ?profile ~wl (params : params) =
     |> fun m -> if m = max_int then 0 else m
   in
   let summaries =
-    List.map
-      (fun (_, s) ->
-        (Tob.committed s.tob, Tob.content_digest s.tob, Tob.kv_recomputed s.tob))
-      live
+    let tobs = List.map (fun (_, s) -> s.tob) live in
+    List.map2
+      (fun tob content -> (Tob.committed tob, content, Tob.kv_recomputed tob))
+      tobs (Tob.content_digests tobs)
   in
   let converged =
     match summaries with

@@ -48,9 +48,12 @@ type t = {
   mutable applied : int;
   mutable kvh : int; (* height of the last KV checkpoint snapshot *)
   mutable kv_cp : int; (* table-recomputed KV digest at that height *)
-  (* pending client operations: FIFO plus bitsets (indexed by op id) for
-     dedup and committed-filtering *)
-  queue : Kv.op Queue.t;
+  (* pending client operations: a flat FIFO, live in [pend.(head) ..
+     pend.(tail - 1)], plus bitsets (indexed by op id) for dedup and
+     committed-filtering *)
+  mutable pend : Kv.op array;
+  mutable head : int;
+  mutable tail : int;
   mutable queued : Bytes.t;
   mutable donebits : Bytes.t;
   (* the consensus engine for slot [committed] *)
@@ -75,6 +78,8 @@ type t = {
   mutable recoveries : int;
 }
 
+let pending_capacity = 256 (* initial FIFO slots; doubled only when full *)
+let no_op = { Kv.id = -1; kind = Kv.Get; key = 0; v1 = 0; v2 = 0 } (* filler *)
 let pull_patience = 5 (* ticks before an unanswered pull may be retried *)
 let audit_interval = 64 (* ticks between self-audits *)
 let audit_window = 32 (* log slots re-validated per audit *)
@@ -110,16 +115,16 @@ let mark_done t (o : Kv.op) =
 
 (* --- log storage --- *)
 
+(* [pdig] is always one longer than [log], so every length [corrupt] can
+   scramble [committed] to (at most the log's capacity) still indexes
+   [pdig] — the guard reads [pdig.(committed)] before any repair. *)
 let ensure_log_cap t k =
   if k > Array.length t.log then begin
     let cap = max (2 * Array.length t.log) k in
     let log = Array.make cap [||] in
     Array.blit t.log 0 log 0 (Array.length t.log);
-    t.log <- log
-  end;
-  if k + 1 > Array.length t.pdig then begin
-    let cap = max (2 * Array.length t.pdig) (k + 1) in
-    let pdig = Array.make cap 0 in
+    t.log <- log;
+    let pdig = Array.make (cap + 1) 0 in
     Array.blit t.pdig 0 pdig 0 (Array.length t.pdig);
     t.pdig <- pdig
   end
@@ -179,7 +184,9 @@ let create ?obs ?profile ~n ~self ~style ~batch_max ?(checkpoint = 64)
       applied = 0;
       kvh = 0;
       kv_cp = 0;
-      queue = Queue.create ();
+      pend = Array.make pending_capacity no_op;
+      head = 0;
+      tail = 0;
       queued = Bytes.make bytes '\000';
       donebits = Bytes.make bytes '\000';
       engine = None;
@@ -221,46 +228,90 @@ let content_digest t =
   done;
   !h
 
+(* [content_digest] for several replicas at once. Every replica that
+   committed a decision holds the proposer's batch array itself, so a
+   slot whose array is physically the first replica's reuses that
+   replica's batch digest; any other array is hashed on its own. *)
+let content_digests = function
+  | [] -> []
+  | first :: _ as ts ->
+    let shared = Array.init first.committed (fun i -> Kv.batch_digest first.log.(i)) in
+    List.map
+      (fun t ->
+        let h = ref 0 in
+        for i = 0 to t.committed - 1 do
+          let b = t.log.(i) in
+          let d =
+            if i < Array.length shared && b == first.log.(i) then shared.(i)
+            else Kv.batch_digest b
+          in
+          h := Kv.chain !h d
+        done;
+        !h)
+      ts
+
 (* --- pending queue --- *)
 
+(* The FIFO never allocates per op: [prune] only moves [head], the live
+   range slides back to index 0 once [head] passes half the array, and
+   the array doubles only when the live range fills it. *)
+let compact t =
+  let live = t.tail - t.head in
+  Array.blit t.pend t.head t.pend 0 live;
+  t.head <- 0;
+  t.tail <- live
+
 let prune t =
-  let rec go () =
-    match Queue.peek_opt t.queue with
-    | Some o when is_done t o ->
-      ignore (Queue.pop t.queue);
-      go ()
-    | _ -> ()
-  in
-  go ()
+  while t.head < t.tail && is_done t t.pend.(t.head) do
+    t.head <- t.head + 1
+  done;
+  if 2 * t.head > Array.length t.pend then compact t
 
 let has_pending t =
   prune t;
-  not (Queue.is_empty t.queue)
+  t.head < t.tail
+
+let push_pending t o =
+  if t.tail = Array.length t.pend then begin
+    let pend = Array.make (2 * Array.length t.pend) no_op in
+    Array.blit t.pend t.head pend 0 (t.tail - t.head);
+    t.pend <- pend;
+    t.tail <- t.tail - t.head;
+    t.head <- 0
+  end;
+  t.pend.(t.tail) <- o;
+  t.tail <- t.tail + 1
 
 let enqueue_ops t ops =
-  Array.iter
-    (fun (o : Kv.op) ->
-      ensure_bits t o.Kv.id;
-      if not (bit_get t.donebits o.Kv.id || bit_get t.queued o.Kv.id) then begin
-        bit_set t.queued o.Kv.id;
-        Queue.add o t.queue
-      end)
-    ops
+  for i = 0 to Array.length ops - 1 do
+    let o = ops.(i) in
+    ensure_bits t o.Kv.id;
+    if not (bit_get t.donebits o.Kv.id || bit_get t.queued o.Kv.id) then begin
+      bit_set t.queued o.Kv.id;
+      push_pending t o
+    end
+  done
 
+(* The proposal: the first [batch_max] not-done ops in FIFO order. One
+   pass counts them, a second fills an array of exactly that length. *)
 let make_batch t =
   prune t;
-  let acc = ref [] and count = ref 0 in
-  (try
-     Queue.iter
-       (fun o ->
-         if not (is_done t o) then begin
-           acc := o :: !acc;
-           incr count;
-           if !count >= t.batch_max then raise Exit
-         end)
-       t.queue
-   with Exit -> ());
-  Array.of_list (List.rev !acc)
+  let count = ref 0 and i = ref t.head in
+  while !count < t.batch_max && !i < t.tail do
+    if not (is_done t t.pend.(!i)) then incr count;
+    incr i
+  done;
+  let batch = Array.make !count no_op in
+  let k = ref 0 and i = ref t.head in
+  while !k < !count do
+    let o = t.pend.(!i) in
+    if not (is_done t o) then begin
+      batch.(!k) <- o;
+      incr k
+    end;
+    incr i
+  done;
+  batch
 
 (* --- applying the log --- *)
 
@@ -347,16 +398,19 @@ let rebuild_from_log t ~now =
   for i = 0 to t.committed - 1 do
     Array.iter (mark_done t) t.log.(i)
   done;
-  let keep = Queue.create () in
-  Queue.iter
-    (fun (o : Kv.op) ->
-      if not (is_done t o) && not (bit_get t.queued o.Kv.id) then begin
-        bit_set t.queued o.Kv.id;
-        Queue.add o keep
-      end)
-    t.queue;
-  Queue.clear t.queue;
-  Queue.transfer keep t.queue;
+  (* Refilter the FIFO in place, to the front of the array: the write
+     index never passes the read index. *)
+  let w = ref 0 in
+  for r = t.head to t.tail - 1 do
+    let o = t.pend.(r) in
+    if not (is_done t o) && not (bit_get t.queued o.Kv.id) then begin
+      bit_set t.queued o.Kv.id;
+      t.pend.(!w) <- o;
+      incr w
+    end
+  done;
+  t.head <- 0;
+  t.tail <- !w;
   t.engine <- None;
   Hashtbl.reset t.future;
   t.pull <- None;
@@ -435,25 +489,19 @@ let submit t ~now ops =
 
 (* --- message handling --- *)
 
+(* [slot = committed]: [deliver] answers stale slots and drops future
+   ones before opening a span. *)
 let on_cons t ~now ~src ~slot m =
-  if slot < t.committed then [ Send (src, Decide { slot; batch = t.log.(slot) }) ]
-  else if slot > t.committed then
-    (* A peer running consensus ahead of us is not, by itself, authority
-       to transfer state — a corrupted replica's scrambled height would
-       drag everyone along. Catch-up is majority-gated on [tick]. *)
-    []
-  else begin
-    let outs = if t.engine = None then enter_engine t else [] in
-    match t.engine with
-    | None -> outs (* unreachable: enter_engine just installed one *)
-    | Some eng ->
-      let eng, mouts, verdict = Mv_consensus.receive eng ~src m in
-      t.engine <- Some eng;
-      let outs = outs @ map_outs slot mouts in
-      (match verdict with
-      | Mv_consensus.Decided batch -> outs @ decide t ~now batch
-      | Mv_consensus.Continue -> outs)
-  end
+  let outs = if t.engine = None then enter_engine t else [] in
+  match t.engine with
+  | None -> outs (* unreachable: enter_engine just installed one *)
+  | Some eng ->
+    let eng, mouts, verdict = Mv_consensus.receive eng ~src m in
+    t.engine <- Some eng;
+    let outs = outs @ map_outs slot mouts in
+    (match verdict with
+    | Mv_consensus.Decided batch -> outs @ decide t ~now batch
+    | Mv_consensus.Continue -> outs)
 
 (* [slot >= committed]: [deliver] drops decisions for committed slots. *)
 let on_decide t ~now ~slot batch =
@@ -467,45 +515,75 @@ let on_decide t ~now ~slot batch =
     []
   end
 
+(* Most [Tag]s change nothing: the peer is not on our next slot's
+   engine, and its checkpoint verdict is the one already recorded. The
+   engine step and the new conflict-set memberships are worked out
+   first, and only a [Tag] that does work — a round jump, entering an
+   engine, or a conflict-set change — opens a span. *)
 let on_tag t ~src ~len ~round ~cp ~cp_log ~kvh ~kv_d =
   t.peer_len.(src) <- len;
   t.peer_cp.(src) <- cp;
   t.peer_cpd.(src) <- cp_log;
-  let outs = [] in
-  let outs =
-    if len <> t.committed then outs
-    else
-      match t.engine with
-      | Some eng when round > Mv_consensus.round eng ->
-        let eng, mouts = Mv_consensus.jump eng ~round in
-        t.engine <- Some eng;
-        outs @ map_outs t.committed mouts
-      | Some _ -> outs
-      | None ->
-        (* The peer is running consensus on our next slot: participate,
-           even with an empty proposal, so majorities can form. *)
-        if round >= 0 then outs @ enter_engine t else outs
+  let engine_work =
+    len = t.committed
+    &&
+    match t.engine with
+    | Some eng -> round > Mv_consensus.round eng
+    | None ->
+      (* The peer is running consensus on our next slot: participate,
+         even with an empty proposal, so majorities can form. *)
+      round >= 0
   in
-  if
+  let judged =
     t.style.recover
     && (not (Pid.equal src t.self))
     && cp >= 0
     && cp mod t.checkpoint = 0
     && cp <= t.committed
+  in
+  let diverges = judged && t.pdig.(cp) <> cp_log in
+  let agrees = judged && not diverges in
+  let log_conflict =
+    if diverges then Pidset.add src t.log_conflict
+    else if agrees then Pidset.remove src t.log_conflict
+    else t.log_conflict
+  in
+  let log_agree =
+    if diverges then Pidset.remove src t.log_agree
+    else if agrees then Pidset.add src t.log_agree
+    else t.log_agree
+  in
+  let kv_conflict =
+    if agrees && kvh = t.kvh && kvh > 0 then
+      if kv_d <> t.kv_cp then Pidset.add src t.kv_conflict
+      else Pidset.remove src t.kv_conflict
+    else t.kv_conflict
+  in
+  if
+    engine_work
+    || not
+         (Pidset.equal log_conflict t.log_conflict
+         && Pidset.equal log_agree t.log_agree
+         && Pidset.equal kv_conflict t.kv_conflict)
   then begin
-    if t.pdig.(cp) <> cp_log then begin
-      t.log_conflict <- Pidset.add src t.log_conflict;
-      t.log_agree <- Pidset.remove src t.log_agree
-    end
-    else begin
-      t.log_conflict <- Pidset.remove src t.log_conflict;
-      t.log_agree <- Pidset.add src t.log_agree;
-      if kvh = t.kvh && kvh > 0 then
-        if kv_d <> t.kv_cp then t.kv_conflict <- Pidset.add src t.kv_conflict
-        else t.kv_conflict <- Pidset.remove src t.kv_conflict
-    end
-  end;
-  outs
+    pf_enter t Prof.Phase.svc_gossip;
+    t.log_conflict <- log_conflict;
+    t.log_agree <- log_agree;
+    t.kv_conflict <- kv_conflict;
+    let outs =
+      if not engine_work then []
+      else
+        match t.engine with
+        | Some eng ->
+          let eng, mouts = Mv_consensus.jump eng ~round in
+          t.engine <- Some eng;
+          map_outs t.committed mouts
+        | None -> enter_engine t
+    in
+    pf_leave t;
+    outs
+  end
+  else []
 
 let on_pull_rep t ~now ~src ~from ~entries =
   let len = Array.length entries in
@@ -567,6 +645,14 @@ let deliver t ~now ~src msg =
     | Fwd ops ->
       enqueue_ops t ops;
       []
+    | Cons { slot; _ } when slot < t.committed ->
+      [ Send (src, Decide { slot; batch = t.log.(slot) }) ]
+    | Cons { slot; _ } when slot > t.committed ->
+      (* A peer running consensus ahead of us is not, by itself,
+         authority to transfer state — a corrupted replica's scrambled
+         height would drag everyone along. Catch-up is majority-gated on
+         [tick]. *)
+      []
     | Cons { slot; m } ->
       pf_enter t Prof.Phase.svc_slot;
       let outs = on_cons t ~now ~src ~slot m in
@@ -582,10 +668,7 @@ let deliver t ~now ~src msg =
       pf_leave t;
       outs
     | Tag { len; round; cp; cp_log; kvh; kv_d } ->
-      pf_enter t Prof.Phase.svc_gossip;
-      let outs = on_tag t ~src ~len ~round ~cp ~cp_log ~kvh ~kv_d in
-      pf_leave t;
-      outs
+      on_tag t ~src ~len ~round ~cp ~cp_log ~kvh ~kv_d
     | Pull_req { from } ->
       pf_enter t Prof.Phase.svc_catchup;
       let outs =

@@ -106,6 +106,14 @@ val log_digest : t -> int
     convergence oracle. *)
 val content_digest : t -> int
 
+(** [content_digests ts] is [List.map content_digest ts], computed
+    faster: a replica commits the decided batch array itself, and no
+    batch array is ever written after it is created, so a slot whose
+    array is physically the first replica's has that replica's batch
+    digest, and is hashed once for all of them. Any other array is
+    hashed from its content. *)
+val content_digests : t list -> int list
+
 (** Incrementally maintained KV digest. *)
 val kv_digest : t -> int
 

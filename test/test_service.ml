@@ -238,6 +238,252 @@ let test_mv_agreement () =
   check "agreement" true (List.for_all (fun v -> v = v0) !decided);
   check "validity" true (Array.exists (fun p -> p = v0) proposals)
 
+(* --- Tob's pending FIFO against a Stdlib.Queue model --- *)
+
+(* The test oracle: the pending-op path as a [Stdlib.Queue] plus two id
+   sets — enqueue dedup by id, head pruning of committed ops, the
+   proposal as the first [batch_max] uncommitted ops in FIFO order, and
+   the recovery refilter. It is never used outside this test. *)
+type fifo_model = {
+  q : Kv.op Queue.t;
+  queued : (int, unit) Hashtbl.t;
+  done_ : (int, unit) Hashtbl.t;
+}
+
+let model_is_done m (o : Kv.op) = Hashtbl.mem m.done_ o.Kv.id
+
+let model_enqueue m ops =
+  Array.iter
+    (fun (o : Kv.op) ->
+      if not (model_is_done m o || Hashtbl.mem m.queued o.Kv.id) then begin
+        Hashtbl.replace m.queued o.Kv.id ();
+        Queue.add o m.q
+      end)
+    ops
+
+let rec model_prune m =
+  match Queue.peek_opt m.q with
+  | Some o when model_is_done m o ->
+    ignore (Queue.pop m.q);
+    model_prune m
+  | _ -> ()
+
+let model_has_pending m =
+  model_prune m;
+  not (Queue.is_empty m.q)
+
+let model_batch m ~batch_max =
+  model_prune m;
+  let acc = ref [] and count = ref 0 in
+  (try
+     Queue.iter
+       (fun o ->
+         if not (model_is_done m o) then begin
+           acc := o :: !acc;
+           incr count;
+           if !count >= batch_max then raise Exit
+         end)
+       m.q
+   with Exit -> ());
+  Array.of_list (List.rev !acc)
+
+(* Recovery: the committed log is the new truth for done-ness, and the
+   queue keeps the first copy of each uncommitted id. *)
+let model_rebuild m log =
+  Hashtbl.reset m.done_;
+  Hashtbl.reset m.queued;
+  List.iter (Array.iter (fun (o : Kv.op) -> Hashtbl.replace m.done_ o.Kv.id ())) log;
+  let keep = Queue.create () in
+  Queue.iter
+    (fun (o : Kv.op) ->
+      if not (model_is_done m o || Hashtbl.mem m.queued o.Kv.id) then begin
+        Hashtbl.replace m.queued o.Kv.id ();
+        Queue.add o keep
+      end)
+    m.q;
+  Queue.clear m.q;
+  Queue.transfer keep m.q
+
+type fifo_action =
+  | Fwd of bool * (int * int) list
+      (* through [submit]?, (age, salt): age 0 is a new id, age k the id
+         k below the next new one *)
+  | Decide of bool * int * int list * int list
+      (* one slot ahead?, how many pending ops from the front, further
+         positions among the pending ops, ages *)
+  | Tag
+  | Corrupt of int
+
+let fifo_age = QCheck.Gen.(frequency [ (3, return 0); (1, int_range 1 60) ])
+
+let fifo_action =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 16,
+          map2
+            (fun via ops -> Fwd (via, ops))
+            bool
+            (list_size (int_range 1 40) (pair fifo_age (int_bound 3))) );
+        ( 12,
+          map4
+            (fun ahead front picks ages -> Decide (ahead, front, picks, ages))
+            (frequency [ (1, return true); (4, return false) ])
+            (int_bound 64)
+            (list_size (int_range 0 8) (frequency [ (2, int_bound 20); (1, int_bound 400) ]))
+            (list_size (int_range 0 3) fifo_age) );
+        (2, return Tag);
+        (1, map (fun seed -> Corrupt seed) (int_bound 1_000_000));
+      ])
+
+(* The proposals a call emitted: every fresh engine sends its proposal
+   as the estimate of a round-0 [Est]. *)
+let proposals outs =
+  List.filter_map
+    (function
+      | Tob.Send (_, Tob.Cons { m = Mv_consensus.Est { estimate; _ }; _ })
+      | Tob.Bcast (Tob.Cons { m = Mv_consensus.Est { estimate; _ }; _ }) -> Some estimate
+      | _ -> None)
+    outs
+
+(* One replica of three, driven through the public API only: [Fwd]s and
+   [submit]s with duplicate ids (a later copy of an id carries another
+   salt, so keeping the first copy is checked), [Decide]s that commit
+   ops from anywhere in the FIFO and ops never seen, decisions one slot
+   ahead, [Tag]s that make an idle replica propose, and corruptions
+   followed by recovery. Ids span far more than the initial FIFO and
+   bitset sizes, so the run crosses grow and compaction steps. Every
+   proposal must equal the model's; at the end, committing each
+   proposal in turn must walk the whole FIFO in the model's order. *)
+let prop_tob_fifo_matches_queue =
+  QCheck.Test.make ~name:"Tob pending FIFO proposes like a Stdlib.Queue model" ~count:50
+    QCheck.(
+      pair
+        (make ~print:(fun acts -> Printf.sprintf "%d actions" (List.length acts))
+           Gen.(list_size (int_range 100 400) fifo_action))
+        (make ~print:string_of_int Gen.(int_range 1 48)))
+    (fun (actions, batch_max) ->
+      let t =
+        Tob.create ~n:3 ~self:0 ~style:Tob.self_stabilizing ~batch_max ~id_hint:64 ()
+      in
+      let m =
+        { q = Queue.create (); queued = Hashtbl.create 64; done_ = Hashtbl.create 64 }
+      in
+      let next = ref 0 in
+      let op age salt =
+        let id = if age = 0 then (incr next; !next - 1) else max 0 (!next - age) in
+        { Kv.id; kind = Kv.Put; key = id; v1 = salt; v2 = 0 }
+      in
+      let now = ref 0 in
+      (* Whether the replica holds an engine for its next slot: set by
+         every proposal, cleared by every commit and every recovery. *)
+      let engine = ref false in
+      let ok = ref true in
+      let expect outs want =
+        let got = proposals outs in
+        (match (got, want) with
+        | [], None -> ()
+        | [ b ], Some w when b = w -> ()
+        | _ -> ok := false);
+        if got <> [] then engine := true
+      in
+      let step call =
+        incr now;
+        let committed = Tob.committed t and recoveries = Tob.recoveries t in
+        let outs = call () in
+        if Tob.recoveries t <> recoveries then begin
+          engine := false;
+          model_rebuild m (List.init (Tob.committed t) (Tob.log_entry t))
+        end
+        else
+          for slot = committed to Tob.committed t - 1 do
+            engine := false;
+            Array.iter
+              (fun (o : Kv.op) -> Hashtbl.replace m.done_ o.Kv.id ())
+              (Tob.log_entry t slot)
+          done;
+        ignore (Tob.drain_notes t);
+        outs
+      in
+      let decide slot batch =
+        let before = Tob.committed t in
+        let outs = step (fun () -> Tob.deliver t ~now:!now ~src:1 (Tob.Decide { slot; batch })) in
+        expect outs
+          (if Tob.committed t > before && model_has_pending m then
+             Some (model_batch m ~batch_max)
+           else None)
+      in
+      List.iter
+        (fun act ->
+          if !ok then
+            match act with
+            | Fwd (via_submit, aged) ->
+              let ops = Array.of_list (List.map (fun (age, salt) -> op age salt) aged) in
+              let outs =
+                step (fun () ->
+                    if via_submit then Tob.submit t ~now:!now ops
+                    else Tob.deliver t ~now:!now ~src:2 (Tob.Fwd ops))
+              in
+              model_enqueue m ops;
+              expect outs None
+            | Decide (ahead, front, picks, ages) ->
+              model_prune m;
+              let pending =
+                Array.of_list
+                  (List.filter
+                     (fun o -> not (model_is_done m o))
+                     (List.of_seq (Queue.to_seq m.q)))
+              in
+              let len = Array.length pending in
+              let picked =
+                if len = 0 then []
+                else
+                  Array.to_list (Array.sub pending 0 (min front len))
+                  @ List.map (fun p -> pending.(p mod len)) picks
+              in
+              let batch = Array.of_list (picked @ List.map (fun age -> op age 9) ages) in
+              decide (Tob.committed t + if ahead then 1 else 0) batch
+            | Tag ->
+              let idle = not !engine in
+              let outs =
+                step (fun () ->
+                    Tob.deliver t ~now:!now ~src:1
+                      (Tob.Tag
+                         { len = Tob.committed t; round = 0; cp = -1; cp_log = 0; kvh = 0; kv_d = 0 }))
+              in
+              expect outs (if idle then Some (model_batch m ~batch_max) else None)
+            | Corrupt seed ->
+              ignore (Tob.corrupt (Rng.create seed) t);
+              expect (step (fun () -> Tob.submit t ~now:!now [||])) None)
+        actions;
+      (* Drain: commit each proposal as decided until nothing is pending. *)
+      let rounds = ref 0 in
+      while !ok && model_has_pending m && !rounds < 10_000 do
+        incr rounds;
+        decide (Tob.committed t) (model_batch m ~batch_max)
+      done;
+      !ok && not (model_has_pending m))
+
+(* [corrupt] may scramble [committed] to any height up to the log's
+   capacity, and the guard reads the prefix digest at that height before
+   recovery runs. Just past a log growth step the capacity runs well
+   ahead of the committed prefix; every scrambled height must still be
+   caught and repaired, not crash the guard. *)
+let test_tob_corrupt_height_recovers () =
+  List.iter
+    (fun height ->
+      for seed = 0 to 59 do
+        let t = Tob.create ~n:3 ~self:0 ~style:Tob.self_stabilizing ~batch_max:8 () in
+        for slot = 0 to height - 1 do
+          ignore (Tob.deliver t ~now:slot ~src:1 (Tob.Decide { slot; batch = [||] }))
+        done;
+        ignore (Tob.corrupt (Rng.create seed) t);
+        ignore (Tob.submit t ~now:height [||]);
+        check "content digest = maintained digest" true
+          (Tob.content_digest t = Tob.log_digest t)
+      done)
+    [ 129; 257 ]
+
 (* --- end-to-end service runs --- *)
 
 let tiny_wl ?(seed = 5) ?(ops = 4_000) ?(window = 1_500) n =
@@ -366,6 +612,9 @@ let suite =
         Alcotest.test_case "workload shape" `Quick test_workload_shape;
         Alcotest.test_case "workload determinism" `Quick test_workload_determinism;
         Alcotest.test_case "mv consensus agreement" `Quick test_mv_agreement;
+        QCheck_alcotest.to_alcotest prop_tob_fifo_matches_queue;
+        Alcotest.test_case "tob recovers any corrupted height" `Quick
+          test_tob_corrupt_height_recovers;
         Alcotest.test_case "fault-free run converges" `Quick test_service_fault_free;
         Alcotest.test_case "faulted run converges (property)" `Quick
           test_service_converges_under_faults;
