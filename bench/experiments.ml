@@ -38,7 +38,7 @@ let e1 m =
             in
             let d = float_of_int (Solve.measured_stabilization Round_agreement.spec trace) in
             measured := d :: !measured;
-            M.observe (M.histogram m "measured_stabilization") d;
+            M.lobserve (M.lhist m "measured_stabilization") d;
             M.inc (M.counter m "trials");
             if Solve.ftss_solves Round_agreement.spec ~stabilization:1 trace then begin
               incr holds;
@@ -91,7 +91,7 @@ let e2 m =
         let spec = Repeated.round_and_sigma ~final_round:pi.Canonical.final_round ~valid () in
         let d = float_of_int (Solve.measured_stabilization spec trace) in
         measured := d :: !measured;
-        M.observe (M.histogram m "measured_stabilization") d;
+        M.lobserve (M.lhist m "measured_stabilization") d;
         if Solve.ftss_solves spec ~stabilization:bound trace then incr holds;
         let completed, agreeing =
           Repeated.count_agreeing_iterations trace ~faulty:(Faults.faulty faults) ~valid
@@ -250,7 +250,7 @@ let e5 m =
             | Some t ->
               incr converged;
               M.inc (M.counter m "converged");
-              M.observe (M.histogram m "convergence_after_gst") (float_of_int (max 0 (t - gst)));
+              M.lobserve (M.lhist m "convergence_after_gst") (float_of_int (max 0 (t - gst)));
               convs := float_of_int (max 0 (t - gst)) :: !convs
             | None -> ()
           done;
@@ -321,7 +321,7 @@ let e6 m =
           let stab = Consensus.stabilization_time result ~correct ~propose ~n in
           M.add (M.counter m "decided_instances") (List.length grouped);
           (match stab with
-          | Some t -> M.observe (M.histogram m "stabilized_at") (float_of_int t)
+          | Some t -> M.lobserve (M.lhist m "stabilized_at") (float_of_int t)
           | None -> M.inc (M.counter m "never_stabilized"));
           Table.add_row table
             [
@@ -365,7 +365,7 @@ let e7 m =
       let windows = Solve.stable_windows trace in
       let measured = Solve.measured_stabilization Round_agreement.spec trace in
       let holds = Solve.ftss_solves Round_agreement.spec ~stabilization:1 trace in
-      M.observe (M.histogram m "measured_stabilization") (float_of_int measured);
+      M.lobserve (M.lhist m "measured_stabilization") (float_of_int measured);
       Table.add_row table
         [
           "round-agreement";
@@ -393,7 +393,7 @@ let e7 m =
       let windows = Solve.stable_windows trace in
       let measured = Solve.measured_stabilization Round_agreement.spec trace in
       let holds = Solve.ftss_solves Round_agreement.spec ~stabilization:1 trace in
-      M.observe (M.histogram m "measured_stabilization") (float_of_int measured);
+      M.lobserve (M.lhist m "measured_stabilization") (float_of_int measured);
       Table.add_row table
         [
           "round-agreement (partial reveal)";
@@ -419,7 +419,7 @@ let e7 m =
       let windows = Solve.stable_windows trace in
       let measured = Solve.measured_stabilization Round_agreement.spec trace in
       let holds = Solve.ftss_solves Round_agreement.spec ~stabilization:1 trace in
-      M.observe (M.histogram m "measured_stabilization") (float_of_int measured);
+      M.lobserve (M.lhist m "measured_stabilization") (float_of_int measured);
       Table.add_row table
         [
           "round-agreement (rolling mute)";
@@ -452,7 +452,7 @@ let e7 m =
       let holds =
         Solve.ftss_solves spec ~stabilization:(Compiler.stabilization_bound pi) trace
       in
-      M.observe (M.histogram m "measured_stabilization") (float_of_int measured);
+      M.lobserve (M.lhist m "measured_stabilization") (float_of_int measured);
       Table.add_row table
         [
           "compiled consensus";
@@ -667,7 +667,7 @@ let e9 m =
             | Some t ->
               incr converged;
               M.inc (M.counter m "converged");
-              M.observe (M.histogram m "convergence_after_gst") (float_of_int (max 0 (t - gst)));
+              M.lobserve (M.lhist m "convergence_after_gst") (float_of_int (max 0 (t - gst)));
               convs := float_of_int (max 0 (t - gst)) :: !convs
             | None -> ()
           done;
@@ -724,7 +724,7 @@ let e10 m =
           incr converged;
           M.inc (M.counter m "converged")
         end;
-        M.observe (M.histogram m "final_spread") (float_of_int report.Drift.final_spread);
+        M.lobserve (M.lhist m "final_spread") (float_of_int report.Drift.final_spread);
         worst := max !worst report.Drift.final_spread
       done;
       Table.add_row table
@@ -788,7 +788,7 @@ let e11 m =
       in
       M.add (M.counter m "cases") total;
       M.add (M.counter m "states") stats1.Explore.states;
-      M.observe (M.histogram m "speedup") speedup;
+      M.lobserve (M.lhist m "speedup") speedup;
       (* Single-domain throughput per row, so BENCH_E11.json tracks the
          engine's per-case cost over time. *)
       M.set

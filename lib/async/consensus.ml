@@ -14,34 +14,24 @@ type tag = { instance : int; round : int }
 let tag_gt a b =
   a.instance > b.instance || (a.instance = b.instance && a.round > b.round)
 
-type cmsg =
-  | Est of { tag : tag; estimate : value; ts : int }
-  | Propose of { tag : tag; value : value }
-  | Ack of { tag : tag }
-  | Nack of { tag : tag }
+(* The rounds of one instance are {!Mv_consensus}'s; the driver adds the
+   instance number to its messages, and owns decision dissemination and
+   the round-agreement heartbeat. *)
+type msg =
+  | Fd of Esfd.msg
+  | Hb of Heartbeat.msg
+  | Cons of { instance : int; m : value Mv_consensus.msg }
   | Decide of { instance : int; value : value }
   | Round of { tag : tag }
-
-type msg = Fd of Esfd.msg | Hb of Heartbeat.msg | Cons of cmsg
-
-type coord_record = {
-  co_round : int;
-  co_ests : (value * int) Pidmap.t;
-  co_proposal : value option;
-  co_acks : Pidset.t;
-}
 
 type state = {
   fd : Esfd.t;
   hb : Heartbeat.t option;
       (* present when the ◇W layer is the heartbeat implementation *)
   instance : int;
-  round : int;
-  estimate : value;
-  ts : int; (* round in which [estimate] was last adopted; -1 = fresh *)
-  coord : coord_record option; (* bookkeeping for the round we coordinate *)
+  engine : value Mv_consensus.t; (* the current instance's rounds *)
   prev_decision : (int * value) option;
-  pending : (Pid.t * cmsg) list;
+  pending : (Pid.t * tag * msg) list;
       (* future-tagged messages buffered for replay (classic CT91); only
          populated when the style does not run round agreement *)
 }
@@ -50,35 +40,48 @@ type observation =
   | Decided of { instance : int; value : value }
   | Joined of tag
 
-let forged_round tag = Cons (Round { tag })
-let forged_decide ~instance ~value = Cons (Decide { instance; value })
+let forged_round tag = Round { tag }
+let forged_decide ~instance ~value = Decide { instance; value }
 
 type detector_source =
   | Oracle of Ewfd.t
   | Heartbeats of { initial_timeout : int; backoff : int }
 
-let coord_of ~n round = ((round mod n) + n) mod n
-let majority n = (n / 2) + 1
-let current_tag st = { instance = st.instance; round = st.round }
+(* Base 0 keeps the coordinator of round r at p(r mod n) in every
+   instance, and weight 0 leaves the proposal rule at the lowest pid
+   among the newest timestamps. *)
+let no_weight (_ : value) = 0
 
-let fresh_record round =
-  { co_round = round; co_ests = Pidmap.empty; co_proposal = None; co_acks = Pidset.empty }
+let fresh_engine ~n ~self ~proposal =
+  Mv_consensus.create ~n ~self ~base:0 ~weight:no_weight ~proposal
 
-let tag_of_cmsg = function
-  | Est { tag; _ } | Propose { tag; _ } | Ack { tag } | Nack { tag } | Round { tag } ->
-    Some tag
-  | Decide _ -> None
+let current_tag st = { instance = st.instance; round = Mv_consensus.round st.engine }
+
+let newer st ~instance ~round =
+  instance > st.instance || (instance = st.instance && round > Mv_consensus.round st.engine)
+
+(* The round a consensus message belongs to: the driver reads it to
+   buffer or join, the engine alone acts on the message. *)
+let round_of_cons = function
+  | Mv_consensus.Est { round; _ } | Propose { round; _ } | Ack { round } | Nack { round } ->
+    round
 
 let pending_cap = 256
 
-(* Entering a round: send the phase-1 estimate to the coordinator; start a
-   coordination record when we are that coordinator. *)
-let enter ctx ~n st ~round =
-  let c = coord_of ~n round in
-  let st = { st with round } in
-  Sim.send ctx c (Cons (Est { tag = current_tag st; estimate = st.estimate; ts = st.ts }));
-  let coord = if Pid.equal c (Sim.self ctx) then Some (fresh_record round) else st.coord in
-  { st with coord }
+let rec send_outs ctx ~instance = function
+  | [] -> ()
+  | Mv_consensus.To (dst, m) :: rest ->
+    Sim.send ctx dst (Cons { instance; m });
+    send_outs ctx ~instance rest
+  | Mv_consensus.All m :: rest ->
+    Sim.broadcast ctx (Cons { instance; m });
+    send_outs ctx ~instance rest
+
+(* The coordinator that assembled a majority of acks broadcasts the
+   decision (receivers are idempotent, so repeats are harmless). *)
+let broadcast_verdict ctx ~instance = function
+  | Mv_consensus.Decided value -> Sim.broadcast ctx (Decide { instance; value })
+  | Mv_consensus.Continue -> ()
 
 let emit_decide obs ctx ~instance ~value =
   match obs with
@@ -95,152 +98,75 @@ let emit_suspect_diff obs ctx ~before ~after =
     Ftss_obs.Obs.suspect_diff o ~time:(Sim.now ctx) ~observer:(Sim.self ctx) ~before
       ~after
 
-(* Round agreement: abandon current work and join a newer (instance, round). *)
-let jump ctx ~n ~propose st target =
+(* Round agreement: abandon current work and join a newer (instance,
+   round). A newer instance starts a fresh engine; its round-0 estimate
+   goes out only when round 0 is the target. *)
+let join ctx ~n ~propose st target =
   Sim.observe ctx (Joined target);
-  let st =
-    if target.instance > st.instance then
-      {
-        st with
-        instance = target.instance;
-        estimate = propose (Sim.self ctx) target.instance;
-        ts = -1;
-        coord = None;
-      }
-    else st
+  let engine, outs =
+    if target.instance > st.instance then begin
+      let self = Sim.self ctx in
+      let engine, outs =
+        fresh_engine ~n ~self ~proposal:(propose self target.instance)
+      in
+      if target.round > 0 then Mv_consensus.jump engine ~round:target.round
+      else (engine, outs)
+    end
+    else Mv_consensus.jump st.engine ~round:target.round
   in
-  enter ctx ~n st ~round:target.round
+  send_outs ctx ~instance:target.instance outs;
+  { st with instance = target.instance; engine }
 
 (* Learn the decision of [instance] (>= ours) and start the next one. *)
 let learn_decision ?obs ctx ~n ~propose st ~instance ~value =
   Sim.observe ctx (Decided { instance; value });
   emit_decide obs ctx ~instance ~value;
   let next = instance + 1 in
-  let st =
-    {
-      st with
-      instance = next;
-      estimate = propose (Sim.self ctx) next;
-      ts = -1;
-      coord = None;
-      prev_decision = Some (instance, value);
-    }
-  in
-  enter ctx ~n st ~round:0
+  let self = Sim.self ctx in
+  let engine, outs = fresh_engine ~n ~self ~proposal:(propose self next) in
+  send_outs ctx ~instance:next outs;
+  { st with instance = next; engine; prev_decision = Some (instance, value) }
 
 let process_with ?obs ~n ~style ~propose ~detector () =
-  let maybe_propose ctx st co =
-    (* Phase 2: with a majority of estimates and no proposal yet, propose
-       the estimate with the newest timestamp (ties broken by lowest pid,
-       deterministically). *)
-    match co.co_proposal with
-    | Some _ -> co
-    | None ->
-      if Pidmap.cardinal co.co_ests < majority n then co
-      else begin
-        (* Single ascending traversal; strict [>] keeps the winner the
-           lowest-pid estimate among the newest timestamps, exactly the
-           tie-break the two-pass (min_binding + fold) version computed. *)
-        let best =
-          Pidmap.fold
-            (fun _ (est, ts) best ->
-              match best with
-              | Some (_, best_ts) when ts <= best_ts -> best
-              | Some _ | None -> Some (est, ts))
-            co.co_ests None
-        in
-        let best = match best with Some (est, _) -> est | None -> assert false in
-        Sim.broadcast ctx
-          (Cons (Propose { tag = { instance = st.instance; round = co.co_round }; value = best }));
-        { co with co_proposal = Some best }
-      end
-  in
-  let maybe_decide ctx st co =
-    (* Phase 4: a majority of acks lets the coordinator broadcast the
-       decision (receivers are idempotent, so repeats are harmless). *)
-    match co.co_proposal with
-    | Some v when Pidset.cardinal co.co_acks >= majority n ->
-      Sim.broadcast ctx (Cons (Decide { instance = st.instance; value = v }))
-    | Some _ | None -> ()
-  in
-  (* Handle one consensus message whose tag is current (or untagged). *)
-  let rec handle ctx st ~src cm =
-    match cm with
-    | Decide { instance; value } ->
-      if instance >= st.instance then
-        drain ctx (learn_decision ?obs ctx ~n ~propose st ~instance ~value)
-      else st
-    | Est _ | Propose _ | Ack _ | Nack _ | Round _ ->
-      let t = Option.get (tag_of_cmsg cm) in
-      let st =
-        if tag_gt t (current_tag st) then
-          if style.round_agreement then jump ctx ~n ~propose st t
-          else
-            (* Classic CT: buffer for replay when we reach that round. *)
-            { st with pending = (src, cm) :: List.filteri (fun i _ -> i < pending_cap - 1) st.pending }
-        else st
-      in
-      if tag_gt t (current_tag st) then st (* buffered: nothing else to do *)
-      else if t.instance <> st.instance then st
-      else begin
-        match cm with
-        | Round _ | Nack _ -> st
-        | Est { tag; estimate; ts } ->
-          (* A coordinator whose record was lost to a systemic failure (or
-             that is being addressed by retransmissions) reconstructs it. *)
-          let st =
-            if
-              Pid.equal (coord_of ~n tag.round) (Sim.self ctx)
-              && tag.round = st.round && st.coord = None
-            then { st with coord = Some (fresh_record tag.round) }
-            else st
-          in
-          (match st.coord with
-          | Some co when co.co_round = tag.round ->
-            let co = { co with co_ests = Pidmap.add src (estimate, ts) co.co_ests } in
-            let co = maybe_propose ctx st co in
-            { st with coord = Some co }
-          | Some _ | None -> st)
-        | Propose { tag; value } ->
-          if tag.round = st.round then begin
-            (* Phase 3 (ack): adopt the proposal, reply, move to the next
-               round. *)
-            Sim.send ctx (coord_of ~n tag.round) (Cons (Ack { tag }));
-            let st = { st with estimate = value; ts = tag.round } in
-            drain ctx (enter ctx ~n st ~round:(st.round + 1))
-          end
-          else st
-        | Ack { tag } ->
-          (match st.coord with
-          | Some co when co.co_round = tag.round ->
-            let co = { co with co_acks = Pidset.add src co.co_acks } in
-            maybe_decide ctx st co;
-            { st with coord = Some co }
-          | Some _ | None -> st)
-        | Decide _ -> assert false
-      end
+  (* A consensus message tagged (instance, round): a newer tag is joined
+     (round agreement) or buffered (classic CT); the current instance's
+     traffic goes to the engine, which therefore never sees a future round
+     unless round agreement put it there. *)
+  let rec on_tagged ctx st ~src ~instance ~round m =
+    if not (newer st ~instance ~round) then to_engine ctx st ~src m
+    else if style.round_agreement then
+      to_engine ctx (join ctx ~n ~propose st { instance; round }) ~src m
+    else
+      {
+        st with
+        pending =
+          (src, { instance; round }, m)
+          :: List.filteri (fun i _ -> i < pending_cap - 1) st.pending;
+      }
+  and to_engine ctx st ~src = function
+    | Cons { instance; m } when instance = st.instance ->
+      let engine, outs, verdict = Mv_consensus.receive st.engine ~src m in
+      send_outs ctx ~instance outs;
+      broadcast_verdict ctx ~instance verdict;
+      drain ctx { st with engine }
+    | Cons _ | Round _ | Fd _ | Hb _ | Decide _ -> st
+  and on_decide ctx st ~instance ~value =
+    if instance >= st.instance then
+      drain ctx (learn_decision ?obs ctx ~n ~propose st ~instance ~value)
+    else st
   (* Replay buffered messages that have become current; drop stale ones.
      Progress is guaranteed: each iteration removes one message. *)
   and drain ctx st =
-    if style.round_agreement then st
+    if style.round_agreement || st.pending = [] then st
     else begin
       let cur = current_tag st in
-      let live =
-        List.filter
-          (fun (_, m) ->
-            match tag_of_cmsg m with
-            | Some t -> not (tag_gt cur t)
-            | None -> false)
-          st.pending
-      in
-      let matching, future =
-        List.partition (fun (_, m) -> tag_of_cmsg m = Some cur) live
-      in
+      let live = List.filter (fun (_, t, _) -> not (tag_gt cur t)) st.pending in
+      let matching, future = List.partition (fun (_, t, _) -> t = cur) live in
       match matching with
       | [] -> { st with pending = future }
-      | (src, m) :: rest ->
+      | (src, { instance; round }, m) :: rest ->
         let st = { st with pending = rest @ future } in
-        drain ctx (handle ctx st ~src m)
+        drain ctx (on_tagged ctx st ~src ~instance ~round m)
     end
   in
   let traced = Option.is_some obs in
@@ -262,46 +188,21 @@ let process_with ?obs ~n ~style ~propose ~detector () =
     let fd, fd_msg = Esfd.tick st.fd ~self ~detect in
     if traced then emit_suspect_diff obs ctx ~before:fd_before ~after:(Esfd.suspects fd);
     Sim.broadcast ctx (Fd fd_msg);
-    let st = { st with fd } in
-    (* Phase 3 (nack): give up on a suspected coordinator. *)
-    let c = coord_of ~n st.round in
-    let st =
-      if (not (Pid.equal c self)) && Esfd.suspected st.fd c then begin
-        Sim.send ctx c (Cons (Nack { tag = current_tag st }));
-        drain ctx (enter ctx ~n st ~round:(st.round + 1))
-      end
-      else st
+    (* The instance's timer actions: nack a suspected coordinator and,
+       when retransmitting, re-send the unfinished phase. *)
+    let engine, outs, verdict =
+      Mv_consensus.tick st.engine ~suspected:(Esfd.suspected fd)
+        ~retransmit:style.retransmit
     in
-    let st =
-      if not style.retransmit then st
-      else begin
-        (* Re-send every message of the unfinished phase and reconstruct
-           lost coordinator state. *)
-        let st =
-          if Pid.equal (coord_of ~n st.round) self && st.coord = None then
-            { st with coord = Some (fresh_record st.round) }
-          else st
-        in
-        Sim.send ctx (coord_of ~n st.round)
-          (Cons (Est { tag = current_tag st; estimate = st.estimate; ts = st.ts }));
-        (match st.coord with
-        | Some co ->
-          (match co.co_proposal with
-          | Some v ->
-            Sim.broadcast ctx
-              (Cons (Propose { tag = { instance = st.instance; round = co.co_round }; value = v }))
-          | None -> ());
-          maybe_decide ctx st co
-        | None -> ());
-        (match st.prev_decision with
-        | Some (i, v) -> Sim.broadcast ctx (Cons (Decide { instance = i; value = v }))
-        | None -> ());
-        st
-      end
-    in
+    send_outs ctx ~instance:st.instance outs;
+    broadcast_verdict ctx ~instance:st.instance verdict;
+    (if style.retransmit then
+       match st.prev_decision with
+       | Some (instance, value) -> Sim.broadcast ctx (Decide { instance; value })
+       | None -> ());
+    let st = drain ctx { st with fd; engine } in
     (* The round agreement heartbeat (the Figure 1 broadcast). *)
-    if style.round_agreement then
-      Sim.broadcast ctx (Cons (Round { tag = current_tag st }));
+    if style.round_agreement then Sim.broadcast ctx (Round { tag = current_tag st });
     st
   in
   {
@@ -321,10 +222,9 @@ let process_with ?obs ~n ~style ~propose ~detector () =
             | Heartbeats { initial_timeout; backoff } ->
               Some (Heartbeat.create ~n ~initial_timeout ~backoff));
           instance = 0;
-          round = 0;
-          estimate = propose p 0;
-          ts = -1;
-          coord = None;
+          (* The initial state has sent nothing yet: the round-0 estimate
+             goes out on the first round change or retransmission. *)
+          engine = fst (fresh_engine ~n ~self:p ~proposal:(propose p 0));
           prev_decision = None;
           pending = [];
         });
@@ -341,7 +241,10 @@ let process_with ?obs ~n ~style ~propose ~detector () =
           (match st.hb with
           | Some hb -> { st with hb = Some (Heartbeat.heard hb ~src ~now:(Sim.now ctx)) }
           | None -> st)
-        | Cons cm -> handle ctx st ~src cm);
+        | Cons { instance; m = cm } ->
+          on_tagged ctx st ~src ~instance ~round:(round_of_cons cm) m
+        | Round { tag = { instance; round } } -> on_tagged ctx st ~src ~instance ~round m
+        | Decide { instance; value } -> on_decide ctx st ~instance ~value);
     on_tick;
   }
 
@@ -349,24 +252,35 @@ let process ?obs ~n ~style ~propose ~oracle () =
   process_with ?obs ~n ~style ~propose ~detector:(Oracle oracle) ()
 
 let corrupt_random rng ~n:_ ~instance_bound ~round_bound ~value_bound _pid st =
+  (* The draw order is fixed: seeded corruptions (the tests, E6, E8b)
+     reproduce only under it. *)
+  let prev_decision =
+    if Rng.chance rng 0.3 then Some (Rng.int rng instance_bound, Rng.int rng value_bound)
+    else None
+  in
+  let ts = if Rng.chance rng 0.3 then Rng.int rng 1_000_000 else -1 in
+  let estimate = Rng.int rng value_bound in
+  let round = Rng.int rng round_bound in
+  let instance = Rng.int rng instance_bound in
+  let hb =
+    Option.map
+      (fun hb -> Heartbeat.corrupt rng ~time_bound:10_000 ~timeout_bound:150 hb)
+      st.hb
+  in
   {
     fd = Esfd.corrupt rng ~num_bound:1000 st.fd;
-    hb =
-      Option.map
-        (fun hb -> Heartbeat.corrupt rng ~time_bound:10_000 ~timeout_bound:150 hb)
-        st.hb;
-    instance = Rng.int rng instance_bound;
-    round = Rng.int rng round_bound;
-    estimate = Rng.int rng value_bound;
-    ts = (if Rng.chance rng 0.3 then Rng.int rng 1_000_000 else -1);
-    coord = None;
-    prev_decision =
-      (if Rng.chance rng 0.3 then Some (Rng.int rng instance_bound, Rng.int rng value_bound)
-       else None);
+    hb;
+    instance;
+    engine = Mv_consensus.plant st.engine ~round ~estimate ~ts;
+    prev_decision;
     pending = [];
   }
 
-let corrupt_parked ~round _pid st = { st with instance = 0; round; coord = None; pending = [] }
+let corrupt_parked ~round _pid st =
+  let engine =
+    Mv_consensus.plant st.engine ~round ~estimate:(Mv_consensus.estimate st.engine) ~ts:(-1)
+  in
+  { st with instance = 0; engine; pending = [] }
 
 type decision = { d_time : int; d_pid : Pid.t; d_instance : int; d_value : value }
 

@@ -1,26 +1,32 @@
 (** Repeated asynchronous Consensus relative to a failure detector —
-    the paper's §3 protocol, derived from Chandra-Toueg [CT91], in two
-    styles:
+    the paper's §3 protocol, derived from Chandra-Toueg [CT91]: the
+    repeated driver over the {!Mv_consensus} engine.
 
-    - [Baseline]: the classic ◇S rotating-coordinator protocol. Four
-      phases per round: everyone sends its (estimate, timestamp) to the
-      round's coordinator; the coordinator proposes the estimate with the
-      newest timestamp once it holds a majority; processes ack (adopting
-      the proposal) or, when the detector suspects the coordinator, nack
-      and move on; a majority of acks lets the coordinator broadcast the
-      decision. Correct from the protocol-specified initial state, but a
-      systemic failure can park every process waiting for messages that
-      were never sent — a deadlock (the situation [KP90] identified).
+    Each instance's rounds are {!Mv_consensus}'s, with the coordinator
+    of round [r] at [p(r mod n)] in every instance and the proposal rule
+    "newest timestamp, then lowest pid": phase 1 estimates to the
+    round's coordinator, phase 2 a proposal on a majority of estimates,
+    phase 3 ack (adopting the proposal) or, when the detector suspects
+    the coordinator, nack and move on, phase 4 a decision on a majority
+    of acks. The driver owns what spans instances: instance numbering
+    on the wire, decision dissemination, the embedded ◇W → ◇S detector
+    stack, and round agreement. The [style] switches the paper's two
+    superimpositions on and off:
 
-    - [Self_stabilizing]: the same machine with the paper's two
-      superimpositions. (1) Until a process completes a phase it
+    - [Baseline]: the classic protocol. Correct from the
+      protocol-specified initial state, but a systemic failure can park
+      every process waiting for messages that were never sent — a
+      deadlock (the situation [KP90] identified). Future-tagged messages
+      are buffered and replayed on round entry, as in CT91.
+
+    - [Self_stabilizing]: (1) until a process completes a phase it
       {e periodically re-sends} every message of that phase, so waiting
-      predicates are always eventually satisfied regardless of the initial
-      state. (2) A {e round agreement} protocol runs on the
+      predicates are always eventually satisfied regardless of the
+      initial state; (2) a {e round agreement} protocol runs on the
       (instance, round) tag carried by every message: a process receiving
       a tag greater than its own abandons its current phase and joins the
-      first phase of the newer round; periodic ROUND heartbeats disseminate
-      tags so laggards always catch up.
+      first phase of the newer round; periodic ROUND heartbeats
+      disseminate tags so laggards always catch up.
 
     Consensus repeats forever (instance 0, 1, 2, ...): terminating
     protocols cannot self-stabilize, so, exactly as in §2, the deliverable

@@ -1,8 +1,8 @@
 open Ftss_util
 
 (* One instance of multivalued ◇S consensus — the §3 rotating-coordinator
-   protocol of [Ftss_async.Consensus], re-cut as a pure per-instance
-   engine over arbitrary payloads. The enclosing layer (total-order
+   protocol as a pure per-instance engine over arbitrary payloads. The
+   enclosing layer (the repeated driver [Consensus], or total-order
    broadcast) owns instance numbering, message transport, decision
    dissemination, and the failure detector; this module owns one
    instance's rounds. *)
@@ -190,3 +190,5 @@ let corrupt rng ~round_bound t =
     ts = (if Rng.chance rng 0.5 then Rng.int rng (max 1 round_bound) else -1);
     coord = None;
   }
+
+let plant t ~round ~estimate ~ts = { t with round; estimate; ts; coord = None }

@@ -1,7 +1,9 @@
 (** One instance of multivalued ◇S consensus over arbitrary payloads —
-    the §3 rotating-coordinator protocol of {!Ftss_async.Consensus},
-    re-cut as a pure per-instance engine so the total-order broadcast
-    layer can run one instance per log slot.
+    the §3 rotating-coordinator protocol (after Chandra–Toueg) as a pure
+    per-instance engine. It is the one implementation of §3's rounds:
+    {!Consensus} drives it once per instance of int-valued repeated
+    consensus, and the service tower's total-order broadcast runs one
+    engine per log slot.
 
     The engine is transport-free: every API call returns the messages to
     emit as {!out} values, and the caller owns instance numbering (the
@@ -65,3 +67,9 @@ val tick :
 (** Systemic-failure scrambling: arbitrary round and timestamp below
     [round_bound], coordinator bookkeeping lost. *)
 val corrupt : Rng.t -> round_bound:int -> 'v t -> 'v t
+
+(** [plant t ~round ~estimate ~ts] is the state a corruption model
+    chooses itself: mid-[round], holding [estimate] adopted in round
+    [ts] ([-1] = fresh), coordinator bookkeeping lost. Nothing is sent —
+    the engine believes its phase-1 message already went out. *)
+val plant : 'v t -> round:int -> estimate:'v -> ts:int -> 'v t

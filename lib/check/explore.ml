@@ -88,8 +88,8 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
         match obs with
         | Some o ->
           Ftss_obs.Obs.with_metrics o (fun m ->
-              Ftss_obs.Metrics.observe
-                (Ftss_obs.Metrics.histogram m "explore_queue_depth")
+              Ftss_obs.Metrics.lobserve
+                (Ftss_obs.Metrics.lhist m "explore_queue_depth")
                 (float_of_int (len - i)))
         | None -> ()
       end;

@@ -86,7 +86,7 @@ let count_agreeing_iterations trace ~faulty ~valid =
   in
   (List.length grouped, agreeing)
 
-(* --- Repeated asynchronous consensus: one heap vs. a heap per instance --- *)
+(* --- Repeated asynchronous consensus: one simulation per instance --- *)
 
 module Consensus = Ftss_async.Consensus
 module Sim = Ftss_async.Sim
@@ -95,6 +95,7 @@ module Ewfd = Ftss_async.Ewfd
 type async_outcome = {
   instances_decided : int;
   decisions : int;
+  disagreements : int;
   end_time : int;
 }
 
@@ -112,57 +113,11 @@ let async_oracle ~n ~seed ~gst =
   Ewfd.make (Rng.create seed) ~n ~crashed:(fun _ -> None) ~gst ~trusted:0
     ~noise:0.1
 
-let distinct_instances ds =
-  List.sort_uniq compare (List.map (fun d -> d.Consensus.d_instance) ds)
-  |> List.length
-
-let run_async_shared ?obs ~n ~seed ~style ~propose ~instances
-    ~horizon_per_instance () =
-  let config =
-    async_config ~n ~seed ~horizon:(50 + (instances * horizon_per_instance))
-  in
-  let oracle = async_oracle ~n ~seed:(seed + 1) ~gst:config.Sim.gst in
-  let result =
-    Sim.run ?obs config (Consensus.process ?obs ~n ~style ~propose ~oracle ())
-  in
-  let ds = Consensus.decisions result in
-  {
-    instances_decided = min instances (distinct_instances ds);
-    decisions = List.length ds;
-    end_time = result.Sim.end_time;
-  }
-
-let run_async_rebuilt ?obs ~n ~seed ~style ~propose ~instances
-    ~horizon_per_instance () =
-  let decided = ref 0 and total = ref 0 and end_time = ref 0 in
-  for i = 0 to instances - 1 do
-    let config =
-      async_config ~n ~seed:(seed + (2 * i)) ~horizon:(50 + horizon_per_instance)
-    in
-    let oracle =
-      async_oracle ~n ~seed:(seed + (2 * i) + 1) ~gst:config.Sim.gst
-    in
-    (* Each rebuilt heap hosts logical instance [i]: shift the proposal
-       function so both drivers consume the same proposal stream. *)
-    let propose p j = propose p (i + j) in
-    let result =
-      Sim.run ?obs config (Consensus.process ?obs ~n ~style ~propose ~oracle ())
-    in
-    let ds = Consensus.decisions result in
-    if List.exists (fun d -> d.Consensus.d_instance = 0) ds then incr decided;
-    total := !total + List.length ds;
-    end_time := max !end_time result.Sim.end_time
-  done;
-  { instances_decided = !decided; decisions = !total; end_time = !end_time }
-
-let run_async_pooled ?obs ~n ~seed ~style ~propose ~instances
-    ~horizon_per_instance () =
-  (* Identical schedule to [run_async_rebuilt] — config, oracle and rng
-     seeds are reproduced per instance — but the event-queue arena is
-     cleared and reused instead of reallocated, isolating the queue's
-     share of the rebuild price in the M1 rows. *)
+let run_async ?obs ~n ~seed ~style ~propose ~instances ~horizon_per_instance () =
+  (* Every instance gets its own config, oracle and rng seeds; only the
+     event-queue arena is shared, cleared and reused between them. *)
   let pool = Sim.pool () in
-  let decided = ref 0 and total = ref 0 and end_time = ref 0 in
+  let decided = ref 0 and total = ref 0 and split = ref 0 and end_time = ref 0 in
   for i = 0 to instances - 1 do
     let config =
       async_config ~n ~seed:(seed + (2 * i)) ~horizon:(50 + horizon_per_instance)
@@ -170,6 +125,8 @@ let run_async_pooled ?obs ~n ~seed ~style ~propose ~instances
     let oracle =
       async_oracle ~n ~seed:(seed + (2 * i) + 1) ~gst:config.Sim.gst
     in
+    (* Each simulation hosts logical instance [i]: shift the proposal
+       function so instance [i] consumes proposal stream [i]. *)
     let propose p j = propose p (i + j) in
     let result =
       Sim.run ?obs ~pool config
@@ -178,6 +135,13 @@ let run_async_pooled ?obs ~n ~seed ~style ~propose ~instances
     let ds = Consensus.decisions result in
     if List.exists (fun d -> d.Consensus.d_instance = 0) ds then incr decided;
     total := !total + List.length ds;
+    let grouped = Consensus.per_instance ds ~correct:(Sim.correct_set config) in
+    split := !split + List.length (Consensus.disagreements grouped);
     end_time := max !end_time result.Sim.end_time
   done;
-  { instances_decided = !decided; decisions = !total; end_time = !end_time }
+  {
+    instances_decided = !decided;
+    decisions = !total;
+    disagreements = !split;
+    end_time = !end_time;
+  }

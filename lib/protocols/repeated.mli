@@ -63,59 +63,33 @@ val count_agreeing_iterations :
   valid:('d -> bool) ->
   int * int
 
-(** {2 Repeated asynchronous consensus drivers}
+(** {2 Repeated asynchronous consensus driver}
 
     The async §3 protocol already repeats internally (instance 0, 1, 2,
-    ... inside one {!Ftss_async.Sim} heap); the service tower builds on
-    that. These two drivers make the heap-reuse question measurable: run
-    [instances] consecutive consensus instances either in {e one} shared
-    simulator heap, or by {e rebuilding} a fresh heap (config, channels,
-    event queue, detector oracle) per instance. The M1 microbench prices
-    both, so the per-instance overhead of rebuilding is a documented
-    number rather than folklore. *)
+    ... inside one {!Ftss_async.Sim} run); the service tower builds on
+    that. This driver runs each instance in a simulation of its own
+    (config, channels, detector oracle), all sharing one
+    {!Ftss_async.Sim.pool}, so the event-queue arena is cleared and
+    reused rather than reallocated per instance. *)
 
 type async_outcome = {
   instances_decided : int;  (** instances with at least one decision *)
   decisions : int;  (** total decision records across all processes *)
+  disagreements : int;
+      (** internal instances, summed over the simulations, on which two
+          correct processes decided differently *)
   end_time : int;  (** latest simulated clock reached *)
 }
 
-(** [run_async_shared ~n ~seed ~style ~propose ~instances
-    ~horizon_per_instance ()] runs one simulation of
-    [instances * horizon_per_instance] time units (plus the GST prefix)
-    and counts how many of the first [instances] instances decided.
-    [propose p i] is process [p]'s proposal for instance [i]. *)
-val run_async_shared :
-  ?obs:Ftss_obs.Obs.t ->
-  n:int ->
-  seed:int ->
-  style:Ftss_async.Consensus.style ->
-  propose:(Pid.t -> int -> int) ->
-  instances:int ->
-  horizon_per_instance:int ->
-  unit ->
-  async_outcome
-
-(** [run_async_rebuilt] consumes the same proposal stream, but tears the
-    whole simulation down and rebuilds it for every instance — the
-    configuration both drivers are compared against in M1. *)
-val run_async_rebuilt :
-  ?obs:Ftss_obs.Obs.t ->
-  n:int ->
-  seed:int ->
-  style:Ftss_async.Consensus.style ->
-  propose:(Pid.t -> int -> int) ->
-  instances:int ->
-  horizon_per_instance:int ->
-  unit ->
-  async_outcome
-
-(** [run_async_pooled] is [run_async_rebuilt] with one difference: all
-    instances share a single {!Ftss_async.Sim.pool}, so the event-queue
-    arena is cleared and reused rather than reallocated per instance.
-    Outcomes are identical to [run_async_rebuilt]; only the allocation
-    profile differs — the M1 row pair prices exactly the queue rebuild. *)
-val run_async_pooled :
+(** [run_async ~n ~seed ~style ~propose ~instances ~horizon_per_instance
+    ()] runs [instances] simulations of [horizon_per_instance] time units
+    (plus the GST prefix); simulation [i] has seeds derived from
+    [seed + 2i] and hosts logical instance [i], proposing [propose p
+    (i + j)] for its internal instance [j]. An instance counts as decided
+    when its simulation decides its first internal instance. Reusing the
+    pool changes only the allocation profile: outcomes are those of
+    fresh pools. *)
+val run_async :
   ?obs:Ftss_obs.Obs.t ->
   n:int ->
   seed:int ->

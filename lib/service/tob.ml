@@ -1,4 +1,5 @@
 open Ftss_util
+module Mv_consensus = Ftss_async.Mv_consensus
 
 (* Self-stabilizing total-order broadcast: one {!Mv_consensus} instance
    per log slot, plus the machinery that makes the log itself

@@ -226,7 +226,7 @@ let test_unfiltered_compiler_breaks_under_stale_messages () =
 
 let propose_async p i = 100 + (((p * 13) + (i * 7)) mod 50)
 
-let run_style ?corrupt ?(noise = 0.2) ~style ~seed () =
+let run_style ?corrupt ?spurious ?(noise = 0.2) ~style ~seed () =
   let n = 5 in
   let config =
     {
@@ -243,7 +243,8 @@ let run_style ?corrupt ?(noise = 0.2) ~style ~seed () =
       ~trusted:1 ~noise
   in
   let result =
-    Sim.run ?corrupt config (Consensus.process ~n ~style ~propose:propose_async ~oracle ())
+    Sim.run ?corrupt ?spurious config
+      (Consensus.process ~n ~style ~propose:propose_async ~oracle ())
   in
   (config, result)
 
@@ -265,6 +266,38 @@ let test_round_agreement_only_stays_parked () =
   in
   check_int "round agreement alone cannot dissolve the parked deadlock" 0
     (decided_after_gst r)
+
+let test_future_round_buffered_unless_round_agreement () =
+  (* Everyone parked in round 6 of instance 0, and a forged ROUND tag for
+     round 7 in every channel. Without round agreement the classic CT
+     buffer holds it until round 7 is reached — which never happens, so
+     the deadlock stands; with round agreement everyone joins round 7,
+     whose coordinator collects fresh estimates and decides. *)
+  let parked = Consensus.corrupt_parked ~round:6 in
+  let spurious =
+    List.map
+      (fun p -> (5, 0, p, Consensus.forged_round { Consensus.instance = 0; round = 7 }))
+      (Pid.all 5)
+  in
+  let run style =
+    snd (run_style ~corrupt:parked ~spurious ~noise:0.0 ~style ~seed:9 ())
+  in
+  let r = run Consensus.baseline in
+  check_int "baseline: buffered, never replayed, still deadlocked" 0
+    (List.length (Consensus.decisions r));
+  let r = run Consensus.round_agreement_only in
+  let joined_7 p =
+    List.exists
+      (fun (_, q, o) ->
+        q = p
+        && match o with
+           | Consensus.Joined { instance = 0; round = 7 } -> true
+           | Consensus.Joined _ | Consensus.Decided _ -> false)
+      r.Sim.log
+  in
+  check "round agreement: every process joined round 7" true
+    (List.for_all joined_7 (Pid.all 5));
+  check "round agreement: an instance decided" true (Consensus.decisions r <> [])
 
 let test_all_styles_work_from_clean_state () =
   List.iter
@@ -562,6 +595,8 @@ let suite =
         tc "suspect filter is load-bearing (E8a)" `Quick test_unfiltered_compiler_breaks_under_stale_messages;
         tc "retransmit-only dissolves parked" `Quick test_retransmit_only_dissolves_parked;
         tc "round-agreement-only stays parked" `Quick test_round_agreement_only_stays_parked;
+        tc "future round buffered unless round agreement" `Quick
+          test_future_round_buffered_unless_round_agreement;
         tc "all styles work from clean state" `Quick test_all_styles_work_from_clean_state;
       ] );
     ( "oracle-free-consensus",

@@ -258,23 +258,6 @@ let test_metrics_counters_and_gauges () =
   check "gauge holds last value" true (Metrics.gauge_value (Metrics.gauge m "level") = 2.5);
   check "registry no longer empty" false (Metrics.is_empty m)
 
-let test_metrics_histogram_percentiles () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m "lat" in
-  for i = 1 to 100 do
-    Metrics.observe h (float_of_int i)
-  done;
-  check_int "count" 100 (Metrics.histogram_count h);
-  check "sum" true (Metrics.histogram_sum h = 5050.0);
-  check "p50 nearest-rank" true (Metrics.percentile h 50.0 = 50.0);
-  check "p95 nearest-rank" true (Metrics.percentile h 95.0 = 95.0);
-  check "p100 is max" true (Metrics.percentile h 100.0 = 100.0);
-  check "empty histogram is nan" true
-    (Float.is_nan (Metrics.percentile (Metrics.histogram m "empty") 50.0));
-  Alcotest.check_raises "percentile range checked"
-    (Invalid_argument "Metrics.percentile: p outside [0, 100]") (fun () ->
-      ignore (Metrics.percentile h 101.0))
-
 let test_lhist_percentiles_bounded_error () =
   let h = Metrics.lhist_create () in
   for i = 1 to 10_000 do
@@ -303,26 +286,18 @@ let test_lhist_percentiles_bounded_error () =
       ignore (Metrics.lpercentile h 101.0))
 
 let test_lhist_no_reservoir_bias () =
-  (* The first-N reservoir goes blind after [reservoir_capacity] samples;
-     the log-bucket histogram keeps tracking. Feed small values first,
-     then a late shift to large ones: the reservoir still reports the
-     early distribution, the lhist sees the shift. *)
+  (* Every sample lands in a bucket: feed small values first, then a
+     late shift to large ones, and the tail sees the shift. *)
   let m = Metrics.create () in
-  let r = Metrics.histogram m "r" in
   let l = Metrics.lhist m "l" in
-  for _ = 1 to Metrics.reservoir_capacity do
-    Metrics.observe r 1.0;
+  for _ = 1 to 4096 do
     Metrics.lobserve l 1.0
   done;
-  for _ = 1 to 9 * Metrics.reservoir_capacity do
-    Metrics.observe r 1000.0;
+  for _ = 1 to 9 * 4096 do
     Metrics.lobserve l 1000.0
   done;
-  check "reservoir stuck on the early phase" true
-    (Metrics.percentile r 99.0 = 1.0);
   check "lhist tracks the shift" true (Metrics.lpercentile l 99.0 > 900.0);
-  (* Registry export: same field set as reservoir histograms plus the
-     kind tag, so bench-diff and snapshot consumers read both alike. *)
+  (* Registry export: the summary fields plus the kind tag. *)
   let doc = Metrics.to_json m in
   let field h name = Option.bind (Json.member name h) Json.to_float_opt in
   let lh =
@@ -334,7 +309,7 @@ let test_lhist_no_reservoir_bias () =
     (Option.bind (Json.member "kind" lh) Json.to_string_opt = Some "logbucket");
   check "count exported" true
     (Option.bind (Json.member "count" lh) Json.to_int_opt
-    = Some (10 * Metrics.reservoir_capacity));
+    = Some (10 * 4096));
   List.iter
     (fun name -> check (name ^ " exported") true (field lh name <> None))
     [ "sum"; "min"; "max"; "mean"; "p50"; "p95"; "p99"; "p999" ]
@@ -763,7 +738,6 @@ let suite =
         tc "load names the malformed line" `Quick test_load_reports_bad_line;
         tc "console sink filters by kind" `Quick test_console_filter;
         tc "counters and gauges" `Quick test_metrics_counters_and_gauges;
-        tc "histogram percentiles" `Quick test_metrics_histogram_percentiles;
         tc "log-bucket percentiles within error bound" `Quick
           test_lhist_percentiles_bounded_error;
         tc "log-bucket histogram outlives the reservoir" `Quick

@@ -205,8 +205,8 @@ let test_mv_agreement () =
   let route src outs =
     List.iter
       (function
-        | Mv_consensus.To (d, m) -> Queue.add (src, d, m) queue
-        | Mv_consensus.All m ->
+        | Ftss_async.Mv_consensus.To (d, m) -> Queue.add (src, d, m) queue
+        | Ftss_async.Mv_consensus.All m ->
           for d = 0 to n - 1 do
             Queue.add (src, d, m) queue
           done)
@@ -214,7 +214,7 @@ let test_mv_agreement () =
   in
   for p = 0 to n - 1 do
     let e, outs =
-      Mv_consensus.create ~n ~self:p ~base:0 ~weight:Array.length
+      Ftss_async.Mv_consensus.create ~n ~self:p ~base:0 ~weight:Array.length
         ~proposal:proposals.(p)
     in
     engines.(p) <- Some e;
@@ -226,12 +226,12 @@ let test_mv_agreement () =
     incr steps;
     let src, dst, m = Queue.pop queue in
     let e = Option.get engines.(dst) in
-    let e, outs, verdict = Mv_consensus.receive e ~src m in
+    let e, outs, verdict = Ftss_async.Mv_consensus.receive e ~src m in
     engines.(dst) <- Some e;
     route dst outs;
     match verdict with
-    | Mv_consensus.Decided v -> decided := v :: !decided
-    | Mv_consensus.Continue -> ()
+    | Ftss_async.Mv_consensus.Decided v -> decided := v :: !decided
+    | Ftss_async.Mv_consensus.Continue -> ()
   done;
   check "someone decided" true (!decided <> []);
   let v0 = List.hd !decided in
@@ -341,8 +341,8 @@ let fifo_action =
 let proposals outs =
   List.filter_map
     (function
-      | Tob.Send (_, Tob.Cons { m = Mv_consensus.Est { estimate; _ }; _ })
-      | Tob.Bcast (Tob.Cons { m = Mv_consensus.Est { estimate; _ }; _ }) -> Some estimate
+      | Tob.Send (_, Tob.Cons { m = Ftss_async.Mv_consensus.Est { estimate; _ }; _ })
+      | Tob.Bcast (Tob.Cons { m = Ftss_async.Mv_consensus.Est { estimate; _ }; _ }) -> Some estimate
       | _ -> None)
     outs
 
