@@ -158,6 +158,30 @@ let domain_spawn_join ~spawns =
          let ds = List.init spawns (fun _ -> Domain.spawn (fun () -> ())) in
          List.iter Domain.join ds))
 
+(* The input generators: the checker's schedule space, the tower's client
+   trace, and the raw draw every randomized component makes. *)
+let schedule_enumerate =
+  let params =
+    { Ftss_check.Schedule_enum.n = 3; rounds = 4; f = 1; intervals = true; drops = true }
+  in
+  Test.make ~name:"schedule enumerate (n=3, r=4, f=1)"
+    (Staged.stage (fun () -> ignore (Ftss_check.Schedule_enum.enumerate params)))
+
+let workload_create =
+  let spec = { Ftss_service.Workload.default_spec with Ftss_service.Workload.ops = 20_000 } in
+  Test.make ~name:"workload create (20k ops)"
+    (Staged.stage (fun () -> ignore (Ftss_service.Workload.create ~n:4 spec)))
+
+let rng_int =
+  let rng = Rng.create 17 in
+  Test.make ~name:"rng int x1000"
+    (Staged.stage (fun () ->
+         let acc = ref 0 in
+         for _ = 1 to 1000 do
+           acc := !acc + Rng.int rng 1000
+         done;
+         ignore (Sys.opaque_identity !acc)))
+
 let tests =
   Test.make_grouped ~name:"ftss" ~fmt:"%s %s"
     [
@@ -177,6 +201,9 @@ let tests =
       explorer_throughput ~domains:1;
       explorer_throughput ~domains:(max 2 (Ftss_check.Explore.available ()));
       domain_spawn_join ~spawns:(max 2 (Ftss_check.Explore.available ()) - 1);
+      schedule_enumerate;
+      workload_create;
+      rng_int;
     ]
 
 let run m =

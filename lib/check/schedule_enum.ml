@@ -70,86 +70,126 @@ let count params = count_schedules params * List.length (corruptions params)
 
 (* --- index decoding --- *)
 
-(* The j-th (a, b) interval with 1 <= a <= b <= rounds, intervals ordered
-   by a then b. *)
-let interval_of_index rounds j =
-  let rec skip a j =
-    let here = rounds - a + 1 in
-    if j < here then (a, a + j) else skip (a + 1) (j - here)
-  in
-  skip 1 j
+(* Everything about [params] that decoding an index needs, computed once:
+   [get] builds one per call, [enumerate] one per space. Case [i] is
+   schedule [i / ncorr] under corruption [i mod ncorr]. Schedules are
+   numbered by fault count [k] first (block [k] holds C(n,k) * b^k of
+   them), then by the lexicographic rank of the faulty subset, then by
+   the base-[b] behaviour digits of its members. *)
+type ctx = {
+  cparams : params;
+  total : int;  (* count cparams *)
+  corrs : corruption array;
+  b : int;  (* behaviours per process *)
+  pow : int array;  (* pow.(k) = b^k, k = 0..f *)
+  block : int array;  (* block.(k) = C(n,k) * b^k *)
+  catalogue : behavior array;
+      (* digits below [Array.length catalogue]: the behaviours that name no
+         peer (crashes, then mute/deaf/isolate intervals by (first, last)),
+         allocated once and shared by every schedule that uses them. The
+         point drops above them name a peer relative to their owner and
+         are decoded per use, which keeps a context O(rounds^2 + f) to
+         build however large [n] is. *)
+}
 
-(* The d-th pid other than [pid] (0-based over the n-1 others). *)
-let other_of_index ~pid d = if d < pid then d else d + 1
-
-let behavior_of_index params ~pid i =
-  let { rounds; n; intervals; drops; _ } = params in
-  if i < rounds then Crash (i + 1)
-  else begin
-    let i = i - rounds in
-    let per_kind = intervals_per_kind rounds in
-    if intervals && i < 3 * per_kind then begin
-      let a, b = interval_of_index rounds (i mod per_kind) in
-      match i / per_kind with
-      | 0 -> Mute (a, b)
-      | 1 -> Deaf (a, b)
-      | _ -> Isolate (a, b)
-    end
-    else begin
-      let i = if intervals then i - (3 * per_kind) else i in
-      let per_dir = rounds * (n - 1) in
-      if not (drops && i < 2 * per_dir) then
-        invalid_arg "Schedule_enum: behaviour index out of range";
-      let dir = i / per_dir and j = i mod per_dir in
-      let round = (j / (n - 1)) + 1 in
-      let other = other_of_index ~pid (j mod (n - 1)) in
-      if dir = 0 then Send_drop (round, other) else Recv_drop (round, other)
-    end
-  end
-
-(* Lexicographic unranking of the k-subsets of [start .. n-1]. *)
-let rec unrank_subset ~n k rank start =
-  if k = 0 then []
-  else
-    let rec pick e rank =
-      let with_e = binomial (n - e - 1) (k - 1) in
-      if rank < with_e then e :: unrank_subset ~n (k - 1) rank (e + 1)
-      else pick (e + 1) (rank - with_e)
-    in
-    pick start rank
-
-let schedule_of_index params idx =
-  let b = behaviors_per_process params in
-  let rec locate k idx =
-    let block = binomial params.n k * pow b k in
-    if idx < block then (k, idx) else locate (k + 1) (idx - block)
-  in
-  let k, idx = locate 0 idx in
-  if k = 0 then []
-  else begin
-    let assignments = pow b k in
-    let subset = unrank_subset ~n:params.n k (idx / assignments) 0 in
-    let assign = idx mod assignments in
-    List.mapi
-      (fun j pid ->
-        let digit = assign / pow b (k - 1 - j) mod b in
-        (pid, behavior_of_index params ~pid digit))
-      subset
-  end
-
-let get params i =
+let context params =
   validate params;
-  let ncorr = List.length (corruptions params) in
-  let total = count params in
-  if i < 0 || i >= total then
-    invalid_arg (Printf.sprintf "Schedule_enum.get: index %d outside 0..%d" i (total - 1));
+  let { n; rounds; f; intervals; _ } = params in
+  let b = behaviors_per_process params in
+  let pow = Array.make (f + 1) 1 in
+  for k = 1 to f do
+    pow.(k) <- pow.(k - 1) * b
+  done;
+  let block = Array.init (f + 1) (fun k -> binomial n k * pow.(k)) in
+  let corrs = Array.of_list (corruptions params) in
+  let per_kind = intervals_per_kind rounds in
+  (* The j-th (a, b) interval with 1 <= a <= b <= rounds, by a then b. *)
+  let rec interval a j =
+    let here = rounds - a + 1 in
+    if j < here then (a, a + j) else interval (a + 1) (j - here)
+  in
+  let catalogue =
+    Array.init
+      (rounds + if intervals then 3 * per_kind else 0)
+      (fun d ->
+        if d < rounds then Crash (d + 1)
+        else
+          let a, b = interval 1 ((d - rounds) mod per_kind) in
+          match (d - rounds) / per_kind with
+          | 0 -> Mute (a, b)
+          | 1 -> Deaf (a, b)
+          | _ -> Isolate (a, b))
+  in
   {
-    params;
-    behaviors = schedule_of_index params (i / ncorr);
-    corruption = List.nth (corruptions params) (i mod ncorr);
+    cparams = params;
+    total = Array.fold_left ( + ) 0 block * Array.length corrs;
+    corrs;
+    b;
+    pow;
+    block;
+    catalogue;
   }
 
-let enumerate params = Array.init (count params) (get params)
+(* The behaviour with digit [d] for process [pid]. *)
+let behavior ctx ~pid d =
+  let shared = Array.length ctx.catalogue in
+  if d < shared then ctx.catalogue.(d)
+  else begin
+    (* Point drops: [rounds * (n-1)] sends, then as many receives; the
+       peer is the ((d - shared) mod (n-1))-th pid other than [pid]. *)
+    let n = ctx.cparams.n in
+    let per_dir = ctx.cparams.rounds * (n - 1) in
+    let i = d - shared in
+    let j = i mod per_dir in
+    let round = (j / (n - 1)) + 1 in
+    let peer = j mod (n - 1) in
+    let other = if peer < pid then peer else peer + 1 in
+    if i < per_dir then Send_drop (round, other) else Recv_drop (round, other)
+  end
+
+(* Lexicographic unranking of the k-subsets of [start .. n-1]. A
+   1-subset is found directly: every candidate heads C(n-start-1, 0) = 1
+   of them. *)
+let rec unrank_subset ~n k rank start =
+  if k = 0 then []
+  else if k = 1 then [ start + rank ]
+  else
+    let with_start = binomial (n - start - 1) (k - 1) in
+    if rank < with_start then start :: unrank_subset ~n (k - 1) rank (start + 1)
+    else unrank_subset ~n k (rank - with_start) (start + 1)
+
+let schedule ctx s =
+  let rec locate k s = if s < ctx.block.(k) then (k, s) else locate (k + 1) (s - ctx.block.(k)) in
+  let k, s = locate 0 s in
+  let digits = ctx.pow.(k) in
+  List.mapi
+    (fun j pid -> (pid, behavior ctx ~pid (s mod digits / ctx.pow.(k - 1 - j) mod ctx.b)))
+    (unrank_subset ~n:ctx.cparams.n k (s / digits) 0)
+
+let decode ctx i =
+  let ncorr = Array.length ctx.corrs in
+  { params = ctx.cparams; behaviors = schedule ctx (i / ncorr); corruption = ctx.corrs.(i mod ncorr) }
+
+let get params i =
+  let ctx = context params in
+  if i < 0 || i >= ctx.total then
+    invalid_arg (Printf.sprintf "Schedule_enum.get: index %d outside 0..%d" i (ctx.total - 1));
+  decode ctx i
+
+(* Each schedule is decoded once; its behaviour list is shared by the
+   cases that pair it with each corruption class. *)
+let enumerate params =
+  let ctx = context params in
+  let ncorr = Array.length ctx.corrs in
+  let cases = Array.make ctx.total (decode ctx 0) in
+  for s = 0 to (ctx.total / ncorr) - 1 do
+    let behaviors = schedule ctx s in
+    for c = 0 to ncorr - 1 do
+      cases.((s * ncorr) + c) <- { params; behaviors; corruption = ctx.corrs.(c) }
+    done
+  done;
+  cases
+
 let random rng params = get params (Rng.int rng (count params))
 
 let to_faults t =

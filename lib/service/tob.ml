@@ -316,14 +316,18 @@ let make_batch t =
 
 (* --- applying the log --- *)
 
+(* A call that crosses several checkpoint heights (a replay after
+   recovery, or catch-up) snapshots only the last one: nothing reads
+   [kvh]/[kv_cp] in between, and each snapshot is a full table scan. *)
 let apply_forward t ~now =
+  let last_cp = cp_of t t.committed in
   while t.applied < t.committed do
     Kv.apply_batch t.kv t.log.(t.applied);
     t.applied <- t.applied + 1;
     let digest = Kv.digest t.kv in
     note t (Applied { slot = t.applied - 1; digest });
     emit t ~now (Ftss_obs.Event.Apply { pid = t.self; slot = t.applied - 1; digest });
-    if t.applied mod t.checkpoint = 0 then begin
+    if t.applied = last_cp then begin
       t.kvh <- t.applied;
       t.kv_cp <- Kv.recompute_digest t.kv
     end

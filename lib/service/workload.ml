@@ -49,7 +49,9 @@ let origin t i = t.origins.(i)
 let per_replica t p = t.by_origin.(p)
 let session_of t i = i mod t.spec.sessions
 
-(* Zipfian sampling via the precomputed CDF and binary search. *)
+(* Zipfian sampling: key [k] is drawn for one uniform [r] in [0, total)
+   when [k] is the smallest index with [cdf.(k) > r] (the last key if
+   rounding ever lets [r] reach [total]). *)
 let zipf_cdf ~keys ~theta =
   let cdf = Array.make keys 0.0 in
   let acc = ref 0.0 in
@@ -59,15 +61,42 @@ let zipf_cdf ~keys ~theta =
   done;
   cdf
 
-let sample_key rng cdf =
-  let total = cdf.(Array.length cdf - 1) in
-  let r = Rng.float rng total in
-  let lo = ref 0 and hi = ref (Array.length cdf - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if cdf.(mid) <= r then lo := mid + 1 else hi := mid
+(* Inversion through a guide table (Chen & Asau): one bucket of
+   [0, total) per key, each holding the answer at its left edge. A draw
+   starts at its bucket's entry, walks down while [cdf.(k-1) > r], then
+   up while [cdf.(k) <= r]. The walk, not the table, makes the result
+   exact: it stops where [cdf.(k) > r] and [k = 0] or [cdf.(k-1) <= r],
+   and the partial sums of positive terms never decrease, so that [k] is
+   the smallest one whatever the starting entry. A bucket holds one key
+   on average, so a draw costs about one probe, not log2(keys). *)
+type sampler = { cdf : float array; guide : int array; total : float; scale : float }
+
+let sampler cdf =
+  let keys = Array.length cdf in
+  let total = cdf.(keys - 1) in
+  let scale = float_of_int keys /. total in
+  let guide = Array.make keys 0 in
+  let k = ref 0 in
+  for j = 0 to keys - 1 do
+    let edge = float_of_int j /. scale in
+    while !k < keys - 1 && cdf.(!k) <= edge do
+      incr k
+    done;
+    guide.(j) <- !k
   done;
-  !lo
+  { cdf; guide; total; scale }
+
+let sample_key rng { cdf; guide; total; scale } =
+  let last = Array.length cdf - 1 in
+  let r = Rng.float rng total in
+  let k = ref guide.(max 0 (min last (int_of_float (r *. scale)))) in
+  while !k > 0 && cdf.(!k - 1) > r do
+    decr k
+  done;
+  while !k < last && cdf.(!k) <= r do
+    incr k
+  done;
+  !k
 
 (* Arrival schedule: each tick carries weight 1.0, or [burst_mult] inside
    a burst; op [i] arrives at the tick where the cumulative weight first
@@ -105,11 +134,11 @@ let create ~n (spec : spec) =
   if spec.keys < 1 then invalid_arg "Workload.create: keys < 1";
   if spec.window < 1 then invalid_arg "Workload.create: window < 1";
   let rng = Rng.create spec.seed in
-  let cdf = zipf_cdf ~keys:spec.keys ~theta:spec.theta in
+  let zipf = sampler (zipf_cdf ~keys:spec.keys ~theta:spec.theta) in
   let arrivals = arrival_times spec in
   let ops =
     Array.init spec.ops (fun id ->
-        let key = sample_key rng cdf in
+        let key = sample_key rng zipf in
         let roll = Rng.float rng 1.0 in
         if roll < 0.50 then
           { Kv.id; kind = Kv.Put; key; v1 = Rng.int rng 1_000_000; v2 = 0 }

@@ -3,27 +3,36 @@
    across platforms, unlike [Stdlib.Random] whose algorithm changed between
    OCaml releases. *)
 
-type t = { mutable state : int64 }
+(* The state lives unboxed in an 8-byte buffer: reading and writing it
+   through [Bytes.get_int64_ne]/[set_int64_ne] inside one inlined draw
+   keeps every intermediate [int64] in a register, so [int], [int_in],
+   [bool] and [chance] allocate nothing. A mutable [int64] field would
+   box each new state and store it through the write barrier. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let next_state t =
-  t.state <- Int64.add t.state golden_gamma;
-  t.state
+let create seed = of_state (Int64.of_int seed)
+let copy = Bytes.copy
 
-let mix z =
+let[@inline] next_state t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  s
+
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 t = mix (next_state t)
+let[@inline] bits64 t = mix (next_state t)
 
-let split t =
-  let seed = bits64 t in
-  { state = seed }
+let split t = of_state (bits64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: non-positive bound";
@@ -37,9 +46,9 @@ let int_in t lo hi =
   if lo > hi then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.to_int (bits64 t) land 1 = 1
 
-let float t bound =
+let[@inline] float t bound =
   let raw = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (raw /. 9007199254740992.0 (* 2^53 *))
 

@@ -89,6 +89,185 @@ let test_corrupt_int_classes () =
   check_int "distinct values pairwise distinct" n
     (List.length (List.sort_uniq compare distinct))
 
+(* --- The decoder against the per-index decoder it replaced --- *)
+
+(* The original [get]: every call revalidates, recounts, and rebuilds the
+   corruption list, binomials and powers, and decodes each behaviour from
+   its digit arithmetically. Kept here as the differential oracle for the
+   shared-context decoder. *)
+module Oracle = struct
+  open Schedule_enum
+
+  let binomial n k =
+    if k < 0 || k > n then 0
+    else begin
+      let k = min k (n - k) in
+      let acc = ref 1 in
+      for i = 1 to k do
+        acc := !acc * (n - k + i) / i
+      done;
+      !acc
+    end
+
+  let pow base e =
+    let acc = ref 1 in
+    for _ = 1 to e do
+      acc := !acc * base
+    done;
+    !acc
+
+  let intervals_per_kind rounds = rounds * (rounds + 1) / 2
+
+  let interval_of_index rounds j =
+    let rec skip a j =
+      let here = rounds - a + 1 in
+      if j < here then (a, a + j) else skip (a + 1) (j - here)
+    in
+    skip 1 j
+
+  let other_of_index ~pid d = if d < pid then d else d + 1
+
+  let behavior_of_index params ~pid i =
+    let { rounds; n; intervals; drops; _ } = params in
+    if i < rounds then Crash (i + 1)
+    else begin
+      let i = i - rounds in
+      let per_kind = intervals_per_kind rounds in
+      if intervals && i < 3 * per_kind then begin
+        let a, b = interval_of_index rounds (i mod per_kind) in
+        match i / per_kind with 0 -> Mute (a, b) | 1 -> Deaf (a, b) | _ -> Isolate (a, b)
+      end
+      else begin
+        let i = if intervals then i - (3 * per_kind) else i in
+        let per_dir = rounds * (n - 1) in
+        if not (drops && i < 2 * per_dir) then invalid_arg "oracle: behaviour index";
+        let dir = i / per_dir and j = i mod per_dir in
+        let round = (j / (n - 1)) + 1 in
+        let other = other_of_index ~pid (j mod (n - 1)) in
+        if dir = 0 then Send_drop (round, other) else Recv_drop (round, other)
+      end
+    end
+
+  let rec unrank_subset ~n k rank start =
+    if k = 0 then []
+    else
+      let rec pick e rank =
+        let with_e = binomial (n - e - 1) (k - 1) in
+        if rank < with_e then e :: unrank_subset ~n (k - 1) rank (e + 1)
+        else pick (e + 1) (rank - with_e)
+      in
+      pick start rank
+
+  let schedule_of_index params idx =
+    let b = behaviors_per_process params in
+    let rec locate k idx =
+      let block = binomial params.n k * pow b k in
+      if idx < block then (k, idx) else locate (k + 1) (idx - block)
+    in
+    let k, idx = locate 0 idx in
+    if k = 0 then []
+    else begin
+      let assignments = pow b k in
+      let subset = unrank_subset ~n:params.n k (idx / assignments) 0 in
+      let assign = idx mod assignments in
+      List.mapi
+        (fun j pid ->
+          let digit = assign / pow b (k - 1 - j) mod b in
+          (pid, behavior_of_index params ~pid digit))
+        subset
+    end
+
+  let get params i =
+    validate params;
+    let ncorr = List.length (corruptions params) in
+    let total = count params in
+    if i < 0 || i >= total then invalid_arg "oracle: index";
+    {
+      params;
+      behaviors = schedule_of_index params (i / ncorr);
+      corruption = List.nth (corruptions params) (i mod ncorr);
+    }
+end
+
+(* n 2..5, every f < n, rounds 1..4, each catalogue shape, plus a wide
+   system. The spaces up to [full_limit] cases (190 of the 224 grid
+   points, and n=200) are enumerated and compared index by index; the
+   larger ones (up to 489M cases) are compared through [get] alone, at
+   the first and last index of every fault-count block and at a stride
+   through the space. *)
+let differential_grid =
+  List.concat_map
+    (fun n ->
+      List.concat_map
+        (fun f ->
+          List.concat_map
+            (fun rounds ->
+              List.concat_map
+                (fun intervals ->
+                  List.map
+                    (fun drops -> { Schedule_enum.n; rounds; f; intervals; drops })
+                    [ false; true ])
+                [ false; true ])
+            [ 1; 2; 3; 4 ])
+        (List.init n Fun.id))
+    [ 2; 3; 4; 5 ]
+  @ [ full 200 2 1 ]
+
+let full_limit = 50_000
+
+let test_decoder_matches_oracle () =
+  List.iter
+    (fun (p : Schedule_enum.params) ->
+      let total = Schedule_enum.count p in
+      let label =
+        Printf.sprintf "n=%d r=%d f=%d intervals=%b drops=%b" p.n p.rounds p.f p.intervals
+          p.drops
+      in
+      let agree i case =
+        if case <> Oracle.get p i then Alcotest.failf "%s: case %d <> oracle" label i
+      in
+      if total <= full_limit || p.n = 200 then begin
+        let cases = Schedule_enum.enumerate p in
+        check_int (label ^ ": length") total (Array.length cases);
+        Array.iteri
+          (fun i case ->
+            agree i case;
+            if case <> Schedule_enum.get p i then
+              Alcotest.failf "%s: enumerate.(%d) <> get" label i)
+          cases
+      end
+      else begin
+        let ncorr = List.length (Schedule_enum.corruptions p) in
+        let b = Schedule_enum.behaviors_per_process p in
+        let edges = ref [] and start = ref 0 and block = ref 1 in
+        for k = 0 to p.f do
+          if k > 0 then block := !block * b * (p.n - k + 1) / k;
+          edges := (!start * ncorr) :: (((!start + !block) * ncorr) - 1) :: !edges;
+          start := !start + !block
+        done;
+        let stride = (total / 2_000) + 1 in
+        List.iter (fun i -> agree i (Schedule_enum.get p i)) !edges;
+        for j = 0 to (total - 1) / stride do
+          agree (j * stride) (Schedule_enum.get p (j * stride))
+        done
+      end;
+      List.iter
+        (fun i ->
+          match Schedule_enum.get p i with
+          | _ -> Alcotest.failf "%s: get %d did not raise" label i
+          | exception Invalid_argument msg ->
+            Alcotest.(check string) (label ^ ": out-of-range message")
+              (Printf.sprintf "Schedule_enum.get: index %d outside 0..%d" i (total - 1))
+              msg)
+        [ -1; total; total + 7 ])
+    differential_grid;
+  Alcotest.check_raises "invalid params still rejected by get"
+    (Invalid_argument "Schedule_enum: f outside 0..n-1")
+    (fun () -> ignore (Schedule_enum.get (full 3 2 3) 0));
+  Alcotest.check_raises "invalid params still rejected by enumerate"
+    (Invalid_argument "Schedule_enum: rounds < 1")
+    (fun () -> ignore (Schedule_enum.enumerate (full 3 0 1)))
+
 (* --- Explorer: determinism across domain counts --- *)
 
 let test_explore_deterministic_across_domains () =
@@ -243,6 +422,40 @@ let test_golden_explorer_verdicts () =
   check_int "t4 cases" 755 stats.Explore.cases;
   check_int "t4 distinct" 755 stats.Explore.distinct;
   check_int "t4 violations" 0 (List.length stats.Explore.violations)
+
+(* The golden t4 sweep above (r=4) is vacuous: the coterie changes at
+   round 1, so a Σ⁺ obligation needs a stable window longer than the
+   2·(f+2) bound, which no r <= 7 schedule leaves. At r=8 most cases
+   carry one, so the zero-violation verdict is a real check of
+   Theorem 4. *)
+let test_theorem4_exhaustive_with_obligations () =
+  let open Ftss_core in
+  let params = full 3 8 1 in
+  let cases = Schedule_enum.enumerate params in
+  let theorem4 =
+    match Property.find ~name:"theorem4" ~inject:"none" with
+    | Ok p -> p
+    | Error msg -> failwith msg
+  in
+  let stats, _ = Explore.run ~domains:1 theorem4 cases in
+  check_int "t4 r=8 cases" 2225 stats.Explore.cases;
+  check_int "t4 r=8 violations" 0 (List.length stats.Explore.violations);
+  let pi = Ftss_protocols.Omission_consensus.make ~n:3 ~f:1 ~propose:(fun p -> 50 + p) in
+  let bound = Compiler.stabilization_bound pi in
+  let compiled = Compiler.compile ~n:3 pi in
+  let obligated (case : Schedule_enum.t) =
+    let adv = Property.adversary_of_case case in
+    let corrupt p (st : _ Compiler.state) =
+      { st with Compiler.c = adv.Property.adv_corrupt_int p st.Compiler.c }
+    in
+    let trace =
+      Ftss_sync.Runner.run ~corrupt ~faults:adv.Property.adv_faults
+        ~rounds:params.Schedule_enum.rounds compiled
+    in
+    List.exists (fun (x, y) -> x + bound + 1 <= y) (Solve.stable_windows trace)
+  in
+  let carrying = Array.fold_left (fun acc c -> if obligated c then acc + 1 else acc) 0 cases in
+  check_int "cases carrying a Σ⁺ obligation" 1985 carrying
 
 (* --- Canonicalization under pid permutation: the orbit representative
    is well-defined (idempotent, invariant under relabelling the input)
@@ -421,6 +634,7 @@ let suite =
         tc "enumerate length = count" `Quick test_enumerate_matches_count;
         tc "cases distinct, within budget" `Quick test_cases_distinct_and_within_budget;
         tc "get is deterministic" `Quick test_get_deterministic;
+        tc "enumerate = get = the per-index oracle" `Quick test_decoder_matches_oracle;
         tc "to_faults respects budget" `Quick test_to_faults_budget;
         tc "corruption classes" `Quick test_corrupt_int_classes;
         tc "explorer deterministic across domains" `Quick
@@ -433,6 +647,8 @@ let suite =
         tc "replay rejects malformed input" `Quick test_replay_rejects_malformed;
         tc "replayed counterexample reproduces" `Quick test_replay_reproduces;
         tc "golden: explorer verdicts" `Quick test_golden_explorer_verdicts;
+        tc "theorem 4 holds exhaustively with obligations (n=3,r=8,f=1)" `Quick
+          test_theorem4_exhaustive_with_obligations;
         tc "canonical form well-defined over the corpus" `Quick
           test_canonical_well_defined;
         tc "support and permute" `Quick test_support_and_permute;

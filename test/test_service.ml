@@ -195,6 +195,62 @@ let test_workload_determinism () =
   check_int "same seed, same trace" (Workload.digest a) (Workload.digest b);
   check "different seed, different trace" true (Workload.digest a <> Workload.digest c)
 
+(* Trace pins over a grid of key-space sizes, skews and burst settings,
+   recorded from the binary-search sampler the guide table replaced:
+   (keys, theta, bursts, digest). One key, two keys and a prime exercise
+   the degenerate and odd-sized tables; 65,536 keys is E14's space. *)
+let workload_pins =
+  [
+    (1, 0.0, false, 583154628115178867);
+    (1, 0.0, true, 1890696156595668413);
+    (1, 0.9, false, 583154628115178867);
+    (1, 0.9, true, 1890696156595668413);
+    (1, 2.0, false, 583154628115178867);
+    (1, 2.0, true, 1890696156595668413);
+    (2, 0.0, false, 2197719854823766325);
+    (2, 0.0, true, 147792445185841707);
+    (2, 0.9, false, 3704085756669994031);
+    (2, 0.9, true, 3385673133283525640);
+    (2, 2.0, false, 2136570348818862264);
+    (2, 2.0, true, 2272057802389824379);
+    (7, 0.0, false, 2065984252242324403);
+    (7, 0.0, true, 1696600994329381408);
+    (7, 0.9, false, 2564270367123096730);
+    (7, 0.9, true, 3258993879467165309);
+    (7, 2.0, false, 2173248275878854814);
+    (7, 2.0, true, 918034503665993518);
+    (65_536, 0.0, false, 1453769010685607555);
+    (65_536, 0.0, true, 2378847516131283256);
+    (65_536, 0.9, false, 1549848191071931184);
+    (65_536, 0.9, true, 3569618326912874310);
+    (65_536, 2.0, false, 3191397442724167268);
+    (65_536, 2.0, true, 1221570332989467853);
+  ]
+
+let test_workload_pinned_digests () =
+  let base =
+    {
+      Workload.default_spec with
+      Workload.ops = 3_000;
+      sessions = 700;
+      window = 900;
+      burst_len = 30;
+      seed = 17;
+    }
+  in
+  List.iter
+    (fun (keys, theta, bursts, expected) ->
+      let spec =
+        { base with Workload.keys; theta; burst_every = (if bursts then 150 else 0) }
+      in
+      check_int
+        (Printf.sprintf "digest keys=%d theta=%g bursts=%b" keys theta bursts)
+        expected
+        (Workload.digest (Workload.create ~n:3 spec)))
+    workload_pins;
+  check_int "digest of 50,000 default-spec ops on 4 replicas" 459183891261596900
+    (Workload.digest (Workload.create ~n:4 { Workload.default_spec with Workload.ops = 50_000 }))
+
 (* --- Mv_consensus, hand-routed --- *)
 
 let test_mv_agreement () =
@@ -611,6 +667,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_kv_matches_model;
         Alcotest.test_case "workload shape" `Quick test_workload_shape;
         Alcotest.test_case "workload determinism" `Quick test_workload_determinism;
+        Alcotest.test_case "workload pinned digests" `Quick test_workload_pinned_digests;
         Alcotest.test_case "mv consensus agreement" `Quick test_mv_agreement;
         QCheck_alcotest.to_alcotest prop_tob_fifo_matches_queue;
         Alcotest.test_case "tob recovers any corrupted height" `Quick

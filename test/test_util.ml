@@ -75,6 +75,102 @@ let test_rng_chance_extremes () =
   check "p=0 never" false (Rng.chance rng 0.0);
   check "p=1 always" true (Rng.chance rng 1.0)
 
+(* Stream pins: the first outputs of every draw for three seeds (one
+   negative), recorded from the boxed-[int64] implementation the
+   unboxed state replaced. Any change to a stream fails here before it
+   can move a workload, schedule or simulator digest. *)
+let rng_pins =
+  [
+    ( 0,
+      [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L;
+        -537132696929009172L; 1961750202426094747L; 6038094601263162090L ],
+      [ 883; 925; 419; 611; 686; 522 ],
+      [ 61719671659; 664250767741; 301184733523; 180868030587; 389037038886;
+        838007236794 ],
+      [ -34; 7; 47; -47; -22; 47 ],
+      [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6;
+        0x1.f1177150e499p-1; 0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2 ],
+      [ true; false; true; false; true; false ],
+      [ false; false; true; false; true; false ],
+      [ -6411193824288604561L; -5511663747979980962L; 7141179953334974231L;
+        -6338048412857661178L; -3912029315837398853L; 2697553276395720353L ] );
+    ( 42,
+      [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+        6349198060258255764L; 701532786141963250L; -2430762948046562554L ],
+      [ 853; 72; 964; 941; 812; 265 ],
+      [ 590758992805; 880142826560; 918129207252; 548742019301; 96788941052;
+        543567132353 ],
+      [ 6; -35; 36; 27; -40; 40 ],
+      [ 0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2;
+        0x1.607387fc392b8p-2; 0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1 ],
+      [ true; true; false; false; false; false ],
+      [ false; true; true; false; true; false ],
+      [ 6332618229526065668L; -816328817471504299L; 8971565426155258802L;
+        1242533817266198696L; -5959852680200513735L; 1245346008178237623L ] );
+    ( -7,
+      [ 7790691224305936752L; 8829294814793142954L; -1715519743840680431L;
+        2940488688193949890L; -8007545441867040463L; -3543770807805850555L ],
+      [ 188; 738; 796; 472; 788; 265 ],
+      [ 107657333340; 234868204714; 1067128275332; 792345359408; 1057294769740;
+        886756954897 ],
+      [ 38; -3; 32; -5; 37; -33 ],
+      [ 0x1.b07861910e08ap-2; 0x1.ea1fd36af3c64p-2; 0x1.d0627fc3ae6ap-1;
+        0x1.4675b70f6ed68p-3; 0x1.21bef7b15d6efp-1; 0x1.9da3fe73b6aa9p-1 ],
+      [ false; false; true; false; true; true ],
+      [ false; false; false; true; false; false ],
+      [ 1533972906235141153L; 6759016261732985689L; 3304354537809254571L;
+        -4660735234601323651L; 9001193676071847791L; -8657974942061788725L ] );
+  ]
+
+let test_rng_pinned_streams () =
+  let i64 = Alcotest.testable (fun ppf x -> Format.fprintf ppf "%LdL" x) Int64.equal in
+  let exact = Alcotest.testable (fun ppf x -> Format.fprintf ppf "%h" x) Float.equal in
+  List.iter
+    (fun (seed, bits, ints, wide, ranged, floats, bools, chances, child) ->
+      let draws f = let r = Rng.create seed in List.init 6 (fun _ -> f r) in
+      let label s = Printf.sprintf "%s (seed %d)" s seed in
+      Alcotest.(check (list i64)) (label "bits64") bits (draws Rng.bits64);
+      Alcotest.(check (list int)) (label "int 1000") ints (draws (fun r -> Rng.int r 1000));
+      Alcotest.(check (list int)) (label "int 2^40") wide
+        (draws (fun r -> Rng.int r (1 lsl 40)));
+      Alcotest.(check (list int)) (label "int_in -50 50") ranged
+        (draws (fun r -> Rng.int_in r (-50) 50));
+      Alcotest.(check (list exact)) (label "float 1.0") floats
+        (draws (fun r -> Rng.float r 1.0));
+      Alcotest.(check (list bool)) (label "bool") bools (draws Rng.bool);
+      Alcotest.(check (list bool)) (label "chance 0.3") chances
+        (draws (fun r -> Rng.chance r 0.3));
+      (* [split] consumes one output of the parent and seeds the child
+         with it; [copy] continues the original's stream. *)
+      let r = Rng.create seed in
+      let c = Rng.split r in
+      Alcotest.(check (list i64)) (label "split child") child
+        (List.init 6 (fun _ -> Rng.bits64 c));
+      Alcotest.(check (list i64)) (label "split parent") (List.tl bits)
+        (List.init 5 (fun _ -> Rng.bits64 r));
+      let r = Rng.create seed in
+      for _ = 1 to 3 do ignore (Rng.bits64 r) done;
+      let c = Rng.copy r in
+      let tail = List.filteri (fun i _ -> i >= 3) bits in
+      Alcotest.(check (list i64)) (label "copy") tail (List.init 3 (fun _ -> Rng.bits64 c));
+      Alcotest.(check (list i64)) (label "original after copy") tail
+        (List.init 3 (fun _ -> Rng.bits64 r)))
+    rng_pins
+
+(* The integer draws keep the splitmix64 state unboxed end to end. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create 9 in
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    sink := !sink + Rng.int r 1000 + Rng.int_in r (-5) 5;
+    if Rng.bool r then incr sink;
+    if Rng.chance r 0.25 then sink := !sink + i
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !sink);
+  Alcotest.(check (float 0.)) "minor words for 10,000 of each draw" 0. words
+
 let test_stats_basics () =
   let open Stats in
   Alcotest.(check (float 1e-9)) "mean" 2.0 (mean [ 1.0; 2.0; 3.0 ]);
@@ -304,6 +400,8 @@ let suite =
         tc "rng sample" `Quick test_rng_sample;
         tc "rng shuffle" `Quick test_rng_shuffle_permutes;
         tc "rng chance extremes" `Quick test_rng_chance_extremes;
+        tc "rng pinned streams" `Quick test_rng_pinned_streams;
+        tc "rng draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
         tc "stats basics" `Quick test_stats_basics;
         tc "stats histogram" `Quick test_stats_histogram;
         tc "table renders" `Quick test_table_renders;
