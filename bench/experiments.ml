@@ -1279,8 +1279,9 @@ let e16 m =
       ~title:
         "E16 (engine throughput) calendar queue vs. seed binary heap (hold model, \
          pop-one/push-one at standing population n*1000), end-to-end sim rate, and \
-         sharded-service domain scaling (gate: >= 10x on the n=16 queue row; \
-         sharded digests must be domain-count independent)"
+         sharded-service domain scaling (gates: >= 10x on the n=16 queue row; \
+         sharded digests must be domain-count independent; 2-domain parallel \
+         efficiency >= 0.5 when nproc >= 2)"
       [ "row"; "events/s"; "vs heap"; "note" ]
   in
   (* Hold model: the standing population stays constant while events
@@ -1394,24 +1395,34 @@ let e16 m =
     [ 5; 16 ];
   (* Sharded service tower: same partition executed on 1, 2 and 4
      domains. The digests must match exactly — sharding is a fixed
-     logical partition, domains pure executor parallelism. *)
+     logical partition, domains pure executor parallelism. Scaling is
+     read against the cores present: a row with more domains than
+     [nproc] is oversubscribed, not a scaling result, and the d2
+     efficiency floor applies only where two cores exist. *)
+  let nproc = Domain.recommended_domain_count () in
+  M.set (M.gauge m "nproc") (float_of_int nproc);
   let spec =
     { W.default_spec with W.ops = 60_000; sessions = 1_000_000; window = 4_000; seed = 101 }
   in
   let params = { (S.default_params ~n:5 ~seed:202) with S.batch_max = 1_024 } in
-  let shard_runs =
-    List.map
-      (fun domains ->
-        let r = S.run_sharded ~domains ~shards:4 ~spec params in
-        (domains, r))
-      [ 1; 2; 4 ]
+  (* Wall noise is one-sided, and on a shared host the second core comes
+     and goes: each domain count keeps its fastest run over 5 rounds,
+     each round running every count once, so a slow spell hits all
+     counts alike rather than one. *)
+  let round () =
+    List.map (fun domains -> (domains, S.run_sharded ~domains ~shards:4 ~spec params)) [ 1; 2; 4 ]
   in
+  let faster (d, (a : S.report)) (_, (b : S.report)) =
+    (d, if b.S.wall_seconds < a.S.wall_seconds then b else a)
+  in
+  let rec fastest rounds best =
+    if rounds = 0 then best else fastest (rounds - 1) (List.map2 faster best (round ()))
+  in
+  let shard_runs = fastest 4 (round ()) in
   let d1_digest =
     match shard_runs with (_, r) :: _ -> S.report_digest r | [] -> 0
   in
-  let d1_wall =
-    match shard_runs with (_, r) :: _ -> r.S.wall_seconds | [] -> 0.0
-  in
+  let wall domains = (List.assoc domains shard_runs).S.wall_seconds in
   List.iter
     (fun (domains, (r : S.report)) ->
       let same = S.report_digest r = d1_digest in
@@ -1429,11 +1440,31 @@ let e16 m =
           Printf.sprintf "service 4 shards, %d domain%s" domains
             (if domains = 1 then "" else "s");
           Printf.sprintf "%.2e" r.S.throughput;
-          Printf.sprintf "%.2fx" (d1_wall /. r.S.wall_seconds);
-          Printf.sprintf "digest=%d (matches d1: %b)" (S.report_digest r) same;
+          Printf.sprintf "%.2fx" (wall 1 /. r.S.wall_seconds);
+          Printf.sprintf "digest=%d (matches d1: %b)%s" (S.report_digest r) same
+            (if domains > nproc then Printf.sprintf ", oversubscribed (nproc=%d)" nproc
+             else "");
         ])
     shard_runs;
-  Table.print table
+  let efficiency = wall 1 /. wall 2 /. 2.0 in
+  let gated = nproc >= 2 in
+  M.set (M.gauge m "sharded_parallel_efficiency.d2") efficiency;
+  M.inc (M.counter m "rows");
+  Table.add_row table
+    [
+      "service parallel efficiency, 2 domains";
+      "-";
+      Printf.sprintf "%.2f" efficiency;
+      Printf.sprintf "d1 wall / d2 wall / 2, nproc=%d (%s)" nproc
+        (if not gated then "oversubscribed, no floor"
+         else if efficiency < 0.5 then "GATE FAIL (< 0.5)"
+         else "floor 0.5");
+    ];
+  Table.print table;
+  if gated && efficiency < 0.5 then
+    failwith
+      (Printf.sprintf "E16: sharded parallel efficiency at 2 domains is %.2f (< 0.5, nproc=%d)"
+         efficiency nproc)
 
 (* ------------------------------------------------------------------ *)
 (* E17 — span-profiler overhead: the E14 headline workload bare vs. a  *)

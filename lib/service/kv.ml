@@ -5,15 +5,16 @@ type op = { id : int; kind : kind; key : int; v1 : int; v2 : int }
 (* A 62-bit avalanche mix (xxhash-style finalizer over constants that fit
    OCaml's native int), used for the per-entry digest contribution and for
    chaining log digests. Collisions are astronomically unlikely at the
-   scales the workloads reach; nothing here is cryptographic. *)
-let mix a b =
-  let h = ref (a lxor ((b * 0x27D4_EB2F) + 0x165_667B1)) in
-  h := !h lxor (!h lsr 33);
-  h := !h * 0x27D4_EB2F;
-  h := !h lxor (!h lsr 29);
-  h := !h * 0x165_667B1;
-  h := !h lxor (!h lsr 32);
-  !h land max_int
+   scales the workloads reach; nothing here is cryptographic. Inlined, so
+   a digest scan and the commit path's chains pay no call per mix. *)
+let[@inline] mix a b =
+  let h = a lxor ((b * 0x27D4_EB2F) + 0x165_667B1) in
+  let h = h lxor (h lsr 33) in
+  let h = h * 0x27D4_EB2F in
+  let h = h lxor (h lsr 29) in
+  let h = h * 0x165_667B1 in
+  let h = h lxor (h lsr 32) in
+  h land max_int
 
 let chain h x = mix (mix 0x5EED h) x
 
@@ -27,19 +28,20 @@ let batch_digest ops = Array.fold_left (fun h o -> chain h (op_digest o)) 1 ops
    mix per live entry, so [apply] maintains it in O(1): subtract the old
    entry's contribution, add the new one's. Absent keys read as 0 but
    contribute nothing — [put k 0] and "absent" are distinct states. *)
-let entry_digest key value = mix (mix 0xD1_6E57 key) value
+let[@inline] entry_digest key value = mix (mix 0xD1_6E57 key) value
 
-(* The table: open addressing over flat arrays, so a replica's state is
-   three unboxed blocks instead of one boxed cell per entry. Slot [i] holds
-   [keys.(i) -> vals.(i)] iff [used.[i]] is set; any int is a valid key,
-   hence the separate occupancy map. Probing is linear from the key's
-   Fibonacci-hashed home slot, and deletion shifts later entries of the
-   cluster back instead of leaving tombstones, so the 10% deletes of the
-   workloads never lengthen probe sequences. *)
+(* The table: a dense entry store plus an open-addressing index, so a
+   replica's state is two unboxed blocks instead of one boxed cell per
+   entry, and a scan touches live entries only. Entry [d < size] keeps
+   its key at [ent.(2d)] and its value at [ent.(2d+1)]. Index slot [i]
+   holds 0 when empty, else 1 + the position of the entry it names. The
+   index probes linearly from the key's Fibonacci-hashed home slot, and
+   deletion shifts later slots of the cluster back instead of leaving
+   tombstones, so the 10% deletes of the workloads never lengthen probe
+   sequences; the last entry then moves into the freed position. *)
 type t = {
-  mutable keys : int array;
-  mutable vals : int array;
-  mutable used : Bytes.t;
+  mutable ent : int array;  (* capacity ints: room for capacity/2 entries *)
+  mutable idx : int array;
   mutable mask : int;  (* capacity - 1; capacity is a power of two *)
   mutable shift : int;  (* 63 - log2 capacity: home slot = top bits of the hash *)
   mutable size : int;
@@ -50,21 +52,18 @@ let initial_bits = 10
 
 let alloc t bits =
   let cap = 1 lsl bits in
-  t.keys <- Array.make cap 0;
-  t.vals <- Array.make cap 0;
-  t.used <- Bytes.make cap '\000';
+  t.ent <- Array.make cap 0;
+  t.idx <- Array.make cap 0;
   t.mask <- cap - 1;
   t.shift <- 63 - bits
 
 let create () =
-  let t =
-    { keys = [||]; vals = [||]; used = Bytes.empty; mask = 0; shift = 0; size = 0; dig = 0 }
-  in
+  let t = { ent = [||]; idx = [||]; mask = 0; shift = 0; size = 0; dig = 0 } in
   alloc t initial_bits;
   t
 
 let reset t =
-  Bytes.fill t.used 0 (Bytes.length t.used) '\000';
+  Array.fill t.idx 0 (Array.length t.idx) 0;
   t.size <- 0;
   t.dig <- 0
 
@@ -72,31 +71,33 @@ let reset t =
    negative int) and keep the top log2-capacity bits, which spreads
    dense, strided and negative keys alike. *)
 let home t key = (key * 0x4F1B_BCDC_BFA5_3E0B) lsr t.shift
-let occupied t i = Bytes.get t.used i <> '\000'
 
-(* The slot holding [key], or the empty slot ending its probe sequence.
+(* The key and value of the entry an occupied index slot names. *)
+let[@inline] key_of t e = t.ent.((2 * e) - 2)
+let[@inline] value_of t e = t.ent.((2 * e) - 1)
+
+(* The slot naming [key], or the empty slot ending its probe sequence.
    Top-level rather than a closure over [t] and [key]: a local recursive
    closure is allocated on every lookup. *)
 let rec probe t key i =
-  if (not (occupied t i)) || t.keys.(i) = key then i else probe t key ((i + 1) land t.mask)
+  let e = t.idx.(i) in
+  if e = 0 || key_of t e = key then i else probe t key ((i + 1) land t.mask)
 
 let slot t key = probe t key (home t key)
 
+(* Doubling keeps the entries where they are and re-indexes them. *)
 let grow t =
-  let keys = t.keys and vals = t.vals and used = t.used in
+  let ent = t.ent in
   alloc t (64 - t.shift);
-  for i = 0 to Array.length keys - 1 do
-    if Bytes.get used i <> '\000' then begin
-      let j = slot t keys.(i) in
-      Bytes.set t.used j '\001';
-      t.keys.(j) <- keys.(i);
-      t.vals.(j) <- vals.(i)
-    end
+  Array.blit ent 0 t.ent 0 (2 * t.size);
+  for d = 0 to t.size - 1 do
+    t.idx.(slot t ent.(2 * d)) <- d + 1
   done
 
-(* Occupy the empty slot [i] that ended [key]'s probe. The load factor is
-   fixed at 1/2: an insert that would fill more than half the table
-   doubles it first (which moves the slot). *)
+(* Append [key -> value] and point the empty slot [i] that ended [key]'s
+   probe at it. The load factor is fixed at 1/2: an insert that would
+   fill more than half the index doubles it first (which moves the
+   slot). *)
 let insert t i key value =
   let i =
     if 2 * (t.size + 1) > t.mask + 1 then begin
@@ -105,42 +106,56 @@ let insert t i key value =
     end
     else i
   in
-  Bytes.set t.used i '\001';
-  t.keys.(i) <- key;
-  t.vals.(i) <- value;
-  t.size <- t.size + 1
+  let d = t.size in
+  t.ent.(2 * d) <- key;
+  t.ent.((2 * d) + 1) <- value;
+  t.idx.(i) <- d + 1;
+  t.size <- d + 1
 
 (* Backward-shift deletion: walk the cluster after the hole and move into
-   it every entry whose home lies at or before the hole (cyclically), so
-   every remaining key stays reachable from its home without tombstones. *)
+   it every slot whose key's home lies at or before the hole (cyclically),
+   so every remaining key stays reachable from its home without
+   tombstones. *)
 let rec fill_hole t hole j =
   let j = (j + 1) land t.mask in
-  if not (occupied t j) then Bytes.set t.used hole '\000'
-  else if (j - home t t.keys.(j)) land t.mask >= (j - hole) land t.mask then begin
-    t.keys.(hole) <- t.keys.(j);
-    t.vals.(hole) <- t.vals.(j);
+  let e = t.idx.(j) in
+  if e = 0 then t.idx.(hole) <- 0
+  else if (j - home t (key_of t e)) land t.mask >= (j - hole) land t.mask then begin
+    t.idx.(hole) <- e;
     fill_hole t j j
   end
   else fill_hole t hole j
 
+(* Remove the entry slot [i] names: close the index hole, then move the
+   last entry into the freed position and repoint the slot naming it. *)
 let delete_at t i =
+  let d = t.idx.(i) - 1 and last = t.size - 1 in
   fill_hole t i i;
-  t.size <- t.size - 1
+  if d <> last then begin
+    let key = t.ent.(2 * last) in
+    t.idx.(slot t key) <- d + 1;
+    t.ent.(2 * d) <- key;
+    t.ent.((2 * d) + 1) <- t.ent.((2 * last) + 1)
+  end;
+  t.size <- last
 
 let get t key =
-  let i = slot t key in
-  if occupied t i then t.vals.(i) else 0
+  let e = t.idx.(slot t key) in
+  if e = 0 then 0 else value_of t e
 
-let mem t key = occupied t (slot t key)
+let mem t key = t.idx.(slot t key) <> 0
 let cardinal t = t.size
 let digest t = t.dig
 
 (* Store [value] at [key]'s slot [i], leaving the digest alone. *)
-let store t i key value = if occupied t i then t.vals.(i) <- value else insert t i key value
+let store t i key value =
+  let e = t.idx.(i) in
+  if e <> 0 then t.ent.((2 * e) - 1) <- value else insert t i key value
 
 (* [store], keeping the incremental digest. *)
 let write t i key value =
-  if occupied t i then t.dig <- (t.dig - entry_digest key t.vals.(i)) land max_int;
+  let e = t.idx.(i) in
+  if e <> 0 then t.dig <- (t.dig - entry_digest key (value_of t e)) land max_int;
   store t i key value;
   t.dig <- (t.dig + entry_digest key value) land max_int
 
@@ -151,25 +166,33 @@ let apply t o =
   | Put -> write t (slot t o.key) o.key o.v1
   | Cas ->
     let i = slot t o.key in
-    let cur = if occupied t i then t.vals.(i) else 0 in
+    let e = t.idx.(i) in
+    let cur = if e = 0 then 0 else value_of t e in
     if cur = o.v1 then write t i o.key o.v2
   | Delete ->
     let i = slot t o.key in
-    if occupied t i then begin
-      t.dig <- (t.dig - entry_digest o.key t.vals.(i)) land max_int;
+    let e = t.idx.(i) in
+    if e <> 0 then begin
+      t.dig <- (t.dig - entry_digest o.key (value_of t e)) land max_int;
       delete_at t i
     end
 
-let apply_batch t ops = Array.iter (apply t) ops
+(* A loop rather than [Array.iter (apply t)], whose partial application
+   allocates a closure per batch. *)
+let apply_batch t ops =
+  for i = 0 to Array.length ops - 1 do
+    apply t ops.(i)
+  done
 
-(* A scan of the table contents, ignoring the incremental field — the
-   ground truth a corrupted [dig] is audited against. *)
+(* A scan of the live entries, ignoring the incremental field — the
+   ground truth a corrupted [dig] is audited against. The sum wraps at
+   2^63 and is reduced once at the end: the same value mod 2^62. *)
 let recompute_digest t =
-  let acc = ref 0 in
-  for i = 0 to t.mask do
-    if occupied t i then acc := (!acc + entry_digest t.keys.(i) t.vals.(i)) land max_int
+  let ent = t.ent and acc = ref 0 in
+  for d = 0 to t.size - 1 do
+    acc := !acc + entry_digest ent.(2 * d) ent.((2 * d) + 1)
   done;
-  !acc
+  !acc land max_int
 
 (* Raw table scrambling for fault injection: entries replaced or removed
    behind the incremental digest's back, sometimes the digest field
@@ -187,7 +210,7 @@ let corrupt rng ~keys t =
     end
     else begin
       let i = slot t (Rng.int rng (max 1 keys)) in
-      if occupied t i then delete_at t i
+      if t.idx.(i) <> 0 then delete_at t i
     end
   done;
   if Rng.chance rng 0.3 then t.dig <- Rng.int rng max_int

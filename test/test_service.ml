@@ -107,36 +107,195 @@ let kv_op =
             [ (1, return Kv.Get); (5, return Kv.Put); (2, return Kv.Cas); (2, return Kv.Delete) ])
          kv_key (int_range 0 3) (int_range 0 1_000)))
 
+(* A delete-heavy stream over the distinct [keys], in a shuffled order:
+   fill in rounds of three puts and one delete of a random live key,
+   drain to empty in random order, then refill the same way. Deletes hit
+   the newest entry (the drain's last one always) and entries inside
+   clusters; a grow step from size 2^k to 2^k + 1 is always the put
+   right after a delete. *)
+let churn_ops keys seed =
+  let rng = Rng.create seed in
+  let keys = Array.copy keys in
+  for i = Array.length keys - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let k = keys.(i) in
+    keys.(i) <- keys.(j);
+    keys.(j) <- k
+  done;
+  let live = Array.make (Array.length keys) 0 and n = ref 0 and out = ref [] in
+  let emit kind key = out := { Kv.id = 0; kind; key; v1 = Rng.int rng 1_000; v2 = 0 } :: !out in
+  let put key =
+    emit Kv.Put key;
+    live.(!n) <- key;
+    incr n
+  in
+  let delete () =
+    let j = Rng.int rng !n in
+    emit Kv.Delete live.(j);
+    decr n;
+    live.(j) <- live.(!n)
+  in
+  let fill () =
+    Array.iteri
+      (fun i key ->
+        put key;
+        if i mod 3 = 2 then delete ())
+      keys
+  in
+  fill ();
+  while !n > 0 do
+    delete ()
+  done;
+  fill ();
+  List.rev !out
+
+(* A run's steps: a churn on the fresh table, mixed ops, a [Kv.reset]
+   (which keeps the capacity, as [Tob]'s log replay does), a churn at
+   the kept capacity, and more mixed ops. Both churns start and drain
+   to an empty table. *)
+type kv_step = Op of Kv.op | Reset
+
+let kv_churn =
+  QCheck.Gen.(
+    map2
+      (fun keys seed -> churn_ops (Array.of_list (List.sort_uniq compare keys)) seed)
+      (list_size (int_range 1_500 2_400) kv_key)
+      nat)
+
+let kv_steps =
+  QCheck.Gen.(
+    map
+      (fun (churn1, mixed1, churn2, mixed2) ->
+        let ops l = List.map (fun o -> Op o) l in
+        ops churn1 @ ops mixed1 @ (Reset :: ops churn2) @ ops mixed2)
+      (quad kv_churn
+         (list_size (int_range 1_000 4_000) kv_op)
+         kv_churn
+         (list_size (int_range 100 1_000) kv_op)))
+
 (* After every op, the table answers like the model for the op's key,
    and its size, incremental digest and scanned digest all equal the
-   model's; at the end the contents are equal, and a seeded corruption
-   scrambles both the same way. *)
+   model's; after a reset both are empty. At the end the contents are
+   equal, and a seeded corruption scrambles both the same way. *)
 let prop_kv_matches_model =
   QCheck.Test.make ~name:"Kv agrees with a Hashtbl model over colliding keys and grow steps"
     ~count:12
     QCheck.(
-      pair (make ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
-              Gen.(list_size (int_range 1_000 4_000) kv_op))
+      pair
+        (make ~print:(fun steps -> Printf.sprintf "%d steps" (List.length steps)) kv_steps)
         small_nat)
-    (fun (ops, seed) ->
+    (fun (steps, seed) ->
       let t = Kv.create () and m = Hashtbl.create 64 in
       List.for_all
-        (fun (o : Kv.op) ->
-          Kv.apply t o;
-          model_apply m o;
-          let d = model_digest m in
-          Kv.get t o.Kv.key = model_get m o.Kv.key
-          && Kv.mem t o.Kv.key = Hashtbl.mem m o.Kv.key
-          && Kv.cardinal t = Hashtbl.length m
-          && Kv.digest t = d
-          && Kv.recompute_digest t = d)
-        ops
+        (function
+          | Reset ->
+            Kv.reset t;
+            Hashtbl.reset m;
+            Kv.cardinal t = 0 && Kv.digest t = 0 && Kv.recompute_digest t = 0
+          | Op (o : Kv.op) ->
+            Kv.apply t o;
+            model_apply m o;
+            let d = model_digest m in
+            Kv.get t o.Kv.key = model_get m o.Kv.key
+            && Kv.mem t o.Kv.key = Hashtbl.mem m o.Kv.key
+            && Kv.cardinal t = Hashtbl.length m
+            && Kv.digest t = d
+            && Kv.recompute_digest t = d)
+        steps
       && same_contents t m
       && begin
         Kv.corrupt (Rng.create seed) ~keys:8 t;
         model_corrupt (Rng.create seed) ~keys:8 m;
         same_contents t m && Kv.recompute_digest t = model_digest m
       end)
+
+(* The hash and every digest built from it, pinned on fixed inputs that
+   include negative keys and the extreme ints. The values were recorded
+   from the slot-array table the dense store replaced. *)
+let test_kv_hash_pins () =
+  let op id kind key v1 v2 = { Kv.id; kind; key; v1; v2 } in
+  let ops =
+    [|
+      op 0 Kv.Put (-5) 17 0; op 1 Kv.Put min_int max_int 0; op 2 Kv.Put max_int min_int 0;
+      op 3 Kv.Cas (-5) 17 (-1); op 4 Kv.Put 0 0 0; op 5 Kv.Delete 0 0 0;
+      op 6 Kv.Put (1 lsl 40) 3 0; op 7 Kv.Get (-5) 0 0; op max_int Kv.Put 99 (-99) min_int;
+    |]
+  in
+  List.iter
+    (fun (a, b, want) -> check_int (Printf.sprintf "mix %d %d" a b) want (Kv.mix a b))
+    [
+      (0, 0, 2122676604869372885);
+      (1, 2, 1616219016913665920);
+      (-1, 5, 3929685785845261825);
+      (min_int, max_int, 3206573033969516176);
+      (max_int, min_int, 245242865510681317);
+      (123_456_789, -987_654_321, 1532179890896739851);
+    ];
+  List.iter
+    (fun (a, b, want) -> check_int (Printf.sprintf "chain %d %d" a b) want (Kv.chain a b))
+    [
+      (1, 42, 1374277818845099978);
+      (max_int, min_int, 2189114785184071657);
+      (-7, 0, 3633701304081578997);
+    ];
+  List.iter2
+    (fun o want -> check_int (Printf.sprintf "op_digest #%d" o.Kv.id) want (Kv.op_digest o))
+    (Array.to_list ops)
+    [
+      190285198749457481; 625726094033625354; 3648822464289031041; 723818305805774664;
+      841695131837571382; 4259722057169172350; 3022229126970332807; 3000896405744518304;
+      3235095628554891194;
+    ];
+  check_int "batch_digest" 3864964336868132260 (Kv.batch_digest ops);
+  check_int "batch_digest [||]" 1 (Kv.batch_digest [||]);
+  let t = Kv.create () in
+  Kv.apply_batch t ops;
+  check_int "cardinal" 5 (Kv.cardinal t);
+  check_int "recompute_digest" 3264424038516804452 (Kv.recompute_digest t);
+  check_int "digest" 3264424038516804452 (Kv.digest t);
+  (* 6,001 puts through two grow steps, then every third key deleted. *)
+  let t = Kv.create () in
+  for k = -3000 to 3000 do
+    Kv.apply t (op k Kv.Put (k * 7919) (k lxor 0x5555) 0)
+  done;
+  for k = -3000 to 3000 do
+    if k mod 3 = 0 then Kv.apply t (op k Kv.Delete k 0 0)
+  done;
+  check_int "cardinal (6,001 puts, 2,001 deletes)" 6000 (Kv.cardinal t);
+  check_int "recompute_digest (6,001 puts, 2,001 deletes)" 1470098506990246505
+    (Kv.recompute_digest t)
+
+(* Once the table has reached its final capacity, ops of all four kinds,
+   lookups and digest scans allocate nothing. *)
+let test_kv_ops_allocate_nothing () =
+  let rng = Rng.create 13 and keys = 4_096 in
+  let ops =
+    Array.init 100_000 (fun id ->
+        let kind =
+          match Rng.int rng 4 with 0 -> Kv.Get | 1 -> Kv.Put | 2 -> Kv.Cas | _ -> Kv.Delete
+        in
+        { Kv.id; kind; key = Rng.int rng keys; v1 = Rng.int rng 4; v2 = Rng.int rng 4 })
+  in
+  let t = Kv.create () in
+  for key = 0 to keys - 1 do
+    Kv.apply t { Kv.id = 0; kind = Kv.Put; key; v1 = 0; v2 = 0 }
+  done;
+  Kv.apply_batch t ops;
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to Array.length ops - 1 do
+    let o = ops.(i) in
+    Kv.apply t o;
+    sink := !sink + Kv.get t o.Kv.key;
+    if Kv.mem t o.Kv.v1 then incr sink
+  done;
+  Kv.apply_batch t ops;
+  for _ = 1 to 100 do
+    sink := !sink + Kv.recompute_digest t
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !sink);
+  Alcotest.(check (float 0.)) "minor words" 0. words
 
 let test_kv_order_independence () =
   (* state digest is order-independent; batch digest is order-dependent *)
@@ -665,6 +824,8 @@ let suite =
         Alcotest.test_case "kv digest order (in)dependence" `Quick
           test_kv_order_independence;
         QCheck_alcotest.to_alcotest prop_kv_matches_model;
+        Alcotest.test_case "kv hash pins" `Quick test_kv_hash_pins;
+        Alcotest.test_case "kv ops allocate nothing" `Quick test_kv_ops_allocate_nothing;
         Alcotest.test_case "workload shape" `Quick test_workload_shape;
         Alcotest.test_case "workload determinism" `Quick test_workload_determinism;
         Alcotest.test_case "workload pinned digests" `Quick test_workload_pinned_digests;
