@@ -1105,6 +1105,51 @@ let e14 m =
       failwith (Printf.sprintf "E14: %.2f promoted words per committed op (> 2)" promoted)
 
 (* ------------------------------------------------------------------ *)
+(* Interleaved A/B trials, shared by the overhead experiments E15/E17. *)
+(* ------------------------------------------------------------------ *)
+
+(* Runs every [(label, gauge, f)] config once per round, for [rounds]
+   rounds, and returns each config's results in round order by label.
+   Configs run back to back in rotating order (instead of one cold
+   config first), so no config always takes the same (coldest or
+   warmest) slot of the interleave; compacting before every trial stops
+   one config's heap shape from taxing the next. *)
+let ab_trials ~rounds configs =
+  let results = Hashtbl.create 4 in
+  List.iter
+    (fun (label, _, _) -> Hashtbl.replace results label (Array.make rounds None))
+    configs;
+  let nconf = List.length configs in
+  for round = 0 to rounds - 1 do
+    for i = 0 to nconf - 1 do
+      let label, _, f = List.nth configs ((round + i) mod nconf) in
+      Gc.compact ();
+      (Hashtbl.find results label).(round) <- Some (f ())
+    done
+  done;
+  fun label -> Array.map Option.get (Hashtbl.find results label)
+
+(* The mean of the top-3 throughputs over a config's trials, with its
+   fastest trial: wall-clock noise is one-sided (interference only ever
+   slows a trial down), so the fast tail estimates each config's true
+   cost floor — averaging the top 3 keeps one freak-fast trial from
+   skewing the ratio. *)
+let top3_mean trials =
+  let module S = Ftss_service.Service in
+  let rs =
+    List.sort
+      (fun ((a : S.report), _) ((b : S.report), _) ->
+        compare b.S.throughput a.S.throughput)
+      (Array.to_list trials)
+  in
+  let top3 = [ List.nth rs 0; List.nth rs 1; List.nth rs 2 ] in
+  let tp =
+    List.fold_left (fun acc ((r : S.report), _) -> acc +. r.S.throughput) 0. top3
+    /. 3.
+  in
+  (tp, List.hd rs)
+
+(* ------------------------------------------------------------------ *)
 (* E15 — monitor-plane overhead: the E14 storm scenario with every     *)
 (* streaming SLO monitor armed (flight-recorder ring included) vs. no  *)
 (* observability at all. Budget: the armed tower stays within 5%.      *)
@@ -1169,12 +1214,6 @@ let e15 m =
     Mon.finalize mon ~end_time:r.S.end_time;
     (r, Some mon)
   in
-  (* Interleaved trials, mean of the top-3 throughputs per config:
-     wall-clock noise is one-sided (interference only ever slows a trial
-     down), so the fast tail estimates each config's true cost floor —
-     averaging the top 3 keeps one freak-fast trial from skewing the
-     ratio. Running configs back to back in rotating order (instead of
-     one cold config first) keeps GC/cache state comparable. *)
   let configs =
     [
       ("monitors off", "monitors_off", bare);
@@ -1182,31 +1221,8 @@ let e15 m =
       ("armed (tight, alarms firing)", "armed_tight", armed tight);
     ]
   in
-  let results = Hashtbl.create 4 in
-  List.iter (fun (label, _, _) -> Hashtbl.replace results label []) configs;
-  let nconf = List.length configs in
-  for round = 0 to 8 do
-    (* Rotate the starting position each round so no config always runs
-       in the same (coldest or warmest) slot of the interleave. *)
-    for i = 0 to nconf - 1 do
-      let label, _, f = List.nth configs ((round + i) mod nconf) in
-      Hashtbl.replace results label (f () :: Hashtbl.find results label)
-    done
-  done;
-  let best label =
-    let rs =
-      List.sort
-        (fun ((a : S.report), _) ((b : S.report), _) ->
-          compare b.S.throughput a.S.throughput)
-        (Hashtbl.find results label)
-    in
-    let top3 = [ List.nth rs 0; List.nth rs 1; List.nth rs 2 ] in
-    let tp =
-      List.fold_left (fun acc ((r : S.report), _) -> acc +. r.S.throughput) 0. top3
-      /. 3.
-    in
-    (tp, List.hd rs)
-  in
+  let trials = ab_trials ~rounds:9 configs in
+  let best label = top3_mean (trials label) in
   let off_tp = fst (best "monitors off") in
   let row (label, gauge, _) =
     let tp, (r, mon) = best label in
@@ -1517,8 +1533,9 @@ let e17 m =
     let r = S.run ~profile:(P.lane prof "svc.tower") ~wl params in
     (r, Some prof)
   in
-  (* Interleaved trials in rotating order, mean of the top-3 throughputs
-     per config — the same one-sided-noise estimator as E15. *)
+  (* Interleaved trials, mean of the top-3 throughputs per config — the
+     same one-sided-noise estimator as E15. Armed trials retire ~60 MB
+     of span buffers, which the per-trial compaction clears. *)
   let configs =
     [
       ("bare (no ?profile)", "profiler_bare", bare);
@@ -1527,40 +1544,9 @@ let e17 m =
     ]
   in
   let rounds = 5 in
-  let results = Hashtbl.create 4 in
-  List.iter
-    (fun (label, _, _) -> Hashtbl.replace results label (Array.make rounds None))
-    configs;
-  let nconf = List.length configs in
-  for round = 0 to rounds - 1 do
-    for i = 0 to nconf - 1 do
-      let label, _, f = List.nth configs ((round + i) mod nconf) in
-      (* Armed trials retire ~60 MB of span buffers; compacting before
-         every trial stops one config's heap shape from taxing the next. *)
-      Gc.compact ();
-      (Hashtbl.find results label).(round) <- Some (f ())
-    done
-  done;
-  let trials label =
-    Array.map
-      (function Some t -> t | None -> assert false)
-      (Hashtbl.find results label)
-  in
+  let trials = ab_trials ~rounds configs in
   let bare_label = "bare (no ?profile)" in
-  let best label =
-    let rs =
-      List.sort
-        (fun ((a : S.report), _) ((b : S.report), _) ->
-          compare b.S.throughput a.S.throughput)
-        (Array.to_list (trials label))
-    in
-    let top3 = [ List.nth rs 0; List.nth rs 1; List.nth rs 2 ] in
-    let tp =
-      List.fold_left (fun acc ((r : S.report), _) -> acc +. r.S.throughput) 0. top3
-      /. 3.
-    in
-    (tp, List.hd rs)
-  in
+  let best label = top3_mean (trials label) in
   (* Single-trial wall-clock noise here runs whole percents — far above
      the 1% budget under test. Two end-to-end estimators are reported as
      diagnostics (the {e floor} comparison of each config's best trial

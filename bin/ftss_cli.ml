@@ -46,32 +46,44 @@ let p_drop_arg =
     & info [ "p-drop" ] ~docv:"P" ~doc:"Per-link omission probability for faulty links.")
 
 
-(* --- observability options (every subcommand) --- *)
+(* --- observability options --- *)
 
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE.jsonl"
-        ~doc:"Write the run's structured event trace as JSON Lines to $(docv).")
+(* Where a run's event stream goes: the --trace-out/--metrics-out pair. *)
+type obs_out = { trace_out : string option; metrics_out : string option }
 
-let metrics_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE.json"
-        ~doc:"Write the metrics registry snapshot as JSON to $(docv).")
+let obs_term =
+  let trace_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-out" ] ~docv:"FILE.jsonl"
+          ~doc:"Write the run's structured event trace as JSON Lines to $(docv).")
+  in
+  let metrics_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics-out" ] ~docv:"FILE.json"
+          ~doc:"Write the metrics registry snapshot as JSON to $(docv).")
+  in
+  Term.(
+    const (fun trace_out metrics_out -> { trace_out; metrics_out })
+    $ trace_out $ metrics_out)
 
-(* Builds the hub (when either output was requested), runs [f] with it,
-   then flushes the trace sink and writes the metrics snapshot. Without
-   either flag [f None] runs with zero instrumentation overhead.
-   [~stamp:n] attaches a causal stamper over n processes, so every traced
-   event carries the vector clock [ftss explain] consumes. *)
-let with_obs ?stamp trace_out metrics_out f =
-  match (trace_out, metrics_out) with
-  | None, None -> f None
-  | _ ->
-    let obs = Ftss_obs.Obs.create ?stamp () in
+(* Builds the hub when an output was requested (or [~always], when the
+   caller attaches consumers of its own), runs [f] with it, then flushes the
+   trace sink and writes the metrics snapshot. Without either flag [f
+   None] runs with zero instrumentation overhead. Events are stamped
+   with a causal stamper over [n] processes — the vector clocks [ftss
+   explain] consumes — only when a trace is written, and folded into
+   the registry only when a metrics file is asked for. *)
+let with_obs ?n ?(always = false) ?threadsafe { trace_out; metrics_out } f =
+  if trace_out = None && metrics_out = None && not always then f None
+  else
+    let stamp = match trace_out with Some _ -> n | None -> None in
+    let obs =
+      Ftss_obs.Obs.create ?stamp ~record:(metrics_out <> None) ?threadsafe ()
+    in
     (match trace_out with
     | Some path -> Ftss_obs.Obs.add_sink obs (Ftss_obs.Sink.jsonl_file path)
     | None -> ());
@@ -122,12 +134,12 @@ let write_dot path t targets =
 (* Re-runs a counterexample under an in-memory stamped hub and prints the
    causal explanation of its outcome; optionally exports the cone. *)
 let explain_counterexample ?dot ~n f =
-  let ring = Ftss_obs.Sink.ring ~capacity:1_000_000 in
-  let obs =
-    Ftss_obs.Obs.create ~sinks:[ Ftss_obs.Sink.ring_sink ring ] ~stamp:n ()
-  in
+  let evs = ref [] in
+  let obs = Ftss_obs.Obs.create ~stamp:n ~record:false () in
+  Ftss_obs.Obs.add_sink obs
+    (Ftss_obs.Sink.make ~emit:(fun ev -> evs := ev :: !evs) ~close:ignore);
   f obs;
-  let t = Prov.of_events (Ftss_obs.Sink.ring_contents ring) in
+  let t = Prov.of_events (List.rev !evs) in
   match default_targets t with
   | None -> Format.printf "explanation: trace recorded no located events@."
   | Some targets ->
@@ -145,8 +157,8 @@ let dump_arg =
   Arg.(value & flag & info [ "dump" ] ~doc:"Dump the full round-by-round trace.")
 
 let round_agreement_cmd =
-  let run n f seed rounds p_drop dump trace_out metrics_out =
-    with_obs ~stamp:n trace_out metrics_out @@ fun obs ->
+  let run n f seed rounds p_drop dump outs =
+    with_obs ~n outs @@ fun obs ->
     let rng = Rng.create seed in
     let faults = Faults.random_omission rng ~n ~f ~p_drop ~rounds in
     let trace =
@@ -172,7 +184,7 @@ let round_agreement_cmd =
   let term =
     Term.(
       const run $ n_arg $ f_arg $ seed_arg $ rounds_arg $ p_drop_arg $ dump_arg
-      $ trace_out_arg $ metrics_out_arg)
+      $ obs_term)
   in
   Cmd.v
     (Cmd.info "round-agreement"
@@ -189,8 +201,8 @@ let protocol_arg =
         ~doc:"Canonical protocol to compile: $(b,consensus), $(b,ic) or $(b,leader).")
 
 let compile_cmd =
-  let run n f seed rounds p_drop which trace_out metrics_out =
-    with_obs ~stamp:n trace_out metrics_out @@ fun obs ->
+  let run n f seed rounds p_drop which outs =
+    with_obs ~n outs @@ fun obs ->
     let rng = Rng.create seed in
     let faults = Faults.random_omission rng ~n ~f ~p_drop ~rounds in
     let check (type s d) (pi : (s, d) Canonical.t) ~(corrupt_s : Rng.t -> Pid.t -> s -> s)
@@ -237,7 +249,7 @@ let compile_cmd =
   let term =
     Term.(
       const run $ n_arg $ f_arg $ seed_arg $ rounds_arg $ p_drop_arg $ protocol_arg
-      $ trace_out_arg $ metrics_out_arg)
+      $ obs_term)
   in
   Cmd.v
     (Cmd.info "compile"
@@ -259,8 +271,8 @@ let crashes_arg =
     & info [ "crash" ] ~docv:"PID:TIME" ~doc:"Crash process PID at TIME (repeatable).")
 
 let esfd_cmd =
-  let run n seed gst horizon crashes trace_out metrics_out =
-    with_obs ~stamp:n trace_out metrics_out @@ fun obs ->
+  let run n seed gst horizon crashes outs =
+    with_obs ~n outs @@ fun obs ->
     let open Ftss_async in
     let config =
       {
@@ -292,8 +304,7 @@ let esfd_cmd =
   in
   let term =
     Term.(
-      const run $ n_arg $ seed_arg $ gst_arg $ horizon_arg $ crashes_arg $ trace_out_arg
-      $ metrics_out_arg)
+      const run $ n_arg $ seed_arg $ gst_arg $ horizon_arg $ crashes_arg $ obs_term)
   in
   Cmd.v
     (Cmd.info "esfd"
@@ -303,8 +314,8 @@ let esfd_cmd =
 (* --- stack: oracle-free detector (heartbeats + Figure 4) --- *)
 
 let stack_cmd =
-  let run n seed gst horizon crashes trace_out metrics_out =
-    with_obs ~stamp:n trace_out metrics_out @@ fun obs ->
+  let run n seed gst horizon crashes outs =
+    with_obs ~n outs @@ fun obs ->
     let open Ftss_async in
     let config =
       {
@@ -335,8 +346,7 @@ let stack_cmd =
   in
   let term =
     Term.(
-      const run $ n_arg $ seed_arg $ gst_arg $ horizon_arg $ crashes_arg $ trace_out_arg
-      $ metrics_out_arg)
+      const run $ n_arg $ seed_arg $ gst_arg $ horizon_arg $ crashes_arg $ obs_term)
   in
   Cmd.v
     (Cmd.info "stack"
@@ -367,8 +377,8 @@ let detector_arg =
         ~doc:"◇W source: the scripted $(b,oracle) or live $(b,heartbeats) (oracle-free).")
 
 let consensus_cmd =
-  let run n seed gst horizon crashes style corruption detector_kind trace_out metrics_out =
-    with_obs ~stamp:n trace_out metrics_out @@ fun obs ->
+  let run n seed gst horizon crashes style corruption detector_kind outs =
+    with_obs ~n outs @@ fun obs ->
     let open Ftss_async in
     let propose p i = 100 + (((p * 13) + (i * 7)) mod 50) in
     let config =
@@ -441,8 +451,7 @@ let consensus_cmd =
     Term.(
       const run $ n_arg $ seed_arg $ gst_arg
       $ Arg.(value & opt int 4000 & info [ "horizon" ] ~docv:"T" ~doc:"Simulation horizon.")
-      $ crashes_arg $ style_arg $ corruption_arg $ detector_arg $ trace_out_arg
-      $ metrics_out_arg)
+      $ crashes_arg $ style_arg $ corruption_arg $ detector_arg $ obs_term)
   in
   Cmd.v
     (Cmd.info "consensus"
@@ -452,10 +461,10 @@ let consensus_cmd =
 (* --- impossibility --- *)
 
 let impossibility_cmd =
-  let run trace_out metrics_out =
-    (* Nothing emits here; the flags exist so every subcommand accepts
-       them and scripted wrappers need no special case. *)
-    with_obs trace_out metrics_out @@ fun _obs ->
+  let run outs =
+    (* Nothing emits here; the flags exist so scripted wrappers that
+       pass them to every theorem command need no special case. *)
+    with_obs outs @@ fun _obs ->
     let r1 = Impossibility.Theorem1.run ~isolation:8 ~c_p:42 ~c_q:7 ~suffix:10 in
     let r2 = Impossibility.Theorem2.run ~silence_threshold:4 ~c_p:13 ~c_q:2 ~rounds:12 in
     Format.printf "Theorem 1 confirmed: %b@." (Impossibility.Theorem1.confirms_theorem r1);
@@ -468,7 +477,7 @@ let impossibility_cmd =
   in
   Cmd.v
     (Cmd.info "impossibility" ~doc:"Execute the Theorem 1 and Theorem 2 scenario pairs.")
-    Term.(const run $ trace_out_arg $ metrics_out_arg)
+    Term.(const run $ obs_term)
 
 (* --- check: exhaustive adversary model-checking (ftss_check) --- *)
 
@@ -508,6 +517,21 @@ let out_arg =
     & info [ "out" ] ~docv:"FILE"
         ~doc:"Write the shrunk counterexample (if any) to FILE instead of stdout.")
 
+(* The process and fault bounds of [check] and [fuzz]. Long aliases so
+   the CI-style spelling "check --n 3 --f 1" parses (cmdliner resolves
+   --n and --f as unambiguous long-option prefixes). *)
+let check_n_arg =
+  Arg.(
+    value
+    & opt int 3
+    & info [ "n"; "num-processes" ] ~docv:"N" ~doc:"Number of processes.")
+
+let check_f_arg =
+  Arg.(
+    value
+    & opt int 1
+    & info [ "f"; "faults" ] ~docv:"F" ~doc:"Bound on faulty processes.")
+
 let check_rounds_arg =
   Arg.(value & opt int 3 & info [ "rounds" ] ~docv:"R" ~doc:"Schedule horizon in rounds.")
 
@@ -534,9 +558,8 @@ let canonical_arg =
            in the statistics.")
 
 let check_cmd =
-  let run n f rounds property inject domains canonical out json dot trace_out
-      metrics_out =
-    with_obs ~stamp:n trace_out metrics_out @@ fun obs ->
+  let run n f rounds property inject domains canonical out json dot outs =
+    with_obs ~n outs @@ fun obs ->
     let open Ftss_check in
     match Property.find ~name:property ~inject with
     | Error msg ->
@@ -617,25 +640,9 @@ let check_cmd =
         end)
   in
   let term =
-    (* Long aliases so the CI-style spelling "check --n 3 --f 1" parses
-       (cmdliner resolves --n and --f as unambiguous long-option
-       prefixes). *)
-    let n_arg =
-      Arg.(
-        value
-        & opt int 3
-        & info [ "n"; "num-processes" ] ~docv:"N" ~doc:"Number of processes.")
-    in
-    let f_arg =
-      Arg.(
-        value
-        & opt int 1
-        & info [ "f"; "faults" ] ~docv:"F" ~doc:"Bound on faulty processes.")
-    in
     Term.(
-      const run $ n_arg $ f_arg $ check_rounds_arg $ property_arg $ inject_arg
-      $ domains_arg $ canonical_arg $ out_arg $ json_arg $ dot_arg $ trace_out_arg
-      $ metrics_out_arg)
+      const run $ check_n_arg $ check_f_arg $ check_rounds_arg $ property_arg $ inject_arg
+      $ domains_arg $ canonical_arg $ out_arg $ json_arg $ dot_arg $ obs_term)
   in
   Cmd.v
     (Cmd.info "check"
@@ -687,9 +694,8 @@ let corpus_dir_arg =
            fingerprint.")
 
 let fuzz_cmd =
-  let run n f rounds property inject seed budget corpus_dir domains json trace_out
-      metrics_out =
-    with_obs ~stamp:n trace_out metrics_out @@ fun obs ->
+  let run n f rounds property inject seed budget corpus_dir domains json outs =
+    with_obs ~n outs @@ fun obs ->
     let open Ftss_check in
     let module M = Ftss_fuzz.Mutate in
     let module F = Ftss_fuzz.Fuzz in
@@ -757,22 +763,10 @@ let fuzz_cmd =
         | [], _ :: _ -> 1)
   in
   let term =
-    let n_arg =
-      Arg.(
-        value
-        & opt int 3
-        & info [ "n"; "num-processes" ] ~docv:"N" ~doc:"Number of processes.")
-    in
-    let f_arg =
-      Arg.(
-        value
-        & opt int 1
-        & info [ "f"; "faults" ] ~docv:"F" ~doc:"Bound on faulty processes.")
-    in
     Term.(
-      const run $ n_arg $ f_arg $ check_rounds_arg $ property_arg $ inject_arg
+      const run $ check_n_arg $ check_f_arg $ check_rounds_arg $ property_arg $ inject_arg
       $ seed_arg $ budget_arg $ corpus_dir_arg $ domains_arg $ json_arg
-      $ trace_out_arg $ metrics_out_arg)
+      $ obs_term)
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -788,7 +782,7 @@ let fuzz_cmd =
 (* --- replay --- *)
 
 let replay_cmd =
-  let run path dot trace_out metrics_out =
+  let run path dot outs =
     let open Ftss_check in
     match Replay.load path with
     | Error msg ->
@@ -796,7 +790,7 @@ let replay_cmd =
       2
     | Ok t -> (
       let n = t.Replay.case.Schedule_enum.params.Schedule_enum.n in
-      with_obs ~stamp:n trace_out metrics_out @@ fun obs ->
+      with_obs ~n outs @@ fun obs ->
       Format.printf "property: %s (inject: %s)@." t.Replay.property t.Replay.inject;
       Format.printf "case: %a@." Schedule_enum.pp t.Replay.case;
       match Replay.replay ?obs t with
@@ -826,7 +820,7 @@ let replay_cmd =
        ~doc:"Deterministically re-execute a shrunk counterexample file and confirm it \
              still falsifies its property; a reproduced counterexample is explained \
              through its causal provenance.")
-    Term.(const run $ file_arg $ dot_arg $ trace_out_arg $ metrics_out_arg)
+    Term.(const run $ file_arg $ dot_arg $ obs_term)
 
 (* --- trace: summarize a JSONL event file --- *)
 
@@ -838,12 +832,13 @@ let trace_cmd =
       2
     | Ok t ->
       if dump_events || kind <> None then begin
-        let wanted ev =
-          match kind with None -> true | Some k -> Ftss_obs.Event.kind ev = k
+        let sink =
+          Ftss_obs.Sink.console
+            ?kinds:(Option.map (fun k -> [ k ]) kind)
+            Format.std_formatter
         in
-        List.iter
-          (fun ev -> if wanted ev then Format.printf "%a@." Ftss_obs.Event.pp ev)
-          (Ftss_obs.Trace_summary.events t)
+        List.iter sink.Ftss_obs.Sink.emit (Ftss_obs.Trace_summary.events t);
+        sink.Ftss_obs.Sink.close ()
       end
       else Format.printf "%a@." Ftss_obs.Trace_summary.pp t;
       0
@@ -942,8 +937,8 @@ module Recorder = Ftss_monitor.Recorder
    the monitors at the simulated horizon, and renders. Exit code is
    non-zero when the service gate fails or any SLO alarm fired. *)
 let tower_run ~n ~seed ~ops ~sessions ~keys ~window ~baseline ~storm_at
-    ~storm_victims ~omit ~trace_out ~metrics_out ~slo ~prom_out ~prom_every
-    ~flight_out ~watch ~watch_json ~shards ~domains =
+    ~storm_victims ~omit ~outs ~slo ~prom_out ~prom_every ~flight_out ~watch
+    ~watch_json ~shards ~domains =
   let open Ftss_service in
   match
     match slo with
@@ -979,54 +974,24 @@ let tower_run ~n ~seed ~ops ~sessions ~keys ~window ~baseline ~storm_at
       (* Sharded towers run without the per-event monitor plane (shard
          simulations emit no event streams); summary gauges still land in
          --metrics-out. *)
-      if need_monitor || trace_out <> None then begin
+      if need_monitor || outs.trace_out <> None then begin
         Format.eprintf
           "ftss: --shards/--domains cannot be combined with --slo, --prom-out, \
            --flight-out, --trace-out or watch@.";
         2
       end
-      else begin
-        let obs =
-          match metrics_out with
-          | Some _ -> Some (Ftss_obs.Obs.create ~record:true ~threadsafe:false ())
-          | None -> None
-        in
+      else
+        with_obs ~threadsafe:false outs @@ fun obs ->
         let r = Service.run_sharded ?obs ~domains ~shards ~spec params in
-        (match (metrics_out, obs) with
-        | Some path, Some obs ->
-          let oc = open_out path in
-          output_string oc
-            (Ftss_obs.Json.to_string
-               (Ftss_obs.Metrics.to_json (Ftss_obs.Obs.metrics obs)));
-          output_char oc '\n';
-          close_out oc;
-          Ftss_obs.Obs.close obs
-        | _ -> ());
         Format.printf "%a@." Service.pp_report r;
         Format.printf "shards=%d domains=%d digest=%d@." shards domains
           (Service.report_digest r);
         if r.Service.unique_ops > 0 && r.Service.converged then 0 else 1
-      end
     end
     else
-    let wl = Workload.create ~n spec in
-    if (not need_monitor) && trace_out = None && metrics_out = None then begin
-      let r = Service.run ~wl params in
-      Format.printf "%a@." Service.pp_report r;
-      if r.Service.unique_ops > 0 && r.Service.converged then 0 else 1
-    end
-    else begin
-      (* The monitor plane keeps its own state: fold events into the
-         metrics registry only when a snapshot was asked for, stamp only
-         when a trace is written — the armed hot path stays lean. *)
-      let record = metrics_out <> None in
-      let stamp = if trace_out <> None then Some n else None in
       (* single-domain driver: skip the per-event hub lock *)
-      let obs = Ftss_obs.Obs.create ?stamp ~record ~threadsafe:false () in
-      (match trace_out with
-      | Some path -> Ftss_obs.Obs.add_sink obs (Ftss_obs.Sink.jsonl_file path)
-      | None -> ());
-      let monitor = if need_monitor then Some (Monitor.create ~n budgets) else None in
+      with_obs ~n ~always:need_monitor ~threadsafe:false outs @@ fun obs ->
+      let wl = Workload.create ~n spec in
       let snap = ref None in
       let write_prom m =
         match prom_out with Some p -> Monitor.write_openmetrics m p | None -> ()
@@ -1053,42 +1018,36 @@ let tower_run ~n ~seed ~ops ~sessions ~keys ~window ~baseline ~storm_at
       let json_stdout =
         watch_json && match watch with Some (_, None) -> true | _ -> false
       in
-      (match monitor with
-      | Some m ->
-        Monitor.set_on_alarm m (fun m a ->
-            Format.eprintf "ALARM %a@." Monitor.pp_alarm a;
-            match flight_out with
-            | Some prefix when !snap = None ->
-              snap := Some (Recorder.snapshot m a ~prefix)
-            | _ -> ());
-        (match
-           match watch with
-           | Some (every, _) -> Some every
-           | None -> if prom_out <> None then Some prom_every else None
-         with
-        | Some every ->
-          Monitor.set_interval m ~every (fun m ~time:_ ->
-              render_frame m;
-              write_prom m)
-        | None -> ());
-        Monitor.attach m obs
-      | None -> ());
-      let r = Service.run ~obs ~wl params in
+      let monitor =
+        match obs with
+        | Some obs when need_monitor ->
+          let m = Monitor.create ~n budgets in
+          Monitor.set_on_alarm m (fun m a ->
+              Format.eprintf "ALARM %a@." Monitor.pp_alarm a;
+              match flight_out with
+              | Some prefix when !snap = None ->
+                snap := Some (Recorder.snapshot m a ~prefix)
+              | _ -> ());
+          (match
+             match watch with
+             | Some (every, _) -> Some every
+             | None -> if prom_out <> None then Some prom_every else None
+           with
+          | Some every ->
+            Monitor.set_interval m ~every (fun m ~time:_ ->
+                render_frame m;
+                write_prom m)
+          | None -> ());
+          Monitor.attach m obs;
+          Some m
+        | _ -> None
+      in
+      let r = Service.run ?obs ~wl params in
       (match monitor with
       | Some m ->
         Monitor.finalize m ~end_time:r.Service.end_time;
         write_prom m;
         render_frame m
-      | None -> ());
-      Ftss_obs.Obs.close obs;
-      (match metrics_out with
-      | Some path ->
-        let oc = open_out path in
-        output_string oc
-          (Ftss_obs.Json.to_string
-             (Ftss_obs.Metrics.to_json (Ftss_obs.Obs.metrics obs)));
-        output_char oc '\n';
-        close_out oc
       | None -> ());
       if not json_stdout then Format.printf "%a@." Service.pp_report r;
       let alarm_count =
@@ -1116,7 +1075,6 @@ let tower_run ~n ~seed ~ops ~sessions ~keys ~window ~baseline ~storm_at
       | _ -> ());
       if r.Service.unique_ops > 0 && r.Service.converged && alarm_count = 0 then 0
       else 1
-    end
 
 let slo_arg =
   Arg.(
@@ -1236,10 +1194,10 @@ let domains_arg =
 
 let serve_cmd =
   let run n seed ops sessions keys window baseline storm_at storm_victims omit
-      trace_out metrics_out slo prom_out prom_every flight_out shards domains =
+      outs slo prom_out prom_every flight_out shards domains =
     tower_run ~n ~seed ~ops ~sessions ~keys ~window ~baseline ~storm_at
-      ~storm_victims ~omit ~trace_out ~metrics_out ~slo ~prom_out ~prom_every
-      ~flight_out ~watch:None ~watch_json:false ~shards ~domains
+      ~storm_victims ~omit ~outs ~slo ~prom_out ~prom_every ~flight_out
+      ~watch:None ~watch_json:false ~shards ~domains
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1255,15 +1213,15 @@ let serve_cmd =
     Term.(
       const run $ n_arg $ seed_arg $ ops_arg $ sessions_arg $ keys_arg
       $ window_arg $ baseline_arg $ storm_at_arg $ storm_victims_arg
-      $ omit_window_arg $ trace_out_arg $ metrics_out_arg $ slo_arg $ prom_out_arg
+      $ omit_window_arg $ obs_term $ slo_arg $ prom_out_arg
       $ prom_every_arg $ flight_out_arg $ shards_arg $ domains_arg)
 
 let watch_cmd =
   let run n seed ops sessions keys window baseline storm_at storm_victims omit
       every out json slo prom_out prom_every flight_out =
     tower_run ~n ~seed ~ops ~sessions ~keys ~window ~baseline ~storm_at
-      ~storm_victims ~omit ~trace_out:None ~metrics_out:None ~slo ~prom_out
-      ~prom_every ~flight_out ~watch:(Some (every, out)) ~watch_json:json
+      ~storm_victims ~omit ~outs:{ trace_out = None; metrics_out = None } ~slo
+      ~prom_out ~prom_every ~flight_out ~watch:(Some (every, out)) ~watch_json:json
       ~shards:(Some 1) ~domains:1
   in
   let every_arg =

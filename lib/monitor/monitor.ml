@@ -1,6 +1,7 @@
 module Event = Ftss_obs.Event
 module Metrics = Ftss_obs.Metrics
 module Obs = Ftss_obs.Obs
+module Sink = Ftss_obs.Sink
 
 (* Streaming runtime verification: a set of incremental monitors that
    subscribe to the Obs hub and maintain O(1)-per-event state, turning
@@ -129,6 +130,7 @@ type t = {
   (* alarms *)
   mutable alarms_rev : alarm list;
   mutable alarm_count : int;
+  fired : (string, int) Hashtbl.t; (* alarms per monitor, uncapped *)
   mutable on_alarm : t -> alarm -> unit;
   (* periodic hook (dashboard refresh, OpenMetrics export) *)
   mutable every : int; (* 0 = no interval hook *)
@@ -184,6 +186,7 @@ let create ?(ring_capacity = 8_192) ~n budgets =
     win_start = 0;
     alarms_rev = [];
     alarm_count = 0;
+    fired = Hashtbl.create 5;
     on_alarm = (fun _ _ -> ());
     every = 0;
     next_fire = 0;
@@ -282,8 +285,11 @@ let set_interval t ~every f =
   t.next_fire <- every;
   t.on_interval <- f
 
+let fired t monitor = Option.value ~default:0 (Hashtbl.find_opt t.fired monitor)
+
 let raise_alarm t ~monitor ~time ~detail event =
   t.alarm_count <- t.alarm_count + 1;
+  Hashtbl.replace t.fired monitor (fired t monitor + 1);
   let a = { monitor; time; detail; event } in
   if t.alarm_count <= max_kept_alarms then t.alarms_rev <- a :: t.alarms_rev;
   t.on_alarm t a
@@ -475,7 +481,7 @@ let subscriber t (ev : Event.t) =
     t.on_interval t ~time
   end
 
-let attach t obs = Obs.add_subscriber obs (subscriber t)
+let attach t obs = Obs.add_sink obs (Sink.make ~emit:(subscriber t) ~close:ignore)
 
 (* End-of-run sweep: replicas still unhealed at the horizon and a final
    latency-quantile check (runs with fewer than [p99_check_every]
@@ -489,9 +495,6 @@ let finalize t ~end_time =
 (* --- rendering --- *)
 
 type status = { name : string; armed : bool; value : string; firing : int }
-
-let fired t monitor =
-  List.length (List.filter (fun a -> a.monitor = monitor) t.alarms_rev)
 
 let statuses t =
   let pct p = Metrics.lpercentile t.lat p in

@@ -1,7 +1,7 @@
 (** Streaming runtime verification for the service tower.
 
     A {!t} is a bundle of incremental monitors attached to an
-    observability hub through {!Ftss_obs.Obs.add_subscriber}. Each
+    observability hub through {!Ftss_obs.Obs.add_sink}. Each
     monitor maintains O(1)-per-event state and turns the paper's
     after-the-fact measurements into online SLOs:
 
@@ -66,10 +66,11 @@ type t
     larger rings trade throughput for history). *)
 val create : ?ring_capacity:int -> n:int -> budgets -> t
 
-(** The subscriber closure, exposed for direct driving in tests;
+(** The per-event consumer, exposed for direct driving in tests;
     normally registered via {!attach}. *)
 val subscriber : t -> Event.t -> unit
 
+(** [attach t obs] adds {!subscriber} to [obs] as a sink. *)
 val attach : t -> Obs.t -> unit
 
 (** End-of-run sweep at the final simulation time: flags replicas still
@@ -113,6 +114,8 @@ val set_on_alarm : t -> (t -> alarm -> unit) -> unit
     [every < 1]. *)
 val set_interval : t -> every:int -> (t -> time:int -> unit) -> unit
 
+(** [firing] counts every alarm the monitor raised; the per-monitor
+    counts sum to {!alarm_count}. *)
 type status = { name : string; armed : bool; value : string; firing : int }
 
 val statuses : t -> status list

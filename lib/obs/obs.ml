@@ -1,8 +1,7 @@
 open Ftss_util
 
 type t = {
-  mutable sinks : Sink.t list;
-  mutable subscribers : (Event.t -> unit) array;
+  mutable sinks : Sink.t array;
   registry : Metrics.t;
   record : bool;
   threadsafe : bool;
@@ -10,11 +9,10 @@ type t = {
   stamper : Stamper.t option;
 }
 
-let create ?(sinks = []) ?metrics ?stamp ?(record = true) ?(threadsafe = true) () =
+let create ?stamp ?(record = true) ?(threadsafe = true) () =
   {
-    sinks;
-    subscribers = [||];
-    registry = (match metrics with Some m -> m | None -> Metrics.create ());
+    sinks = [||];
+    registry = Metrics.create ();
     record;
     threadsafe;
     mutex = Mutex.create ();
@@ -23,30 +21,21 @@ let create ?(sinks = []) ?metrics ?stamp ?(record = true) ?(threadsafe = true) (
 
 let add_sink t sink =
   Mutex.lock t.mutex;
-  t.sinks <- t.sinks @ [ sink ];
-  Mutex.unlock t.mutex
-
-let add_subscriber t f =
-  Mutex.lock t.mutex;
-  t.subscribers <- Array.append t.subscribers [| f |];
+  t.sinks <- Array.append t.sinks [| sink |];
   Mutex.unlock t.mutex
 
 (* The per-event hot path: no closure allocation (manual unlock instead
-   of [Fun.protect]) — with [record = false], no sinks and one
-   subscriber, an emit is the lock, one match dispatch, and the
-   subscriber's O(1) updates. A [~threadsafe:false] hub skips the lock
-   entirely: its pair of C stub calls is the single largest fixed cost
-   per event, and single-domain drivers (the simulator, the service
-   tower) pay it for nothing. *)
+   of [Fun.protect]) — with [record = false] and one sink, an emit is
+   the lock, one match dispatch, and the sink's O(1) updates. A
+   [~threadsafe:false] hub skips the lock entirely: its pair of C stub
+   calls is the single largest fixed cost per event, and single-domain
+   drivers (the simulator, the service tower) pay it for nothing. *)
 let dispatch t ev =
   let ev = match t.stamper with None -> ev | Some st -> Stamper.stamp st ev in
   if t.record then Metrics.record_event t.registry ev;
-  (match t.sinks with
-  | [] -> ()
-  | sinks -> List.iter (fun (s : Sink.t) -> s.Sink.emit ev) sinks);
-  let subs = t.subscribers in
-  for i = 0 to Array.length subs - 1 do
-    subs.(i) ev
+  let sinks = t.sinks in
+  for i = 0 to Array.length sinks - 1 do
+    sinks.(i).Sink.emit ev
   done
 
 let emit t ev =
@@ -70,7 +59,7 @@ let close t =
   Mutex.lock t.mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () -> List.iter (fun (s : Sink.t) -> s.Sink.close ()) t.sinks)
+    (fun () -> Array.iter (fun (s : Sink.t) -> s.Sink.close ()) t.sinks)
 
 let suspect_diff t ~time ~observer ~before ~after =
   if not (Pidset.equal before after) then begin

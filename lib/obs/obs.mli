@@ -20,30 +20,22 @@ type t
     causal stamp (eid + vector clock), the input the provenance engine
     consumes. Stamping happens under the hub lock, so multi-domain
     producers stay safe. [~record:false] skips folding events into the
-    metrics registry — the monitor-only configuration, where subscribers
+    metrics registry — the monitor-only configuration, where sinks
     maintain their own state and the per-event registry hashtable work
     would be waste. [~threadsafe:false] drops the per-event mutex — the
     pair of lock stubs is the largest fixed cost of an emit — and is
     safe exactly when a single domain emits (the discrete-event
     simulator, the service tower); multi-domain producers (the parallel
     explorer) must keep the default. *)
-val create :
-  ?sinks:Sink.t list ->
-  ?metrics:Metrics.t ->
-  ?stamp:int ->
-  ?record:bool ->
-  ?threadsafe:bool ->
-  unit ->
-  t
+val create : ?stamp:int -> ?record:bool -> ?threadsafe:bool -> unit -> t
 
+(** [add_sink t s] attaches a consumer. {!emit} stamps an event, folds
+    it into the registry, then hands it to every sink in the order they
+    were added. Sinks run under the hub lock, so they must not call
+    back into the hub; a sink on the armed hot path (the streaming
+    monitor plane, {!Ftss_monitor.Monitor.attach}) must be O(1) per
+    event. *)
 val add_sink : t -> Sink.t -> unit
-
-(** [add_subscriber t f] attaches an incremental consumer: [f] runs on
-    every event, under the hub lock, after stamping, metrics recording
-    and sink fan-out. Subscribers are the hook the streaming monitor
-    plane ({!Ftss_monitor.Monitor}) registers through; they must be O(1)
-    per event and must not call back into the hub. *)
-val add_subscriber : t -> (Event.t -> unit) -> unit
 
 val emit : t -> Event.t -> unit
 val metrics : t -> Metrics.t

@@ -2,8 +2,6 @@ type t = { emit : Event.t -> unit; close : unit -> unit }
 
 let make ~emit ~close = { emit; close }
 
-let null = { emit = (fun _ -> ()); close = (fun () -> ()) }
-
 let jsonl oc =
   {
     emit =
@@ -17,39 +15,6 @@ let jsonl_file path =
   let oc = open_out path in
   let inner = jsonl oc in
   { inner with close = (fun () -> close_out oc) }
-
-type ring = {
-  slots : Event.t option array;
-  mutable next : int; (* slot for the next event *)
-  mutable seen : int;
-}
-
-let ring ~capacity =
-  if capacity < 1 then invalid_arg "Sink.ring: capacity < 1";
-  { slots = Array.make capacity None; next = 0; seen = 0 }
-
-let ring_sink r =
-  let capacity = Array.length r.slots in
-  {
-    emit =
-      (fun ev ->
-        r.slots.(r.next) <- Some ev;
-        r.next <- (r.next + 1) mod capacity;
-        r.seen <- r.seen + 1);
-    close = (fun () -> ());
-  }
-
-let ring_contents r =
-  let capacity = Array.length r.slots in
-  let rec collect i acc =
-    if i = 0 then acc
-    else
-      let slot = r.slots.((r.next + capacity - i) mod capacity) in
-      collect (i - 1) (match slot with Some ev -> ev :: acc | None -> acc)
-  in
-  List.rev (collect capacity [])
-
-let ring_seen r = r.seen
 
 let console ?kinds ppf =
   let keep =

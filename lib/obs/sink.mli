@@ -8,9 +8,6 @@ type t = { emit : Event.t -> unit; close : unit -> unit }
 
 val make : emit:(Event.t -> unit) -> close:(unit -> unit) -> t
 
-(** Discards everything. *)
-val null : t
-
 (** Writes one compact JSON document per event, newline-terminated (JSON
     Lines). [close] flushes but leaves the channel open (the caller owns
     it). *)
@@ -18,21 +15,6 @@ val jsonl : out_channel -> t
 
 (** [jsonl_file path] opens (truncating) [path]; [close] closes it. *)
 val jsonl_file : string -> t
-
-(** A bounded in-memory ring buffer: keeps the most recent [capacity]
-    events, silently evicting the oldest. *)
-type ring
-
-(** Raises [Invalid_argument] if [capacity < 1]. *)
-val ring : capacity:int -> ring
-
-val ring_sink : ring -> t
-
-(** Retained events, oldest first. *)
-val ring_contents : ring -> Event.t list
-
-(** Total events ever pushed (>= retained count). *)
-val ring_seen : ring -> int
 
 (** Pretty-prints one line per event. [kinds], when given, restricts
     output to events whose {!Event.kind} is listed — the filtering

@@ -150,6 +150,25 @@ let test_heal_watchdog_overdue_and_crash () =
   Monitor.finalize mon2 ~end_time:100;
   check_int "finalize flags the unhealed replica" 1 (Monitor.alarm_count mon2)
 
+let test_alarm_counts_past_the_kept_list () =
+  (* Past the 64 kept alarms, the per-monitor counts the dashboard and
+     OpenMetrics report stay exact. *)
+  let mon = Monitor.create ~n:3 { Monitor.no_budgets with Monitor.heal = Some 0 } in
+  let feed t body = Monitor.subscriber mon (Event.make ~time:t body) in
+  for i = 0 to 99 do
+    feed (10 * i) (Event.Corrupt { pid = 1 });
+    feed ((10 * i) + 1) (Event.Apply { pid = 1; slot = i; digest = i })
+  done;
+  check_int "one alarm per episode" 100 (Monitor.alarm_count mon);
+  check_int "alarm list stays capped" 64 (List.length (Monitor.alarms mon));
+  check_int "per-monitor counts sum to the total" (Monitor.alarm_count mon)
+    (List.fold_left (fun acc (s : Monitor.status) -> acc + s.Monitor.firing) 0
+       (Monitor.statuses mon));
+  let om = Monitor.openmetrics mon in
+  check "openmetrics heal count is exact" true
+    (List.mem "ftss_monitor_alarms_total{monitor=\"heal\"} 100"
+       (String.split_on_char '\n' om))
+
 let test_interval_hook () =
   let mon = Monitor.create ~n:3 Monitor.no_budgets in
   let fires = ref [] in
@@ -317,6 +336,8 @@ let suite =
         Alcotest.test_case "heal watchdog on apply" `Quick test_heal_watchdog_on_apply;
         Alcotest.test_case "heal watchdog overdue + crash" `Quick
           test_heal_watchdog_overdue_and_crash;
+        Alcotest.test_case "alarm counts past the kept list" `Quick
+          test_alarm_counts_past_the_kept_list;
         Alcotest.test_case "interval hook cadence" `Quick test_interval_hook;
         Alcotest.test_case "storm fires alarm with flight snapshot" `Quick
           test_storm_fires_alarm_with_snapshot;

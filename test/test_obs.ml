@@ -109,19 +109,13 @@ let test_event_rejects_unknown () =
 
 (* --- Sinks --- *)
 
-let test_ring_eviction () =
-  let ring = Sink.ring ~capacity:3 in
-  let sink = Sink.ring_sink ring in
-  List.iteri
-    (fun i body -> sink.Sink.emit (Event.make ~time:i body))
-    [ Event.Round_begin; Event.Round_end; Event.Window_open; Event.Round_begin;
-      Event.Round_end ];
-  check_int "seen counts everything" 5 (Sink.ring_seen ring);
-  let kept = Sink.ring_contents ring in
-  check_int "capacity bounds retention" 3 (List.length kept);
-  Alcotest.(check (list int))
-    "oldest evicted, order oldest-first" [ 2; 3; 4 ]
-    (List.map (fun e -> e.Event.time) kept)
+(* A hub whose one sink collects every event; the getter returns them
+   oldest first. *)
+let collecting ?stamp () =
+  let evs = ref [] in
+  let obs = Obs.create ?stamp () in
+  Obs.add_sink obs (Sink.make ~emit:(fun ev -> evs := ev :: !evs) ~close:ignore);
+  (obs, fun () -> List.rev !evs)
 
 let test_jsonl_and_load_round_trip () =
   let path = Filename.temp_file "ftss_obs" ".jsonl" in
@@ -409,22 +403,42 @@ let test_metrics_record_event_and_json () =
 (* --- Obs hub --- *)
 
 let test_obs_fan_out_and_suspect_diff () =
-  let ring = Sink.ring ~capacity:16 in
-  let obs = Obs.create ~sinks:[ Sink.ring_sink ring ] () in
+  let obs, events = collecting () in
   Obs.suspect_diff obs ~time:9 ~observer:0
     ~before:(Pidset.of_list [ 1 ])
     ~after:(Pidset.of_list [ 2 ]);
-  let kinds = List.map Event.kind (Sink.ring_contents ring) in
+  let kinds = List.map Event.kind (events ()) in
   check "one add and one remove" true
     (List.sort compare kinds = [ "suspect_add"; "suspect_remove" ]);
   check_int "metrics recorded too" 2
     (Metrics.counter_value (Metrics.counter (Obs.metrics obs) "suspicion_churn"))
 
+(* One dispatch order for every consumer: the event is stamped, folded
+   into the registry, then handed to the sinks in the order they were
+   added — a sink sees the registry already updated. *)
+let test_obs_dispatch_order () =
+  let obs = Obs.create ~stamp:2 () in
+  let log = ref [] in
+  let churn () =
+    Metrics.counter_value (Metrics.counter (Obs.metrics obs) "suspicion_churn")
+  in
+  let sink name =
+    Sink.make ~close:ignore ~emit:(fun (ev : Event.t) ->
+        log := (name, ev.Event.stamp <> None, churn ()) :: !log)
+  in
+  Obs.add_sink obs (sink "a");
+  Obs.add_sink obs (sink "b");
+  Obs.suspect_diff obs ~time:1 ~observer:0 ~before:Pidset.empty
+    ~after:(Pidset.of_list [ 1 ]);
+  Alcotest.(check (list (triple string bool int)))
+    "stamped, recorded, then a before b"
+    [ ("a", true, 1); ("b", true, 1) ]
+    (List.rev !log)
+
 let test_obs_emit_windows () =
-  let ring = Sink.ring ~capacity:16 in
-  let obs = Obs.create ~sinks:[ Sink.ring_sink ring ] () in
+  let obs, events = collecting () in
   Obs.emit_windows obs [ ((0, 10), 1); ((12, 30), 3) ];
-  let evs = Sink.ring_contents ring in
+  let evs = events () in
   check_int "two pairs" 4 (List.length evs);
   let t = Trace_summary.of_events evs in
   Alcotest.(check (list (triple int int int)))
@@ -520,10 +534,9 @@ let test_runner_events_match_trace () =
         Faults.Crash { pid = 2; round = 5 };
       ]
   in
-  let ring = Sink.ring ~capacity:4096 in
-  let obs = Obs.create ~sinks:[ Sink.ring_sink ring ] () in
+  let obs, events = collecting () in
   let trace = Runner.run ~obs ~faults ~rounds counter_protocol in
-  let evs = Sink.ring_contents ring in
+  let evs = events () in
   let count k = List.length (List.filter (fun e -> Event.kind e = k) evs) in
   check_int "one round_begin per round" rounds (count "round_begin");
   check_int "one round_end per round" rounds (count "round_end");
@@ -576,15 +589,14 @@ let test_sim_events_match_result () =
       crashes = [ (2, 200) ];
     }
   in
-  let ring = Sink.ring ~capacity:100_000 in
-  let obs = Obs.create ~sinks:[ Sink.ring_sink ring ] () in
+  let obs, events = collecting () in
   let oracle =
     Ewfd.make (Rng.create 3) ~n
       ~crashed:(fun p -> List.assoc_opt p config.Sim.crashes)
       ~gst:config.Sim.gst ~trusted:0 ~noise:0.2
   in
   let result = Sim.run ~obs config (Esfd.process ~obs ~n ~oracle ()) in
-  let evs = Sink.ring_contents ring in
+  let evs = events () in
   let count k = List.length (List.filter (fun e -> Event.kind e = k) evs) in
   check_int "deliver events match the simulator's count" result.Sim.delivered
     (count "deliver");
@@ -607,10 +619,9 @@ let test_explore_case_events () =
       { Schedule_enum.n = 3; rounds = 2; f = 1; intervals = true; drops = true }
   in
   let cases = Schedule_enum.enumerate params in
-  let ring = Sink.ring ~capacity:100_000 in
-  let obs = Obs.create ~sinks:[ Sink.ring_sink ring ] () in
+  let obs, events = collecting () in
   let stats, _ = Explore.run ~obs ~domains:2 prop cases in
-  let evs = Sink.ring_contents ring in
+  let evs = events () in
   let count k = List.length (List.filter (fun e -> Event.kind e = k) evs) in
   check_int "a start per case" (Array.length cases) (count "case_start");
   check_int "a verdict per case" (Array.length cases) (count "case_verdict");
@@ -731,7 +742,6 @@ let suite =
         tc "json accessors" `Quick test_json_accessors;
         tc "event json round-trips every kind" `Quick test_event_round_trip;
         tc "event decode is total" `Quick test_event_rejects_unknown;
-        tc "ring buffer bounds and evicts" `Quick test_ring_eviction;
         tc "jsonl write/load round-trips" `Quick test_jsonl_and_load_round_trip;
         tc "golden jsonl fixture pins the wire format" `Quick test_golden_jsonl;
         tc "coverage events fold into the summary" `Quick test_coverage_summary;
@@ -746,6 +756,7 @@ let suite =
           test_lhist_merge_edges;
         tc "record_event derivations + json snapshot" `Quick test_metrics_record_event_and_json;
         tc "hub fan-out and suspect_diff" `Quick test_obs_fan_out_and_suspect_diff;
+        tc "hub dispatch order" `Quick test_obs_dispatch_order;
         tc "emit_windows round-trips" `Quick test_obs_emit_windows;
         tc "service totals and recovery timeline" `Quick test_service_summary;
         tc "suspicion timeline and blame matrix" `Quick test_suspicion_timeline_and_blame;

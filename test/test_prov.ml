@@ -26,10 +26,9 @@ let counter_protocol : (int, int) Protocol.t =
    runner's trace (for Causality) and the provenance index built from the
    very same event stream. *)
 let run_indexed ~n ~rounds faults =
-  let ring = Sink.ring ~capacity:100_000 in
-  let obs = Obs.create ~sinks:[ Sink.ring_sink ring ] ~stamp:n () in
+  let obs, events = Test_obs.collecting ~stamp:n () in
   let trace = Runner.run ~obs ~faults ~rounds counter_protocol in
-  (trace, Prov.of_events (Sink.ring_contents ring))
+  (trace, Prov.of_events (events ()))
 
 (* --- the differential test: cones vs Causality over a corpus --- *)
 
@@ -188,9 +187,8 @@ let test_jsonl_round_trip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let obs =
-        Obs.create ~sinks:[ Sink.jsonl_file path ] ~stamp:n ()
-      in
+      let obs = Obs.create ~stamp:n () in
+      Obs.add_sink obs (Sink.jsonl_file path);
       let _trace = Runner.run ~obs ~faults ~rounds counter_protocol in
       Obs.close obs;
       match Prov.load path with
@@ -255,8 +253,7 @@ let test_async_consensus_smoke () =
       tick_interval = 10;
     }
   in
-  let ring = Sink.ring ~capacity:1_000_000 in
-  let obs = Obs.create ~sinks:[ Sink.ring_sink ring ] ~stamp:n () in
+  let obs, events = Test_obs.collecting ~stamp:n () in
   let oracle =
     Ewfd.make (Rng.create 3) ~n
       ~crashed:(fun _ -> None)
@@ -268,7 +265,7 @@ let test_async_consensus_smoke () =
          ~propose:(fun p i -> (100 * i) + p)
          ~oracle ())
   in
-  let t = Prov.of_events (Sink.ring_contents ring) in
+  let t = Prov.of_events (events ()) in
   check "stamps consistent on the async trace" true
     (Prov.stamps_consistent t = Ok ());
   match Prov.resolve t Prov.Last_decide with
