@@ -754,7 +754,7 @@ let e11 m =
          hit-rate, equal-budget random-sampling coverage, domain speedup"
       [
         "property"; "inject"; "n"; "r"; "f"; "cases"; "distinct"; "dedup%"; "viol";
-        "rand cov%"; "t x1 (s)"; "t xN (s)"; "speedup";
+        "stepped%"; "rand cov%"; "t x1 (s)"; "t xN (s)"; "speedup";
       ]
   in
   let domains_n = max 2 (Explore.available ()) in
@@ -797,6 +797,14 @@ let e11 m =
       M.set
         (M.gauge m (Printf.sprintf "states_per_sec_x1.%s.%s.n%d.r%d.f%d" name inject n rounds f))
         (Explore.states_per_sec stats1);
+      (* The share of the covered process-round states the prefix-shared
+         walk actually computed. *)
+      let stepped_fraction =
+        float_of_int stats1.Explore.stepped /. float_of_int (max 1 stats1.Explore.states)
+      in
+      M.set
+        (M.gauge m (Printf.sprintf "stepped_fraction.%s.%s.n%d.r%d.f%d" name inject n rounds f))
+        stepped_fraction;
       Table.add_row table
         [
           name; inject; string_of_int n; string_of_int rounds; string_of_int f;
@@ -804,6 +812,7 @@ let e11 m =
           string_of_int stats1.Explore.distinct;
           Printf.sprintf "%.1f" (100. *. Explore.dedup_rate stats1);
           string_of_int (List.length stats1.Explore.violations);
+          Printf.sprintf "%.1f" (100. *. stepped_fraction);
           Printf.sprintf "%.1f" coverage;
           Printf.sprintf "%.2f" stats1.Explore.elapsed;
           Printf.sprintf "%.2f" stats_n.Explore.elapsed;

@@ -618,7 +618,7 @@ let check_cmd =
             let case = cases.(first) in
             Format.printf "verdict: VIOLATED (first counterexample, case %d)@." first;
             Format.printf "  %a@." Schedule_enum.pp case;
-            Format.printf "  %s@." results.(first).Explore.detail;
+            Format.printf "  %s@." (results.(first).Explore.detail ());
             let shrunk = Shrink.shrink ~property:prop case in
             Format.printf "shrunk counterexample (size %d -> %d):@."
               (Schedule_enum.size case) (Schedule_enum.size shrunk);
@@ -798,7 +798,7 @@ let replay_cmd =
         Format.eprintf "replay: %s@." msg;
         2
       | Ok verdict ->
-        Format.printf "%s@." verdict.Property.detail;
+        Format.printf "%s@." (verdict.Property.detail ());
         if verdict.Property.ok then begin
           Format.printf "counterexample did NOT reproduce (property holds)@.";
           1

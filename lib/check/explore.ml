@@ -1,6 +1,6 @@
 module Prof = Ftss_profile.Profile
 
-type result = { fingerprint : string; ok : bool; detail : string; states : int }
+type result = { fingerprint : string; ok : bool; detail : unit -> string; states : int }
 
 type domain_stat = { d_cases : int; d_states : int; d_busy : float }
 
@@ -11,6 +11,7 @@ type stats = {
   dedup_hits : int;
   violations : int list;
   states : int;
+  stepped : int;
   elapsed : float;
   domains : int;
   per_domain : domain_stat array;
@@ -55,12 +56,19 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
   let len = Array.length cases in
   let domains = max 1 (min domains 64) in
   let results = Array.make len None in
+  (* Cases sharing their first rounds are adjacent in [order], so a batch
+     simulates each shared prefix once. *)
+  let order = Schedule_enum.prefix_order cases in
   let next = Atomic.make 0 in
   (* Chunked work claiming: one [fetch_and_add] hands a domain [chunk]
-     consecutive cases, so cache-line contention on the cursor is paid
-     once per chunk rather than once per case. Small enough chunks keep
-     the tail balanced across domains. *)
-  let chunk = max 1 (min 64 (len / (domains * 8))) in
+     consecutive positions of [order], so cache-line contention on the
+     cursor is paid once per chunk rather than once per case. Each chunk
+     starts its prefix walk afresh, so the chunk size depends on the
+     sweep alone — the rounds simulated must not depend on the domain
+     count: 64 positions, fewer for sweeps under 1,024 cases so that they
+     still split into 16 chunks across domains. *)
+  let chunk = max 1 (min 64 (len / 16)) in
+  let stepped = Atomic.make 0 in
   let traced = Option.is_some obs in
   let emit ev = match obs with Some o -> Ftss_obs.Obs.emit o ev | None -> () in
   (* Obs.emit and Obs.with_metrics serialize on the hub mutex, so the
@@ -82,7 +90,9 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
        deterministically from the merged per-case fingerprints below. *)
     let cache = Hashtbl.create 256 in
     let my_cases = ref 0 and my_states = ref 0 and my_busy = ref 0. in
-    let case i =
+    (* [pos] is the position in [order] of the case being handed back. *)
+    let pos = ref 0 in
+    let case i (r : Property.run) =
       if traced then begin
         emit (Ftss_obs.Event.make ~time:i (Ftss_obs.Event.Case_start { case = i }));
         match obs with
@@ -90,10 +100,10 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
           Ftss_obs.Obs.with_metrics o (fun m ->
               Ftss_obs.Metrics.lobserve
                 (Ftss_obs.Metrics.lhist m "explore_queue_depth")
-                (float_of_int (len - i)))
+                (float_of_int (len - !pos)))
         | None -> ()
       end;
-      let r = property.Property.run cases.(i) in
+      incr pos;
       let cached = Hashtbl.find_opt cache r.Property.fingerprint in
       let verdict =
         match cached with
@@ -137,9 +147,11 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
         (match lane with
         | Some l -> Prof.enter l Prof.Phase.chunk_execute
         | None -> ());
-        for i = first to limit - 1 do
-          case i
-        done;
+        pos := first;
+        let s =
+          property.Property.run_batch cases (Array.sub order first (limit - first)) case
+        in
+        ignore (Atomic.fetch_and_add stepped s);
         (match lane with Some l -> ignore (Prof.leave l) | None -> ());
         my_busy := !my_busy +. (Unix.gettimeofday () -. t0);
         claim ()
@@ -199,6 +211,7 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
       dedup_hits = len - !distinct;
       violations = List.rev !violations;
       states = !states;
+      stepped = Atomic.get stepped;
       elapsed;
       domains;
       per_domain;
@@ -247,6 +260,7 @@ let to_json s =
       ("dedup_hits", Int s.dedup_hits);
       ("violations", List (List.map (fun i -> Int i) s.violations));
       ("states", Int s.states);
+      ("stepped", Int s.stepped);
       ("elapsed", Float s.elapsed);
       ("domains", Int s.domains);
       ("runs_per_sec", Float (runs_per_sec s));

@@ -1,21 +1,28 @@
 (** Parallel exhaustive exploration of an enumerated adversary space.
 
-    A work queue over OCaml 5 [Domain]s: an atomic cursor hands each
-    domain a chunk of consecutive case indices (one [fetch_and_add] per
-    chunk, not per case); each domain executes the chunk's protocol runs,
+    The executed cases are first sorted by {!Schedule_enum.prefix_order},
+    so cases that agree on their first rounds are adjacent. A work queue
+    over OCaml 5 [Domain]s then hands each domain a chunk of that order
+    with one [fetch_and_add]: 64 positions, fewer in sweeps under 1,024
+    cases, whatever the domain count. The domain evaluates the chunk with
+    one {!Property.run_batch} call: each case resumes from the runner
+    state after the last round it shares with the case before it, so a
+    shared prefix is simulated once per chunk. For each case the domain
     consults its {e own} fingerprint table — no lock anywhere on the
     per-case path — and either reuses the verdict of an isomorphic
-    earlier run (a {e dedup hit}) or evaluates the property and publishes
-    it. Verdicts are pure functions of the fingerprinted execution, so
-    per-domain caching can only cost recomputation, never change a
-    result. Results land in a per-case slot array and the dedup/distinct
-    statistics are recomputed from the merged fingerprints at join, so
-    the merged outcome — verdicts, violation indices, distinct-trace and
-    dedup counts — is deterministic and independent of how the domains
-    interleaved; only the wall-clock numbers vary. *)
+    earlier run (a {e dedup hit}) or evaluates the property and
+    publishes it. Verdicts are pure functions of the
+    fingerprinted execution, so per-domain caching can only cost
+    recomputation, never change a result. Results land in a per-case
+    slot array and the dedup/distinct statistics are recomputed from the
+    merged fingerprints at join, so the merged outcome — verdicts,
+    violation indices, distinct-trace, dedup and stepped counts — is
+    deterministic and independent of how the domains interleaved; only
+    the wall-clock numbers vary. *)
 
-(** Per-case outcome, in enumeration order. *)
-type result = { fingerprint : string; ok : bool; detail : string; states : int }
+(** Per-case outcome, in enumeration order. [detail ()] formats the
+    verdict's explanation ({!Property.verdict}). *)
+type result = { fingerprint : string; ok : bool; detail : unit -> string; states : int }
 
 (** What one worker domain did: case and state counts plus the seconds it
     spent executing cases (its busy time; [d_busy /. elapsed] is its
@@ -30,7 +37,15 @@ type stats = {
   distinct : int;  (** distinct execution fingerprints among executed runs *)
   dedup_hits : int;  (** [orbits - distinct] *)
   violations : int list;  (** failing case indices, ascending *)
-  states : int;  (** process-round states simulated by executed runs *)
+  states : int;
+      (** process-round states of the executed runs: what the sweep
+          covered, [n * rounds] per run *)
+  stepped : int;
+      (** process-round states actually computed: [n] per round stepped
+          (theorem 5, which has no rounds to share, computes all of its
+          [states]). Below [states] by what shared prefixes saved;
+          deterministic, since chunks are fixed positions of a fixed
+          order *)
   elapsed : float;  (** wall-clock seconds *)
   domains : int;
   per_domain : domain_stat array;  (** index 0 is the calling domain *)
@@ -61,14 +76,15 @@ type stats = {
     option test per chunk.
 
     When [obs] is given, every executed case emits a [Case_start] and a
-    [Case_verdict] event (the [dedup] flag marks hits in the executing
-    domain's own verdict cache — an underapproximation of the
-    deterministic [dedup_hits] figure; under [canonical] the event indices
-    refer to the representative array), the work-queue depth at each case
-    lands in the ["explore_queue_depth"] histogram, and the merged
-    throughput and per-domain utilization are recorded as gauges. All hub
-    access serializes on the hub's own mutex. Per-domain busy time is
-    clocked once per claimed chunk. *)
+    [Case_verdict] event, in processing order (the [dedup] flag marks
+    hits in the executing domain's own verdict cache — an
+    underapproximation of the deterministic [dedup_hits] figure; under
+    [canonical] the event indices refer to the representative array),
+    the cases remaining at each case's position in the sorted order land
+    in the ["explore_queue_depth"] histogram, and the merged throughput
+    and per-domain utilization are recorded as gauges. All hub access
+    serializes on the hub's own mutex. Per-domain busy time is clocked
+    once per claimed chunk. *)
 val run :
   ?obs:Ftss_obs.Obs.t ->
   ?profile:Ftss_profile.Profile.t ->

@@ -4,7 +4,7 @@ open Ftss_core
 open Ftss_protocols
 module S = Schedule_enum
 
-type verdict = { ok : bool; detail : string }
+type verdict = { ok : bool; detail : unit -> string }
 
 type run = {
   fingerprint : string;
@@ -36,6 +36,7 @@ type t = {
   restrict : S.params -> S.params;
   run_adv : ?obs:Ftss_obs.Obs.t -> adversary -> run;
   run : ?obs:Ftss_obs.Obs.t -> S.t -> run;
+  run_batch : S.t array -> int array -> (int -> run -> unit) -> int;
 }
 
 (* A content digest; equal digests imply equal recorded executions, hence
@@ -78,14 +79,79 @@ let adversary_of_case (case : S.t) =
     adv_crash_only = S.crash_only case;
   }
 
-let make ~name ~inject ~restrict run_adv =
-  {
-    name;
-    inject;
-    restrict;
-    run_adv;
-    run = (fun ?obs case -> run_adv ?obs (adversary_of_case case));
-  }
+let make ~name ~inject ~restrict ?run_batch run_adv =
+  let run ?obs case = run_adv ?obs (adversary_of_case case) in
+  let run_batch =
+    match run_batch with
+    | Some b -> b
+    | None ->
+      (* No rounds to share: each case runs whole. *)
+      fun cases order k ->
+        Array.fold_left
+          (fun stepped i ->
+            let r = run cases.(i) in
+            k i r;
+            stepped + r.states)
+          0 order
+  in
+  { name; inject; restrict; run_adv; run; run_batch }
+
+(* A synchronous theorem: per adversary, the protocol, its corruption
+   and the judgement of a trace. [instance] may read only the
+   adversary's n, f, rounds and corruption class — what
+   {!Schedule_enum.shared_prefix} compares at round 0 — because a batch
+   reuses one instance across the cases that share a prefix. *)
+type ('s, 'm) instance = {
+  protocol : ('s, 'm) Protocol.t;
+  corrupt : Pid.t -> 's -> 's;
+  judge : ?obs:Ftss_obs.Obs.t -> adversary -> ('s, 'm) Trace.t -> run;
+}
+
+let sync_theorem ~name ~inject (instance : adversary -> ('s, 'm) instance) =
+  let run_adv ?obs adv =
+    let inst = instance adv in
+    inst.judge ?obs adv
+      (Runner.run ?obs ~corrupt:inst.corrupt ~faults:adv.adv_faults ~rounds:adv.adv_rounds
+         inst.protocol)
+  in
+  (* The cursor walk: [path.(r)] is the runner state after round [r] of
+     the previous case, valid through the depth the next case shares
+     with it, so each case steps only the rounds past that depth. *)
+  let run_batch cases order k =
+    let stepped = ref 0 in
+    let current = ref None in
+    Array.iter
+      (fun i ->
+        let case = cases.(i) in
+        let adv = adversary_of_case case in
+        let rounds = adv.adv_rounds and faults = adv.adv_faults in
+        let shared =
+          match !current with
+          | Some (prev, _, _) -> S.shared_prefix prev case
+          | None -> -1
+        in
+        let inst, path =
+          match !current with
+          | Some (_, inst, path) when shared >= 0 -> (inst, path)
+          | _ ->
+            let inst = instance adv in
+            let start = Runner.start ~corrupt:inst.corrupt ~n:adv.adv_n inst.protocol in
+            (inst, Array.make (rounds + 1) start)
+        in
+        let from = max shared 0 in
+        if from < rounds then begin
+          let table = Faults.precompile faults ~rounds in
+          for r = from + 1 to rounds do
+            path.(r) <- Runner.step ~faults ~table path.(r - 1)
+          done;
+          stepped := !stepped + (adv.adv_n * (rounds - from))
+        end;
+        current := Some (case, inst, path);
+        k i (inst.judge adv (Runner.finish ~faults path.(rounds))))
+      order;
+    !stepped
+  in
+  make ~name ~inject ~restrict:no_restrict ~run_batch run_adv
 
 (* --- Theorem 3: Figure 1 round agreement --- *)
 
@@ -104,76 +170,65 @@ let theorem3 ?(inject = `None) () =
         },
         "frozen-exchange" )
   in
-  let run_adv ?obs adv =
-    let rounds = adv.adv_rounds in
-    let trace =
-      Runner.run ?obs ~corrupt:adv.adv_corrupt_int ~faults:adv.adv_faults ~rounds
-        protocol
-    in
+  let judge ?obs adv trace =
     (match obs with
     | Some o ->
-      Ftss_obs.Obs.emit_windows o
-        (Solve.measured_per_window Round_agreement.spec trace)
+      Ftss_obs.Obs.emit_windows o (Solve.measured_per_window Round_agreement.spec trace)
     | None -> ());
     {
       fingerprint = trace_fingerprint trace;
-      states = adv.adv_n * rounds;
+      states = adv.adv_n * adv.adv_rounds;
       signature = lazy (Trace.round_signature ~project:(fun _ c -> c) trace);
       verdict =
         lazy
           (let stab = Round_agreement.stabilization_time in
            let ok = Solve.ftss_solves Round_agreement.spec ~stabilization:stab trace in
-           let detail =
+           let measured = Solve.measured_stabilization Round_agreement.spec trace in
+           let windows = List.length (Solve.stable_windows trace) in
+           let omissions = List.length trace.Trace.omissions in
+           let detail () =
              Format.asprintf
                "ftss_solves %s stabilization=%d: %b (measured %d over %d stable windows, %d omissions)"
-               Round_agreement.spec.Spec.name stab ok
-               (Solve.measured_stabilization Round_agreement.spec trace)
-               (List.length (Solve.stable_windows trace))
-               (List.length trace.Trace.omissions)
+               Round_agreement.spec.Spec.name stab ok measured windows omissions
            in
            { ok; detail });
     }
   in
-  make ~name:"theorem3" ~inject:inject_name ~restrict:no_restrict run_adv
+  sync_theorem ~name:"theorem3" ~inject:inject_name (fun adv ->
+      { protocol; corrupt = adv.adv_corrupt_int; judge })
 
 (* --- Theorem 4: the Figure 3 compiler --- *)
 
 let theorem4 ?(suspect_filter = true) () =
-  let run_adv ?obs adv =
-    let n = adv.adv_n and rounds = adv.adv_rounds and f = adv.adv_f in
-    let propose p = 50 + p in
-    (* With the filter on, Π is the intended compiler input under general
-       omission (suspect-filtered, f+2 rounds). The ablated variant feeds
-       the compiler *plain* flooding instead, as E8a does: omission
-       consensus's internal distrust would mask the removed filter. *)
-    let faults = adv.adv_faults in
-    (* The trace's type depends on Π's state type, so everything derived
-       from it — fingerprint, signature and verdict — is computed inside
-       this polymorphic helper; only monomorphic values escape. *)
-    let compile_and_run pi =
-      let compiled = Compiler.compile ~suspect_filter ~n pi in
-      let corrupt p (st : _ Compiler.state) =
-        { st with Compiler.c = adv.adv_corrupt_int p st.Compiler.c }
-      in
-      let trace = Runner.run ?obs ~corrupt ~faults ~rounds compiled in
-      let final_round = pi.Canonical.final_round in
+  let propose p = 50 + p in
+  (* With the filter on, Π is the intended compiler input under general
+     omission (suspect-filtered, f+2 rounds). The ablated variant feeds
+     the compiler *plain* flooding instead, as E8a does: omission
+     consensus's internal distrust would mask the removed filter. The
+     trace's type depends on Π's state type, so everything derived from
+     it — fingerprint, signature and verdict — is computed inside this
+     polymorphic helper; only monomorphic values escape. *)
+  let instance make_pi adv =
+    let n = adv.adv_n in
+    let pi = make_pi ~n ~f:adv.adv_f in
+    let final_round = pi.Canonical.final_round in
+    let valid d = d >= 50 && d < 50 + n in
+    let judge ?obs adv trace =
       (match obs with
       | Some o ->
-        let valid d = d >= 50 && d < 50 + n in
         let spec = Repeated.round_and_sigma ~final_round ~valid () in
         Ftss_obs.Obs.emit_windows o (Solve.measured_per_window spec trace)
       | None -> ());
       let verdict =
         lazy
-          (let valid d = d >= 50 && d < 50 + n in
-           let spec = Repeated.round_and_sigma ~final_round ~valid () in
+          (let spec = Repeated.round_and_sigma ~final_round ~valid () in
            let bound = Compiler.stabilization_bound pi in
            let ok = Solve.ftss_solves spec ~stabilization:bound trace in
            let completed, agreeing =
-             Repeated.count_agreeing_iterations trace ~faulty:(Faults.faulty faults)
-               ~valid
+             Repeated.count_agreeing_iterations trace
+               ~faulty:(Faults.faulty adv.adv_faults) ~valid
            in
-           let detail =
+           let detail () =
              Format.asprintf
                "ftss_solves Σ⁺ stabilization=%d: %b (final_round %d, iterations %d, agreeing %d)"
                bound ok final_round completed agreeing
@@ -195,14 +250,27 @@ let theorem4 ?(suspect_filter = true) () =
                    st.Compiler.completed ))
              trace)
       in
-      { fingerprint = trace_fingerprint trace; states = n * rounds; signature; verdict }
+      {
+        fingerprint = trace_fingerprint trace;
+        states = n * adv.adv_rounds;
+        signature;
+        verdict;
+      }
     in
-    if suspect_filter then compile_and_run (Omission_consensus.make ~n ~f ~propose)
-    else compile_and_run (Flooding_consensus.make ~f ~propose)
+    {
+      protocol = Compiler.compile ~suspect_filter ~n pi;
+      corrupt =
+        (fun p (st : _ Compiler.state) ->
+          { st with Compiler.c = adv.adv_corrupt_int p st.Compiler.c });
+      judge;
+    }
   in
-  make ~name:"theorem4"
-    ~inject:(if suspect_filter then "none" else "no-suspect-filter")
-    ~restrict:no_restrict run_adv
+  if suspect_filter then
+    sync_theorem ~name:"theorem4" ~inject:"none"
+      (instance (fun ~n ~f -> Omission_consensus.make ~n ~f ~propose))
+  else
+    sync_theorem ~name:"theorem4" ~inject:"no-suspect-filter"
+      (instance (fun ~n:_ ~f -> Flooding_consensus.make ~f ~propose))
 
 (* --- Theorem 5: the Figure 4 transform, on the asynchronous simulator --- *)
 
@@ -267,12 +335,14 @@ let theorem5 () =
         lazy
           (let show = function Some t -> string_of_int t | None -> "none" in
            let ok = report.Esfd.convergence_time <> None in
-           let detail =
+           let convergence = report.Esfd.convergence_time
+           and completeness = report.Esfd.completeness_from
+           and accuracy = report.Esfd.accuracy_from
+           and delivered = result.Sim.delivered in
+           let detail () =
              Format.asprintf
                "◇S convergence: %s (completeness %s, accuracy %s, %d delivered)"
-               (show report.Esfd.convergence_time)
-               (show report.Esfd.completeness_from)
-               (show report.Esfd.accuracy_from) result.Sim.delivered
+               (show convergence) (show completeness) (show accuracy) delivered
            in
            { ok; detail });
     }

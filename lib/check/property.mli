@@ -26,7 +26,10 @@
     - ["no-suspect-filter"] (theorem 4): the Figure 3 suspect filter is
       disabled, re-admitting §2.4's insidious out-of-date messages. *)
 
-type verdict = { ok : bool; detail : string }
+(** [detail ()] formats the verdict's one-line explanation on demand: a
+    sweep reads it for its first counterexample only. The thunk holds the
+    few numbers it prints, never the trace. *)
+type verdict = { ok : bool; detail : unit -> string }
 
 (** One executed case. [fingerprint] is a content digest of the recorded
     execution: equal fingerprints imply equal verdicts, so the verdict of
@@ -80,6 +83,16 @@ type t = {
           counterexample *)
   run : ?obs:Ftss_obs.Obs.t -> Schedule_enum.t -> run;
       (** [run_adv ∘ adversary_of_case] *)
+  run_batch : Schedule_enum.t array -> int array -> (int -> run -> unit) -> int;
+      (** [run_batch cases order k] evaluates [cases.(i)] for each [i] of
+          [order], in that order, and calls [k i r] with the [r] that
+          [run cases.(i)] returns. It returns the process-round states it
+          actually computed. The synchronous theorems walk one runner
+          cursor: each case resumes from the state after the last round
+          it shares with the previous case ({!Schedule_enum.shared_prefix}),
+          so an [order] from {!Schedule_enum.prefix_order} simulates each
+          distinct prefix about once. Theorem 5 has no rounds to share and
+          runs case by case. *)
 }
 
 (** [theorem3 ~inject:`Frozen_exchange ()] is the injected variant. *)

@@ -310,6 +310,248 @@ let corruption_weight = function
   | Max -> 3
   | Distinct -> 4
 
+(* --- Prefix digits: which cases share their first rounds --- *)
+
+(* Round [r] of an execution depends on the schedule only through the
+   processes crashed at [r] and the links dropped at [r] between live
+   processes (see [Runner.step]). A round's digit lists that as integer
+   atoms — crashed p, mute p, deaf p, isolate p, link src->dst dropped —
+   sorted, so two schedules whose atoms agree at [r] crash and drop
+   exactly the same there, whichever pids are declared faulty. A point
+   drop becomes a link atom only when no other atom of the round already
+   accounts for it (a crashed endpoint, a mute sender, a deaf receiver):
+   such drops realize nothing. No hashing: distinct effects get distinct
+   atoms.
+
+   A behaviour is first packed into one int — kind, owner and two
+   round/peer fields of [field_bits] each — so the radix passes read a
+   flat int array instead of chasing the case's list. *)
+let field_bits = 19
+
+let field_mask = (1 lsl field_bits) - 1
+
+(* -1 when a field falls outside [0, 2^field_bits); 0 is never a packed
+   behaviour. *)
+let encode kind pid x y =
+  if pid lor x lor y land lnot field_mask = 0 then
+    (((((kind lsl field_bits) lor pid) lsl field_bits) lor x) lsl field_bits) lor y
+  else -1
+
+let pack (pid, b) =
+  match b with
+  | Crash r -> encode 1 pid r 0
+  | Mute (a, z) -> encode 2 pid a z
+  | Deaf (a, z) -> encode 3 pid a z
+  | Isolate (a, z) -> encode 4 pid a z
+  | Send_drop (r, q) -> encode 5 pid r q
+  | Recv_drop (r, q) -> encode 6 pid r q
+
+let kind_of code = code lsr (3 * field_bits)
+let pid_of code = (code lsr (2 * field_bits)) land field_mask
+let x_of code = (code lsr field_bits) land field_mask
+let y_of code = code land field_mask
+
+(* Atom kinds: 0 crashed, 1 mute, 2 deaf, 3 isolate, 4 link. Atoms lie
+   in [1, 5n^2]. *)
+let atom_code ~n kind pid peer = (((((kind * n) + pid) * n) + peer) + 1)
+
+let atom_bound ~n = 5 * n * n
+
+(* Whether the packed behaviour does anything at round [r]. *)
+let acts code r =
+  let x = x_of code in
+  match kind_of code with
+  | 1 -> r >= x
+  | 2 | 3 | 4 -> x <= r && r <= y_of code
+  | 5 | 6 -> r = x
+  | _ -> false
+
+(* A drop on src->dst at [r] realizes nothing when another behaviour of
+   the schedule crashes an endpoint, mutes [src] or deafens [dst] then. *)
+let covered codes base slots r ~src ~dst =
+  let hit = ref false in
+  for j = base to base + slots - 1 do
+    let c = codes.(j) in
+    if acts c r then begin
+      let p = pid_of c in
+      match kind_of c with
+      | 1 -> if p = src || p = dst then hit := true
+      | 2 -> if p = src then hit := true
+      | 3 -> if p = dst then hit := true
+      | 4 -> if p = src || p = dst then hit := true
+      | _ -> ()
+    end
+  done;
+  !hit
+
+(* Writes round [r]'s atoms for the packed behaviours
+   [codes.(base .. base + slots - 1)] into [out], ascending, and returns
+   how many there are. *)
+let round_atoms ~n codes base slots r out =
+  let k = ref 0 in
+  for j = base to base + slots - 1 do
+    let c = codes.(j) in
+    if acts c r then begin
+      let kind = kind_of c and pid = pid_of c in
+      let a =
+        if kind <= 4 then atom_code ~n (kind - 1) pid 0
+        else
+          let src, dst = if kind = 5 then (pid, y_of c) else (y_of c, pid) in
+          if covered codes base slots r ~src ~dst then 0 else atom_code ~n 4 src dst
+      in
+      if a <> 0 then begin
+        (* insertion into the sorted prefix *)
+        let i = ref !k in
+        while !i > 0 && out.(!i - 1) > a do
+          out.(!i) <- out.(!i - 1);
+          decr i
+        done;
+        out.(!i) <- a;
+        incr k
+      end
+    end
+  done;
+  !k
+
+(* [t]'s behaviours packed into [codes.(0 .. k-1)]; [k], or -1 when one
+   does not pack. *)
+let pack_into t codes =
+  let rec go j = function
+    | [] -> j
+    | b :: l ->
+      let p = pack b in
+      if p < 0 then -1
+      else begin
+        codes.(j) <- p;
+        go (j + 1) l
+      end
+  in
+  go 0 t.behaviors
+
+let shared_prefix a b =
+  if not ((a.params == b.params || a.params = b.params) && a.corruption = b.corruption) then -1
+  else begin
+    let sa = List.length a.behaviors and sb = List.length b.behaviors in
+    let pa = Array.make sa 0 and pb = Array.make sb 0 in
+    if pack_into a pa < 0 || pack_into b pb < 0 then 0
+    else begin
+      let n = a.params.n in
+      let oa = Array.make sa 0 and ob = Array.make sb 0 in
+      let rec depth r =
+        if r > a.params.rounds then r - 1
+        else begin
+          let k = round_atoms ~n pa 0 sa r oa in
+          if k <> round_atoms ~n pb 0 sb r ob then r - 1
+          else begin
+            let i = ref 0 in
+            while !i < k && oa.(!i) = ob.(!i) do
+              incr i
+            done;
+            if !i < k then r - 1 else depth (r + 1)
+          end
+        end
+      in
+      depth 1
+    end
+  end
+
+let prefix_order cases =
+  let len = Array.length cases in
+  let order = Array.init len Fun.id in
+  (* One read of every case: its behaviours, packed, at
+     [codes.(i * slots + j)] and its corruption weight at [weight.[i]].
+     [slots] starts at the first case's fault budget and the pass starts
+     over, wider, if a later case carries more behaviours. *)
+  let weight = Bytes.create len in
+  let rec pack_all slots =
+    let codes = Array.make (len * slots) 0 in
+    let rounds = ref 0 and n = ref 0 and packable = ref true and wider = ref slots in
+    let rec fill base j = function
+      | [] -> ()
+      | b :: l ->
+        let p = pack b in
+        if p < 0 then packable := false
+        else if j >= slots then wider := max !wider (j + 1)
+        else codes.(base + j) <- p;
+        fill base (j + 1) l
+    in
+    for i = 0 to len - 1 do
+      let c = cases.(i) in
+      if c.params.rounds > !rounds then rounds := c.params.rounds;
+      if c.params.n > !n then n := c.params.n;
+      Bytes.unsafe_set weight i (Char.unsafe_chr (corruption_weight c.corruption));
+      fill (i * slots) 0 c.behaviors
+    done;
+    if !wider > slots && !packable then pack_all !wider
+    else (slots, codes, !rounds, !n, !packable)
+  in
+  let slots, codes, rounds, n, packable =
+    pack_all (if len = 0 then 0 else cases.(0).params.f)
+  in
+  if not (packable && len > 1) then order
+  else begin
+    (* Stable LSD radix sort, least significant digit first: round
+       [rounds], ..., round 1, then round 0's corruption class. A round's
+       digit is its atoms, packed [abits] apiece into group keys of at
+       most 62 bits and sorted in chunks of at most 16 bits, so the count
+       array stays small whatever [n] is; for enumerated cases of up to
+       ~10^3 processes and f <= 2 a round is one group. *)
+    let rec bits v = if v = 0 then 0 else 1 + bits (v lsr 1) in
+    let abits = bits (atom_bound ~n) in
+    let per_group = max 1 (62 / abits) in
+    let count = Array.make ((1 lsl 16) + 1) 0 in
+    let order = ref order and spare = ref (Array.make len 0) in
+    let pass ~width digit =
+      let src = !order and dst = !spare in
+      let buckets = (1 lsl width) + 1 in
+      Array.fill count 0 buckets 0;
+      for pos = 0 to len - 1 do
+        let d = digit src.(pos) + 1 in
+        count.(d) <- count.(d) + 1
+      done;
+      for d = 1 to buckets - 1 do
+        count.(d) <- count.(d) + count.(d - 1)
+      done;
+      for pos = 0 to len - 1 do
+        let i = src.(pos) in
+        let d = digit i in
+        dst.(count.(d)) <- i;
+        count.(d) <- count.(d) + 1
+      done;
+      order := dst;
+      spare := src
+    in
+    (* [key.(i)] is case [i]'s group key for the round being sorted,
+       computed in case order: sequential reads of [codes]. *)
+    let key = Array.make len 0 in
+    let atoms = Array.make slots 0 in
+    for r = rounds downto 1 do
+      let g = ref (((slots + per_group - 1) / per_group) - 1) in
+      while !g >= 0 do
+        let lo = !g * per_group in
+        let hi = min slots (lo + per_group) in
+        for i = 0 to len - 1 do
+          let k = round_atoms ~n codes (i * slots) slots r atoms in
+          let acc = ref 0 in
+          for j = lo to hi - 1 do
+            acc := (!acc lsl abits) lor if j < k then atoms.(j) else 0
+          done;
+          key.(i) <- !acc
+        done;
+        let gbits = (hi - lo) * abits in
+        let nchunks = max 1 ((gbits + 15) / 16) in
+        let width = (gbits + nchunks - 1) / nchunks in
+        let mask = (1 lsl width) - 1 in
+        for c = 0 to nchunks - 1 do
+          pass ~width (fun i -> (key.(i) lsr (c * width)) land mask)
+        done;
+        decr g
+      done
+    done;
+    pass ~width:3 (fun i -> Char.code (Bytes.unsafe_get weight i));
+    !order
+  end
+
 let size t =
   List.fold_left
     (fun acc (_, b) -> acc + behavior_size ~rounds:t.params.rounds b)

@@ -135,6 +135,34 @@ val permute : (Pid.t -> Pid.t) -> t -> t
     is a pid permutation of the other; [canonical] is idempotent. *)
 val canonical : t -> t
 
+(** {2 Shared prefixes}
+
+    Cases that agree on their first rounds execute those rounds
+    identically, so an explorer can simulate them once. Round [r >= 1]'s
+    {e digit} lists, as sorted integer atoms, what the schedule does at
+    [r]: crashed p, mute p, deaf p, isolate p, or link src->dst dropped.
+    A point drop that a crashed endpoint, a mute sender or a deaf
+    receiver already accounts for adds no atom, and a send drop and a
+    receive drop of one link are one atom. Round 0 is the params and
+    corruption class. The digits are exact, never hashed: equal digits
+    through round [k] imply that the two executions are identical
+    through round [k] (same states, deliveries, crashes and omissions),
+    whichever pids are declared faulty. *)
+
+(** [shared_prefix a b] is the largest [k <= rounds] such that [a] and
+    [b] have equal digits for rounds [0..k], or [-1] when their params
+    or corruption classes differ. *)
+val shared_prefix : t -> t -> int
+
+(** [prefix_order cases] is a permutation of the indices of [cases]
+    sorting them by their digits, round 0 first, so that cases sharing
+    a prefix are adjacent. It is a stable LSD radix sort: O(cases ×
+    rounds) integer work and O(cases × f) extra words, where f bounds
+    the behaviours per case. Round 0 is sorted by corruption weight
+    alone, which groups a single-params sweep exactly. The identity
+    when a behaviour's rounds or pids reach 2^19. *)
+val prefix_order : t array -> int array
+
 (** {2 Sizes (the shrinking order)} *)
 
 (** Rounds of misbehaviour a behaviour schedules: a crash at round [r]

@@ -168,7 +168,7 @@ let run ?obs ?profile (config : config) (prop : P.t) =
                 v_genome = genomes.(i);
                 v_shrunk = genomes.(i) (* shrunk after the loop *);
                 v_fingerprint = fp;
-                v_detail = verdict.P.detail;
+                v_detail = verdict.P.detail ();
                 v_seed = seed_phase;
               }
               :: !rev_violations

@@ -1,94 +1,109 @@
 open Ftss_util
 
-let run ?obs ?corrupt ?(corrupt_at = []) ~faults ~rounds (protocol : ('s, 'm) Protocol.t) =
-  if rounds < 1 then invalid_arg "Runner.run: rounds < 1";
-  let n = Faults.n faults in
-  (* Observability: [traced] guards event *construction*, so the default
-     zero-sink path allocates nothing here. *)
-  let traced = Option.is_some obs in
-  let emit ev = match obs with Some o -> Ftss_obs.Obs.emit o ev | None -> () in
+type ('s, 'm) cursor = {
+  protocol : ('s, 'm) Protocol.t;
+  n : int;
+  round : int;  (* rounds executed so far *)
+  states : 's option array;  (* entering the next round; never written once stored *)
+  crashed_at : int option array;  (* copied before a crash is recorded *)
+  rev_omissions : (int * Pid.t * Pid.t) list;
+  rev_records : ('s, 'm) Trace.round_record list;
+}
+
+let emit obs ev = match obs with Some o -> Ftss_obs.Obs.emit o ev | None -> ()
+
+let start ?obs ?corrupt ~n (protocol : ('s, 'm) Protocol.t) =
   let initial p =
     let s = protocol.init p in
     match corrupt with None -> s | Some c -> c p s
   in
-  if traced && corrupt <> None then
+  if Option.is_some obs && Option.is_some corrupt then
     List.iter
-      (fun p -> emit (Ftss_obs.Event.make ~time:0 (Ftss_obs.Event.Corrupt { pid = p })))
+      (fun p -> emit obs (Ftss_obs.Event.make ~time:0 (Ftss_obs.Event.Corrupt { pid = p })))
       (Pid.all n);
-  let states = Array.init n (fun p -> Some (initial p)) in
-  let crashed_at = Array.make n None in
-  (* Schedule lookups hoisted out of the round loop: [crash.(p)] replaces a
-     per-round [Faults.crash_round] call, and [table] answers each link
-     query with a few integer tests instead of a hash probe plus two
-     interval-list scans. *)
-  let crash = Array.init n (fun p -> Faults.crash_round faults p) in
-  let table = Faults.precompile faults ~rounds in
-  (* Scratch buffer reused across every destination of every round: the
-     senders delivered to the current destination, ascending. *)
-  let senders = Array.make (max 1 n) 0 in
-  let omissions = ref [] in
-  let records = ref [] in
-  for round = 1 to rounds do
-    if traced then emit (Ftss_obs.Event.make ~time:round Ftss_obs.Event.Round_begin);
-    (* Crashes scheduled for this round take effect before the broadcast. *)
-    for p = 0 to n - 1 do
-      match (states.(p), crash.(p)) with
-      | Some _, Some cr when cr <= round ->
-        states.(p) <- None;
-        crashed_at.(p) <- Some cr;
-        if traced then
-          emit (Ftss_obs.Event.make ~time:round (Ftss_obs.Event.Crash { pid = p }))
-      | _ -> ()
-    done;
-    (* Mid-execution systemic failure, if scheduled. *)
-    List.iter
-      (fun (r, c) ->
-        if r = round then
-          for p = 0 to n - 1 do
-            match states.(p) with
-            | Some s ->
-              states.(p) <- Some (c p s);
-              if traced then
-                emit (Ftss_obs.Event.make ~time:round (Ftss_obs.Event.Corrupt { pid = p }))
-            | None -> ()
-          done)
-      corrupt_at;
-    let states_before = Array.copy states in
-    let sent = Array.make n None in
-    for p = 0 to n - 1 do
-      match states.(p) with
+  {
+    protocol;
+    n;
+    round = 0;
+    states = Array.init n (fun p -> Some (initial p));
+    crashed_at = Array.make n None;
+    rev_omissions = [];
+    rev_records = [];
+  }
+
+let step ?obs ?(corrupt_at = []) ~faults ~table c =
+  let n = c.n and protocol = c.protocol in
+  let round = c.round + 1 in
+  (* Observability: [traced] guards event *construction*, so the default
+     zero-sink path allocates nothing here. *)
+  let traced = Option.is_some obs in
+  if traced then emit obs (Ftss_obs.Event.make ~time:round Ftss_obs.Event.Round_begin);
+  (* The cursor [c] stays valid, so this round works on fresh arrays: the
+     states entering it become the record's [states_before]. *)
+  let states = Array.copy c.states in
+  let crashed_at = ref c.crashed_at in
+  (* Crashes scheduled for this round take effect before the broadcast. *)
+  for p = 0 to n - 1 do
+    match (states.(p), Faults.crash_round faults p) with
+    | Some _, Some cr when cr <= round ->
+      states.(p) <- None;
+      if !crashed_at == c.crashed_at then crashed_at := Array.copy c.crashed_at;
+      (!crashed_at).(p) <- Some cr;
+      if traced then
+        emit obs (Ftss_obs.Event.make ~time:round (Ftss_obs.Event.Crash { pid = p }))
+    | _ -> ()
+  done;
+  (* Mid-execution systemic failure, if scheduled. *)
+  List.iter
+    (fun (r, corrupt) ->
+      if r = round then
+        for p = 0 to n - 1 do
+          match states.(p) with
+          | Some s ->
+            states.(p) <- Some (corrupt p s);
+            if traced then
+              emit obs (Ftss_obs.Event.make ~time:round (Ftss_obs.Event.Corrupt { pid = p }))
+          | None -> ()
+        done)
+    corrupt_at;
+  let sent = Array.make n None in
+  for p = 0 to n - 1 do
+    match states.(p) with
+    | None -> ()
+    | Some s ->
+      if traced then
+        emit obs
+          (Ftss_obs.Event.make ~time:round (Ftss_obs.Event.Send { src = p; dst = None }));
+      sent.(p) <- Some (protocol.broadcast p s)
+  done;
+  let omissions = ref c.rev_omissions in
+  let delivered = Array.make n [] in
+  if Faults.quiet_round table ~round then begin
+    (* No omission can occur this round, so every live receiver gets the
+       same deliveries: build the list once and share it — the dominant
+       allocation of a failure-free round drops from n^2 to n. *)
+    let full = ref [] in
+    for src = n - 1 downto 0 do
+      match sent.(src) with
+      | Some payload -> full := { Protocol.src; payload } :: !full
       | None -> ()
-      | Some s ->
-        if traced then
-          emit
-            (Ftss_obs.Event.make ~time:round (Ftss_obs.Event.Send { src = p; dst = None }));
-        sent.(p) <- Some (protocol.broadcast p s)
     done;
-    let delivered = Array.make n [] in
-    if Faults.quiet_round table ~round then begin
-      (* No omission can occur this round, so every live receiver gets the
-         same deliveries: build the list once and share it — the dominant
-         allocation of a failure-free round drops from n^2 to n. *)
-      let full = ref [] in
-      for src = n - 1 downto 0 do
-        match sent.(src) with
-        | Some payload -> full := { Protocol.src; payload } :: !full
-        | None -> ()
-      done;
-      let full = !full in
-      for dst = 0 to n - 1 do
-        if not (Option.is_none states.(dst)) then begin
-          if traced then
-            List.iter
-              (fun { Protocol.src; _ } ->
-                emit
-                  (Ftss_obs.Event.make ~time:round (Ftss_obs.Event.Deliver { src; dst })))
-              full;
-          delivered.(dst) <- full
-        end
-      done
-    end
-    else
+    let full = !full in
+    for dst = 0 to n - 1 do
+      if not (Option.is_none states.(dst)) then begin
+        if traced then
+          List.iter
+            (fun { Protocol.src; _ } ->
+              emit obs (Ftss_obs.Event.make ~time:round (Ftss_obs.Event.Deliver { src; dst })))
+            full;
+        delivered.(dst) <- full
+      end
+    done
+  end
+  else begin
+    (* Scratch buffer reused across every destination: the senders
+       delivered to the current destination, ascending. *)
+    let senders = Array.make n 0 in
     for dst = 0 to n - 1 do
       if not (Option.is_none states.(dst)) then begin
         (* First pass: decide every link in ascending sender order — the
@@ -99,7 +114,7 @@ let run ?obs ?corrupt ?(corrupt_at = []) ~faults ~rounds (protocol : ('s, 'm) Pr
           if not (Option.is_none sent.(src)) then
             if src = dst || not (Faults.table_drops table ~round ~src ~dst) then begin
               if traced then
-                emit
+                emit obs
                   (Ftss_obs.Event.make ~time:round (Ftss_obs.Event.Deliver { src; dst }));
               senders.(!count) <- src;
               incr count
@@ -107,7 +122,7 @@ let run ?obs ?corrupt ?(corrupt_at = []) ~faults ~rounds (protocol : ('s, 'm) Pr
             else begin
               omissions := (round, src, dst) :: !omissions;
               if traced then
-                emit
+                emit obs
                   (Ftss_obs.Event.make ~time:round
                      (Ftss_obs.Event.Drop { src; dst; blame = Faults.blame faults ~src ~dst }))
             end
@@ -123,19 +138,31 @@ let run ?obs ?corrupt ?(corrupt_at = []) ~faults ~rounds (protocol : ('s, 'm) Pr
         done;
         delivered.(dst) <- !ds
       end
-    done;
-    for p = 0 to n - 1 do
-      match states.(p) with
-      | None -> ()
-      | Some s -> states.(p) <- Some (protocol.step p s delivered.(p))
-    done;
-    if traced then emit (Ftss_obs.Event.make ~time:round Ftss_obs.Event.Round_end);
-    records :=
-      { Trace.round; states_before; sent; delivered; states_after = Array.copy states }
-      :: !records
-  done;
-  let records = Array.of_list (List.rev !records) in
-  let omissions = List.rev !omissions in
+    done
+  end;
+  let states_after =
+    Array.mapi
+      (fun p st ->
+        match st with None -> None | Some s -> Some (protocol.step p s delivered.(p)))
+      states
+  in
+  if traced then emit obs (Ftss_obs.Event.make ~time:round Ftss_obs.Event.Round_end);
+  {
+    c with
+    round;
+    states = states_after;
+    crashed_at = !crashed_at;
+    rev_omissions = !omissions;
+    rev_records =
+      { Trace.round; states_before = states; sent; delivered; states_after } :: c.rev_records;
+  }
+
+let finish ?(corrupt_at = []) ~faults c =
+  let records = Array.of_list (List.rev c.rev_records) in
+  let omissions = List.rev c.rev_omissions in
+  (* The trace gets its own crash table: the cursor's may be shared with
+     sibling cursors. *)
+  let crashed_at = Array.copy c.crashed_at in
   let declared_faulty = Faults.faulty faults in
   let state_rounds =
     (* Generator rounds of the content hash: the execution is a pure
@@ -147,11 +174,32 @@ let run ?obs ?corrupt ?(corrupt_at = []) ~faults ~rounds (protocol : ('s, 'm) Pr
       List.sort_uniq Int.compare
         (1
         :: List.filter_map
-             (fun (r, _) -> if 1 <= r && r <= rounds then Some r else None)
+             (fun (r, _) -> if 1 <= r && r <= c.round then Some r else None)
              corrupt_at)
   in
+  let name = c.protocol.name in
   let hash =
-    Trace.compute_hash ~state_rounds ~records ~n ~protocol_name:protocol.name ~crashed_at
+    Trace.compute_hash ~state_rounds ~records ~n:c.n ~protocol_name:name ~crashed_at
       ~omissions ~declared_faulty
   in
-  { Trace.n; protocol_name = protocol.name; records; crashed_at; omissions; declared_faulty; hash }
+  {
+    Trace.n = c.n;
+    protocol_name = name;
+    records;
+    crashed_at;
+    omissions;
+    declared_faulty;
+    hash;
+  }
+
+let run ?obs ?corrupt ?corrupt_at ~faults ~rounds protocol =
+  if rounds < 1 then invalid_arg "Runner.run: rounds < 1";
+  (* The schedule is compiled once for the whole horizon: each link query
+     of [step] is then a few integer tests instead of a hash probe plus
+     two interval-list scans. *)
+  let table = Faults.precompile faults ~rounds in
+  let c = ref (start ?obs ?corrupt ~n:(Faults.n faults) protocol) in
+  for _ = 1 to rounds do
+    c := step ?obs ?corrupt_at ~faults ~table !c
+  done;
+  finish ?corrupt_at ~faults !c

@@ -22,7 +22,8 @@ val run :
   ('s, 'm) Protocol.t ->
   ('s, 'm) Trace.t
 (** [run ?obs ?corrupt ?corrupt_at ~faults ~rounds protocol] executes
-    [rounds] rounds. Semantics, per round [r] (1-based):
+    [rounds] rounds: {!start}, then [rounds] calls to {!step}, then
+    {!finish}. Semantics, per round [r] (1-based):
     - processes whose crash round is [<= r] take no action;
     - every live process broadcasts [protocol.broadcast];
     - the message from [src] to [dst] is delivered unless the schedule
@@ -39,3 +40,49 @@ val run :
     instrumentation allocates nothing.
 
     Raises [Invalid_argument] if [rounds < 1]. *)
+
+(** {2 Resumable execution}
+
+    A cursor is the state of an execution after some number of rounds:
+    the process states entering the next round, the crash table and the
+    omissions and round records so far. Cursors are persistent — {!step}
+    returns a new cursor and leaves its argument valid — and the records
+    and states they hold are never written, so executions that agree on
+    their first [k] rounds can share the cursor after round [k] and
+    simulate those rounds once. *)
+
+type ('s, 'm) cursor
+
+(** [start ?obs ?corrupt ~n protocol] is the cursor before round 1: each
+    process's [protocol.init] state, rewritten by [corrupt] when given
+    (with one [Corrupt] event per process at time 0). *)
+val start :
+  ?obs:Ftss_obs.Obs.t ->
+  ?corrupt:(Pid.t -> 's -> 's) ->
+  n:int ->
+  ('s, 'm) Protocol.t ->
+  ('s, 'm) cursor
+
+(** [step ?obs ?corrupt_at ~faults ~table c] executes the round after
+    [c] under [faults], with the semantics and events of {!run}. [table]
+    must be [Faults.precompile faults ~rounds] for a horizon covering
+    that round. The round's outcome depends on [faults] only through the
+    crashes taking effect in it and the links it drops (plus the blame
+    of a traced drop). *)
+val step :
+  ?obs:Ftss_obs.Obs.t ->
+  ?corrupt_at:(int * (Pid.t -> 's -> 's)) list ->
+  faults:Faults.t ->
+  table:Faults.table ->
+  ('s, 'm) cursor ->
+  ('s, 'm) cursor
+
+(** [finish ?corrupt_at ~faults c] is the trace of the rounds executed so
+    far, declaring [Faults.faulty faults] and hashed with the generator
+    rounds [corrupt_at] names (see {!Trace.compute_hash}). Raises
+    [Invalid_argument] if [c] has executed no round. *)
+val finish :
+  ?corrupt_at:(int * (Pid.t -> 's -> 's)) list ->
+  faults:Faults.t ->
+  ('s, 'm) cursor ->
+  ('s, 'm) Trace.t

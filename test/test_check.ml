@@ -602,6 +602,178 @@ let test_hash_partition_with_mid_run_corruption () =
   in
   hash_partition_matches_marshal traces
 
+(* --- Prefix-shared exploration --- *)
+
+let shuffled seed cases =
+  let cases = Array.copy cases in
+  let rng = Rng.create seed in
+  for i = Array.length cases - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let c = cases.(i) in
+    cases.(i) <- cases.(j);
+    cases.(j) <- c
+  done;
+  cases
+
+let find_property name inject =
+  match Property.find ~name ~inject with Ok p -> p | Error msg -> failwith msg
+
+(* The explorer's batch walk against [Property.run], case by case: every
+   result field, and every stats field but the clocks. Under [canonical]
+   the oracle runs each case's orbit representative (the orbit's first
+   member in the array), as the explorer does. *)
+let check_walk_against_run ~label prop cases =
+  let len = Array.length cases in
+  List.iter
+    (fun canonical ->
+      let rep = Array.init len Fun.id in
+      if canonical then begin
+        let first = Hashtbl.create 64 in
+        Array.iteri
+          (fun i c ->
+            let key = Schedule_enum.canonical c in
+            match Hashtbl.find_opt first key with
+            | Some r -> rep.(i) <- r
+            | None -> Hashtbl.add first key i)
+          cases
+      end;
+      let executed = List.filter (fun i -> rep.(i) = i) (List.init len Fun.id) in
+      let own =
+        Array.init len (fun i ->
+            if rep.(i) <> i then None
+            else
+              let r = prop.Property.run cases.(i) in
+              let v = Lazy.force r.Property.verdict in
+              Some (r.Property.fingerprint, v.Property.ok, v.Property.detail (), r.Property.states))
+      in
+      let expect = Array.init len (fun i -> Option.get own.(rep.(i))) in
+      let field f = List.map (fun i -> f expect.(i)) executed in
+      let fps = List.sort_uniq compare (field (fun (fp, _, _, _) -> fp)) in
+      let states = List.fold_left ( + ) 0 (field (fun (_, _, _, s) -> s)) in
+      let violations =
+        List.filter (fun i -> let _, ok, _, _ = expect.(i) in not ok) (List.init len Fun.id)
+      in
+      let stepped =
+        List.map
+          (fun domains ->
+            let name = Printf.sprintf "%s canonical=%b d%d" label canonical domains in
+            let st, results = Explore.run ~domains ~canonical prop cases in
+            Array.iteri
+              (fun i (r : Explore.result) ->
+                if (r.fingerprint, r.ok, r.detail (), r.states) <> expect.(i) then
+                  Alcotest.failf "%s: case %d differs from Property.run" name i)
+              results;
+            check_int (name ^ ": cases") len st.Explore.cases;
+            check_int (name ^ ": orbits") (List.length executed) st.Explore.orbits;
+            check_int (name ^ ": distinct") (List.length fps) st.Explore.distinct;
+            check_int (name ^ ": dedup")
+              (List.length executed - List.length fps)
+              st.Explore.dedup_hits;
+            check (name ^ ": violations") true (st.Explore.violations = violations);
+            check_int (name ^ ": states") states st.Explore.states;
+            check_int (name ^ ": domains") domains st.Explore.domains;
+            check_int (name ^ ": per-domain cases") (List.length executed)
+              (Array.fold_left (fun a d -> a + d.Explore.d_cases) 0 st.Explore.per_domain);
+            check_int (name ^ ": per-domain states") states
+              (Array.fold_left (fun a d -> a + d.Explore.d_states) 0 st.Explore.per_domain);
+            check (name ^ ": stepped within states") true
+              (0 < st.Explore.stepped && st.Explore.stepped <= st.Explore.states);
+            st.Explore.stepped)
+          [ 1; 2 ]
+      in
+      check (label ^ ": stepped equal at d1 and d2") true
+        (List.for_all (( = ) (List.hd stepped)) stepped))
+    [ false; true ]
+
+let test_walk_equals_run_theorem3 () =
+  let cases = shuffled 11 (Schedule_enum.enumerate (full 4 2 2)) in
+  check_walk_against_run ~label:"theorem3" (find_property "theorem3" "none") cases;
+  let cases = shuffled 12 (Schedule_enum.enumerate (full 3 3 1)) in
+  check_walk_against_run ~label:"theorem3/frozen-exchange"
+    (find_property "theorem3" "frozen-exchange") cases
+
+let test_walk_equals_run_theorem4 () =
+  let cases = shuffled 13 (Schedule_enum.enumerate (full 3 3 2)) in
+  check_walk_against_run ~label:"theorem4" (find_property "theorem4" "none") cases;
+  let cases = shuffled 14 (Schedule_enum.enumerate (full 3 4 1)) in
+  check_walk_against_run ~label:"theorem4/no-suspect-filter"
+    (find_property "theorem4" "no-suspect-filter") cases
+
+let test_walk_equals_run_theorem5 () =
+  let prop = find_property "theorem5" "none" in
+  let cases = shuffled 15 (Schedule_enum.enumerate (prop.Property.restrict (full 3 3 1))) in
+  check_walk_against_run ~label:"theorem5" prop cases;
+  (* No rounds to share: every state is stepped. *)
+  let st, _ = Explore.run ~domains:1 prop cases in
+  check_int "theorem5 steps every state" st.Explore.states st.Explore.stepped
+
+let test_stepped_pinned () =
+  let cases = Schedule_enum.enumerate (full 3 3 1) in
+  let prop = theorem3 ~inject:"none" in
+  let s1, _ = Explore.run ~domains:1 prop cases in
+  let s2, _ = Explore.run ~domains:2 prop cases in
+  check_int "states" 4_500 s1.Explore.states;
+  check_int "stepped (d1)" 2_283 s1.Explore.stepped;
+  check_int "stepped (d2)" 2_283 s2.Explore.stepped;
+  check "stepped below states" true (s1.Explore.stepped < s1.Explore.states)
+
+(* [prefix_order] sorts by the digits: the prefix two cases share is the
+   least shared by any neighbouring pair between them. *)
+let test_prefix_order_groups_prefixes () =
+  let cases = shuffled 16 (Schedule_enum.enumerate (full 4 2 2)) in
+  let order = Schedule_enum.prefix_order cases in
+  let len = Array.length cases in
+  check "a permutation" true
+    (List.sort compare (Array.to_list order) = List.init len Fun.id);
+  let at p = cases.(order.(p)) in
+  let rng = Rng.create 17 in
+  for _ = 1 to 2_000 do
+    let i = Rng.int rng len in
+    let l = min (len - 1) (i + 1 + Rng.int rng 200) in
+    let least = ref max_int in
+    for p = i to l - 1 do
+      least := min !least (Schedule_enum.shared_prefix (at p) (at (p + 1)))
+    done;
+    if i < l then
+      check_int "shared prefix = least neighbouring one" !least
+        (Schedule_enum.shared_prefix (at i) (at l))
+  done
+
+(* Equal digits through round k: identical executions through round k. *)
+let test_shared_prefix_is_exact () =
+  let params = full 4 3 2 in
+  let cases = shuffled 18 (Schedule_enum.enumerate params) in
+  let order = Schedule_enum.prefix_order cases in
+  let run (c : Schedule_enum.t) =
+    Ftss_sync.Runner.run
+      ~corrupt:(Schedule_enum.corrupt_int c.Schedule_enum.corruption)
+      ~faults:(Schedule_enum.to_faults c) ~rounds:params.Schedule_enum.rounds
+      Ftss_core.Round_agreement.protocol
+  in
+  let upto k (t : (int, int) Ftss_sync.Trace.t) =
+    ( Array.sub t.Ftss_sync.Trace.records 0 k,
+      List.filter (fun (r, _, _) -> r <= k) t.Ftss_sync.Trace.omissions,
+      Array.map
+        (function Some r when r <= k -> Some r | _ -> None)
+        t.Ftss_sync.Trace.crashed_at )
+  in
+  let shared = Array.make (params.Schedule_enum.rounds + 2) 0 in
+  for p = 1 to Array.length order - 1 do
+    let a = cases.(order.(p - 1)) and b = cases.(order.(p)) in
+    let k = Schedule_enum.shared_prefix a b in
+    shared.(k + 1) <- shared.(k + 1) + 1;
+    if k >= 0 then
+      if upto k (run a) <> upto k (run b) then
+        Alcotest.failf "%s and %s share %d rounds but execute differently"
+          (Format.asprintf "%a" Schedule_enum.pp a)
+          (Format.asprintf "%a" Schedule_enum.pp b)
+          k
+  done;
+  (* Every depth occurs, so the check above is not vacuous. *)
+  Array.iteri
+    (fun k c -> if c = 0 then Alcotest.failf "no neighbours share %d rounds" (k - 1))
+    shared
+
 (* --- QCheck: shrinking from random failing cases --- *)
 
 let prop_shrink_preserves_failure =
@@ -656,6 +828,12 @@ let suite =
           test_golden_canonical_equivalence;
         tc "hash partition = marshal partition (adversary corpus)" `Quick
           test_hash_partition_over_adversary_corpus;
+        tc "walk = Property.run: theorem 3" `Quick test_walk_equals_run_theorem3;
+        tc "walk = Property.run: theorem 4" `Quick test_walk_equals_run_theorem4;
+        tc "walk = Property.run: theorem 5" `Quick test_walk_equals_run_theorem5;
+        tc "stepped pinned (n=3,r=3,f=1)" `Quick test_stepped_pinned;
+        tc "prefix order groups shared prefixes" `Quick test_prefix_order_groups_prefixes;
+        tc "shared prefixes execute identically" `Quick test_shared_prefix_is_exact;
         tc "hash partition = marshal partition (mid-run corruption)" `Quick
           test_hash_partition_with_mid_run_corruption;
         to_alcotest prop_shrink_preserves_failure;

@@ -425,6 +425,94 @@ let test_faults_widths () =
    are bit-identical for all n <= 61 universes and for one-word-sized
    sets inside larger ones. --- *)
 
+(* --- The resumable cursor --- *)
+
+(* An observability hub that records every event as its JSON line. *)
+let recording () =
+  let lines = ref [] in
+  let obs = Ftss_obs.Obs.create () in
+  Ftss_obs.Obs.add_sink obs
+    (Ftss_obs.Sink.make
+       ~emit:(fun ev -> lines := Ftss_obs.Json.to_string (Ftss_obs.Event.to_json ev) :: !lines)
+       ~close:ignore);
+  (obs, fun () -> List.rev !lines)
+
+let step_to ?obs ?corrupt_at ~faults ~rounds c ~from =
+  let table = Faults.precompile faults ~rounds in
+  let c = ref c in
+  for _ = from + 1 to rounds do
+    c := Runner.step ?obs ?corrupt_at ~faults ~table !c
+  done;
+  !c
+
+let test_cursor_composes_run () =
+  let n = 4 and rounds = 6 in
+  let schedules =
+    [
+      Faults.none n;
+      Faults.of_events ~n
+        [ Faults.Crash { pid = 3; round = 2 }; Faults.Drop { src = 0; dst = 1; round = 4 } ];
+      Faults.of_events ~n
+        [
+          Faults.Mute { pid = 1; first = 1; last = 2 };
+          Faults.Deaf { pid = 2; first = 3; last = 5 };
+          Faults.Isolate { pid = 0; first = 6; last = 6 };
+        ];
+      Faults.random_omission (Rng.create 7) ~n ~f:2 ~p_drop:0.4 ~rounds;
+    ]
+  in
+  let corrupt p s = Pidset.add ((p + 1) mod n) s in
+  List.iter
+    (fun faults ->
+      List.iter
+        (fun corrupt_at ->
+          let o1, events1 = recording () and o2, events2 = recording () in
+          let a = Runner.run ~obs:o1 ~corrupt ?corrupt_at ~faults ~rounds gossip in
+          let b =
+            Runner.finish ?corrupt_at ~faults
+              (step_to ~obs:o2 ?corrupt_at ~faults ~rounds ~from:0
+                 (Runner.start ~obs:o2 ~corrupt ~n gossip))
+          in
+          check "structurally equal traces" true (a = b);
+          check_int "equal hashes" (Trace.hash a) (Trace.hash b);
+          check "byte-identical event streams" true (events1 () = events2 ());
+          check "events were recorded" true (events1 () <> []))
+        [ None; Some [ (3, fun _ s -> Pidset.add 0 s); (5, fun p s -> Pidset.add p s) ] ])
+    schedules
+
+let test_cursor_is_persistent () =
+  (* Both schedules crash pid 3 in round 2 and agree through round 3, so
+     they share the cursor after round 3; [late_crash] then crashes pid 1
+     — continuing it first must leave the shared cursor intact for
+     [late_mute]. *)
+  let n = 4 and rounds = 6 in
+  let base =
+    [ Faults.Crash { pid = 3; round = 2 }; Faults.Drop { src = 0; dst = 2; round = 3 } ]
+  in
+  let late ev = Faults.of_events ~n (base @ [ ev ]) in
+  let late_crash = late (Faults.Crash { pid = 1; round = 5 }) in
+  let late_mute = late (Faults.Mute { pid = 2; first = 4; last = 6 }) in
+  let corrupt p c = c + (10 * p) in
+  let shared =
+    step_to ~faults:late_crash ~rounds:3 ~from:0 (Runner.start ~corrupt ~n counter)
+  in
+  let resume faults = Runner.finish ~faults (step_to ~faults ~rounds ~from:3 shared) in
+  let crash = resume late_crash in
+  let mute = resume late_mute in
+  let again = resume late_crash in
+  List.iter
+    (fun (name, faults, trace) ->
+      let fresh = Runner.run ~corrupt ~faults ~rounds counter in
+      check (name ^ ": resumed trace = fresh run") true (trace = fresh);
+      check_int (name ^ ": hash") (Trace.hash fresh) (Trace.hash trace))
+    [
+      ("late crash", late_crash, crash);
+      ("late mute", late_mute, mute);
+      ("again", late_crash, again);
+    ];
+  check "pid 1 crashed only under late_crash" true
+    (crash.Trace.crashed_at.(1) = Some 5 && mute.Trace.crashed_at.(1) = None)
+
 let test_trace_hash_pins () =
   let open Ftss_core in
   let pin name expected h =
@@ -490,6 +578,8 @@ let suite =
         tc "golden: counter under crash+drops" `Quick test_golden_counter;
         tc "golden: gossip under isolation" `Quick test_golden_gossip;
         tc "faults tables across the width switch" `Quick test_faults_widths;
+        tc "cursor: start, step, finish = run" `Quick test_cursor_composes_run;
+        tc "cursor: persistent across branches" `Quick test_cursor_is_persistent;
         tc "golden: Trace.hash pinned across the Pidset overhaul" `Quick
           test_trace_hash_pins;
         QCheck_alcotest.to_alcotest prop_failure_free_counter_lockstep;
