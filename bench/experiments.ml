@@ -757,7 +757,7 @@ let e11 m =
         "stepped%"; "rand cov%"; "t x1 (s)"; "t xN (s)"; "speedup";
       ]
   in
-  let domains_n = max 2 (Explore.available ()) in
+  let domains_n = max 2 (Ftss_profile.Pool.available ()) in
   let row name inject n rounds f =
     match Property.find ~name ~inject with
     | Error msg -> failwith msg

@@ -62,7 +62,7 @@ let () =
     Ftss_obs.Json.Obj
       (opt "git_rev" meta_rev
       @ opt "date" meta_date
-      @ [ ("domains", Ftss_obs.Json.Int (Ftss_check.Explore.available ())) ])
+      @ [ ("domains", Ftss_obs.Json.Int (Ftss_profile.Pool.available ())) ])
   in
   let with_metrics name experiment =
     let m = Ftss_obs.Metrics.create () in

@@ -234,8 +234,8 @@ let tests () =
       pidset_ops ~n:61;
       pidset_ops ~n:200;
       explorer_throughput ~domains:1;
-      explorer_throughput ~domains:(max 2 (Ftss_check.Explore.available ()));
-      domain_spawn_join ~spawns:(max 2 (Ftss_check.Explore.available ()) - 1);
+      explorer_throughput ~domains:(max 2 (Ftss_profile.Pool.available ()));
+      domain_spawn_join ~spawns:(max 2 (Ftss_profile.Pool.available ()) - 1);
       schedule_enumerate;
       workload_create;
       rng_int;

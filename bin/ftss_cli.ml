@@ -506,9 +506,10 @@ let domains_arg =
     & opt int 0
     & info [ "domains" ] ~docv:"D"
         ~doc:
-          "Worker domains for the parallel explorer; 0 means auto — every available \
-           core ($(b,Explore.available ())). With more than one domain a \
-           single-domain pass also runs, to report the per-domain speedup.")
+          "Worker domains for the parallel explorer and fuzzer; 0 means every \
+           available core, and the count is clamped to 1..64. The explorer's \
+           verdicts and statistics are the same at every value; only wall-clock \
+           figures change.")
 
 let out_arg =
   Arg.(
@@ -542,8 +543,7 @@ let json_arg =
     & info [ "json" ]
         ~doc:
           "Print the explorer statistics as a single JSON object on stdout and nothing \
-           else (the single-domain comparison pass and counterexample shrinking are \
-           skipped). Exit codes are unchanged.")
+           else (counterexample shrinking is skipped). Exit codes are unchanged.")
 
 let canonical_arg =
   Arg.(
@@ -590,7 +590,6 @@ let check_cmd =
             (List.length (Schedule_enum.corruptions params))
             (Array.length cases)
         end;
-        let domains = if domains <= 0 then Explore.available () else domains in
         let stats, results = Explore.run ?obs ~domains ~canonical prop cases in
         if json then begin
           print_endline (Ftss_obs.Json.to_string (Explore.to_json stats));
@@ -598,16 +597,6 @@ let check_cmd =
         end
         else begin
           Format.printf "%a@." Explore.pp_stats stats;
-          if stats.Explore.domains > 1 then begin
-            let stats1, _ = Explore.run ~domains:1 ~canonical prop cases in
-            Format.printf
-              "single-domain elapsed: %.3f s -> speedup %.2fx at %d domains@."
-              stats1.Explore.elapsed
-              (if stats.Explore.elapsed > 0. then
-                 stats1.Explore.elapsed /. stats.Explore.elapsed
-               else 0.)
-              stats.Explore.domains
-          end;
           match stats.Explore.violations with
           | [] ->
             Format.printf

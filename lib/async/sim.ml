@@ -319,58 +319,3 @@ let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) ?pool
     dropped_by_adversary = !dropped_by_adversary;
     end_time = !end_time;
   }
-
-(* Deterministic parallel execution of independent sub-simulations: the
-   chunked atomic work-claiming pattern from Explore, degenerating to a
-   plain sequential loop at one domain. Each shard owns its rng, queue
-   and states, so the value a shard computes is a function of its thunk
-   alone — results land in a slot per shard and the merged array is
-   bit-identical whatever the domain count or claiming interleaving. *)
-let run_shards ?(domains = 1) ?profile (shards : (unit -> 'a) array) : 'a array =
-  let module Prof = Ftss_profile.Profile in
-  let len = Array.length shards in
-  let domains = max 1 (min domains (max 1 len)) in
-  let results = Array.make len None in
-  let shard_lane d =
-    Option.map (fun t -> Prof.lane t (Printf.sprintf "shards.d%d" d)) profile
-  in
-  let execute lane i =
-    match lane with
-    | None -> results.(i) <- Some (shards.(i) ())
-    | Some l ->
-      Prof.enter l Prof.Phase.chunk_execute;
-      results.(i) <- Some (shards.(i) ());
-      ignore (Prof.leave l)
-  in
-  if domains = 1 then begin
-    let lane = shard_lane 0 in
-    Array.iteri (fun i _ -> execute lane i) shards
-  end
-  else begin
-    let next = Atomic.make 0 in
-    let chunk = max 1 (min 64 (len / (domains * 8))) in
-    let worker d () =
-      let lane = shard_lane d in
-      let rec claim () =
-        let c0 = match lane with Some _ -> Prof.now_ns () | None -> 0 in
-        let first = Atomic.fetch_and_add next chunk in
-        (match lane with
-        | Some l -> ignore (Prof.lap l Prof.Phase.chunk_claim ~since:c0)
-        | None -> ());
-        if first < len then begin
-          let limit = min len (first + chunk) in
-          for i = first to limit - 1 do
-            execute lane i
-          done;
-          claim ()
-        end
-      in
-      claim ()
-    in
-    let spawned = Array.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1))) in
-    worker 0 ();
-    Array.iter Domain.join spawned
-  end;
-  Array.map
-    (function Some r -> r | None -> assert false (* every index was claimed *))
-    results

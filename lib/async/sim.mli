@@ -140,21 +140,6 @@ val run :
     Unset, the loop runs exactly as before up to one option test per
     event — the same zero-cost discipline as [?obs]. *)
 
-(** [run_shards ?domains shards] executes the independent sub-simulation
-    thunks in [shards] and returns their results in shard order. With
-    [domains > 1] the shards are claimed by that many domains using
-    chunked atomic work-stealing; every shard owns its rng, queue and
-    states, so the result array is bit-identical whatever the domain
-    count — the merge rule the sharded service driver and the golden
-    digest tests rely on. [domains] is clamped to [1 .. length shards].
-
-    [?profile] records each domain's chunk lifecycle ([chunk_claim] /
-    [chunk_execute]) on a per-domain lane ([shards.d<i>]); shard thunks
-    wanting finer attribution carry their own lanes (the sharded service
-    driver passes one per shard). *)
-val run_shards :
-  ?domains:int -> ?profile:Ftss_profile.Profile.t -> (unit -> 'a) array -> 'a array
-
 (** [crashed_set config] is the set of processes that crash within the
     horizon — the faulty set of an asynchronous run. *)
 val crashed_set : config -> Pidset.t

@@ -17,8 +17,6 @@ type stats = {
   per_domain : domain_stat array;
 }
 
-let available () = Domain.recommended_domain_count ()
-
 let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t)
     cases =
   let full_len = Array.length cases in
@@ -54,44 +52,36 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
     match reps with None -> cases | Some r -> Array.map (fun i -> cases.(i)) r
   in
   let len = Array.length cases in
-  let domains = max 1 (min domains 64) in
+  let domains = Ftss_profile.Pool.domains domains in
   let results = Array.make len None in
   (* Cases sharing their first rounds are adjacent in [order], so a batch
-     simulates each shared prefix once. *)
+     simulates each shared prefix once. Each chunk starts its prefix walk
+     afresh; the pool's chunks depend on [len] alone, so the rounds
+     simulated do not depend on the domain count. *)
   let order = Schedule_enum.prefix_order cases in
-  let next = Atomic.make 0 in
-  (* Chunked work claiming: one [fetch_and_add] hands a domain [chunk]
-     consecutive positions of [order], so cache-line contention on the
-     cursor is paid once per chunk rather than once per case. Each chunk
-     starts its prefix walk afresh, so the chunk size depends on the
-     sweep alone — the rounds simulated must not depend on the domain
-     count: 64 positions, fewer for sweeps under 1,024 cases so that they
-     still split into 16 chunks across domains. *)
-  let chunk = max 1 (min 64 (len / 16)) in
   let stepped = Atomic.make 0 in
+  (* The verdict cache, one per domain — no lock on the per-case path.
+     A domain recomputing a fingerprint another domain has already seen
+     produces the identical verdict, so per-domain caching costs at most
+     that recomputation and never changes a result. The reported dedup
+     statistics are not read from these caches: they are recomputed
+     deterministically from the merged per-case fingerprints below. *)
+  let caches = Array.init domains (fun _ -> Hashtbl.create 256) in
+  (* Per-domain counters, updated once per chunk so that domains do not
+     write neighbouring slots once per case. *)
+  let d_cases = Array.make domains 0 and d_states = Array.make domains 0 in
+  let d_busy = Array.make domains 0. in
   let traced = Option.is_some obs in
   let emit ev = match obs with Some o -> Ftss_obs.Obs.emit o ev | None -> () in
   (* Obs.emit and Obs.with_metrics serialize on the hub mutex, so the
      worker domains may share one hub; event construction is guarded on
      [traced] to keep the no-hub path allocation-free. *)
-  let worker d () =
-    (* Lane per domain: claim latency ([chunk_claim]) and chunk execution
-       ([chunk_execute]) are attributed without any cross-domain
-       synchronization beyond lane creation itself. *)
-    let lane =
-      Option.map (fun t -> Prof.lane t (Printf.sprintf "explore.d%d" d)) profile
-    in
-    (* The verdict cache, one per domain — no lock on the per-case path.
-       Verdicts are pure functions of the fingerprinted execution, so a
-       domain recomputing a fingerprint another domain has already seen
-       produces the identical verdict; per-domain caching costs at most
-       that recomputation and never changes a result. The reported dedup
-       statistics are not read from these caches: they are recomputed
-       deterministically from the merged per-case fingerprints below. *)
-    let cache = Hashtbl.create 256 in
-    let my_cases = ref 0 and my_states = ref 0 and my_busy = ref 0. in
+  let work ~domain ~first ~limit =
+    (* The clock is read once per chunk, not once per case. *)
+    let t0 = Unix.gettimeofday () in
+    let cache = caches.(domain) in
     (* [pos] is the position in [order] of the case being handed back. *)
-    let pos = ref 0 in
+    let pos = ref first and chunk_states = ref 0 in
     let case i (r : Property.run) =
       if traced then begin
         emit (Ftss_obs.Event.make ~time:i (Ftss_obs.Event.Case_start { case = i }));
@@ -104,17 +94,8 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
         | None -> ()
       end;
       incr pos;
-      let cached = Hashtbl.find_opt cache r.Property.fingerprint in
-      let verdict =
-        match cached with
-        | Some v -> v
-        | None ->
-          let v = Lazy.force r.Property.verdict in
-          Hashtbl.add cache r.Property.fingerprint v;
-          v
-      in
-      incr my_cases;
-      my_states := !my_states + r.Property.states;
+      let verdict, hit = Property.cached_verdict cache r in
+      chunk_states := !chunk_states + r.Property.states;
       if traced then
         emit
           (Ftss_obs.Event.make ~time:i
@@ -122,7 +103,7 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
                 {
                   case = i;
                   ok = verdict.Property.ok;
-                  dedup = Option.is_some cached;
+                  dedup = hit;
                   states = r.Property.states;
                 }));
       results.(i) <-
@@ -134,44 +115,21 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
             states = r.Property.states;
           }
     in
-    let rec claim () =
-      let c0 = match lane with Some _ -> Prof.now_ns () | None -> 0 in
-      let first = Atomic.fetch_and_add next chunk in
-      (match lane with
-      | Some l -> ignore (Prof.lap l Prof.Phase.chunk_claim ~since:c0)
-      | None -> ());
-      if first < len then begin
-        let limit = min len (first + chunk) in
-        (* The clock is read once per chunk, not once per case. *)
-        let t0 = Unix.gettimeofday () in
-        (match lane with
-        | Some l -> Prof.enter l Prof.Phase.chunk_execute
-        | None -> ());
-        pos := first;
-        let s =
-          property.Property.run_batch cases (Array.sub order first (limit - first)) case
-        in
-        ignore (Atomic.fetch_and_add stepped s);
-        (match lane with Some l -> ignore (Prof.leave l) | None -> ());
-        my_busy := !my_busy +. (Unix.gettimeofday () -. t0);
-        claim ()
-      end
+    let s =
+      property.Property.run_batch cases (Array.sub order first (limit - first)) case
     in
-    claim ();
-    { d_cases = !my_cases; d_states = !my_states; d_busy = !my_busy }
+    ignore (Atomic.fetch_and_add stepped s);
+    d_cases.(domain) <- d_cases.(domain) + (limit - first);
+    d_states.(domain) <- d_states.(domain) + !chunk_states;
+    d_busy.(domain) <- d_busy.(domain) +. (Unix.gettimeofday () -. t0)
   in
   let t0 = Unix.gettimeofday () in
-  let per_domain =
-    if domains = 1 then [| worker 0 () |]
-    else begin
-      let spawned =
-        Array.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1)))
-      in
-      let mine = worker 0 () in
-      Array.append [| mine |] (Array.map Domain.join spawned)
-    end
-  in
+  Ftss_profile.Pool.run ?profile ~lane:"explore" ~domains len work;
   let elapsed = Unix.gettimeofday () -. t0 in
+  let per_domain =
+    Array.init domains (fun d ->
+        { d_cases = d_cases.(d); d_states = d_states.(d); d_busy = d_busy.(d) })
+  in
   let merge_lane = Option.map (fun t -> Prof.lane t "explore.main") profile in
   (match merge_lane with
   | Some l -> Prof.enter l Prof.Phase.chunk_merge

@@ -1,17 +1,16 @@
 (** Parallel exhaustive exploration of an enumerated adversary space.
 
     The executed cases are first sorted by {!Schedule_enum.prefix_order},
-    so cases that agree on their first rounds are adjacent. A work queue
-    over OCaml 5 [Domain]s then hands each domain a chunk of that order
-    with one [fetch_and_add]: 64 positions, fewer in sweeps under 1,024
-    cases, whatever the domain count. The domain evaluates the chunk with
-    one {!Property.run_batch} call: each case resumes from the runner
+    so cases that agree on their first rounds are adjacent.
+    {!Ftss_profile.Pool.run} then hands each domain chunks of that order
+    (their size depends on the sweep alone, never on the domain count).
+    The domain evaluates a chunk with one {!Property.run_batch} call: each case resumes from the runner
     state after the last round it shares with the case before it, so a
     shared prefix is simulated once per chunk. For each case the domain
-    consults its {e own} fingerprint table — no lock anywhere on the
-    per-case path — and either reuses the verdict of an isomorphic
-    earlier run (a {e dedup hit}) or evaluates the property and
-    publishes it. Verdicts are pure functions of the
+    consults its {e own} fingerprint table ({!Property.cached_verdict}) —
+    no lock anywhere on the per-case path — and either reuses the verdict
+    of an isomorphic earlier run (a {e dedup hit}) or evaluates the
+    property and publishes it. Verdicts are pure functions of the
     fingerprinted execution, so per-domain caching can only cost
     recomputation, never change a result. Results land in a per-case
     slot array and the dedup/distinct statistics are recomputed from the
@@ -52,8 +51,8 @@ type stats = {
 }
 
 (** [run ?obs ~domains ?canonical property cases] explores every case.
-    [domains] defaults to 1 and is clamped to [1..64]; asking for more
-    domains than cores is legal (merely oversubscribed). The returned
+    [domains] defaults to 1 and is resolved by {!Ftss_profile.Pool.domains}
+    ([<= 0] means every available core; clamped to [1..64]). The returned
     [result] array is indexed like [cases].
 
     With [canonical = true] (default false), cases are first grouped by
@@ -69,8 +68,7 @@ type stats = {
     [cases /. orbits] is the symmetry-reduction factor.
 
     With [profile], each domain records its work-queue lifecycle on its
-    own [explore.d<i>] lane — [chunk_claim] laps around the atomic
-    cursor, a [chunk_execute] frame per claimed chunk — and the
+    own [explore.d<i>] lane ({!Ftss_profile.Pool.run}), and the
     post-join fingerprint merge and verdict scatter are spanned as
     [chunk_merge] on [explore.main]. Unset, the instrumentation is one
     option test per chunk.
@@ -93,9 +91,6 @@ val run :
   Property.t ->
   Schedule_enum.t array ->
   stats * result array
-
-(** [Domain.recommended_domain_count ()]. *)
-val available : unit -> int
 
 val runs_per_sec : stats -> float
 val states_per_sec : stats -> float

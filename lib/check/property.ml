@@ -13,6 +13,16 @@ type run = {
   verdict : verdict Lazy.t;
 }
 
+(* Equal fingerprints imply equal verdicts, so a hit can only save the
+   verdict's evaluation, never change it. *)
+let cached_verdict cache r =
+  match Hashtbl.find_opt cache r.fingerprint with
+  | Some v -> (v, true)
+  | None ->
+    let v = Lazy.force r.verdict in
+    Hashtbl.add cache r.fingerprint v;
+    (v, false)
+
 (* The adversary interface the theorem runners actually consume: a
    compiled fault schedule plus the two corruption views (raw integer
    rewriting for the synchronous theorems, a magnitude bound for the

@@ -47,6 +47,12 @@ type run = {
   verdict : verdict Lazy.t;
 }
 
+(** [cached_verdict cache r] is [r]'s verdict and whether [cache] already
+    held it under [r.fingerprint]. On a miss it forces [r.verdict] and
+    stores it. By the fingerprint contract above a hit returns the verdict
+    [r.verdict] would have produced. *)
+val cached_verdict : (string, verdict) Hashtbl.t -> run -> verdict * bool
+
 (** The adversary interface the theorem runners consume — what any case,
     catalogued or fuzzed, compiles down to: a fault schedule, the raw
     integer corruption used by the synchronous theorems, the (rng seed,

@@ -74,6 +74,50 @@ module Sexp = struct
     | Ok v ->
       skip_ws ();
       if !pos = len then Ok v else Error "trailing input after the document"
+
+  (* --- clause helpers: [(label value ...)] lists --- *)
+
+  let ( let* ) = Result.bind
+  let sexp_int label i = List [ Atom label; Atom (string_of_int i) ]
+  let sexp_bool label b = List [ Atom label; Atom (string_of_bool b) ]
+
+  let field name = function
+    | List (Atom tag :: rest) when tag = name -> Some rest
+    | _ -> None
+
+  let find_field name items =
+    match List.find_map (field name) items with
+    | Some rest -> Ok rest
+    | None -> Error (Printf.sprintf "missing (%s ...) clause" name)
+
+  let as_int label = function
+    | Atom v -> (
+      match int_of_string_opt v with
+      | Some i -> Ok i
+      | None -> Error (Printf.sprintf "(%s %s): not an integer" label v))
+    | List _ -> Error (Printf.sprintf "(%s ...): expected an integer atom" label)
+
+  let int_field name items =
+    let* rest = find_field name items in
+    match rest with
+    | [ x ] -> as_int name x
+    | _ -> Error (Printf.sprintf "(%s ...): expected a single integer" name)
+
+  let bool_field name items =
+    let* rest = find_field name items in
+    match rest with
+    | [ Atom v ] -> (
+      match bool_of_string_opt v with
+      | Some b -> Ok b
+      | None -> Error (Printf.sprintf "(%s %s): not a boolean" name v))
+    | _ -> Error (Printf.sprintf "(%s ...): expected a single boolean" name)
+
+  let rec collect f = function
+    | [] -> Ok []
+    | x :: rest ->
+      let* v = f x in
+      let* vs = collect f rest in
+      Ok (v :: vs)
 end
 
 open Sexp
@@ -82,9 +126,6 @@ let pp_sexp = Sexp.pp
 let parse_sexp = Sexp.parse
 
 (* --- writing --- *)
-
-let sexp_int label i = List [ Atom label; Atom (string_of_int i) ]
-let sexp_bool label b = List [ Atom label; Atom (string_of_bool b) ]
 
 let sexp_of_behavior (pid, behavior) =
   match behavior with
@@ -134,36 +175,9 @@ let to_string t = Format.asprintf "%a@." pp_sexp (to_sexp t)
 
 let ( let* ) = Result.bind
 
-let field name = function
-  | List (Atom tag :: rest) when tag = name -> Some rest
-  | _ -> None
-
-let find_field name items =
-  match List.find_map (field name) items with
-  | Some rest -> Ok rest
-  | None -> Error (Printf.sprintf "missing (%s ...) clause" name)
-
-let as_int label = function
-  | [ Atom v ] -> (
-    match int_of_string_opt v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "(%s %s): not an integer" label v))
-  | _ -> Error (Printf.sprintf "(%s ...): expected a single integer" label)
-
-let as_bool label = function
-  | [ Atom v ] -> (
-    match bool_of_string_opt v with
-    | Some b -> Ok b
-    | None -> Error (Printf.sprintf "(%s %s): not a boolean" label v))
-  | _ -> Error (Printf.sprintf "(%s ...): expected a single boolean" label)
-
 let as_atom label = function
   | [ Atom v ] -> Ok v
   | _ -> Error (Printf.sprintf "(%s ...): expected a single atom" label)
-
-let int_field name items =
-  let* rest = find_field name items in
-  as_int name rest
 
 let behavior_of_sexp = function
   | List (Atom kind :: fields) -> (
@@ -202,13 +216,6 @@ let corruption_of_sexp = function
     | Some k -> Ok (S.Parked k)
     | None -> Error "(parked ...): not an integer")
   | _ -> Error "malformed (corruption ...) clause"
-
-let rec collect_behaviors = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* b = behavior_of_sexp x in
-    let* bs = collect_behaviors rest in
-    Ok (b :: bs)
 
 let check_case (case : S.t) =
   let { S.n; rounds; f; _ } = case.S.params in
@@ -266,21 +273,15 @@ let of_string s =
       let* n = int_field "n" param_fields in
       let* rounds = int_field "rounds" param_fields in
       let* f = int_field "f" param_fields in
-      let* intervals =
-        let* rest = find_field "intervals" param_fields in
-        as_bool "intervals" rest
-      in
-      let* drops =
-        let* rest = find_field "drops" param_fields in
-        as_bool "drops" rest
-      in
+      let* intervals = bool_field "intervals" param_fields in
+      let* drops = bool_field "drops" param_fields in
       let* corruption =
         let* rest = find_field "corruption" items in
         corruption_of_sexp rest
       in
       let* behaviors =
         let* rest = find_field "schedule" items in
-        collect_behaviors rest
+        collect behavior_of_sexp rest
       in
       let* case =
         check_case

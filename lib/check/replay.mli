@@ -31,6 +31,36 @@ module Sexp : sig
   (** [parse s] parses exactly one document; leftover non-whitespace
       input is an error, never silently ignored. *)
   val parse : string -> (t, string) result
+
+  (** {1 Clauses}
+
+      A document is a list of [(label value ...)] clauses. *)
+
+  (** [sexp_int label i] is the clause [(label i)]. *)
+  val sexp_int : string -> int -> t
+
+  (** [sexp_bool label b] is the clause [(label b)]. *)
+  val sexp_bool : string -> bool -> t
+
+  (** [field name x] is [Some values] when [x] is [(name values...)]. *)
+  val field : string -> t -> t list option
+
+  (** [find_field name items] is the values of the first [(name ...)]
+      clause in [items]. *)
+  val find_field : string -> t list -> (t list, string) result
+
+  (** [as_int label x] reads the integer atom [x]; [label] names it in
+      the error. *)
+  val as_int : string -> t -> (int, string) result
+
+  (** [int_field name items] reads the clause [(name i)]. *)
+  val int_field : string -> t list -> (int, string) result
+
+  (** [bool_field name items] reads the clause [(name b)]. *)
+  val bool_field : string -> t list -> (bool, string) result
+
+  (** [collect f xs] maps [f] over [xs], stopping at the first error. *)
+  val collect : ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
 end
 
 type t = {

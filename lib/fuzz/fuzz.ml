@@ -40,59 +40,12 @@ let shrink_genome prop g =
   Ftss_check.Shrink.fixpoint ~fails:(genome_fails prop)
     ~candidates:Mutate.reductions g
 
-(* One parallel batch: evaluate every genome, returning (fingerprint,
-   signature, verdict) per slot. Per-domain caches (persistent across
-   batches) skip re-forcing the verdict for fingerprints the domain has
-   seen — the verdict is a pure function of the fingerprinted execution
-   (the same dedup contract the exhaustive explorer relies on), so a
-   cache hit can only save work, never change a result. The round
-   signature is NOT cached: it is a finer observation than the
-   fingerprint (two runs in one dedup class can differ in it), so it is
-   recomputed for every genome — which keeps the merge below
-   deterministic whatever the domain count or interleaving. *)
-let eval_batch ~domains ~caches (prop : P.t) (genomes : Mutate.t array) =
-  let len = Array.length genomes in
-  let results = Array.make len None in
-  let next = Atomic.make 0 in
-  let chunk = max 1 (min 64 (len / (domains * 8))) in
-  let worker d () =
-    let cache = caches.(d) in
-    let rec claim () =
-      let first = Atomic.fetch_and_add next chunk in
-      if first < len then begin
-        let limit = min len (first + chunk) in
-        for i = first to limit - 1 do
-          let r = prop.P.run_adv (Mutate.to_adversary genomes.(i)) in
-          let verdict =
-            match Hashtbl.find_opt cache r.P.fingerprint with
-            | Some v -> v
-            | None ->
-              let v = Lazy.force r.P.verdict in
-              Hashtbl.add cache r.P.fingerprint v;
-              v
-          in
-          results.(i) <- Some (r.P.fingerprint, Lazy.force r.P.signature, verdict)
-        done;
-        claim ()
-      end
-    in
-    claim ()
-  in
-  (if domains = 1 || len < 2 then worker 0 ()
-   else begin
-     let spawned =
-       Array.init (domains - 1) (fun d -> Domain.spawn (fun () -> worker (d + 1) ()))
-     in
-     worker 0 ();
-     Array.iter Domain.join spawned
-   end);
-  Array.map (function Some r -> r | None -> assert false) results
-
 let run ?obs ?profile (config : config) (prop : P.t) =
   let module Prof = Ftss_profile.Profile in
   (* One lane for the whole campaign: generation is single-threaded and
      each eval batch is spanned as a unit from the coordinating domain,
-     so per-domain lanes would add nothing but lock traffic. *)
+     so per-domain pool lanes would add nothing but lock traffic: the
+     batches run through [Pool.run] without [?profile]. *)
   let lane = Option.map (fun t -> Prof.lane t "fuzz") profile in
   let pspan phase f =
     match lane with
@@ -103,10 +56,7 @@ let run ?obs ?profile (config : config) (prop : P.t) =
       ignore (Prof.leave l);
       r
   in
-  let domains =
-    let d = if config.domains <= 0 then Ftss_check.Explore.available () else config.domains in
-    max 1 (min d 64)
-  in
+  let domains = Ftss_profile.Pool.domains config.domains in
   (* The effective genome space: the property's [restrict] applied to the
      catalogue view of [config.params], mapped back. Theorem 5 thereby
      turns off drops exactly as it does for the exhaustive checker. *)
@@ -137,7 +87,25 @@ let run ?obs ?profile (config : config) (prop : P.t) =
        CI run's artifact at a few MB). Coverage accounting continues
        past the cap. *)
     let corpus = Corpus.create ~max_entries:4096 () in
+    (* One parallel batch: evaluate every genome, returning (fingerprint,
+       signature, verdict) per slot. Per-domain verdict caches persist
+       across batches (the dedup contract of {!P.cached_verdict}). The
+       round signature is NOT cached: it is a finer observation than the
+       fingerprint (two runs in one dedup class can differ in it), so it
+       is recomputed for every genome — which keeps the merge below
+       deterministic whatever the domain count or interleaving. *)
     let caches = Array.init domains (fun _ -> Hashtbl.create 256) in
+    let evaluate genomes =
+      let results = Array.make (Array.length genomes) None in
+      Ftss_profile.Pool.run ~lane:"fuzz" ~domains (Array.length genomes)
+        (fun ~domain ~first ~limit ->
+          for i = first to limit - 1 do
+            let r = prop.P.run_adv (Mutate.to_adversary genomes.(i)) in
+            let verdict, _ = P.cached_verdict caches.(domain) r in
+            results.(i) <- Some (r.P.fingerprint, Lazy.force r.P.signature, verdict)
+          done);
+      Array.map Option.get results
+    in
     let execs = ref 0 in
     let curve = ref [] in
     let rev_violations = ref [] in
@@ -190,7 +158,7 @@ let run ?obs ?profile (config : config) (prop : P.t) =
       | _ -> seeds
     in
     pspan Prof.Phase.fuzz_seed (fun () ->
-        merge ~seed_phase:true seeds (eval_batch ~domains ~caches prop seeds));
+        merge ~seed_phase:true seeds (evaluate seeds));
     let seed_execs = !execs in
     (* Phase B: mutation batches. Generation is single-threaded from the
        seeded generator and depends only on the corpus as merged so far,
@@ -224,7 +192,7 @@ let run ?obs ?profile (config : config) (prop : P.t) =
         let parents = Array.of_list (Corpus.entries corpus) in
         let batch = pspan Prof.Phase.fuzz_mutate (fun () -> mutants parents k) in
         pspan Prof.Phase.fuzz_verify (fun () ->
-            merge ~seed_phase:false batch (eval_batch ~domains ~caches prop batch));
+            merge ~seed_phase:false batch (evaluate batch));
         loop ()
       end
     in

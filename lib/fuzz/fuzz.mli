@@ -17,8 +17,8 @@
       execution fingerprint or new per-round signature word) enter the
       corpus — capped at 4096 entries — and become parents.
 
-    Batches evaluate in parallel over OCaml 5 domains with the chunked
-    atomic work-claiming of {!Ftss_check.Explore}, but generation and
+    Batches evaluate in parallel over OCaml 5 domains through
+    {!Ftss_profile.Pool.run}, but generation and
     the coverage/violation merge are single-threaded and in batch order,
     so the outcome — corpus, coverage curve, violations — is
     deterministic and independent of the domain count; only wall-clock
@@ -37,7 +37,7 @@ type budget =
 type config = {
   seed : int;
   budget : budget;
-  domains : int;  (** [<= 0] = one per recommended core, clamped to 64 *)
+  domains : int;  (** resolved by {!Ftss_profile.Pool.domains} *)
   params : Mutate.params;  (** the adversary space (pre-[restrict]) *)
   corpus_dir : string option;
       (** load persisted entries before seeding, save the final corpus

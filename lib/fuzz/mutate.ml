@@ -442,87 +442,48 @@ let pp ppf t =
   List.iter (fun (p, v) -> Format.fprintf ppf " corrupt(%a=%d)" Pid.pp p v) t.corrupt;
   Format.fprintf ppf "@]"
 
-let sexp_int label i = Sexp.List [ Sexp.Atom label; Sexp.Atom (string_of_int i) ]
-let sexp_bool label b = Sexp.List [ Sexp.Atom label; Sexp.Atom (string_of_bool b) ]
-
 let to_sexp t =
   let { n; rounds; f; allow_drops } = t.params in
-  Sexp.List
+  let open Sexp in
+  List
     [
-      Sexp.Atom "ftss-genome";
+      Atom "ftss-genome";
       sexp_int "version" 1;
-      Sexp.List
+      List
         [
-          Sexp.Atom "params";
+          Atom "params";
           sexp_int "n" n;
           sexp_int "rounds" rounds;
           sexp_int "f" f;
           sexp_bool "allow-drops" allow_drops;
         ];
-      Sexp.List
-        (Sexp.Atom "faulty"
-        :: List.map (fun p -> Sexp.Atom (string_of_int p)) (Pidset.to_list t.faulty));
-      Sexp.List
-        (Sexp.Atom "crashes"
+      List
+        (Atom "faulty"
+        :: List.map (fun p -> Atom (string_of_int p)) (Pidset.to_list t.faulty));
+      List
+        (Atom "crashes"
         :: List.map
-             (fun (p, r) -> Sexp.List [ sexp_int "pid" p; sexp_int "round" r ])
+             (fun (p, r) -> List [ sexp_int "pid" p; sexp_int "round" r ])
              t.crashes);
-      Sexp.List
-        (Sexp.Atom "drops"
+      List
+        (Atom "drops"
         :: List.map
              (fun (r, src, dst) ->
-               Sexp.List [ sexp_int "round" r; sexp_int "src" src; sexp_int "dst" dst ])
+               List [ sexp_int "round" r; sexp_int "src" src; sexp_int "dst" dst ])
              t.drops);
-      Sexp.List
-        (Sexp.Atom "corrupt"
+      List
+        (Atom "corrupt"
         :: List.map
-             (fun (p, v) -> Sexp.List [ sexp_int "pid" p; sexp_int "value" v ])
+             (fun (p, v) -> List [ sexp_int "pid" p; sexp_int "value" v ])
              t.corrupt);
     ]
 
 let to_string t = Format.asprintf "%a@." Sexp.pp (to_sexp t)
 
-let field name = function
-  | Sexp.List (Sexp.Atom tag :: rest) when tag = name -> Some rest
-  | _ -> None
-
-let find_field name items =
-  match List.find_map (field name) items with
-  | Some rest -> Ok rest
-  | None -> Error (Printf.sprintf "missing (%s ...) clause" name)
-
-let as_int label = function
-  | Sexp.Atom v -> (
-    match int_of_string_opt v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "(%s %s): not an integer" label v))
-  | Sexp.List _ -> Error (Printf.sprintf "(%s ...): expected an integer atom" label)
-
-let int_field name items =
-  let* rest = find_field name items in
-  match rest with
-  | [ x ] -> as_int name x
-  | _ -> Error (Printf.sprintf "(%s ...): expected a single integer" name)
-
-let bool_field name items =
-  let* rest = find_field name items in
-  match rest with
-  | [ Sexp.Atom v ] -> (
-    match bool_of_string_opt v with
-    | Some b -> Ok b
-    | None -> Error (Printf.sprintf "(%s %s): not a boolean" name v))
-  | _ -> Error (Printf.sprintf "(%s ...): expected a single boolean" name)
-
-let rec collect f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* v = f x in
-    let* vs = collect f rest in
-    Ok (v :: vs)
-
 let of_sexp sexp =
+  let open Sexp in
   match sexp with
-  | Sexp.List (Sexp.Atom "ftss-genome" :: items) ->
+  | List (Atom "ftss-genome" :: items) ->
     let* version = int_field "version" items in
     if version <> 1 then Error (Printf.sprintf "unsupported genome version %d" version)
     else
@@ -542,34 +503,34 @@ let of_sexp sexp =
       let* crashes =
         collect
           (function
-            | Sexp.List fields ->
+            | List fields ->
               let* p = int_field "pid" fields in
               let* r = int_field "round" fields in
               Ok (p, r)
-            | Sexp.Atom _ -> Error "malformed crash entry")
+            | Atom _ -> Error "malformed crash entry")
           crash_items
       in
       let* drop_items = find_field "drops" items in
       let* drops =
         collect
           (function
-            | Sexp.List fields ->
+            | List fields ->
               let* r = int_field "round" fields in
               let* src = int_field "src" fields in
               let* dst = int_field "dst" fields in
               Ok (r, src, dst)
-            | Sexp.Atom _ -> Error "malformed drop entry")
+            | Atom _ -> Error "malformed drop entry")
           drop_items
       in
       let* corrupt_items = find_field "corrupt" items in
       let* corrupt =
         collect
           (function
-            | Sexp.List fields ->
+            | List fields ->
               let* p = int_field "pid" fields in
               let* v = int_field "value" fields in
               Ok (p, v)
-            | Sexp.Atom _ -> Error "malformed corrupt entry")
+            | Atom _ -> Error "malformed corrupt entry")
           corrupt_items
       in
       let t = { params; faulty = Pidset.of_list faulty_pids; crashes; drops; corrupt } in

@@ -502,25 +502,33 @@ let merge_reports ~(params : params) ~wall_seconds
 let run_sharded ?obs ?profile ?(domains = 1) ~shards ~spec (params : params) =
   if shards < 1 then invalid_arg "Service.run_sharded: shards < 1";
   let module Prof = Ftss_profile.Profile in
-  let shard_lane i =
-    Option.map (fun t -> Prof.lane t (Printf.sprintf "svc.shard%d" i)) profile
-  in
-  let thunks =
+  let lanes =
     Array.init shards (fun i ->
-        let lane = shard_lane i in
-        fun () ->
-          let wl = Workload.create ~n:params.n (shard_spec spec ~shards ~shard:i) in
-          (* No [obs] inside shards: the observability pipeline is not
-             domain-safe, and per-shard streams would interleave
-             nondeterministically. Shard summaries are exported as gauges
-             after the merge instead. Profiler lanes are domain-safe by
-             construction (one lane per shard, each owned by whichever
-             domain claims the shard). *)
-          run_measured ?profile:lane ~wl (shard_params params ~shard:i))
+        Option.map (fun t -> Prof.lane t (Printf.sprintf "svc.shard%d" i)) profile)
+  in
+  (* Each shard owns its rng, queue and states, so the value a shard
+     computes is a function of its index alone: results land in a slot
+     per shard, bit-identical whatever the domain count or claiming
+     interleaving. *)
+  let parts = Array.make shards None in
+  let run_shard i =
+    let wl = Workload.create ~n:params.n (shard_spec spec ~shards ~shard:i) in
+    (* No [obs] inside shards: the observability pipeline is not
+       domain-safe, and per-shard streams would interleave
+       nondeterministically. Shard summaries are exported as gauges
+       after the merge instead. Profiler lanes are domain-safe by
+       construction (one lane per shard, each owned by whichever domain
+       claims the shard). *)
+    parts.(i) <- Some (run_measured ?profile:lanes.(i) ~wl (shard_params params ~shard:i))
   in
   let t0 = Unix.gettimeofday () in
-  let parts = Sim.run_shards ~domains ?profile thunks in
+  Ftss_profile.Pool.run ?profile ~lane:"shards" ~domains shards
+    (fun ~domain:_ ~first ~limit ->
+      for i = first to limit - 1 do
+        run_shard i
+      done);
   let wall_seconds = Unix.gettimeofday () -. t0 in
+  let parts = Array.map Option.get parts in
   let merge_lane = Option.map (fun t -> Prof.lane t "svc.main") profile in
   (match merge_lane with Some l -> Prof.enter l Prof.Phase.chunk_merge | None -> ());
   let report, _ = merge_reports ~params ~wall_seconds parts in

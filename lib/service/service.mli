@@ -84,8 +84,9 @@ val run :
 (** [run_sharded ?obs ?domains ~shards ~spec params] partitions the
     workload spec into [shards] independent replica towers (ops and
     sessions split evenly, per-shard generator and simulation seeds mixed
-    from the base seeds) and executes them on [domains] domains via
-    {!Ftss_async.Sim.run_shards}. The partition and every shard's
+    from the base seeds) and executes them on [domains] domains
+    ({!Ftss_profile.Pool.run}; [domains] defaults to 1 and is resolved by
+    {!Ftss_profile.Pool.domains}). The partition and every shard's
     simulation depend only on [(spec, params, shards)] — [domains] is
     pure executor parallelism — so the merged report's
     {!report_digest} is bit-identical for any domain count.
@@ -107,7 +108,7 @@ val run :
     With [profile], each shard's tower records onto its own lane
     ([svc.shard<i>], domain-safe because exactly one domain executes a
     shard), the executor's chunk lifecycle lands on the [shards.d<i>]
-    lanes via {!Ftss_async.Sim.run_shards}, and the post-join report
+    lanes via {!Ftss_profile.Pool.run}, and the post-join report
     merge is spanned as [chunk_merge] on [svc.main]. *)
 val run_sharded :
   ?obs:Ftss_obs.Obs.t ->

@@ -7,10 +7,13 @@
    (Profile.check); the buffered span cap drops spans but never calls;
    coalesced phases flush their open window into exact totals; and the
    three export surfaces (Chrome-trace JSON, folded stacks, bench
-   gauges) agree with the totals they are derived from. *)
+   gauges) agree with the totals they are derived from. The domain pool
+   the explorer, fuzzer and sharded runner share records onto the
+   profiler, so its chunk contract is pinned here too. *)
 
 open Ftss_obs
 module P = Ftss_profile.Profile
+module Pool = Ftss_profile.Pool
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -252,6 +255,54 @@ let test_gauges_match_totals () =
       | None -> Alcotest.failf "profile_self_ms.%s missing" n)
     (P.totals t)
 
+(* --- the domain pool --- *)
+
+(* Every position is handed out exactly once, in chunks that depend on
+   the length alone, to workers numbered below the resolved domain
+   count; with a profiler, each chunk is one [chunk_execute] span. *)
+let test_pool () =
+  List.iter
+    (fun len ->
+      let chunk_sets =
+        List.map
+          (fun d ->
+            let name = Printf.sprintf "len=%d d=%d" len d in
+            let lock = Mutex.create () in
+            let chunks = ref [] in
+            let t = P.create () in
+            Pool.run ~profile:t ~lane:"pool" ~domains:d len (fun ~domain ~first ~limit ->
+                Mutex.protect lock (fun () -> chunks := (domain, first, limit) :: !chunks));
+            List.iter
+              (fun (domain, _, _) ->
+                check (name ^ ": domain in range") true
+                  (0 <= domain && domain < Pool.domains d))
+              !chunks;
+            let hits = Array.make len 0 in
+            List.iter
+              (fun (_, first, limit) ->
+                for i = first to limit - 1 do
+                  hits.(i) <- hits.(i) + 1
+                done)
+              !chunks;
+            check (name ^ ": every position exactly once") true
+              (Array.for_all (( = ) 1) hits);
+            let executes =
+              match
+                List.find_opt (fun pt -> pt.P.pt_phase = P.Phase.chunk_execute) (P.totals t)
+              with
+              | Some pt -> pt.P.pt_calls
+              | None -> 0
+            in
+            check_int (name ^ ": one chunk_execute per chunk") (List.length !chunks) executes;
+            List.sort compare (List.map (fun (_, first, limit) -> (first, limit)) !chunks))
+          [ 1; 2; 3 ]
+      in
+      check (Printf.sprintf "len=%d: same chunks at every domain count" len) true
+        (List.for_all (( = ) (List.hd chunk_sets)) chunk_sets))
+    [ 0; 1; 15; 16; 17; 1000 ];
+  check_int "0 resolves to every core" (Pool.available ()) (Pool.domains 0);
+  check_int "clamped to 64" 64 (Pool.domains 1000)
+
 let suite =
   [
     ( "profile",
@@ -274,5 +325,6 @@ let suite =
           test_folded_matches_totals;
         Alcotest.test_case "gauges mirror totals" `Quick
           test_gauges_match_totals;
+        Alcotest.test_case "pool hands out fixed chunks once each" `Quick test_pool;
       ] );
   ]
