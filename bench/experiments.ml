@@ -1041,7 +1041,7 @@ let e14 m =
     Table.add_row table
       [
         label;
-        (if style.T.recover then "self-stab" else "baseline");
+        (if style.T.stabilizing then "self-stab" else "baseline");
         string_of_int ops;
         string_of_int r.S.unique_ops;
         string_of_int r.S.committed_slots;

@@ -64,19 +64,6 @@ let async_consensus_run ~n =
            (Sim.run config
               (Consensus.process ~n ~style:Consensus.self_stabilizing ~propose ~oracle ()))))
 
-(* Repeated consensus: k instances, one simulation each, all sharing one
-   event-queue arena. *)
-let repeated_propose p i = 100 + (((p * 13) + (i * 7)) mod 50)
-
-let repeated_pooled_queue ~n ~instances =
-  Test.make
-    ~name:(Printf.sprintf "repeated pooled-queue x%d (n=%d)" instances n)
-    (Staged.stage (fun () ->
-         ignore
-           (Repeated.run_async ~n ~seed:3
-              ~style:Ftss_async.Consensus.self_stabilizing
-              ~propose:repeated_propose ~instances ~horizon_per_instance:150 ())))
-
 (* The queue hot path in isolation: one pop-one/push-one cycle at a
    standing population of 4096, calendar vs. the seed binary heap. *)
 let queue_cycle_calendar =
@@ -228,7 +215,6 @@ let tests () =
       esfd_tick ~n:5;
       esfd_tick ~n:9;
       async_consensus_run ~n:5;
-      repeated_pooled_queue ~n:4 ~instances:8;
       queue_cycle_calendar;
       queue_cycle_heap;
       pidset_ops ~n:61;

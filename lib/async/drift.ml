@@ -35,8 +35,8 @@ let spread_bound (config : Sim.config) =
   let _, hi = config.Sim.delay_after_gst in
   2 + ((hi + config.Sim.tick_interval - 1) / config.Sim.tick_interval)
 
-let analyze ?spread_bound:bound (result : (state, observation) Sim.result) ~config =
-  let bound = match bound with Some b -> b | None -> spread_bound config in
+let analyze (result : (state, observation) Sim.result) ~config =
+  let bound = spread_bound config in
   let correct = Sim.correct_set config in
   let latest = Hashtbl.create 8 in
   let last_violation = ref (-1) in

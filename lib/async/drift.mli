@@ -43,7 +43,6 @@ type report = {
     [2 + ceil(max_delay / tick_interval)] for the config's parameters. *)
 val spread_bound : Sim.config -> int
 
-(** [analyze result ~config ?spread_bound] checks neighbourhood agreement
-    over the run; [spread_bound] defaults to {!spread_bound}[ config]. *)
-val analyze :
-  ?spread_bound:int -> (state, observation) Sim.result -> config:Sim.config -> report
+(** [analyze result ~config] checks neighbourhood agreement over the run
+    against {!spread_bound}[ config]. *)
+val analyze : (state, observation) Sim.result -> config:Sim.config -> report

@@ -78,23 +78,6 @@ let create ?(initial_capacity = 256) () =
 let is_empty t = t.size = 0
 let size t = t.size
 
-let clear t =
-  let cap = Array.length t.ntime in
-  for i = 0 to cap - 1 do
-    t.nnext.(i) <- (if i = cap - 1 then -1 else i + 1);
-    t.npayload.(i) <- dummy
-  done;
-  t.free <- 0;
-  Array.fill t.bhead 0 (Array.length t.bhead) (-1);
-  Array.fill t.btail 0 (Array.length t.btail) (-1);
-  t.epoch <- 0;
-  t.cur <- 0;
-  t.win <- 0;
-  t.ohead <- -1;
-  t.otail <- -1;
-  t.size <- 0;
-  t.o_payload <- dummy
-
 let grow_arena t =
   let cap = Array.length t.ntime in
   let cap' = 2 * cap in

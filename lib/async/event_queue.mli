@@ -21,11 +21,6 @@ type 'e t
     never shrink. *)
 val create : ?initial_capacity:int -> unit -> 'e t
 
-(** [clear t] empties the queue, retaining its arena and buckets, so a
-    long-lived driver can reuse one allocation across runs. Payload
-    slots are released (no space leak). *)
-val clear : 'e t -> unit
-
 val is_empty : 'e t -> bool
 val size : 'e t -> int
 

@@ -73,10 +73,6 @@ let max_n = 4096
 let tag_pid tag = (tag lsr 2) land 0xfff
 let tag_dst tag = (tag lsr 14) land 0xfff
 
-type pool = Obj.t Event_queue.t
-
-let pool ?initial_capacity () : pool = Event_queue.create ?initial_capacity ()
-
 let crashed_set config =
   List.fold_left
     (fun acc (p, t) -> if t <= config.horizon then Pidset.add p acc else acc)
@@ -84,20 +80,14 @@ let crashed_set config =
 
 let correct_set config = Pidset.diff (Pidset.full config.n) (crashed_set config)
 
-let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) ?pool
-    config process =
+let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) config
+    process =
   if config.tick_interval < 1 then invalid_arg "Sim.run: tick_interval < 1";
   if config.horizon < 1 then invalid_arg "Sim.run: horizon < 1";
   if config.n < 1 || config.n > max_n then
     invalid_arg (Printf.sprintf "Sim.run: n outside 1..%d" max_n);
   let rng = Rng.create config.seed in
-  let queue =
-    match pool with
-    | Some q ->
-      Event_queue.clear q;
-      q
-    | None -> Event_queue.create ()
-  in
+  let queue = Event_queue.create () in
   let push_deliver ~time ~src ~dst (msg : 'm) =
     Event_queue.push_tagged queue ~time
       ~tag:(kind_deliver lor (src lsl 2) lor (dst lsl 14))

@@ -105,21 +105,7 @@ type ('s, 'o) result = {
     already-crashed processes are ignored. Raises [Invalid_argument] on
     non-positive [tick_interval] or [horizon], an [n] outside
     [1..max_n], a
-    [corrupt_at] time < 1, or a [corrupt_at] pid outside the system.
-
-    [pool], when given, supplies a reusable event-queue arena: the run
-    clears and reuses its buckets and node slots instead of allocating a
-    fresh queue, so a driver executing many simulations back to back
-    (the repeated-consensus benchmarks, the service tower) pays the
-    queue's allocation once. A pool must not be shared between
-    concurrently running simulations. *)
-
-(** A reusable event-queue arena for {!run}'s [?pool] argument. *)
-type pool
-
-(** [pool ?initial_capacity ()] allocates an arena sized for the
-    expected standing event population (it grows on demand). *)
-val pool : ?initial_capacity:int -> unit -> pool
+    [corrupt_at] time < 1, or a [corrupt_at] pid outside the system. *)
 
 val run :
   ?obs:Ftss_obs.Obs.t ->
@@ -128,7 +114,6 @@ val run :
   ?corrupt_at:(time * Pid.t * ('s -> 's)) list ->
   ?drop:(time:time -> src:Pid.t -> dst:Pid.t -> bool) ->
   ?spurious:(time * Pid.t * Pid.t * 'm) list ->
-  ?pool:pool ->
   config ->
   ('s, 'm, 'o) process ->
   ('s, 'o) result

@@ -1,17 +1,16 @@
 type t = {
   mutable rev_entries : (Mutate.t * string) list;  (* (genome, fingerprint) *)
   mutable count : int;
-  max_entries : int;
   fingerprints : (string, unit) Hashtbl.t;
   words : (int, unit) Hashtbl.t;
 }
 
-let create ?(max_entries = max_int) () =
-  if max_entries < 1 then invalid_arg "Corpus.create: max_entries < 1";
+let max_entries = 4096 (* admission cap; why in corpus.mli *)
+
+let create () =
   {
     rev_entries = [];
     count = 0;
-    max_entries;
     fingerprints = Hashtbl.create 256;
     words = Hashtbl.create 1024;
   }
@@ -33,7 +32,7 @@ let observe t ~genome ~fingerprint ~signature =
         grew := true
       end)
     signature;
-  if !grew && t.count < t.max_entries then begin
+  if !grew && t.count < max_entries then begin
     t.rev_entries <- (genome, fingerprint) :: t.rev_entries;
     t.count <- t.count + 1
   end;

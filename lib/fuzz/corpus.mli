@@ -17,14 +17,13 @@
 
 type t
 
-(** [max_entries] bounds the admitted-entry count (default unbounded):
-    once full, coverage is still recorded — {!points} keeps growing and
-    {!observe} still reports growth — but no further genome is admitted.
-    Distinct execution fingerprints are nearly universal under mutation,
-    so an uncapped corpus would admit most inputs; the cap is what keeps
-    the parent pool, the saved directory and CI artifacts bounded.
-    Raises [Invalid_argument] when [max_entries < 1]. *)
-val create : ?max_entries:int -> unit -> t
+(** An empty corpus that admits at most 4096 entries: once full,
+    coverage is still recorded — {!points} keeps growing and {!observe}
+    still reports growth — but no further genome is admitted. Distinct
+    execution fingerprints are nearly universal under mutation, so an
+    uncapped corpus would admit most inputs; the cap is what keeps the
+    parent pool, the saved directory and CI artifacts bounded. *)
+val create : unit -> t
 
 (** Entries in admission order. *)
 val entries : t -> Mutate.t list

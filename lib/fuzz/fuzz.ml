@@ -81,12 +81,7 @@ let run ?obs ?profile (config : config) (prop : P.t) =
   | Ok loaded ->
     let loaded = List.filter (fun g -> g.Mutate.params = gp) loaded in
     let rng = Rng.create config.seed in
-    (* Capped: distinct fingerprints are nearly universal, so an
-       unbounded corpus would admit most mutants — the cap keeps the
-       parent pool and the persisted directory bounded (and a time-boxed
-       CI run's artifact at a few MB). Coverage accounting continues
-       past the cap. *)
-    let corpus = Corpus.create ~max_entries:4096 () in
+    let corpus = Corpus.create () in
     (* One parallel batch: evaluate every genome, returning (fingerprint,
        signature, verdict) per slot. Per-domain verdict caches persist
        across batches (the dedup contract of {!P.cached_verdict}). The

@@ -85,63 +85,3 @@ let count_agreeing_iterations trace ~faulty ~valid =
     List.length (List.filter (round_satisfies_sigma trace ~faulty ~valid) grouped)
   in
   (List.length grouped, agreeing)
-
-(* --- Repeated asynchronous consensus: one simulation per instance --- *)
-
-module Consensus = Ftss_async.Consensus
-module Sim = Ftss_async.Sim
-module Ewfd = Ftss_async.Ewfd
-
-type async_outcome = {
-  instances_decided : int;
-  decisions : int;
-  disagreements : int;
-  end_time : int;
-}
-
-let async_config ~n ~seed ~horizon =
-  {
-    (Sim.default_config ~n ~seed) with
-    Sim.gst = 50;
-    horizon;
-    tick_interval = 10;
-    delay_before_gst = (1, 20);
-    delay_after_gst = (1, 4);
-  }
-
-let async_oracle ~n ~seed ~gst =
-  Ewfd.make (Rng.create seed) ~n ~crashed:(fun _ -> None) ~gst ~trusted:0
-    ~noise:0.1
-
-let run_async ?obs ~n ~seed ~style ~propose ~instances ~horizon_per_instance () =
-  (* Every instance gets its own config, oracle and rng seeds; only the
-     event-queue arena is shared, cleared and reused between them. *)
-  let pool = Sim.pool () in
-  let decided = ref 0 and total = ref 0 and split = ref 0 and end_time = ref 0 in
-  for i = 0 to instances - 1 do
-    let config =
-      async_config ~n ~seed:(seed + (2 * i)) ~horizon:(50 + horizon_per_instance)
-    in
-    let oracle =
-      async_oracle ~n ~seed:(seed + (2 * i) + 1) ~gst:config.Sim.gst
-    in
-    (* Each simulation hosts logical instance [i]: shift the proposal
-       function so instance [i] consumes proposal stream [i]. *)
-    let propose p j = propose p (i + j) in
-    let result =
-      Sim.run ?obs ~pool config
-        (Consensus.process ?obs ~n ~style ~propose ~oracle ())
-    in
-    let ds = Consensus.decisions result in
-    if List.exists (fun d -> d.Consensus.d_instance = 0) ds then incr decided;
-    total := !total + List.length ds;
-    let grouped = Consensus.per_instance ds ~correct:(Sim.correct_set config) in
-    split := !split + List.length (Consensus.disagreements grouped);
-    end_time := max !end_time result.Sim.end_time
-  done;
-  {
-    instances_decided = !decided;
-    decisions = !total;
-    disagreements = !split;
-    end_time = !end_time;
-  }

@@ -7,7 +7,11 @@
     all of them decide, the decisions are equal, and the decision is a
     legal value. This module extracts iteration completions from compiled
     traces and packages Σ⁺ as a {!Ftss_core.Spec.t} usable with
-    {!Ftss_core.Solve.ftss_solves}. *)
+    {!Ftss_core.Solve.ftss_solves}.
+
+    Everything here is synchronous. The asynchronous §3 protocol repeats
+    consensus inside one simulation, and its one driver is
+    [Ftss_async.Consensus]. *)
 
 open Ftss_util
 
@@ -62,40 +66,3 @@ val count_agreeing_iterations :
   faulty:Pidset.t ->
   valid:('d -> bool) ->
   int * int
-
-(** {2 Repeated asynchronous consensus driver}
-
-    The async §3 protocol already repeats internally (instance 0, 1, 2,
-    ... inside one {!Ftss_async.Sim} run); the service tower builds on
-    that. This driver runs each instance in a simulation of its own
-    (config, channels, detector oracle), all sharing one
-    {!Ftss_async.Sim.pool}, so the event-queue arena is cleared and
-    reused rather than reallocated per instance. *)
-
-type async_outcome = {
-  instances_decided : int;  (** instances with at least one decision *)
-  decisions : int;  (** total decision records across all processes *)
-  disagreements : int;
-      (** internal instances, summed over the simulations, on which two
-          correct processes decided differently *)
-  end_time : int;  (** latest simulated clock reached *)
-}
-
-(** [run_async ~n ~seed ~style ~propose ~instances ~horizon_per_instance
-    ()] runs [instances] simulations of [horizon_per_instance] time units
-    (plus the GST prefix); simulation [i] has seeds derived from
-    [seed + 2i] and hosts logical instance [i], proposing [propose p
-    (i + j)] for its internal instance [j]. An instance counts as decided
-    when its simulation decides its first internal instance. Reusing the
-    pool changes only the allocation profile: outcomes are those of
-    fresh pools. *)
-val run_async :
-  ?obs:Ftss_obs.Obs.t ->
-  n:int ->
-  seed:int ->
-  style:Ftss_async.Consensus.style ->
-  propose:(Pid.t -> int -> int) ->
-  instances:int ->
-  horizon_per_instance:int ->
-  unit ->
-  async_outcome

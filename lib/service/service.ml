@@ -568,7 +568,7 @@ let pp_report ppf r =
      throughput: %.0f committed ops/s (wall %.2fs, sim end t=%d)@,\
      recoveries=%d delivered=%d dropped=%d@]"
     r.n
-    (if r.style.Tob.recover then "self-stabilizing" else "baseline")
+    (if r.style.Tob.stabilizing then "self-stabilizing" else "baseline")
     r.submitted r.unique_ops r.committed_ops r.committed_slots r.converged
     r.slots_agreeing r.slots_checked pp_lat r.latency r.throughput r.wall_seconds
     r.end_time r.recoveries r.delivered r.dropped

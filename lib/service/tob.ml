@@ -8,10 +8,10 @@ module Mv_consensus = Ftss_async.Mv_consensus
    their digests, checkpointed digest gossip that detects cross-replica
    divergence, and majority-directed state transfer that repairs it. *)
 
-type style = { retransmit : bool; recover : bool }
+type style = { stabilizing : bool }
 
-let self_stabilizing = { retransmit = true; recover = true }
-let baseline = { retransmit = false; recover = false }
+let self_stabilizing = { stabilizing = true }
+let baseline = { stabilizing = false }
 
 type batch = Kv.op array
 
@@ -36,7 +36,6 @@ type t = {
   self : Pid.t;
   style : style;
   batch_max : int;
-  checkpoint : int;
   obs : Ftss_obs.Obs.t option;
   prof : Ftss_profile.Profile.lane option;
   (* the committed log: [0, committed) of [log] is live; [pdig.(i)] is
@@ -84,6 +83,7 @@ let no_op = { Kv.id = -1; kind = Kv.Get; key = 0; v1 = 0; v2 = 0 } (* filler *)
 let pull_patience = 5 (* ticks before an unanswered pull may be retried *)
 let audit_interval = 64 (* ticks between self-audits *)
 let audit_window = 32 (* log slots re-validated per audit *)
+let checkpoint = 64 (* digest-gossip granularity in slots *)
 
 (* --- bitsets over op ids --- *)
 
@@ -130,7 +130,7 @@ let ensure_log_cap t k =
     t.pdig <- pdig
   end
 
-let cp_of t len = len - (len mod t.checkpoint)
+let cp_of len = len - (len mod checkpoint)
 
 (* --- observability --- *)
 
@@ -163,11 +163,9 @@ let guard_of t =
 
 let refresh_guard t = t.guard <- guard_of t
 
-let create ?obs ?profile ~n ~self ~style ~batch_max ?(checkpoint = 64)
-    ?(id_hint = 1024) () =
+let create ?obs ?profile ~n ~self ~style ~batch_max ?(id_hint = 1024) () =
   if n < 1 then invalid_arg "Tob.create: n < 1";
   if batch_max < 1 then invalid_arg "Tob.create: batch_max < 1";
-  if checkpoint < 1 then invalid_arg "Tob.create: checkpoint < 1";
   let bytes = max 16 ((id_hint lsr 3) + 1) in
   let t =
     {
@@ -175,7 +173,6 @@ let create ?obs ?profile ~n ~self ~style ~batch_max ?(checkpoint = 64)
       self;
       style;
       batch_max;
-      checkpoint;
       obs;
       prof = profile;
       log = Array.make 64 [||];
@@ -320,7 +317,7 @@ let make_batch t =
    recovery, or catch-up) snapshots only the last one: nothing reads
    [kvh]/[kv_cp] in between, and each snapshot is a full table scan. *)
 let apply_forward t ~now =
-  let last_cp = cp_of t t.committed in
+  let last_cp = cp_of t.committed in
   while t.applied < t.committed do
     Kv.apply_batch t.kv t.log.(t.applied);
     t.applied <- t.applied + 1;
@@ -383,13 +380,17 @@ let decide t ~now batch =
 
 (* --- recovery --- *)
 
-(* Rebuild every derived structure from the log — the single repair
-   primitive behind both local recovery (after a detected corruption) and
-   truncating state transfer. [log] and [committed] are taken as the new
-   ground truth; prefix digests, the KV state, both bitsets and the
-   pending queue are recomputed from them. *)
-let rebuild_from_log t ~now =
-  ensure_log_cap t t.committed;
+(* One recovery episode, whatever triggered it: a guard or audit
+   mismatch, adopting a peer's log, or a KV divergence under an agreeing
+   log. [committed] is clamped into the structurally possible range;
+   then [log] and [committed] are taken as the new ground truth, and
+   prefix digests, the KV state, both bitsets and the pending queue are
+   recomputed from them. Entries a corruption blanked or garbled become
+   part of the (honestly re-digested) log and are healed by the
+   cross-replica conflict machinery. *)
+let recover t ~now =
+  if t.committed < 0 then t.committed <- 0;
+  if t.committed > Array.length t.log then t.committed <- Array.length t.log;
   t.pdig.(0) <- 0;
   for i = 0 to t.committed - 1 do
     t.pdig.(i + 1) <- Kv.chain t.pdig.(i) (Kv.batch_digest t.log.(i))
@@ -426,16 +427,7 @@ let rebuild_from_log t ~now =
   Array.fill t.peer_cp 0 t.n 0;
   Array.fill t.peer_cpd 0 t.n 0;
   apply_forward t ~now;
-  refresh_guard t
-
-let recover_local t ~now =
-  (* Clamp the summary counters into the structurally possible range,
-     then rebuild everything from the log content. Entries a corruption
-     blanked or garbled become part of the (honestly re-digested) log and
-     are healed by the cross-replica conflict machinery. *)
-  if t.committed < 0 then t.committed <- 0;
-  if t.committed > Array.length t.log then t.committed <- Array.length t.log;
-  rebuild_from_log t ~now;
+  refresh_guard t;
   t.recoveries <- t.recoveries + 1;
   note t (Recovered { slots = t.committed });
   emit t ~now (Ftss_obs.Event.Recover { pid = t.self; slots = t.committed })
@@ -443,9 +435,9 @@ let recover_local t ~now =
 (* The O(1) guard compare runs before every step, so only a mismatch —
    the recovery it triggers — opens a span. *)
 let integrity_check t ~now =
-  if t.style.recover && t.guard <> guard_of t then begin
+  if t.style.stabilizing && t.guard <> guard_of t then begin
     pf_enter t Prof.Phase.svc_integrity;
-    recover_local t ~now;
+    recover t ~now;
     pf_leave t
   end
 
@@ -455,9 +447,9 @@ let integrity_check t ~now =
    cheap guard; local recovery re-digests honestly, after which
    cross-replica gossip repairs any surviving divergence. *)
 let audit t ~now =
-  if t.style.recover && t.ticks mod audit_interval = 0 then begin
+  if t.style.stabilizing && t.ticks mod audit_interval = 0 then begin
     pf_enter t Prof.Phase.svc_audit;
-    if Kv.recompute_digest t.kv <> Kv.digest t.kv then recover_local t ~now
+    if Kv.recompute_digest t.kv <> Kv.digest t.kv then recover t ~now
     else begin
       if t.audit_cursor >= t.committed then t.audit_cursor <- 0;
       let stop = min t.committed (t.audit_cursor + audit_window) in
@@ -467,7 +459,7 @@ let audit t ~now =
       done;
       let ok = !h = t.pdig.(stop) in
       t.audit_cursor <- stop;
-      if not ok then recover_local t ~now
+      if not ok then recover t ~now
     end;
     pf_leave t
   end
@@ -540,10 +532,10 @@ let on_tag t ~src ~len ~round ~cp ~cp_log ~kvh ~kv_d =
       round >= 0
   in
   let judged =
-    t.style.recover
+    t.style.stabilizing
     && (not (Pid.equal src t.self))
     && cp >= 0
-    && cp mod t.checkpoint = 0
+    && cp mod checkpoint = 0
     && cp <= t.committed
   in
   let diverges = judged && t.pdig.(cp) <> cp_log in
@@ -614,10 +606,7 @@ let on_pull_rep t ~now ~src ~from ~entries =
       ensure_log_cap t len;
       Array.blit entries 0 t.log 0 len;
       t.committed <- len;
-      rebuild_from_log t ~now;
-      t.recoveries <- t.recoveries + 1;
-      note t (Recovered { slots = len });
-      emit t ~now (Ftss_obs.Event.Recover { pid = t.self; slots = len });
+      recover t ~now;
       if has_pending t then enter_engine t else []
     end
   end
@@ -735,7 +724,7 @@ let tick t ~now ~suspected =
      (camps of equal weight) are broken by the camps' advertised
      checkpoint digests, so exactly one side moves. A KV conflict under
      an agreeing log is repaired by replaying our own log. *)
-  if t.style.recover then begin
+  if t.style.stabilizing then begin
     if not (Pidset.is_empty t.log_conflict) then begin
       let groups = Hashtbl.create 8 in
       Pidset.iter
@@ -759,7 +748,7 @@ let tick t ~now ~suspected =
       let my_camp = 1 + Pidset.cardinal t.log_agree in
       (match best with
       | Some (theirs, (peer :: _ as ps)) ->
-        let mine = (cp_of t t.committed, t.pdig.(cp_of t t.committed)) in
+        let mine = (cp_of t.committed, t.pdig.(cp_of t.committed)) in
         if
           List.length ps > my_camp
           || (List.length ps = my_camp && compare theirs mine > 0)
@@ -776,13 +765,7 @@ let tick t ~now ~suspected =
         end
       | Some (_, []) | None -> ())
     end
-    else if 2 * Pidset.cardinal t.kv_conflict > alive_others then begin
-      rebuild_from_log t ~now;
-      t.recoveries <- t.recoveries + 1;
-      note t (Recovered { slots = t.committed });
-      emit t ~now (Ftss_obs.Event.Recover { pid = t.self; slots = t.committed });
-      t.kv_conflict <- Pidset.empty
-    end
+    else if 2 * Pidset.cardinal t.kv_conflict > alive_others then recover t ~now
   end;
   (* Drive the current slot's consensus. *)
   pf_enter t Prof.Phase.svc_slot;
@@ -790,7 +773,7 @@ let tick t ~now ~suspected =
   | None -> if has_pending t then push (enter_engine t)
   | Some eng ->
     let eng, mouts, verdict =
-      Mv_consensus.tick eng ~suspected ~retransmit:t.style.retransmit
+      Mv_consensus.tick eng ~suspected ~retransmit:t.style.stabilizing
     in
     t.engine <- Some eng;
     push (map_outs t.committed mouts);
@@ -800,12 +783,12 @@ let tick t ~now ~suspected =
   pf_leave t;
   (* The decision-retransmission superimposition: the latest committed
      slot is re-broadcast every tick, healing single-slot gaps fast. *)
-  if t.style.retransmit && t.committed > 0 then
+  if t.style.stabilizing && t.committed > 0 then
     push
       [ Bcast (Decide { slot = t.committed - 1; batch = t.log.(t.committed - 1) }) ];
   (* The Tag heartbeat: combined round-agreement gossip (Figure 1 lifted
      to (slot, round)), catch-up beacon, and checkpoint digest exchange. *)
-  let cp = cp_of t t.committed in
+  let cp = cp_of t.committed in
   push
     [
       Bcast

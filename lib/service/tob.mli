@@ -30,11 +30,12 @@
 
 open Ftss_util
 
-(** [retransmit] is the paper's per-tick retransmission superimposition
-    (and the per-tick re-broadcast of the latest decision); [recover]
-    enables the guard/audit/conflict-repair machinery. The baseline style
-    disables both — the ablation arm of experiment E14. *)
-type style = { retransmit : bool; recover : bool }
+(** [stabilizing] switches on both self-stabilizing superimpositions
+    together: the paper's per-tick retransmission (with the per-tick
+    re-broadcast of the latest decision) and the guard/audit/conflict-repair
+    machinery. The baseline style has neither — the ablation arm of
+    experiment E14. *)
+type style = { stabilizing : bool }
 
 val self_stabilizing : style
 val baseline : style
@@ -65,8 +66,8 @@ type note =
 
 type t
 
-(** [checkpoint] is the digest-gossip granularity in slots; [id_hint]
-    pre-sizes the op-id bitsets. [profile] attributes the replica's
+(** Digests are gossiped at every 64th slot. [id_hint] pre-sizes the
+    op-id bitsets. [profile] attributes the replica's
     work to the span profiler's [svc_*] phases on the given lane:
     [svc_slot] (consensus stepping, decide, apply), [svc_integrity]
     (local recovery after a guard mismatch), [svc_audit] (the cyclic
@@ -80,7 +81,6 @@ val create :
   self:Pid.t ->
   style:style ->
   batch_max:int ->
-  ?checkpoint:int ->
   ?id_hint:int ->
   unit ->
   t

@@ -52,9 +52,9 @@ let test_queue_rejects_negative_time () =
    The Reference module is the seed binary heap; the calendar queue must
    produce the identical (time, payload) stream on every schedule that
    exercises its structural cases: same-time FIFO runs, epoch rollover,
-   overflow promotion, pushes into the past (window rewind), clear and
-   reuse. Payloads are unique ints so FIFO order within a time is pinned
-   exactly, not just up to time. *)
+   overflow promotion, pushes into the past (window rewind), and reuse
+   after a drain. Payloads are unique ints so FIFO order within a time
+   is pinned exactly, not just up to time. *)
 
 let drain_both q r =
   let rec loop acc =
@@ -71,15 +71,15 @@ let drain_both q r =
 let test_queue_differential_random () =
   (* Interleaved push/pop across several rngs and scales, with times
      spanning far past the initial window so rollover, overflow and
-     bucket growth all trigger; a mid-run drain-to-empty exercises the
-     epoch jump, and each queue pair is cleared and reused once. *)
+     bucket growth all trigger. Each seed runs two rounds, each on a
+     fresh queue pair drained to empty at its end. *)
   List.iter
     (fun seed ->
       let rng = Rng.create seed in
-      let q = Event_queue.create ~initial_capacity:16 () in
-      let r = Event_queue.Reference.create () in
-      let now = ref 0 in
       for round = 0 to 1 do
+        let q = Event_queue.create ~initial_capacity:16 () in
+        let r = Event_queue.Reference.create () in
+        let now = ref 0 in
         for i = 0 to 2_000 do
           (* Mostly future pushes; occasionally land exactly at [now] or
              behind it (legal: only negative absolute time is rejected),
@@ -102,10 +102,7 @@ let test_queue_differential_random () =
           end
         done;
         check_int "sizes agree" (Event_queue.Reference.size r) (Event_queue.size q);
-        ignore (drain_both q r);
-        now := 0;
-        (* Round 2 runs on the cleared arena. *)
-        Event_queue.clear q
+        ignore (drain_both q r)
       done)
     [ 7; 19; 233 ]
 
@@ -149,18 +146,34 @@ let test_queue_differential_epoch_rollover () =
   done;
   ignore (drain_both q r)
 
-let test_queue_clear_retains_nothing () =
-  let q = Event_queue.create () in
-  for i = 0 to 999 do
-    Event_queue.push q ~time:(i * 3) i
-  done;
-  Event_queue.clear q;
-  check "empty after clear" true (Event_queue.is_empty q);
-  check_int "size 0" 0 (Event_queue.size q);
-  check "pop None" true (Event_queue.pop q = None);
-  Event_queue.push q ~time:4 42;
-  Alcotest.(check (option (pair int int))) "usable after clear" (Some (4, 42))
-    (Event_queue.pop q)
+let test_queue_reuse_after_drain () =
+  (* One queue drained to empty several times, far into its timeline:
+     each refill may land behind, inside or past the window the last
+     drain left, and must come out exactly as from a fresh heap. *)
+  let rng = Rng.create 41 in
+  let q = Event_queue.create ~initial_capacity:16 () in
+  for round = 0 to 3 do
+    let r = Event_queue.Reference.create () in
+    let base = Rng.int rng 100_000 in
+    for i = 0 to 999 do
+      let time =
+        match Rng.int rng 4 with
+        | 0 -> Rng.int rng 50
+        | 1 -> base + Rng.int rng 20_000
+        | _ -> base + Rng.int rng 300
+      in
+      let v = (round * 1_000) + i in
+      Event_queue.push q ~time v;
+      Event_queue.Reference.push r ~time v;
+      if Rng.int rng 3 = 0 then
+        match (Event_queue.pop q, Event_queue.Reference.pop r) with
+        | Some (t, a), Some (t', b) -> Alcotest.(check (pair int int)) "interleaved pop" (t', b) (t, a)
+        | _ -> Alcotest.fail "queues diverged on emptiness"
+    done;
+    check_int "sizes agree" (Event_queue.Reference.size r) (Event_queue.size q);
+    ignore (drain_both q r);
+    check "drained" true (Event_queue.is_empty q)
+  done
 
 (* --- Sim engine --- *)
 
@@ -648,7 +661,7 @@ let suite =
         tc "differential vs reference heap (random)" `Quick test_queue_differential_random;
         tc "differential same-time FIFO runs" `Quick test_queue_differential_same_time_runs;
         tc "differential epoch rollover + overflow" `Quick test_queue_differential_epoch_rollover;
-        tc "clear retains nothing" `Quick test_queue_clear_retains_nothing;
+        tc "reusable after draining" `Quick test_queue_reuse_after_drain;
       ] );
     ( "sim",
       [

@@ -166,6 +166,21 @@ let test_corpus_save_load_identity () =
     let sort = List.sort M.compare in
     check "same genomes" true (List.equal M.equal (sort admitted) (sort loaded))
 
+(* The admission cap is 4096 entries: past it, new coverage is still
+   recorded and still reported as growth, but no genome is admitted. *)
+let test_corpus_admission_cap () =
+  let corpus = C.create () in
+  let g = random_genome (Rng.create 3) in
+  for i = 0 to 4_999 do
+    if not (C.observe corpus ~genome:g ~fingerprint:(Printf.sprintf "%08x" i) ~signature:[| i |])
+    then Alcotest.failf "observation %d: new coverage not reported" i
+  done;
+  check_int "admitted up to the cap" 4_096 (C.length corpus);
+  check_int "entries agree with length" 4_096 (List.length (C.entries corpus));
+  check_int "coverage past the cap still counted" 10_000 (C.points corpus);
+  check "known coverage is not growth" false
+    (C.observe corpus ~genome:g ~fingerprint:"00000000" ~signature:[| 0 |])
+
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
   let rec at i = i + n <= m && (String.sub s i n = affix || at (i + 1)) in
@@ -455,6 +470,7 @@ let suite =
         tc "truncated file is a clear error" `Quick test_corpus_truncated_file_is_an_error;
         tc "missing directory is empty" `Quick test_corpus_missing_dir_is_empty;
         tc "golden file format" `Quick test_corpus_golden_format;
+        tc "admission stops at 4096 entries" `Quick test_corpus_admission_cap;
       ] );
     ( "fuzz-shrink",
       [

@@ -379,35 +379,6 @@ let test_sigma_plus_detects_disagreement () =
   check "sigma_plus flags the disagreement" false
     (spec.Spec.holds trace ~faulty:Pidset.empty)
 
-let test_repeated_async_decides_with_agreement () =
-  let n = 4 and instances = 3 in
-  let propose p i = 100 + (((p * 13) + (i * 7)) mod 50) in
-  let style = Ftss_async.Consensus.self_stabilizing in
-  let pooled =
-    Repeated.run_async ~n ~seed:3 ~style ~propose ~instances ~horizon_per_instance:300 ()
-  in
-  check_int "every instance decides" instances pooled.Repeated.instances_decided;
-  check_int "with agreement" 0 pooled.Repeated.disagreements;
-  check "decisions recorded" true (pooled.Repeated.decisions > 0);
-  (* The same instances, each in a call of its own and so on a fresh
-     pool: reusing one pool must not change any outcome. *)
-  let fresh =
-    List.init instances (fun i ->
-        Repeated.run_async ~n ~seed:(3 + (2 * i)) ~style
-          ~propose:(fun p j -> propose p (i + j))
-          ~instances:1 ~horizon_per_instance:300 ())
-    |> List.fold_left
-         (fun (acc : Repeated.async_outcome) (o : Repeated.async_outcome) ->
-           {
-             Repeated.instances_decided = acc.instances_decided + o.instances_decided;
-             decisions = acc.decisions + o.decisions;
-             disagreements = acc.disagreements + o.disagreements;
-             end_time = max acc.end_time o.end_time;
-           })
-         { Repeated.instances_decided = 0; decisions = 0; disagreements = 0; end_time = 0 }
-  in
-  check "pooled run = fresh pool per instance" true (pooled = fresh)
-
 let prop_theorem4_sweep =
   QCheck.Test.make ~name:"Theorem 4 under random corruption and omission" ~count:40
     QCheck.small_nat
@@ -466,8 +437,6 @@ let suite =
         tc "late reveal destabilizes briefly" `Quick test_theorem4_late_reveal_destabilizes_briefly;
         tc "completions mechanics" `Quick test_repeated_completions_mechanics;
         tc "sigma_plus detects disagreement" `Quick test_sigma_plus_detects_disagreement;
-        tc "async driver: agreement, pool reuse is invisible" `Quick
-          test_repeated_async_decides_with_agreement;
         QCheck_alcotest.to_alcotest prop_theorem4_sweep;
       ] );
   ]

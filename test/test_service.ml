@@ -699,6 +699,113 @@ let test_tob_corrupt_height_recovers () =
       done)
     [ 129; 257 ]
 
+(* Every recovery trigger runs the same episode: one [recoveries] step,
+   the replay's [Applied] notes closed by one [Recovered] note, and one
+   [Recover] event, both at the rebuilt height. Each site is driven by
+   hand on a replica holding 64 slots: a guard mismatch after [corrupt],
+   a KV divergence reported by both peers under an agreeing log, and the
+   adoption of the log both peers agree on. *)
+let test_tob_one_recovery_episode_per_trigger () =
+  let n = 3 and slots = 64 in
+  let batch salt slot =
+    [| { Kv.id = (salt * 1_000) + slot; kind = Kv.Put; key = slot; v1 = salt; v2 = 0 } |]
+  in
+  let replica salt =
+    let obs, events = Test_obs.collecting () in
+    let t = Tob.create ~obs ~n ~self:0 ~style:Tob.self_stabilizing ~batch_max:8 () in
+    for slot = 0 to slots - 1 do
+      ignore (Tob.deliver t ~now:slot ~src:1 (Tob.Decide { slot; batch = batch salt slot }))
+    done;
+    ignore (Tob.drain_notes t);
+    let recovers () =
+      List.filter_map
+        (fun (e : Ftss_obs.Event.t) ->
+          match e.body with
+          | Ftss_obs.Event.Recover { pid; slots } -> Some (pid, slots)
+          | _ -> None)
+        (events ())
+    in
+    (t, recovers)
+  in
+  let no_suspects _ = false in
+  let own_tag t =
+    List.find_map
+      (function Tob.Bcast (Tob.Tag _ as tag) -> Some tag | _ -> None)
+      (Tob.tick t ~now:slots ~suspected:no_suspects)
+    |> Option.get
+  in
+  (* [optional]: the call may also leave the replica alone, and must
+     then note and emit nothing. Returns whether an episode ran. *)
+  let episode ?(optional = false) name (t, recovers) call =
+    let before = Tob.recoveries t and seen = List.length (recovers ()) in
+    ignore (call ());
+    let height = Tob.committed t in
+    if optional && Tob.recoveries t = before then begin
+      check (name ^ ": no episode, no note, no event") true
+        (Tob.drain_notes t = [] && List.length (recovers ()) = seen);
+      false
+    end
+    else begin
+      check_int (name ^ ": one recovery") (before + 1) (Tob.recoveries t);
+      (match List.rev (Tob.drain_notes t) with
+      | Tob.Recovered { slots } :: replay ->
+        check_int (name ^ ": note at the rebuilt height") height slots;
+        check (name ^ ": only the replay precedes it") true
+          (List.for_all (function Tob.Applied _ -> true | _ -> false) replay);
+        check_int (name ^ ": whole log replayed") height (List.length replay)
+      | _ -> Alcotest.failf "%s: the call's notes do not end in Recovered" name);
+      check (name ^ ": one Recover event at that height") true
+        (List.filteri (fun i _ -> i >= seen) (recovers ()) = [ (0, height) ]);
+      check (name ^ ": honest digest") true (Tob.content_digest t = Tob.log_digest t);
+      true
+    end
+  in
+  (* Guard mismatch: a scramble the guard does not see (an engine field,
+     say, with no engine) leaves the replica alone. *)
+  let tripped = ref 0 in
+  for seed = 0 to 19 do
+    let ((t, _) as r) = replica 1 in
+    ignore (Tob.corrupt (Rng.create seed) t);
+    if
+      episode ~optional:true (Printf.sprintf "guard (seed %d)" seed) r (fun () ->
+          Tob.tick t ~now:slots ~suspected:no_suspects)
+    then incr tripped
+  done;
+  check "some scramble trips the guard" true (!tripped > 0);
+  (* KV divergence: both peers agree on the log but not on the KV digest
+     at the snapshot height. The repair clears the conflict, so the next
+     tick does not repair again. *)
+  let ((t, _) as r) = replica 1 in
+  (match own_tag t with
+  | Tob.Tag tag ->
+    List.iter
+      (fun src ->
+        ignore (Tob.deliver t ~now:slots ~src (Tob.Tag { tag with kv_d = tag.kv_d + 1 })))
+      [ 1; 2 ];
+    check_int "no repair on delivery" 0 (Tob.recoveries t);
+    check "kv conflict repaired" true
+      (episode "kv conflict" r (fun () -> Tob.tick t ~now:slots ~suspected:no_suspects));
+    ignore (Tob.tick t ~now:slots ~suspected:no_suspects);
+    check_int "conflict cleared by the episode" 1 (Tob.recoveries t)
+  | _ -> assert false);
+  (* Pull adoption: both peers advertise another log at the checkpoint;
+     the replica pulls it from one of them and adopts the reply. *)
+  let ((t, _) as r) = replica 1 and other, _ = replica 2 in
+  let other_tag = own_tag other in
+  List.iter (fun src -> ignore (Tob.deliver t ~now:slots ~src other_tag)) [ 1; 2 ];
+  let peer =
+    List.find_map
+      (function Tob.Send (p, Tob.Pull_req { from = 0 }) -> Some p | _ -> None)
+      (Tob.tick t ~now:slots ~suspected:no_suspects)
+    |> Option.get
+  in
+  check_int "no repair before the reply" 0 (Tob.recoveries t);
+  check "log adopted" true
+    (episode "pull adoption" r (fun () ->
+         Tob.deliver t ~now:slots ~src:peer
+           (Tob.Pull_rep { from = 0; entries = Array.init slots (batch 2) })));
+  check "adopted the peers' log" true (Tob.content_digest t = Tob.content_digest other)
+
 (* --- end-to-end service runs --- *)
 
 let tiny_wl ?(seed = 5) ?(ops = 4_000) ?(window = 1_500) n =
@@ -715,6 +822,9 @@ let test_service_fault_free () =
   check "made slots" true (r.Service.committed_slots > 0);
   check "latency measured" true (r.Service.latency <> None);
   check "all committed ops measured" true (r.Service.measured_ops >= r.Service.unique_ops)
+
+let check_storm_recovery =
+  Alcotest.(check (list (triple int (option int) (option int)))) "pinned storm recovery"
 
 (* The convergence property: under injected crash, omission and
    corruption-storm faults, the self-stabilizing tower still converges —
@@ -749,7 +859,11 @@ let test_service_converges_under_faults () =
   check "no op duplicated across ids" true (r.Service.unique_ops <= Workload.total wl);
   check "storms triggered repairs" true (r.Service.recoveries > 0);
   check "storm recovery measured" true
-    (List.exists (fun (_, resumed, _) -> resumed <> None) r.Service.storm_recovery)
+    (List.exists (fun (_, resumed, _) -> resumed <> None) r.Service.storm_recovery);
+  (* [report_digest] covers neither field: pin both. *)
+  check_int "pinned recoveries" 3 r.Service.recoveries;
+  check_storm_recovery [ (900, Some 12, None); (1_400, Some 8, Some 242) ]
+    r.Service.storm_recovery
 
 let test_service_baseline_has_no_repair () =
   let n = 5 in
@@ -784,7 +898,9 @@ let test_service_golden_determinism () =
   let r2 = Service.run ~wl params in
   check_int "replayable" (Service.report_digest r1) (Service.report_digest r2);
   check "converged" true r1.Service.converged;
-  check_int "pinned digest" golden_digest (Service.report_digest r1)
+  check_int "pinned digest" golden_digest (Service.report_digest r1);
+  check_int "pinned recoveries" 1 r1.Service.recoveries;
+  check_storm_recovery [ (800, Some 13, None) ] r1.Service.storm_recovery
 
 (* Sharded golden: the merged report is a pure function of
    (spec, params, shards) — the executing domain count must be
@@ -841,5 +957,7 @@ let suite =
         Alcotest.test_case "golden determinism" `Quick test_service_golden_determinism;
         Alcotest.test_case "sharded runs are domain-count independent" `Quick
           test_service_sharded_domain_independent;
+        Alcotest.test_case "tob: one recovery episode per trigger" `Quick
+          test_tob_one_recovery_episode_per_trigger;
       ] );
   ]
