@@ -913,7 +913,9 @@ let e12 m =
       let stats_exh, results = Explore.run ~domains:1 prop cases in
       let exh_fps =
         List.sort_uniq String.compare
-          (List.map (fun i -> results.(i).Explore.fingerprint) stats_exh.Explore.violations)
+          (List.map
+             (fun i -> prop.Property.fingerprint_hex results.(i).Explore.fingerprint)
+             stats_exh.Explore.violations)
       in
       let budget = Array.length cases + extra in
       let config =

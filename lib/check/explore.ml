@@ -1,6 +1,6 @@
 module Prof = Ftss_profile.Profile
 
-type result = { fingerprint : string; ok : bool; detail : unit -> string; states : int }
+type result = { fingerprint : int; ok : bool; detail : unit -> string; states : int }
 
 type domain_stat = { d_cases : int; d_states : int; d_busy : float }
 
@@ -66,7 +66,7 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
      that recomputation and never changes a result. The reported dedup
      statistics are not read from these caches: they are recomputed
      deterministically from the merged per-case fingerprints below. *)
-  let caches = Array.init domains (fun _ -> Hashtbl.create 256) in
+  let caches = Array.init domains (fun _ -> Property.Fingerprint_table.create 256) in
   (* Per-domain counters, updated once per chunk so that domains do not
      write neighbouring slots once per case. *)
   let d_cases = Array.make domains 0 and d_states = Array.make domains 0 in
@@ -144,16 +144,14 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
      representatives under [canonical]; the verdicts are then scattered
      to every orbit member so the result array and violation indices
      stay aligned with the caller's case array either way. *)
-  let seen = Hashtbl.create (max 16 len) in
-  let distinct = ref 0 and states = ref 0 in
+  let seen = Property.Fingerprint_table.create (max 16 len) in
+  let states = ref 0 in
   Array.iter
     (fun r ->
-      if not (Hashtbl.mem seen r.fingerprint) then begin
-        Hashtbl.add seen r.fingerprint ();
-        incr distinct
-      end;
+      Property.Fingerprint_table.replace seen r.fingerprint ();
       states := !states + r.states)
     results;
+  let distinct = Property.Fingerprint_table.length seen in
   let results =
     match reps with
     | None -> results
@@ -165,8 +163,8 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
     {
       cases = full_len;
       orbits = len;
-      distinct = !distinct;
-      dedup_hits = len - !distinct;
+      distinct;
+      dedup_hits = len - distinct;
       violations = List.rev !violations;
       states = !states;
       stepped = Atomic.get stepped;

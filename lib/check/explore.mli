@@ -20,8 +20,9 @@
     the wall-clock numbers vary. *)
 
 (** Per-case outcome, in enumeration order. [detail ()] formats the
-    verdict's explanation ({!Property.verdict}). *)
-type result = { fingerprint : string; ok : bool; detail : unit -> string; states : int }
+    verdict's explanation ({!Property.verdict}); the property's
+    [fingerprint_hex] prints [fingerprint]. *)
+type result = { fingerprint : int; ok : bool; detail : unit -> string; states : int }
 
 (** What one worker domain did: case and state counts plus the seconds it
     spent executing cases (its busy time; [d_busy /. elapsed] is its

@@ -7,20 +7,29 @@ module S = Schedule_enum
 type verdict = { ok : bool; detail : unit -> string }
 
 type run = {
-  fingerprint : string;
+  fingerprint : int;
   states : int;
   signature : int array Lazy.t;
   verdict : verdict Lazy.t;
 }
 
+(* Fingerprints are already well-mixed hashes, so a table indexes them
+   by their own low bits. *)
+module Fingerprint_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash fp = fp
+end)
+
 (* Equal fingerprints imply equal verdicts, so a hit can only save the
    verdict's evaluation, never change it. *)
 let cached_verdict cache r =
-  match Hashtbl.find_opt cache r.fingerprint with
+  match Fingerprint_table.find_opt cache r.fingerprint with
   | Some v -> (v, true)
   | None ->
     let v = Lazy.force r.verdict in
-    Hashtbl.add cache r.fingerprint v;
+    Fingerprint_table.add cache r.fingerprint v;
     (v, false)
 
 (* The adversary interface the theorem runners actually consume: a
@@ -47,21 +56,24 @@ type t = {
   run_adv : ?obs:Ftss_obs.Obs.t -> adversary -> run;
   run : ?obs:Ftss_obs.Obs.t -> S.t -> run;
   run_batch : S.t array -> int array -> (int -> run -> unit) -> int;
+  fingerprint_hex : int -> string;
 }
 
 (* A content digest; equal digests imply equal recorded executions, hence
    equal verdicts (every predicate below is a pure function of the
    execution). Trace-based properties read the 62-bit content hash the
    runner streams as the trace is built ({!Trace.hash}) — no [Marshal]
-   serialisation, no [Digest] pass, no per-run allocation beyond the hex
-   rendering. Composite results (theorem 5) get the same two-stream
-   structural hash applied directly. *)
-let trace_fingerprint trace = Printf.sprintf "%016x" (Trace.hash trace)
+   serialisation, no [Digest] pass, no per-run allocation. Composite
+   results (theorem 5) pack the two 30-bit streams of the same
+   structural hash into one int. The hex form is rendered only where a
+   fingerprint is shown or names a file. *)
+let trace_fingerprint_hex fp = Printf.sprintf "%016x" fp
 
 let fingerprint v =
-  Printf.sprintf "%08x-%08x"
-    (Hashtbl.seeded_hash_param max_int 256 0x1796 v)
-    (Hashtbl.seeded_hash_param max_int 256 0x9e37 v)
+  (Hashtbl.seeded_hash_param max_int 256 0x1796 v lsl 30)
+  lor Hashtbl.seeded_hash_param max_int 256 0x9e37 v
+
+let fingerprint_hex fp = Printf.sprintf "%08x-%08x" (fp lsr 30) (fp land 0x3FFF_FFFF)
 
 let no_restrict (params : S.params) = params
 
@@ -89,7 +101,7 @@ let adversary_of_case (case : S.t) =
     adv_crash_only = S.crash_only case;
   }
 
-let make ~name ~inject ~restrict ?run_batch run_adv =
+let make ~name ~inject ~restrict ~fingerprint_hex ?run_batch run_adv =
   let run ?obs case = run_adv ?obs (adversary_of_case case) in
   let run_batch =
     match run_batch with
@@ -104,7 +116,7 @@ let make ~name ~inject ~restrict ?run_batch run_adv =
             stepped + r.states)
           0 order
   in
-  { name; inject; restrict; run_adv; run; run_batch }
+  { name; inject; restrict; run_adv; run; run_batch; fingerprint_hex }
 
 (* A synchronous theorem: per adversary, the protocol, its corruption
    and the judgement of a trace. [instance] may read only the
@@ -161,7 +173,8 @@ let sync_theorem ~name ~inject (instance : adversary -> ('s, 'm) instance) =
       order;
     !stepped
   in
-  make ~name ~inject ~restrict:no_restrict ~run_batch run_adv
+  make ~name ~inject ~restrict:no_restrict ~fingerprint_hex:trace_fingerprint_hex ~run_batch
+    run_adv
 
 (* --- Theorem 3: Figure 1 round agreement --- *)
 
@@ -186,15 +199,15 @@ let theorem3 ?(inject = `None) () =
       Ftss_obs.Obs.emit_windows o (Solve.measured_per_window Round_agreement.spec trace)
     | None -> ());
     {
-      fingerprint = trace_fingerprint trace;
+      fingerprint = Trace.hash trace;
       states = adv.adv_n * adv.adv_rounds;
       signature = lazy (Trace.round_signature ~project:(fun _ c -> c) trace);
       verdict =
         lazy
           (let stab = Round_agreement.stabilization_time in
-           let ok = Solve.ftss_solves Round_agreement.spec ~stabilization:stab trace in
-           let measured = Solve.measured_stabilization Round_agreement.spec trace in
-           let windows = List.length (Solve.stable_windows trace) in
+           let { Solve.solves = ok; measured; windows } =
+             Solve.assess Round_agreement.spec ~stabilization:stab trace
+           in
            let omissions = List.length trace.Trace.omissions in
            let detail () =
              Format.asprintf
@@ -223,17 +236,16 @@ let theorem4 ?(suspect_filter = true) () =
     let pi = make_pi ~n ~f:adv.adv_f in
     let final_round = pi.Canonical.final_round in
     let valid d = d >= 50 && d < 50 + n in
+    (* Built once per instance, so the cases sharing it share them. *)
+    let spec = Repeated.round_and_sigma ~final_round ~valid () in
+    let bound = Compiler.stabilization_bound pi in
     let judge ?obs adv trace =
       (match obs with
-      | Some o ->
-        let spec = Repeated.round_and_sigma ~final_round ~valid () in
-        Ftss_obs.Obs.emit_windows o (Solve.measured_per_window spec trace)
+      | Some o -> Ftss_obs.Obs.emit_windows o (Solve.measured_per_window spec trace)
       | None -> ());
       let verdict =
         lazy
-          (let spec = Repeated.round_and_sigma ~final_round ~valid () in
-           let bound = Compiler.stabilization_bound pi in
-           let ok = Solve.ftss_solves spec ~stabilization:bound trace in
+          (let ok = Solve.ftss_solves spec ~stabilization:bound trace in
            let completed, agreeing =
              Repeated.count_agreeing_iterations trace
                ~faulty:(Faults.faulty adv.adv_faults) ~valid
@@ -261,7 +273,7 @@ let theorem4 ?(suspect_filter = true) () =
              trace)
       in
       {
-        fingerprint = trace_fingerprint trace;
+        fingerprint = Trace.hash trace;
         states = n * adv.adv_rounds;
         signature;
         verdict;
@@ -357,7 +369,7 @@ let theorem5 () =
            { ok; detail });
     }
   in
-  make ~name:"theorem5" ~inject:"none"
+  make ~name:"theorem5" ~inject:"none" ~fingerprint_hex
     ~restrict:(fun params -> { params with S.intervals = false; drops = false })
     run_adv
 

@@ -41,17 +41,20 @@ type verdict = { ok : bool; detail : unit -> string }
     for the asynchronous theorem 5) — the fuzzer's coverage signal, lazy
     because the explorer never forces it. *)
 type run = {
-  fingerprint : string;
+  fingerprint : int;
   states : int;
   signature : int array Lazy.t;
   verdict : verdict Lazy.t;
 }
 
+(** Hash tables keyed by fingerprint. *)
+module Fingerprint_table : Hashtbl.S with type key = int
+
 (** [cached_verdict cache r] is [r]'s verdict and whether [cache] already
     held it under [r.fingerprint]. On a miss it forces [r.verdict] and
     stores it. By the fingerprint contract above a hit returns the verdict
     [r.verdict] would have produced. *)
-val cached_verdict : (string, verdict) Hashtbl.t -> run -> verdict * bool
+val cached_verdict : verdict Fingerprint_table.t -> run -> verdict * bool
 
 (** The adversary interface the theorem runners consume — what any case,
     catalogued or fuzzed, compiles down to: a fault schedule, the raw
@@ -99,6 +102,11 @@ type t = {
           so an [order] from {!Schedule_enum.prefix_order} simulates each
           distinct prefix about once. Theorem 5 has no rounds to share and
           runs case by case. *)
+  fingerprint_hex : int -> string;
+      (** the printed form of this property's fingerprints: 16 hex
+          digits for a trace hash, two 8-digit halves ["%08x-%08x"] for
+          theorem 5's packed pair. What the fuzz corpus names its files
+          by and the CLI prints *)
 }
 
 (** [theorem3 ~inject:`Frozen_exchange ()] is the injected variant. *)

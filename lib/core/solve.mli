@@ -60,3 +60,15 @@ val measured_per_window :
 (** [stable_windows trace] exposes the maximal coterie-stable intervals
     [(x, y)] of the history (prefix-length coordinates), for reporting. *)
 val stable_windows : ('s, 'm) Ftss_sync.Trace.t -> (int * int) list
+
+(** One history's Def. 2.4 verdict with its measurement. *)
+type assessment = {
+  solves : bool;  (** [ftss_solves spec ~stabilization trace] *)
+  measured : int;  (** [measured_stabilization spec trace] *)
+  windows : int;  (** [List.length (stable_windows trace)] *)
+}
+
+(** [assess spec ~stabilization trace] is all three from one causality
+    analysis of [trace]. Raises [Invalid_argument] on a negative
+    [stabilization]. *)
+val assess : ('s, 'm) Spec.t -> stabilization:int -> ('s, 'm) Ftss_sync.Trace.t -> assessment

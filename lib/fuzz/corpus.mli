@@ -2,7 +2,8 @@
 
     Coverage is two-level, mirroring what the engine already fingerprints:
     the set of whole-execution fingerprints ({!Ftss_check.Property.run}'s
-    [fingerprint]) plus the set of per-round signature words
+    [fingerprint], in the printed form of the property's
+    [fingerprint_hex]) plus the set of per-round signature words
     ({!Ftss_sync.Trace.round_signature} under the property's observable
     projection). A genome whose execution contributes a new fingerprint
     {e or} a new signature word enters the corpus; everything else is

@@ -82,14 +82,15 @@ let run ?obs ?profile (config : config) (prop : P.t) =
     let loaded = List.filter (fun g -> g.Mutate.params = gp) loaded in
     let rng = Rng.create config.seed in
     let corpus = Corpus.create () in
-    (* One parallel batch: evaluate every genome, returning (fingerprint,
+    (* One parallel batch: evaluate every genome, returning (fingerprint in
+       its printed form, which names corpus files and violations,
        signature, verdict) per slot. Per-domain verdict caches persist
        across batches (the dedup contract of {!P.cached_verdict}). The
        round signature is NOT cached: it is a finer observation than the
        fingerprint (two runs in one dedup class can differ in it), so it
        is recomputed for every genome — which keeps the merge below
        deterministic whatever the domain count or interleaving. *)
-    let caches = Array.init domains (fun _ -> Hashtbl.create 256) in
+    let caches = Array.init domains (fun _ -> P.Fingerprint_table.create 256) in
     let evaluate genomes =
       let results = Array.make (Array.length genomes) None in
       Ftss_profile.Pool.run ~lane:"fuzz" ~domains (Array.length genomes)
@@ -97,7 +98,8 @@ let run ?obs ?profile (config : config) (prop : P.t) =
           for i = first to limit - 1 do
             let r = prop.P.run_adv (Mutate.to_adversary genomes.(i)) in
             let verdict, _ = P.cached_verdict caches.(domain) r in
-            results.(i) <- Some (r.P.fingerprint, Lazy.force r.P.signature, verdict)
+            results.(i) <-
+              Some (prop.P.fingerprint_hex r.P.fingerprint, Lazy.force r.P.signature, verdict)
           done);
       Array.map Option.get results
     in

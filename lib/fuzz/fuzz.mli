@@ -47,7 +47,7 @@ type config = {
 type violation = {
   v_genome : Mutate.t;  (** as discovered *)
   v_shrunk : Mutate.t;  (** local minimum under {!Mutate.reductions} *)
-  v_fingerprint : string;
+  v_fingerprint : string;  (** printed by the property's [fingerprint_hex] *)
   v_detail : string;
   v_seed : bool;  (** discovered in the seeding phase *)
 }

@@ -11,30 +11,27 @@ type t = {
 let coterie_of_knowledge ~n ~correct know_r =
   (* Intersection of K_r(q) over correct q; the full set when no process is
      correct (vacuous universal quantification). *)
-  if Pidset.is_empty correct then Pidset.full n
-  else
-    Pidset.fold
-      (fun q acc -> Pidset.inter acc know_r.(q))
-      correct
-      (Pidset.full n)
+  let acc = ref (Pidset.full n) in
+  for q = 0 to n - 1 do
+    if Pidset.mem q correct then acc := Pidset.inter !acc know_r.(q)
+  done;
+  !acc
 
 let analyze (trace : ('s, 'm) Ftss_sync.Trace.t) =
   let n = trace.Ftss_sync.Trace.n in
   let len = Ftss_sync.Trace.length trace in
-  let know = Array.init (len + 1) (fun _ -> Array.make n Pidset.empty) in
-  Array.iteri (fun p _ -> know.(0).(p) <- Pidset.singleton p) know.(0);
-  for round = 1 to len do
-    let record = Ftss_sync.Trace.record trace ~round in
-    for p = 0 to n - 1 do
-      let base = know.(round - 1).(p) in
-      let merged =
-        List.fold_left
-          (fun acc { Ftss_sync.Protocol.src; _ } ->
-            Pidset.add src (Pidset.union acc know.(round - 1).(src)))
-          base record.Ftss_sync.Trace.delivered.(p)
-      in
-      know.(round).(p) <- merged
-    done
+  (* A runner trace's records carry K_r(p), propagated round by round as
+     the trace was built ({!Ftss_sync.Trace.knowledge}); a window's records
+     carry their source's, so its own are propagated here. Only the prefix
+     coteries, which depend on the declared-correct set, are computed for
+     every trace. *)
+  let know = Array.make (len + 1) (Array.init n Pidset.singleton) in
+  for r = 1 to len do
+    let record = trace.Ftss_sync.Trace.records.(r - 1) in
+    know.(r) <-
+      (if trace.Ftss_sync.Trace.windowed then
+         Ftss_sync.Trace.knowledge ~before:know.(r - 1) record.Ftss_sync.Trace.delivered
+       else record.Ftss_sync.Trace.know)
   done;
   let correct = Ftss_sync.Trace.correct trace in
   let coteries =

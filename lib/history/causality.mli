@@ -17,8 +17,11 @@ open Ftss_util
 
 type t
 
-(** [analyze trace] computes knowledge sets and prefix coteries for every
-    round of [trace]. Runs in O(rounds * n^2) set operations. *)
+(** [analyze trace] reads the knowledge sets [trace]'s records carry
+    ({!Ftss_sync.Trace.round_record}[.know]) — or, for a
+    {!Ftss_sync.Trace.sub} window, propagates the window's own with
+    {!Ftss_sync.Trace.knowledge} — and intersects them into the prefix
+    coterie of every round: O(rounds * n) set operations. *)
 val analyze : ('s, 'm) Ftss_sync.Trace.t -> t
 
 (** Number of rounds of the underlying trace. *)

@@ -46,33 +46,41 @@ let decisions_by_round trace ~faulty =
   in
   loop 1 []
 
-(* One round's completions satisfy Σ when every correct process alive
-   through the round completed, every decision is present and equal, and
-   the common decision is legal. *)
-let round_satisfies_sigma trace ~faulty ~valid (round, cs) =
-  let alive_correct =
-    Pidset.of_pred trace.Trace.n (fun p ->
-        (not (Pidset.mem p faulty)) && Trace.alive trace ~round p)
-  in
-  let completers = Pidset.of_list (List.map (fun c -> c.pid) cs) in
-  Pidset.equal completers alive_correct
-  &&
-  match cs with
-  | [] -> true
-  | first :: _ -> (
-    match first.decision with
-    | None -> false
-    | Some d ->
-      valid d && List.for_all (fun c -> c.decision = Some d) cs)
+(* One round of Σ, in one pass over its record with no intermediate
+   lists: the correct processes' completions satisfy Σ when every correct
+   process alive through the round completed, every decision is present
+   and equal, and the common decision is legal. *)
+type round_outcome = No_completion | Agreed | Disagreed
+
+let round_outcome trace ~faulty ~valid round =
+  let record = trace.Trace.records.(round - 1) in
+  let completed = ref false and agreed = ref true and first = ref None in
+  for p = 0 to trace.Trace.n - 1 do
+    if not (Pidset.mem p faulty) then
+      match (record.Trace.states_before.(p), record.Trace.states_after.(p)) with
+      | Some b, Some a when a.Compiler.completed = b.Compiler.completed + 1 ->
+        if not (Trace.alive trace ~round p) then agreed := false;
+        let d = a.Compiler.last_decision in
+        if !completed then (if d <> !first then agreed := false)
+        else begin
+          completed := true;
+          first := d;
+          match d with Some v when valid v -> () | _ -> agreed := false
+        end
+      | _ -> if Trace.alive trace ~round p then agreed := false
+  done;
+  if not !completed then No_completion else if !agreed then Agreed else Disagreed
 
 let sigma_plus ~final_round:_ ~valid () =
   {
     Spec.name = "sigma-plus";
     holds =
       (fun trace ~faulty ->
-        List.for_all
-          (round_satisfies_sigma trace ~faulty ~valid)
-          (decisions_by_round trace ~faulty));
+        let rec from round =
+          round > Trace.length trace
+          || (round_outcome trace ~faulty ~valid round <> Disagreed && from (round + 1))
+        in
+        from 1);
   }
 
 let round_and_sigma ~final_round ~valid () =
@@ -80,8 +88,13 @@ let round_and_sigma ~final_round ~valid () =
     [ Compiler.round_spec (); sigma_plus ~final_round ~valid () ]
 
 let count_agreeing_iterations trace ~faulty ~valid =
-  let grouped = decisions_by_round trace ~faulty in
-  let agreeing =
-    List.length (List.filter (round_satisfies_sigma trace ~faulty ~valid) grouped)
-  in
-  (List.length grouped, agreeing)
+  let completed = ref 0 and agreeing = ref 0 in
+  for round = 1 to Trace.length trace do
+    match round_outcome trace ~faulty ~valid round with
+    | No_completion -> ()
+    | Agreed ->
+      incr completed;
+      incr agreeing
+    | Disagreed -> incr completed
+  done;
+  (!completed, !agreeing)

@@ -8,6 +8,7 @@ type ('s, 'm) cursor = {
   crashed_at : int option array;  (* copied before a crash is recorded *)
   rev_omissions : (int * Pid.t * Pid.t) list;
   rev_records : ('s, 'm) Trace.round_record list;
+  generators : int;  (* the content hash's fold of the generator vectors so far *)
 }
 
 let emit obs ev = match obs with Some o -> Ftss_obs.Obs.emit o ev | None -> ()
@@ -29,6 +30,7 @@ let start ?obs ?corrupt ~n (protocol : ('s, 'm) Protocol.t) =
     crashed_at = Array.make n None;
     rev_omissions = [];
     rev_records = [];
+    generators = Trace.hash_seed;
   }
 
 let step ?obs ?(corrupt_at = []) ~faults ~table c =
@@ -54,9 +56,11 @@ let step ?obs ?(corrupt_at = []) ~faults ~table c =
     | _ -> ()
   done;
   (* Mid-execution systemic failure, if scheduled. *)
+  let rewritten = ref false in
   List.iter
     (fun (r, corrupt) ->
-      if r = round then
+      if r = round then begin
+        rewritten := true;
         for p = 0 to n - 1 do
           match states.(p) with
           | Some s ->
@@ -64,7 +68,8 @@ let step ?obs ?(corrupt_at = []) ~faults ~table c =
             if traced then
               emit obs (Ftss_obs.Event.make ~time:round (Ftss_obs.Event.Corrupt { pid = p }))
           | None -> ()
-        done)
+        done
+      end)
     corrupt_at;
   let sent = Array.make n None in
   for p = 0 to n - 1 do
@@ -147,6 +152,16 @@ let step ?obs ?(corrupt_at = []) ~faults ~table c =
       states
   in
   if traced then emit obs (Ftss_obs.Event.make ~time:round Ftss_obs.Event.Round_end);
+  (* A round without omissions handed every live receiver the one shared
+     list, so [Trace.knowledge] folds its senders once. *)
+  let know =
+    let before =
+      match c.rev_records with
+      | last :: _ -> last.Trace.know
+      | [] -> Array.init n Pidset.singleton
+    in
+    Trace.knowledge ~before delivered
+  in
   {
     c with
     round;
@@ -154,32 +169,28 @@ let step ?obs ?(corrupt_at = []) ~faults ~table c =
     crashed_at = !crashed_at;
     rev_omissions = !omissions;
     rev_records =
-      { Trace.round; states_before = states; sent; delivered; states_after } :: c.rev_records;
+      { Trace.round; states_before = states; sent; delivered; states_after; know }
+      :: c.rev_records;
+    generators =
+      (* The execution is a pure function of the state vector entering
+         round 1 plus any vector a mid-run corruption rewrote (see
+         trace.mli): those are the content hash's generators, folded here
+         once for every case that shares this cursor. *)
+      (if round = 1 || !rewritten then Trace.fold_generator c.generators states
+       else c.generators);
   }
 
-let finish ?(corrupt_at = []) ~faults c =
+let finish ~faults c =
+  if c.round = 0 then invalid_arg "Runner.finish: no round executed";
   let records = Array.of_list (List.rev c.rev_records) in
   let omissions = List.rev c.rev_omissions in
   (* The trace gets its own crash table: the cursor's may be shared with
      sibling cursors. *)
   let crashed_at = Array.copy c.crashed_at in
   let declared_faulty = Faults.faulty faults in
-  let state_rounds =
-    (* Generator rounds of the content hash: the execution is a pure
-       function of the state vector entering round 1 plus any vector a
-       mid-run corruption rewrote (see trace.mli). *)
-    match corrupt_at with
-    | [] -> [ 1 ]
-    | _ ->
-      List.sort_uniq Int.compare
-        (1
-        :: List.filter_map
-             (fun (r, _) -> if 1 <= r && r <= c.round then Some r else None)
-             corrupt_at)
-  in
   let name = c.protocol.name in
   let hash =
-    Trace.compute_hash ~state_rounds ~records ~n:c.n ~protocol_name:name ~crashed_at
+    Trace.seal_hash c.generators ~n:c.n ~protocol_name:name ~rounds:c.round ~crashed_at
       ~omissions ~declared_faulty
   in
   {
@@ -190,6 +201,7 @@ let finish ?(corrupt_at = []) ~faults c =
     omissions;
     declared_faulty;
     hash;
+    windowed = false;
   }
 
 let run ?obs ?corrupt ?corrupt_at ~faults ~rounds protocol =
@@ -202,4 +214,4 @@ let run ?obs ?corrupt ?corrupt_at ~faults ~rounds protocol =
   for _ = 1 to rounds do
     c := step ?obs ?corrupt_at ~faults ~table !c
   done;
-  finish ?corrupt_at ~faults !c
+  finish ~faults !c

@@ -44,12 +44,14 @@ val run :
 (** {2 Resumable execution}
 
     A cursor is the state of an execution after some number of rounds:
-    the process states entering the next round, the crash table and the
-    omissions and round records so far. Cursors are persistent — {!step}
-    returns a new cursor and leaves its argument valid — and the records
-    and states they hold are never written, so executions that agree on
-    their first [k] rounds can share the cursor after round [k] and
-    simulate those rounds once. *)
+    the process states entering the next round, the crash table, the
+    omissions and round records so far (with each round's knowledge
+    sets) and the content hash's fold of the generator vectors. Cursors are
+    persistent — {!step} returns a new cursor and leaves its argument
+    valid — and the records and states they hold are never written, so
+    executions that agree on their first [k] rounds can share the cursor
+    after round [k] and simulate those rounds, propagate their knowledge
+    sets and hash their generators once. *)
 
 type ('s, 'm) cursor
 
@@ -77,12 +79,10 @@ val step :
   ('s, 'm) cursor ->
   ('s, 'm) cursor
 
-(** [finish ?corrupt_at ~faults c] is the trace of the rounds executed so
-    far, declaring [Faults.faulty faults] and hashed with the generator
-    rounds [corrupt_at] names (see {!Trace.compute_hash}). Raises
-    [Invalid_argument] if [c] has executed no round. *)
-val finish :
-  ?corrupt_at:(int * (Pid.t -> 's -> 's)) list ->
-  faults:Faults.t ->
-  ('s, 'm) cursor ->
-  ('s, 'm) Trace.t
+(** [finish ~faults c] is the trace of the rounds executed so far,
+    declaring [Faults.faulty faults]. Its content hash seals the fold of
+    the generator vectors the cursor carries — round 1's entering vector
+    and every vector a [corrupt_at] entry of {!step} rewrote (see
+    {!Trace.fold_generator}) — so cases that share a cursor fold those
+    once. Raises [Invalid_argument] if [c] has executed no round. *)
+val finish : faults:Faults.t -> ('s, 'm) cursor -> ('s, 'm) Trace.t

@@ -6,6 +6,7 @@ type ('s, 'm) round_record = {
   sent : 'm option array;
   delivered : 'm Protocol.delivery list array;
   states_after : 's option array;
+  know : Pidset.t array;
 }
 
 type ('s, 'm) t = {
@@ -16,6 +17,7 @@ type ('s, 'm) t = {
   omissions : (int * Pid.t * Pid.t) list;
   declared_faulty : Pidset.t;
   hash : int;
+  windowed : bool;
 }
 
 (* Content hashing. Two independently seeded structural-hash streams are
@@ -35,18 +37,11 @@ let fold_value acc v =
     (mix acc (Hashtbl.seeded_hash_param max_int 256 0x1796 v))
     (Hashtbl.seeded_hash_param max_int 256 0x9e37 v)
 
-let compute_hash ~state_rounds ~records ~n ~protocol_name ~crashed_at ~omissions
-    ~declared_faulty =
-  let len = Array.length records in
-  let acc =
-    List.fold_left
-      (fun acc r ->
-        if r < 1 || r > len then
-          invalid_arg (Printf.sprintf "Trace.compute_hash: round %d outside 1..%d" r len);
-        fold_value acc records.(r - 1).states_before)
-      0x0FC935EED state_rounds
-  in
-  fold_value acc (n, protocol_name, len, crashed_at, omissions, declared_faulty)
+let hash_seed = 0x0FC935EED
+let fold_generator = fold_value
+
+let seal_hash acc ~n ~protocol_name ~rounds ~crashed_at ~omissions ~declared_faulty =
+  fold_value acc (n, protocol_name, rounds, crashed_at, omissions, declared_faulty)
 
 let hash t = t.hash
 
@@ -91,16 +86,33 @@ let blames_declared t =
 let alive t ~round p =
   match t.crashed_at.(p) with None -> true | Some r -> round < r
 
+(* The union of [{src} ∪ before.(src)] over a delivery list. *)
+let rec senders_union before acc = function
+  | [] -> acc
+  | { Protocol.src; _ } :: rest ->
+    senders_union before (Pidset.union (Pidset.add src acc) before.(src)) rest
+
+let knowledge ~before delivered =
+  let know = Array.copy before in
+  let last = ref [] and last_union = ref Pidset.empty in
+  for p = 0 to Array.length delivered - 1 do
+    match delivered.(p) with
+    | [] -> ()
+    | ds ->
+      if ds != !last then begin
+        last := ds;
+        last_union := senders_union before Pidset.empty ds
+      end;
+      know.(p) <- Pidset.union before.(p) !last_union
+  done;
+  know
+
 let sub t ~first ~last =
   check_round t first;
   check_round t last;
   if first > last then invalid_arg "Trace.sub: empty interval";
   let records =
-    Array.init
-      (last - first + 1)
-      (fun i ->
-        let r = t.records.(first - 1 + i) in
-        { r with round = i + 1 })
+    Array.init (last - first + 1) (fun i -> { (t.records.(first - 1 + i)) with round = i + 1 })
   in
   let crashed_at =
     Array.map
@@ -121,12 +133,12 @@ let sub t ~first ~last =
     (* A window may start or end mid-corruption, so every entering state
        vector is treated as a generator — sound whatever the original
        execution did, at a cost only this cold path pays. *)
-    compute_hash
-      ~state_rounds:(List.init (Array.length records) (fun i -> i + 1))
-      ~records ~n:t.n ~protocol_name:t.protocol_name ~crashed_at ~omissions
-      ~declared_faulty:t.declared_faulty
+    seal_hash
+      (Array.fold_left (fun acc r -> fold_generator acc r.states_before) hash_seed records)
+      ~n:t.n ~protocol_name:t.protocol_name ~rounds:(Array.length records) ~crashed_at
+      ~omissions ~declared_faulty:t.declared_faulty
   in
-  { t with records; crashed_at; omissions; hash }
+  { t with records; crashed_at; omissions; hash; windowed = true }
 
 let pp_summary ppf t =
   Format.fprintf ppf "%s: n=%d rounds=%d faulty=%a omissions=%d" t.protocol_name

@@ -18,6 +18,11 @@ type ('s, 'm) round_record = {
       (** messages delivered to each process, ordered by sender pid *)
   states_after : 's option array;
       (** state at the end of the round (after the transition) *)
+  know : Pidset.t array;
+      (** knowledge sets K_round(p): every process with an event
+          happened-before p's state at the end of the round (paper §2.1;
+          see {!knowledge}), in the execution the round was stepped in —
+          a {!sub} window's records keep their source's sets *)
 }
 
 type ('s, 'm) t = {
@@ -33,6 +38,10 @@ type ('s, 'm) t = {
   hash : int;
       (** content hash of the execution, folded as the trace is built; see
           {!val:hash} *)
+  windowed : bool;
+      (** [true] for a {!sub} window, whose records' [know] are not its
+          own: a window restarts at K_0(p) = \{p\}, and
+          {!Ftss_history.Causality.analyze} recomputes them *)
 }
 
 (** Number of recorded rounds [|H|]. *)
@@ -69,9 +78,21 @@ val alive : ('s, 'm) t -> round:int -> Pid.t -> bool
 
 (** [sub t ~first ~last] is the sub-history of rounds [first..last]
     (both inclusive), renumbered from 1 — the paper's prefix/suffix
-    construction. Raises [Invalid_argument] on an empty or out-of-range
-    interval. *)
+    construction. Its records keep the knowledge sets of [t]'s execution
+    and the window is marked [windowed]; its own sets are computed only
+    by a reader that needs them, so a window read only by a spec pays
+    nothing for them. Raises
+    [Invalid_argument] on an empty or out-of-range interval. *)
 val sub : ('s, 'm) t -> first:int -> last:int -> ('s, 'm) t
+
+(** [knowledge ~before delivered] is one round of the happened-before
+    propagation: K_r(p) is K_{r-1}(p) ([before.(p)]) joined with
+    [{src} ∪ K_{r-1}(src)] for every delivery [src] to [p]. Receivers
+    handed one physically shared delivery list (every live receiver of
+    a round without omissions, see {!Runner.step}) share one union of
+    their senders' sets, so such a round costs one fold, not [n]. *)
+val knowledge :
+  before:Pidset.t array -> 'm Protocol.delivery list array -> Pidset.t array
 
 (** {2 Content hashing}
 
@@ -106,17 +127,26 @@ val hash : ('s, 'm) t -> int
     visited. *)
 val round_signature : project:(Pid.t -> 's -> int) -> ('s, 'm) t -> int array
 
-(** [compute_hash ~state_rounds ...] folds the generators of a trace under
-    construction into its content hash. [state_rounds] lists the 1-based
-    rounds whose entering state vectors generate the execution: round 1,
-    plus every round a mid-run corruption rewrote. Raises
-    [Invalid_argument] if a listed round is outside the records. Exposed
-    for {!Runner}; ordinary consumers read {!val:hash}. *)
-val compute_hash :
-  state_rounds:int list ->
-  records:('s, 'm) round_record array ->
+(** The content hash is folded in two parts, so that executions sharing
+    their generator vectors fold them once: {!hash_seed}, then
+    {!fold_generator} on each generating state vector in round order
+    (round 1's entering vector plus every vector a mid-run corruption
+    rewrote), then {!seal_hash} on the per-trace rest. Exposed for
+    {!Runner}; ordinary consumers read {!val:hash}. *)
+
+val hash_seed : int
+
+(** [fold_generator acc states] folds one generating state vector. *)
+val fold_generator : int -> 's option array -> int
+
+(** [seal_hash acc ~n ~protocol_name ~rounds ~crashed_at ~omissions
+    ~declared_faulty] folds the trace metadata, crash pattern and
+    omissions into the generator fold [acc]: the trace's content hash. *)
+val seal_hash :
+  int ->
   n:int ->
   protocol_name:string ->
+  rounds:int ->
   crashed_at:int option array ->
   omissions:(int * Pid.t * Pid.t) list ->
   declared_faulty:Pidset.t ->

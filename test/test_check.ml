@@ -618,11 +618,115 @@ let shuffled seed cases =
 let find_property name inject =
   match Property.find ~name ~inject with Ok p -> p | Error msg -> failwith msg
 
+(* The oracle for the knowledge sets the runner and [Trace.sub]
+   propagate: a fold over the whole trace, receiver by receiver, with no
+   sharing. K_0(p) = {p}; then every delivery from [src] adds [src] and
+   K_{r-1}(src). *)
+let oracle_knowledge (trace : (_, _) Ftss_sync.Trace.t) =
+  let n = trace.Ftss_sync.Trace.n and len = Ftss_sync.Trace.length trace in
+  let know = Array.init (len + 1) (fun _ -> Array.init n Pidset.singleton) in
+  for round = 1 to len do
+    let record = Ftss_sync.Trace.record trace ~round in
+    for p = 0 to n - 1 do
+      know.(round).(p) <-
+        List.fold_left
+          (fun acc { Ftss_sync.Protocol.src; _ } ->
+            Pidset.add src (Pidset.union acc know.(round - 1).(src)))
+          know.(round - 1).(p) record.Ftss_sync.Trace.delivered.(p)
+    done
+  done;
+  know
+
+(* [trace]'s record-carried knowledge sets, and its [Causality] sets and
+   coteries, against the oracle fold; then every [Trace.sub] window of it,
+   whose records keep [trace]'s sets and whose [Causality] sets and
+   coteries are the window's own fold. *)
+let check_knowledge ~name trace =
+  let source = oracle_knowledge trace in
+  let check_one ~name ~carried trace =
+    let know = oracle_knowledge trace in
+    let n = trace.Ftss_sync.Trace.n and len = Ftss_sync.Trace.length trace in
+    let correct = Ftss_sync.Trace.correct trace in
+    let a = Ftss_history.Causality.analyze trace in
+    for r = 0 to len do
+      if r > 0 && (Ftss_sync.Trace.record trace ~round:r).Ftss_sync.Trace.know <> carried r
+      then Alcotest.failf "%s: round %d carries other knowledge sets than the fold" name r;
+      for p = 0 to n - 1 do
+        if not (Pidset.equal (Ftss_history.Causality.knows a ~round:r p) know.(r).(p)) then
+          Alcotest.failf "%s: K_%d(p%d) differs from the fold" name r p
+      done;
+      let coterie =
+        if Pidset.is_empty correct then Pidset.full n
+        else Pidset.fold (fun q acc -> Pidset.inter acc know.(r).(q)) correct (Pidset.full n)
+      in
+      if not (Pidset.equal (Ftss_history.Causality.coterie a ~round:r) coterie) then
+        Alcotest.failf "%s: coterie of the %d-prefix differs from the fold" name r
+    done
+  in
+  check_one ~name ~carried:(fun r -> source.(r)) trace;
+  let len = Ftss_sync.Trace.length trace in
+  for first = 1 to len do
+    for last = first to len do
+      check_one
+        ~name:(Printf.sprintf "%s, window %d..%d" name first last)
+        ~carried:(fun r -> source.(first - 1 + r))
+        (Ftss_sync.Trace.sub trace ~first ~last)
+    done
+  done
+
+(* The cases walked on one runner cursor in prefix order, as
+   [Property.run_batch] walks them, with [protocol] and [corrupt] built
+   for each case as the property builds them. Each walked trace must
+   hash to the case's [Property.run] fingerprint — so it is that
+   property's execution — and carry the oracle's knowledge sets; so must
+   one run with a mid-run corruption. *)
+let check_knowledge_walk (type s m) ~label
+    ~(protocol : Schedule_enum.t -> (s, m) Ftss_sync.Protocol.t)
+    ~(corrupt : Schedule_enum.t -> Pid.t -> s -> s) cases ~fingerprint =
+  let module R = Ftss_sync.Runner in
+  let previous = ref None in
+  Array.iter
+    (fun i ->
+      let case = cases.(i) in
+      let rounds = case.Schedule_enum.params.Schedule_enum.rounds in
+      let faults = Schedule_enum.to_faults case in
+      let shared =
+        match !previous with Some (p, _) -> Schedule_enum.shared_prefix p case | None -> -1
+      in
+      let path =
+        match !previous with
+        | Some (_, path) when shared >= 0 -> path
+        | _ ->
+          Array.make (rounds + 1)
+            (R.start ~corrupt:(corrupt case) ~n:case.Schedule_enum.params.Schedule_enum.n
+               (protocol case))
+      in
+      let table = Ftss_sync.Faults.precompile faults ~rounds in
+      for r = max shared 0 + 1 to rounds do
+        path.(r) <- R.step ~faults ~table path.(r - 1)
+      done;
+      previous := Some (case, path);
+      let trace = R.finish ~faults path.(rounds) in
+      let name = Printf.sprintf "%s case %d" label i in
+      check_int (name ^ ": walked hash = fingerprint") (fingerprint i)
+        (Ftss_sync.Trace.hash trace);
+      check_knowledge ~name trace)
+    (Schedule_enum.prefix_order cases);
+  let case = cases.(0) in
+  let { Schedule_enum.n; rounds; _ } = case.Schedule_enum.params in
+  check_knowledge
+    ~name:(label ^ " with a round-2 corruption")
+    (R.run ~corrupt:(corrupt case)
+       ~corrupt_at:[ (2, fun p s -> corrupt case ((p + 1) mod n) s) ]
+       ~faults:(Schedule_enum.to_faults case) ~rounds (protocol case))
+
 (* The explorer's batch walk against [Property.run], case by case: every
    result field, and every stats field but the clocks. Under [canonical]
    the oracle runs each case's orbit representative (the orbit's first
-   member in the array), as the explorer does. *)
-let check_walk_against_run ~label prop cases =
+   member in the array), as the explorer does. [knowledge], given the
+   per-case fingerprints, checks the synchronous theorem's walked traces
+   ({!check_knowledge_walk}). *)
+let check_walk_against_run ?knowledge ~label prop cases =
   let len = Array.length cases in
   List.iter
     (fun canonical ->
@@ -647,6 +751,10 @@ let check_walk_against_run ~label prop cases =
               Some (r.Property.fingerprint, v.Property.ok, v.Property.detail (), r.Property.states))
       in
       let expect = Array.init len (fun i -> Option.get own.(rep.(i))) in
+      if not canonical then
+        Option.iter
+          (fun k -> k ~fingerprint:(fun i -> let fp, _, _, _ = expect.(i) in fp))
+          knowledge;
       let field f = List.map (fun i -> f expect.(i)) executed in
       let fps = List.sort_uniq compare (field (fun (fp, _, _, _) -> fp)) in
       let states = List.fold_left ( + ) 0 (field (fun (_, _, _, s) -> s)) in
@@ -689,15 +797,42 @@ let test_walk_equals_run_theorem3 () =
   let cases = shuffled 11 (Schedule_enum.enumerate (full 4 2 2)) in
   check_walk_against_run ~label:"theorem3" (find_property "theorem3" "none") cases;
   let cases = shuffled 12 (Schedule_enum.enumerate (full 3 3 1)) in
-  check_walk_against_run ~label:"theorem3/frozen-exchange"
-    (find_property "theorem3" "frozen-exchange") cases
+  let label = "theorem3/frozen-exchange" in
+  let frozen =
+    {
+      Ftss_core.Round_agreement.protocol with
+      Ftss_sync.Protocol.name = "round-agreement!frozen-exchange";
+      step = (fun _ c _ -> c + 1);
+    }
+  in
+  check_walk_against_run
+    ~knowledge:
+      (check_knowledge_walk ~label
+         ~protocol:(fun _ -> frozen)
+         ~corrupt:(fun c -> Schedule_enum.corrupt_int c.Schedule_enum.corruption)
+         cases)
+    ~label (find_property "theorem3" "frozen-exchange") cases
 
 let test_walk_equals_run_theorem4 () =
   let cases = shuffled 13 (Schedule_enum.enumerate (full 3 3 2)) in
   check_walk_against_run ~label:"theorem4" (find_property "theorem4" "none") cases;
   let cases = shuffled 14 (Schedule_enum.enumerate (full 3 4 1)) in
-  check_walk_against_run ~label:"theorem4/no-suspect-filter"
-    (find_property "theorem4" "no-suspect-filter") cases
+  let label = "theorem4/no-suspect-filter" in
+  let protocol (c : Schedule_enum.t) =
+    let { Schedule_enum.n; f; _ } = c.Schedule_enum.params in
+    Ftss_core.Compiler.compile ~suspect_filter:false ~n
+      (Ftss_protocols.Flooding_consensus.make ~f ~propose:(fun p -> 50 + p))
+  in
+  let corrupt (c : Schedule_enum.t) p (st : _ Ftss_core.Compiler.state) =
+    {
+      st with
+      Ftss_core.Compiler.c =
+        Schedule_enum.corrupt_int c.Schedule_enum.corruption p st.Ftss_core.Compiler.c;
+    }
+  in
+  check_walk_against_run
+    ~knowledge:(check_knowledge_walk ~label ~protocol ~corrupt cases)
+    ~label (find_property "theorem4" "no-suspect-filter") cases
 
 let test_walk_equals_run_theorem5 () =
   let prop = find_property "theorem5" "none" in
@@ -706,6 +841,26 @@ let test_walk_equals_run_theorem5 () =
   (* No rounds to share: every state is stepped. *)
   let st, _ = Explore.run ~domains:1 prop cases in
   check_int "theorem5 steps every state" st.Explore.states st.Explore.stepped
+
+(* The printed fingerprint of one case per theorem. Fuzz corpus files
+   are named by it and [fuzz --json] prints it, so it must not move. *)
+let test_golden_fingerprints () =
+  List.iter
+    (fun (name, params, index, expected) ->
+      let prop = find_property name "none" in
+      let cases = Schedule_enum.enumerate (prop.Property.restrict params) in
+      let hex = prop.Property.fingerprint_hex in
+      let r = prop.Property.run cases.(index) in
+      Alcotest.(check string) (name ^ ": Property.run") expected (hex r.Property.fingerprint);
+      let _, results = Explore.run prop cases in
+      Alcotest.(check string)
+        (name ^ ": Explore.run") expected
+        (hex results.(index).Explore.fingerprint))
+    [
+      ("theorem3", full 3 3 1, 137, "31446dc581c605dc");
+      ("theorem4", full 3 4 1, 211, "1458c95139002610");
+      ("theorem5", full 3 3 1, 23, "335676dc-2a3b342a");
+    ]
 
 let test_stepped_pinned () =
   let cases = Schedule_enum.enumerate (full 3 3 1) in
@@ -832,6 +987,7 @@ let suite =
         tc "walk = Property.run: theorem 4" `Quick test_walk_equals_run_theorem4;
         tc "walk = Property.run: theorem 5" `Quick test_walk_equals_run_theorem5;
         tc "stepped pinned (n=3,r=3,f=1)" `Quick test_stepped_pinned;
+        tc "golden: rendered fingerprints" `Quick test_golden_fingerprints;
         tc "prefix order groups shared prefixes" `Quick test_prefix_order_groups_prefixes;
         tc "shared prefixes execute identically" `Quick test_shared_prefix_is_exact;
         tc "hash partition = marshal partition (mid-run corruption)" `Quick

@@ -296,7 +296,7 @@ let fingerprint_set l = List.sort_uniq String.compare l
 
 let exhaustive_violations prop sp =
   let stats, results = E.run ~domains:2 prop (S.enumerate sp) in
-  List.map (fun i -> (i, results.(i).E.fingerprint)) stats.E.violations
+  List.map (fun i -> (i, prop.P.fingerprint_hex results.(i).E.fingerprint)) stats.E.violations
 
 (* Seed phase only (budget = case count): the fuzzer must find exactly
    the violation set the exhaustive checker finds — both directions —

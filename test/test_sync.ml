@@ -469,7 +469,7 @@ let test_cursor_composes_run () =
           let o1, events1 = recording () and o2, events2 = recording () in
           let a = Runner.run ~obs:o1 ~corrupt ?corrupt_at ~faults ~rounds gossip in
           let b =
-            Runner.finish ?corrupt_at ~faults
+            Runner.finish ~faults
               (step_to ~obs:o2 ?corrupt_at ~faults ~rounds ~from:0
                  (Runner.start ~obs:o2 ~corrupt ~n gossip))
           in
