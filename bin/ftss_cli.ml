@@ -73,17 +73,14 @@ let obs_term =
 (* Builds the hub when an output was requested (or [~always], when the
    caller attaches consumers of its own), runs [f] with it, then flushes the
    trace sink and writes the metrics snapshot. Without either flag [f
-   None] runs with zero instrumentation overhead. Events are stamped
-   with a causal stamper over [n] processes — the vector clocks [ftss
-   explain] consumes — only when a trace is written, and folded into
-   the registry only when a metrics file is asked for. *)
-let with_obs ?n ?(always = false) ?threadsafe { trace_out; metrics_out } f =
+   None] runs with zero instrumentation overhead. Events are folded into
+   the registry only when a metrics file is asked for; a written trace
+   is the plain event stream, whose happened-before [ftss explain]
+   rebuilds offline. *)
+let with_obs ?(always = false) ?threadsafe { trace_out; metrics_out } f =
   if trace_out = None && metrics_out = None && not always then f None
   else
-    let stamp = match trace_out with Some _ -> n | None -> None in
-    let obs =
-      Ftss_obs.Obs.create ?stamp ~record:(metrics_out <> None) ?threadsafe ()
-    in
+    let obs = Ftss_obs.Obs.create ~record:(metrics_out <> None) ?threadsafe () in
     (match trace_out with
     | Some path -> Ftss_obs.Obs.add_sink obs (Ftss_obs.Sink.jsonl_file path)
     | None -> ());
@@ -131,11 +128,11 @@ let write_dot path t targets =
   output_string oc (Prov.to_dot ~targets t ids);
   close_out oc
 
-(* Re-runs a counterexample under an in-memory stamped hub and prints the
-   causal explanation of its outcome; optionally exports the cone. *)
-let explain_counterexample ?dot ~n f =
+(* Re-runs a counterexample under an in-memory recording hub and prints
+   the causal explanation of its outcome; optionally exports the cone. *)
+let explain_counterexample ?dot f =
   let evs = ref [] in
-  let obs = Ftss_obs.Obs.create ~stamp:n ~record:false () in
+  let obs = Ftss_obs.Obs.create ~record:false () in
   Ftss_obs.Obs.add_sink obs
     (Ftss_obs.Sink.make ~emit:(fun ev -> evs := ev :: !evs) ~close:ignore);
   f obs;
@@ -158,7 +155,7 @@ let dump_arg =
 
 let round_agreement_cmd =
   let run n f seed rounds p_drop dump outs =
-    with_obs ~n outs @@ fun obs ->
+    with_obs outs @@ fun obs ->
     let rng = Rng.create seed in
     let faults = Faults.random_omission rng ~n ~f ~p_drop ~rounds in
     let trace =
@@ -202,7 +199,7 @@ let protocol_arg =
 
 let compile_cmd =
   let run n f seed rounds p_drop which outs =
-    with_obs ~n outs @@ fun obs ->
+    with_obs outs @@ fun obs ->
     let rng = Rng.create seed in
     let faults = Faults.random_omission rng ~n ~f ~p_drop ~rounds in
     let check (type s d) (pi : (s, d) Canonical.t) ~(corrupt_s : Rng.t -> Pid.t -> s -> s)
@@ -272,7 +269,7 @@ let crashes_arg =
 
 let esfd_cmd =
   let run n seed gst horizon crashes outs =
-    with_obs ~n outs @@ fun obs ->
+    with_obs outs @@ fun obs ->
     let open Ftss_async in
     let config =
       {
@@ -315,7 +312,7 @@ let esfd_cmd =
 
 let stack_cmd =
   let run n seed gst horizon crashes outs =
-    with_obs ~n outs @@ fun obs ->
+    with_obs outs @@ fun obs ->
     let open Ftss_async in
     let config =
       {
@@ -378,7 +375,7 @@ let detector_arg =
 
 let consensus_cmd =
   let run n seed gst horizon crashes style corruption detector_kind outs =
-    with_obs ~n outs @@ fun obs ->
+    with_obs outs @@ fun obs ->
     let open Ftss_async in
     let propose p i = 100 + (((p * 13) + (i * 7)) mod 50) in
     let config =
@@ -559,7 +556,7 @@ let canonical_arg =
 
 let check_cmd =
   let run n f rounds property inject domains canonical out json dot outs =
-    with_obs ~n outs @@ fun obs ->
+    with_obs outs @@ fun obs ->
     let open Ftss_check in
     match Property.find ~name:property ~inject with
     | Error msg ->
@@ -621,9 +618,9 @@ let check_cmd =
               Replay.save path replayable;
               Format.printf "replay file written to %s (ftss_cli replay %s)@." path path
             | None -> Format.printf "%s" (Replay.to_string replayable));
-            (* Traced, stamped re-run of the shrunk counterexample: the
-               causal cone of its outcome ships with the report. *)
-            explain_counterexample ?dot ~n (fun o ->
+            (* Traced re-run of the shrunk counterexample: the causal
+               cone of its outcome ships with the report. *)
+            explain_counterexample ?dot (fun o ->
                 ignore (prop.Property.run ~obs:o shrunk));
             1
         end)
@@ -684,7 +681,7 @@ let corpus_dir_arg =
 
 let fuzz_cmd =
   let run n f rounds property inject seed budget corpus_dir domains json outs =
-    with_obs ~n outs @@ fun obs ->
+    with_obs outs @@ fun obs ->
     let open Ftss_check in
     let module M = Ftss_fuzz.Mutate in
     let module F = Ftss_fuzz.Fuzz in
@@ -736,7 +733,7 @@ let fuzz_cmd =
               Format.printf "  shrunk (size %d -> %d): %a@." (M.size v.F.v_genome)
                 (M.size v.F.v_shrunk) M.pp v.F.v_shrunk;
               Format.printf "  %s@." v.F.v_detail;
-              explain_counterexample ~n (fun o ->
+              explain_counterexample (fun o ->
                   ignore (prop.Property.run_adv ~obs:o (M.to_adversary v.F.v_shrunk))))
             stats.F.violations
         end;
@@ -778,8 +775,7 @@ let replay_cmd =
       Format.eprintf "replay: %s@." msg;
       2
     | Ok t -> (
-      let n = t.Replay.case.Schedule_enum.params.Schedule_enum.n in
-      with_obs ~n outs @@ fun obs ->
+      with_obs outs @@ fun obs ->
       Format.printf "property: %s (inject: %s)@." t.Replay.property t.Replay.inject;
       Format.printf "case: %a@." Schedule_enum.pp t.Replay.case;
       match Replay.replay ?obs t with
@@ -794,7 +790,7 @@ let replay_cmd =
         end
         else begin
           Format.printf "counterexample reproduced@.";
-          explain_counterexample ?dot ~n (fun o -> ignore (Replay.replay ~obs:o t));
+          explain_counterexample ?dot (fun o -> ignore (Replay.replay ~obs:o t));
           0
         end)
   in
@@ -878,10 +874,6 @@ let explain_cmd =
           2
         | Ok targets ->
           Format.printf "%a@." Prov.pp_explain (t, targets);
-          (match Prov.stamps_consistent t with
-          | Ok () -> ()
-          | Error msg ->
-            Format.eprintf "explain: warning: inconsistent causal stamps (%s)@." msg);
           (match dot with
           | Some p ->
             write_dot p t targets;
@@ -902,9 +894,9 @@ let explain_cmd =
       & opt string "last-decide"
       & info [ "event" ] ~docv:"SEL"
           ~doc:
-            "Outcome event to explain: an event id, $(b,last-decide), \
-             $(b,last-window), or $(b,suspect:P,Q) (the last suspicion change of P \
-             about Q).")
+            "Outcome event to explain: an event id (the event's 0-based position \
+             in the trace), $(b,last-decide), $(b,last-window), or \
+             $(b,suspect:P,Q) (the last suspicion change of P about Q).")
   in
   Cmd.v
     (Cmd.info "explain"
@@ -979,7 +971,7 @@ let tower_run ~n ~seed ~ops ~sessions ~keys ~window ~baseline ~storm_at
     end
     else
       (* single-domain driver: skip the per-event hub lock *)
-      with_obs ~n ~always:need_monitor ~threadsafe:false outs @@ fun obs ->
+      with_obs ~always:need_monitor ~threadsafe:false outs @@ fun obs ->
       let wl = Workload.create ~n spec in
       let snap = ref None in
       let write_prom m =

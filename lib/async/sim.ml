@@ -158,8 +158,9 @@ let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) config
           incr dropped_by_adversary;
           (* The process did send; the adversary suppressed the message in
              flight. Emitting the Send before the Drop keeps the trace
-             uniform — every Drop has a matching Send — which the causal
-             stamper relies on to pair drops with their suppressed sends. *)
+             uniform — every Drop has a matching Send — which the
+             provenance DAG relies on to pair drops with their suppressed
+             sends. *)
           if traced then begin
             emit
               (Ftss_obs.Event.make ~time:ctx.ctx_now

@@ -86,10 +86,9 @@ type t = {
           interpret (e.g. crash-only for the asynchronous theorem 5) *)
   run_adv : ?obs:Ftss_obs.Obs.t -> adversary -> run;
       (** the evaluator proper; the fuzzer's entry point. With [?obs]
-          the theorem's substrate run is traced (and stamped, when the
-          hub carries a stamper), and the stable windows of the
-          execution are emitted — the provenance path for explaining a
-          counterexample *)
+          the theorem's substrate run is traced and the stable windows of
+          the execution are emitted — the provenance path for explaining
+          a counterexample *)
   run : ?obs:Ftss_obs.Obs.t -> Schedule_enum.t -> run;
       (** [run_adv ∘ adversary_of_case] *)
   run_batch : Schedule_enum.t array -> int array -> (int -> run -> unit) -> int;

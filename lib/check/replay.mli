@@ -81,5 +81,5 @@ val load : string -> (t, string) result
 (** [replay t] re-resolves the property and executes the case, returning
     its verdict. [Ok v] with [v.ok = false] means the counterexample
     reproduced. With [?obs] the re-execution is traced through the hub
-    (stamped when it carries a stamper) — the provenance path. *)
+    — the provenance path. *)
 val replay : ?obs:Ftss_obs.Obs.t -> t -> (Property.verdict, string) result

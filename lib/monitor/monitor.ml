@@ -80,9 +80,7 @@ type t = {
      ints), decoded only on snapshot. A boxed [Event.t array] ring
      promotes every retained event out of the minor heap and pays a
      write barrier per push — measured at >10% of tower throughput; the
-     flat encoding is plain immediate stores. Stamps are not retained
-     (the full stamped trace is already on disk when tracing is
-     armed). *)
+     flat encoding is plain immediate stores. *)
   ring_data : int array;
   ring_cap : int;
   mutable ring_pos : int; (* next slot index *)

@@ -31,12 +31,8 @@ let snapshot t (alarm : Monitor.alarm) ~prefix =
   let dot_path = prefix ^ ".dot" in
   write_jsonl jsonl_path events;
   let prov = Prov.of_events events in
-  (* The ring stores events unboxed and without stamps, so search with a
-     stamp-stripped copy of the trigger — the decoded ring entry is
-     structurally equal to it. *)
-  let target = { alarm.Monitor.event with Event.stamp = None } in
   let targets, target_found =
-    match Prov.find_event prov target with
+    match Prov.find_event prov alarm.Monitor.event with
     | Some id -> ([ id ], true)
     | None -> ([], false)
   in

@@ -21,9 +21,9 @@ type body =
   | Apply of { pid : Pid.t; slot : int; digest : int }
   | Recover of { pid : Pid.t; slots : int }
 
-type t = { time : int; body : body; stamp : Stamp.t option }
+type t = { time : int; body : body }
 
-let make ?stamp ~time body = { time; body; stamp }
+let make ~time body = { time; body }
 
 let kind t =
   match t.body with
@@ -91,11 +91,6 @@ let to_json t =
       [ ("pid", Json.Int pid); ("slot", Json.Int slot); ("digest", Json.Int digest) ]
     | Recover { pid; slots } ->
       [ ("pid", Json.Int pid); ("slots", Json.Int slots) ]
-  in
-  let fields =
-    match t.stamp with
-    | None -> fields
-    | Some stamp -> fields @ Stamp.json_fields stamp
   in
   Json.Obj (("t", Json.Int t.time) :: ("ev", Json.String (kind t)) :: fields)
 
@@ -178,7 +173,7 @@ let of_json json =
       Some (Recover { pid; slots })
     | _ -> None
   in
-  Some { time; body; stamp = Stamp.of_json_fields json }
+  Some { time; body }
 
 let pp ppf t =
   Format.fprintf ppf "t=%-5d %s" t.time (kind t);

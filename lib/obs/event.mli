@@ -57,15 +57,13 @@ type t = {
       (** round number (sync), simulation time (async), or case index
           (checker) — each producer documents its clock *)
   body : body;
-  stamp : Stamp.t option;
-      (** the causal stamp, attached at emission by a hub with a
-          {!Stamper}; [None] on unstamped streams *)
 }
 
-(** [make ~time body] builds an (unstamped, unless [?stamp]) event —
-    producers should use this rather than the record literal so the
-    envelope can grow fields without touching every emission site. *)
-val make : ?stamp:Stamp.t -> time:int -> body -> t
+(** [make ~time body] builds an event — producers should use this rather
+    than the record literal so the envelope can grow fields without
+    touching every emission site. An event's causal place is not stored
+    on it: {!Ftss_prov.Prov} derives happened-before from the stream. *)
+val make : time:int -> body -> t
 
 (** Stable lowercase tag of the constructor ("drop", "suspect_add", ...),
     used for filtering and summaries. *)
@@ -78,7 +76,8 @@ val to_json : t -> Json.t
 
 (** Decode one event; [None] when the document is not a recognizable
     event record (unknown tag, missing field). Total inverse of
-    {!to_json}. *)
+    {!to_json}. Fields it does not know are ignored, so traces written
+    with the former per-event causal stamps ([eid], [vc]) still load. *)
 val of_json : Json.t -> t option
 
 (** One human-readable line, e.g. [t=12 drop 0->2 blame=0]. *)

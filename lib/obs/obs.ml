@@ -6,17 +6,15 @@ type t = {
   record : bool;
   threadsafe : bool;
   mutex : Mutex.t;
-  stamper : Stamper.t option;
 }
 
-let create ?stamp ?(record = true) ?(threadsafe = true) () =
+let create ?(record = true) ?(threadsafe = true) () =
   {
     sinks = [||];
     registry = Metrics.create ();
     record;
     threadsafe;
     mutex = Mutex.create ();
-    stamper = Option.map (fun n -> Stamper.create ~n) stamp;
   }
 
 let add_sink t sink =
@@ -31,7 +29,6 @@ let add_sink t sink =
    calls is the single largest fixed cost per event, and single-domain
    drivers (the simulator, the service tower) pay it for nothing. *)
 let dispatch t ev =
-  let ev = match t.stamper with None -> ev | Some st -> Stamper.stamp st ev in
   if t.record then Metrics.record_event t.registry ev;
   let sinks = t.sinks in
   for i = 0 to Array.length sinks - 1 do

@@ -15,26 +15,21 @@ open Ftss_util
 type t
 
 (** [create ()] with no sinks still collects metrics — attach it to a run
-    and export {!metrics} afterwards. [~stamp:n] attaches a {!Stamper}
-    over a universe of [n] processes: every emitted event then carries a
-    causal stamp (eid + vector clock), the input the provenance engine
-    consumes. Stamping happens under the hub lock, so multi-domain
-    producers stay safe. [~record:false] skips folding events into the
-    metrics registry — the monitor-only configuration, where sinks
-    maintain their own state and the per-event registry hashtable work
-    would be waste. [~threadsafe:false] drops the per-event mutex — the
-    pair of lock stubs is the largest fixed cost of an emit — and is
-    safe exactly when a single domain emits (the discrete-event
-    simulator, the service tower); multi-domain producers (the parallel
-    explorer) must keep the default. *)
-val create : ?stamp:int -> ?record:bool -> ?threadsafe:bool -> unit -> t
+    and export {!metrics} afterwards. [~record:false] skips folding
+    events into the metrics registry — the monitor-only configuration,
+    where sinks maintain their own state and the per-event registry
+    hashtable work would be waste. [~threadsafe:false] drops the
+    per-event mutex — the pair of lock stubs is the largest fixed cost
+    of an emit — and is safe exactly when a single domain emits (the
+    discrete-event simulator, the service tower); multi-domain producers
+    (the parallel explorer) must keep the default. *)
+val create : ?record:bool -> ?threadsafe:bool -> unit -> t
 
-(** [add_sink t s] attaches a consumer. {!emit} stamps an event, folds
-    it into the registry, then hands it to every sink in the order they
-    were added. Sinks run under the hub lock, so they must not call
-    back into the hub; a sink on the armed hot path (the streaming
-    monitor plane, {!Ftss_monitor.Monitor.attach}) must be O(1) per
-    event. *)
+(** [add_sink t s] attaches a consumer. {!emit} folds an event into the
+    registry, then hands it to every sink in the order they were added.
+    Sinks run under the hub lock, so they must not call back into the
+    hub; a sink on the armed hot path (the streaming monitor plane,
+    {!Ftss_monitor.Monitor.attach}) must be O(1) per event. *)
 val add_sink : t -> Sink.t -> unit
 
 val emit : t -> Event.t -> unit

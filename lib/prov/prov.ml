@@ -26,16 +26,10 @@ let location (body : Event.body) =
     None
 
 (* The universe is whatever the trace mentions: every endpoint of every
-   event, plus the width of any vector clock (a stamped trace knows its
-   own n). *)
+   event. *)
 let infer_n evs =
   Array.fold_left
     (fun acc (ev : Event.t) ->
-      let acc =
-        match ev.Event.stamp with
-        | Some s -> max acc (Array.length s.Stamp.vc)
-        | None -> acc
-      in
       match ev.Event.body with
       | Event.Send { src; dst } ->
         max acc (1 + max src (Option.value ~default:(-1) dst))
@@ -169,19 +163,6 @@ let find_event t ev =
     in
     structural (len - 1)
 
-let eid t i =
-  match t.evs.(i).Event.stamp with Some s -> Some s.Stamp.eid | None -> None
-
-let find_eid t e =
-  let found = ref None in
-  Array.iteri
-    (fun i (ev : Event.t) ->
-      match ev.Event.stamp with
-      | Some s when s.Stamp.eid = e && !found = None -> found := Some i
-      | _ -> ())
-    t.evs;
-  !found
-
 let cone t targets =
   let len = Array.length t.evs in
   let seen = Array.make (max 1 len) false in
@@ -294,30 +275,6 @@ let blame_of_drop t i =
   | Event.Drop { blame; _ } -> blame
   | _ -> None
 
-(* --- stamped-trace invariant --- *)
-
-let stamps_consistent t =
-  let bad = ref None in
-  Array.iteri
-    (fun i (ev : Event.t) ->
-      if !bad = None then
-        match ev.Event.stamp with
-        | None -> ()
-        | Some s ->
-          List.iter
-            (fun j ->
-              match t.evs.(j).Event.stamp with
-              | Some s' when not (Stamp.dominates ~by:s s') ->
-                if !bad = None then
-                  bad :=
-                    Some
-                      (Printf.sprintf
-                         "event %d's clock does not dominate its parent %d" i j)
-              | _ -> ())
-            t.parents.(i))
-    t.evs;
-  match !bad with None -> Ok () | Some msg -> Error msg
-
 (* --- target selection --- *)
 
 type target =
@@ -385,14 +342,9 @@ let resolve t target =
     | Some i -> Ok [ i ]
     | None ->
       Error (Printf.sprintf "trace has no suspicion change of p%d about p%d" p q))
-  | Id e -> (
-    (* A stamped trace is addressed by eid; an unstamped one by stream
-       index. Eids win when both could match. *)
-    match find_eid t e with
-    | Some i -> Ok [ i ]
-    | None ->
-      if e < length t && eid t e = None then Ok [ e ]
-      else Error (Printf.sprintf "no event with id %d" e))
+  | Id i ->
+    if i >= 0 && i < length t then Ok [ i ]
+    else Error (Printf.sprintf "no event with id %d" i)
 
 (* --- rendering --- *)
 

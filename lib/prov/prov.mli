@@ -1,5 +1,5 @@
-(** Causal provenance over stamped (or raw) event traces: the [ftss
-    explain] engine.
+(** Causal provenance over event traces: the [ftss explain] engine, and
+    the one happened-before relation over recorded events.
 
     {!of_events} indexes an event stream into a happened-before DAG:
     program-order edges chain each process's located events, message
@@ -35,8 +35,7 @@ val of_events : Event.t list -> t
 (** Load a JSON Lines trace (via {!Trace_summary.load}) and index it. *)
 val load : string -> (t, string) result
 
-(** Universe size, inferred from every endpoint the trace mentions and
-    the width of any vector clock. *)
+(** Universe size, inferred from every endpoint the trace mentions. *)
 val n : t -> int
 
 val length : t -> int
@@ -102,24 +101,17 @@ val pruned_drops : t -> (int * int option) list
 
 val blame_of_drop : t -> int -> Pid.t option
 
-(** On a stamped trace: every edge's child clock dominates its parent's.
-    [Ok ()] vacuously on unstamped traces. *)
-val stamps_consistent : t -> (unit, string) result
-
 type target =
   | Last_decide
   | Suspect of Pid.t * Pid.t
   | Last_window_close
-  | Id of int  (** stamp eid when the trace is stamped, else stream index *)
+  | Id of int  (** the event's 0-based position in the trace *)
 
 (** Parse an [--event] selector: [<id>], [last-decide], [last-window],
     or [suspect:<p>,<q>] (the last suspicion change of p about q). *)
 val parse_target : string -> (target, string) result
 
 val resolve : t -> target -> (int list, string) result
-
-(** The stamp eid of event [i], if stamped. *)
-val eid : t -> int -> int option
 
 (** Graphviz rendering of the event set [ids] (typically a cone):
     process lanes as clusters, message edges in blue, drops in red,

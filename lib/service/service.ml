@@ -239,13 +239,6 @@ let run_measured ?obs ?profile ~wl (params : params) =
     (fun p s -> match s with Some s -> live := (p, s) :: !live | None -> ())
     result.Sim.final_states;
   let live = List.rev !live in
-  if Sys.getenv_opt "TOB_DEBUG" <> None then
-    List.iter
-      (fun (p, s) ->
-        Printf.eprintf "p%d: committed=%d content=%d kvrec=%d recov=%d\n%!" p
-          (Tob.committed s.tob) (Tob.content_digest s.tob) (Tob.kv_recomputed s.tob)
-          (Tob.recoveries s.tob))
-      live;
   let reference = match live with (_, s) :: _ -> Some s | [] -> None in
   let committed_slots =
     List.fold_left

@@ -600,9 +600,6 @@ let on_pull_rep t ~now ~src ~from ~entries =
     let adopted = Array.fold_left (fun h b -> Kv.chain h (Kv.batch_digest b)) 0 entries in
     if len = t.committed && adopted = content_digest t then []
     else begin
-      if Sys.getenv_opt "TOB_DEBUG" <> None then
-        Printf.eprintf "[t=%d] p%d repair adopt from p%d len %d -> %d\n%!" now t.self
-          src t.committed len;
       ensure_log_cap t len;
       Array.blit entries 0 t.log 0 len;
       t.committed <- len;
@@ -753,12 +750,6 @@ let tick t ~now ~suspected =
           List.length ps > my_camp
           || (List.length ps = my_camp && compare theirs mine > 0)
         then begin
-          if Sys.getenv_opt "TOB_DEBUG" <> None then
-            Printf.eprintf
-              "[t=%d] p%d log-conflict %s camp %d vs %d -> full pull from p%d (len=%d)\n%!"
-              now t.self
-              (Pidset.to_string t.log_conflict)
-              (List.length ps) my_camp peer t.committed;
           push (request_pull t peer ~from:0);
           t.log_conflict <- Pidset.empty;
           t.kv_conflict <- Pidset.empty

@@ -81,22 +81,13 @@ let all_events =
     Event.make ~time:13 (Event.Recover { pid = 2; slots = 4 });
   ]
 
-(* The same bodies stamped: totality of the JSON codec must cover the
-   stamped envelope too. *)
-let all_events_stamped =
-  List.mapi
-    (fun i ev ->
-      let vc = [| i; i + 1; 2 * i |] in
-      Event.make ~stamp:{ Stamp.eid = i; vc } ~time:ev.Event.time ev.Event.body)
-    all_events
-
 let test_event_round_trip () =
   List.iter
     (fun ev ->
       match Event.of_json (Event.to_json ev) with
       | Some ev' -> check (Event.kind ev ^ " round-trips") true (ev = ev')
       | None -> Alcotest.failf "%s did not decode" (Event.kind ev))
-    (all_events @ all_events_stamped);
+    all_events;
   (* Every declared kind is exercised above. *)
   let seen = List.sort_uniq compare (List.map Event.kind all_events) in
   check_int "all kinds covered" (List.length Event.kinds) (List.length seen)
@@ -111,9 +102,9 @@ let test_event_rejects_unknown () =
 
 (* A hub whose one sink collects every event; the getter returns them
    oldest first. *)
-let collecting ?stamp () =
+let collecting () =
   let evs = ref [] in
-  let obs = Obs.create ?stamp () in
+  let obs = Obs.create () in
   Obs.add_sink obs (Sink.make ~emit:(fun ev -> evs := ev :: !evs) ~close:ignore);
   (obs, fun () -> List.rev !evs)
 
@@ -131,17 +122,19 @@ let test_jsonl_and_load_round_trip () =
         check_int "every event loaded" (List.length all_events) (Trace_summary.length t);
         check "events identical" true (Trace_summary.events t = all_events))
 
-(* The golden fixture pins the wire format: every event kind, plain and
-   stamped, exactly as [Sink.jsonl_file] writes it today. A diff here means
-   the JSONL encoding changed and every stored trace in the wild silently
+(* The golden fixture pins the wire format: every event kind exactly as
+   [Sink.jsonl_file] writes it (its first [List.length all_events] lines),
+   then the same bodies as traces carried them while events held causal
+   stamps (an [eid] and a [vc] field per line). A diff here means the
+   JSONL encoding changed and every stored trace in the wild silently
    re-reads differently — bump deliberately, never by accident. *)
-let test_golden_jsonl () =
-  let golden =
-    if Sys.file_exists "golden_events.jsonl" then "golden_events.jsonl"
-    else Filename.concat "test" "golden_events.jsonl"
-  in
-  let ic = open_in golden in
-  let expected =
+let golden_path () =
+  if Sys.file_exists "golden_events.jsonl" then "golden_events.jsonl"
+  else Filename.concat "test" "golden_events.jsonl"
+
+let test_golden_jsonl_writer () =
+  let ic = open_in (golden_path ()) in
+  let fixture =
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () ->
@@ -152,20 +145,22 @@ let test_golden_jsonl () =
         in
         lines [])
   in
-  let actual =
-    List.map (fun ev -> Json.to_string (Event.to_json ev))
-      (all_events @ all_events_stamped)
-  in
-  check_int "fixture line count" (List.length actual) (List.length expected);
+  let actual = List.map (fun ev -> Json.to_string (Event.to_json ev)) all_events in
+  check_int "fixture line count" (2 * List.length actual) (List.length fixture);
   List.iteri
-    (fun i (a, e) -> check_string (Printf.sprintf "line %d" (i + 1)) e a)
-    (List.combine actual expected);
-  (* And the fixture still decodes to the same events. *)
-  match Trace_summary.load golden with
+    (fun i a -> check_string (Printf.sprintf "line %d" (i + 1)) (List.nth fixture i) a)
+    actual
+
+(* The reader decodes every fixture line, and a legacy stamped line to
+   the same event as its unstamped twin: the stamp fields are ignored. *)
+let test_golden_jsonl_reader () =
+  match Trace_summary.load (golden_path ()) with
   | Error msg -> Alcotest.failf "golden fixture unreadable: %s" msg
   | Ok t ->
-    check "fixture decodes to the source events" true
-      (Trace_summary.events t = all_events @ all_events_stamped)
+    check_int "every fixture line decodes" (2 * List.length all_events)
+      (Trace_summary.length t);
+    check "plain and legacy stamped lines decode to the source events" true
+      (Trace_summary.events t = all_events @ all_events)
 
 let test_coverage_summary () =
   let cov ~time execs corpus points =
@@ -413,26 +408,26 @@ let test_obs_fan_out_and_suspect_diff () =
   check_int "metrics recorded too" 2
     (Metrics.counter_value (Metrics.counter (Obs.metrics obs) "suspicion_churn"))
 
-(* One dispatch order for every consumer: the event is stamped, folded
-   into the registry, then handed to the sinks in the order they were
-   added — a sink sees the registry already updated. *)
+(* One dispatch order for every consumer: the event is folded into the
+   registry, then handed to the sinks in the order they were added — a
+   sink sees the registry already updated. *)
 let test_obs_dispatch_order () =
-  let obs = Obs.create ~stamp:2 () in
+  let obs = Obs.create () in
   let log = ref [] in
   let churn () =
     Metrics.counter_value (Metrics.counter (Obs.metrics obs) "suspicion_churn")
   in
   let sink name =
-    Sink.make ~close:ignore ~emit:(fun (ev : Event.t) ->
-        log := (name, ev.Event.stamp <> None, churn ()) :: !log)
+    Sink.make ~close:ignore ~emit:(fun (_ : Event.t) ->
+        log := (name, churn ()) :: !log)
   in
   Obs.add_sink obs (sink "a");
   Obs.add_sink obs (sink "b");
   Obs.suspect_diff obs ~time:1 ~observer:0 ~before:Pidset.empty
     ~after:(Pidset.of_list [ 1 ]);
-  Alcotest.(check (list (triple string bool int)))
-    "stamped, recorded, then a before b"
-    [ ("a", true, 1); ("b", true, 1) ]
+  Alcotest.(check (list (pair string int)))
+    "recorded, then a before b"
+    [ ("a", 1); ("b", 1) ]
     (List.rev !log)
 
 let test_obs_emit_windows () =
@@ -744,7 +739,9 @@ let suite =
         tc "event json round-trips every kind" `Quick test_event_round_trip;
         tc "event decode is total" `Quick test_event_rejects_unknown;
         tc "jsonl write/load round-trips" `Quick test_jsonl_and_load_round_trip;
-        tc "golden jsonl fixture pins the wire format" `Quick test_golden_jsonl;
+        tc "golden jsonl fixture pins the wire format" `Quick test_golden_jsonl_writer;
+        tc "golden jsonl legacy stamped lines still decode" `Quick
+          test_golden_jsonl_reader;
         tc "coverage events fold into the summary" `Quick test_coverage_summary;
         tc "load names the malformed line" `Quick test_load_reports_bad_line;
         tc "console sink filters by kind" `Quick test_console_filter;

@@ -2,8 +2,9 @@
    cone-derived knowledge sets coincide with Ftss_history.Causality on
    synchronous traces (over a whole adversary corpus), drop-pruning and
    blame chaining, destabilizing-event detection with connecting deliver
-   edges, stamped JSONL round-trips, selector parsing, DOT export, and an
-   asynchronous consensus smoke test. *)
+   edges, JSONL round-trips, selector parsing, DOT export, and a
+   structural check of message pairing on asynchronous consensus and
+   service-tower traces. *)
 
 open Ftss_util
 open Ftss_sync
@@ -22,11 +23,11 @@ let counter_protocol : (int, int) Protocol.t =
     step = (fun _ c _ -> c + 1);
   }
 
-(* Run [faults] for [rounds] rounds, traced and stamped, returning the
-   runner's trace (for Causality) and the provenance index built from the
-   very same event stream. *)
-let run_indexed ~n ~rounds faults =
-  let obs, events = Test_obs.collecting ~stamp:n () in
+(* Run [faults] for [rounds] rounds, traced, returning the runner's trace
+   (for Causality) and the provenance index built from the very same
+   event stream. *)
+let run_indexed ~rounds faults =
+  let obs, events = Test_obs.collecting () in
   let trace = Runner.run ~obs ~faults ~rounds counter_protocol in
   (trace, Prov.of_events (events ()))
 
@@ -41,7 +42,7 @@ let test_differential_against_causality () =
   Array.iter
     (fun case ->
       let adv = Property.adversary_of_case case in
-      let trace, t = run_indexed ~n:adv.Property.adv_n ~rounds:adv.Property.adv_rounds adv.Property.adv_faults in
+      let trace, t = run_indexed ~rounds:adv.Property.adv_rounds adv.Property.adv_faults in
       let c = Ftss_history.Causality.analyze trace in
       let rounds = Ftss_history.Causality.length c in
       for r = 0 to rounds do
@@ -70,13 +71,7 @@ let test_differential_against_causality () =
                 (fun (r1, s1) (r2, s2) -> r1 = r2 && Pidset.equal s1 s2)
                 changes growth)
       then
-        Alcotest.failf "growth differs on case %s" (Format.asprintf "%a" Schedule_enum.pp case);
-      (* Stamps are consistent along every edge. *)
-      match Prov.stamps_consistent t with
-      | Ok () -> ()
-      | Error msg ->
-        Alcotest.failf "stamps inconsistent on case %s: %s"
-          (Format.asprintf "%a" Schedule_enum.pp case) msg)
+        Alcotest.failf "growth differs on case %s" (Format.asprintf "%a" Schedule_enum.pp case))
     cases
 
 (* --- drop pruning --- *)
@@ -91,7 +86,7 @@ let test_drop_pruning () =
          (fun r -> [ Faults.Drop { src = 1; dst = 0; round = r }; Faults.Drop { src = 1; dst = 2; round = r } ])
          [ 1; 2; 3 ])
   in
-  let _trace, t = run_indexed ~n ~rounds faults in
+  let _trace, t = run_indexed ~rounds faults in
   (* Nobody but p1 ever hears from p1. *)
   check "p0 never knows p1" false (Pidset.mem 1 (Prov.knows t ~round:rounds 0));
   check "p2 never knows p1" false (Pidset.mem 1 (Prov.knows t ~round:rounds 2));
@@ -147,7 +142,7 @@ let test_growth_and_connecting_delivers () =
         Faults.Drop { src = 2; dst = 0; round = 1 };
       ]
   in
-  let _trace, t = run_indexed ~n ~rounds faults in
+  let _trace, t = run_indexed ~rounds faults in
   let correct = Prov.inferred_correct t in
   let growth = Prov.growth t ~correct in
   check "one growth round" true (List.length growth = 1);
@@ -178,7 +173,7 @@ let test_growth_and_connecting_delivers () =
   in
   check "connecting deliver lies in an observer's cone" true in_some_cone
 
-(* --- stamped JSONL round-trip --- *)
+(* --- JSONL round-trip --- *)
 
 let test_jsonl_round_trip () =
   let n = 3 and rounds = 3 in
@@ -187,7 +182,7 @@ let test_jsonl_round_trip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let obs = Obs.create ~stamp:n () in
+      let obs = Obs.create () in
       Obs.add_sink obs (Sink.jsonl_file path);
       let _trace = Runner.run ~obs ~faults ~rounds counter_protocol in
       Obs.close obs;
@@ -195,17 +190,13 @@ let test_jsonl_round_trip () =
       | Error msg -> Alcotest.failf "load: %s" msg
       | Ok t ->
         check "n inferred" true (Prov.n t = n);
-        check "stamps survive the file" true (Prov.eid t 0 <> None);
-        check "stamps consistent after reload" true
-          (Prov.stamps_consistent t = Ok ());
         check "crash recorded" true (Pidset.mem 2 (Prov.crashed t));
-        (* Resolving by stamp eid finds the exact event. *)
-        (match Prov.eid t 5 with
-        | None -> Alcotest.fail "event 5 unstamped"
-        | Some e -> (
-          match Prov.resolve t (Prov.Id e) with
-          | Ok [ i ] -> check_int "eid resolves to its event" 5 i
-          | Ok _ | Error _ -> Alcotest.fail "eid did not resolve")))
+        (* A numeric selector is the event's position in the stream. *)
+        (match Prov.resolve t (Prov.Id 5) with
+        | Ok [ i ] -> check_int "id resolves to its stream index" 5 i
+        | Ok _ | Error _ -> Alcotest.fail "id did not resolve");
+        check "ids past the end are rejected" true
+          (Result.is_error (Prov.resolve t (Prov.Id (Prov.length t)))))
 
 (* --- selector parsing --- *)
 
@@ -224,7 +215,7 @@ let test_selector_parsing () =
 
 let test_dot_export () =
   let n = 3 and rounds = 2 in
-  let _trace, t = run_indexed ~n ~rounds (Faults.of_events ~n []) in
+  let _trace, t = run_indexed ~rounds (Faults.of_events ~n []) in
   match Prov.last_at t 0 with
   | None -> Alcotest.fail "no events"
   | Some last ->
@@ -240,7 +231,80 @@ let test_dot_export () =
     check "target highlighted" true (contains "gold" dot);
     check "has edges" true (contains "->" dot)
 
-(* --- asynchronous smoke: consensus decides, the decide explains --- *)
+(* --- asynchronous pairing: the DAG checked against the stream --- *)
+
+(* [pairing_sound t] checks every edge of the DAG against the event
+   stream alone, with no second clock:
+   - a [Deliver] has exactly one message parent: a [Send] from the same
+     [src], addressed to its [dst] or broadcast, earlier in the stream
+     and at a time no later than the deliver's;
+   - a [Drop]'s one parent, its suppressed send, meets the same
+     condition;
+   - every other parent of a located event is the event's predecessor
+     on its own lane;
+   - a global event's parents are exactly the latest event of each lane.
+   A lane predecessor that is itself a matching send (a self-delivery
+   right after a self-send) is told apart from the message parent by
+   removing one occurrence of the predecessor first. *)
+let pairing_sound t =
+  let n = Prov.n t in
+  let last = Array.make (max 1 n) (-1) in
+  let fail i fmt =
+    Printf.ksprintf
+      (fun msg -> Error (Format.asprintf "event %d (%a): %s" i Event.pp (Prov.event t i) msg))
+      fmt
+  in
+  let message_parent i ~src ~dst = function
+    | [ j ] -> (
+      let ev = Prov.event t j in
+      match ev.Event.body with
+      | Event.Send { src = s; dst = d }
+        when s = src
+             && (d = None || d = Some dst)
+             && j < i
+             && ev.Event.time <= (Prov.event t i).Event.time ->
+        Ok ()
+      | _ -> fail i "parent %d is not a matching earlier send" j)
+    | ps -> fail i "%d message parents, want 1" (List.length ps)
+  in
+  let rec remove_one x = function
+    | [] -> None
+    | y :: ys when y = x -> Some ys
+    | y :: ys -> Option.map (fun ys -> y :: ys) (remove_one x ys)
+  in
+  let rec go i =
+    if i >= Prov.length t then Ok ()
+    else
+      let ps = Prov.parents t i in
+      let r =
+        match (Prov.located t i, (Prov.event t i).Event.body) with
+        | Some p, body -> (
+          let rest =
+            if last.(p) < 0 then Some ps else remove_one last.(p) ps
+          in
+          match (rest, body) with
+          | None, _ -> fail i "lane predecessor %d is not a parent" last.(p)
+          | Some rest, Event.Deliver { src; dst } -> message_parent i ~src ~dst rest
+          | Some [], _ -> Ok ()
+          | Some (j :: _), _ -> fail i "parent %d is off its lane" j)
+        | None, Event.Drop { src; dst; _ } -> message_parent i ~src ~dst ps
+        | None, _ ->
+          let lanes = List.filter (fun j -> j >= 0) (Array.to_list last) in
+          if List.sort compare ps = List.sort compare lanes then Ok ()
+          else fail i "a global event's parents are not the lane heads"
+      in
+      match r with
+      | Error _ as e -> e
+      | Ok () ->
+        (match Prov.located t i with Some p -> last.(p) <- i | None -> ());
+        go (i + 1)
+  in
+  go 0
+
+let check_pairing what t =
+  match pairing_sound t with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: %s" what msg
 
 let test_async_consensus_smoke () =
   let open Ftss_async in
@@ -253,7 +317,7 @@ let test_async_consensus_smoke () =
       tick_interval = 10;
     }
   in
-  let obs, events = Test_obs.collecting ~stamp:n () in
+  let obs, events = Test_obs.collecting () in
   let oracle =
     Ewfd.make (Rng.create 3) ~n
       ~crashed:(fun _ -> None)
@@ -266,8 +330,7 @@ let test_async_consensus_smoke () =
          ~oracle ())
   in
   let t = Prov.of_events (events ()) in
-  check "stamps consistent on the async trace" true
-    (Prov.stamps_consistent t = Ok ());
+  check_pairing "async consensus trace" t;
   match Prov.resolve t Prov.Last_decide with
   | Error msg -> Alcotest.failf "no decide to explain: %s" msg
   | Ok targets ->
@@ -278,6 +341,31 @@ let test_async_consensus_smoke () =
     check "cone spans several processes" true
       (Pidset.cardinal (Prov.cone_pids t cone) >= 2)
 
+(* The service tower under a corruption storm and an omission window:
+   point sends, self-sends, drops and repair traffic all pair soundly. *)
+let test_service_storm_pairing () =
+  let module Service = Ftss_service.Service in
+  let module Workload = Ftss_service.Workload in
+  let n = 4 in
+  let wl =
+    Workload.create ~n
+      { Workload.default_spec with Workload.ops = 300; window = 300; seed = 5 }
+  in
+  let params =
+    {
+      (Service.default_params ~n ~seed:9) with
+      Service.faults =
+        { Service.no_faults with storms = [ (150, 2) ]; omission = [ (50, 120, 0.2) ] };
+    }
+  in
+  let obs, events = Test_obs.collecting () in
+  let _report = Service.run ~obs ~wl params in
+  let t = Prov.of_events (events ()) in
+  let count kind = List.length (List.filter (fun ev -> Event.kind ev = kind) (events ())) in
+  check "the storm corrupted replicas" true (count "corrupt" > 0);
+  check "the omission window dropped messages" true (count "drop" > 0);
+  check_pairing "service storm trace" t
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -286,9 +374,10 @@ let suite =
         tc "cones match Causality over the corpus" `Slow test_differential_against_causality;
         tc "omitted messages are pruned, blame chains" `Quick test_drop_pruning;
         tc "growth rounds and connecting delivers" `Quick test_growth_and_connecting_delivers;
-        tc "stamped jsonl round-trips through load" `Quick test_jsonl_round_trip;
+        tc "jsonl round-trips through load" `Quick test_jsonl_round_trip;
         tc "selector parsing" `Quick test_selector_parsing;
         tc "dot export renders the cone" `Quick test_dot_export;
         tc "async consensus decide explains" `Quick test_async_consensus_smoke;
+        tc "service storm trace pairs soundly" `Quick test_service_storm_pairing;
       ] );
   ]
