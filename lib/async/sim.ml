@@ -12,8 +12,11 @@ type ('m, 'o) ctx = {
 
 let send ctx dst msg = ctx.outbox <- (dst, msg) :: ctx.outbox
 
+(* Destinations in pid order, without building the pid list per call. *)
 let broadcast ctx msg =
-  List.iter (fun dst -> send ctx dst msg) (Pid.all ctx.ctx_n)
+  for dst = 0 to ctx.ctx_n - 1 do
+    send ctx dst msg
+  done
 
 let observe ctx o = ctx.observations <- o :: ctx.observations
 let now ctx = ctx.ctx_now

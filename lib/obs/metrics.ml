@@ -37,13 +37,18 @@ let lhist_bucket v =
   if v < 1. then 0
   else min (lhist_buckets - 1) (1 + int_of_float (log v /. lhist_log_gamma))
 
-let lobserve h v =
-  h.l_count <- h.l_count + 1;
-  h.l_sum <- h.l_sum +. v;
-  if v < h.l_min then h.l_min <- v;
-  if v > h.l_max then h.l_max <- v;
-  let b = lhist_bucket v in
-  h.buckets.(b) <- h.buckets.(b) + 1
+let lobserve_n h v k =
+  if k > 0 then begin
+    h.l_count <- h.l_count + k;
+    h.l_sum <- h.l_sum +. (v *. float_of_int k);
+    if v < h.l_min then h.l_min <- v;
+    if v > h.l_max then h.l_max <- v;
+    let b = lhist_bucket v in
+    h.buckets.(b) <- h.buckets.(b) + k
+  end
+
+(* [v *. 1.] is [v] exactly, so one sample adds what it always added. *)
+let lobserve h v = lobserve_n h v 1
 
 let lhist_merge into from =
   into.l_count <- into.l_count + from.l_count;

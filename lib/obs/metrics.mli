@@ -53,6 +53,11 @@ val lhist_create : unit -> lhist
 
 val lobserve : lhist -> float -> unit
 
+(** [lobserve_n h v k] records [k] samples of value [v] at once: the
+    histogram [k] calls of [lobserve h v] leave, whenever [v *. k] and
+    the running sum stay exact (integer samples below 2{^53}). *)
+val lobserve_n : lhist -> float -> int -> unit
+
 (** [lhist_merge into from] folds [from]'s samples into [into] (counts,
     sum, extremes, and buckets add exactly — log bucketing makes merging
     lossless). [from] is left untouched. Sharded runs use this to combine

@@ -28,7 +28,8 @@ let batch_digest ops = Array.fold_left (fun h o -> chain h (op_digest o)) 1 ops
    mix per live entry, so [apply] maintains it in O(1): subtract the old
    entry's contribution, add the new one's. Absent keys read as 0 but
    contribute nothing — [put k 0] and "absent" are distinct states. *)
-let[@inline] entry_digest key value = mix (mix 0xD1_6E57 key) value
+let[@inline] key_digest key = mix 0xD1_6E57 key
+let[@inline] entry_digest key value = mix (key_digest key) value
 
 (* The table: a dense entry store plus an open-addressing index, so a
    replica's state is two unboxed blocks instead of one boxed cell per
@@ -152,12 +153,13 @@ let store t i key value =
   let e = t.idx.(i) in
   if e <> 0 then t.ent.((2 * e) - 1) <- value else insert t i key value
 
-(* [store], keeping the incremental digest. *)
+(* [store], keeping the incremental digest. The removed and the added
+   entry share their key, so its half of [entry_digest] is mixed once. *)
 let write t i key value =
-  let e = t.idx.(i) in
-  if e <> 0 then t.dig <- (t.dig - entry_digest key (value_of t e)) land max_int;
+  let e = t.idx.(i) and kd = key_digest key in
+  if e <> 0 then t.dig <- (t.dig - mix kd (value_of t e)) land max_int;
   store t i key value;
-  t.dig <- (t.dig + entry_digest key value) land max_int
+  t.dig <- (t.dig + mix kd value) land max_int
 
 (* One probe per op: the slot found first is the one updated. *)
 let apply t o =
@@ -214,9 +216,3 @@ let corrupt rng ~keys t =
     end
   done;
   if Rng.chance rng 0.3 then t.dig <- Rng.int rng max_int
-
-let pp_op ppf o =
-  let k =
-    match o.kind with Get -> "get" | Put -> "put" | Cas -> "cas" | Delete -> "del"
-  in
-  Format.fprintf ppf "#%d %s k%d %d/%d" o.id k o.key o.v1 o.v2

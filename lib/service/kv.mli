@@ -60,5 +60,3 @@ val recompute_digest : t -> int
 (** Fault injection: scramble table entries (keys below [keys]) behind
     the incremental digest's back, sometimes the digest field itself. *)
 val corrupt : Ftss_util.Rng.t -> keys:int -> t -> unit
-
-val pp_op : Format.formatter -> op -> unit

@@ -313,8 +313,12 @@ let run_measured ?obs ?profile ~wl (params : params) =
       then incr slots_agreeing
   done;
   (* End-to-end latency: arrival -> first application at the origin
-     replica (any live replica when the origin crashed or lags). *)
-  let lat = Ftss_obs.Metrics.lhist_create () in
+     replica (any live replica when the origin crashed or lags). A
+     latency is a whole number of ticks in [0, end_time], so they are
+     counted per value and enter the histogram once per distinct value:
+     the same histogram as one sample per op, since a float sum of
+     integers below 2^53 is exact in any order. *)
+  let counts = Array.make (result.Sim.end_time + 1) 0 in
   let measured = ref 0 in
   for id = 0 to total - 1 do
     let s = slot_of.(id) in
@@ -326,11 +330,14 @@ let run_measured ?obs ?profile ~wl (params : params) =
           List.fold_left (fun acc p -> min acc first_apply.(p).(s)) max_int live_pids
       in
       if t_apply < max_int then begin
-        Ftss_obs.Metrics.lobserve lat (float_of_int (max 0 (t_apply - Workload.arrival wl id)));
+        let l = max 0 (t_apply - Workload.arrival wl id) in
+        counts.(l) <- counts.(l) + 1;
         incr measured
       end
     end
   done;
+  let lat = Ftss_obs.Metrics.lhist_create () in
+  Array.iteri (fun l k -> Ftss_obs.Metrics.lobserve_n lat (float_of_int l) k) counts;
   (* Recovery after each storm: when does every live replica apply again,
      and when does the last repair episode in the storm's window end? *)
   let storm_times =

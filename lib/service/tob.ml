@@ -13,12 +13,25 @@ type style = { stabilizing : bool }
 let self_stabilizing = { stabilizing = true }
 let baseline = { stabilizing = false }
 
-type batch = Kv.op array
+(* A batch is immutable once built, so its digest belongs to the value:
+   it is computed at most once, by whichever replica first chains it, and
+   every replica holding the same batch reuses it. A batch lives inside
+   one run, on one domain, except [empty]. *)
+type batch = { ops : Kv.op array; digest : int Lazy.t }
+
+let batch ops = { ops; digest = lazy (Kv.batch_digest ops) }
+let ops b = b.ops
+let batch_digest b = Lazy.force b.digest
+let size b = Array.length b.ops
+
+(* Forced up front: [empty] is shared by every replica of every domain,
+   and two domains forcing one lazy value at once is an error. *)
+let empty = { ops = [||]; digest = Lazy.from_val (Kv.batch_digest [||]) }
 
 type msg =
   | Cons of { slot : int; m : batch Mv_consensus.msg }
   | Decide of { slot : int; batch : batch }
-  | Fwd of batch
+  | Fwd of Kv.op array
   | Tag of { len : int; round : int; cp : int; cp_log : int; kvh : int; kv_d : int }
   | Pull_req of { from : int }
   | Pull_rep of { from : int; entries : batch array }
@@ -110,9 +123,15 @@ let ensure_bits t i =
 
 let is_done t (o : Kv.op) = bit_get t.donebits o.Kv.id
 
-let mark_done t (o : Kv.op) =
-  ensure_bits t o.Kv.id;
-  bit_set t.donebits o.Kv.id
+(* Marks every op of a batch done: a loop rather than [Array.iter] over
+   a per-op function, whose partial application allocates a closure per
+   batch. *)
+let mark_done t ops =
+  for i = 0 to Array.length ops - 1 do
+    let id = ops.(i).Kv.id in
+    ensure_bits t id;
+    bit_set t.donebits id
+  done
 
 (* --- log storage --- *)
 
@@ -122,7 +141,7 @@ let mark_done t (o : Kv.op) =
 let ensure_log_cap t k =
   if k > Array.length t.log then begin
     let cap = max (2 * Array.length t.log) k in
-    let log = Array.make cap [||] in
+    let log = Array.make cap empty in
     Array.blit t.log 0 log 0 (Array.length t.log);
     t.log <- log;
     let pdig = Array.make (cap + 1) 0 in
@@ -175,7 +194,7 @@ let create ?obs ?profile ~n ~self ~style ~batch_max ?(id_hint = 1024) () =
       batch_max;
       obs;
       prof = profile;
-      log = Array.make 64 [||];
+      log = Array.make 64 empty;
       committed = 0;
       pdig = Array.make 65 0;
       kv = Kv.create ();
@@ -214,39 +233,50 @@ let log_digest t = t.pdig.(t.committed)
 let kv_digest t = Kv.digest t.kv
 let kv_recomputed t = Kv.recompute_digest t.kv
 let recoveries t = t.recoveries
-let log_entry t i = t.log.(i)
+let log_entry t i = t.log.(i).ops
 let kv t = t.kv
 
-(* Recompute the log-content digest chain from scratch — the ground truth
+(* Recompute the log-content digest chain from scratch, hashing the ops
+   rather than trusting the batches' cached digests — the ground truth
    [pdig] is audited against, and the strict convergence check. *)
 let content_digest t =
   let h = ref 0 in
   for i = 0 to t.committed - 1 do
-    h := Kv.chain !h (Kv.batch_digest t.log.(i))
+    h := Kv.chain !h (Kv.batch_digest t.log.(i).ops)
   done;
   !h
 
 (* [content_digest] for several replicas at once. Every replica that
-   committed a decision holds the proposer's batch array itself, so a
+   committed a decision holds the proposer's ops array itself, so a
    slot whose array is physically the first replica's reuses that
    replica's batch digest; any other array is hashed on its own. *)
 let content_digests = function
   | [] -> []
   | first :: _ as ts ->
-    let shared = Array.init first.committed (fun i -> Kv.batch_digest first.log.(i)) in
+    let shared = Array.init first.committed (fun i -> Kv.batch_digest first.log.(i).ops) in
     List.map
       (fun t ->
         let h = ref 0 in
         for i = 0 to t.committed - 1 do
-          let b = t.log.(i) in
+          let ops = t.log.(i).ops in
           let d =
-            if i < Array.length shared && b == first.log.(i) then shared.(i)
-            else Kv.batch_digest b
+            if i < Array.length shared && ops == first.log.(i).ops then shared.(i)
+            else Kv.batch_digest ops
           in
           h := Kv.chain !h d
         done;
         !h)
       ts
+
+(* The digest chain of the first [len] batches from their cached
+   digests: O(slots), and unlike [pdig] it reflects an entry a
+   corruption blanked. *)
+let cached_chain entries len =
+  let h = ref 0 in
+  for i = 0 to len - 1 do
+    h := Kv.chain !h (batch_digest entries.(i))
+  done;
+  !h
 
 (* --- pending queue --- *)
 
@@ -280,12 +310,18 @@ let push_pending t o =
   t.pend.(t.tail) <- o;
   t.tail <- t.tail + 1
 
+(* After [ensure_bits] the op's byte lies in both bitsets, which always
+   have the same length: one checked read of [queued] covers the other
+   accesses. *)
 let enqueue_ops t ops =
   for i = 0 to Array.length ops - 1 do
     let o = ops.(i) in
-    ensure_bits t o.Kv.id;
-    if not (bit_get t.donebits o.Kv.id || bit_get t.queued o.Kv.id) then begin
-      bit_set t.queued o.Kv.id;
+    let id = o.Kv.id in
+    ensure_bits t id;
+    let byte = id lsr 3 and bit = 1 lsl (id land 7) in
+    let q = Char.code (Bytes.get t.queued byte) in
+    if (q lor Char.code (Bytes.unsafe_get t.donebits byte)) land bit = 0 then begin
+      Bytes.unsafe_set t.queued byte (Char.unsafe_chr (q lor bit));
       push_pending t o
     end
   done
@@ -299,17 +335,17 @@ let make_batch t =
     if not (is_done t t.pend.(!i)) then incr count;
     incr i
   done;
-  let batch = Array.make !count no_op in
+  let ops = Array.make !count no_op in
   let k = ref 0 and i = ref t.head in
   while !k < !count do
     let o = t.pend.(!i) in
     if not (is_done t o) then begin
-      batch.(!k) <- o;
+      ops.(!k) <- o;
       incr k
     end;
     incr i
   done;
-  batch
+  batch ops
 
 (* --- applying the log --- *)
 
@@ -319,7 +355,7 @@ let make_batch t =
 let apply_forward t ~now =
   let last_cp = cp_of t.committed in
   while t.applied < t.committed do
-    Kv.apply_batch t.kv t.log.(t.applied);
+    Kv.apply_batch t.kv t.log.(t.applied).ops;
     t.applied <- t.applied + 1;
     let digest = Kv.digest t.kv in
     note t (Applied { slot = t.applied - 1; digest });
@@ -335,14 +371,13 @@ let apply_forward t ~now =
 let commit_batch t ~now batch =
   ensure_log_cap t (t.committed + 1);
   t.log.(t.committed) <- batch;
-  t.pdig.(t.committed + 1) <- Kv.chain t.pdig.(t.committed) (Kv.batch_digest batch);
+  t.pdig.(t.committed + 1) <- Kv.chain t.pdig.(t.committed) (batch_digest batch);
   t.committed <- t.committed + 1;
-  Array.iter (mark_done t) batch;
+  mark_done t batch.ops;
   t.engine <- None;
-  note t (Committed { slot = t.committed - 1; ops = Array.length batch });
+  note t (Committed { slot = t.committed - 1; ops = size batch });
   emit t ~now
-    (Ftss_obs.Event.Commit
-       { pid = t.self; slot = t.committed - 1; ops = Array.length batch });
+    (Ftss_obs.Event.Commit { pid = t.self; slot = t.committed - 1; ops = size batch });
   apply_forward t ~now
 
 let rec drain_future t ~now =
@@ -365,7 +400,7 @@ let map_outs slot outs =
 let enter_engine t =
   let proposal = make_batch t in
   let eng, outs =
-    Mv_consensus.create ~n:t.n ~self:t.self ~base:t.committed ~weight:Array.length
+    Mv_consensus.create ~n:t.n ~self:t.self ~base:t.committed ~weight:size
       ~proposal
   in
   t.engine <- Some eng;
@@ -393,7 +428,7 @@ let recover t ~now =
   if t.committed > Array.length t.log then t.committed <- Array.length t.log;
   t.pdig.(0) <- 0;
   for i = 0 to t.committed - 1 do
-    t.pdig.(i + 1) <- Kv.chain t.pdig.(i) (Kv.batch_digest t.log.(i))
+    t.pdig.(i + 1) <- Kv.chain t.pdig.(i) (batch_digest t.log.(i))
   done;
   Kv.reset t.kv;
   t.applied <- 0;
@@ -402,7 +437,7 @@ let recover t ~now =
   Bytes.fill t.queued 0 (Bytes.length t.queued) '\000';
   Bytes.fill t.donebits 0 (Bytes.length t.donebits) '\000';
   for i = 0 to t.committed - 1 do
-    Array.iter (mark_done t) t.log.(i)
+    mark_done t t.log.(i).ops
   done;
   (* Refilter the FIFO in place, to the front of the array: the write
      index never passes the read index. *)
@@ -455,7 +490,7 @@ let audit t ~now =
       let stop = min t.committed (t.audit_cursor + audit_window) in
       let h = ref t.pdig.(t.audit_cursor) in
       for i = t.audit_cursor to stop - 1 do
-        h := Kv.chain !h (Kv.batch_digest t.log.(i))
+        h := Kv.chain !h (Kv.batch_digest t.log.(i).ops)
       done;
       let ok = !h = t.pdig.(stop) in
       t.audit_cursor <- stop;
@@ -597,8 +632,7 @@ let on_pull_rep t ~now ~src ~from ~entries =
        common case for a divergence with no length gap. A reply identical
        to what we hold is a no-op. *)
     t.pull <- None;
-    let adopted = Array.fold_left (fun h b -> Kv.chain h (Kv.batch_digest b)) 0 entries in
-    if len = t.committed && adopted = content_digest t then []
+    if len = t.committed && cached_chain entries len = cached_chain t.log len then []
     else begin
       ensure_log_cap t len;
       Array.blit entries 0 t.log 0 len;
@@ -619,8 +653,8 @@ let on_pull_rep t ~now ~src ~from ~entries =
     Array.blit entries offset t.log t.committed (len - offset);
     t.committed <- from + len;
     for i = from + offset to t.committed - 1 do
-      t.pdig.(i + 1) <- Kv.chain t.pdig.(i) (Kv.batch_digest t.log.(i));
-      Array.iter (mark_done t) t.log.(i)
+      t.pdig.(i + 1) <- Kv.chain t.pdig.(i) (batch_digest t.log.(i));
+      mark_done t t.log.(i).ops
     done;
     t.engine <- None;
     apply_forward t ~now;
@@ -808,7 +842,7 @@ let corrupt rng t =
     | 2 -> Kv.corrupt rng ~keys:65536 t.kv
     | 3 -> t.applied <- Rng.int rng (max 1 (t.committed + 1))
     | 4 -> t.engine <- Option.map (Mv_consensus.corrupt rng ~round_bound:64) t.engine
-    | _ -> if t.committed > 0 then t.log.(Rng.int rng t.committed) <- [||]
+    | _ -> if t.committed > 0 then t.log.(Rng.int rng t.committed) <- empty
   done;
   (* The guard is deliberately left stale: a transient fault does not
      maintain the redundancy that detects it. *)

@@ -40,13 +40,31 @@ type style = { stabilizing : bool }
 val self_stabilizing : style
 val baseline : style
 
-type batch = Kv.op array
+(** A decided batch: an immutable [Kv.op array] and its
+    {!Kv.batch_digest}, computed at most once — by whichever replica
+    first chains the batch into its log. Replicas exchange batches by
+    reference, so every replica committing a decision reuses the one
+    digest. Built only by {!batch}, so the digest always matches the ops
+    (the ops array must not be written afterwards).
+
+    The commit path, recovery's prefix re-chain, catch-up and a full
+    pull's adopted-versus-held comparison chain these cached digests, in
+    O(slots). The cyclic audit and {!content_digest}/{!content_digests}
+    hash the ops themselves: they are the ground truth that would catch
+    a batch whose ops and digest disagreed. *)
+type batch
+
+val batch : Kv.op array -> batch
+val ops : batch -> Kv.op array
+
+(** The cached digest: [batch_digest (batch ops) = Kv.batch_digest ops]. *)
+val batch_digest : batch -> int
 
 type msg =
   | Cons of { slot : int; m : batch Ftss_async.Mv_consensus.msg }
       (** consensus traffic for one slot *)
   | Decide of { slot : int; batch : batch }  (** decision dissemination *)
-  | Fwd of batch  (** client-op forwarding to all replicas *)
+  | Fwd of Kv.op array  (** client-op forwarding to all replicas *)
   | Tag of { len : int; round : int; cp : int; cp_log : int; kvh : int; kv_d : int }
       (** the gossip heartbeat: log length, current consensus round,
           checkpoint height + log digest there, KV snapshot height +
@@ -121,13 +139,15 @@ val kv_digest : t -> int
 val kv_recomputed : t -> int
 
 val recoveries : t -> int
-val log_entry : t -> int -> batch
+
+(** [log_entry t i] is the ops of log slot [i]. *)
+val log_entry : t -> int -> Kv.op array
 val kv : t -> Kv.t
 val drain_notes : t -> note list
 
 (** Systemic-failure scrambling: counters, prefix digests, KV table, log
-    entries, bitsets, and the engine, chosen at random — the guard is
-    deliberately left stale. Pending-queue contents are never destroyed
-    (the adversary corrupts replica state, it does not retract client
-    submissions). *)
+    entries (blanked to the empty batch), bitsets, and the engine, chosen
+    at random — the guard is deliberately left stale. Pending-queue
+    contents are never destroyed (the adversary corrupts replica state, it
+    does not retract client submissions). *)
 val corrupt : Rng.t -> t -> t

@@ -47,7 +47,6 @@ let op t i = t.ops.(i)
 let arrival t i = t.arrivals.(i)
 let origin t i = t.origins.(i)
 let per_replica t p = t.by_origin.(p)
-let session_of t i = i mod t.spec.sessions
 
 (* Zipfian sampling: key [k] is drawn for one uniform [r] in [0, total)
    when [k] is the smallest index with [cdf.(k) > r] (the last key if

@@ -33,7 +33,6 @@ val op : t -> int -> Kv.op
 
 val arrival : t -> int -> int
 val origin : t -> int -> Ftss_util.Pid.t
-val session_of : t -> int -> int
 
 (** [per_replica t p] is the ids of the ops submitted at replica [p],
     ascending by arrival. *)

@@ -303,6 +303,34 @@ let test_lhist_no_reservoir_bias () =
     (fun name -> check (name ^ " exported") true (field lh name <> None))
     [ "sum"; "min"; "max"; "mean"; "p50"; "p95"; "p99"; "p999" ]
 
+(* Integer samples counted per value and recorded with [lobserve_n] give
+   the histogram one [lobserve] per sample gives: count, exact sum,
+   extremes and every percentile. A zero count records nothing. *)
+let test_lobserve_n_matches_lobserve () =
+  let one = Metrics.lhist_create () and counted = Metrics.lhist_create () in
+  let counts = Array.make 5_000 0 in
+  let rng = ref 12345 in
+  for _ = 1 to 20_000 do
+    rng := (!rng * 48271) mod 0x7fffffff;
+    let v = !rng mod 5_000 / (1 + (!rng mod 7)) in
+    Metrics.lobserve one (float_of_int v);
+    counts.(v) <- counts.(v) + 1
+  done;
+  Array.iteri (fun v k -> Metrics.lobserve_n counted (float_of_int v) k) counts;
+  check_int "count" (Metrics.lhist_count one) (Metrics.lhist_count counted);
+  check "sum" true (Metrics.lhist_sum one = Metrics.lhist_sum counted);
+  check "min" true (Metrics.lhist_min one = Metrics.lhist_min counted);
+  check "max" true (Metrics.lhist_max one = Metrics.lhist_max counted);
+  List.iter
+    (fun p ->
+      check (Printf.sprintf "p%g" p) true
+        (Metrics.lpercentile one p = Metrics.lpercentile counted p))
+    (99.9 :: List.init 101 float_of_int);
+  let empty = Metrics.lhist_create () in
+  Metrics.lobserve_n empty 3.0 0;
+  check_int "zero count records nothing" 0 (Metrics.lhist_count empty);
+  check "zero count leaves min nan" true (Float.is_nan (Metrics.lhist_min empty))
+
 let test_lhist_merge_edges () =
   (* empty ⊎ empty stays empty (and nan extremes stay nan, not 0). *)
   let a = Metrics.lhist_create () and b = Metrics.lhist_create () in
@@ -752,6 +780,8 @@ let suite =
           test_lhist_no_reservoir_bias;
         tc "lhist_merge edge cases and percentile agreement" `Quick
           test_lhist_merge_edges;
+        tc "lobserve_n matches one lobserve per sample" `Quick
+          test_lobserve_n_matches_lobserve;
         tc "record_event derivations + json snapshot" `Quick test_metrics_record_event_and_json;
         tc "hub fan-out and suspect_diff" `Quick test_obs_fan_out_and_suspect_diff;
         tc "hub dispatch order" `Quick test_obs_dispatch_order;

@@ -557,7 +557,8 @@ let proposals outs =
   List.filter_map
     (function
       | Tob.Send (_, Tob.Cons { m = Ftss_async.Mv_consensus.Est { estimate; _ }; _ })
-      | Tob.Bcast (Tob.Cons { m = Ftss_async.Mv_consensus.Est { estimate; _ }; _ }) -> Some estimate
+      | Tob.Bcast (Tob.Cons { m = Ftss_async.Mv_consensus.Est { estimate; _ }; _ }) ->
+        Some (Tob.ops estimate)
       | _ -> None)
     outs
 
@@ -622,7 +623,10 @@ let prop_tob_fifo_matches_queue =
       in
       let decide slot batch =
         let before = Tob.committed t in
-        let outs = step (fun () -> Tob.deliver t ~now:!now ~src:1 (Tob.Decide { slot; batch })) in
+        let outs =
+          step (fun () ->
+              Tob.deliver t ~now:!now ~src:1 (Tob.Decide { slot; batch = Tob.batch batch }))
+        in
         expect outs
           (if Tob.committed t > before && model_has_pending m then
              Some (model_batch m ~batch_max)
@@ -690,7 +694,7 @@ let test_tob_corrupt_height_recovers () =
       for seed = 0 to 59 do
         let t = Tob.create ~n:3 ~self:0 ~style:Tob.self_stabilizing ~batch_max:8 () in
         for slot = 0 to height - 1 do
-          ignore (Tob.deliver t ~now:slot ~src:1 (Tob.Decide { slot; batch = [||] }))
+          ignore (Tob.deliver t ~now:slot ~src:1 (Tob.Decide { slot; batch = Tob.batch [||] }))
         done;
         ignore (Tob.corrupt (Rng.create seed) t);
         ignore (Tob.submit t ~now:height [||]);
@@ -708,7 +712,8 @@ let test_tob_corrupt_height_recovers () =
 let test_tob_one_recovery_episode_per_trigger () =
   let n = 3 and slots = 64 in
   let batch salt slot =
-    [| { Kv.id = (salt * 1_000) + slot; kind = Kv.Put; key = slot; v1 = salt; v2 = 0 } |]
+    Tob.batch
+      [| { Kv.id = (salt * 1_000) + slot; kind = Kv.Put; key = slot; v1 = salt; v2 = 0 } |]
   in
   let replica salt =
     let obs, events = Test_obs.collecting () in
@@ -805,6 +810,99 @@ let test_tob_one_recovery_episode_per_trigger () =
          Tob.deliver t ~now:slots ~src:peer
            (Tob.Pull_rep { from = 0; entries = Array.init slots (batch 2) })));
   check "adopted the peers' log" true (Tob.content_digest t = Tob.content_digest other)
+
+(* Commit, recovery, catch-up and state transfer chain the batches'
+   cached digests; the content-hashing readers are the ground truth. One
+   replica is driven through four steps — commits, [corrupt] plus the
+   recovery it trips, an overlapping catch-up pull, and the adoption of a
+   full pull — and after each, the maintained log digest must equal the
+   content-recomputed one and every entry's cached digest must equal its
+   ops' digest. A full pull identical to the held log changes nothing. *)
+let test_tob_cached_digests_match_content () =
+  let n = 3 and slots = 70 in
+  let no_suspects _ = false in
+  let batch salt slot =
+    Tob.batch
+      (Array.init
+         (1 + (slot mod 3))
+         (fun j ->
+           { Kv.id = (salt * 100_000) + (slot * 4) + j; kind = Kv.Put; key = slot; v1 = salt; v2 = j }))
+  in
+  let replica salt =
+    let t = Tob.create ~n ~self:0 ~style:Tob.self_stabilizing ~batch_max:8 () in
+    for slot = 0 to slots - 1 do
+      ignore (Tob.deliver t ~now:slot ~src:1 (Tob.Decide { slot; batch = batch salt slot }))
+    done;
+    t
+  in
+  (* The whole log, as a full pull ships it. *)
+  let entries t =
+    List.find_map
+      (function Tob.Send (_, Tob.Pull_rep { entries; _ }) -> Some entries | _ -> None)
+      (Tob.deliver t ~now:slots ~src:1 (Tob.Pull_req { from = 0 }))
+    |> Option.value ~default:[||]
+  in
+  let consistent name t =
+    check (name ^ ": log digest = content digest") true
+      (Tob.log_digest t = Tob.content_digest t);
+    let held = entries t in
+    check_int (name ^ ": whole log shipped") (Tob.committed t) (Array.length held);
+    check (name ^ ": cached digests = content digests") true
+      (Array.for_all (fun b -> Tob.batch_digest b = Kv.batch_digest (Tob.ops b)) held)
+  in
+  (* Both peers advertise [camp]'s checkpoint digest; the replica pulls
+     the whole log from one of them. *)
+  let solicit t camp =
+    let tag =
+      List.find_map
+        (function Tob.Bcast (Tob.Tag _ as tag) -> Some tag | _ -> None)
+        (Tob.tick camp ~now:slots ~suspected:no_suspects)
+      |> Option.get
+    in
+    List.iter (fun src -> ignore (Tob.deliver t ~now:slots ~src tag)) [ 1; 2 ];
+    List.find_map
+      (function Tob.Send (p, Tob.Pull_req { from = 0 }) -> Some p | _ -> None)
+      (Tob.tick t ~now:slots ~suspected:no_suspects)
+    |> Option.get
+  in
+  (* Commits. *)
+  consistent "commits" (replica 1);
+  (* Corruption, on the first seed whose scramble trips the guard. *)
+  let t =
+    let rec tripped seed =
+      if seed = 100 then Alcotest.fail "no scramble tripped the guard";
+      let t = replica 1 in
+      ignore (Tob.corrupt (Rng.create seed) t);
+      ignore (Tob.submit t ~now:slots [||]);
+      if Tob.recoveries t = 1 then t else tripped (seed + 1)
+    in
+    tripped 0
+  in
+  consistent "recovery" t;
+  (* A catch-up reply overlapping the held log by up to two slots, long
+     enough to carry the log past the peers' height and checkpoint. *)
+  let c = Tob.committed t in
+  let from = c - min 2 c in
+  ignore
+    (Tob.deliver t ~now:slots ~src:1
+       (Tob.Pull_rep { from; entries = Array.init (slots + 10) (fun i -> batch 3 (from + i)) }));
+  check_int "catch-up extends the log" (from + slots + 10) (Tob.committed t);
+  consistent "catch-up" t;
+  (* Adoption of another camp's whole log. *)
+  let other = replica 2 in
+  let peer = solicit t other in
+  let recoveries = Tob.recoveries t in
+  ignore (Tob.deliver t ~now:slots ~src:peer (Tob.Pull_rep { from = 0; entries = entries other }));
+  check_int "adoption recovers" (recoveries + 1) (Tob.recoveries t);
+  check "adopted the other log" true (Tob.content_digest t = Tob.content_digest other);
+  consistent "adoption" t;
+  (* A full pull identical to the held log is a no-op. *)
+  let peer = solicit t (replica 4) in
+  let recoveries = Tob.recoveries t and digest = Tob.log_digest t in
+  ignore (Tob.deliver t ~now:slots ~src:peer (Tob.Pull_rep { from = 0; entries = entries t }));
+  check_int "identical pull: no recovery" recoveries (Tob.recoveries t);
+  check_int "identical pull: log unchanged" digest (Tob.log_digest t);
+  consistent "identical pull" t
 
 (* --- end-to-end service runs --- *)
 
@@ -959,5 +1057,7 @@ let suite =
           test_service_sharded_domain_independent;
         Alcotest.test_case "tob: one recovery episode per trigger" `Quick
           test_tob_one_recovery_episode_per_trigger;
+        Alcotest.test_case "tob: cached batch digests match content" `Quick
+          test_tob_cached_digests_match_content;
       ] );
   ]
