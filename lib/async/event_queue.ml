@@ -75,9 +75,6 @@ let create ?(initial_capacity = 256) () =
     o_payload = dummy;
   }
 
-let is_empty t = t.size = 0
-let size t = t.size
-
 let grow_arena t =
   let cap = Array.length t.ntime in
   let cap' = 2 * cap in
@@ -201,8 +198,6 @@ let push_tagged t ~time ~tag payload =
   end;
   t.size <- t.size + 1
 
-let push t ~time payload = push_tagged t ~time ~tag:0 payload
-
 (* Position [cur] on the earliest non-empty bucket, rolling the epoch
    forward over overflow when the window has drained. The recursion runs
    at most twice: after a jump-and-promote the minimum overflow node is
@@ -251,15 +246,6 @@ let out_time t = t.o_time
 let out_tag t = t.o_tag
 let out_payload (t : 'e t) : 'e = Obj.obj t.o_payload
 
-let pop (t : 'e t) : (int * 'e) option =
-  if pop_step t then begin
-    let v : 'e = Obj.obj t.o_payload in
-    t.o_payload <- dummy;
-    Some (t.o_time, v)
-  end
-  else None
-
-let peek_time t = if ensure_head t then Some t.cur else None
 
 (* The seed binary heap, kept verbatim as the differential-testing model
    and the "before" side of the E16 queue benchmark: one boxed
@@ -274,8 +260,6 @@ module Reference = struct
   }
 
   let create () = { heap = [||]; size = 0; next_seq = 0 }
-  let is_empty t = t.size = 0
-  let size t = t.size
 
   let precedes a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
@@ -334,5 +318,4 @@ module Reference = struct
       Some (top.time, top.event)
     end
 
-  let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
 end

@@ -21,21 +21,11 @@ type 'e t
     never shrink. *)
 val create : ?initial_capacity:int -> unit -> 'e t
 
-val is_empty : 'e t -> bool
-val size : 'e t -> int
-
-(** [push t ~time e] schedules [e]. Raises [Invalid_argument] on negative
-    time. *)
-val push : 'e t -> time:int -> 'e -> unit
-
-(** [push_tagged t ~time ~tag e] additionally stores an arbitrary [int]
-    tag alongside the payload, read back through {!out_tag} — the
+(** [push_tagged t ~time ~tag e] schedules [e] and stores an arbitrary
+    [int] tag alongside it, read back through {!out_tag} — the
     allocation-free channel the simulator packs event kind and pids
-    into. [push] is [push_tagged] with tag 0. *)
+    into. Raises [Invalid_argument] on negative time. *)
 val push_tagged : 'e t -> time:int -> tag:int -> 'e -> unit
-
-(** [pop t] removes and returns the earliest event, [(time, e)]. *)
-val pop : 'e t -> (int * 'e) option
 
 (** [pop_step t] removes the earliest event without allocating: it
     returns [false] on an empty queue, otherwise [true] with the event
@@ -47,9 +37,6 @@ val out_time : 'e t -> int
 val out_tag : 'e t -> int
 val out_payload : 'e t -> 'e
 
-(** [peek_time t] is the time of the earliest event without removing it. *)
-val peek_time : 'e t -> int option
-
 (** The seed binary-heap implementation (boxed entries, O(log n) sift
     per operation), kept as the reference model for differential tests
     and as the "before" side of the E16 queue benchmark. *)
@@ -57,9 +44,6 @@ module Reference : sig
   type 'e t
 
   val create : unit -> 'e t
-  val is_empty : 'e t -> bool
-  val size : 'e t -> int
   val push : 'e t -> time:int -> 'e -> unit
   val pop : 'e t -> (int * 'e) option
-  val peek_time : 'e t -> int option
 end

@@ -20,8 +20,6 @@ let make rng ~n ~crashed ~gst ~trusted ~noise =
   in
   { rng; n; crashed; gst; trusted; noise; designated }
 
-let trusted t = t.trusted
-
 let detect t ~at ~observer ~subject =
   if Pid.equal observer subject then false
   else if at < t.gst then

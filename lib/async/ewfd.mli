@@ -39,6 +39,3 @@ val make :
 (** [detect t ~at ~observer ~subject] — the paper's detect predicate, as
     sampled by [observer] at time [at]. *)
 val detect : t -> at:int -> observer:Pid.t -> subject:Pid.t -> bool
-
-(** The designated always-trusted process. *)
-val trusted : t -> Pid.t

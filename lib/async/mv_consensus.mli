@@ -42,9 +42,6 @@ val create :
 val round : 'v t -> int
 val estimate : 'v t -> 'v
 
-(** Coordinator of round [r] in this instance. *)
-val coord_of : 'v t -> int -> Pid.t
-
 (** [receive t ~src m] processes one consensus message. A message from a
     newer round first moves the engine there (round agreement); stale
     messages are ignored. The verdict is [Decided v] only at the

@@ -13,7 +13,7 @@
     genuinely new behaviour at round granularity admits an input.
 
     Corpora persist as one S-expression file per entry
-    ([<fingerprint>.genome], {!Mutate.to_sexp}) in a directory, so
+    ([<fingerprint>.genome], {!Mutate.to_string}) in a directory, so
     successive CI runs accumulate coverage. *)
 
 type t

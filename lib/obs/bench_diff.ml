@@ -126,11 +126,6 @@ let regressions report ~max_regress =
     (fun e -> e.dir <> Informational && e.worse_pct > max_regress)
     report.entries
 
-let pp_direction ppf = function
-  | Lower_better -> Format.fprintf ppf "lower-better"
-  | Higher_better -> Format.fprintf ppf "higher-better"
-  | Informational -> Format.fprintf ppf "info"
-
 let pp ?(max_regress = infinity) ppf report =
   Format.fprintf ppf "@[<v>";
   (match (report.old_experiment, report.new_experiment) with

@@ -64,8 +64,6 @@ let to_string json =
   write buf json;
   Buffer.contents buf
 
-let pp ppf json = Format.pp_print_string ppf (to_string json)
-
 (* --- decoding: recursive descent with a mutable cursor --- *)
 
 exception Parse_error of int * string

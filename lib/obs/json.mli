@@ -20,8 +20,6 @@ type t =
     (JSON has no NaN/infinity). *)
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 (** Parse one JSON document. Trailing input after the document is an
     error, as is any malformed input; the message carries a byte offset. *)
 val of_string : string -> (t, string) result

@@ -8,12 +8,9 @@ type t = { emit : Event.t -> unit; close : unit -> unit }
 
 val make : emit:(Event.t -> unit) -> close:(unit -> unit) -> t
 
-(** Writes one compact JSON document per event, newline-terminated (JSON
-    Lines). [close] flushes but leaves the channel open (the caller owns
-    it). *)
-val jsonl : out_channel -> t
-
-(** [jsonl_file path] opens (truncating) [path]; [close] closes it. *)
+(** [jsonl_file path] opens (truncating) [path] and writes one compact
+    JSON document per event, newline-terminated (JSON Lines); [close]
+    closes it. *)
 val jsonl_file : string -> t
 
 (** Pretty-prints one line per event. [kinds], when given, restricts

@@ -2,5 +2,3 @@
     protocols. *)
 
 include Set.S with type elt = int
-
-val pp : Format.formatter -> t -> unit

@@ -8,11 +8,3 @@ type ('s, 'm) t = {
   broadcast : Pid.t -> 's -> 'm;
   step : Pid.t -> 's -> 'm delivery list -> 's;
 }
-
-let map_state ~wrap ~unwrap p =
-  {
-    name = p.name;
-    init = (fun pid -> wrap pid (p.init pid));
-    broadcast = (fun pid t -> p.broadcast pid (unwrap t));
-    step = (fun pid t deliveries -> wrap pid (p.step pid (unwrap t) deliveries));
-  }

@@ -26,11 +26,3 @@ type ('s, 'm) t = {
       (** End-of-round transition. The delivery list is ordered by sender
           pid and always contains the process's own broadcast. *)
 }
-
-(** [map_state ~wrap ~unwrap p] lifts a protocol to a richer state type;
-    used by the compiler to superimpose control state. *)
-val map_state :
-  wrap:(Pid.t -> 's -> 't) ->
-  unwrap:('t -> 's) ->
-  ('s, 'm) t ->
-  ('t, 'm) t

@@ -3,7 +3,6 @@ type t = int
 let compare = Int.compare
 let equal = Int.equal
 let pp ppf p = Format.fprintf ppf "p%d" p
-let to_string p = Format.asprintf "%a" pp p
 
 let all n =
   if n < 0 then invalid_arg "Pid.all: negative system size"

@@ -9,7 +9,6 @@ type t = int
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 (** [all n] is the list of the [n] pids [0 .. n-1]. Raises
     [Invalid_argument] if [n < 0]. *)
