@@ -147,41 +147,11 @@ let equal a b =
     let rec go i = i < 0 || (wa.(i) = wb.(i) && go (i - 1)) in
     go (Array.length wa - 1)
 
-(* Magnitude order — on one-word sets exactly the [Int.compare] this
-   replaces; wide sets order after all small ones, by length then by
-   words from the top. A total order consistent with [equal] is all the
-   interface promises. *)
-let compare a b =
-  if is_small a then if is_small b then Int.compare (small a) (small b) else -1
-  else if is_small b then 1
-  else begin
-    let wa = wide a and wb = wide b in
-    let la = Array.length wa and lb = Array.length wb in
-    if la <> lb then Int.compare la lb
-    else begin
-      let rec go i =
-        if i < 0 then 0
-        else
-          let c = Int.compare wa.(i) wb.(i) in
-          if c <> 0 then c else go (i - 1)
-      in
-      go (la - 1)
-    end
-  end
-
 let subset a b =
   if is_small a then small a land lnot (word b 0) = 0
   else begin
     let la = nwords a in
     let rec go i = i >= la || (word a i land lnot (word b i) = 0 && go (i + 1)) in
-    go 0
-  end
-
-let disjoint a b =
-  if is_small a || is_small b then word a 0 land word b 0 = 0
-  else begin
-    let len = min (nwords a) (nwords b) in
-    let rec go i = i >= len || (word a i land word b i = 0 && go (i + 1)) in
     go 0
   end
 
@@ -229,22 +199,6 @@ let for_all f s =
     go 0
   end
 
-let exists f s = not (for_all (fun p -> not (f p)) s)
-
-let filter f s =
-  if is_small s then
-    of_int (fold_word (fun p acc -> if f p then acc lor (1 lsl p) else acc) 0 (small s) 0)
-  else begin
-    let a = wide s in
-    norm
-      (Array.mapi
-         (fun i w ->
-           fold_word
-             (fun p acc -> if f p then acc lor (1 lsl (p - (i * word_bits))) else acc)
-             (i * word_bits) w 0)
-         a)
-  end
-
 let elements s = List.rev (fold (fun p acc -> p :: acc) s [])
 let to_list = elements
 let of_list ps = List.fold_left (fun acc p -> add p acc) empty ps
@@ -278,14 +232,10 @@ let max_elt_opt s =
     go (Array.length a - 1)
   end
 
-let choose_opt = min_elt_opt
-
 let pp ppf s =
   Format.fprintf ppf "{%a}"
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",") Pid.pp)
     (elements s)
-
-let to_string s = Format.asprintf "%a" pp s
 
 let check_universe fn n =
   if n < 0 || n > max_pid + 1 then

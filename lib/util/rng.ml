@@ -18,7 +18,6 @@ let of_state s =
   t
 
 let create seed = of_state (Int64.of_int seed)
-let copy = Bytes.copy
 
 let[@inline] next_state t =
   let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
@@ -61,16 +60,6 @@ let pick t xs =
   match xs with
   | [] -> invalid_arg "Rng.pick: empty list"
   | _ -> List.nth xs (int t (List.length xs))
-
-let shuffle t xs =
-  let arr = Array.of_list xs in
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done;
-  Array.to_list arr
 
 let sample t k xs =
   let len = List.length xs in

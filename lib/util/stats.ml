@@ -4,12 +4,6 @@ let mean xs =
   require_nonempty "Stats.mean" xs;
   List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let stddev xs =
-  require_nonempty "Stats.stddev" xs;
-  let m = mean xs in
-  let var = List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs /. float_of_int (List.length xs) in
-  sqrt var
-
 let percentile p xs =
   require_nonempty "Stats.percentile" xs;
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of [0,100]";
@@ -19,17 +13,6 @@ let percentile p xs =
   let idx = Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)) in
   List.nth sorted idx
 
-let min xs =
-  require_nonempty "Stats.min" xs;
-  List.fold_left Float.min Float.infinity xs
-
 let max xs =
   require_nonempty "Stats.max" xs;
   List.fold_left Float.max Float.neg_infinity xs
-
-let histogram ~buckets xs =
-  let tbl = Hashtbl.create 16 in
-  let bump k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
-  List.iter (fun x -> bump (buckets x)) xs;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)

@@ -3,15 +3,8 @@
 (** [mean xs] is the arithmetic mean. Raises [Invalid_argument] on []. *)
 val mean : float list -> float
 
-(** [stddev xs] is the population standard deviation. *)
-val stddev : float list -> float
-
 (** [percentile p xs] is the [p]-th percentile (nearest-rank), [p] in
     [0,100]. Raises [Invalid_argument] on [] or [p] out of range. *)
 val percentile : float -> float list -> float
 
-val min : float list -> float
 val max : float list -> float
-
-(** [histogram ~buckets xs] counts values per integer bucket key. *)
-val histogram : buckets:(float -> int) -> float list -> (int * int) list

@@ -13,5 +13,4 @@ val add_row : t -> string list -> unit
 (** [add_separator t] inserts a horizontal rule between row groups. *)
 val add_separator : t -> unit
 
-val pp : Format.formatter -> t -> unit
 val print : t -> unit
