@@ -20,7 +20,6 @@ type t = {
 let n t = t.n
 let faulty t = t.faulty
 let f t = Pidset.cardinal t.faulty
-let correct t = Pidset.diff (Pidset.full t.n) t.faulty
 let crash_round t p = t.crash.(p)
 
 let in_interval round (first, last) = first <= round && round <= last
@@ -238,12 +237,6 @@ let random_omission rng ~n ~f ~p_drop ~rounds =
   done;
   t
 
-let random_crashes rng ~n ~f ~rounds =
-  if f < 0 || f > n then invalid_arg "Faults.random_crashes: f out of range";
-  let chosen = Rng.sample rng f (Pid.all n) in
-  let events = List.map (fun pid -> Crash { pid; round = Rng.int_in rng 1 (max 1 rounds) }) chosen in
-  of_events ~n events
-
 let rolling_mute ~n ~victim ~period ~rounds =
   if period < 1 then invalid_arg "Faults.rolling_mute: period < 1";
   let rec windows start acc =
@@ -253,8 +246,6 @@ let rolling_mute ~n ~victim ~period ~rounds =
       windows (start + (2 * period)) (Mute { pid = victim; first = start; last } :: acc)
   in
   of_events ~n (windows 1 [])
-
-let consistent t ~observed = Pidset.subset observed t.faulty
 
 let blame t ~src ~dst =
   if Pidset.mem src t.faulty then Some src

@@ -5,7 +5,7 @@
     the execution, which failures the adversary injects in which round. The
     schedule also declares the set of faulty processes; {!Runner} records
     every injected failure in the trace so the declaration can be audited
-    against what actually happened (see {!val:consistent}). *)
+    against what actually happened (see {!Trace.blames_declared}). *)
 
 open Ftss_util
 
@@ -35,21 +35,17 @@ type t
 (** System size. *)
 val n : t -> int
 
-(** Declared upper bound [f] on the number of faulty processes. *)
-val f : t -> int
-
 (** Declared faulty set (every process touched by an event). *)
 val faulty : t -> Pidset.t
-
-(** Declared correct set: all pids not in [faulty]. *)
-val correct : t -> Pidset.t
 
 (** [crash_round t p] is the round in which [p] crashes, if any. *)
 val crash_round : t -> Pid.t -> int option
 
 (** [drops t ~round ~src ~dst] is true iff the adversary omits the
     [src -> dst] message of [round]. Self-messages are never dropped
-    (paper footnote 1). *)
+    (paper footnote 1). The reference semantics: the runner reads
+    {!precompile}'s table, and the differential tests pin the table to
+    this query. *)
 val drops : t -> round:int -> src:Pid.t -> dst:Pid.t -> bool
 
 (** {2 Precompiled drop tables}
@@ -90,10 +86,6 @@ val of_events : n:int -> event list -> t
     Links between two correct processes are always reliable. *)
 val random_omission : Rng.t -> n:int -> f:int -> p_drop:float -> rounds:int -> t
 
-(** [random_crashes rng ~n ~f ~rounds] draws [f] distinct processes and
-    crashes each at a uniformly random round in [1..rounds]. *)
-val random_crashes : Rng.t -> n:int -> f:int -> rounds:int -> t
-
 (** [rolling_mute ~n ~victim ~period ~rounds] mutes [victim] on an
     on/off cadence: silent for [period] rounds, talking for [period]
     rounds, repeating until [rounds]. Every reveal is a destabilizing
@@ -101,10 +93,6 @@ val random_crashes : Rng.t -> n:int -> f:int -> rounds:int -> t
     schedule alternates coterie-stable windows with destabilizations —
     the repeated-piece-wise-stability stress. *)
 val rolling_mute : n:int -> victim:Pid.t -> period:int -> rounds:int -> t
-
-(** [consistent t ~observed] checks that a set of processes observed to
-    misbehave in a trace is covered by the declared faulty set. *)
-val consistent : t -> observed:Pidset.t -> bool
 
 (** [blame t ~src ~dst] is the declared-faulty endpoint charged with an
     omission on the [src -> dst] link, preferring the sender when both

@@ -61,15 +61,13 @@ val record : ('s, 'm) t -> round:int -> ('s, 'm) round_record
 (** The declared correct set C(H, Π). *)
 val correct : ('s, 'm) t -> Pidset.t
 
-(** Processes observed to have crashed. *)
-val crashed : ('s, 'm) t -> Pidset.t
-
 (** [blames_declared t] audits the declared faulty set against the
     recorded failures: every crashed process must be declared faulty, and
     every omission must have at least one declared-faulty endpoint (which
     endpoint actually misbehaved — send or receive omission — is
     inherently unobservable from the history alone). True for every trace
-    produced by {!Runner.run} under a well-formed schedule. *)
+    produced by {!Runner.run} under a well-formed schedule: a test oracle
+    for the runner's fault accounting, with no caller outside the tests. *)
 val blames_declared : ('s, 'm) t -> bool
 
 (** [alive t ~round p] is true iff [p] has not crashed before or in
