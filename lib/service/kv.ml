@@ -140,12 +140,6 @@ let delete_at t i =
   end;
   t.size <- last
 
-let get t key =
-  let e = t.idx.(slot t key) in
-  if e = 0 then 0 else value_of t e
-
-let mem t key = t.idx.(slot t key) <> 0
-let cardinal t = t.size
 let digest t = t.dig
 
 (* Store [value] at [key]'s slot [i], leaving the digest alone. *)

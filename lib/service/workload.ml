@@ -158,13 +158,3 @@ let create ~n (spec : spec) =
       cursors.(p) <- cursors.(p) + 1)
     origins;
   { spec; n; ops; arrivals; origins; by_origin }
-
-(* Deterministic digest over the full generated trace — the golden
-   determinism test pins this for a fixed seed. *)
-let digest t =
-  let h = ref (Kv.mix t.n t.spec.seed) in
-  Array.iteri
-    (fun i o ->
-      h := Kv.chain !h (Kv.mix (Kv.op_digest o) (Kv.mix t.arrivals.(i) t.origins.(i))))
-    t.ops;
-  !h

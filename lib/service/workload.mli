@@ -37,7 +37,3 @@ val origin : t -> int -> Ftss_util.Pid.t
 (** [per_replica t p] is the ids of the ops submitted at replica [p],
     ascending by arrival. *)
 val per_replica : t -> Ftss_util.Pid.t -> int array
-
-(** Deterministic digest over the generated trace (ops, arrivals,
-    origins) — pinned by the golden determinism test. *)
-val digest : t -> int
