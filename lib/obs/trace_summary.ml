@@ -81,10 +81,11 @@ let coverage_curve t =
 let final_coverage t =
   match List.rev (coverage_curve t) with [] -> None | last :: _ -> Some last
 
-(* Bucket the growth curve into at most [buckets] cells by execution
-   count, keeping the last sample of each cell — enough shape for a
+(* Bucket the growth curve into at most ten cells by execution count,
+   keeping the last sample of each cell — enough shape for a
    terminal-width sparkline of coverage growth. *)
-let coverage_buckets ?(buckets = 10) t =
+let coverage_buckets t =
+  let buckets = 10 in
   match coverage_curve t with
   | [] -> []
   | curve ->
