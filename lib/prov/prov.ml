@@ -141,9 +141,7 @@ let load path =
     (fun t -> of_events (Trace_summary.events t))
     (Trace_summary.load path)
 
-let n t = t.n
 let length t = Array.length t.evs
-let event t i = t.evs.(i)
 let parents t i = t.parents.(i)
 let located t i = t.loc.(i)
 
@@ -269,11 +267,6 @@ let pruned_drops t =
       | _ -> ())
     t.evs;
   List.rev !acc
-
-let blame_of_drop t i =
-  match t.evs.(i).Event.body with
-  | Event.Drop { blame; _ } -> blame
-  | _ -> None
 
 (* --- target selection --- *)
 
