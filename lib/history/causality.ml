@@ -56,14 +56,6 @@ let coterie t ~round =
   check_round t round;
   t.coteries.(round)
 
-let entry_round t p =
-  let rec find r =
-    if r > t.length then None
-    else if Pidset.mem p t.coteries.(r) then Some r
-    else find (r + 1)
-  in
-  find 0
-
 let changes t =
   let rec collect r acc =
     if r > t.length then List.rev acc
@@ -81,10 +73,3 @@ let stable_intervals t =
     else walk r (r + 1) ((start, r - 1) :: acc)
   in
   walk 0 1 []
-
-let monotone t =
-  let rec check r =
-    if r > t.length then true
-    else Pidset.subset t.coteries.(r - 1) t.coteries.(r) && check (r + 1)
-  in
-  check 1

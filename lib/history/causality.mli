@@ -24,6 +24,22 @@ type t
     coterie of every round: O(rounds * n) set operations. *)
 val analyze : ('s, 'm) Ftss_sync.Trace.t -> t
 
+(** [changes t] lists the destabilizing events: rounds [r >= 1] where the
+    coterie grew, together with the processes that entered. *)
+val changes : t -> (int * Pidset.t) list
+
+(** [stable_intervals t] partitions [0 .. length t] into the maximal
+    intervals [(x, y)] on which the prefix coterie is constant. Intervals
+    are returned earliest first and cover the whole range. *)
+val stable_intervals : t -> (int * int) list
+
+(** {2 The differential oracle}
+
+    Production reads only {!analyze}, {!changes} and {!stable_intervals}.
+    The queries below are the reference the tests hold
+    [Ftss_prov.Prov]'s event-DAG cones to: exact knowledge sets and Def.
+    2.3 coteries, computed from the runner's own propagation. *)
+
 (** Number of rounds of the underlying trace. *)
 val length : t -> int
 
@@ -46,19 +62,3 @@ val happened_before : t -> upto:int -> Pid.t -> Pid.t -> bool
     processes. *)
 val coterie : t -> round:int -> Pidset.t
 
-(** [entry_round t p] is the first prefix length at which [p] is in the
-    coterie, if any. *)
-val entry_round : t -> Pid.t -> int option
-
-(** [changes t] lists the destabilizing events: rounds [r >= 1] where the
-    coterie grew, together with the processes that entered. *)
-val changes : t -> (int * Pidset.t) list
-
-(** [stable_intervals t] partitions [0 .. length t] into the maximal
-    intervals [(x, y)] on which the prefix coterie is constant. Intervals
-    are returned earliest first and cover the whole range. *)
-val stable_intervals : t -> (int * int) list
-
-(** [monotone t] checks that the prefix coterie never shrinks — an
-    internal invariant of the model, exposed for property tests. *)
-val monotone : t -> bool

@@ -42,18 +42,36 @@ let test_happened_before_through_relay () =
   (* Round 2: 1 relays its round-1 knowledge (which includes 0) to 2. *)
   check "transitively by round 2" true (Causality.happened_before a ~upto:2 0 2)
 
+(* The first prefix length at which [p] is in the coterie, if any. *)
+let entry_round a p =
+  let rec find r =
+    if r > Causality.length a then None
+    else if Pidset.mem p (Causality.coterie a ~round:r) then Some r
+    else find (r + 1)
+  in
+  find 0
+
+(* The prefix coterie never shrinks. *)
+let monotone a =
+  let rec go r =
+    r > Causality.length a
+    || Pidset.subset (Causality.coterie a ~round:(r - 1)) (Causality.coterie a ~round:r)
+       && go (r + 1)
+  in
+  go 1
+
 let test_isolated_process_not_in_coterie () =
   let faults = Faults.of_events ~n:3 [ Faults.Isolate { pid = 2; first = 1; last = 10 } ] in
   let a = analyze ~faults ~rounds:10 () in
-  check "never enters" true (Causality.entry_round a 2 = None);
-  check "others do" true (Causality.entry_round a 0 = Some 1)
+  check "never enters" true (entry_round a 2 = None);
+  check "others do" true (entry_round a 0 = Some 1)
 
 let test_late_revelation_enters_coterie () =
   (* Process 2 is mute for 4 rounds, then reveals itself. *)
   let faults = Faults.of_events ~n:3 [ Faults.Mute { pid = 2; first = 1; last = 4 } ] in
   let a = analyze ~faults ~rounds:8 () in
   check_int "enters when first heard" 5
-    (match Causality.entry_round a 2 with Some r -> r | None -> -1);
+    (match entry_round a 2 with Some r -> r | None -> -1);
   let changes = Causality.changes a in
   check_int "two destabilizing events" 2 (List.length changes);
   (match changes with
@@ -63,7 +81,7 @@ let test_late_revelation_enters_coterie () =
     check_int "second change at reveal" 5 r2;
     check "second change adds the revealed" true (Pidset.equal s2 (Pidset.singleton 2))
   | _ -> Alcotest.fail "expected exactly two changes");
-  check "coterie monotone" true (Causality.monotone a)
+  check "coterie monotone" true (monotone a)
 
 let test_stable_intervals_partition () =
   let faults = Faults.of_events ~n:3 [ Faults.Mute { pid = 2; first = 1; last = 4 } ] in
@@ -96,7 +114,7 @@ let test_partial_reveal_does_not_enter () =
   let faults = Faults.of_events ~n:3 events in
   let a = analyze ~faults ~rounds:8 () in
   check_int "enters via relay" 6
-    (match Causality.entry_round a 2 with Some r -> r | None -> -1)
+    (match entry_round a 2 with Some r -> r | None -> -1)
 
 let prop_coterie_monotone =
   QCheck.Test.make ~name:"prefix coterie is monotone under random omissions" ~count:60
@@ -105,7 +123,7 @@ let prop_coterie_monotone =
       let rng = Rng.create seed in
       let faults = Faults.random_omission rng ~n ~f:(Rng.int rng n) ~p_drop:0.5 ~rounds in
       let a = Causality.analyze (Runner.run ~faults ~rounds counter) in
-      Causality.monotone a)
+      monotone a)
 
 let prop_intervals_partition_range =
   QCheck.Test.make ~name:"stable intervals partition 0..rounds" ~count:60
