@@ -10,14 +10,6 @@ let normalize ~final_round c =
   if final_round < 1 then invalid_arg "Compiler.normalize: final_round < 1";
   ((((c - 1) mod final_round) + final_round) mod final_round) + 1
 
-let iteration ~final_round c =
-  if final_round < 1 then invalid_arg "Compiler.iteration: final_round < 1";
-  (* Floor division so corrupted negative round variables land in negative
-     iterations rather than crashing. *)
-  let shifted = c - 1 in
-  if shifted >= 0 then shifted / final_round
-  else ((shifted + 1) / final_round) - 1
-
 type ('s, 'd) state = {
   s : 's;
   c : int;

@@ -27,10 +27,6 @@ open Ftss_util
     (negative) values. *)
 val normalize : final_round:int -> int -> int
 
-(** [iteration ~final_round c] is the index (0-based) of the Π-iteration
-    that a process with round variable [c] is executing. *)
-val iteration : final_round:int -> int -> int
-
 type ('s, 'd) state = {
   s : 's;  (** the controlled protocol's state s_p *)
   c : int;  (** the round variable c_p (unbounded) *)

@@ -106,6 +106,8 @@ end
 
 (** The local view of a process: for each round it participated in, its
     start-of-round state and the deliveries it received. Two executions
-    are indistinguishable to a process iff its views are equal. *)
+    are indistinguishable to a process iff its views are equal. The
+    scenarios above compare views internally; the tests use [view] as
+    the indistinguishability oracle for the suffix-closure property. *)
 val view :
   ('s, 'm) Ftss_sync.Trace.t -> Pid.t -> ('s * (Pid.t * 'm) list) list

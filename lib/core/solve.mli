@@ -7,6 +7,12 @@
     harness supply large families of adversarially- and randomly-generated
     histories). *)
 
+(** {2 Test oracles}
+
+    Defs. 2.1 and 2.2 have no caller outside the tests: every experiment
+    and checker gates on Def. 2.4 ({!ftss_solves}). The tests keep them
+    as oracles that put all three verdicts side by side on one history
+    (failure-free round agreement satisfies each). *)
 
 (** [ft_solves spec trace] — Def. 2.1: Σ(H, F(H,Π)) on the whole history,
     for a system with process failures but no systemic failures. *)
