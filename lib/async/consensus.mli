@@ -72,7 +72,9 @@ type msg
 
 (** Forged messages, for injecting channel corruption via
     {!Sim.run}'s [spurious] argument (a systemic failure can leave junk
-    in the channels, not just in process memories). *)
+    in the channels, not just in process memories). [msg] is abstract,
+    so these are the only way to forge one; today only the tests plant
+    them, as the channel half of the systemic-failure adversary. *)
 
 val forged_round : tag -> msg
 val forged_decide : instance:int -> value:value -> msg

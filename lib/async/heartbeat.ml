@@ -56,52 +56,3 @@ let heard t ~src ~now =
   { t with last_heard; timeout; down }
 
 let suspected t s = t.down.(s)
-let suspects t = Pidset.of_pred (Array.length t.down) (fun s -> suspected t s)
-
-type observation = Suspects of Pidset.t
-
-let process ~n ~initial_timeout ~backoff =
-  {
-    Sim.name = "heartbeat-fd";
-    init = (fun _ -> create ~n ~initial_timeout ~backoff);
-    on_tick =
-      (fun ctx t ->
-        Sim.broadcast ctx Heartbeat;
-        let t = tick t ~self:(Sim.self ctx) ~now:(Sim.now ctx) in
-        (* Observed every tick (not only on change) so the analysis sees a
-           dense sampling of each process's suspect set. *)
-        Sim.observe ctx (Suspects (suspects t));
-        t);
-    on_message =
-      (fun ctx t ~src Heartbeat ->
-        let before = suspects t in
-        let t = heard t ~src ~now:(Sim.now ctx) in
-        let after = suspects t in
-        if not (Pidset.equal before after) then Sim.observe ctx (Suspects after);
-        t);
-  }
-
-type report = { completeness_from : int option; accuracy_from : int option }
-
-let analyze (result : (t, observation) Sim.result) ~config =
-  let crashed = Sim.crashed_set config in
-  let correct = Sim.correct_set config in
-  let last_completeness_violation = ref (-1) in
-  let last_accuracy_violation = ref (-1) in
-  List.iter
-    (fun (time, pid, Suspects set) ->
-      if Pidset.mem pid correct then begin
-        if not (Pidset.subset crashed set) then
-          last_completeness_violation := max !last_completeness_violation time;
-        if not (Pidset.is_empty (Pidset.inter set correct)) then
-          last_accuracy_violation := max !last_accuracy_violation time
-      end)
-    result.Sim.log;
-  let settle last =
-    let t = last + 1 in
-    if t >= result.Sim.end_time then None else Some t
-  in
-  {
-    completeness_from = settle !last_completeness_violation;
-    accuracy_from = settle !last_accuracy_violation;
-  }

@@ -49,6 +49,9 @@ type ('s, 'm, 'o) process = {
 
 type config = {
   n : int;
+      (** system size, at most 4096: event descriptors pack the source
+          and destination pids into 12-bit fields of an int tag, so the
+          engine stays allocation-free per event at any accepted [n] *)
   seed : int;
   gst : time;  (** global stabilization time *)
   delay_before_gst : int * int;  (** inclusive delay range before GST *)
@@ -57,11 +60,6 @@ type config = {
   crashes : (Pid.t * time) list;  (** pid stops processing at that time *)
   horizon : time;  (** simulation end time *)
 }
-
-val max_n : int
-(** Largest supported system size: 4096. Event descriptors pack the
-    source and destination pids into 12-bit fields of an int tag, so the
-    engine stays allocation-free per event at any accepted [n]. *)
 
 val default_config : n:int -> seed:int -> config
 (** 5 processes' worth of sane defaults: [gst = 500],
@@ -104,8 +102,8 @@ type ('s, 'o) result = {
     [Corrupt] event is emitted at the fault time when traced. Entries for
     already-crashed processes are ignored. Raises [Invalid_argument] on
     non-positive [tick_interval] or [horizon], an [n] outside
-    [1..max_n], a
-    [corrupt_at] time < 1, or a [corrupt_at] pid outside the system. *)
+    [1..4096], a [corrupt_at] time < 1, or a [corrupt_at] pid outside
+    the system. *)
 
 val run :
   ?obs:Ftss_obs.Obs.t ->
