@@ -190,8 +190,6 @@ let enumerate params =
   done;
   cases
 
-let random rng params = get params (Rng.int rng (count params))
-
 let to_faults t =
   let events =
     List.concat_map

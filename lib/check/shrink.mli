@@ -8,11 +8,6 @@
     strict decrease guarantees termination. The candidate order is fixed,
     so shrinking is deterministic. *)
 
-(** The strictly smaller cases tried from [case], in the order tried:
-    behaviour removals, then corruption downgrades, then behaviour
-    weakenings. *)
-val candidates : Schedule_enum.t -> Schedule_enum.t list
-
 (** [shrink ~property case] requires [Property.fails property case] and
     returns a minimal (no candidate still fails) failing case of size
     [<= Schedule_enum.size case]. *)
