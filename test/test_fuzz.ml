@@ -35,13 +35,23 @@ let run_fuzz ?corpus_dir ~seed ~budget ~domains params prop =
 
 (* --- Mutate: injection and validity --- *)
 
+(* A genome is well formed iff it survives the corpus format: the reader
+   rejects every genome that breaks an invariant against its params. *)
+let validate g =
+  match M.of_string (M.to_string g) with
+  | Ok g' when M.equal g g' -> Ok ()
+  | Ok _ -> Error "corpus round-trip changed the genome"
+  | Error m -> Error m
+
+let is_valid g = validate g = Ok ()
+
 let test_of_schedule_valid () =
   List.iter
     (fun p ->
       Array.iter
         (fun case ->
           let g = M.of_schedule case in
-          (match M.validate g with
+          (match validate g with
           | Ok () -> ()
           | Error m -> Alcotest.failf "invalid injected genome: %s" m);
           check "params match the enumeration" true
@@ -91,7 +101,7 @@ let prop_mutants_stay_valid =
         k = 0
         ||
         let g' = M.mutate rng g in
-        M.is_valid g' && g'.M.params = g.M.params && go g' (k - 1)
+        is_valid g' && g'.M.params = g.M.params && go g' (k - 1)
       in
       go g 12)
 
@@ -101,7 +111,7 @@ let prop_splice_stays_valid =
       let rng = Rng.create (seed + 101) in
       let a = random_genome rng and b = random_genome rng in
       let s = M.splice rng a b in
-      M.is_valid s && s.M.params = a.M.params)
+      is_valid s && s.M.params = a.M.params)
 
 let test_mutate_deterministic () =
   let trail seed =
@@ -163,7 +173,7 @@ let test_corpus_save_load_identity () =
   | Ok loaded ->
     check_int "same cardinality" (List.length admitted) (List.length loaded);
     (* Files load in name order; compare as sets of genomes. *)
-    let sort = List.sort M.compare in
+    let sort = List.sort compare in
     check "same genomes" true (List.equal M.equal (sort admitted) (sort loaded))
 
 (* The admission cap is 4096 entries: past it, new coverage is still
@@ -260,7 +270,7 @@ let test_reductions_strictly_decrease () =
     let g = random_genome rng in
     List.iter
       (fun g' ->
-        check "reduction is valid" true (M.is_valid g');
+        check "reduction is valid" true (is_valid g');
         check "reduction strictly smaller" true (M.size g' < M.size g))
       (M.reductions g)
   done
