@@ -16,18 +16,3 @@ let make ~f ~propose =
           s deliveries);
     decide = (fun s -> Values.min_elt_opt s);
   }
-
-let omission_counterexample () =
-  (* n = 3, f = 1, final_round = 2. Process 2 proposes the minimum, stays
-     mute in round 1 and delivers only to process 0 in round 2: process 0
-     learns the minimum in the last round and decides it; process 1 never
-     does. *)
-  let faults =
-    Faults.of_events ~n:3
-      [
-        Faults.Mute { pid = 2; first = 1; last = 1 };
-        Faults.Drop { src = 2; dst = 1; round = 2 };
-      ]
-  in
-  let propose p = if p = 2 then 0 else 10 + p in
-  (faults, propose)

@@ -9,8 +9,8 @@
     This protocol ft-solves consensus under crash failures only. Under
     general omission it is {e incorrect}: a faulty process can withhold a
     small value from everyone and reveal it to a single correct process in
-    the last round (see {!val:omission_counterexample} and the
-    suspect-filtered {!Omission_consensus}, which closes the hole). We
+    the last round (the tests run such a schedule against it and against
+    the suspect-filtered {!Omission_consensus}, which closes the hole). We
     keep it both as the simplest compiler input and as an executable
     record of that boundary. *)
 
@@ -21,11 +21,3 @@ type state = Values.t
 (** [make ~f ~propose] is the canonical protocol with
     [final_round = f + 1]; process [p] proposes [propose p]. *)
 val make : f:int -> propose:(Pid.t -> int) -> (state, int) Ftss_core.Canonical.t
-
-(** The general-omission schedule that defeats this protocol for [n = 3],
-    [f = 1] (process 2 withholds its value from everyone, then reveals it
-    to process 0 only, in the last round), paired with the proposal
-    function giving process 2 the minimum. Running the ft-baseline under
-    it yields disagreement — a negative reproduction of why the omission
-    model needs the suspect filter. *)
-val omission_counterexample : unit -> Ftss_sync.Faults.t * (Pid.t -> int)

@@ -28,13 +28,6 @@ let completions_of_record record =
     record.Trace.states_before;
   List.rev !found
 
-let completions trace =
-  let rec loop round acc =
-    if round > Trace.length trace then List.concat (List.rev acc)
-    else loop (round + 1) (completions_of_record (Trace.record trace ~round) :: acc)
-  in
-  loop 1 []
-
 let decisions_by_round trace ~faulty =
   let correct_only cs = List.filter (fun c -> not (Pidset.mem c.pid faulty)) cs in
   let rec loop round acc =

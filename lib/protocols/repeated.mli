@@ -22,11 +22,6 @@ type 'd completion = {
   decision : 'd option;
 }
 
-(** [completions trace] lists every iteration completion of every process
-    (faulty ones included), in round order. *)
-val completions :
-  (('s, 'd) Ftss_core.Compiler.state, 'm) Ftss_sync.Trace.t -> 'd completion list
-
 (** [decisions_by_round trace ~faulty] groups the correct processes'
     completions by round. *)
 val decisions_by_round :
@@ -34,22 +29,14 @@ val decisions_by_round :
   faulty:Pidset.t ->
   (int * 'd completion list) list
 
-(** [sigma_plus ~final_round ~valid ()] is Σ⁺ for a consensus-style Σ:
-    whenever a correct process completes an iteration in a round, every
-    correct process alive through that round completes in the same round,
-    with equal, present, [valid] decisions. Rounds without completions
-    impose nothing (Σ⁺ constrains whole iterations; the enclosing
-    stabilization window guarantees at least one complete iteration when
-    it is long enough). *)
-val sigma_plus :
-  final_round:int ->
-  valid:('d -> bool) ->
-  unit ->
-  (('s, 'd) Ftss_core.Compiler.state, 'm) Ftss_core.Spec.t
-
 (** [round_and_sigma ~final_round ~valid ()] conjoins Assumption 1 on the
-    compiled round variable with [sigma_plus] — the full obligation of
-    Theorem 4. *)
+    compiled round variable with Σ⁺ for a consensus-style Σ — the full
+    obligation of Theorem 4. Σ⁺: whenever a correct process completes an
+    iteration in a round, every correct process alive through that round
+    completes in the same round, with equal, present, [valid] decisions.
+    Rounds without completions impose nothing (Σ⁺ constrains whole
+    iterations; the enclosing stabilization window guarantees at least
+    one complete iteration when it is long enough). *)
 val round_and_sigma :
   final_round:int ->
   valid:('d -> bool) ->
