@@ -242,11 +242,13 @@ let e5 m =
             let rng = Rng.create (seed + 2) in
             let corrupt =
               if num_bound = 0 then None
-              else Some (fun _ t -> Esfd.corrupt rng ~num_bound t)
+              else Some (fun _ t -> Esfd.Layer.corrupt rng ~num_bound t)
             in
-            let result = Sim.run ?corrupt config (Esfd.process ~n ~oracle ()) in
+            let result =
+              Sim.run ?corrupt config (Esfd.process ~n ~source:(Esfd.Oracle oracle) ())
+            in
             M.inc (M.counter m "trials");
-            match (Esfd.analyze result ~config ~trusted).Esfd.convergence_time with
+            match (Esfd.analyze ~trusted result ~config).Esfd.convergence_time with
             | Some t ->
               incr converged;
               M.inc (M.counter m "converged");
@@ -272,9 +274,47 @@ let e5 m =
 (* E6 — §3: asynchronous repeated consensus, ss vs baseline.            *)
 (* ------------------------------------------------------------------ *)
 
+(* The §3 consensus runs of E6 and E8b: n=5, seed 9, no crashes, the
+   scripted oracle trusting p1 (quiet under the parked deadlock, which
+   plants every process in round 6, coordinated by p1). *)
+let consensus_propose p i = 100 + (((p * 13) + (i * 7)) mod 50)
+
+let consensus_run ~style ~corruption =
+  let open Ftss_async in
+  let n = 5 and seed = 9 and trusted = 1 in
+  let config =
+    {
+      (Sim.default_config ~n ~seed) with
+      Sim.gst = 300;
+      horizon = 4000;
+      tick_interval = 10;
+      delay_before_gst = (1, 60);
+      delay_after_gst = (1, 4);
+    }
+  in
+  let noise = match corruption with `Parked -> 0.0 | `None | `Random -> 0.2 in
+  let oracle =
+    Ewfd.make (Rng.create (seed + 7)) ~n ~crashed:(fun _ -> None) ~gst:config.Sim.gst
+      ~trusted ~noise
+  in
+  let corrupt =
+    match corruption with
+    | `None -> None
+    | `Random ->
+      Some
+        (Consensus.corrupt_random (Rng.create (seed + 3)) ~n ~instance_bound:20
+           ~round_bound:30 ~value_bound:90)
+    | `Parked -> Some (Consensus.corrupt_parked ~round:6)
+  in
+  let result =
+    Sim.run ?corrupt config
+      (Consensus.process ~n ~style ~propose:consensus_propose ~detector:(Esfd.Oracle oracle)
+         ())
+  in
+  (config, result)
+
 let e6 m =
   let open Ftss_async in
-  let propose p i = 100 + (((p * 13) + (i * 7)) mod 50) in
   let table =
     Table.create
       ~title:
@@ -282,39 +322,12 @@ let e6 m =
          self-stabilizing superimposition (n=5, GST=300, horizon=4000)"
       [ "style"; "corruption"; "decided"; "disagree"; "invalid"; "stabilized at"; "decided after stab" ]
   in
-  let n = 5 and trusted = 1 in
-  let run ~style ~corruption ~noise ~seed =
-    let config =
-      {
-        (Sim.default_config ~n ~seed) with
-        Sim.gst = 300;
-        horizon = 4000;
-        tick_interval = 10;
-        delay_before_gst = (1, 60);
-        delay_after_gst = (1, 4);
-      }
-    in
-    let oracle =
-      Ewfd.make (Rng.create (seed + 7)) ~n ~crashed:(fun _ -> None) ~gst:config.Sim.gst
-        ~trusted ~noise
-    in
-    let corrupt =
-      match corruption with
-      | `None -> None
-      | `Random ->
-        Some
-          (Consensus.corrupt_random (Rng.create (seed + 3)) ~n ~instance_bound:20
-             ~round_bound:30 ~value_bound:90)
-      | `Parked -> Some (Consensus.corrupt_parked ~round:6)
-    in
-    let result = Sim.run ?corrupt config (Consensus.process ~n ~style ~propose ~oracle ()) in
-    (config, result)
-  in
+  let n = 5 and propose = consensus_propose in
   List.iter
     (fun (style, style_name) ->
       List.iter
-        (fun (corruption, corruption_name, noise) ->
-          let config, result = run ~style ~corruption ~noise ~seed:9 in
+        (fun (corruption, corruption_name) ->
+          let config, result = consensus_run ~style ~corruption in
           let correct = Sim.correct_set config in
           let ds = Consensus.decisions result in
           let grouped = Consensus.per_instance ds ~correct in
@@ -335,7 +348,7 @@ let e6 m =
               | Some t -> string_of_int (Consensus.fully_decided_after ds ~correct ~from:t)
               | None -> "-");
             ])
-        [ (`None, "none", 0.2); (`Random, "random", 0.2); (`Parked, "parked (deadlock)", 0.0) ])
+        [ (`None, "none"); (`Random, "random"); (`Parked, "parked (deadlock)") ])
     [ (Consensus.baseline, "baseline"); (Consensus.self_stabilizing, "self-stab") ];
   Table.print table
 
@@ -546,7 +559,6 @@ let e8_compiler m =
    other. The paper's protocol needs both. *)
 let e8_consensus m =
   let open Ftss_async in
-  let propose p i = 100 + (((p * 13) + (i * 7)) mod 50) in
   let table =
     Table.create
       ~title:
@@ -554,41 +566,14 @@ let e8_consensus m =
          instances fully decided by all correct processes after GST=300)"
       [ "retransmit"; "round agreement"; "clean"; "parked"; "random scatter" ]
   in
-  let n = 5 and trusted = 1 in
-  let run ~style ~corruption ~seed =
-    let config =
-      {
-        (Sim.default_config ~n ~seed) with
-        Sim.gst = 300;
-        horizon = 4000;
-        tick_interval = 10;
-        delay_before_gst = (1, 60);
-        delay_after_gst = (1, 4);
-      }
-    in
-    let noise = match corruption with `Parked -> 0.0 | `None | `Random -> 0.2 in
-    let oracle =
-      Ewfd.make (Rng.create (seed + 7)) ~n ~crashed:(fun _ -> None) ~gst:config.Sim.gst
-        ~trusted ~noise
-    in
-    let corrupt =
-      match corruption with
-      | `None -> None
-      | `Random ->
-        Some
-          (Consensus.corrupt_random (Rng.create (seed + 3)) ~n ~instance_bound:20
-             ~round_bound:30 ~value_bound:90)
-      | `Parked -> Some (Consensus.corrupt_parked ~round:6)
-    in
-    let result = Sim.run ?corrupt config (Consensus.process ~n ~style ~propose ~oracle ()) in
-    let correct = Sim.correct_set config in
-    Consensus.fully_decided_after (Consensus.decisions result) ~correct
-      ~from:config.Sim.gst
-  in
   List.iter
     (fun style ->
       let cell name corruption =
-        let v = run ~style ~corruption ~seed:9 in
+        let config, result = consensus_run ~style ~corruption in
+        let v =
+          Consensus.fully_decided_after (Consensus.decisions result)
+            ~correct:(Sim.correct_set config) ~from:config.Sim.gst
+        in
         M.set
           (M.gauge m
              (Printf.sprintf "e8b_decided.rt=%b,ra=%b.%s" style.Consensus.retransmit
@@ -654,16 +639,12 @@ let e9 m =
             let corrupt =
               if corrupted then
                 Some
-                  (Detector_stack.corrupt rng ~time_bound:10_000 ~timeout_bound:150
-                     ~num_bound:5_000)
+                  (fun _ t -> Esfd.Layer.corrupt rng ~num_bound:5_000 t)
               else None
             in
-            let result =
-              Sim.run ?corrupt config
-                (Detector_stack.process ~n ~initial_timeout:30 ~backoff:20)
-            in
+            let result = Sim.run ?corrupt config (Esfd.process ~n ~source:Esfd.Heartbeats ()) in
             M.inc (M.counter m "trials");
-            match (Detector_stack.analyze result ~config).Detector_stack.convergence_time with
+            match (Esfd.analyze result ~config).Esfd.convergence_time with
             | Some t ->
               incr converged;
               M.inc (M.counter m "converged");
@@ -1405,7 +1386,8 @@ let e16 m =
         let r =
           Sim.run config
             (Ftss_async.Consensus.process ~n
-               ~style:Ftss_async.Consensus.self_stabilizing ~propose ~oracle ())
+               ~style:Ftss_async.Consensus.self_stabilizing ~propose
+               ~detector:(Ftss_async.Esfd.Oracle oracle) ())
         in
         float_of_int r.Sim.delivered /. (Unix.gettimeofday () -. t0))
   in

@@ -62,7 +62,8 @@ let async_consensus_run ~n =
     (Staged.stage (fun () ->
          ignore
            (Sim.run config
-              (Consensus.process ~n ~style:Consensus.self_stabilizing ~propose ~oracle ()))))
+              (Consensus.process ~n ~style:Consensus.self_stabilizing ~propose
+                 ~detector:(Esfd.Oracle oracle) ()))))
 
 (* The queue hot path in isolation: one pop-one/push-one cycle at a
    standing population of 4096, calendar vs. the seed binary heap. *)

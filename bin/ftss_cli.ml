@@ -289,9 +289,11 @@ let esfd_cmd =
     in
     let oracle = Ewfd.make (Rng.create (seed + 1)) ~n ~crashed ~gst ~trusted ~noise:0.3 in
     let rng = Rng.create (seed + 2) in
-    let corrupt _ t = Esfd.corrupt rng ~num_bound:10_000 t in
-    let result = Sim.run ?obs ~corrupt config (Esfd.process ?obs ~n ~oracle ()) in
-    let report = Esfd.analyze result ~config ~trusted in
+    let corrupt _ t = Esfd.Layer.corrupt rng ~num_bound:10_000 t in
+    let result =
+      Sim.run ?obs ~corrupt config (Esfd.process ?obs ~n ~source:(Esfd.Oracle oracle) ())
+    in
+    let report = Esfd.analyze ~trusted result ~config in
     let show = function Some t -> string_of_int t | None -> "none" in
     Format.printf "messages delivered: %d@." result.Sim.delivered;
     Format.printf "strong completeness from: %s@." (show report.Esfd.completeness_from);
@@ -325,21 +327,15 @@ let stack_cmd =
       }
     in
     let rng = Rng.create (seed + 13) in
-    let corrupt =
-      Detector_stack.corrupt rng ~time_bound:10_000 ~timeout_bound:150 ~num_bound:5_000
-    in
-    let result =
-      Sim.run ?obs ~corrupt config (Detector_stack.process ~n ~initial_timeout:30 ~backoff:20)
-    in
-    let report = Detector_stack.analyze result ~config in
+    let corrupt _ t = Esfd.Layer.corrupt rng ~num_bound:5_000 t in
+    let result = Sim.run ?obs ~corrupt config (Esfd.process ?obs ~n ~source:Esfd.Heartbeats ()) in
+    let report = Esfd.analyze result ~config in
     let show = function Some t -> string_of_int t | None -> "none" in
-    Format.printf "strong completeness from: %s@."
-      (show report.Detector_stack.completeness_from);
-    Format.printf "eventual weak accuracy from: %s@."
-      (show report.Detector_stack.accuracy_from);
+    Format.printf "strong completeness from: %s@." (show report.Esfd.completeness_from);
+    Format.printf "eventual weak accuracy from: %s@." (show report.Esfd.accuracy_from);
     Format.printf "stack (heartbeat ◇W + Fig. 4 ◇S) convergence: %s@."
-      (show report.Detector_stack.convergence_time);
-    if report.Detector_stack.convergence_time <> None then 0 else 1
+      (show report.Esfd.convergence_time);
+    if report.Esfd.convergence_time <> None then 0 else 1
   in
   let term =
     Term.(
@@ -407,11 +403,11 @@ let consensus_cmd =
     in
     let detector =
       match detector_kind with
-      | `Oracle -> Consensus.Oracle oracle
-      | `Heartbeats -> Consensus.Heartbeats { initial_timeout = 30; backoff = 20 }
+      | `Oracle -> Esfd.Oracle oracle
+      | `Heartbeats -> Esfd.Heartbeats
     in
     let result =
-      Sim.run ?obs ?corrupt config (Consensus.process_with ?obs ~n ~style ~propose ~detector ())
+      Sim.run ?obs ?corrupt config (Consensus.process ?obs ~n ~style ~propose ~detector ())
     in
     let correct = Sim.correct_set config in
     let ds = Consensus.decisions result in

@@ -37,7 +37,10 @@ let run ?corrupt ?(noise = 0.2) ~style ~seed ~n ~trusted () =
     Ewfd.make (Rng.create (seed + 7)) ~n ~crashed:(fun _ -> None) ~gst:config.Sim.gst
       ~trusted ~noise
   in
-  let result = Sim.run ?corrupt config (Consensus.process ~n ~style ~propose ~oracle ()) in
+  let result =
+    Sim.run ?corrupt config
+      (Consensus.process ~n ~style ~propose ~detector:(Esfd.Oracle oracle) ())
+  in
   (config, result)
 
 let () =

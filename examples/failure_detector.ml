@@ -6,6 +6,9 @@
    crashed process (strong completeness) while the designated trusted
    process is never suspected again (eventual weak accuracy).
 
+   The ◇W input is the scripted oracle, [Esfd.Oracle]; the same layer
+   runs over heartbeats with [Esfd.Heartbeats] (see oracle_free.ml).
+
    Run with: dune exec examples/failure_detector.exe *)
 
 open Ftss_util
@@ -32,13 +35,13 @@ let () =
     Ewfd.make (Rng.create (seed + 1)) ~n ~crashed ~gst:config.Sim.gst ~trusted ~noise:0.3
   in
   let rng = Rng.create 99 in
-  let corrupt _ t = Esfd.corrupt rng ~num_bound:10_000 t in
+  let corrupt _ t = Esfd.Layer.corrupt rng ~num_bound:10_000 t in
 
   Format.printf "n=%d, crashes at t=150 (p4) and t=900 (p5), GST=%d, trusted=%a@."
     n config.Sim.gst Pid.pp trusted;
   Format.printf "every process starts with corrupted num/state tables@.@.";
 
-  let result = Sim.run ~corrupt config (Esfd.process ~n ~oracle ()) in
+  let result = Sim.run ~corrupt config (Esfd.process ~n ~source:(Esfd.Oracle oracle) ()) in
 
   (* Print a sampled timeline of process 0's suspect set. *)
   Format.printf "=== suspect set of p0 over time (sampled) ===@.";
@@ -51,7 +54,7 @@ let () =
       end)
     result.Sim.log;
 
-  let report = Esfd.analyze result ~config ~trusted in
+  let report = Esfd.analyze ~trusted result ~config in
   let show = function Some t -> string_of_int t | None -> "never (within horizon)" in
   Format.printf "@.strong completeness holds from: t=%s@." (show report.Esfd.completeness_from);
   Format.printf "eventual weak accuracy holds from: t=%s@." (show report.Esfd.accuracy_from);

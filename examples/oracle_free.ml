@@ -12,6 +12,9 @@
    deadlines and timeouts, the transform's num/state tables, and the
    consensus instance/round/estimate/timestamp state.
 
+   The first two layers are [Esfd.Layer] over the [Esfd.Heartbeats]
+   source: [Esfd.process] runs it alone, [Consensus.process] embeds it.
+
    Run with: dune exec examples/oracle_free.exe *)
 
 open Ftss_util
@@ -33,21 +36,18 @@ let () =
     }
   in
 
-  (* First: the detector stack alone, fully corrupted. *)
+  (* First: the detector layer alone over heartbeats, fully corrupted. *)
   let rng = Rng.create 31 in
-  let corrupt_stack =
-    Detector_stack.corrupt rng ~time_bound:10_000 ~timeout_bound:150 ~num_bound:5_000
+  let corrupt_layer _ t = Esfd.Layer.corrupt rng ~num_bound:5_000 t in
+  let layer_result =
+    Sim.run ~corrupt:corrupt_layer config (Esfd.process ~n ~source:Esfd.Heartbeats ())
   in
-  let stack_result =
-    Sim.run ~corrupt:corrupt_stack config
-      (Detector_stack.process ~n ~initial_timeout:30 ~backoff:20)
-  in
-  let report = Detector_stack.analyze stack_result ~config in
+  let report = Esfd.analyze layer_result ~config in
   let show = function Some t -> string_of_int t | None -> "never" in
   Format.printf "=== detector stack (heartbeat ◇W -> Figure 4 ◇S), all state corrupted ===@.";
-  Format.printf "strong completeness from: t=%s@." (show report.Detector_stack.completeness_from);
-  Format.printf "eventual weak accuracy from: t=%s@." (show report.Detector_stack.accuracy_from);
-  Format.printf "◇S convergence: t=%s@.@." (show report.Detector_stack.convergence_time);
+  Format.printf "strong completeness from: t=%s@." (show report.Esfd.completeness_from);
+  Format.printf "eventual weak accuracy from: t=%s@." (show report.Esfd.accuracy_from);
+  Format.printf "◇S convergence: t=%s@.@." (show report.Esfd.convergence_time);
 
   (* Then: consensus over the same construction, also corrupted. *)
   let rng = Rng.create 32 in
@@ -56,8 +56,8 @@ let () =
   in
   let result =
     Sim.run ~corrupt config
-      (Consensus.process_with ~n ~style:Consensus.self_stabilizing ~propose
-         ~detector:(Consensus.Heartbeats { initial_timeout = 30; backoff = 20 }) ())
+      (Consensus.process ~n ~style:Consensus.self_stabilizing ~propose
+         ~detector:Esfd.Heartbeats ())
   in
   let correct = Sim.correct_set config in
   let ds = Consensus.decisions result in
@@ -73,4 +73,4 @@ let () =
   | None ->
     Format.printf "did not stabilize within the horizon@.";
     exit 1);
-  if report.Detector_stack.convergence_time = None then exit 1
+  if report.Esfd.convergence_time = None then exit 1

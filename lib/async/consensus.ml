@@ -18,16 +18,13 @@ let tag_gt a b =
    instance number to its messages, and owns decision dissemination and
    the round-agreement heartbeat. *)
 type msg =
-  | Fd of Esfd.msg
-  | Hb of Heartbeat.msg
+  | Detector of Esfd.Layer.msg
   | Cons of { instance : int; m : value Mv_consensus.msg }
   | Decide of { instance : int; value : value }
   | Round of { tag : tag }
 
 type state = {
-  fd : Esfd.t;
-  hb : Heartbeat.t option;
-      (* present when the ◇W layer is the heartbeat implementation *)
+  detector : Esfd.Layer.t;
   instance : int;
   engine : value Mv_consensus.t; (* the current instance's rounds *)
   prev_decision : (int * value) option;
@@ -42,10 +39,6 @@ type observation =
 
 let forged_round tag = Round { tag }
 let forged_decide ~instance ~value = Decide { instance; value }
-
-type detector_source =
-  | Oracle of Ewfd.t
-  | Heartbeats of { initial_timeout : int; backoff : int }
 
 (* Base 0 keeps the coordinator of round r at p(r mod n) in every
    instance, and weight 0 leaves the proposal rule at the lowest pid
@@ -91,13 +84,6 @@ let emit_decide obs ctx ~instance ~value =
       (Ftss_obs.Event.make ~time:(Sim.now ctx)
          (Ftss_obs.Event.Decide { pid = Sim.self ctx; instance; value }))
 
-let emit_suspect_diff obs ctx ~before ~after =
-  match obs with
-  | None -> ()
-  | Some o ->
-    Ftss_obs.Obs.suspect_diff o ~time:(Sim.now ctx) ~observer:(Sim.self ctx) ~before
-      ~after
-
 (* Round agreement: abandon current work and join a newer (instance,
    round). A newer instance starts a fresh engine; its round-0 estimate
    goes out only when round 0 is the target. *)
@@ -127,7 +113,7 @@ let learn_decision ?obs ctx ~n ~propose st ~instance ~value =
   send_outs ctx ~instance:next outs;
   { st with instance = next; engine; prev_decision = Some (instance, value) }
 
-let process_with ?obs ~n ~style ~propose ~detector () =
+let process ?obs ~n ~style ~propose ~detector () =
   (* A consensus message tagged (instance, round): a newer tag is joined
      (round agreement) or buffered (classic CT); the current instance's
      traffic goes to the engine, which therefore never sees a future round
@@ -149,7 +135,7 @@ let process_with ?obs ~n ~style ~propose ~detector () =
       send_outs ctx ~instance outs;
       broadcast_verdict ctx ~instance verdict;
       drain ctx { st with engine }
-    | Cons _ | Round _ | Fd _ | Hb _ | Decide _ -> st
+    | Cons _ | Round _ | Detector _ | Decide _ -> st
   and on_decide ctx st ~instance ~value =
     if instance >= st.instance then
       drain ctx (learn_decision ?obs ctx ~n ~propose st ~instance ~value)
@@ -169,29 +155,13 @@ let process_with ?obs ~n ~style ~propose ~detector () =
         drain ctx (on_tagged ctx st ~src ~instance ~round m)
     end
   in
-  let traced = Option.is_some obs in
   let on_tick ctx st =
-    let at = Sim.now ctx and self = Sim.self ctx in
-    (* ◇W layer: either the scripted oracle or live heartbeats. *)
-    let st, detect =
-      match (detector, st.hb) with
-      | Oracle oracle, _ ->
-        (st, fun s -> Ewfd.detect oracle ~at ~observer:self ~subject:s)
-      | Heartbeats _, Some hb ->
-        Sim.broadcast ctx (Hb Heartbeat.Heartbeat);
-        let hb = Heartbeat.tick hb ~self ~now:at in
-        ({ st with hb = Some hb }, Heartbeat.suspected hb)
-      | Heartbeats _, None -> (st, fun _ -> false)
-    in
-    (* Failure-detector maintenance (Figure 4). *)
-    let fd_before = if traced then Esfd.suspects st.fd else Pidset.empty in
-    let fd, fd_msg = Esfd.tick st.fd ~self ~detect in
-    if traced then emit_suspect_diff obs ctx ~before:fd_before ~after:(Esfd.suspects fd);
-    Sim.broadcast ctx (Fd fd_msg);
+    (* Failure-detector maintenance: the ◇W source and Figure 4. *)
+    let detector = Esfd.Layer.tick ?obs ctx ~wrap:(fun m -> Detector m) st.detector in
     (* The instance's timer actions: nack a suspected coordinator and,
        when retransmitting, re-send the unfinished phase. *)
     let engine, outs, verdict =
-      Mv_consensus.tick st.engine ~suspected:(Esfd.suspected fd)
+      Mv_consensus.tick st.engine ~suspected:(Esfd.Layer.suspected detector)
         ~retransmit:style.retransmit
     in
     send_outs ctx ~instance:st.instance outs;
@@ -200,7 +170,7 @@ let process_with ?obs ~n ~style ~propose ~detector () =
        match st.prev_decision with
        | Some (instance, value) -> Sim.broadcast ctx (Decide { instance; value })
        | None -> ());
-    let st = drain ctx { st with fd; engine } in
+    let st = drain ctx { st with detector; engine } in
     (* The round agreement heartbeat (the Figure 1 broadcast). *)
     if style.round_agreement then Sim.broadcast ctx (Round { tag = current_tag st });
     st
@@ -215,12 +185,7 @@ let process_with ?obs ~n ~style ~propose ~detector () =
     init =
       (fun p ->
         {
-          fd = Esfd.create ~n;
-          hb =
-            (match detector with
-            | Oracle _ -> None
-            | Heartbeats { initial_timeout; backoff } ->
-              Some (Heartbeat.create ~n ~initial_timeout ~backoff));
+          detector = Esfd.Layer.create ~n detector;
           instance = 0;
           (* The initial state has sent nothing yet: the round-0 estimate
              goes out on the first round change or retransmission. *)
@@ -231,25 +196,14 @@ let process_with ?obs ~n ~style ~propose ~detector () =
     on_message =
       (fun ctx st ~src m ->
         match m with
-        | Fd fm ->
-          let fd = Esfd.receive st.fd fm in
-          if traced then
-            emit_suspect_diff obs ctx ~before:(Esfd.suspects st.fd)
-              ~after:(Esfd.suspects fd);
-          { st with fd }
-        | Hb Heartbeat.Heartbeat ->
-          (match st.hb with
-          | Some hb -> { st with hb = Some (Heartbeat.heard hb ~src ~now:(Sim.now ctx)) }
-          | None -> st)
+        | Detector m ->
+          { st with detector = Esfd.Layer.receive ?obs ctx ~src m st.detector }
         | Cons { instance; m = cm } ->
           on_tagged ctx st ~src ~instance ~round:(round_of_cons cm) m
         | Round { tag = { instance; round } } -> on_tagged ctx st ~src ~instance ~round m
         | Decide { instance; value } -> on_decide ctx st ~instance ~value);
     on_tick;
   }
-
-let process ?obs ~n ~style ~propose ~oracle () =
-  process_with ?obs ~n ~style ~propose ~detector:(Oracle oracle) ()
 
 let corrupt_random rng ~n:_ ~instance_bound ~round_bound ~value_bound _pid st =
   (* The draw order is fixed: seeded corruptions (the tests, E6, E8b)
@@ -262,14 +216,8 @@ let corrupt_random rng ~n:_ ~instance_bound ~round_bound ~value_bound _pid st =
   let estimate = Rng.int rng value_bound in
   let round = Rng.int rng round_bound in
   let instance = Rng.int rng instance_bound in
-  let hb =
-    Option.map
-      (fun hb -> Heartbeat.corrupt rng ~time_bound:10_000 ~timeout_bound:150 hb)
-      st.hb
-  in
   {
-    fd = Esfd.corrupt rng ~num_bound:1000 st.fd;
-    hb;
+    detector = Esfd.Layer.corrupt rng ~num_bound:1000 st.detector;
     instance;
     engine = Mv_consensus.plant st.engine ~round ~estimate ~ts;
     prev_decision;

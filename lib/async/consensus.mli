@@ -10,8 +10,8 @@
     the coordinator, nack and move on, phase 4 a decision on a majority
     of acks. The driver owns what spans instances: instance numbering
     on the wire, decision dissemination, the embedded ◇W → ◇S detector
-    stack, and round agreement. The [style] switches the paper's two
-    superimpositions on and off:
+    ({!Esfd.Layer}), and round agreement. The [style] switches the
+    paper's two superimpositions on and off:
 
     - [Baseline]: the classic protocol. Correct from the
       protocol-specified initial state, but a systemic failure can park
@@ -79,21 +79,16 @@ type msg
 val forged_round : tag -> msg
 val forged_decide : instance:int -> value:value -> msg
 
-(** Where the embedded Figure 4 transform gets its ◇W input from. *)
-type detector_source =
-  | Oracle of Ewfd.t  (** the scripted oracle, as the paper assumes *)
-  | Heartbeats of { initial_timeout : int; backoff : int }
-      (** the {!Heartbeat} implementation — no oracle anywhere: the whole
-          §3 protocol then runs on partial synchrony alone *)
-
 type observation =
   | Decided of { instance : int; value : value }
   | Joined of tag  (** process adopted a newer (instance, round) tag *)
 
-(** [process ?obs ~n ~style ~propose ~oracle ()] builds the Sim process.
-    [propose p i] is process [p]'s proposal for instance [i]. The embedded
-    failure detector is the Figure 4 ◇S transform over [oracle]. When
-    [obs] is given, every decision emits a [Decide] event and every
+(** [process ?obs ~n ~style ~propose ~detector ()] builds the Sim
+    process. [propose p i] is process [p]'s proposal for instance [i].
+    The embedded failure detector is the {!Esfd.Layer}: the Figure 4 ◇S
+    transform over [detector]; under [Esfd.Heartbeats] no oracle is
+    anywhere and the whole §3 protocol runs on partial synchrony alone.
+    When [obs] is given, every decision emits a [Decide] event and every
     change of the embedded ◇S suspect set emits
     [Suspect_add]/[Suspect_remove] events. *)
 val process :
@@ -101,18 +96,7 @@ val process :
   n:int ->
   style:style ->
   propose:(Pid.t -> int -> value) ->
-  oracle:Ewfd.t ->
-  unit ->
-  (state, msg, observation) Sim.process
-
-(** [process_with ?obs ~n ~style ~propose ~detector ()] generalizes
-    {!process} to either detector source. *)
-val process_with :
-  ?obs:Ftss_obs.Obs.t ->
-  n:int ->
-  style:style ->
-  propose:(Pid.t -> int -> value) ->
-  detector:detector_source ->
+  detector:Esfd.source ->
   unit ->
   (state, msg, observation) Sim.process
 

@@ -51,38 +51,96 @@ let suspected t s = t.statuses.(s) = Dead
 let suspects t =
   Pidset.of_pred (Array.length t.statuses) (fun s -> suspected t s)
 
+type source = Oracle of Ewfd.t | Heartbeats
+
+(* Every heartbeat run uses one timeout setting, and its corruption one
+   pair of bounds. *)
+let initial_timeout = 30
+let backoff = 20
+let time_bound = 10_000
+let timeout_bound = 150
+
+let emit_suspect_diff obs ctx ~before ~after =
+  match obs with
+  | None -> ()
+  | Some o ->
+    Ftss_obs.Obs.suspect_diff o ~time:(Sim.now ctx) ~observer:(Sim.self ctx)
+      ~before:(suspects before) ~after:(suspects after)
+
+module Layer = struct
+  type detector = Scripted of Ewfd.t | Beating of Heartbeat.t
+
+  (* [fd] is the transform. Each function below wraps the transform's
+     function of the same name, defined above. *)
+  type nonrec t = { fd : t; detector : detector }
+  type nonrec msg = Hb of Heartbeat.msg | Fd of msg
+
+  let create ~n source =
+    let detector =
+      match source with
+      | Oracle oracle -> Scripted oracle
+      | Heartbeats -> Beating (Heartbeat.create ~n ~initial_timeout ~backoff)
+    in
+    { fd = create ~n; detector }
+
+  let tick ?obs ctx ~wrap l =
+    let now = Sim.now ctx and self = Sim.self ctx in
+    let detector, detect =
+      match l.detector with
+      | Scripted oracle ->
+        (l.detector, fun s -> Ewfd.detect oracle ~at:now ~observer:self ~subject:s)
+      | Beating hb ->
+        Sim.broadcast ctx (wrap (Hb Heartbeat.Heartbeat));
+        let hb = Heartbeat.tick hb ~self ~now in
+        (Beating hb, Heartbeat.suspected hb)
+    in
+    let fd, m = tick l.fd ~self ~detect in
+    emit_suspect_diff obs ctx ~before:l.fd ~after:fd;
+    Sim.broadcast ctx (wrap (Fd m));
+    { fd; detector }
+
+  let receive ?obs ctx ~src m l =
+    match (m, l.detector) with
+    | Fd m, _ ->
+      let fd = receive l.fd m in
+      emit_suspect_diff obs ctx ~before:l.fd ~after:fd;
+      { l with fd }
+    | Hb Heartbeat.Heartbeat, Beating hb ->
+      { l with detector = Beating (Heartbeat.heard hb ~src ~now:(Sim.now ctx)) }
+    | Hb Heartbeat.Heartbeat, Scripted _ -> l
+
+  let suspected l s = suspected l.fd s
+
+  let corrupt rng ~num_bound l =
+    (* The transform draws first: the order seeded runs reproduce under. *)
+    let fd = corrupt rng ~num_bound l.fd in
+    match l.detector with
+    | Scripted _ -> { l with fd }
+    | Beating hb ->
+      { fd; detector = Beating (Heartbeat.corrupt rng ~time_bound ~timeout_bound hb) }
+end
+
 type observation = Suspects of Pidset.t
 
-let process ?obs ~n ~oracle () =
-  ignore n;
-  let suspect_diff ~time ~observer ~before ~after =
-    match obs with
-    | None -> ()
-    | Some o -> Ftss_obs.Obs.suspect_diff o ~time ~observer ~before ~after
-  in
+let process ?obs ~n ~source () =
   {
     Sim.name = "esfd";
-    init = (fun _ -> create ~n);
+    init = (fun _ -> Layer.create ~n source);
     on_tick =
-      (fun ctx t ->
-        let at = Sim.now ctx and self = Sim.self ctx in
-        let before = suspects t in
-        let detect s = Ewfd.detect oracle ~at ~observer:self ~subject:s in
-        let t, message = tick t ~self ~detect in
-        Sim.broadcast ctx message;
-        Sim.observe ctx (Suspects (suspects t));
-        suspect_diff ~time:at ~observer:self ~before ~after:(suspects t);
-        t);
+      (fun ctx l ->
+        let l = Layer.tick ?obs ctx ~wrap:Fun.id l in
+        Sim.observe ctx (Suspects (suspects l.Layer.fd));
+        l);
     on_message =
-      (fun ctx t ~src:_ message ->
-        let before = suspects t in
-        let t = receive t message in
-        let after = suspects t in
-        if not (Pidset.equal before after) then begin
-          Sim.observe ctx (Suspects after);
-          suspect_diff ~time:(Sim.now ctx) ~observer:(Sim.self ctx) ~before ~after
-        end;
-        t);
+      (fun ctx l ~src m ->
+        let l' = Layer.receive ?obs ctx ~src m l in
+        (match m with
+        | Layer.Fd _ ->
+          let after = suspects l'.Layer.fd in
+          if not (Pidset.equal (suspects l.Layer.fd) after) then
+            Sim.observe ctx (Suspects after)
+        | Layer.Hb _ -> ());
+        l');
   }
 
 type report = {
@@ -91,45 +149,43 @@ type report = {
   accuracy_from : int option;
 }
 
-let analyze (result : (t, observation) Sim.result) ~config ~trusted =
+let analyze ?trusted (result : (_, observation) Sim.result) ~config =
   let crashed = Sim.crashed_set config in
   let correct = Sim.correct_set config in
-  (* Per correct process: the time after its last completeness violation
-     (suspect set not covering the crashed set) and after its last
-     accuracy violation (trusted suspected), judged over the log. *)
-  let last_completeness_violation = Hashtbl.create 8 in
-  let last_accuracy_violation = ref (-1) in
-  let seen = Hashtbl.create 8 in
+  (* Over the correct processes: the last completeness violation (a
+     suspect set not covering the crashed set) and, per subject, the last
+     time it was suspected. *)
+  let last_completeness_violation = ref (-1) in
+  let last_suspected = Array.make config.Sim.n (-1) in
+  let seen = ref Pidset.empty in
   List.iter
     (fun (time, pid, Suspects set) ->
       if Pidset.mem pid correct then begin
-        Hashtbl.replace seen pid ();
+        seen := Pidset.add pid !seen;
         if not (Pidset.subset crashed set) then
-          Hashtbl.replace last_completeness_violation pid time;
-        if Pidset.mem trusted set then last_accuracy_violation := max !last_accuracy_violation time
+          last_completeness_violation := max !last_completeness_violation time;
+        Pidset.iter (fun s -> last_suspected.(s) <- max last_suspected.(s) time) set
       end)
     result.Sim.log;
-  let all_correct_observed =
-    Pidset.for_all (fun p -> Hashtbl.mem seen p) correct
-  in
-  if not all_correct_observed then
+  if not (Pidset.subset correct !seen) then
     { convergence_time = None; completeness_from = None; accuracy_from = None }
   else begin
     (* A violation at the very end of the run means no convergence was
        observed within the horizon. *)
-    let final_ok_margin = result.Sim.end_time in
-    let completeness_from =
-      let worst =
-        Pidset.fold
-          (fun p acc ->
-            max acc (match Hashtbl.find_opt last_completeness_violation p with Some t -> t + 1 | None -> 0))
-          correct 0
-      in
-      if worst >= final_ok_margin then None else Some worst
-    in
+    let settle t = if t >= result.Sim.end_time then None else Some t in
+    let completeness_from = settle (!last_completeness_violation + 1) in
     let accuracy_from =
-      let t = !last_accuracy_violation + 1 in
-      if t >= final_ok_margin then None else Some t
+      match trusted with
+      | Some p -> settle (last_suspected.(p) + 1)
+      | None ->
+        (* The literal form: the earliest-cleared correct candidate. *)
+        Pidset.fold
+          (fun candidate best ->
+            match (settle (last_suspected.(candidate) + 1), best) with
+            | Some t, Some b -> Some (min t b)
+            | Some t, None -> Some t
+            | None, best -> best)
+          correct None
     in
     let convergence_time =
       match (completeness_from, accuracy_from) with

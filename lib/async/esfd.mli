@@ -12,9 +12,10 @@
     The protocol needs no initialization: whatever junk a systemic failure
     leaves in the counters is washed out because the merge rule lifts
     everyone to the maximum and live subjects / detecting observers keep
-    incrementing past it. This module is the pure state machine; the
-    {!process} function packages it as a {!Sim.process} together with a
-    ◇W oracle, and {!analyze} checks Theorem 5's two properties on the
+    incrementing past it. The first half of this module is the pure state
+    machine. {!Layer} is the one place where a ◇W {!source} drives it
+    over the network: {!process} runs the layer alone, {!Consensus}
+    embeds it, and {!analyze} checks Theorem 5's two properties on the
     observation log. *)
 
 open Ftss_util
@@ -50,21 +51,58 @@ val receive : t -> msg -> t
 (** [suspected t s] is true iff [state[s] = Dead]. *)
 val suspected : t -> Pid.t -> bool
 
-(** The set of suspected processes. *)
-val suspects : t -> Pidset.t
-
 (** {2 Running it over the network} *)
 
-type observation = Suspects of Pidset.t
-(** Logged whenever a process's suspect set changes. *)
+(** Where the transform's ◇W input comes from. Theorem 5 holds for any
+    Eventually Weak source, and a new one (an adversarial detector, say)
+    is one more case here. *)
+type source =
+  | Oracle of Ewfd.t  (** the scripted oracle, as the paper assumes *)
+  | Heartbeats
+      (** the {!Heartbeat} implementation (timeout 30, backoff 20): no
+          oracle anywhere, the detector runs on partial synchrony alone *)
 
-(** [process ?obs ~n ~oracle ()] is the Sim process: on every tick it
-    queries the ◇W oracle, performs {!tick} and broadcasts; on every
-    message it merges. Changes to the suspect set are observed, and —
-    when [obs] is given — also emitted as [Suspect_add]/[Suspect_remove]
-    events via {!Ftss_obs.Obs.suspect_diff}. *)
+(** The transform together with its ◇W source. *)
+module Layer : sig
+  type t
+
+  type nonrec msg = Hb of Heartbeat.msg | Fd of msg
+
+  (** [create ~n source] is the good initial state. *)
+  val create : n:int -> source -> t
+
+  (** [tick ?obs ctx ~wrap t] is one timer firing: under [Heartbeats] it
+      broadcasts a heartbeat and re-evaluates the deadlines, then it
+      performs the transform's tick against the source and broadcasts the
+      table. [wrap] embeds the layer's messages in the caller's. When
+      [obs] is given, changes to the suspect set are emitted as
+      [Suspect_add]/[Suspect_remove] events, before the table's send. *)
+  val tick : ?obs:Ftss_obs.Obs.t -> ('m, 'o) Sim.ctx -> wrap:(msg -> 'm) -> t -> t
+
+  (** [receive ?obs ctx ~src m t] records a heartbeat or merges a table,
+      emitting suspect-set changes as {!tick} does. *)
+  val receive : ?obs:Ftss_obs.Obs.t -> ('m, 'o) Sim.ctx -> src:Pid.t -> msg -> t -> t
+
+  (** [suspected t s] is the ◇S output: the transform suspects [s]. *)
+  val suspected : t -> Pid.t -> bool
+
+  (** [corrupt rng ~num_bound t] is the systemic failure of both halves:
+      the transform's counters (in [0, num_bound)) and statuses, then,
+      under [Heartbeats], arbitrary last-heard times (below 10,000),
+      timeouts (1..150) and suspicion flags. *)
+  val corrupt : Rng.t -> num_bound:int -> t -> t
+end
+
+type observation = Suspects of Pidset.t
+(** Logged on every tick and whenever a message changes the suspect set. *)
+
+(** [process ?obs ~n ~source ()] is the layer alone as a Sim process. *)
 val process :
-  ?obs:Ftss_obs.Obs.t -> n:int -> oracle:Ewfd.t -> unit -> (t, msg, observation) Sim.process
+  ?obs:Ftss_obs.Obs.t ->
+  n:int ->
+  source:source ->
+  unit ->
+  (Layer.t, Layer.msg, observation) Sim.process
 
 type report = {
   convergence_time : int option;
@@ -75,13 +113,15 @@ type report = {
           suspects every crashed process *)
   accuracy_from : int option;
       (** earliest time from which no correct process ever suspects the
-          trusted process *)
+          trusted process or, without one, some correct process *)
 }
 
-(** [analyze result ~config ~trusted] evaluates Theorem 5 on a run:
-    strong completeness (eventually {e every} correct process suspects
-    every crashed process, permanently) and eventual weak accuracy (the
-    trusted process is eventually never suspected by any correct
-    process). *)
+(** [analyze ?trusted result ~config] evaluates the ◇S properties on a
+    run: strong completeness (eventually {e every} correct process
+    suspects every crashed process, permanently) and eventual weak
+    accuracy. With [trusted] (Theorem 5 over the oracle, which names the
+    process it keeps clear), accuracy is that [trusted] is eventually
+    never suspected by any correct process; without it, in the literal
+    form, that {e some} correct process is. *)
 val analyze :
-  (t, observation) Sim.result -> config:Sim.config -> trusted:Pid.t -> report
+  ?trusted:Pid.t -> ('s, observation) Sim.result -> config:Sim.config -> report

@@ -33,7 +33,7 @@ val corrupt : Rng.t -> time_bound:int -> timeout_bound:int -> t -> t
 
 (** [tick t ~self ~now] re-evaluates every peer's deadline; returns the
     new state. (The heartbeat broadcast itself is performed by the
-    process that embeds the detector, {!Detector_stack}.) *)
+    layer that embeds the detector, {!Esfd.Layer}.) *)
 val tick : t -> self:Pid.t -> now:int -> t
 
 (** [heard t ~src ~now] records a heartbeat: unsuspects [src], growing

@@ -335,12 +335,14 @@ let theorem5 () =
          the counter magnitude distribution, parameterised by the
          adversary's (seed, bound) pair. *)
       Option.map
-        (fun (seed, num_bound) -> Esfd.corrupt (Rng.create seed) ~num_bound)
+        (fun (seed, num_bound) -> Esfd.Layer.corrupt (Rng.create seed) ~num_bound)
         adv.adv_corrupt_bound
     in
     let corrupt = Option.map (fun c (_ : Pid.t) t -> c t) corrupt in
-    let result = Sim.run ?obs ?corrupt config (Esfd.process ?obs ~n ~oracle ()) in
-    let report = Esfd.analyze result ~config ~trusted in
+    let result =
+      Sim.run ?obs ?corrupt config (Esfd.process ?obs ~n ~source:(Esfd.Oracle oracle) ())
+    in
+    let report = Esfd.analyze ~trusted result ~config in
     (match (obs, report.Esfd.convergence_time) with
     | Some o, Some t ->
       Ftss_obs.Obs.emit_windows o [ ((0, result.Sim.end_time), t) ]

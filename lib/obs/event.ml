@@ -189,13 +189,13 @@ let pp ppf t =
     match blame with
     | Some b -> Format.fprintf ppf " blame=%a" Pid.pp b
     | None -> ())
-  | Crash { pid } | Corrupt { pid } -> Format.fprintf ppf " p%a" Pid.pp pid
+  | Crash { pid } | Corrupt { pid } -> Format.fprintf ppf " %a" Pid.pp pid
   | Suspect_add { observer; subject } ->
     Format.fprintf ppf " %a suspects %a" Pid.pp observer Pid.pp subject
   | Suspect_remove { observer; subject } ->
     Format.fprintf ppf " %a trusts %a" Pid.pp observer Pid.pp subject
   | Decide { pid; instance; value } ->
-    Format.fprintf ppf " p%a instance=%d value=%d" Pid.pp pid instance value
+    Format.fprintf ppf " %a instance=%d value=%d" Pid.pp pid instance value
   | Window_close { opened; measured } ->
     Format.fprintf ppf " opened=%d measured=%d" opened measured
   | Case_start { case } -> Format.fprintf ppf " case=%d" case
@@ -203,9 +203,9 @@ let pp ppf t =
     Format.fprintf ppf " case=%d ok=%b dedup=%b states=%d" case ok dedup states
   | Coverage { execs; corpus; points } ->
     Format.fprintf ppf " execs=%d corpus=%d points=%d" execs corpus points
-  | Submit { pid; ops } -> Format.fprintf ppf " p%a ops=%d" Pid.pp pid ops
+  | Submit { pid; ops } -> Format.fprintf ppf " %a ops=%d" Pid.pp pid ops
   | Commit { pid; slot; ops } ->
-    Format.fprintf ppf " p%a slot=%d ops=%d" Pid.pp pid slot ops
+    Format.fprintf ppf " %a slot=%d ops=%d" Pid.pp pid slot ops
   | Apply { pid; slot; digest } ->
-    Format.fprintf ppf " p%a slot=%d digest=%d" Pid.pp pid slot digest
-  | Recover { pid; slots } -> Format.fprintf ppf " p%a slots=%d" Pid.pp pid slots
+    Format.fprintf ppf " %a slot=%d digest=%d" Pid.pp pid slot digest
+  | Recover { pid; slots } -> Format.fprintf ppf " %a slots=%d" Pid.pp pid slots

@@ -176,7 +176,7 @@ let pp ppf t =
     Format.fprintf ppf "@,suspicion timeline (+ suspect, - trust):";
     List.iter
       (fun (observer, changes) ->
-        Format.fprintf ppf "@,  p%a:" Pid.pp observer;
+        Format.fprintf ppf "@,  %a:" Pid.pp observer;
         List.iter
           (fun (time, subject, on) ->
             Format.fprintf ppf " %c%a@@t%d" (if on then '+' else '-') Pid.pp subject

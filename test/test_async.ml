@@ -423,8 +423,10 @@ let run_esfd ?corrupt ?drop ~seed ~n ~crashes ~trusted () =
   let oracle =
     Ewfd.make (Rng.create (seed + 1)) ~n ~crashed ~gst:config.Sim.gst ~trusted ~noise:0.3
   in
-  let result = Sim.run ?corrupt ?drop config (Esfd.process ~n ~oracle ()) in
-  Esfd.analyze result ~config ~trusted
+  let result =
+    Sim.run ?corrupt ?drop config (Esfd.process ~n ~source:(Esfd.Oracle oracle) ())
+  in
+  Esfd.analyze ~trusted result ~config
 
 (* A fuzz-style omission adversary: a deterministic pseudo-random drop
    matrix over (epoch, link) cells, active only before the GST — exactly
@@ -444,7 +446,7 @@ let test_theorem5_corrupted_start () =
      and the transform still converges. *)
   for seed = 0 to 10 do
     let rng = Rng.create (100 + seed) in
-    let corrupt _ t = Esfd.corrupt rng ~num_bound:5_000 t in
+    let corrupt _ t = Esfd.Layer.corrupt rng ~num_bound:5_000 t in
     let report =
       run_esfd ~corrupt ~seed:(200 + seed) ~n:5 ~crashes:[ (4, 100) ] ~trusted:2 ()
     in
@@ -465,7 +467,7 @@ let test_theorem5_strong_completeness_is_the_transforms_work () =
   let oracle =
     Ewfd.make (Rng.create 62) ~n ~crashed ~gst:config.Sim.gst ~trusted:2 ~noise:0.0
   in
-  let result = Sim.run config (Esfd.process ~n ~oracle ()) in
+  let result = Sim.run config (Esfd.process ~n ~source:(Esfd.Oracle oracle) ()) in
   (* With zero noise, only the designated observer (p0, the lowest-pid
      correct process) ever receives detect = true; p1..p3 rely entirely on
      the broadcast-merge. *)
@@ -475,7 +477,7 @@ let test_theorem5_strong_completeness_is_the_transforms_work () =
       | Some t ->
         Alcotest.(check bool)
           (Printf.sprintf "p%d suspects the crashed process" p)
-          true (Esfd.suspected t 4)
+          true (Esfd.Layer.suspected t 4)
       | None -> ())
     [ 0; 1; 2; 3 ]
 
@@ -534,7 +536,8 @@ let run_consensus ?corrupt ?drop ?(noise = 0.2) ~style ~seed ~n ~crashes ~truste
     Ewfd.make (Rng.create (seed + 7)) ~n ~crashed ~gst:config.Sim.gst ~trusted ~noise
   in
   let result =
-    Sim.run ?corrupt ?drop config (Consensus.process ~n ~style ~propose ~oracle ())
+    Sim.run ?corrupt ?drop config
+      (Consensus.process ~n ~style ~propose ~detector:(Esfd.Oracle oracle) ())
   in
   (config, result)
 

@@ -118,31 +118,25 @@ let test_heartbeat_detector_converges_from_corruption () =
     check_hb_settles (Printf.sprintf "corrupted start (seed %d)" seed) result ~config
   done
 
-(* --- Detector stack (no oracle anywhere) --- *)
+(* --- The detector layer over heartbeats (no oracle anywhere) --- *)
 
 let test_stack_clean () =
   let config = hb_config ~seed:5 ~n:5 ~crashes:[ (4, 200); (3, 700) ] in
-  let result =
-    Sim.run config (Detector_stack.process ~n:5 ~initial_timeout:30 ~backoff:20)
-  in
-  let report = Detector_stack.analyze result ~config in
-  check "stack converges to ◇S" true (report.Detector_stack.convergence_time <> None)
+  let result = Sim.run config (Esfd.process ~n:5 ~source:Esfd.Heartbeats ()) in
+  let report = Esfd.analyze result ~config in
+  check "stack converges to ◇S" true (report.Esfd.convergence_time <> None)
 
 let test_stack_with_both_layers_corrupted () =
   for seed = 0 to 8 do
     let config = hb_config ~seed:(60 + seed) ~n:5 ~crashes:[ (4, 150) ] in
     let rng = Rng.create (seed + 77) in
-    let corrupt =
-      Detector_stack.corrupt rng ~time_bound:10_000 ~timeout_bound:150 ~num_bound:5_000
-    in
-    let result =
-      Sim.run ~corrupt config (Detector_stack.process ~n:5 ~initial_timeout:30 ~backoff:20)
-    in
-    let report = Detector_stack.analyze result ~config in
+    let corrupt _ t = Esfd.Layer.corrupt rng ~num_bound:5_000 t in
+    let result = Sim.run ~corrupt config (Esfd.process ~n:5 ~source:Esfd.Heartbeats ()) in
+    let report = Esfd.analyze result ~config in
     check
       (Printf.sprintf "corrupted stack converges (seed %d)" seed)
       true
-      (report.Detector_stack.convergence_time <> None)
+      (report.Esfd.convergence_time <> None)
   done
 
 (* --- Terminating reliable broadcast --- *)
@@ -291,7 +285,7 @@ let run_style ?corrupt ?spurious ?(noise = 0.2) ~style ~seed () =
   in
   let result =
     Sim.run ?corrupt ?spurious config
-      (Consensus.process ~n ~style ~propose:propose_async ~oracle ())
+      (Consensus.process ~n ~style ~propose:propose_async ~detector:(Esfd.Oracle oracle) ())
   in
   (config, result)
 
@@ -377,8 +371,8 @@ let test_consensus_over_heartbeats () =
   in
   let result =
     Sim.run ~corrupt config
-      (Consensus.process_with ~n ~style:Consensus.self_stabilizing ~propose:propose_async
-         ~detector:(Consensus.Heartbeats { initial_timeout = 30; backoff = 20 }) ())
+      (Consensus.process ~n ~style:Consensus.self_stabilizing ~propose:propose_async
+         ~detector:Esfd.Heartbeats ())
   in
   let correct = Sim.correct_set config in
   match Consensus.stabilization_time result ~correct ~propose:propose_async ~n with
@@ -402,8 +396,8 @@ let test_consensus_over_heartbeats_many_seeds () =
     in
     let result =
       Sim.run config
-        (Consensus.process_with ~n ~style:Consensus.self_stabilizing ~propose:propose_async
-           ~detector:(Consensus.Heartbeats { initial_timeout = 30; backoff = 20 }) ())
+        (Consensus.process ~n ~style:Consensus.self_stabilizing ~propose:propose_async
+           ~detector:Esfd.Heartbeats ())
     in
     let correct = Sim.correct_set config in
     let grouped = Consensus.per_instance (Consensus.decisions result) ~correct in
@@ -441,7 +435,8 @@ let test_ss_consensus_survives_forged_round_tags () =
   in
   let result =
     Sim.run ~spurious config
-      (Consensus.process ~n ~style:Consensus.self_stabilizing ~propose:propose_async ~oracle ())
+      (Consensus.process ~n ~style:Consensus.self_stabilizing ~propose:propose_async
+         ~detector:(Esfd.Oracle oracle) ())
   in
   let correct = Sim.correct_set config in
   let ds = Consensus.decisions result in
@@ -473,7 +468,8 @@ let test_ss_consensus_survives_forged_decide () =
   in
   let result =
     Sim.run ~spurious config
-      (Consensus.process ~n ~style:Consensus.self_stabilizing ~propose:propose_async ~oracle ())
+      (Consensus.process ~n ~style:Consensus.self_stabilizing ~propose:propose_async
+         ~detector:(Esfd.Oracle oracle) ())
   in
   let correct = Sim.correct_set config in
   match Consensus.stabilization_time result ~correct ~propose:propose_async ~n with

@@ -634,7 +634,7 @@ let test_sim_events_match_result () =
       ~crashed:(fun p -> List.assoc_opt p config.Sim.crashes)
       ~gst:config.Sim.gst ~trusted:0 ~noise:0.2
   in
-  let result = Sim.run ~obs config (Esfd.process ~obs ~n ~oracle ()) in
+  let result = Sim.run ~obs config (Esfd.process ~obs ~n ~source:(Esfd.Oracle oracle) ()) in
   let evs = events () in
   let count k = List.length (List.filter (fun e -> Event.kind e = k) evs) in
   check_int "deliver events match the simulator's count" result.Sim.delivered
@@ -645,6 +645,67 @@ let test_sim_events_match_result () =
      in count: every logged change produces at least one add/remove. *)
   check "adds+removes cover log entries" true
     (count "suspect_add" + count "suspect_remove" >= 1)
+
+let test_heartbeat_layer_events () =
+  (* The heartbeat source drives the same detector layer as the oracle, so
+     a traced run emits its suspicion changes, and tracing changes no
+     result. *)
+  let open Ftss_async in
+  let n = 5 in
+  let config =
+    {
+      (Sim.default_config ~n ~seed:5) with
+      Sim.gst = 300;
+      horizon = 3000;
+      delay_before_gst = (1, 80);
+      delay_after_gst = (1, 5);
+      crashes = [ (4, 200); (3, 700) ];
+    }
+  in
+  let run ?obs ~corrupted () =
+    let rng = Rng.create 18 in
+    let corrupt =
+      if corrupted then Some (fun _ t -> Esfd.Layer.corrupt rng ~num_bound:5_000 t) else None
+    in
+    let result =
+      Sim.run ?obs ?corrupt config (Esfd.process ?obs ~n ~source:Esfd.Heartbeats ())
+    in
+    (result, Esfd.analyze result ~config)
+  in
+  let obs, events = collecting () in
+  let traced, traced_report = run ~obs ~corrupted:true () in
+  let untraced, report = run ~corrupted:true () in
+  let evs = events () in
+  let count k = List.length (List.filter (fun e -> Event.kind e = k) evs) in
+  check "suspect_add events" true (count "suspect_add" > 0);
+  check "suspect_remove events" true (count "suspect_remove" > 0);
+  check "report unchanged by tracing" true (traced_report = report);
+  check "log unchanged by tracing" true (traced.Sim.log = untraced.Sim.log);
+  check "converges" true (report.Esfd.convergence_time <> None);
+  (* From the clean start (nobody suspected), replaying each observer's
+     events rebuilds its final suspect set. *)
+  let obs, events = collecting () in
+  let clean, _ = run ~obs ~corrupted:false () in
+  let replayed = Array.make n Pidset.empty in
+  List.iter
+    (fun e ->
+      match e.Event.body with
+      | Event.Suspect_add { observer; subject } ->
+        replayed.(observer) <- Pidset.add subject replayed.(observer)
+      | Event.Suspect_remove { observer; subject } ->
+        replayed.(observer) <- Pidset.remove subject replayed.(observer)
+      | _ -> ())
+    (events ());
+  Array.iteri
+    (fun p final ->
+      match final with
+      | None -> ()
+      | Some l ->
+        check
+          (Printf.sprintf "p%d's events rebuild its suspect set" p)
+          true
+          (Pidset.equal replayed.(p) (Pidset.of_pred n (Esfd.Layer.suspected l))))
+    clean.Sim.final_states
 
 let test_explore_case_events () =
   let open Ftss_check in
@@ -815,6 +876,7 @@ let suite =
         tc "runner events mirror the trace" `Quick test_runner_events_match_trace;
         tc "tracing does not change the history" `Quick test_untraced_runner_unchanged;
         tc "sim events match the result" `Quick test_sim_events_match_result;
+        tc "heartbeat layer emits its suspicions" `Quick test_heartbeat_layer_events;
         tc "explorer case events and per-domain stats" `Quick test_explore_case_events;
         tc "explorer verdicts unchanged by tracing" `Quick test_explore_stats_unchanged_by_obs;
         tc "bench-diff direction heuristics" `Quick test_bench_diff_directions;

@@ -340,7 +340,7 @@ let test_async_consensus_smoke () =
     Sim.run ~obs config
       (Consensus.process ~obs ~n ~style:Consensus.self_stabilizing
          ~propose:(fun p i -> (100 * i) + p)
-         ~oracle ())
+         ~detector:(Esfd.Oracle oracle) ())
   in
   let t = Prov.of_events (events ()) in
   check_pairing "async consensus trace" t (Array.of_list (events ()));
