@@ -205,24 +205,27 @@ let e4 m =
 (* E5 — Figure 4 / Theorem 5: the ◇W → ◇S transform.                    *)
 (* ------------------------------------------------------------------ *)
 
-let e5 m =
+(* The sweep E5 and E9 share: 15 seeds of the ◇W → ◇S layer per row, at
+   GST 300, with [crash_count] crashes [crash_spacing] apart from t=100.
+   [source] builds the ◇W input for a seed; the corruption draws from
+   seed + [corrupt_seed], and each of [corruptions] is a row label and
+   the counter bound, [None] for a clean start. *)
+let detector_sweep m ~title ~corrupt_column ~crash_spacing ~source ?trusted ~corrupt_seed
+    corruptions =
   let open Ftss_async in
   let table =
-    Table.create
-      ~title:
-        "E5 (Fig. 4 / Thm 5) Initialization-free ESFD: convergence after GST, from clean \
-         vs corrupted detector tables (GST = 300; times are sim units past GST)"
-      [ "n"; "crashes"; "corrupt bound"; "trials"; "converged"; "mean conv - GST"; "p95" ]
+    Table.create ~title
+      [ "n"; "crashes"; corrupt_column; "trials"; "converged"; "mean conv - GST"; "p95" ]
   in
   let gst = 300 in
   List.iter
     (fun (n, crash_count) ->
+      let crashes = List.init crash_count (fun i -> (n - 1 - i, 100 + (i * crash_spacing))) in
       List.iter
-        (fun num_bound ->
+        (fun (label, num_bound) ->
           let convs = ref [] and converged = ref 0 in
           let sub_trials = 15 in
           for seed = 1 to sub_trials do
-            let crashes = List.init crash_count (fun i -> (n - 1 - i, 100 + (i * 150))) in
             let config =
               {
                 (Sim.default_config ~n ~seed) with
@@ -234,21 +237,14 @@ let e5 m =
                 crashes;
               }
             in
-            let crashed p = List.assoc_opt p crashes in
-            let trusted = 0 in
-            let oracle =
-              Ewfd.make (Rng.create (seed + 1)) ~n ~crashed ~gst ~trusted ~noise:0.3
-            in
-            let rng = Rng.create (seed + 2) in
+            let source = source ~n ~seed ~gst ~crashed:(fun p -> List.assoc_opt p crashes) in
+            let rng = Rng.create (seed + corrupt_seed) in
             let corrupt =
-              if num_bound = 0 then None
-              else Some (fun _ t -> Esfd.Layer.corrupt rng ~num_bound t)
+              Option.map (fun num_bound _ t -> Esfd.Layer.corrupt rng ~num_bound t) num_bound
             in
-            let result =
-              Sim.run ?corrupt config (Esfd.process ~n ~source:(Esfd.Oracle oracle) ())
-            in
+            let result = Sim.run ?corrupt config (Esfd.process ~n ~source ()) in
             M.inc (M.counter m "trials");
-            match (Esfd.analyze ~trusted result ~config).Esfd.convergence_time with
+            match (Esfd.analyze ?trusted result ~config).Esfd.convergence_time with
             | Some t ->
               incr converged;
               M.inc (M.counter m "converged");
@@ -260,15 +256,27 @@ let e5 m =
             [
               string_of_int n;
               string_of_int crash_count;
-              (if num_bound = 0 then "clean" else string_of_int num_bound);
+              label;
               string_of_int sub_trials;
               Printf.sprintf "%d/%d" !converged sub_trials;
               (if !convs = [] then "-" else Printf.sprintf "%.0f" (Stats.mean !convs));
               (if !convs = [] then "-" else Printf.sprintf "%.0f" (Stats.percentile 95.0 !convs));
             ])
-        [ 0; 1_000; 100_000 ])
+        corruptions)
     [ (3, 1); (5, 1); (5, 2); (9, 4) ];
   Table.print table
+
+let e5 m =
+  let trusted = 0 in
+  detector_sweep m
+    ~title:
+      "E5 (Fig. 4 / Thm 5) Initialization-free ESFD: convergence after GST, from clean \
+       vs corrupted detector tables (GST = 300; times are sim units past GST)"
+    ~corrupt_column:"corrupt bound" ~crash_spacing:150
+    ~source:(fun ~n ~seed ~gst ~crashed ->
+      Ftss_async.(Esfd.Oracle (Ewfd.make (Rng.create (seed + 1)) ~n ~crashed ~gst ~trusted ~noise:0.3)))
+    ~trusted ~corrupt_seed:2
+    [ ("clean", None); ("1000", Some 1_000); ("100000", Some 100_000) ]
 
 (* ------------------------------------------------------------------ *)
 (* E6 — §3: asynchronous repeated consensus, ss vs baseline.            *)
@@ -607,64 +615,14 @@ let e8 m =
    with deadlines, timeouts and num/state tables all corrupted — still
    converges. *)
 let e9 m =
-  let open Ftss_async in
-  let table =
-    Table.create
-      ~title:
-        "E9 Oracle-free stack: heartbeat ◇W + Figure 4 ◇S, clean vs fully-corrupted \
-         detector state (GST=300; convergence in sim units past GST)"
-      [ "n"; "crashes"; "corrupted"; "trials"; "converged"; "mean conv - GST"; "p95" ]
-  in
-  let gst = 300 in
-  List.iter
-    (fun (n, crash_count) ->
-      List.iter
-        (fun corrupted ->
-          let convs = ref [] and converged = ref 0 in
-          let sub_trials = 15 in
-          for seed = 1 to sub_trials do
-            let crashes = List.init crash_count (fun i -> (n - 1 - i, 100 + (i * 100))) in
-            let config =
-              {
-                (Sim.default_config ~n ~seed) with
-                Sim.gst;
-                horizon = 3000;
-                tick_interval = 10;
-                delay_before_gst = (1, 80);
-                delay_after_gst = (1, 5);
-                crashes;
-              }
-            in
-            let rng = Rng.create (seed + 13) in
-            let corrupt =
-              if corrupted then
-                Some
-                  (fun _ t -> Esfd.Layer.corrupt rng ~num_bound:5_000 t)
-              else None
-            in
-            let result = Sim.run ?corrupt config (Esfd.process ~n ~source:Esfd.Heartbeats ()) in
-            M.inc (M.counter m "trials");
-            match (Esfd.analyze result ~config).Esfd.convergence_time with
-            | Some t ->
-              incr converged;
-              M.inc (M.counter m "converged");
-              M.lobserve (M.lhist m "convergence_after_gst") (float_of_int (max 0 (t - gst)));
-              convs := float_of_int (max 0 (t - gst)) :: !convs
-            | None -> ()
-          done;
-          Table.add_row table
-            [
-              string_of_int n;
-              string_of_int crash_count;
-              string_of_bool corrupted;
-              string_of_int sub_trials;
-              Printf.sprintf "%d/%d" !converged sub_trials;
-              (if !convs = [] then "-" else Printf.sprintf "%.0f" (Stats.mean !convs));
-              (if !convs = [] then "-" else Printf.sprintf "%.0f" (Stats.percentile 95.0 !convs));
-            ])
-        [ false; true ])
-    [ (3, 1); (5, 1); (5, 2); (9, 4) ];
-  Table.print table
+  detector_sweep m
+    ~title:
+      "E9 Oracle-free stack: heartbeat ◇W + Figure 4 ◇S, clean vs fully-corrupted \
+       detector state (GST=300; convergence in sim units past GST)"
+    ~corrupt_column:"corrupted" ~crash_spacing:100
+    ~source:(fun ~n:_ ~seed:_ ~gst:_ ~crashed:_ -> Ftss_async.Esfd.Heartbeats)
+    ~corrupt_seed:13
+    [ ("false", None); ("true", Some 5_000) ]
 
 (* ------------------------------------------------------------------ *)
 (* E10 — §3 remark: synchronous but not perfectly synchronized.         *)

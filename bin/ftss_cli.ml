@@ -267,8 +267,32 @@ let crashes_arg =
     & opt_all (pair ~sep:':' int int) []
     & info [ "crash" ] ~docv:"PID:TIME" ~doc:"Crash process PID at TIME (repeatable).")
 
+let detector_arg =
+  Arg.(
+    value
+    & opt (enum [ ("oracle", `Oracle); ("heartbeats", `Heartbeats) ]) `Oracle
+    & info [ "detector" ] ~docv:"D"
+        ~doc:"◇W source: the scripted $(b,oracle) or live $(b,heartbeats) (oracle-free).")
+
+(* Runs [f] on the lowest correct pid, the one the oracle keeps clear,
+   once the --crash schedule is checked against -n: every named pid is in
+   the system and one process stays correct. A bad schedule is reported
+   under [cmd] and exits 2. *)
+let with_crashes ~cmd ~n crashes f =
+  let fail msg =
+    Format.eprintf "%s: %s@." cmd msg;
+    2
+  in
+  match List.find_opt (fun (p, _) -> not (Pid.is_valid ~n p)) crashes with
+  | Some (p, t) -> fail (Printf.sprintf "--crash %d:%d: pid outside 0..%d" p t (n - 1))
+  | None -> (
+    match List.find_opt (fun p -> not (List.mem_assoc p crashes)) (Pid.all n) with
+    | Some p -> f p
+    | None -> fail "--crash: every process crashes; one must stay correct")
+
 let esfd_cmd =
-  let run n seed gst horizon crashes outs =
+  let run n seed gst horizon crashes detector_kind outs =
+    with_crashes ~cmd:"esfd" ~n crashes @@ fun trusted ->
     with_obs outs @@ fun obs ->
     let open Ftss_async in
     let config =
@@ -281,19 +305,20 @@ let esfd_cmd =
         delay_after_gst = (1, 5);
       }
     in
-    let crashed p = List.assoc_opt p crashes in
-    let trusted =
-      match List.find_opt (fun p -> crashed p = None) (Pid.all n) with
-      | Some p -> p
-      | None -> failwith "no correct process"
+    (* Only the oracle names a process it keeps clear; heartbeats are
+       checked in the literal form (some correct process). *)
+    let source, trusted =
+      match detector_kind with
+      | `Oracle ->
+        let crashed p = List.assoc_opt p crashes in
+        ( Esfd.Oracle (Ewfd.make (Rng.create (seed + 1)) ~n ~crashed ~gst ~trusted ~noise:0.3),
+          Some trusted )
+      | `Heartbeats -> (Esfd.Heartbeats, None)
     in
-    let oracle = Ewfd.make (Rng.create (seed + 1)) ~n ~crashed ~gst ~trusted ~noise:0.3 in
     let rng = Rng.create (seed + 2) in
     let corrupt _ t = Esfd.Layer.corrupt rng ~num_bound:10_000 t in
-    let result =
-      Sim.run ?obs ~corrupt config (Esfd.process ?obs ~n ~source:(Esfd.Oracle oracle) ())
-    in
-    let report = Esfd.analyze ~trusted result ~config in
+    let result = Sim.run ?obs ~corrupt config (Esfd.process ?obs ~n ~source ()) in
+    let report = Esfd.analyze ?trusted result ~config in
     let show = function Some t -> string_of_int t | None -> "none" in
     Format.printf "messages delivered: %d@." result.Sim.delivered;
     Format.printf "strong completeness from: %s@." (show report.Esfd.completeness_from);
@@ -303,47 +328,14 @@ let esfd_cmd =
   in
   let term =
     Term.(
-      const run $ n_arg $ seed_arg $ gst_arg $ horizon_arg $ crashes_arg $ obs_term)
+      const run $ n_arg $ seed_arg $ gst_arg $ horizon_arg $ crashes_arg $ detector_arg
+      $ obs_term)
   in
   Cmd.v
     (Cmd.info "esfd"
-       ~doc:"Run the Figure 4 ◇W→◇S transform from corrupted detector state; check Theorem 5.")
-    term
-
-(* --- stack: oracle-free detector (heartbeats + Figure 4) --- *)
-
-let stack_cmd =
-  let run n seed gst horizon crashes outs =
-    with_obs outs @@ fun obs ->
-    let open Ftss_async in
-    let config =
-      {
-        (Sim.default_config ~n ~seed) with
-        Sim.gst;
-        horizon;
-        crashes;
-        delay_before_gst = (1, 80);
-        delay_after_gst = (1, 5);
-      }
-    in
-    let rng = Rng.create (seed + 13) in
-    let corrupt _ t = Esfd.Layer.corrupt rng ~num_bound:5_000 t in
-    let result = Sim.run ?obs ~corrupt config (Esfd.process ?obs ~n ~source:Esfd.Heartbeats ()) in
-    let report = Esfd.analyze result ~config in
-    let show = function Some t -> string_of_int t | None -> "none" in
-    Format.printf "strong completeness from: %s@." (show report.Esfd.completeness_from);
-    Format.printf "eventual weak accuracy from: %s@." (show report.Esfd.accuracy_from);
-    Format.printf "stack (heartbeat ◇W + Fig. 4 ◇S) convergence: %s@."
-      (show report.Esfd.convergence_time);
-    if report.Esfd.convergence_time <> None then 0 else 1
-  in
-  let term =
-    Term.(
-      const run $ n_arg $ seed_arg $ gst_arg $ horizon_arg $ crashes_arg $ obs_term)
-  in
-  Cmd.v
-    (Cmd.info "stack"
-       ~doc:"Run the oracle-free detector stack (heartbeat ◇W + Figure 4 ◇S) from fully corrupted state.")
+       ~doc:
+         "Run the Figure 4 ◇W→◇S transform over the oracle or heartbeats from corrupted \
+          detector state; check Theorem 5.")
     term
 
 (* --- consensus --- *)
@@ -362,15 +354,9 @@ let corruption_arg =
     & info [ "corruption" ] ~docv:"C"
         ~doc:"Systemic failure to inject: $(b,none), $(b,random) or $(b,parked) (the deadlock state).")
 
-let detector_arg =
-  Arg.(
-    value
-    & opt (enum [ ("oracle", `Oracle); ("heartbeats", `Heartbeats) ]) `Oracle
-    & info [ "detector" ] ~docv:"D"
-        ~doc:"◇W source: the scripted $(b,oracle) or live $(b,heartbeats) (oracle-free).")
-
 let consensus_cmd =
   let run n seed gst horizon crashes style corruption detector_kind outs =
+    with_crashes ~cmd:"consensus" ~n crashes @@ fun trusted ->
     with_obs outs @@ fun obs ->
     let open Ftss_async in
     let propose p i = 100 + (((p * 13) + (i * 7)) mod 50) in
@@ -385,11 +371,6 @@ let consensus_cmd =
       }
     in
     let crashed p = List.assoc_opt p crashes in
-    let trusted =
-      match List.find_opt (fun p -> crashed p = None) (Pid.all n) with
-      | Some p -> p
-      | None -> failwith "no correct process"
-    in
     let noise = match corruption with `Parked -> 0.0 | `None | `Random -> 0.2 in
     let oracle = Ewfd.make (Rng.create (seed + 7)) ~n ~crashed ~gst ~trusted ~noise in
     let corrupt =
@@ -1469,7 +1450,7 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [
-            round_agreement_cmd; compile_cmd; esfd_cmd; stack_cmd; consensus_cmd;
+            round_agreement_cmd; compile_cmd; esfd_cmd; consensus_cmd;
             impossibility_cmd; check_cmd; fuzz_cmd; replay_cmd; trace_cmd;
             explain_cmd; serve_cmd; watch_cmd; profile_cmd; bench_diff_cmd;
           ]))

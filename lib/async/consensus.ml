@@ -209,7 +209,10 @@ let corrupt_random rng ~n:_ ~instance_bound ~round_bound ~value_bound _pid st =
   (* The draw order is fixed: seeded corruptions (the tests, E6, E8b)
      reproduce only under it. *)
   let prev_decision =
-    if Rng.chance rng 0.3 then Some (Rng.int rng instance_bound, Rng.int rng value_bound)
+    if Rng.chance rng 0.3 then begin
+      let value = Rng.int rng value_bound in
+      Some (Rng.int rng instance_bound, value)
+    end
     else None
   in
   let ts = if Rng.chance rng 0.3 then Rng.int rng 1_000_000 else -1 in

@@ -10,10 +10,9 @@ type msg = entry list
 let create ~n = { nums = Array.make n 0; statuses = Array.make n Alive }
 
 let corrupt rng ~num_bound t =
-  {
-    nums = Array.map (fun _ -> Rng.int rng num_bound) t.nums;
-    statuses = Array.map (fun _ -> if Rng.bool rng then Dead else Alive) t.statuses;
-  }
+  let statuses = Array.map (fun _ -> if Rng.bool rng then Dead else Alive) t.statuses in
+  let nums = Array.map (fun _ -> Rng.int rng num_bound) t.nums in
+  { nums; statuses }
 
 let tick t ~self ~detect =
   let n = Array.length t.nums in

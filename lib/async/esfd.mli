@@ -14,9 +14,9 @@
     everyone to the maximum and live subjects / detecting observers keep
     incrementing past it. The first half of this module is the pure state
     machine. {!Layer} is the one place where a ◇W {!source} drives it
-    over the network: {!process} runs the layer alone, {!Consensus}
-    embeds it, and {!analyze} checks Theorem 5's two properties on the
-    observation log. *)
+    over the network: {!process} runs the layer alone, {!Consensus} and
+    the service tower embed it, and {!analyze} checks Theorem 5's two
+    properties on the observation log. *)
 
 open Ftss_util
 
@@ -35,8 +35,8 @@ type msg = entry list
 (** [create ~n] is the "good" initial state: all alive at num 0. *)
 val create : n:int -> t
 
-(** [corrupt rng ~num_bound t] draws arbitrary counters in [0, num_bound)
-    and arbitrary statuses — the systemic failure. *)
+(** [corrupt rng ~num_bound t] draws arbitrary statuses, then arbitrary
+    counters in [0, num_bound) — the systemic failure. *)
 val corrupt : Rng.t -> num_bound:int -> t -> t
 
 (** [tick t ~self ~detect] performs the spontaneous actions of Figure 4
@@ -87,9 +87,9 @@ module Layer : sig
   val suspected : t -> Pid.t -> bool
 
   (** [corrupt rng ~num_bound t] is the systemic failure of both halves:
-      the transform's counters (in [0, num_bound)) and statuses, then,
-      under [Heartbeats], arbitrary last-heard times (below 10,000),
-      timeouts (1..150) and suspicion flags. *)
+      the transform's statuses and counters (in [0, num_bound)), then,
+      under [Heartbeats], arbitrary suspicion flags, timeouts (1..150)
+      and last-heard times (below 10,000). *)
   val corrupt : Rng.t -> num_bound:int -> t -> t
 end
 

@@ -20,12 +20,10 @@ let create ~n ~initial_timeout ~backoff =
   }
 
 let corrupt rng ~time_bound ~timeout_bound t =
-  {
-    t with
-    last_heard = Array.map (fun _ -> Rng.int rng time_bound) t.last_heard;
-    timeout = Array.map (fun _ -> 1 + Rng.int rng timeout_bound) t.timeout;
-    down = Array.map (fun _ -> Rng.bool rng) t.down;
-  }
+  let down = Array.map (fun _ -> Rng.bool rng) t.down in
+  let timeout = Array.map (fun _ -> 1 + Rng.int rng timeout_bound) t.timeout in
+  let last_heard = Array.map (fun _ -> Rng.int rng time_bound) t.last_heard in
+  { t with last_heard; timeout; down }
 
 let tick t ~self ~now =
   (* [timeout] is not written on the tick path, so the copy is elided;

@@ -27,8 +27,8 @@ type msg = Heartbeat
 (** [create ~n ~initial_timeout ~backoff] is the good initial state. *)
 val create : n:int -> initial_timeout:int -> backoff:int -> t
 
-(** [corrupt rng ~time_bound ~timeout_bound t] draws arbitrary last-heard
-    times, timeouts and suspicion flags. *)
+(** [corrupt rng ~time_bound ~timeout_bound t] draws arbitrary suspicion
+    flags, timeouts and last-heard times, in that order. *)
 val corrupt : Rng.t -> time_bound:int -> timeout_bound:int -> t -> t
 
 (** [tick t ~self ~now] re-evaluates every peer's deadline; returns the

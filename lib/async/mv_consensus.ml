@@ -184,11 +184,8 @@ let tick t ~suspected ~retransmit =
    batches) — a scrambled [ts] is already enough to make a stale estimate
    look locked and force a pre-stabilization disagreement. *)
 let corrupt rng ~round_bound t =
-  {
-    t with
-    round = Rng.int rng (max 1 round_bound);
-    ts = (if Rng.chance rng 0.5 then Rng.int rng (max 1 round_bound) else -1);
-    coord = None;
-  }
+  let ts = if Rng.chance rng 0.5 then Rng.int rng (max 1 round_bound) else -1 in
+  let round = Rng.int rng (max 1 round_bound) in
+  { t with round; ts; coord = None }
 
 let plant t ~round ~estimate ~ts = { t with round; estimate; ts; coord = None }

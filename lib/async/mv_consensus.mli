@@ -61,8 +61,9 @@ val tick :
   'v t -> suspected:(Pid.t -> bool) -> retransmit:bool ->
   'v t * 'v out list * 'v verdict
 
-(** Systemic-failure scrambling: arbitrary round and timestamp below
-    [round_bound], coordinator bookkeeping lost. *)
+(** Systemic-failure scrambling: an arbitrary timestamp, then an
+    arbitrary round, both below [round_bound]; coordinator bookkeeping
+    lost. *)
 val corrupt : Rng.t -> round_bound:int -> 'v t -> 'v t
 
 (** [plant t ~round ~estimate ~ts] is the state a corruption model

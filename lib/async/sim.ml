@@ -89,6 +89,10 @@ let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) config
   if config.horizon < 1 then invalid_arg "Sim.run: horizon < 1";
   if config.n < 1 || config.n > max_n then
     invalid_arg (Printf.sprintf "Sim.run: n outside 1..%d" max_n);
+  List.iter
+    (fun (p, _) ->
+      if not (Pid.is_valid ~n:config.n p) then invalid_arg "Sim.run: crash pid out of range")
+    config.crashes;
   let rng = Rng.create config.seed in
   let queue = Event_queue.create () in
   let push_deliver ~time ~src ~dst (msg : 'm) =

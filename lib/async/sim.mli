@@ -102,8 +102,8 @@ type ('s, 'o) result = {
     [Corrupt] event is emitted at the fault time when traced. Entries for
     already-crashed processes are ignored. Raises [Invalid_argument] on
     non-positive [tick_interval] or [horizon], an [n] outside
-    [1..4096], a [corrupt_at] time < 1, or a [corrupt_at] pid outside
-    the system. *)
+    [1..4096], a crash or [corrupt_at] pid outside the system, or a
+    [corrupt_at] time < 1. *)
 
 val run :
   ?obs:Ftss_obs.Obs.t ->

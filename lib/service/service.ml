@@ -3,10 +3,10 @@ module Sim = Ftss_async.Sim
 module Esfd = Ftss_async.Esfd
 module Ewfd = Ftss_async.Ewfd
 
-(* The top of the tower: Tob replicas + the Esfd/Ewfd failure-detector
-   stack wired into the Sim engine, driven by a precomputed Workload, hit
-   by a configurable fault mix (crashes, omission windows, mid-run
-   corruption storms), and measured end to end — commit latency
+(* The top of the tower: Tob replicas + the Esfd.Layer ◇S detector over
+   the Ewfd oracle, wired into the Sim engine, driven by a precomputed
+   Workload, hit by a configurable fault mix (crashes, omission windows,
+   mid-run corruption storms), and measured end to end — commit latency
    percentiles, throughput, convergence, and recovery time per storm. *)
 
 type faults = {
@@ -84,8 +84,8 @@ let report_digest r =
 
 (* --- the Sim process --- *)
 
-type state = { tob : Tob.t; mutable fd : Esfd.t; mutable cursor : int }
-type msg = Fd of Esfd.msg | Tb of Tob.msg
+type state = { tob : Tob.t; mutable fd : Esfd.Layer.t; mutable cursor : int }
+type msg = Fd of Esfd.Layer.msg | Tb of Tob.msg
 
 let send_outs ctx outs =
   List.iter
@@ -96,7 +96,7 @@ let send_outs ctx outs =
 
 let flush_notes ctx tob = List.iter (Sim.observe ctx) (Tob.drain_notes tob)
 
-let process ?obs ?profile ~wl ~params:(params : params) ~oracle () =
+let process ?obs ?profile ~wl ~params:(params : params) ~source () =
   {
     Sim.name = "service";
     init =
@@ -105,13 +105,13 @@ let process ?obs ?profile ~wl ~params:(params : params) ~oracle () =
           tob =
             Tob.create ?obs ?profile ~n:params.n ~self:p ~style:params.style
               ~batch_max:params.batch_max ~id_hint:(Workload.total wl) ();
-          fd = Esfd.create ~n:params.n;
+          fd = Esfd.Layer.create ~n:params.n source;
           cursor = 0;
         });
     on_message =
       (fun ctx s ~src m ->
         (match m with
-        | Fd fm -> s.fd <- Esfd.receive s.fd fm
+        | Fd fm -> s.fd <- Esfd.Layer.receive ?obs ctx ~src fm s.fd
         | Tb tm ->
           send_outs ctx (Tob.deliver s.tob ~now:(Sim.now ctx) ~src tm);
           flush_notes ctx s.tob);
@@ -129,15 +129,9 @@ let process ?obs ?profile ~wl ~params:(params : params) ~oracle () =
           send_outs ctx
             (Tob.submit s.tob ~now
                (Array.init (s.cursor - first) (fun i -> Workload.op wl ids.(first + i))));
-        (* The failure-detector stack. *)
-        let fd, fmsg =
-          Esfd.tick s.fd ~self
-            ~detect:(fun subject -> Ewfd.detect oracle ~at:now ~observer:self ~subject)
-        in
-        s.fd <- fd;
-        Sim.broadcast ctx (Fd fmsg);
+        s.fd <- Esfd.Layer.tick ?obs ctx ~wrap:(fun m -> Fd m) s.fd;
         (* The protocol timer. *)
-        send_outs ctx (Tob.tick s.tob ~now ~suspected:(Esfd.suspected s.fd));
+        send_outs ctx (Tob.tick s.tob ~now ~suspected:(Esfd.Layer.suspected s.fd));
         flush_notes ctx s.tob;
         s);
   }
@@ -157,7 +151,7 @@ let storm_entries ~n ~seed faults =
                p,
                fun (s : state) ->
                  ignore (Tob.corrupt prng s.tob);
-                 s.fd <- Esfd.corrupt prng ~num_bound:64 s.fd;
+                 s.fd <- Esfd.Layer.corrupt prng ~num_bound:64 s.fd;
                  s ))
            pids)
        faults.storms)
@@ -230,7 +224,7 @@ let run_measured ?obs ?profile ~wl (params : params) =
   let t0 = Sys.time () in
   let result =
     Sim.run ?obs ?profile ~corrupt_at ?drop config
-      (process ?obs ?profile ~wl ~params ~oracle ())
+      (process ?obs ?profile ~wl ~params ~source:(Esfd.Oracle oracle) ())
   in
   let wall_seconds = Sys.time () -. t0 in
   (* Survivors and the reference replica (lowest live pid). *)

@@ -1,6 +1,6 @@
-(** The service-tower driver: {!Tob} replicas plus the {!Ftss_async.Esfd}
-    / {!Ftss_async.Ewfd} failure-detector stack wired into the
-    {!Ftss_async.Sim} engine, driven by a precomputed {!Workload}, hit by
+(** The service-tower driver: {!Tob} replicas plus the
+    {!Ftss_async.Esfd.Layer} ◇S detector over the {!Ftss_async.Ewfd}
+    oracle, wired into the {!Ftss_async.Sim} engine, driven by a precomputed {!Workload}, hit by
     a configurable fault mix (crashes, omission windows, mid-run
     corruption storms), and measured end to end. *)
 

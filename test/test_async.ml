@@ -279,7 +279,15 @@ let test_sim_validates_config () =
       ignore (Sim.run { (small_config ~seed:0) with Sim.tick_interval = 0 } echo_process));
   Alcotest.check_raises "n beyond the tag width"
     (Invalid_argument "Sim.run: n outside 1..4096")
-    (fun () -> ignore (Sim.run { (small_config ~seed:0) with Sim.n = 4097 } echo_process))
+    (fun () -> ignore (Sim.run { (small_config ~seed:0) with Sim.n = 4097 } echo_process));
+  let config = small_config ~seed:0 in
+  List.iter
+    (fun p ->
+      Alcotest.check_raises
+        (Printf.sprintf "crash pid %d" p)
+        (Invalid_argument "Sim.run: crash pid out of range")
+        (fun () -> ignore (Sim.run { config with Sim.crashes = [ (p, 10) ] } echo_process)))
+    [ config.Sim.n; -1 ]
 
 (* --- Large-n smoke: the packed event tags carry 12-bit pid fields, so
    runs far beyond the old 62-process wall must route every message to

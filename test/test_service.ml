@@ -1027,6 +1027,35 @@ let test_service_golden_determinism () =
   check_int "pinned recoveries" 1 r1.Service.recoveries;
   check_storm_recovery [ (800, Some 13, None) ] r1.Service.storm_recovery
 
+(* The tower's detector is the Esfd layer: a traced storm run emits its
+   suspect-set changes, tracing leaves the run as it was, and a monitor
+   on the same hub counts the changes. *)
+let test_service_detector_events () =
+  let n = 4 in
+  let wl = tiny_wl ~seed:13 ~ops:1_000 n in
+  let params =
+    {
+      (Service.default_params ~n ~seed:21) with
+      Service.faults = { Service.no_faults with Service.storms = [ (800, 2) ] };
+    }
+  in
+  let obs, events = Test_obs.collecting () in
+  let mon = Ftss_monitor.Monitor.create ~n Ftss_monitor.Monitor.no_budgets in
+  Ftss_monitor.Monitor.attach mon obs;
+  let traced = Service.run ~obs ~wl params in
+  let count kind =
+    List.length (List.filter (fun ev -> Ftss_obs.Event.kind ev = kind) (events ()))
+  in
+  check "suspect_add events" true (count "suspect_add" > 0);
+  check "suspect_remove events" true (count "suspect_remove" > 0);
+  check_int "tracing leaves the run as it was"
+    (Service.report_digest (Service.run ~wl params))
+    (Service.report_digest traced);
+  let field k j = Option.get (Ftss_obs.Json.member k j) in
+  let links = field "links" (Ftss_monitor.Monitor.dashboard_json mon) in
+  check_int "monitor counts the adds" (count "suspect_add")
+    (Option.get (Ftss_obs.Json.to_int_opt (field "suspect_adds" links)))
+
 (* Sharded golden: the merged report is a pure function of
    (spec, params, shards) — the executing domain count must be
    invisible. Run the same 4-shard partition on 1, 2 and 4 domains and
@@ -1080,6 +1109,8 @@ let suite =
         Alcotest.test_case "baseline never repairs" `Quick
           test_service_baseline_has_no_repair;
         Alcotest.test_case "golden determinism" `Quick test_service_golden_determinism;
+        Alcotest.test_case "detector events reach trace and monitor" `Quick
+          test_service_detector_events;
         Alcotest.test_case "sharded runs are domain-count independent" `Quick
           test_service_sharded_domain_independent;
         Alcotest.test_case "tob: one recovery episode per trigger" `Quick
