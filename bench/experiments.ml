@@ -693,7 +693,7 @@ let e11 m =
          hit-rate, equal-budget random-sampling coverage, domain speedup"
       [
         "property"; "inject"; "n"; "r"; "f"; "cases"; "distinct"; "dedup%"; "viol";
-        "stepped%"; "rand cov%"; "t x1 (s)"; "t xN (s)"; "speedup";
+        "stepped%"; "words/case"; "rand cov%"; "t x1 (s)"; "t xN (s)"; "speedup";
       ]
   in
   let domains_n = max 2 (Ftss_profile.Pool.available ()) in
@@ -707,7 +707,22 @@ let e11 m =
       in
       let cases = Schedule_enum.enumerate params in
       let total = Array.length cases in
-      let stats1, _ = Explore.run ~domains:1 prop cases in
+      let stats1, fingerprints = Explore.run ~domains:1 prop cases in
+      (* What holding the one-domain run's returned array costs: live
+         words while it is reachable less live words once it is not,
+         each after a full major collection. Measured on release rather
+         than against a pre-run baseline, so garbage that finished worker
+         domains of earlier runs left in their pools, which the run
+         itself may sweep, stays out of it. *)
+      let live_words () =
+        Gc.full_major ();
+        (Gc.quick_stat ()).Gc.live_words
+      in
+      let retained =
+        let held = live_words () in
+        ignore (Sys.opaque_identity fingerprints);
+        held - live_words ()
+      in
       let stats_n, _ = Explore.run ~domains:domains_n prop cases in
       (* Equal-budget random sampling: how much of the space do [total]
          independent draws even visit? Coupon-collector says about
@@ -736,6 +751,11 @@ let e11 m =
       M.set
         (M.gauge m (Printf.sprintf "states_per_sec_x1.%s.%s.n%d.r%d.f%d" name inject n rounds f))
         (Explore.states_per_sec stats1);
+      let words_per_case = float_of_int retained /. float_of_int (max 1 total) in
+      M.set
+        (M.gauge m
+           (Printf.sprintf "retained_words_per_case.%s.%s.n%d.r%d.f%d" name inject n rounds f))
+        words_per_case;
       (* The share of the covered process-round states the prefix-shared
          walk actually computed. *)
       let stepped_fraction =
@@ -752,6 +772,7 @@ let e11 m =
           Printf.sprintf "%.1f" (100. *. Explore.dedup_rate stats1);
           string_of_int (List.length stats1.Explore.violations);
           Printf.sprintf "%.1f" (100. *. stepped_fraction);
+          Printf.sprintf "%.2f" words_per_case;
           Printf.sprintf "%.1f" coverage;
           Printf.sprintf "%.2f" stats1.Explore.elapsed;
           Printf.sprintf "%.2f" stats_n.Explore.elapsed;
@@ -849,11 +870,11 @@ let e12 m =
           { Schedule_enum.n; rounds; f; intervals = true; drops = true }
       in
       let cases = Schedule_enum.enumerate sp in
-      let stats_exh, results = Explore.run ~domains:1 prop cases in
+      let stats_exh, fingerprints = Explore.run ~domains:1 prop cases in
       let exh_fps =
         List.sort_uniq String.compare
           (List.map
-             (fun i -> prop.Property.fingerprint_hex results.(i).Explore.fingerprint)
+             (fun i -> prop.Property.fingerprint_hex fingerprints.(i))
              stats_exh.Explore.violations)
       in
       let budget = Array.length cases + extra in

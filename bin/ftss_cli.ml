@@ -275,24 +275,29 @@ let detector_arg =
         ~doc:"◇W source: the scripted $(b,oracle) or live $(b,heartbeats) (oracle-free).")
 
 (* Runs [f] on the lowest correct pid, the one the oracle keeps clear,
-   once the --crash schedule is checked against -n: every named pid is in
-   the system and one process stays correct. A bad schedule is reported
-   under [cmd] and exits 2. *)
-let with_crashes ~cmd ~n crashes f =
+   once the simulator's arguments are checked: -n within 1..4096 (the
+   12-bit pid fields of [Sim]'s event tags), a --horizon of at least one
+   tick, and a --crash schedule whose pids are all in the system and
+   which leaves one process correct. A bad argument is reported under
+   [cmd] with its flag and exits 2. *)
+let with_sim_args ~cmd ~n ~horizon crashes f =
   let fail msg =
     Format.eprintf "%s: %s@." cmd msg;
     2
   in
-  match List.find_opt (fun (p, _) -> not (Pid.is_valid ~n p)) crashes with
-  | Some (p, t) -> fail (Printf.sprintf "--crash %d:%d: pid outside 0..%d" p t (n - 1))
-  | None -> (
-    match List.find_opt (fun p -> not (List.mem_assoc p crashes)) (Pid.all n) with
-    | Some p -> f p
-    | None -> fail "--crash: every process crashes; one must stay correct")
+  if n < 1 || n > 4096 then fail (Printf.sprintf "-n %d: outside 1..4096" n)
+  else if horizon < 1 then fail (Printf.sprintf "--horizon %d: below 1" horizon)
+  else
+    match List.find_opt (fun (p, _) -> not (Pid.is_valid ~n p)) crashes with
+    | Some (p, t) -> fail (Printf.sprintf "--crash %d:%d: pid outside 0..%d" p t (n - 1))
+    | None -> (
+      match List.find_opt (fun p -> not (List.mem_assoc p crashes)) (Pid.all n) with
+      | Some p -> f p
+      | None -> fail "--crash: every process crashes; one must stay correct")
 
 let esfd_cmd =
   let run n seed gst horizon crashes detector_kind outs =
-    with_crashes ~cmd:"esfd" ~n crashes @@ fun trusted ->
+    with_sim_args ~cmd:"esfd" ~n ~horizon crashes @@ fun trusted ->
     with_obs outs @@ fun obs ->
     let open Ftss_async in
     let config =
@@ -356,7 +361,7 @@ let corruption_arg =
 
 let consensus_cmd =
   let run n seed gst horizon crashes style corruption detector_kind outs =
-    with_crashes ~cmd:"consensus" ~n crashes @@ fun trusted ->
+    with_sim_args ~cmd:"consensus" ~n ~horizon crashes @@ fun trusted ->
     with_obs outs @@ fun obs ->
     let open Ftss_async in
     let propose p i = 100 + (((p * 13) + (i * 7)) mod 50) in
@@ -564,9 +569,20 @@ let check_cmd =
             (List.length (Schedule_enum.corruptions params))
             (Array.length cases)
         end;
-        let stats, results = Explore.run ?obs ~domains ~canonical prop cases in
+        let stats, _ = Explore.run ?obs ~domains ~canonical prop cases in
         if json then begin
-          print_endline (Ftss_obs.Json.to_string (Explore.to_json stats));
+          (* The major heap's high-water mark over the whole command, the
+             sweep included: what a memory gate reads. *)
+          let heap_peak_mb =
+            float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) /. 1e6
+          in
+          let out =
+            match Explore.to_json stats with
+            | Ftss_obs.Json.Obj fields ->
+              Ftss_obs.Json.Obj (fields @ [ ("heap_peak_mb", Ftss_obs.Json.Float heap_peak_mb) ])
+            | j -> j
+          in
+          print_endline (Ftss_obs.Json.to_string out);
           match stats.Explore.violations with [] -> 0 | _ :: _ -> 1
         end
         else begin
@@ -581,7 +597,9 @@ let check_cmd =
             let case = cases.(first) in
             Format.printf "verdict: VIOLATED (first counterexample, case %d)@." first;
             Format.printf "  %a@." Schedule_enum.pp case;
-            Format.printf "  %s@." (results.(first).Explore.detail ());
+            (* The sweep keeps no explanations: re-run the case for its own. *)
+            Format.printf "  %s@."
+              ((Lazy.force (prop.Property.run case).Property.verdict).Property.detail ());
             let shrunk = Shrink.shrink ~property:prop case in
             Format.printf "shrunk counterexample (size %d -> %d):@."
               (Schedule_enum.size case) (Schedule_enum.size shrunk);

@@ -1,7 +1,5 @@
 module Prof = Ftss_profile.Profile
 
-type result = { fingerprint : int; ok : bool; detail : unit -> string; states : int }
-
 type domain_stat = { d_cases : int; d_states : int; d_busy : float }
 
 type stats = {
@@ -53,7 +51,10 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
   in
   let len = Array.length cases in
   let domains = Ftss_profile.Pool.domains domains in
-  let results = Array.make len None in
+  (* One int per executed case, written by whichever domain ran it; the
+     verdict bits are a byte each and are dropped at the merge. *)
+  let fingerprints = Array.make len 0 in
+  let passed = Bytes.make len '\001' in
   (* Cases sharing their first rounds are adjacent in [order], so a batch
      simulates each shared prefix once. Each chunk starts its prefix walk
      afresh; the pool's chunks depend on [len] alone, so the rounds
@@ -61,11 +62,11 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
   let order = Schedule_enum.prefix_order cases in
   let stepped = Atomic.make 0 in
   (* The verdict cache, one per domain — no lock on the per-case path.
-     A domain recomputing a fingerprint another domain has already seen
-     produces the identical verdict, so per-domain caching costs at most
-     that recomputation and never changes a result. The reported dedup
-     statistics are not read from these caches: they are recomputed
-     deterministically from the merged per-case fingerprints below. *)
+     Equal fingerprints imply equal verdicts, so a domain recomputing a
+     fingerprint another domain has already seen produces the identical
+     bit, and per-domain caching costs at most that recomputation. The
+     dedup statistics read only the union of the caches' keys, which is
+     the same however the domains split the cases. *)
   let caches = Array.init domains (fun _ -> Property.Fingerprint_table.create 256) in
   (* Per-domain counters, updated once per chunk so that domains do not
      write neighbouring slots once per case. *)
@@ -94,26 +95,23 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
         | None -> ()
       end;
       incr pos;
-      let verdict, hit = Property.cached_verdict cache r in
+      let fp = r.Property.fingerprint in
+      let hit, case_ok =
+        match Property.Fingerprint_table.find cache fp with
+        | b -> (true, b)
+        | exception Not_found ->
+          let b = (Lazy.force r.Property.verdict).Property.ok in
+          Property.Fingerprint_table.add cache fp b;
+          (false, b)
+      in
       chunk_states := !chunk_states + r.Property.states;
       if traced then
         emit
           (Ftss_obs.Event.make ~time:i
              (Ftss_obs.Event.Case_verdict
-                {
-                  case = i;
-                  ok = verdict.Property.ok;
-                  dedup = hit;
-                  states = r.Property.states;
-                }));
-      results.(i) <-
-        Some
-          {
-            fingerprint = r.Property.fingerprint;
-            ok = verdict.Property.ok;
-            detail = verdict.Property.detail;
-            states = r.Property.states;
-          }
+                { case = i; ok = case_ok; dedup = hit; states = r.Property.states }));
+      fingerprints.(i) <- fp;
+      if not case_ok then Bytes.unsafe_set passed i '\000'
     in
     let s =
       property.Property.run_batch cases (Array.sub order first (limit - first)) case
@@ -130,43 +128,48 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
     Array.init domains (fun d ->
         { d_cases = d_cases.(d); d_states = d_states.(d); d_busy = d_busy.(d) })
   in
+  let states = Array.fold_left ( + ) 0 d_states in
   let merge_lane = Option.map (fun t -> Prof.lane t "explore.main") profile in
   (match merge_lane with
   | Some l -> Prof.enter l Prof.Phase.chunk_merge
   | None -> ());
-  let results =
-    Array.map
-      (function Some r -> r | None -> assert false (* every index was claimed *))
-      results
-  in
   (* Execution statistics (distinct fingerprints, dedup, simulated
      states) describe the runs actually performed — the orbit
-     representatives under [canonical]; the verdicts are then scattered
-     to every orbit member so the result array and violation indices
-     stay aligned with the caller's case array either way. *)
-  let seen = Property.Fingerprint_table.create (max 16 len) in
-  let states = ref 0 in
-  Array.iter
-    (fun r ->
-      Property.Fingerprint_table.replace seen r.fingerprint ();
-      states := !states + r.states)
-    results;
-  let distinct = Property.Fingerprint_table.length seen in
-  let results =
-    match reps with
-    | None -> results
-    | Some _ -> Array.init full_len (fun i -> results.(rep_of.(i)))
-  in
+     representatives under [canonical]; fingerprints and verdicts are
+     then scattered to every orbit member so the returned array and
+     violation indices stay aligned with the caller's case array. Every
+     executed fingerprint is a key of the table of the domain that ran
+     it, so the distinct count is the size of the tables' union: each key
+     counts in the first table holding it. The tables go after. *)
+  let distinct = ref 0 in
+  Array.iteri
+    (fun d cache ->
+      Property.Fingerprint_table.iter
+        (fun fp _ ->
+          let rec earlier e =
+            e < d && (Property.Fingerprint_table.mem caches.(e) fp || earlier (e + 1))
+          in
+          if not (earlier 0) then incr distinct)
+        cache)
+    caches;
+  Array.iter Property.Fingerprint_table.reset caches;
+  let distinct = !distinct in
+  let rep i = if canonical then rep_of.(i) else i in
   let violations = ref [] in
-  Array.iteri (fun i r -> if not r.ok then violations := i :: !violations) results;
+  for i = full_len - 1 downto 0 do
+    if Bytes.get passed (rep i) = '\000' then violations := i :: !violations
+  done;
+  let fingerprints =
+    if canonical then Array.init full_len (fun i -> fingerprints.(rep i)) else fingerprints
+  in
   let stats =
     {
       cases = full_len;
       orbits = len;
       distinct;
       dedup_hits = len - distinct;
-      violations = List.rev !violations;
-      states = !states;
+      violations = !violations;
+      states;
       stepped = Atomic.get stepped;
       elapsed;
       domains;
@@ -182,14 +185,14 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
         set "explore_runs_per_sec"
           (if elapsed > 0. then float_of_int len /. elapsed else 0.);
         set "explore_states_per_sec"
-          (if elapsed > 0. then float_of_int !states /. elapsed else 0.);
+          (if elapsed > 0. then float_of_int states /. elapsed else 0.);
         Array.iteri
           (fun d ds ->
             set
               (Printf.sprintf "explore_domain_utilization.%d" d)
               (if elapsed > 0. then ds.d_busy /. elapsed else 0.))
           per_domain));
-  (stats, results)
+  (stats, fingerprints)
 
 (* Throughput and dedup are rates over the runs actually executed — the
    orbit representatives; [orbits = cases] whenever canonicalization is

@@ -7,22 +7,25 @@
     The domain evaluates a chunk with one {!Property.run_batch} call: each case resumes from the runner
     state after the last round it shares with the case before it, so a
     shared prefix is simulated once per chunk. For each case the domain
-    consults its {e own} fingerprint table ({!Property.cached_verdict}) —
-    no lock anywhere on the per-case path — and either reuses the verdict
-    of an isomorphic earlier run (a {e dedup hit}) or evaluates the
-    property and publishes it. Verdicts are pure functions of the
-    fingerprinted execution, so per-domain caching can only cost
-    recomputation, never change a result. Results land in a per-case
-    slot array and the dedup/distinct statistics are recomputed from the
-    merged fingerprints at join, so the merged outcome — verdicts,
+    consults its {e own} table of verdict bits keyed by fingerprint
+    ({!Property.Fingerprint_table}) — no lock anywhere on the per-case
+    path — and either reuses the bit of an isomorphic earlier run (a
+    {e dedup hit}) or evaluates the property and stores its [ok].
+    Verdicts are pure functions of the fingerprinted execution, so
+    per-domain caching can only cost recomputation, never change a
+    result. Each case leaves its fingerprint in an int array and its
+    verdict in a byte; at join the distinct count is the size of the
+    union of the tables' keys, so the merged outcome — verdicts,
     violation indices, distinct-trace, dedup and stepped counts — is
     deterministic and independent of how the domains interleaved; only
-    the wall-clock numbers vary. *)
+    the wall-clock numbers vary.
 
-(** Per-case outcome, in enumeration order. [detail ()] formats the
-    verdict's explanation ({!Property.verdict}); the property's
-    [fingerprint_hex] prints [fingerprint]. *)
-type result = { fingerprint : int; ok : bool; detail : unit -> string; states : int }
+    {b What a sweep retains.} A finished sweep keeps one int per case
+    (the returned fingerprint array) and the violation list; the
+    per-domain tables are emptied once the distinct count is read. A
+    verdict's explanation is not kept: a caller that prints one re-runs
+    that case through the property's [run] and formats the verdict's
+    [detail]. *)
 
 (** What one worker domain did: case and state counts plus the seconds it
     spent executing cases (its busy time; [d_busy /. elapsed] is its
@@ -54,14 +57,16 @@ type stats = {
 (** [run ?obs ~domains ?canonical property cases] explores every case.
     [domains] defaults to 1 and is resolved by {!Ftss_profile.Pool.domains}
     ([<= 0] means every available core; clamped to [1..64]). The returned
-    [result] array is indexed like [cases].
+    second component holds each case's execution fingerprint, indexed
+    like [cases] (the property's [fingerprint_hex] prints one); a case
+    passed iff its index is not in [stats.violations].
 
     With [canonical = true] (default false), cases are first grouped by
     {!Schedule_enum.canonical} — their orbit under pid relabelling — and
-    only one representative per orbit is executed; its verdict is
-    scattered to every member, so the result array and the violation
-    indices remain aligned with [cases] and, for pid-symmetric
-    properties, identical to an uncanonical run's. The grouping itself is
+    only one representative per orbit is executed; its verdict and
+    fingerprint are scattered to every member, so the fingerprint array
+    and the violation indices remain aligned with [cases] and, for
+    pid-symmetric properties, identical to an uncanonical run's. The grouping itself is
     always an exact partition into orbits; reusing the {e verdict} across
     an orbit is what assumes pid symmetry of the property, which is why
     the mode is opt-in (and pinned against the full enumeration by the
@@ -70,7 +75,7 @@ type stats = {
 
     With [profile], each domain records its work-queue lifecycle on its
     own [explore.d<i>] lane ({!Ftss_profile.Pool.run}), and the
-    post-join fingerprint merge and verdict scatter are spanned as
+    post-join distinct count and verdict scatter are spanned as
     [chunk_merge] on [explore.main]. Unset, the instrumentation is one
     option test per chunk.
 
@@ -91,7 +96,7 @@ val run :
   ?canonical:bool ->
   Property.t ->
   Schedule_enum.t array ->
-  stats * result array
+  stats * int array
 
 val runs_per_sec : stats -> float
 val states_per_sec : stats -> float

@@ -22,16 +22,6 @@ module Fingerprint_table = Hashtbl.Make (struct
   let hash fp = fp
 end)
 
-(* Equal fingerprints imply equal verdicts, so a hit can only save the
-   verdict's evaluation, never change it. *)
-let cached_verdict cache r =
-  match Fingerprint_table.find_opt cache r.fingerprint with
-  | Some v -> (v, true)
-  | None ->
-    let v = Lazy.force r.verdict in
-    Fingerprint_table.add cache r.fingerprint v;
-    (v, false)
-
 (* The adversary interface the theorem runners actually consume: a
    compiled fault schedule plus the two corruption views (raw integer
    rewriting for the synchronous theorems, a magnitude bound for the

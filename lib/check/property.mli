@@ -47,14 +47,10 @@ type run = {
   verdict : verdict Lazy.t;
 }
 
-(** Hash tables keyed by fingerprint. *)
+(** Hash tables keyed by fingerprint. The explorer and the fuzzer keep
+    one per domain mapping a fingerprint to its verdict's [ok]: by the
+    contract above a hit gives the bit [r.verdict] would have produced. *)
 module Fingerprint_table : Hashtbl.S with type key = int
-
-(** [cached_verdict cache r] is [r]'s verdict and whether [cache] already
-    held it under [r.fingerprint]. On a miss it forces [r.verdict] and
-    stores it. By the fingerprint contract above a hit returns the verdict
-    [r.verdict] would have produced. *)
-val cached_verdict : verdict Fingerprint_table.t -> run -> verdict * bool
 
 (** The adversary interface the theorem runners consume — what any case,
     catalogued or fuzzed, compiles down to: a fault schedule, the raw

@@ -33,8 +33,10 @@ type stats = {
   corpus : Mutate.t list;
 }
 
-let genome_fails (prop : P.t) g =
-  not (Lazy.force (prop.P.run_adv (Mutate.to_adversary g)).P.verdict).P.ok
+let genome_verdict (prop : P.t) g =
+  Lazy.force (prop.P.run_adv (Mutate.to_adversary g)).P.verdict
+
+let genome_fails prop g = not (genome_verdict prop g).P.ok
 
 let shrink_genome prop g =
   Ftss_check.Shrink.fixpoint ~fails:(genome_fails prop)
@@ -84,22 +86,31 @@ let run ?obs ?profile (config : config) (prop : P.t) =
     let corpus = Corpus.create () in
     (* One parallel batch: evaluate every genome, returning (fingerprint in
        its printed form, which names corpus files and violations,
-       signature, verdict) per slot. Per-domain verdict caches persist
-       across batches (the dedup contract of {!P.cached_verdict}). The
-       round signature is NOT cached: it is a finer observation than the
-       fingerprint (two runs in one dedup class can differ in it), so it
-       is recomputed for every genome — which keeps the merge below
-       deterministic whatever the domain count or interleaving. *)
+       signature, verdict bit) per slot. Per-domain tables of verdict
+       bits persist across batches: equal fingerprints imply equal
+       verdicts, so a hit only saves evaluating one. The round signature
+       is NOT cached: it is a finer observation than the fingerprint (two
+       runs in one dedup class can differ in it), so it is recomputed for
+       every genome — which keeps the merge below deterministic whatever
+       the domain count or interleaving. *)
     let caches = Array.init domains (fun _ -> P.Fingerprint_table.create 256) in
     let evaluate genomes =
       let results = Array.make (Array.length genomes) None in
       Ftss_profile.Pool.run ~lane:"fuzz" ~domains (Array.length genomes)
         (fun ~domain ~first ~limit ->
+          let cache = caches.(domain) in
           for i = first to limit - 1 do
             let r = prop.P.run_adv (Mutate.to_adversary genomes.(i)) in
-            let verdict, _ = P.cached_verdict caches.(domain) r in
-            results.(i) <-
-              Some (prop.P.fingerprint_hex r.P.fingerprint, Lazy.force r.P.signature, verdict)
+            let fp = r.P.fingerprint in
+            let ok =
+              match P.Fingerprint_table.find cache fp with
+              | ok -> ok
+              | exception Not_found ->
+                let ok = (Lazy.force r.P.verdict).P.ok in
+                P.Fingerprint_table.add cache fp ok;
+                ok
+            in
+            results.(i) <- Some (prop.P.fingerprint_hex fp, Lazy.force r.P.signature, ok)
           done);
       Array.map Option.get results
     in
@@ -111,7 +122,7 @@ let run ?obs ?profile (config : config) (prop : P.t) =
     let emit ev = match obs with Some o -> Ftss_obs.Obs.emit o ev | None -> () in
     let merge ~seed_phase genomes results =
       Array.iteri
-        (fun i (fp, signature, verdict) ->
+        (fun i (fp, signature, ok) ->
           incr execs;
           let grew = Corpus.observe corpus ~genome:genomes.(i) ~fingerprint:fp ~signature in
           if grew then begin
@@ -126,14 +137,15 @@ let run ?obs ?profile (config : config) (prop : P.t) =
                         points = Corpus.points corpus;
                       }))
           end;
-          if (not verdict.P.ok) && not (Hashtbl.mem seen_violation fp) then begin
+          if (not ok) && not (Hashtbl.mem seen_violation fp) then begin
             Hashtbl.add seen_violation fp ();
+            (* The tables keep no explanations: re-run the genome for its own. *)
             rev_violations :=
               {
                 v_genome = genomes.(i);
                 v_shrunk = genomes.(i) (* shrunk after the loop *);
                 v_fingerprint = fp;
-                v_detail = verdict.P.detail ();
+                v_detail = (genome_verdict prop genomes.(i)).P.detail ();
                 v_seed = seed_phase;
               }
               :: !rev_violations

@@ -305,8 +305,8 @@ let test_genome_shrink_deterministic_local_minimum () =
 let fingerprint_set l = List.sort_uniq String.compare l
 
 let exhaustive_violations prop sp =
-  let stats, results = E.run ~domains:2 prop (S.enumerate sp) in
-  List.map (fun i -> (i, prop.P.fingerprint_hex results.(i).E.fingerprint)) stats.E.violations
+  let stats, fingerprints = E.run ~domains:2 prop (S.enumerate sp) in
+  List.map (fun i -> (i, prop.P.fingerprint_hex fingerprints.(i))) stats.E.violations
 
 (* Seed phase only (budget = case count): the fuzzer must find exactly
    the violation set the exhaustive checker finds — both directions —
