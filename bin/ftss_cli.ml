@@ -274,26 +274,43 @@ let detector_arg =
     & info [ "detector" ] ~docv:"D"
         ~doc:"◇W source: the scripted $(b,oracle) or live $(b,heartbeats) (oracle-free).")
 
+(* Runs [f] once the sizes every simulator-backed command shares are
+   checked: -n within 1..4096 (the 12-bit pid fields of [Sim]'s event
+   tags), then each [(flag, value, least)] of [bounds] at least [least].
+   A bad argument is reported under [cmd] with its flag and exits 2. *)
+let with_sizes ~cmd ~n bounds f =
+  let bad =
+    if n < 1 || n > 4096 then Some (Printf.sprintf "-n %d: outside 1..4096" n)
+    else
+      List.find_map
+        (fun (flag, v, least) ->
+          if v < least then Some (Printf.sprintf "%s %d: below %d" flag v least) else None)
+        bounds
+  in
+  match bad with
+  | Some msg ->
+    Format.eprintf "%s: %s@." cmd msg;
+    2
+  | None -> f ()
+
 (* Runs [f] on the lowest correct pid, the one the oracle keeps clear,
-   once the simulator's arguments are checked: -n within 1..4096 (the
-   12-bit pid fields of [Sim]'s event tags), a --horizon of at least one
-   tick, and a --crash schedule whose pids are all in the system and
-   which leaves one process correct. A bad argument is reported under
-   [cmd] with its flag and exits 2. *)
+   once the simulator's arguments are checked: the sizes of
+   [with_sizes] with a --horizon of at least one tick, and a --crash
+   schedule whose pids are all in the system and which leaves one
+   process correct. A bad argument is reported under [cmd] with its flag
+   and exits 2. *)
 let with_sim_args ~cmd ~n ~horizon crashes f =
+  with_sizes ~cmd ~n [ ("--horizon", horizon, 1) ] @@ fun () ->
   let fail msg =
     Format.eprintf "%s: %s@." cmd msg;
     2
   in
-  if n < 1 || n > 4096 then fail (Printf.sprintf "-n %d: outside 1..4096" n)
-  else if horizon < 1 then fail (Printf.sprintf "--horizon %d: below 1" horizon)
-  else
-    match List.find_opt (fun (p, _) -> not (Pid.is_valid ~n p)) crashes with
-    | Some (p, t) -> fail (Printf.sprintf "--crash %d:%d: pid outside 0..%d" p t (n - 1))
-    | None -> (
-      match List.find_opt (fun p -> not (List.mem_assoc p crashes)) (Pid.all n) with
-      | Some p -> f p
-      | None -> fail "--crash: every process crashes; one must stay correct")
+  match List.find_opt (fun (p, _) -> not (Pid.is_valid ~n p)) crashes with
+  | Some (p, t) -> fail (Printf.sprintf "--crash %d:%d: pid outside 0..%d" p t (n - 1))
+  | None -> (
+    match List.find_opt (fun p -> not (List.mem_assoc p crashes)) (Pid.all n) with
+    | Some p -> f p
+    | None -> fail "--crash: every process crashes; one must stay correct")
 
 let esfd_cmd =
   let run n seed gst horizon crashes detector_kind outs =
@@ -911,11 +928,24 @@ module Recorder = Ftss_monitor.Recorder
    mix, arms the hub + monitor plane exactly as requested (nothing at
    all when no observability flag is given), runs the tower, finalizes
    the monitors at the simulated horizon, and renders. Exit code is
-   non-zero when the service gate fails or any SLO alarm fired. *)
-let tower_run ~n ~seed ~ops ~sessions ~keys ~window ~baseline ~storm_at
+   non-zero when the service gate fails or any SLO alarm fired. A size
+   flag out of range exits 2 under [cmd] before anything runs. *)
+let tower_run ~cmd ~n ~seed ~ops ~sessions ~keys ~window ~baseline ~storm_at
     ~storm_victims ~omit ~outs ~slo ~prom_out ~prom_every ~flight_out ~watch
     ~watch_json ~shards ~domains =
   let open Ftss_service in
+  let bounds =
+    [
+      ("--ops", ops, 0);
+      ("--sessions", sessions, 1);
+      ("--keys", keys, 1);
+      ("--window", window, 1);
+      ("--prom-every", prom_every, 1);
+    ]
+    @ (match shards with Some s -> [ ("--shards", s, 1) ] | None -> [])
+    @ match watch with Some (every, _) -> [ ("--every", every, 1) ] | None -> []
+  in
+  with_sizes ~cmd ~n bounds @@ fun () ->
   match
     match slo with
     | None -> Ok Monitor.no_budgets
@@ -1171,7 +1201,7 @@ let domains_arg =
 let serve_cmd =
   let run n seed ops sessions keys window baseline storm_at storm_victims omit
       outs slo prom_out prom_every flight_out shards domains =
-    tower_run ~n ~seed ~ops ~sessions ~keys ~window ~baseline ~storm_at
+    tower_run ~cmd:"serve" ~n ~seed ~ops ~sessions ~keys ~window ~baseline ~storm_at
       ~storm_victims ~omit ~outs ~slo ~prom_out ~prom_every ~flight_out
       ~watch:None ~watch_json:false ~shards ~domains
   in
@@ -1195,7 +1225,7 @@ let serve_cmd =
 let watch_cmd =
   let run n seed ops sessions keys window baseline storm_at storm_victims omit
       every out json slo prom_out prom_every flight_out =
-    tower_run ~n ~seed ~ops ~sessions ~keys ~window ~baseline ~storm_at
+    tower_run ~cmd:"watch" ~n ~seed ~ops ~sessions ~keys ~window ~baseline ~storm_at
       ~storm_victims ~omit ~outs:{ trace_out = None; metrics_out = None } ~slo
       ~prom_out ~prom_every ~flight_out ~watch:(Some (every, out)) ~watch_json:json
       ~shards:(Some 1) ~domains:1
@@ -1243,6 +1273,7 @@ let watch_cmd =
 
 let profile_cmd =
   let run n seed ops window out folded_out summary =
+    with_sizes ~cmd:"profile" ~n [ ("--ops", ops, 0); ("--window", window, 1) ] @@ fun () ->
     let module Prof = Ftss_profile.Profile in
     let open Ftss_service in
     let prof = Prof.create () in

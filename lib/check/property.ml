@@ -35,8 +35,6 @@ type adversary = {
   adv_faults : Faults.t;
   adv_corrupt_int : Pid.t -> int -> int;
   adv_corrupt_bound : (int * int) option;
-  adv_crashes : (Pid.t * int) list;
-  adv_crash_only : bool;
 }
 
 type t = {
@@ -87,8 +85,6 @@ let adversary_of_case (case : S.t) =
     adv_faults = S.to_faults case;
     adv_corrupt_int = S.corrupt_int case.S.corruption;
     adv_corrupt_bound = corrupt_bound_of_class case.S.corruption;
-    adv_crashes = S.crashes case;
-    adv_crash_only = S.crash_only case;
   }
 
 let make ~name ~inject ~restrict ~fingerprint_hex ?run_batch run_adv =
@@ -152,9 +148,8 @@ let sync_theorem ~name ~inject (instance : adversary -> ('s, 'm) instance) =
         in
         let from = max shared 0 in
         if from < rounds then begin
-          let table = Faults.precompile faults ~rounds in
           for r = from + 1 to rounds do
-            path.(r) <- Runner.step ~faults ~table path.(r - 1)
+            path.(r) <- Runner.step ~faults path.(r - 1)
           done;
           stepped := !stepped + (adv.adv_n * (rounds - from))
         end;
@@ -297,11 +292,18 @@ let theorem5 () =
   let run_adv ?obs adv =
     let open Ftss_async in
     let n = adv.adv_n in
-    if not adv.adv_crash_only then
-      invalid_arg "Property.theorem5: schedule has non-crash behaviours";
+    let faults = adv.adv_faults in
+    for round = 1 to adv.adv_rounds do
+      if not (Faults.quiet_round faults ~round) then
+        invalid_arg "Property.theorem5: schedule has non-crash behaviours"
+    done;
     (* A crash at synchronous round r maps to simulated time 100·r, so
        every enumerated crash lands before GST — the adversarial window. *)
-    let crashes = List.map (fun (p, r) -> (p, 100 * r)) adv.adv_crashes in
+    let crashes =
+      List.filter_map
+        (fun p -> Option.map (fun r -> (p, 100 * r)) (Faults.crash_round faults p))
+        (Pid.all n)
+    in
     let config =
       {
         (Sim.default_config ~n ~seed:1) with

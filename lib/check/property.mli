@@ -56,8 +56,8 @@ module Fingerprint_table : Hashtbl.S with type key = int
     catalogued or fuzzed, compiles down to: a fault schedule, the raw
     integer corruption used by the synchronous theorems, the (rng seed,
     magnitude bound) corruption used by the asynchronous theorem 5
-    ([None] = clean), and the crash view theorem 5 needs ([adv_crash_only]
-    must hold for it). *)
+    ([None] = clean). Theorem 5 reads only the schedule's crashes and
+    rejects a schedule that omits a message in any of [adv_rounds]. *)
 type adversary = {
   adv_n : int;
   adv_rounds : int;
@@ -65,8 +65,6 @@ type adversary = {
   adv_faults : Ftss_sync.Faults.t;
   adv_corrupt_int : Ftss_util.Pid.t -> int -> int;
   adv_corrupt_bound : (int * int) option;
-  adv_crashes : (Ftss_util.Pid.t * int) list;
-  adv_crash_only : bool;
 }
 
 type t = {

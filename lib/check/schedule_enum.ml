@@ -224,9 +224,6 @@ let crashes t =
     (fun (pid, b) -> match b with Crash r -> Some (pid, r) | _ -> None)
     t.behaviors
 
-let crash_only t =
-  List.for_all (fun (_, b) -> match b with Crash _ -> true | _ -> false) t.behaviors
-
 (* --- Canonicalization under pid permutation --- *)
 
 let behavior_pid_ref = function

@@ -104,9 +104,6 @@ val corrupt_int : corruption -> Pid.t -> int -> int
     adapter. *)
 val crashes : t -> (Pid.t * int) list
 
-(** [crash_only t] is true iff every behaviour is a [Crash]. *)
-val crash_only : t -> bool
-
 (** {2 Canonicalization under pid permutation}
 
     Relabelling processes maps a case to an adversarially equivalent one:

@@ -175,8 +175,6 @@ let to_adversary t =
       (match t.corrupt with
       | [] -> None
       | entries -> Some (23, 1 + List.fold_left (fun a (_, v) -> max a v) 0 entries));
-    adv_crashes = t.crashes;
-    adv_crash_only = t.drops = [];
   }
 
 (* --- sizes, equality --- *)

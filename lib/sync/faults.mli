@@ -43,35 +43,17 @@ val crash_round : t -> Pid.t -> int option
 
 (** [drops t ~round ~src ~dst] is true iff the adversary omits the
     [src -> dst] message of [round]. Self-messages are never dropped
-    (paper footnote 1). The reference semantics: the runner reads
-    {!precompile}'s table, and the differential tests pin the table to
-    this query. *)
+    (paper footnote 1). A schedule is compiled into per-round rows of
+    pid sets when it is built, so a query is a few membership tests;
+    rows stop at the last round any omission names, and later rounds
+    drop nothing. *)
 val drops : t -> round:int -> src:Pid.t -> dst:Pid.t -> bool
 
-(** {2 Precompiled drop tables}
-
-    [drops] answers one query by a hash probe plus two interval-list
-    scans; the runner instead asks once for the whole horizon and gets
-    per-round bitmask rows, making each inner-loop query a few integer
-    instructions. Semantically [table_drops (precompile t ~rounds)] and
-    [drops t] agree on every [round <= rounds]. *)
-
-type table
-
-(** [precompile t ~rounds] builds the O(1) drop table for rounds
-    [1..rounds]. Raises [Invalid_argument] if [rounds < 0]. Systems of up
-    to 62 processes get single-int rows (the historic fast path); larger
-    systems get multi-word rows, still a few integer tests per query. *)
-val precompile : t -> rounds:int -> table
-
-(** [table_drops tbl ~round ~src ~dst] — as {!drops}, in O(1); [round]
-    must be within the horizon [precompile] was given. *)
-val table_drops : table -> round:int -> src:Pid.t -> dst:Pid.t -> bool
-
-(** [quiet_round tbl ~round] is true iff no omission of any kind is
+(** [quiet_round t ~round] is true iff no omission of any kind is
     scheduled in [round] — every sent message is delivered, so a runner
-    can build one delivery list and share it among all receivers. *)
-val quiet_round : table -> round:int -> bool
+    can build one delivery list and share it among all receivers. Every
+    round of a crash-only schedule is quiet. *)
+val quiet_round : t -> round:int -> bool
 
 (** [none n] is the failure-free schedule. *)
 val none : int -> t

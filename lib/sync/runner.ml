@@ -33,7 +33,7 @@ let start ?obs ?corrupt ~n (protocol : ('s, 'm) Protocol.t) =
     generators = Trace.hash_seed;
   }
 
-let step ?obs ?(corrupt_at = []) ~faults ~table c =
+let step ?obs ?(corrupt_at = []) ~faults c =
   let n = c.n and protocol = c.protocol in
   let round = c.round + 1 in
   (* Observability: [traced] guards event *construction*, so the default
@@ -83,7 +83,7 @@ let step ?obs ?(corrupt_at = []) ~faults ~table c =
   done;
   let omissions = ref c.rev_omissions in
   let delivered = Array.make n [] in
-  if Faults.quiet_round table ~round then begin
+  if Faults.quiet_round faults ~round then begin
     (* No omission can occur this round, so every live receiver gets the
        same deliveries: build the list once and share it — the dominant
        allocation of a failure-free round drops from n^2 to n. *)
@@ -117,7 +117,7 @@ let step ?obs ?(corrupt_at = []) ~faults ~table c =
         let count = ref 0 in
         for src = 0 to n - 1 do
           if not (Option.is_none sent.(src)) then
-            if src = dst || not (Faults.table_drops table ~round ~src ~dst) then begin
+            if not (Faults.drops faults ~round ~src ~dst) then begin
               if traced then
                 emit obs
                   (Ftss_obs.Event.make ~time:round (Ftss_obs.Event.Deliver { src; dst }));
@@ -206,12 +206,8 @@ let finish ~faults c =
 
 let run ?obs ?corrupt ?corrupt_at ~faults ~rounds protocol =
   if rounds < 1 then invalid_arg "Runner.run: rounds < 1";
-  (* The schedule is compiled once for the whole horizon: each link query
-     of [step] is then a few integer tests instead of a hash probe plus
-     two interval-list scans. *)
-  let table = Faults.precompile faults ~rounds in
   let c = ref (start ?obs ?corrupt ~n:(Faults.n faults) protocol) in
   for _ = 1 to rounds do
-    c := step ?obs ?corrupt_at ~faults ~table !c
+    c := step ?obs ?corrupt_at ~faults !c
   done;
   finish ~faults !c

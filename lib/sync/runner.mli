@@ -65,17 +65,14 @@ val start :
   ('s, 'm) Protocol.t ->
   ('s, 'm) cursor
 
-(** [step ?obs ?corrupt_at ~faults ~table c] executes the round after
-    [c] under [faults], with the semantics and events of {!run}. [table]
-    must be [Faults.precompile faults ~rounds] for a horizon covering
-    that round. The round's outcome depends on [faults] only through the
-    crashes taking effect in it and the links it drops (plus the blame
-    of a traced drop). *)
+(** [step ?obs ?corrupt_at ~faults c] executes the round after [c]
+    under [faults], with the semantics and events of {!run}. The round's
+    outcome depends on [faults] only through the crashes taking effect in
+    it and the links it drops (plus the blame of a traced drop). *)
 val step :
   ?obs:Ftss_obs.Obs.t ->
   ?corrupt_at:(int * (Pid.t -> 's -> 's)) list ->
   faults:Faults.t ->
-  table:Faults.table ->
   ('s, 'm) cursor ->
   ('s, 'm) cursor
 

@@ -795,9 +795,8 @@ let check_knowledge_walk (type s m) ~label
             (R.start ~corrupt:(corrupt case) ~n:case.Schedule_enum.params.Schedule_enum.n
                (protocol case))
       in
-      let table = Ftss_sync.Faults.precompile faults ~rounds in
       for r = max shared 0 + 1 to rounds do
-        path.(r) <- R.step ~faults ~table path.(r - 1)
+        path.(r) <- R.step ~faults path.(r - 1)
       done;
       previous := Some (case, path);
       let trace = R.finish ~faults path.(rounds) in
@@ -1086,9 +1085,21 @@ let test_case_projections () =
     (Schedule_enum.crashes crashes);
   Alcotest.(check (list (pair int int))) "only the crashes" [ (0, 3) ]
     (Schedule_enum.crashes mixed);
-  check "crash-only" true (Schedule_enum.crash_only crashes);
-  check "not crash-only" false (Schedule_enum.crash_only mixed);
-  check "empty schedule is crash-only" true (Schedule_enum.crash_only (case []));
+  (* Theorem 5 reads a schedule's crashes and refuses any omission. *)
+  let theorem5 =
+    match Property.find ~name:"theorem5" ~inject:"none" with
+    | Ok p -> p
+    | Error msg -> failwith msg
+  in
+  check "theorem 5 holds under crashes" false (Property.fails theorem5 crashes);
+  check "theorem 5 holds on the empty schedule" false (Property.fails theorem5 (case []));
+  check "crashes reach the simulator" true
+    ((theorem5.Property.run crashes).Property.fingerprint
+    <> (theorem5.Property.run (case [])).Property.fingerprint);
+  check "theorem 5 rejects an omission" true
+    (match theorem5.Property.run mixed with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
   Alcotest.(check (list int)) "corruption weights" [ 0; 1; 2; 3; 4 ]
     (List.map Schedule_enum.corruption_weight
        Schedule_enum.[ Clean; Zero; Parked 7; Max; Distinct ]);

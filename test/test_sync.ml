@@ -358,56 +358,99 @@ let test_golden_gossip () =
     "1,0,2;2,3,0;2,3,1;2,3,2;2,0,3;2,1,3;2,2,3;3,3,0;3,3,1;3,3,2;3,0,3;3,1,3;3,2,3;4,3,0;4,3,1;4,3,2;4,0,3;4,1,3;4,2,3"
     (omissions_string t)
 
-(* --- Faults across the table-representation switch: [precompile]
-   emits single-int rows up to 62 processes and multi-word rows beyond;
-   the two must be observationally identical to the query path. --- *)
+(* --- Faults across the Pidset width switch: a schedule's rows are pid
+   sets, one immediate word up to 62 processes and a word array beyond.
+   [drops] and [quiet_round] must read exactly what the events say, on
+   every link and round, including the round after the last one any
+   event names. --- *)
+
+let in_span round first last = first <= round && round <= last
+
+(* The events' own meaning, with no schedule built. *)
+let event_drops events ~round ~src ~dst =
+  src <> dst
+  && List.exists
+       (function
+         | Faults.Drop d -> d.round = round && d.src = src && d.dst = dst
+         | Faults.Mute m -> m.pid = src && in_span round m.first m.last
+         | Faults.Deaf d -> d.pid = dst && in_span round d.first d.last
+         | Faults.Isolate i -> (i.pid = src || i.pid = dst) && in_span round i.first i.last
+         | Faults.Crash _ | Faults.Blame _ -> false)
+       events
+
+let event_quiet events ~round =
+  not
+    (List.exists
+       (function
+         | Faults.Drop d -> d.round = round
+         | Faults.Mute { first; last; _ }
+         | Faults.Deaf { first; last; _ }
+         | Faults.Isolate { first; last; _ } ->
+           in_span round first last
+         | Faults.Crash _ | Faults.Blame _ -> false)
+       events)
+
+let last_named_round events =
+  List.fold_left
+    (fun acc -> function
+      | Faults.Drop { round; _ } | Faults.Crash { round; _ } -> max acc round
+      | Faults.Mute { last; _ } | Faults.Deaf { last; _ } | Faults.Isolate { last; _ } ->
+        max acc last
+      | Faults.Blame _ -> acc)
+    0 events
+
+(* Events over pids on both sides of the one-word boundary (61/62),
+   always with a point drop into the highest pid. *)
+let random_events rng ~n =
+  let pids =
+    List.sort_uniq compare (List.filter (fun p -> p < n) [ 0; 1; 60; 61; 62; n - 2; n - 1 ])
+  in
+  let pid () = Rng.pick rng pids in
+  let span () =
+    let first = Rng.int_in rng 1 4 in
+    (first, first + Rng.int_in rng 0 2)
+  in
+  Faults.Drop { src = 0; dst = n - 1; round = 2 }
+  :: List.init 8 (fun _ ->
+      match Rng.int rng 6 with
+      | 0 | 1 ->
+        let src = pid () in
+        let dst = Rng.pick rng (List.filter (( <> ) src) pids) in
+        Faults.Drop { src; dst; round = Rng.int_in rng 1 5 }
+      | 2 ->
+        let first, last = span () in
+        Faults.Mute { pid = pid (); first; last }
+      | 3 ->
+        let first, last = span () in
+        Faults.Deaf { pid = pid (); first; last }
+      | 4 ->
+        let first, last = span () in
+        Faults.Isolate { pid = pid (); first; last }
+      | _ -> Faults.Crash { pid = pid (); round = Rng.int_in rng 1 5 })
 
 let faults_at_width n =
-  let rounds = 5 in
   List.for_all
     (fun seed ->
-      let rng = Rng.create seed in
-      let t = Faults.random_omission rng ~n ~f:3 ~p_drop:0.5 ~rounds in
-      let faulty = Faults.faulty t in
-      (let tbl = Faults.precompile t ~rounds in
-          (* Differential: the table agrees with the query path on every
-             link with a faulty endpoint (the only links that can drop)
-             and on a stride of correct-correct links. *)
-          let agree ~round ~src ~dst =
-            Faults.table_drops tbl ~round ~src ~dst
-            = Faults.drops t ~round ~src ~dst
-          in
-          let ok = ref true in
-          for round = 1 to rounds do
-            Pidset.iter
-              (fun p ->
-                List.iter
-                  (fun q ->
-                    if not (agree ~round ~src:p ~dst:q) then ok := false;
-                    if not (agree ~round ~src:q ~dst:p) then ok := false)
-                  (Pid.all n))
-              faulty;
-            (* quiet_round iff no query in the round drops. *)
-            let any = ref false in
-            Pidset.iter
-              (fun p ->
-                List.iter
-                  (fun q ->
-                    if
-                      Faults.drops t ~round ~src:p ~dst:q
-                      || Faults.drops t ~round ~src:q ~dst:p
-                    then any := true)
-                  (Pid.all n))
-              faulty;
-            if Faults.quiet_round tbl ~round <> not !any then ok := false
-          done;
-          !ok))
+      let events = random_events (Rng.create seed) ~n in
+      let t = Faults.of_events ~n events in
+      let past = last_named_round events + 1 in
+      let ok = ref (Faults.quiet_round t ~round:past) in
+      for round = 1 to past do
+        if Faults.quiet_round t ~round <> event_quiet events ~round then ok := false;
+        for src = 0 to n - 1 do
+          for dst = 0 to n - 1 do
+            if Faults.drops t ~round ~src ~dst <> event_drops events ~round ~src ~dst then
+              ok := false
+          done
+        done
+      done;
+      !ok)
     [ 7; 21; 908 ]
 
 let test_faults_widths () =
   List.iter
     (fun n ->
-      check (Printf.sprintf "faults tables at n=%d" n) true (faults_at_width n))
+      check (Printf.sprintf "faults rows at n=%d" n) true (faults_at_width n))
     [ 61; 62; 63; 200 ]
 
 (* --- Trace.hash pins: values captured from the pre-width-overhaul
@@ -430,10 +473,9 @@ let recording () =
   (obs, fun () -> List.rev !lines)
 
 let step_to ?obs ?corrupt_at ~faults ~rounds c ~from =
-  let table = Faults.precompile faults ~rounds in
   let c = ref c in
   for _ = from + 1 to rounds do
-    c := Runner.step ?obs ?corrupt_at ~faults ~table !c
+    c := Runner.step ?obs ?corrupt_at ~faults !c
   done;
   !c
 
@@ -589,7 +631,7 @@ let suite =
         tc "pp_rounds renders" `Quick test_pp_rounds_renders;
         tc "golden: counter under crash+drops" `Quick test_golden_counter;
         tc "golden: gossip under isolation" `Quick test_golden_gossip;
-        tc "faults tables across the width switch" `Quick test_faults_widths;
+        tc "faults rows across the width switch" `Quick test_faults_widths;
         tc "cursor: start, step, finish = run" `Quick test_cursor_composes_run;
         tc "cursor: persistent across branches" `Quick test_cursor_is_persistent;
         tc "golden: Trace.hash pinned across the Pidset overhaul" `Quick
