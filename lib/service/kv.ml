@@ -58,9 +58,16 @@ let alloc t bits =
   t.mask <- cap - 1;
   t.shift <- 63 - bits
 
-let create () =
+(* Sized for [keys] live entries at the load factor of 1/2: the capacity
+   the doublings from [initial_bits] would reach on the [keys]-th
+   insert, and no smaller than the default. *)
+let create ?(keys = 0) () =
   let t = { ent = [||]; idx = [||]; mask = 0; shift = 0; size = 0; dig = 0 } in
-  alloc t initial_bits;
+  let bits = ref initial_bits in
+  while 1 lsl !bits < 2 * keys do
+    incr bits
+  done;
+  alloc t !bits;
   t
 
 let reset t =

@@ -36,7 +36,15 @@ val batch_digest : op array -> int
 
 type t
 
-val create : unit -> t
+(** [create ?keys ()] is an empty table with room for [keys] live
+    entries before it first doubles (none given, or [~keys:0]: 512).
+    Its two arrays take [2 * c] words, [c] being the least power of two
+    at least [max 1024 (2 * keys)]: the size a default table's doublings
+    reach once [keys] distinct keys are live. That is also the worst
+    case: when fewer keys ever go live, the presized table still holds
+    [2 * c] words where a default one would have stayed smaller.
+    Presizing changes no digest and no result. *)
+val create : ?keys:int -> unit -> t
 val reset : t -> unit
 
 (** The incrementally maintained state digest: an order-independent sum

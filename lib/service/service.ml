@@ -84,7 +84,7 @@ let report_digest r =
 
 (* --- the Sim process --- *)
 
-type state = { tob : Tob.t; mutable fd : Esfd.Layer.t; mutable cursor : int }
+type state = { tob : Tob.t; mutable fd : Esfd.Layer.t }
 type msg = Fd of Esfd.Layer.msg | Tb of Tob.msg
 
 let send_outs ctx outs =
@@ -96,7 +96,37 @@ let send_outs ctx outs =
 
 let flush_notes ctx tob = List.iter (Sim.observe ctx) (Tob.drain_notes tob)
 
+(* Client arrivals, one cursor per run: ops [0, next) have reached their
+   origin replica's inbox, where the first [len.(p)] ids of [inbox.(p)]
+   await replica [p]'s next tick, ascending. A crashed replica's inbox
+   is never drained, as its ops are never submitted. *)
+type arrivals = { mutable next : int; inbox : int array array; len : int array }
+
+(* Route every op arrived by [now] to its origin's inbox. *)
+let route a wl ~now =
+  let total = Workload.total wl in
+  while a.next < total && Workload.arrival wl a.next <= now do
+    let p = Workload.origin wl a.next in
+    let k = a.len.(p) in
+    if k = Array.length a.inbox.(p) then begin
+      let grown = Array.make (2 * k) 0 in
+      Array.blit a.inbox.(p) 0 grown 0 k;
+      a.inbox.(p) <- grown
+    end;
+    a.inbox.(p).(k) <- a.next;
+    a.len.(p) <- k + 1;
+    a.next <- a.next + 1
+  done
+
 let process ?obs ?profile ~wl ~params:(params : params) ~source () =
+  let arrivals =
+    {
+      next = 0;
+      inbox = Array.init params.n (fun _ -> Array.make 16 0);
+      len = Array.make params.n 0;
+    }
+  in
+  let keys = min (Workload.spec wl).Workload.keys (Workload.total wl) in
   {
     Sim.name = "service";
     init =
@@ -104,9 +134,8 @@ let process ?obs ?profile ~wl ~params:(params : params) ~source () =
         {
           tob =
             Tob.create ?obs ?profile ~n:params.n ~self:p ~style:params.style
-              ~batch_max:params.batch_max ~id_hint:(Workload.total wl) ();
+              ~batch_max:params.batch_max ~id_hint:(Workload.total wl) ~key_hint:keys ();
           fd = Esfd.Layer.create ~n:params.n source;
-          cursor = 0;
         });
     on_message =
       (fun ctx s ~src m ->
@@ -119,16 +148,14 @@ let process ?obs ?profile ~wl ~params:(params : params) ~source () =
     on_tick =
       (fun ctx s ->
         let now = Sim.now ctx and self = Sim.self ctx in
-        (* Client arrivals attached to this replica since the last tick. *)
-        let ids = Workload.per_replica wl self in
-        let first = s.cursor in
-        while s.cursor < Array.length ids && Workload.arrival wl ids.(s.cursor) <= now do
-          s.cursor <- s.cursor + 1
-        done;
-        if s.cursor > first then
-          send_outs ctx
-            (Tob.submit s.tob ~now
-               (Array.init (s.cursor - first) (fun i -> Workload.op wl ids.(first + i))));
+        (* Client arrivals attached to this replica since its last tick. *)
+        route arrivals wl ~now;
+        let k = arrivals.len.(self) in
+        if k > 0 then begin
+          let ids = arrivals.inbox.(self) in
+          arrivals.len.(self) <- 0;
+          send_outs ctx (Tob.submit s.tob ~now (Array.init k (fun i -> Workload.op wl ids.(i))))
+        end;
         s.fd <- Esfd.Layer.tick ?obs ctx ~wrap:(fun m -> Fd m) s.fd;
         (* The protocol timer. *)
         send_outs ctx (Tob.tick s.tob ~now ~suspected:(Esfd.Layer.suspected s.fd));
@@ -251,23 +278,6 @@ let run_measured ?obs ?profile ~wl (params : params) =
     | [] -> false
     | first :: rest -> List.for_all (( = ) first) rest
   in
-  (* Reference log: op -> slot (first occurrence), plus op accounting. *)
-  let total = Workload.total wl in
-  let slot_of = Array.make total (-1) in
-  let committed_ops = ref 0 and unique_ops = ref 0 in
-  (match reference with
-  | Some s ->
-    for slot = 0 to Tob.committed s.tob - 1 do
-      Array.iter
-        (fun (o : Kv.op) ->
-          incr committed_ops;
-          if o.Kv.id >= 0 && o.Kv.id < total && slot_of.(o.Kv.id) < 0 then begin
-            slot_of.(o.Kv.id) <- slot;
-            incr unique_ops
-          end)
-        (Tob.log_entry s.tob slot)
-    done
-  | None -> ());
   (* Scan the observation log once: first/last apply time and last apply
      digest per (replica, slot), submissions, recovery episodes. *)
   let max_slot = ref (-1) in
@@ -306,30 +316,53 @@ let run_measured ?obs ?profile ~wl (params : params) =
           rest
       then incr slots_agreeing
   done;
-  (* End-to-end latency: arrival -> first application at the origin
-     replica (any live replica when the origin crashed or lags). A
-     latency is a whole number of ticks in [0, end_time], so they are
-     counted per value and enter the histogram once per distinct value:
-     the same histogram as one sample per op, since a float sum of
-     integers below 2^53 is exact in any order. *)
+  (* One pass over the reference log in slot order counts every op and,
+     at its first occurrence, its end-to-end latency: arrival -> first
+     application at the origin replica (any live replica when the origin
+     crashed or lags). A latency is a whole number of ticks in
+     [0, end_time], so they are counted per value and enter the histogram
+     once per distinct value: the same histogram as one sample per op,
+     since a float sum of integers below 2^53 is exact in any order. *)
+  let total = Workload.total wl in
+  let seen = Bytes.make ((total + 7) / 8) '\000' in
+  let committed_ops = ref 0 and unique_ops = ref 0 in
   let counts = Array.make (result.Sim.end_time + 1) 0 in
   let measured = ref 0 in
-  for id = 0 to total - 1 do
-    let s = slot_of.(id) in
-    if s >= 0 && s < slots then begin
-      let origin = Workload.origin wl id in
-      let t_apply =
-        if first_apply.(origin).(s) < max_int then first_apply.(origin).(s)
-        else
-          List.fold_left (fun acc p -> min acc first_apply.(p).(s)) max_int live_pids
-      in
-      if t_apply < max_int then begin
-        let l = max 0 (t_apply - Workload.arrival wl id) in
-        counts.(l) <- counts.(l) + 1;
-        incr measured
-      end
+  (* Marks [id] seen; true the first time only. *)
+  let first_seen id =
+    if id < 0 || id >= total then false
+    else begin
+      let b = Char.code (Bytes.get seen (id lsr 3)) and bit = 1 lsl (id land 7) in
+      Bytes.set seen (id lsr 3) (Char.chr (b lor bit));
+      b land bit = 0
     end
-  done;
+  in
+  (match reference with
+  | Some r ->
+    for s = 0 to Tob.committed r.tob - 1 do
+      let entry = Tob.log_entry r.tob s in
+      committed_ops := !committed_ops + Array.length entry;
+      for k = 0 to Array.length entry - 1 do
+        let id = entry.(k).Kv.id in
+        if first_seen id then begin
+          incr unique_ops;
+          if s < slots then begin
+            let origin = Workload.origin wl id in
+            let t_apply =
+              if first_apply.(origin).(s) < max_int then first_apply.(origin).(s)
+              else
+                List.fold_left (fun acc p -> min acc first_apply.(p).(s)) max_int live_pids
+            in
+            if t_apply < max_int then begin
+              let l = max 0 (t_apply - Workload.arrival wl id) in
+              counts.(l) <- counts.(l) + 1;
+              incr measured
+            end
+          end
+        end
+      done
+    done
+  | None -> ());
   let lat = Ftss_obs.Metrics.lhist_create () in
   Array.iteri (fun l k -> Ftss_obs.Metrics.lobserve_n lat (float_of_int l) k) counts;
   (* Recovery after each storm: when does every live replica apply again,

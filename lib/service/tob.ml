@@ -182,7 +182,7 @@ let guard_of t =
 
 let refresh_guard t = t.guard <- guard_of t
 
-let create ?obs ?profile ~n ~self ~style ~batch_max ?(id_hint = 1024) () =
+let create ?obs ?profile ~n ~self ~style ~batch_max ?(id_hint = 1024) ?key_hint () =
   if n < 1 then invalid_arg "Tob.create: n < 1";
   if batch_max < 1 then invalid_arg "Tob.create: batch_max < 1";
   let bytes = max 16 ((id_hint lsr 3) + 1) in
@@ -197,7 +197,7 @@ let create ?obs ?profile ~n ~self ~style ~batch_max ?(id_hint = 1024) () =
       log = Array.make 64 empty;
       committed = 0;
       pdig = Array.make 65 0;
-      kv = Kv.create ();
+      kv = Kv.create ?keys:key_hint ();
       applied = 0;
       kvh = 0;
       kv_cp = 0;

@@ -90,8 +90,9 @@ type note =
 type t
 
 (** Digests are gossiped at every 64th slot. [id_hint] pre-sizes the
-    op-id bitsets. [profile] attributes the replica's
-    work to the span profiler's [svc_*] phases on the given lane:
+    op-id bitsets, and [key_hint] the KV table ({!Kv.create}'s [keys]:
+    how many distinct keys the ops can touch). [profile] attributes the
+    replica's work to the span profiler's [svc_*] phases on the given lane:
     [svc_slot] (consensus stepping, decide, apply), [svc_integrity]
     (local recovery after a guard mismatch), [svc_audit] (the cyclic
     deep audit), [svc_catchup] (pull protocol both sides), [svc_gossip]
@@ -105,6 +106,7 @@ val create :
   style:style ->
   batch_max:int ->
   ?id_hint:int ->
+  ?key_hint:int ->
   unit ->
   t
 

@@ -2,10 +2,11 @@ open Ftss_util
 
 (* The open-workload generator driving experiment E14: millions of client
    sessions issuing get/put/cas/delete operations against Zipfian keys,
-   with periodic burst arrivals. Everything is precomputed from the seed
-   before the simulation starts — arrival times ascend by construction,
-   op ids are arrival-ordered indices — so a run is replayable and the
-   generator costs nothing on the simulation's hot path. *)
+   with periodic burst arrivals. The ops are generated from the seed
+   before the simulation starts, and op ids are arrival-ordered indices,
+   so a run is replayable. Nothing else is kept per op: arrivals are a
+   per-tick count of ops arrived plus every 64th op's tick, and an op's
+   replica is computed from its id. *)
 
 type spec = {
   ops : int;  (* total operations over the run *)
@@ -36,17 +37,53 @@ type t = {
   spec : spec;
   n : int;
   ops : Kv.op array;  (* index = op id, ascending arrival time *)
-  arrivals : int array;
-  origins : int array;  (* replica each op's session is attached to *)
-  by_origin : int array array;  (* per replica: op ids, ascending arrival *)
+  upto : int array;  (* upto.(t) = ops arrived by tick t, for t in [0, window] *)
+  coarse : int array;  (* coarse.(j) = arrival tick of op 64j *)
+  mutable by_origin : int array array;  (* per replica: op ids; [||] until asked *)
 }
 
 let spec t = t.spec
 let total t = Array.length t.ops
 let op t i = t.ops.(i)
-let arrival t i = t.arrivals.(i)
-let origin t i = t.origins.(i)
-let per_replica t p = t.by_origin.(p)
+let origin t i = i mod t.spec.sessions mod t.n
+
+(* Op [i] arrives at the first tick [a] with [upto.(a) > i]. Arrivals
+   ascend with ids, so [a] lies between the arrivals of ops [64j] and
+   [64(j+1)] (the window's end for the last bucket), and a binary search
+   over that span finds it exactly. *)
+let arrival t i =
+  if i < 0 || i >= Array.length t.ops then invalid_arg "Workload.arrival";
+  let j = i lsr 6 in
+  let lo = ref t.coarse.(j)
+  and hi =
+    ref (if j + 1 < Array.length t.coarse then t.coarse.(j + 1) else t.spec.window)
+  in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.upto.(mid) > i then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* Built on the first call and cached in a mutable field rather than a
+   [Lazy.t]: two domains forcing one lazy value raise, while two domains
+   building this array both store the same partition. *)
+let per_replica t p =
+  if Array.length t.by_origin = 0 then begin
+    let counts = Array.make t.n 0 in
+    for id = 0 to total t - 1 do
+      let q = origin t id in
+      counts.(q) <- counts.(q) + 1
+    done;
+    let by_origin = Array.map (fun c -> Array.make c 0) counts in
+    Array.fill counts 0 t.n 0;
+    for id = 0 to total t - 1 do
+      let q = origin t id in
+      by_origin.(q).(counts.(q)) <- id;
+      counts.(q) <- counts.(q) + 1
+    done;
+    t.by_origin <- by_origin
+  end;
+  t.by_origin.(p)
 
 (* Zipfian sampling: key [k] is drawn for one uniform [r] in [0, total)
    when [k] is the smallest index with [cdf.(k) > r] (the last key if
@@ -99,8 +136,10 @@ let sample_key rng { cdf; guide; total; scale } =
 
 (* Arrival schedule: each tick carries weight 1.0, or [burst_mult] inside
    a burst; op [i] arrives at the tick where the cumulative weight first
-   reaches fraction [i/ops] of the total. *)
-let arrival_times (spec : spec) =
+   reaches fraction [i/ops] of the total, and ops that rounding leaves
+   over arrive at the window's last tick. Returns [upto] and [coarse] as
+   [t] holds them. *)
+let arrival_index (spec : spec) =
   let weight t =
     if
       spec.burst_every > 0
@@ -112,19 +151,26 @@ let arrival_times (spec : spec) =
   for t = 1 to spec.window do
     total_w := !total_w +. weight t
   done;
-  let arrivals = Array.make spec.ops spec.window in
+  let upto = Array.make (spec.window + 1) 0 in
+  let coarse = Array.make ((spec.ops + 63) / 64) spec.window in
   let assigned = ref 0 and cum = ref 0.0 in
   for t = 1 to spec.window do
     cum := !cum +. weight t;
-    let upto =
+    let k =
       min spec.ops (int_of_float (Float.round (float_of_int spec.ops *. !cum /. !total_w)))
     in
-    for i = !assigned to upto - 1 do
-      arrivals.(i) <- t
-    done;
-    assigned := max !assigned upto
+    (* Ops [assigned, k) arrive now; the multiples of 64 among them open
+       their buckets. *)
+    if k > !assigned then begin
+      for j = (!assigned + 63) / 64 to (k - 1) / 64 do
+        coarse.(j) <- t
+      done;
+      assigned := k
+    end;
+    upto.(t) <- !assigned
   done;
-  arrivals
+  upto.(spec.window) <- spec.ops;
+  (upto, coarse)
 
 let create ~n (spec : spec) =
   if n < 1 then invalid_arg "Workload.create: n < 1";
@@ -134,7 +180,7 @@ let create ~n (spec : spec) =
   if spec.window < 1 then invalid_arg "Workload.create: window < 1";
   let rng = Rng.create spec.seed in
   let zipf = sampler (zipf_cdf ~keys:spec.keys ~theta:spec.theta) in
-  let arrivals = arrival_times spec in
+  let upto, coarse = arrival_index spec in
   let ops =
     Array.init spec.ops (fun id ->
         let key = sample_key rng zipf in
@@ -147,14 +193,4 @@ let create ~n (spec : spec) =
           { Kv.id; kind = Kv.Cas; key; v1 = Rng.int rng 16; v2 = Rng.int rng 1_000_000 }
         else { Kv.id; kind = Kv.Delete; key; v1 = 0; v2 = 0 })
   in
-  let origins = Array.init spec.ops (fun id -> id mod spec.sessions mod n) in
-  let counts = Array.make n 0 in
-  Array.iter (fun p -> counts.(p) <- counts.(p) + 1) origins;
-  let by_origin = Array.map (fun c -> Array.make c 0) counts in
-  let cursors = Array.make n 0 in
-  Array.iteri
-    (fun id p ->
-      by_origin.(p).(cursors.(p)) <- id;
-      cursors.(p) <- cursors.(p) + 1)
-    origins;
-  { spec; n; ops; arrivals; origins; by_origin }
+  { spec; n; ops; upto; coarse; by_origin = [||] }

@@ -296,6 +296,34 @@ let test_kv_order_independence () =
   check "batch digest order-sensitive" true
     (Kv.batch_digest [| o1; o2 |] <> Kv.batch_digest [| o2; o1 |])
 
+(* A table sized up front holds what a growing one holds: fed one random
+   put/cas/delete/get stream over more keys than a default table starts
+   with, a presized table and a default one agree on both digests at
+   every step. A zero or at-default size is the default table. *)
+let test_kv_presized_matches_default () =
+  check "~keys:0 is the default table" true (Kv.create ~keys:0 () = Kv.create ());
+  check "~keys:512 is the default table" true (Kv.create ~keys:512 () = Kv.create ());
+  check "~keys:513 is larger" false (Kv.create ~keys:513 () = Kv.create ());
+  let keys = 3_000 in
+  let rng = Rng.create 29 in
+  let sized = Kv.create ~keys () and grown = Kv.create () in
+  for id = 0 to 12_000 - 1 do
+    let kind =
+      match Rng.int rng 8 with
+      | 0 | 1 | 2 -> Kv.Put
+      | 3 | 4 -> Kv.Cas
+      | 5 | 6 -> Kv.Delete
+      | _ -> Kv.Get
+    in
+    let o = { Kv.id; kind; key = Rng.int rng keys; v1 = Rng.int rng 4; v2 = Rng.int rng 99 } in
+    apply sized o;
+    apply grown o;
+    if Kv.digest sized <> Kv.digest grown then Alcotest.failf "digest differs at op %d" id;
+    if Kv.recompute_digest sized <> Kv.recompute_digest grown then
+      Alcotest.failf "recomputed digest differs at op %d" id
+  done;
+  check "the stream leaves live entries" false (Kv.digest grown = 0)
+
 (* --- Workload --- *)
 
 (* A digest over the generated trace: every op with its arrival time and
@@ -351,6 +379,101 @@ let test_workload_determinism () =
   check_int "same seed, same trace" (workload_digest ~n:3 a) (workload_digest ~n:3 b);
   check "different seed, different trace" true
     (workload_digest ~n:3 a <> workload_digest ~n:3 c)
+
+(* The oracle for the computed forms: one array entry per op, filled by
+   the per-tick float loop (ops that rounding leaves over arrive at the
+   window's end), each op's replica, and each replica's ids. *)
+let oracle_arrivals (spec : Workload.spec) =
+  let weight t =
+    if spec.burst_every > 0 && (t - 1) mod spec.burst_every < spec.burst_len then
+      spec.burst_mult
+    else 1.0
+  in
+  let total_w = ref 0.0 in
+  for t = 1 to spec.window do
+    total_w := !total_w +. weight t
+  done;
+  let arrivals = Array.make spec.ops spec.window in
+  let assigned = ref 0 and cum = ref 0.0 in
+  for t = 1 to spec.window do
+    cum := !cum +. weight t;
+    let upto =
+      min spec.ops (int_of_float (Float.round (float_of_int spec.ops *. !cum /. !total_w)))
+    in
+    for i = !assigned to upto - 1 do
+      arrivals.(i) <- t
+    done;
+    assigned := max !assigned upto
+  done;
+  arrivals
+
+let oracle_by_origin ~n (spec : Workload.spec) =
+  let origins = Array.init spec.ops (fun id -> id mod spec.sessions mod n) in
+  Array.init n (fun p ->
+      Array.of_list (List.filter (fun id -> origins.(id) = p) (List.init spec.ops Fun.id)))
+
+(* Arrival, origin and the per-replica partition against the oracle over
+   specs where sessions wrap below n, below ops, or not at all; with no
+   ops, fewer ops than a 64-op bucket, a window shorter or much longer
+   than the op count, and bursts on or off. *)
+let test_workload_matches_oracle () =
+  let base = { small_spec with Workload.ops = 1_000; window = 400 } in
+  let grid =
+    [
+      (5, { base with Workload.sessions = 3 });
+      (5, { base with Workload.sessions = 7 });
+      (3, { base with Workload.sessions = 100 });
+      (5, { base with Workload.ops = 0 });
+      (4, { base with Workload.ops = 63; sessions = 2 });
+      (4, { base with Workload.ops = 65; window = 1 });
+      (3, { base with Workload.ops = 200; window = 5_000 });
+      (5, { base with Workload.ops = 3_001; window = 700; sessions = 11 });
+      (2, { base with Workload.burst_every = 0 });
+      (5, { base with Workload.burst_every = 0; ops = 4_097; sessions = 7 });
+      (1, { base with Workload.burst_mult = 9.5; burst_len = 1; burst_every = 3 });
+    ]
+  in
+  List.iter
+    (fun (n, (spec : Workload.spec)) ->
+      let name = Printf.sprintf "n=%d ops=%d sessions=%d window=%d bursts=%d" n spec.ops
+          spec.sessions spec.window spec.burst_every
+      in
+      let wl = Workload.create ~n spec in
+      let arrivals = oracle_arrivals spec and by_origin = oracle_by_origin ~n spec in
+      check_int (name ^ ": total") spec.ops (Workload.total wl);
+      for id = 0 to spec.ops - 1 do
+        if Workload.arrival wl id <> arrivals.(id) then
+          Alcotest.failf "%s: arrival %d is %d, not %d" name id (Workload.arrival wl id)
+            arrivals.(id);
+        if Workload.origin wl id <> id mod spec.sessions mod n then
+          Alcotest.failf "%s: origin %d" name id
+      done;
+      let covered = Array.make spec.ops 0 in
+      for p = 0 to n - 1 do
+        let ids = Workload.per_replica wl p in
+        check (name ^ ": per_replica equals the oracle") true (ids = by_origin.(p));
+        Array.iteri
+          (fun i id ->
+            check (name ^ ": ascending") true (i = 0 || ids.(i - 1) < id);
+            check_int (name ^ ": id's origin") p (Workload.origin wl id);
+            covered.(id) <- covered.(id) + 1)
+          ids
+      done;
+      check (name ^ ": partition of [0, total)") true (Array.for_all (( = ) 1) covered);
+      check (name ^ ": cached") true (Workload.per_replica wl 0 == Workload.per_replica wl 0))
+    grid
+
+(* Memory gate: a workload holds its op records (5 fields and a header)
+   and the ops array's pointer to each, plus one int per tick and one per
+   64 ops, and nothing else per op. *)
+let test_workload_memory () =
+  let spec = { Workload.default_spec with Workload.ops = 100_000 } in
+  let wl = Workload.create ~n:5 spec in
+  let words = Obj.reachable_words (Obj.repr wl) in
+  let bound = (7 * spec.ops) + spec.window + (spec.ops / 64) + 64 in
+  if words > bound then
+    Alcotest.failf "workload reaches %d words, above %d (%.2f per op)" words bound
+      (float_of_int words /. float_of_int spec.ops)
 
 (* Trace pins over a grid of key-space sizes, skews and burst settings,
    recorded from the binary-search sampler the guide table replaced:
@@ -1096,9 +1219,14 @@ let suite =
         QCheck_alcotest.to_alcotest prop_kv_matches_model;
         Alcotest.test_case "kv hash pins" `Quick test_kv_hash_pins;
         Alcotest.test_case "kv ops allocate nothing" `Quick test_kv_ops_allocate_nothing;
+        Alcotest.test_case "kv presized table matches default" `Quick
+          test_kv_presized_matches_default;
         Alcotest.test_case "workload shape" `Quick test_workload_shape;
         Alcotest.test_case "workload determinism" `Quick test_workload_determinism;
         Alcotest.test_case "workload pinned digests" `Quick test_workload_pinned_digests;
+        Alcotest.test_case "workload matches the per-op oracle" `Quick
+          test_workload_matches_oracle;
+        Alcotest.test_case "workload memory per op" `Quick test_workload_memory;
         Alcotest.test_case "mv consensus agreement" `Quick test_mv_agreement;
         QCheck_alcotest.to_alcotest prop_tob_fifo_matches_queue;
         Alcotest.test_case "tob recovers any corrupted height" `Quick
