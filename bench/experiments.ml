@@ -36,11 +36,12 @@ let e1 m =
                 ~corrupt:(Round_agreement.corrupt_uniform rng ~bound)
                 ~faults ~rounds Round_agreement.protocol
             in
-            let d = float_of_int (Solve.measured_stabilization Round_agreement.spec trace) in
+            let a = Solve.assess Round_agreement.spec ~stabilization:1 trace in
+            let d = float_of_int a.Solve.measured in
             measured := d :: !measured;
             M.lobserve (M.lhist m "measured_stabilization") d;
             M.inc (M.counter m "trials");
-            if Solve.ftss_solves Round_agreement.spec ~stabilization:1 trace then begin
+            if a.Solve.solves then begin
               incr holds;
               M.inc (M.counter m "ftss_holds")
             end
@@ -89,10 +90,11 @@ let e2 m =
         in
         let trace = Runner.run ~corrupt ~faults ~rounds compiled in
         let spec = Repeated.round_and_sigma ~final_round:pi.Canonical.final_round ~valid () in
-        let d = float_of_int (Solve.measured_stabilization spec trace) in
+        let a = Solve.assess spec ~stabilization:bound trace in
+        let d = float_of_int a.Solve.measured in
         measured := d :: !measured;
         M.lobserve (M.lhist m "measured_stabilization") d;
-        if Solve.ftss_solves spec ~stabilization:bound trace then incr holds;
+        if a.Solve.solves then incr holds;
         let completed, agreeing =
           Repeated.count_agreeing_iterations trace ~faulty:(Faults.faulty faults) ~valid
         in
@@ -373,58 +375,44 @@ let e7 m =
       [ "protocol"; "reveal round"; "windows"; "max measured stab"; "ftss holds" ]
   in
   let reveal_rounds = [ 5; 10; 20; 40 ] in
-  (* Round agreement under a late reveal. *)
-  List.iter
-    (fun reveal ->
-      let n = 4 in
-      let rounds = reveal + 25 in
-      let corrupt p c = if p = n - 1 then 500_000 else c + (p * 7) in
-      let faults =
-        Faults.of_events ~n [ Faults.Mute { pid = n - 1; first = 1; last = reveal - 1 } ]
-      in
-      let trace = Runner.run ~corrupt ~faults ~rounds Round_agreement.protocol in
-      let windows = Solve.stable_windows trace in
-      let measured = Solve.measured_stabilization Round_agreement.spec trace in
-      let holds = Solve.ftss_solves Round_agreement.spec ~stabilization:1 trace in
-      M.lobserve (M.lhist m "measured_stabilization") (float_of_int measured);
-      Table.add_row table
-        [
-          "round-agreement";
-          string_of_int reveal;
-          string_of_int (List.length windows);
-          string_of_int measured;
-          string_of_bool holds;
-        ])
-    reveal_rounds;
-  Table.add_separator table;
-  (* A *partial* reveal: the revealed message reaches only some correct
+  (* One row per trace, from one causality analysis. *)
+  let row label reveal spec ~stabilization trace =
+    let a = Solve.assess spec ~stabilization trace in
+    M.lobserve (M.lhist m "measured_stabilization") (float_of_int a.Solve.measured);
+    Table.add_row table
+      [
+        label;
+        reveal;
+        string_of_int a.Solve.windows;
+        string_of_int a.Solve.measured;
+        string_of_bool a.Solve.solves;
+      ]
+  in
+  let round_agreement label reveal ~corrupt ~faults ~rounds =
+    row label reveal Round_agreement.spec ~stabilization:1
+      (Runner.run ~corrupt ~faults ~rounds Round_agreement.protocol)
+  in
+  let n = 4 in
+  let mute reveal = Faults.Mute { pid = n - 1; first = 1; last = reveal - 1 } in
+  (* Round agreement under a late reveal, whole and *partial*: in the
+     partial reveal the revealed message reaches only some correct
      processes in the reveal round and must be relayed — the case that
      genuinely consumes Theorem 3's one-round stabilization allowance. *)
   List.iter
-    (fun reveal ->
-      let n = 4 in
-      let rounds = reveal + 25 in
-      let corrupt p c = if p = n - 1 then 500_000 else c + (p * 7) in
-      let faults =
-        Faults.of_events ~n
-          (Faults.Mute { pid = n - 1; first = 1; last = reveal - 1 }
-          :: [ Faults.Drop { src = n - 1; dst = 0; round = reveal } ])
-      in
-      let trace = Runner.run ~corrupt ~faults ~rounds Round_agreement.protocol in
-      let windows = Solve.stable_windows trace in
-      let measured = Solve.measured_stabilization Round_agreement.spec trace in
-      let holds = Solve.ftss_solves Round_agreement.spec ~stabilization:1 trace in
-      M.lobserve (M.lhist m "measured_stabilization") (float_of_int measured);
-      Table.add_row table
-        [
-          "round-agreement (partial reveal)";
-          string_of_int reveal;
-          string_of_int (List.length windows);
-          string_of_int measured;
-          string_of_bool holds;
-        ])
-    reveal_rounds;
-  Table.add_separator table;
+    (fun (label, extra) ->
+      List.iter
+        (fun reveal ->
+          round_agreement label (string_of_int reveal)
+            ~corrupt:(fun p c -> if p = n - 1 then 500_000 else c + (p * 7))
+            ~faults:(Faults.of_events ~n (mute reveal :: extra reveal))
+            ~rounds:(reveal + 25))
+        reveal_rounds;
+      Table.add_separator table)
+    [
+      ("round-agreement", fun _ -> []);
+      ( "round-agreement (partial reveal)",
+        fun reveal -> [ Faults.Drop { src = n - 1; dst = 0; round = reveal } ] );
+    ];
   (* Rolling mute: the victim alternates silence and participation.
      Because the coterie is monotone (happened-before only grows), only
      the *first* reveal is a destabilizing event; every later mute/talk
@@ -432,56 +420,30 @@ let e7 m =
      constant window count (3) and the ftss verdict certify. *)
   List.iter
     (fun period ->
-      let n = 4 in
       let rounds = 8 * period in
-      let faults = Faults.rolling_mute ~n ~victim:(n - 1) ~period ~rounds in
-      let corrupt p c = c + (p * 1000) in
-      let trace = Runner.run ~corrupt ~faults ~rounds Round_agreement.protocol in
-      let windows = Solve.stable_windows trace in
-      let measured = Solve.measured_stabilization Round_agreement.spec trace in
-      let holds = Solve.ftss_solves Round_agreement.spec ~stabilization:1 trace in
-      M.lobserve (M.lhist m "measured_stabilization") (float_of_int measured);
-      Table.add_row table
-        [
-          "round-agreement (rolling mute)";
-          Printf.sprintf "every %d" (2 * period);
-          string_of_int (List.length windows);
-          string_of_int measured;
-          string_of_bool holds;
-        ])
+      round_agreement "round-agreement (rolling mute)"
+        (Printf.sprintf "every %d" (2 * period))
+        ~corrupt:(fun p c -> c + (p * 1000))
+        ~faults:(Faults.rolling_mute ~n ~victim:(n - 1) ~period ~rounds)
+        ~rounds)
     [ 2; 4; 6 ];
   Table.add_separator table;
   (* Compiled consensus under a late reveal. *)
+  let f = 1 in
+  let propose p = 50 + p in
+  let pi = Omission_consensus.make ~n ~f ~propose in
+  let valid d = d >= 50 && d < 50 + n in
+  let compiled = Compiler.compile ~n pi in
+  let spec = Repeated.round_and_sigma ~final_round:pi.Canonical.final_round ~valid () in
   List.iter
     (fun reveal ->
-      let n = 4 and f = 1 in
-      let propose p = 50 + p in
-      let pi = Omission_consensus.make ~n ~f ~propose in
-      let valid d = d >= 50 && d < 50 + n in
-      let compiled = Compiler.compile ~n pi in
-      let rounds = reveal + 30 in
       let corrupt p (st : _ Compiler.state) =
         if p = n - 1 then { st with Compiler.c = 1_000_000 } else st
       in
-      let faults =
-        Faults.of_events ~n [ Faults.Mute { pid = n - 1; first = 1; last = reveal - 1 } ]
-      in
-      let trace = Runner.run ~corrupt ~faults ~rounds compiled in
-      let spec = Repeated.round_and_sigma ~final_round:pi.Canonical.final_round ~valid () in
-      let windows = Solve.stable_windows trace in
-      let measured = Solve.measured_stabilization spec trace in
-      let holds =
-        Solve.ftss_solves spec ~stabilization:(Compiler.stabilization_bound pi) trace
-      in
-      M.lobserve (M.lhist m "measured_stabilization") (float_of_int measured);
-      Table.add_row table
-        [
-          "compiled consensus";
-          string_of_int reveal;
-          string_of_int (List.length windows);
-          string_of_int measured;
-          string_of_bool holds;
-        ])
+      let faults = Faults.of_events ~n [ mute reveal ] in
+      row "compiled consensus" (string_of_int reveal) spec
+        ~stabilization:(Compiler.stabilization_bound pi)
+        (Runner.run ~corrupt ~faults ~rounds:(reveal + 30) compiled))
     reveal_rounds;
   Table.print table
 

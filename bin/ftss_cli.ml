@@ -688,7 +688,7 @@ let corpus_dir_arg =
     & info [ "corpus-dir" ] ~docv:"DIR"
         ~doc:
           "Persist the corpus: entries in $(docv) seed the run, and every input that \
-           grew coverage is written back, one S-expression file per execution \
+           grew coverage is written back, one JSON file per execution \
            fingerprint.")
 
 let fuzz_cmd =
@@ -724,7 +724,9 @@ let fuzz_cmd =
            still-failing local minimum. A violation that does not is a
            fuzzer bug, not a protocol bug — distinct exit code. *)
         let reproducible (v : F.violation) =
-          (match M.of_string (M.to_string v.F.v_genome) with
+          let module J = Ftss_obs.Json in
+          let text = J.to_string (M.to_json v.F.v_genome) in
+          (match Result.bind (J.of_string text) M.of_json with
           | Ok g -> M.equal g v.F.v_genome && F.genome_fails prop g
           | Error _ -> false)
           && F.genome_fails prop v.F.v_shrunk
@@ -770,8 +772,9 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:
          "Coverage-guided adversary fuzzing over arbitrary drop matrices, crash points \
-          and raw state corruptions — seeded with the exhaustive catalogue, so the \
-          seed phase alone rediscovers everything $(b,check) finds, then mutation \
+          and raw state corruptions — seeded with the exhaustive catalogue, so on \
+          theorems 3 and 4 the seed phase alone rediscovers everything $(b,check) \
+          finds (theorem 5 realizes corruptions differently), then mutation \
           searches beyond it. Violations are auto-shrunk and self-verified \
           (persist, reload, replay); exit 1 = reproducible violations found, \
           3 = a violation failed self-verification.")

@@ -1,221 +1,87 @@
 module S = Schedule_enum
+module J = Ftss_obs.Json
 
 type t = { property : string; inject : string; case : S.t }
 
-(* --- a minimal S-expression layer, shared with ftss_fuzz's corpus files --- *)
-
-module Sexp = struct
-  type t = Atom of string | List of t list
-
-  let rec pp ppf = function
-    | Atom a -> Format.pp_print_string ppf a
-    | List xs ->
-      Format.fprintf ppf "(@[<hv>";
-      List.iteri
-        (fun i x ->
-          if i > 0 then Format.fprintf ppf "@ ";
-          pp ppf x)
-        xs;
-      Format.fprintf ppf "@])"
-
-  let parse (s : string) : (t, string) result =
-  let len = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | Some ';' ->
-      (* comment to end of line *)
-      while peek () <> None && peek () <> Some '\n' do
-        advance ()
-      done;
-      skip_ws ()
-    | _ -> ()
-  in
-  let atom () =
-    let start = !pos in
-    let is_atom_char = function
-      | '(' | ')' | ' ' | '\t' | '\n' | '\r' | ';' -> false
-      | _ -> true
-    in
-    while (match peek () with Some c -> is_atom_char c | None -> false) do
-      advance ()
-    done;
-    String.sub s start (!pos - start)
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | None -> Error "unexpected end of input"
-    | Some '(' ->
-      advance ();
-      let rec items acc =
-        skip_ws ();
-        match peek () with
-        | Some ')' ->
-          advance ();
-          Ok (List (List.rev acc))
-        | None -> Error "unclosed parenthesis"
-        | Some _ -> (
-          match value () with Ok v -> items (v :: acc) | Error _ as e -> e)
-      in
-      items []
-    | Some ')' -> Error "unexpected ')'"
-    | Some _ ->
-      let a = atom () in
-      if a = "" then Error "empty atom" else Ok (Atom a)
-  in
-  match value () with
-    | Error _ as e -> e
-    | Ok v ->
-      skip_ws ();
-      if !pos = len then Ok v else Error "trailing input after the document"
-
-  (* --- clause helpers: [(label value ...)] lists --- *)
-
-  let ( let* ) = Result.bind
-  let sexp_int label i = List [ Atom label; Atom (string_of_int i) ]
-  let sexp_bool label b = List [ Atom label; Atom (string_of_bool b) ]
-
-  let field name = function
-    | List (Atom tag :: rest) when tag = name -> Some rest
-    | _ -> None
-
-  let find_field name items =
-    match List.find_map (field name) items with
-    | Some rest -> Ok rest
-    | None -> Error (Printf.sprintf "missing (%s ...) clause" name)
-
-  let as_int label = function
-    | Atom v -> (
-      match int_of_string_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "(%s %s): not an integer" label v))
-    | List _ -> Error (Printf.sprintf "(%s ...): expected an integer atom" label)
-
-  let int_field name items =
-    let* rest = find_field name items in
-    match rest with
-    | [ x ] -> as_int name x
-    | _ -> Error (Printf.sprintf "(%s ...): expected a single integer" name)
-
-  let bool_field name items =
-    let* rest = find_field name items in
-    match rest with
-    | [ Atom v ] -> (
-      match bool_of_string_opt v with
-      | Some b -> Ok b
-      | None -> Error (Printf.sprintf "(%s %s): not a boolean" name v))
-    | _ -> Error (Printf.sprintf "(%s ...): expected a single boolean" name)
-
-  let rec collect f = function
-    | [] -> Ok []
-    | x :: rest ->
-      let* v = f x in
-      let* vs = collect f rest in
-      Ok (v :: vs)
-end
-
-open Sexp
-
-let pp_sexp = Sexp.pp
-let parse_sexp = Sexp.parse
+let ( let* ) = Result.bind
 
 (* --- writing --- *)
 
-let sexp_of_behavior (pid, behavior) =
+let json_of_behavior (pid, behavior) =
+  let entry kind fields = J.Obj (("kind", J.String kind) :: ("pid", J.Int pid) :: fields) in
+  let span a b = [ ("first", J.Int a); ("last", J.Int b) ] in
   match behavior with
-  | S.Crash r -> List [ Atom "crash"; sexp_int "pid" pid; sexp_int "round" r ]
-  | S.Mute (a, b) ->
-    List [ Atom "mute"; sexp_int "pid" pid; sexp_int "first" a; sexp_int "last" b ]
-  | S.Deaf (a, b) ->
-    List [ Atom "deaf"; sexp_int "pid" pid; sexp_int "first" a; sexp_int "last" b ]
-  | S.Isolate (a, b) ->
-    List [ Atom "isolate"; sexp_int "pid" pid; sexp_int "first" a; sexp_int "last" b ]
-  | S.Send_drop (r, dst) ->
-    List [ Atom "send-drop"; sexp_int "pid" pid; sexp_int "round" r; sexp_int "dst" dst ]
-  | S.Recv_drop (r, src) ->
-    List [ Atom "recv-drop"; sexp_int "pid" pid; sexp_int "round" r; sexp_int "src" src ]
+  | S.Crash r -> entry "crash" [ ("round", J.Int r) ]
+  | S.Mute (a, b) -> entry "mute" (span a b)
+  | S.Deaf (a, b) -> entry "deaf" (span a b)
+  | S.Isolate (a, b) -> entry "isolate" (span a b)
+  | S.Send_drop (r, dst) -> entry "send-drop" [ ("round", J.Int r); ("dst", J.Int dst) ]
+  | S.Recv_drop (r, src) -> entry "recv-drop" [ ("round", J.Int r); ("src", J.Int src) ]
 
-let sexp_of_corruption = function
-  | S.Clean -> Atom "clean"
-  | S.Zero -> Atom "zero"
-  | S.Max -> Atom "max"
-  | S.Parked k -> List [ Atom "parked"; Atom (string_of_int k) ]
-  | S.Distinct -> Atom "distinct"
+let json_of_corruption = function
+  | S.Clean -> J.String "clean"
+  | S.Zero -> J.String "zero"
+  | S.Max -> J.String "max"
+  | S.Parked k -> J.Obj [ ("parked", J.Int k) ]
+  | S.Distinct -> J.String "distinct"
 
-let to_sexp t =
+let to_string t =
   let { S.n; rounds; f; intervals; drops } = t.case.S.params in
-  List
-    [
-      Atom "ftss-counterexample";
-      sexp_int "version" 1;
-      List [ Atom "property"; Atom t.property ];
-      List [ Atom "inject"; Atom t.inject ];
-      List
-        [
-          Atom "params";
-          sexp_int "n" n;
-          sexp_int "rounds" rounds;
-          sexp_int "f" f;
-          sexp_bool "intervals" intervals;
-          sexp_bool "drops" drops;
-        ];
-      List [ Atom "corruption"; sexp_of_corruption t.case.S.corruption ];
-      List (Atom "schedule" :: List.map sexp_of_behavior t.case.S.behaviors);
-    ]
-
-let to_string t = Format.asprintf "%a@." pp_sexp (to_sexp t)
+  J.to_string
+    (J.Obj
+       [
+         ("format", J.String "ftss-counterexample");
+         ("version", J.Int 2);
+         ("property", J.String t.property);
+         ("inject", J.String t.inject);
+         ( "params",
+           J.Obj
+             [
+               ("n", J.Int n);
+               ("rounds", J.Int rounds);
+               ("f", J.Int f);
+               ("intervals", J.Bool intervals);
+               ("drops", J.Bool drops);
+             ] );
+         ("corruption", json_of_corruption t.case.S.corruption);
+         ("schedule", J.List (List.map json_of_behavior t.case.S.behaviors));
+       ])
+  ^ "\n"
 
 (* --- reading --- *)
 
-let ( let* ) = Result.bind
-
-let as_atom label = function
-  | [ Atom v ] -> Ok v
-  | _ -> Error (Printf.sprintf "(%s ...): expected a single atom" label)
-
-let behavior_of_sexp = function
-  | List (Atom kind :: fields) -> (
-    let* pid = int_field "pid" fields in
+let behavior_of_json j =
+  let int key = J.get key J.to_int_opt j in
+  let* kind = J.get "kind" J.to_string_opt j in
+  let* pid = int "pid" in
+  let span mk =
+    let* a = int "first" in
+    let* b = int "last" in
+    Ok (mk a b)
+  in
+  let* b =
     match kind with
-    | "crash" ->
-      let* r = int_field "round" fields in
-      Ok (pid, S.Crash r)
-    | "mute" | "deaf" | "isolate" ->
-      let* a = int_field "first" fields in
-      let* b = int_field "last" fields in
-      Ok
-        ( pid,
-          match kind with
-          | "mute" -> S.Mute (a, b)
-          | "deaf" -> S.Deaf (a, b)
-          | _ -> S.Isolate (a, b) )
+    | "crash" -> Result.map (fun r -> S.Crash r) (int "round")
+    | "mute" -> span (fun a b -> S.Mute (a, b))
+    | "deaf" -> span (fun a b -> S.Deaf (a, b))
+    | "isolate" -> span (fun a b -> S.Isolate (a, b))
     | "send-drop" ->
-      let* r = int_field "round" fields in
-      let* dst = int_field "dst" fields in
-      Ok (pid, S.Send_drop (r, dst))
+      let* r = int "round" in
+      Result.map (fun dst -> S.Send_drop (r, dst)) (int "dst")
     | "recv-drop" ->
-      let* r = int_field "round" fields in
-      let* src = int_field "src" fields in
-      Ok (pid, S.Recv_drop (r, src))
-    | _ -> Error (Printf.sprintf "unknown behaviour kind %s" kind))
-  | _ -> Error "malformed schedule entry"
+      let* r = int "round" in
+      Result.map (fun src -> S.Recv_drop (r, src)) (int "src")
+    | _ -> Error (Printf.sprintf "unknown behaviour kind %S" kind)
+  in
+  Ok (pid, b)
 
-let corruption_of_sexp = function
-  | [ Atom "clean" ] -> Ok S.Clean
-  | [ Atom "zero" ] -> Ok S.Zero
-  | [ Atom "max" ] -> Ok S.Max
-  | [ Atom "distinct" ] -> Ok S.Distinct
-  | [ List [ Atom "parked"; Atom k ] ] -> (
-    match int_of_string_opt k with
-    | Some k -> Ok (S.Parked k)
-    | None -> Error "(parked ...): not an integer")
-  | _ -> Error "malformed (corruption ...) clause"
+let corruption_of_json = function
+  | J.String "clean" -> Some S.Clean
+  | J.String "zero" -> Some S.Zero
+  | J.String "max" -> Some S.Max
+  | J.String "distinct" -> Some S.Distinct
+  | J.Obj [ ("parked", J.Int k) ] -> Some (S.Parked k)
+  | _ -> None
 
 let check_case (case : S.t) =
   let { S.n; rounds; f; _ } = case.S.params in
@@ -254,56 +120,58 @@ let check_case (case : S.t) =
     Error (Printf.sprintf "schedule touches %d processes, budget f=%d" (List.length pids) f)
   else Ok case
 
-let of_string s =
-  let* sexp = parse_sexp s in
-  match sexp with
-  | List (Atom "ftss-counterexample" :: items) ->
-    let* version = int_field "version" items in
-    if version <> 1 then Error (Printf.sprintf "unsupported version %d" version)
-    else
-      let* property =
-        let* rest = find_field "property" items in
-        as_atom "property" rest
-      in
-      let* inject =
-        let* rest = find_field "inject" items in
-        as_atom "inject" rest
-      in
-      let* param_fields = find_field "params" items in
-      let* n = int_field "n" param_fields in
-      let* rounds = int_field "rounds" param_fields in
-      let* f = int_field "f" param_fields in
-      let* intervals = bool_field "intervals" param_fields in
-      let* drops = bool_field "drops" param_fields in
-      let* corruption =
-        let* rest = find_field "corruption" items in
-        corruption_of_sexp rest
-      in
-      let* behaviors =
-        let* rest = find_field "schedule" items in
-        collect behavior_of_sexp rest
-      in
-      let* case =
-        check_case
-          { S.params = { S.n; rounds; f; intervals; drops }; behaviors; corruption }
-      in
-      let* _ = Property.find ~name:property ~inject in
-      Ok { property; inject; case }
-  | _ -> Error "not an (ftss-counterexample ...) document"
+let of_json json =
+  let* format = J.get "format" J.to_string_opt json in
+  let* version = J.get "version" J.to_int_opt json in
+  if format <> "ftss-counterexample" then
+    Error (Printf.sprintf "format %S is not ftss-counterexample" format)
+  else if version <> 2 then Error (Printf.sprintf "unsupported version %d" version)
+  else
+    let* property = J.get "property" J.to_string_opt json in
+    let* inject = J.get "inject" J.to_string_opt json in
+    let* params = J.get "params" Option.some json in
+    let int key = J.get key J.to_int_opt params in
+    let bool key = J.get key J.to_bool_opt params in
+    let* n = int "n" in
+    let* rounds = int "rounds" in
+    let* f = int "f" in
+    let* intervals = bool "intervals" in
+    let* drops = bool "drops" in
+    let* corruption = J.get "corruption" corruption_of_json json in
+    let* schedule = J.get "schedule" J.to_list_opt json in
+    let* behaviors =
+      List.fold_right
+        (fun j acc ->
+          let* b = behavior_of_json j in
+          let* bs = acc in
+          Ok (b :: bs))
+        schedule (Ok [])
+    in
+    let* case =
+      check_case { S.params = { S.n; rounds; f; intervals; drops }; behaviors; corruption }
+    in
+    let* _ = Property.find ~name:property ~inject in
+    Ok { property; inject; case }
 
-let save path t =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (to_string t))
+let save path t = Out_channel.with_open_bin path (fun oc -> output_string oc (to_string t))
+
+(* Version-1 files were S-expressions. No reader for them is kept, but
+   one gets an error that says what it is, not a JSON syntax error. *)
+let legacy path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> String.starts_with ~prefix:"(" (String.trim s)
+  | exception Sys_error _ -> false
 
 let load path =
-  match open_in path with
-  | exception Sys_error m -> Error m
-  | ic ->
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        let len = in_channel_length ic in
-        let s = really_input_string ic len in
-        of_string s)
+  match J.load path with
+  | Ok json -> Result.map_error (Printf.sprintf "%s: %s" path) (of_json json)
+  | Error _ when legacy path ->
+    Error
+      (Printf.sprintf
+         "%s: a version-1 S-expression counterexample, a format no longer read; \
+          re-run `ftss check --out` to write it as JSON"
+         path)
+  | Error _ as e -> e
 
 let replay ?obs t =
   let* property = Property.find ~name:t.property ~inject:t.inject in

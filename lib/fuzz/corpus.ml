@@ -48,12 +48,22 @@ let save t ~dir =
     (fun (genome, fingerprint) ->
       let path = entry_file dir fingerprint in
       if not (Sys.file_exists path) then begin
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Mutate.to_string genome))
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc (Ftss_obs.Json.to_string (Mutate.to_json genome));
+            output_char oc '\n')
       end)
     (List.rev t.rev_entries)
+
+(* Version-1 corpus files were S-expressions. No reader for them is kept,
+   but one gets an error that says what it is, not a JSON syntax error. *)
+let legacy path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> String.starts_with ~prefix:"(" (String.trim s)
+  | exception Sys_error _ -> false
+
+let legacy_msg =
+  "a version-1 S-expression genome, a format no longer read; remove the \
+   directory's version-1 files and re-run `ftss fuzz --corpus-dir` to rebuild them"
 
 let load ~dir =
   if not (Sys.file_exists dir) then Ok []
@@ -70,16 +80,11 @@ let load ~dir =
         | [] -> Ok (List.rev acc)
         | name :: rest -> (
           let path = Filename.concat dir name in
-          match
-            let ic = open_in path in
-            Fun.protect
-              ~finally:(fun () -> close_in ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          with
-          | exception Sys_error m -> Error (Printf.sprintf "%s: %s" path m)
-          | exception End_of_file -> Error (Printf.sprintf "%s: truncated" path)
-          | contents -> (
-            match Mutate.of_string contents with
+          match Ftss_obs.Json.load path with
+          | Error _ when legacy path -> Error (Printf.sprintf "%s: %s" path legacy_msg)
+          | Error _ as e -> e
+          | Ok json -> (
+            match Mutate.of_json json with
             | Ok genome -> go (genome :: acc) rest
             | Error m -> Error (Printf.sprintf "%s: %s" path m)))
       in

@@ -12,9 +12,9 @@
     while visiting only already-seen per-round configurations — only
     genuinely new behaviour at round granularity admits an input.
 
-    Corpora persist as one S-expression file per entry
-    ([<fingerprint>.genome], {!Mutate.to_string}) in a directory, so
-    successive CI runs accumulate coverage. *)
+    Corpora persist as one JSON file per entry ([<fingerprint>.genome],
+    {!Mutate.to_json}) in a directory, so successive CI runs accumulate
+    coverage. *)
 
 type t
 
@@ -46,6 +46,6 @@ val save : t -> dir:string -> unit
 
 (** [load ~dir] parses every [*.genome] file in [dir], in filename order.
     A missing directory is an empty corpus; an unreadable, truncated or
-    malformed file is a clear [Error] naming the file, never an escaped
-    exception. *)
+    malformed file, or one in the former S-expression format, is a clear
+    [Error] naming the file, never an escaped exception. *)
 val load : dir:string -> (Mutate.t list, string) result

@@ -155,7 +155,8 @@ let run ?obs ?profile (config : config) (prop : P.t) =
     let t0 = Unix.gettimeofday () in
     (* Phase A: the exhaustive catalogue, injected, plus the persisted
        corpus — evaluated up front so the seed phase alone rediscovers
-       the exhaustive violation set (the differential oracle). *)
+       the exhaustive violation set on theorems 3 and 4 (the
+       differential oracle). *)
     let seeds =
       Array.append
         (Array.map Mutate.of_schedule (S.enumerate sp))

@@ -7,9 +7,11 @@
       enumeration is injected into the genome space
       ({!Mutate.of_schedule}) and executed, along with any persisted
       corpus entries, so the fuzzer starts from everything the
-      exhaustive checker would try (on the seed phase alone it finds
-      {e exactly} the exhaustive violation set — the differential
-      oracle);
+      exhaustive checker would try (on theorems 3 and 4 the seed phase
+      alone finds {e exactly} the exhaustive violation set — the
+      differential oracle; theorem 5 realizes an injected corruption
+      differently from its catalogue class, so there it re-runs the
+      catalogue's schedules, not its exact executions);
     + {b mutation} — batches of mutants of corpus parents (1–3 stacked
       {!Mutate.mutate} steps, occasionally a {!Mutate.splice}) are
       generated single-threaded from the seeded generator and evaluated

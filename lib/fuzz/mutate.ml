@@ -1,7 +1,7 @@
 open Ftss_util
 module S = Ftss_check.Schedule_enum
 module P = Ftss_check.Property
-module Sexp = Ftss_check.Replay.Sexp
+module J = Ftss_obs.Json
 
 type params = { n : int; rounds : int; f : int; allow_drops : bool }
 
@@ -24,7 +24,7 @@ let validate_params { n; rounds; f; allow_drops = _ } =
   else Ok ()
 
 (* Ascending, duplicate-free: the normal form every constructor returns,
-   so structural equality and the sexp round-trip are exact. *)
+   so structural equality and the JSON round-trip are exact. *)
 let sorted_distinct compare l =
   let rec ok = function
     | a :: (b :: _ as rest) -> compare a b < 0 && ok rest
@@ -432,102 +432,66 @@ let pp ppf t =
   List.iter (fun (p, v) -> Format.fprintf ppf " corrupt(%a=%d)" Pid.pp p v) t.corrupt;
   Format.fprintf ppf "@]"
 
-let to_sexp t =
+let to_json t =
   let { n; rounds; f; allow_drops } = t.params in
-  let open Sexp in
-  List
+  let ints l = J.List (List.map (fun i -> J.Int i) l) in
+  J.Obj
     [
-      Atom "ftss-genome";
-      sexp_int "version" 1;
-      List
-        [
-          Atom "params";
-          sexp_int "n" n;
-          sexp_int "rounds" rounds;
-          sexp_int "f" f;
-          sexp_bool "allow-drops" allow_drops;
-        ];
-      List
-        (Atom "faulty"
-        :: List.map (fun p -> Atom (string_of_int p)) (Pidset.to_list t.faulty));
-      List
-        (Atom "crashes"
-        :: List.map
-             (fun (p, r) -> List [ sexp_int "pid" p; sexp_int "round" r ])
-             t.crashes);
-      List
-        (Atom "drops"
-        :: List.map
-             (fun (r, src, dst) ->
-               List [ sexp_int "round" r; sexp_int "src" src; sexp_int "dst" dst ])
-             t.drops);
-      List
-        (Atom "corrupt"
-        :: List.map
-             (fun (p, v) -> List [ sexp_int "pid" p; sexp_int "value" v ])
-             t.corrupt);
+      ("format", J.String "ftss-genome");
+      ("version", J.Int 2);
+      ( "params",
+        J.Obj
+          [
+            ("n", J.Int n);
+            ("rounds", J.Int rounds);
+            ("f", J.Int f);
+            ("allow_drops", J.Bool allow_drops);
+          ] );
+      ("faulty", ints (Pidset.to_list t.faulty));
+      ("crashes", J.List (List.map (fun (p, r) -> ints [ p; r ]) t.crashes));
+      ("drops", J.List (List.map (fun (r, src, dst) -> ints [ r; src; dst ]) t.drops));
+      ("corrupt", J.List (List.map (fun (p, v) -> ints [ p; v ]) t.corrupt));
     ]
 
-let to_string t = Format.asprintf "%a@." Sexp.pp (to_sexp t)
+(* [list conv] reads a JSON array whose every element [conv] accepts. *)
+let list conv = function
+  | J.List xs ->
+    List.fold_right
+      (fun x acc -> match (conv x, acc) with Some v, Some vs -> Some (v :: vs) | _ -> None)
+      xs (Some [])
+  | _ -> None
 
-let of_sexp sexp =
-  let open Sexp in
-  match sexp with
-  | List (Atom "ftss-genome" :: items) ->
-    let* version = int_field "version" items in
-    if version <> 1 then Error (Printf.sprintf "unsupported genome version %d" version)
-    else
-      let* param_fields = find_field "params" items in
-      let* n = int_field "n" param_fields in
-      let* rounds = int_field "rounds" param_fields in
-      let* f = int_field "f" param_fields in
-      let* allow_drops = bool_field "allow-drops" param_fields in
-      let params = { n; rounds; f; allow_drops } in
-      let* faulty_atoms = find_field "faulty" items in
-      let* faulty_pids = collect (as_int "faulty") faulty_atoms in
-      let* () =
-        if List.for_all (fun p -> 0 <= p && p <= Pidset.max_pid) faulty_pids then Ok ()
-        else Error "faulty pid outside the representable range"
-      in
-      let* crash_items = find_field "crashes" items in
-      let* crashes =
-        collect
-          (function
-            | List fields ->
-              let* p = int_field "pid" fields in
-              let* r = int_field "round" fields in
-              Ok (p, r)
-            | Atom _ -> Error "malformed crash entry")
-          crash_items
-      in
-      let* drop_items = find_field "drops" items in
-      let* drops =
-        collect
-          (function
-            | List fields ->
-              let* r = int_field "round" fields in
-              let* src = int_field "src" fields in
-              let* dst = int_field "dst" fields in
-              Ok (r, src, dst)
-            | Atom _ -> Error "malformed drop entry")
-          drop_items
-      in
-      let* corrupt_items = find_field "corrupt" items in
-      let* corrupt =
-        collect
-          (function
-            | List fields ->
-              let* p = int_field "pid" fields in
-              let* v = int_field "value" fields in
-              Ok (p, v)
-            | Atom _ -> Error "malformed corrupt entry")
-          corrupt_items
-      in
-      let t = { params; faulty = Pidset.of_list faulty_pids; crashes; drops; corrupt } in
-      let* () = validate t in
-      Ok t
-  | _ -> Error "not an (ftss-genome ...) document"
+let pair = function J.List [ J.Int a; J.Int b ] -> Some (a, b) | _ -> None
+let triple = function J.List [ J.Int a; J.Int b; J.Int c ] -> Some (a, b, c) | _ -> None
 
-let of_string s =
-  let* sexp = Sexp.parse s in
-  of_sexp sexp
+let of_json json =
+  let* format = J.get "format" J.to_string_opt json in
+  let* version = J.get "version" J.to_int_opt json in
+  if format <> "ftss-genome" then
+    Error (Printf.sprintf "format %S is not ftss-genome" format)
+  else if version <> 2 then Error (Printf.sprintf "unsupported genome version %d" version)
+  else
+    let* p = J.get "params" Option.some json in
+    let* n = J.get "n" J.to_int_opt p in
+    let* rounds = J.get "rounds" J.to_int_opt p in
+    let* f = J.get "f" J.to_int_opt p in
+    let* allow_drops = J.get "allow_drops" J.to_bool_opt p in
+    let* faulty_pids = J.get "faulty" (list J.to_int_opt) json in
+    let* () =
+      if List.for_all (fun p -> 0 <= p && p <= Pidset.max_pid) faulty_pids then Ok ()
+      else Error "faulty pid outside the representable range"
+    in
+    let* crashes = J.get "crashes" (list pair) json in
+    let* drops = J.get "drops" (list triple) json in
+    let* corrupt = J.get "corrupt" (list pair) json in
+    let t =
+      {
+        params = { n; rounds; f; allow_drops };
+        faulty = Pidset.of_list faulty_pids;
+        crashes;
+        drops;
+        corrupt;
+      }
+    in
+    let* () = validate t in
+    Ok t

@@ -106,13 +106,25 @@ val reductions : t -> t list
 
 val pp : Format.formatter -> t -> unit
 
-(** {2 Persistence} — the corpus file format, one S-expression per
-    genome, self-contained (params embedded). *)
+(** {2 Persistence} — the corpus file format: one self-contained JSON
+    document per genome (params embedded), written through
+    {!Ftss_obs.Json}. Example:
 
-val to_string : t -> string
+    {v
+{"format":"ftss-genome","version":2,
+ "params":{"n":3,"rounds":4,"f":1,"allow_drops":true},
+ "faulty":[1],"crashes":[[1,4]],"drops":[[2,0,1],[3,1,0]],
+ "corrupt":[[0,42],[2,999983]]}
+    v}
 
-(** Strict inverse of {!to_string}: malformed documents and genomes that
-    break a structural invariant against their own [params] are
-    [Error _], never guessed at. Every constructor and mutator in this
-    module returns only well-formed genomes. *)
-val of_string : string -> (t, string) result
+    [crashes] are [[pid, round]], [drops] [[round, src, dst]] and
+    [corrupt] [[pid, value]]. *)
+
+val to_json : t -> Ftss_obs.Json.t
+
+(** Strict inverse of {!to_json}: a wrong [format] or [version], a
+    missing or mistyped field, and a genome that breaks a structural
+    invariant against its own [params] are [Error _], never guessed at.
+    Every constructor and mutator in this module returns only
+    well-formed genomes. *)
+val of_json : Ftss_obs.Json.t -> (t, string) result

@@ -27,18 +27,7 @@ let load_json json =
   in
   { experiment; schema; gauges }
 
-let load path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        let s = really_input_string ic len in
-        match Json.of_string s with
-        | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-        | Ok json -> Ok (load_json json))
+let load path = Result.map load_json (Json.load path)
 
 type direction = Lower_better | Higher_better | Informational
 

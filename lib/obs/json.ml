@@ -233,3 +233,18 @@ let to_float_opt = function
 let to_bool_opt = function Bool b -> Some b | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
 let to_list_opt = function List l -> Some l | _ -> None
+
+let get key conv json =
+  match member key json with
+  | None -> Error (Printf.sprintf "missing field %S" key)
+  | Some v -> (
+    match conv v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "field %S has the wrong type" key))
+
+let load path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error m ->
+    (* Open failures carry the path already; read failures do not. *)
+    Error (if String.starts_with ~prefix:path m then m else Printf.sprintf "%s: %s" path m)
+  | s -> Result.map_error (Printf.sprintf "%s: %s" path) (of_string s)

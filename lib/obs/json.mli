@@ -2,10 +2,11 @@
 
     The observability layer serializes events (JSON Lines trace files) and
     metrics snapshots (single JSON documents) and parses them back for the
-    [ftss trace] summarizer, so both directions live here rather than in an
-    external package the build image may not carry. The encoder emits
-    compact single-line documents; the decoder accepts any
-    whitespace-separated standard JSON. *)
+    [ftss trace] summarizer; the checker's counterexample files and the
+    fuzzer's corpus files are JSON documents too. Both directions live
+    here rather than in an external package the build image may not
+    carry. The encoder emits compact single-line documents; the decoder
+    accepts any whitespace-separated standard JSON. *)
 
 type t =
   | Null
@@ -36,3 +37,12 @@ val to_float_opt : t -> float option
 val to_bool_opt : t -> bool option
 val to_string_opt : t -> string option
 val to_list_opt : t -> t list option
+
+(** [get key conv json] reads field [key] of the object [json] through
+    [conv]; a missing field or one [conv] rejects is an [Error] naming
+    [key]. *)
+val get : string -> (t -> 'a option) -> t -> ('a, string) result
+
+(** [load path] reads and parses the one JSON document in file [path].
+    Every error, unreadable file or malformed document, names [path]. *)
+val load : string -> (t, string) result

@@ -371,7 +371,7 @@ let test_candidates_strictly_smaller () =
 (* Parse a counterexample document the way [ftss replay] reads one: from
    a file. *)
 let parse_replay text =
-  let path = Filename.temp_file "ftss_replay" ".sexp" in
+  let path = Filename.temp_file "ftss_replay" ".json" in
   Out_channel.with_open_bin path (fun oc -> output_string oc text);
   let parsed = Replay.load path in
   Sys.remove path;
@@ -400,26 +400,64 @@ let test_replay_roundtrip_all_behaviours () =
         Schedule_enum.Distinct;
     ]
 
+(* Every malformed counterexample file is rejected for its own reason:
+   each case breaks one thing in an otherwise valid document, and the
+   error must name that thing. *)
 let test_replay_rejects_malformed () =
-  let reject label s =
-    match parse_replay s with
-    | Ok _ -> Alcotest.failf "%s: accepted" label
-    | Error _ -> ()
+  let doc ?(format = {|"ftss-counterexample"|}) ?(version = "2") ?(property = "theorem3")
+      ?(inject = "none") ?(n = "3") ?(corruption = {|,"corruption":"clean"|})
+      ?(schedule = "[]") () =
+    Printf.sprintf
+      {|{"format":%s,"version":%s,"property":"%s","inject":"%s","params":{"n":%s,"rounds":3,"f":1,"intervals":true,"drops":true}%s,"schedule":%s}|}
+      format version property inject n corruption schedule
   in
-  reject "garbage" "(not-a-counterexample)";
-  reject "unknown property"
-    "(ftss-counterexample (version 1) (property theoremX) (inject none)\n\
-    \ (params (n 3) (rounds 3) (f 1) (intervals true) (drops true))\n\
-    \ (corruption clean) (schedule))";
-  reject "pid out of range"
-    "(ftss-counterexample (version 1) (property theorem3) (inject none)\n\
-    \ (params (n 3) (rounds 3) (f 1) (intervals true) (drops true))\n\
-    \ (corruption clean) (schedule (crash (pid 7) (round 1))))";
-  reject "fault budget exceeded"
-    "(ftss-counterexample (version 1) (property theorem3) (inject none)\n\
-    \ (params (n 3) (rounds 3) (f 1) (intervals true) (drops true))\n\
-    \ (corruption clean)\n\
-    \ (schedule (crash (pid 0) (round 1)) (crash (pid 1) (round 1))))"
+  let contains ~affix s =
+    let n = String.length affix and m = String.length s in
+    let rec at i = i + n <= m && (String.sub s i n = affix || at (i + 1)) in
+    at 0
+  in
+  (match parse_replay (doc ()) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "base document rejected: %s" m);
+  List.iter
+    (fun (label, text, reason) ->
+      match parse_replay text with
+      | Ok _ -> Alcotest.failf "%s: accepted" label
+      | Error m ->
+        if not (contains ~affix:reason m) then
+          Alcotest.failf "%s: error %S does not name %S" label m reason)
+    [
+      ("unknown property", doc ~property:"theoremX" (), "unknown property/injection theoremX/none");
+      ("unknown injection", doc ~inject:"bogus" (), "unknown property/injection theorem3/bogus");
+      ("missing field", doc ~corruption:"" (), {|missing field "corruption"|});
+      ("mistyped field", doc ~n:{|"3"|} (), {|field "n" has the wrong type|});
+      ( "mistyped schedule entry",
+        doc ~schedule:{|[{"kind":"crash","pid":0,"round":"1"}]|} (),
+        {|field "round" has the wrong type|} );
+      ( "unknown behaviour kind",
+        doc ~schedule:{|[{"kind":"explode","pid":0}]|} (),
+        {|unknown behaviour kind "explode"|} );
+      ( "pid out of range",
+        doc ~schedule:{|[{"kind":"crash","pid":7,"round":1}]|} (),
+        "pid 7 out of range for n=3" );
+      ( "round out of range",
+        doc ~schedule:{|[{"kind":"crash","pid":0,"round":9}]|} (),
+        "behaviour has out-of-range rounds or pids" );
+      ( "fault budget exceeded",
+        doc
+          ~schedule:
+            {|[{"kind":"crash","pid":0,"round":1},{"kind":"crash","pid":1,"round":1}]|}
+          (),
+        "schedule touches 2 processes, budget f=1" );
+      ("trailing input", doc () ^ " {}", "trailing input after document");
+      ("wrong format", doc ~format:{|"ftss-genome"|} (), "is not ftss-counterexample");
+      ("wrong version", doc ~version:"1" (), "unsupported version 1");
+      ( "version-1 S-expression file",
+        "(ftss-counterexample (version 1) (property theorem3) (inject none)\n\
+        \ (params (n 3) (rounds 3) (f 1) (intervals true) (drops true))\n\
+        \ (corruption clean) (schedule))\n",
+        "version-1 S-expression counterexample, a format no longer read; re-run `ftss check --out`" );
+    ]
 
 let test_replay_reproduces () =
   let prop = theorem3 ~inject:"frozen-exchange" in

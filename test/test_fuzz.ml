@@ -13,6 +13,11 @@ module Shrink = Ftss_check.Shrink
 module M = Ftss_fuzz.Mutate
 module C = Ftss_fuzz.Corpus
 module F = Ftss_fuzz.Fuzz
+module J = Ftss_obs.Json
+
+(* A genome's corpus-file text, and its reading back from that text. *)
+let genome_text g = J.to_string (M.to_json g) ^ "\n"
+let reload g = Result.bind (J.of_string (genome_text g)) M.of_json
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -38,7 +43,7 @@ let run_fuzz ?corpus_dir ~seed ~budget ~domains params prop =
 (* A genome is well formed iff it survives the corpus format: the reader
    rejects every genome that breaks an invariant against its params. *)
 let validate g =
-  match M.of_string (M.to_string g) with
+  match reload g with
   | Ok g' when M.equal g g' -> Ok ()
   | Ok _ -> Error "corpus round-trip changed the genome"
   | Error m -> Error m
@@ -126,12 +131,12 @@ let test_mutate_deterministic () =
   check "different seeds diverge" true
     (not (List.equal M.equal (trail 42) (trail 43)))
 
-let prop_sexp_roundtrip =
+let prop_json_roundtrip =
   QCheck.Test.make ~name:"to_string/of_string round-trips" ~count:80
     QCheck.small_nat (fun seed ->
       let rng = Rng.create (seed + 201) in
       let g = random_genome rng in
-      match M.of_string (M.to_string g) with
+      match reload g with
       | Ok g' -> M.equal g g'
       | Error _ -> false)
 
@@ -209,7 +214,7 @@ let test_corpus_garbage_file_is_an_error () =
 let test_corpus_truncated_file_is_an_error () =
   let dir = temp_dir () in
   let g = M.of_schedule (S.enumerate (full 3 3 1)).(42) in
-  let s = M.to_string g in
+  let s = genome_text g in
   let oc = open_out (Filename.concat dir "cut.genome") in
   output_string oc (String.sub s 0 (String.length s / 2));
   close_out oc;
@@ -222,6 +227,49 @@ let test_corpus_missing_dir_is_empty () =
   | Ok [] -> ()
   | Ok _ -> Alcotest.fail "phantom entries"
   | Error m -> Alcotest.failf "missing dir should be empty, got error: %s" m
+
+(* Every malformed genome file is rejected for its own reason: each case
+   breaks one thing in an otherwise valid document, and the error must
+   name that thing and the file. *)
+let test_corpus_rejects_malformed () =
+  let doc ?(format = {|"ftss-genome"|}) ?(version = "2") ?(n = "3") ?(faulty = "[1]")
+      ?(crashes = "[[1,4]]") ?(drops = {|,"drops":[[2,0,1]]|}) () =
+    Printf.sprintf
+      {|{"format":%s,"version":%s,"params":{"n":%s,"rounds":4,"f":1,"allow_drops":true},"faulty":%s,"crashes":%s%s,"corrupt":[[0,42]]}|}
+      format version n faulty crashes drops
+  in
+  let dir = temp_dir () in
+  let path = Filename.concat dir "case.genome" in
+  let load text =
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    C.load ~dir
+  in
+  (match load (doc ()) with
+  | Ok [ _ ] -> ()
+  | Ok _ -> Alcotest.fail "base document: wrong entry count"
+  | Error m -> Alcotest.failf "base document rejected: %s" m);
+  List.iter
+    (fun (label, text, reason) ->
+      match load text with
+      | Ok _ -> Alcotest.failf "%s: accepted" label
+      | Error m ->
+        if not (contains ~affix:reason m && contains ~affix:"case.genome" m) then
+          Alcotest.failf "%s: error %S does not name %S and the file" label m reason)
+    [
+      ("missing field", doc ~drops:"" (), {|missing field "drops"|});
+      ("mistyped field", doc ~crashes:{|[[1,"4"]]|} (), {|field "crashes" has the wrong type|});
+      ("mistyped param", doc ~n:{|"3"|} (), {|field "n" has the wrong type|});
+      ("pid out of range", doc ~crashes:"[[5,4]]" (), "crash pid 5 outside 0..2");
+      ("unrepresentable pid", doc ~faulty:"[1000000000]" (), "outside the representable range");
+      ("round out of range", doc ~crashes:"[[1,9]]" (), "crash round 9 outside 1..4");
+      ("fault budget exceeded", doc ~faulty:"[0,1]" (), "2 declared faulty, budget f=1");
+      ("trailing input", doc () ^ " {}", "trailing input after document");
+      ("wrong format", doc ~format:{|"ftss-counterexample"|} (), "is not ftss-genome");
+      ("wrong version", doc ~version:"1" (), "unsupported genome version 1");
+      ( "version-1 S-expression file",
+        "(ftss-genome\n (version 1)\n (params (n 3) (rounds 4) (f 1) (allow-drops true)))\n",
+        "version-1 S-expression genome" );
+    ]
 
 (* The corpus file format is pinned by a golden file: a format change
    that breaks persisted corpora must show up as a diff here. *)
@@ -248,8 +296,8 @@ let test_corpus_golden_format () =
       (fun () -> really_input_string ic (in_channel_length ic))
   in
   Alcotest.(check string) "serialization matches the pinned file" s
-    (M.to_string golden_genome);
-  match M.of_string s with
+    (genome_text golden_genome);
+  match Result.bind (J.of_string s) M.of_json with
   | Ok g -> check "pinned file parses back" true (M.equal g golden_genome)
   | Error m -> Alcotest.failf "golden file: %s" m
 
@@ -426,7 +474,7 @@ let test_violation_persist_replay_shrink () =
   List.iteri
     (fun i (v : F.violation) ->
       if i < 5 then begin
-        match M.of_string (M.to_string v.F.v_genome) with
+        match reload v.F.v_genome with
         | Error m -> Alcotest.failf "violation %d does not reload: %s" i m
         | Ok g ->
           check "reloaded genome identical" true (M.equal g v.F.v_genome);
@@ -471,7 +519,7 @@ let suite =
         tc "mutation is deterministic" `Quick test_mutate_deterministic;
         to_alcotest prop_mutants_stay_valid;
         to_alcotest prop_splice_stays_valid;
-        to_alcotest prop_sexp_roundtrip;
+        to_alcotest prop_json_roundtrip;
       ] );
     ( "fuzz-corpus",
       [
@@ -480,6 +528,8 @@ let suite =
         tc "truncated file is a clear error" `Quick test_corpus_truncated_file_is_an_error;
         tc "missing directory is empty" `Quick test_corpus_missing_dir_is_empty;
         tc "golden file format" `Quick test_corpus_golden_format;
+        tc "malformed files are rejected for their own reason" `Quick
+          test_corpus_rejects_malformed;
         tc "admission stops at 4096 entries" `Quick test_corpus_admission_cap;
       ] );
     ( "fuzz-shrink",
