@@ -72,7 +72,6 @@ type t = {
   (* the consensus engine for slot [committed] *)
   mutable engine : batch Mv_consensus.t option;
   (* catch-up and repair *)
-  future : (int, batch) Hashtbl.t;
   mutable pull : (Pid.t * int * int) option;
       (* outstanding request: peer, tick it was issued, [from] asked for *)
   mutable log_conflict : Pidset.t;
@@ -207,7 +206,6 @@ let create ?obs ?profile ~n ~self ~style ~batch_max ?(id_hint = 1024) ?key_hint 
       queued = Bytes.make bytes '\000';
       donebits = Bytes.make bytes '\000';
       engine = None;
-      future = Hashtbl.create 16;
       pull = None;
       log_conflict = Pidset.empty;
       log_agree = Pidset.empty;
@@ -363,28 +361,6 @@ let apply_forward t ~now =
     end
   done
 
-(* --- committing --- *)
-
-let commit_batch t ~now batch =
-  ensure_log_cap t (t.committed + 1);
-  t.log.(t.committed) <- batch;
-  t.pdig.(t.committed + 1) <- Kv.chain t.pdig.(t.committed) (batch_digest batch);
-  t.committed <- t.committed + 1;
-  mark_done t batch.ops;
-  t.engine <- None;
-  note t (Committed { slot = t.committed - 1; ops = size batch });
-  emit t ~now
-    (Ftss_obs.Event.Commit { pid = t.self; slot = t.committed - 1; ops = size batch });
-  apply_forward t ~now
-
-let rec drain_future t ~now =
-  match Hashtbl.find_opt t.future t.committed with
-  | Some b ->
-    Hashtbl.remove t.future t.committed;
-    commit_batch t ~now b;
-    drain_future t ~now
-  | None -> ()
-
 (* --- the consensus engine for slot [committed] --- *)
 
 let map_outs slot outs =
@@ -403,12 +379,30 @@ let enter_engine t =
   t.engine <- Some eng;
   map_outs t.committed outs
 
-let decide t ~now batch =
+(* --- growing the log --- *)
+
+(* The log grows three ways: this replica's engine decides slot
+   [committed], a peer's [Decide] carries exactly that slot, or the reply
+   to this replica's own pull arrives. Nothing ahead of the log is held —
+   it would be state no stabilization bound covers. Each way ends here:
+   the new entries are applied, and the next slot's engine is entered if
+   any op is pending. *)
+let advance t ~now =
+  t.engine <- None;
+  apply_forward t ~now;
+  if has_pending t then enter_engine t else []
+
+(* The decision for slot [committed], whoever decided it. *)
+let commit_next t ~now batch =
   let slot = t.committed in
-  commit_batch t ~now batch;
-  drain_future t ~now;
-  let outs = [ Bcast (Decide { slot; batch }) ] in
-  if has_pending t then outs @ enter_engine t else outs
+  ensure_log_cap t (slot + 1);
+  t.log.(slot) <- batch;
+  t.pdig.(slot + 1) <- Kv.chain t.pdig.(slot) (batch_digest batch);
+  t.committed <- slot + 1;
+  mark_done t batch.ops;
+  note t (Committed { slot; ops = size batch });
+  emit t ~now (Ftss_obs.Event.Commit { pid = t.self; slot; ops = size batch });
+  advance t ~now
 
 (* --- recovery --- *)
 
@@ -450,7 +444,6 @@ let recover t ~now =
   t.head <- 0;
   t.tail <- !w;
   t.engine <- None;
-  Hashtbl.reset t.future;
   t.pull <- None;
   t.log_conflict <- Pidset.empty;
   t.log_agree <- Pidset.empty;
@@ -518,7 +511,7 @@ let submit t ~now ops =
 
 (* --- message handling --- *)
 
-(* [slot = committed]: [deliver] answers stale slots and drops future
+(* [slot = committed]: [deliver] answers stale slots and drops later
    ones before opening a span. *)
 let on_cons t ~now ~src ~slot m =
   let outs = if t.engine = None then enter_engine t else [] in
@@ -529,20 +522,9 @@ let on_cons t ~now ~src ~slot m =
     t.engine <- Some eng;
     let outs = outs @ map_outs slot mouts in
     (match verdict with
-    | Mv_consensus.Decided batch -> outs @ decide t ~now batch
+    | Mv_consensus.Decided batch ->
+      outs @ (Bcast (Decide { slot; batch }) :: commit_next t ~now batch)
     | Mv_consensus.Continue -> outs)
-
-(* [slot >= committed]: [deliver] drops decisions for committed slots. *)
-let on_decide t ~now ~slot batch =
-  if slot = t.committed then begin
-    commit_batch t ~now batch;
-    drain_future t ~now;
-    if has_pending t then enter_engine t else []
-  end
-  else begin
-    Hashtbl.replace t.future slot batch;
-    []
-  end
 
 (* Most [Tag]s change nothing: the peer is not on our next slot's
    engine, and its checkpoint verdict is the one already recorded. The
@@ -614,15 +596,13 @@ let on_tag t ~src ~len ~round ~cp ~cp_log ~kvh ~kv_d =
   end
   else []
 
+(* Only the reply to this replica's own outstanding pull is adopted: a
+   pull goes out only on majority evidence (a longer log, or a camp of
+   conflicting peers outweighing ours), and an unasked-for reply has none. *)
 let on_pull_rep t ~now ~src ~from ~entries =
   let len = Array.length entries in
-  let solicited =
-    match t.pull with
-    | Some (peer, _, f) -> Pid.equal peer src && f = from
-    | None -> false
-  in
-  if from < 0 || len = 0 then []
-  else if solicited && from = 0 then begin
+  let asked = match t.pull with Some (p, _, f) -> Pid.equal p src && f = from | None -> false in
+  if asked && from = 0 && len > 0 then begin
     (* The reply to a repair pull: we already established (by majority
        digest conflict) that our log is the divergent one, so the peer's
        log replaces ours wholesale — even at equal length, which is the
@@ -635,16 +615,15 @@ let on_pull_rep t ~now ~src ~from ~entries =
       Array.blit entries 0 t.log 0 len;
       t.committed <- len;
       recover t ~now;
-      if has_pending t then enter_engine t else []
+      advance t ~now
     end
   end
-  else if from > t.committed || from + len <= t.committed then []
-  else begin
-    (* Catch-up (solicited or not): adopt only the strict extension of
-       the log we hold — the entries past our current length. If our
-       prefix actually diverges from the peer's, checkpoint gossip
-       detects it and the majority-gated repair path resolves it. *)
-    if solicited then t.pull <- None;
+  else if asked && from <= t.committed && from + len > t.committed then begin
+    (* Catch-up: adopt only the strict extension of the log we hold —
+       the entries past our current length. If our prefix actually
+       diverges from the peer's, checkpoint gossip detects it and the
+       majority-gated repair path resolves it. *)
+    t.pull <- None;
     let offset = t.committed - from in
     ensure_log_cap t (from + len);
     Array.blit entries offset t.log t.committed (len - offset);
@@ -653,12 +632,9 @@ let on_pull_rep t ~now ~src ~from ~entries =
       t.pdig.(i + 1) <- Kv.chain t.pdig.(i) (batch_digest t.log.(i));
       mark_done t t.log.(i).ops
     done;
-    t.engine <- None;
-    apply_forward t ~now;
-    drain_future t ~now;
-    refresh_guard t;
-    if has_pending t then enter_engine t else []
+    advance t ~now
   end
+  else []
 
 let deliver t ~now ~src msg =
   integrity_check t ~now;
@@ -680,15 +656,16 @@ let deliver t ~now ~src msg =
       let outs = on_cons t ~now ~src ~slot m in
       pf_leave t;
       outs
-    | Decide { slot; _ } when slot < t.committed ->
-      (* Most decisions are the per-tick re-broadcast of a slot already
-         committed here: nothing to do, and not worth a span. *)
-      []
-    | Decide { slot; batch } ->
+    | Decide { slot; batch } when slot = t.committed ->
       pf_enter t Prof.Phase.svc_slot;
-      let outs = on_decide t ~now ~slot batch in
+      let outs = commit_next t ~now batch in
       pf_leave t;
       outs
+    | Decide _ ->
+      (* Mostly the per-tick re-broadcast of a slot committed here, not
+         worth a span. A decision for a later slot is dropped, never held
+         (see [advance]). *)
+      []
     | Tag { len; round; cp; cp_log; kvh; kv_d } ->
       on_tag t ~src ~len ~round ~cp ~cp_log ~kvh ~kv_d
     | Pull_req { from } ->
@@ -794,13 +771,15 @@ let tick t ~now ~suspected =
   (match t.engine with
   | None -> if has_pending t then push (enter_engine t)
   | Some eng ->
+    let slot = t.committed in
     let eng, mouts, verdict =
       Mv_consensus.tick eng ~suspected ~retransmit:t.style.stabilizing
     in
     t.engine <- Some eng;
-    push (map_outs t.committed mouts);
+    push (map_outs slot mouts);
     (match verdict with
-    | Mv_consensus.Decided batch -> push (decide t ~now batch)
+    | Mv_consensus.Decided batch ->
+      push (Bcast (Decide { slot; batch }) :: commit_next t ~now batch)
     | Mv_consensus.Continue -> ()));
   pf_leave t;
   (* The decision-retransmission superimposition: the latest committed

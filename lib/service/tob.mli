@@ -26,7 +26,18 @@
     Local recovery always rebuilds every derived structure from the log
     content and re-digests honestly, so a corruption that survives local
     repair (e.g. a blanked log entry) surfaces as a cross-replica digest
-    conflict and is healed by state transfer from the correct majority. *)
+    conflict and is healed by state transfer from the correct majority.
+
+    A replica's log grows in exactly three ways: its own engine decides
+    the next slot, a [Decide] arrives for exactly the next slot, or the
+    reply to its own outstanding [Pull_req] arrives. A [Decide] for any
+    later slot and a [Pull_rep] nobody asked for are dropped. Nothing
+    ahead of the log is held, because held messages are state a
+    transient fault can plant, and no stabilization bound covers a
+    forged decision that commits whenever the log reaches its slot. A
+    lagging replica still gets a missed slot from its peers: they answer
+    its stale [Cons] with the [Decide], re-broadcast the latest decision
+    every tick, and serve the pull a majority of longer logs triggers. *)
 
 open Ftss_util
 

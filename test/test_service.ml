@@ -688,9 +688,10 @@ let proposals outs =
    [submit]s with duplicate ids (a later copy of an id carries another
    salt, so keeping the first copy is checked), [Decide]s that commit
    ops from anywhere in the FIFO and ops never seen, decisions one slot
-   ahead, [Tag]s that make an idle replica propose, and corruptions
-   followed by recovery. Ids span far more than the initial FIFO and
-   bitset sizes, so the run crosses grow and compaction steps. Every
+   ahead (dropped: no messages and no commit), [Tag]s that make an idle
+   replica propose, and corruptions followed by recovery. Ids span far
+   more than the initial FIFO and bitset sizes, so the run crosses grow
+   and compaction steps. Every
    proposal must equal the model's; at the end, committing each
    proposal in turn must walk the whole FIFO in the model's order. *)
 let prop_tob_fifo_matches_queue =
@@ -783,7 +784,16 @@ let prop_tob_fifo_matches_queue =
                   @ List.map (fun p -> pending.(p mod len)) picks
               in
               let batch = Array.of_list (picked @ List.map (fun age -> op age 9) ages) in
-              decide (Tob.committed t + if ahead then 1 else 0) batch
+              let before = Tob.committed t in
+              if ahead then begin
+                let outs =
+                  step (fun () ->
+                      Tob.deliver t ~now:!now ~src:1
+                        (Tob.Decide { slot = before + 1; batch = Tob.batch batch }))
+                in
+                if outs <> [] || Tob.committed t <> before then ok := false
+              end
+              else decide before batch
             | Tag ->
               let idle = not !engine in
               let outs =
@@ -824,6 +834,43 @@ let test_tob_corrupt_height_recovers () =
           (Tob.content_digest t = Tob.log_digest t)
       done)
     [ 129; 257 ]
+
+(* A replica's log grows only by its own engine's decision, a decision
+   for exactly its next slot, or the reply to its own pull: nothing ahead
+   of the log is held, so a message forged by a transient fault cannot
+   commit later. Each row delivers one forged message carrying an op no
+   client submitted, to a replica holding 10 slots, then [k] honest
+   decisions for the slots that follow. *)
+let test_tob_holds_nothing_ahead () =
+  let forged = Tob.batch [| { Kv.id = 999_999; kind = Kv.Put; key = 1; v1 = 424_242; v2 = 0 } |] in
+  let honest slot = Tob.batch [| { Kv.id = slot; kind = Kv.Put; key = slot; v1 = 0; v2 = 0 } |] in
+  let decide_ahead k c = Tob.Decide { slot = c + k; batch = forged } in
+  let unsolicited c = Tob.Pull_rep { from = c; entries = [| forged; honest (c + 1) |] } in
+  List.iter
+    (fun (name, k, msg) ->
+      let t = Tob.create ~n:3 ~self:0 ~style:Tob.self_stabilizing ~batch_max:8 () in
+      let decide slot = Tob.deliver t ~now:slot ~src:1 (Tob.Decide { slot; batch = honest slot }) in
+      for slot = 0 to 9 do
+        ignore (decide slot)
+      done;
+      let c = Tob.committed t and digest = Tob.log_digest t in
+      check (name ^ ": no messages") true (Tob.deliver t ~now:c ~src:2 (msg c) = []);
+      check_int (name ^ ": committed unchanged") c (Tob.committed t);
+      check_int (name ^ ": log digest unchanged") digest (Tob.log_digest t);
+      for slot = c to c + k - 1 do
+        ignore (decide slot)
+      done;
+      check_int (name ^ ": only the honest decisions commit") (c + k) (Tob.committed t);
+      for i = 0 to Tob.committed t - 1 do
+        if Array.exists (fun (o : Kv.op) -> o.Kv.id = 999_999) (Tob.log_entry t i) then
+          Alcotest.failf "%s: the forged op is in log slot %d" name i
+      done)
+    [
+      ("Decide at committed + 1", 1, decide_ahead 1);
+      ("Decide at committed + 150", 150, decide_ahead 150);
+      ("Decide at committed + 1000", 1000, decide_ahead 1000);
+      ("unsolicited Pull_rep from committed", 1, unsolicited);
+    ]
 
 (* Every recovery trigger runs the same episode: one [recoveries] step,
    the replay's [Applied] notes closed by one [Recovered] note, and one
@@ -967,7 +1014,10 @@ let test_tob_one_recovery_episode_per_trigger () =
    recovery it trips, an overlapping catch-up pull, and the adoption of a
    full pull — and after each, the maintained log digest must equal the
    content-recomputed one and every entry's cached digest must equal its
-   ops' digest. A full pull identical to the held log changes nothing. *)
+   ops' digest. A full pull identical to the held log changes nothing.
+   Every pull is solicited, as a replica adopts no other reply: the
+   catch-up pull overlaps because the replica commits its next slot by
+   [Decide] between asking and the reply. *)
 let test_tob_cached_digests_match_content () =
   let n = 3 and slots = 70 in
   let no_suspects _ = false in
@@ -1029,14 +1079,25 @@ let test_tob_cached_digests_match_content () =
     tripped 0
   in
   consistent "recovery" t;
-  (* A catch-up reply overlapping the held log by up to two slots, long
-     enough to carry the log past the peers' height and checkpoint. *)
+  (* A catch-up reply overlapping the held log by one slot, long enough
+     to carry the log past the camps' height and checkpoint. *)
   let c = Tob.committed t in
-  let from = c - min 2 c in
-  ignore
-    (Tob.deliver t ~now:slots ~src:1
-       (Tob.Pull_rep { from; entries = Array.init (slots + 10) (fun i -> batch 3 (from + i)) }));
-  check_int "catch-up extends the log" (from + slots + 10) (Tob.committed t);
+  check "catch-up starts past slot 0" true (c > 0);
+  let reply = Array.init (slots + 10) (fun i -> batch 3 (c + i)) in
+  let longer =
+    Tob.Tag { len = c + slots + 10; round = -1; cp = -1; cp_log = 0; kvh = 0; kv_d = 0 }
+  in
+  List.iter (fun src -> ignore (Tob.deliver t ~now:slots ~src longer)) [ 1; 2 ];
+  let peer =
+    List.find_map
+      (function Tob.Send (p, Tob.Pull_req { from }) when from = c -> Some p | _ -> None)
+      (Tob.tick t ~now:slots ~suspected:no_suspects)
+    |> Option.get
+  in
+  ignore (Tob.deliver t ~now:slots ~src:1 (Tob.Decide { slot = c; batch = reply.(0) }));
+  check_int "the next slot committed first" (c + 1) (Tob.committed t);
+  ignore (Tob.deliver t ~now:slots ~src:peer (Tob.Pull_rep { from = c; entries = reply }));
+  check_int "catch-up extends the log" (c + slots + 10) (Tob.committed t);
   consistent "catch-up" t;
   (* Adoption of another camp's whole log. *)
   let other = replica 2 in
@@ -1231,6 +1292,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_tob_fifo_matches_queue;
         Alcotest.test_case "tob recovers any corrupted height" `Quick
           test_tob_corrupt_height_recovers;
+        Alcotest.test_case "tob holds nothing ahead of its log" `Quick
+          test_tob_holds_nothing_ahead;
         Alcotest.test_case "fault-free run converges" `Quick test_service_fault_free;
         Alcotest.test_case "faulted run converges (property)" `Quick
           test_service_converges_under_faults;
