@@ -1023,7 +1023,9 @@ let e14 m =
   Table.print table;
   (* Allocation per committed op on the headline call (one domain, so the
      domain's GC counters see all of it). Both are deterministic for a
-     given build, so they are gated here rather than by bench-diff. *)
+     given build and minor heap size, and bench/main.ml fixes the minor
+     heap whatever OCAMLRUNPARAM says, so they are gated here rather than
+     by bench-diff. *)
   match !headline with
   | None -> ()
   | Some (r, minor, promoted) ->

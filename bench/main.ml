@@ -90,6 +90,10 @@ let () =
     output_char oc '\n';
     close_out oc
   in
+  (* OCaml 5.1's default minor heap, 262,144 words, whatever
+     OCAMLRUNPARAM asks for: E14's allocation gauges count the words a
+     run promotes, and the minor heap's size moves that count. *)
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 262_144 };
   List.iter
     (fun (name, experiment) ->
       if wanted name then begin

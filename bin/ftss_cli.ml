@@ -617,23 +617,26 @@ let check_cmd =
             (* The sweep keeps no explanations: re-run the case for its own. *)
             Format.printf "  %s@."
               ((Lazy.force (prop.Property.run case).Property.verdict).Property.detail ());
-            let shrunk = Shrink.shrink ~property:prop case in
-            Format.printf "shrunk counterexample (size %d -> %d):@."
-              (Schedule_enum.size case) (Schedule_enum.size shrunk);
-            Format.printf "  %a@." Schedule_enum.pp shrunk;
+            (* Shrunk as a genome, as the fuzzer shrinks its own. *)
+            let module M = Ftss_fuzz.Mutate in
+            let module R = Ftss_fuzz.Replay in
+            let genome = M.of_schedule case in
+            let shrunk = Ftss_fuzz.Fuzz.shrink_genome prop genome in
+            Format.printf "shrunk counterexample (genome size %d -> %d):@." (M.size genome)
+              (M.size shrunk);
+            Format.printf "  %a@." M.pp shrunk;
             let replayable =
-              { Replay.property = prop.Property.name; inject = prop.Property.inject;
-                case = shrunk }
+              { R.property = prop.Property.name; inject = prop.Property.inject; genome = shrunk }
             in
             (match out with
             | Some path ->
-              Replay.save path replayable;
+              R.save path replayable;
               Format.printf "replay file written to %s (ftss_cli replay %s)@." path path
-            | None -> Format.printf "%s" (Replay.to_string replayable));
+            | None -> Format.printf "%s" (R.to_string replayable));
             (* Traced re-run of the shrunk counterexample: the causal
                cone of its outcome ships with the report. *)
             explain_counterexample ?dot (fun o ->
-                ignore (prop.Property.run ~obs:o shrunk));
+                ignore (prop.Property.run_adv ~obs:o (M.to_adversary shrunk)));
             1
         end)
   in
@@ -772,9 +775,8 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:
          "Coverage-guided adversary fuzzing over arbitrary drop matrices, crash points \
-          and raw state corruptions — seeded with the exhaustive catalogue, so on \
-          theorems 3 and 4 the seed phase alone rediscovers everything $(b,check) \
-          finds (theorem 5 realizes corruptions differently), then mutation \
+          and raw state corruptions — seeded with the exhaustive catalogue, so the \
+          seed phase alone rediscovers everything $(b,check) finds, then mutation \
           searches beyond it. Violations are auto-shrunk and self-verified \
           (persist, reload, replay); exit 1 = reproducible violations found, \
           3 = a violation failed self-verification.")
@@ -784,28 +786,28 @@ let fuzz_cmd =
 
 let replay_cmd =
   let run path dot outs =
-    let open Ftss_check in
-    match Replay.load path with
+    let module R = Ftss_fuzz.Replay in
+    match R.load path with
     | Error msg ->
       Format.eprintf "replay: %s@." msg;
       2
     | Ok t -> (
       with_obs outs @@ fun obs ->
-      Format.printf "property: %s (inject: %s)@." t.Replay.property t.Replay.inject;
-      Format.printf "case: %a@." Schedule_enum.pp t.Replay.case;
-      match Replay.replay ?obs t with
+      Format.printf "property: %s (inject: %s)@." t.R.property t.R.inject;
+      Format.printf "genome: %a@." Ftss_fuzz.Mutate.pp t.R.genome;
+      match R.replay ?obs t with
       | Error msg ->
         Format.eprintf "replay: %s@." msg;
         2
       | Ok verdict ->
-        Format.printf "%s@." (verdict.Property.detail ());
-        if verdict.Property.ok then begin
+        Format.printf "%s@." (verdict.Ftss_check.Property.detail ());
+        if verdict.Ftss_check.Property.ok then begin
           Format.printf "counterexample did NOT reproduce (property holds)@.";
           1
         end
         else begin
           Format.printf "counterexample reproduced@.";
-          explain_counterexample ?dot (fun o -> ignore (Replay.replay ~obs:o t));
+          explain_counterexample ?dot (fun o -> ignore (R.replay ~obs:o t));
           0
         end)
   in

@@ -23,18 +23,17 @@ module Fingerprint_table = Hashtbl.Make (struct
 end)
 
 (* The adversary interface the theorem runners actually consume: a
-   compiled fault schedule plus the two corruption views (raw integer
-   rewriting for the synchronous theorems, a magnitude bound for the
-   asynchronous detector). [Schedule_enum.t] cases compile into this via
-   {!adversary_of_case}; the fuzzer's richer genomes compile into it
-   directly, so both front-ends share one evaluator per theorem. *)
+   compiled fault schedule plus one per-pid view of the corruption.
+   [Schedule_enum.t] cases compile into this via {!adversary_of_case};
+   the fuzzer's genomes compile into it directly, so both front-ends
+   share one evaluator, and one realization of a corruption, per
+   theorem. *)
 type adversary = {
   adv_n : int;
   adv_rounds : int;
   adv_f : int;
   adv_faults : Faults.t;
-  adv_corrupt_int : Pid.t -> int -> int;
-  adv_corrupt_bound : (int * int) option;
+  adv_corrupt : Pid.t -> int option;
 }
 
 type t = {
@@ -65,27 +64,18 @@ let fingerprint_hex fp = Printf.sprintf "%08x-%08x" (fp lsr 30) (fp land 0x3FFF_
 
 let no_restrict (params : S.params) = params
 
-(* The (rng seed, num_bound) pair theorem 5 realises each canonical
-   corruption class with. Part of the case→adversary compilation so the
-   fingerprint of an enumerated case is identical through either
-   front-end. *)
-let corrupt_bound_of_class = function
-  | S.Clean -> None
-  | S.Zero -> Some (11, 1)
-  | S.Max -> Some (13, 1_000_000)
-  | S.Parked k -> Some (17, k + 1)
-  | S.Distinct -> Some (19, 997)
-
 let adversary_of_case (case : S.t) =
   let { S.n; rounds; f; _ } = case.S.params in
-  {
-    adv_n = n;
-    adv_rounds = rounds;
-    adv_f = f;
-    adv_faults = S.to_faults case;
-    adv_corrupt_int = S.corrupt_int case.S.corruption;
-    adv_corrupt_bound = corrupt_bound_of_class case.S.corruption;
-  }
+  let adv_corrupt =
+    match case.S.corruption with
+    | S.Clean -> fun _ -> None
+    | c -> fun p -> Some (S.corrupt_int c p 0)
+  in
+  { adv_n = n; adv_rounds = rounds; adv_f = f; adv_faults = S.to_faults case; adv_corrupt }
+
+(* The synchronous theorems' corruption: a pid with a value has its
+   round variable rewritten to it. *)
+let corrupt_round adv p c = match adv.adv_corrupt p with Some v -> v | None -> c
 
 let make ~name ~inject ~restrict ~fingerprint_hex ?run_batch run_adv =
   let run ?obs case = run_adv ?obs (adversary_of_case case) in
@@ -203,7 +193,7 @@ let theorem3 ?(inject = `None) () =
     }
   in
   sync_theorem ~name:"theorem3" ~inject:inject_name (fun adv ->
-      { protocol; corrupt = adv.adv_corrupt_int; judge })
+      { protocol; corrupt = corrupt_round adv; judge })
 
 (* --- Theorem 4: the Figure 3 compiler --- *)
 
@@ -274,7 +264,7 @@ let theorem4 ?(suspect_filter = true) () =
       protocol = Compiler.compile ~suspect_filter ~n pi;
       corrupt =
         (fun p (st : _ Compiler.state) ->
-          { st with Compiler.c = adv.adv_corrupt_int p st.Compiler.c });
+          { st with Compiler.c = corrupt_round adv p st.Compiler.c });
       judge;
     }
   in
@@ -323,14 +313,18 @@ let theorem5 () =
     in
     let oracle = Ewfd.make (Rng.create 2) ~n ~crashed ~gst ~trusted ~noise:0.3 in
     let corrupt =
-      (* Corruption realised through the detector's own corruption shape:
-         the counter magnitude distribution, parameterised by the
-         adversary's (seed, bound) pair. *)
-      Option.map
-        (fun (seed, num_bound) -> Esfd.Layer.corrupt (Rng.create seed) ~num_bound)
-        adv.adv_corrupt_bound
+      (* Each pid with a value v has its detector state drawn through the
+         detector's own corruption shape, counters below v + 1, all from
+         one generator; a clean adversary corrupts nothing. *)
+      if List.for_all (fun p -> adv.adv_corrupt p = None) (Pid.all n) then None
+      else
+        let rng = Rng.create 11 in
+        Some
+          (fun p l ->
+            match adv.adv_corrupt p with
+            | Some v -> Esfd.Layer.corrupt rng ~num_bound:(v + 1) l
+            | None -> l)
     in
-    let corrupt = Option.map (fun c (_ : Pid.t) t -> c t) corrupt in
     let result =
       Sim.run ?obs ?corrupt config (Esfd.process ?obs ~n ~source:(Esfd.Oracle oracle) ())
     in
@@ -394,5 +388,3 @@ let find ~name ~inject =
       (Printf.sprintf "unknown property/injection %s/%s (known: %s)" name inject
          (String.concat ", "
             (List.map (fun (p, i) -> Printf.sprintf "%s/%s" p i) known)))
-
-let fails t case = not (Lazy.force (t.run case).verdict).ok

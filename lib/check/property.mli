@@ -18,7 +18,8 @@
       schedule (the case must be crash-only; [restrict] arranges that).
 
     {b Injections} deliberately break a mechanism so the explorer provably
-    finds (and {!Shrink} minimizes) a counterexample:
+    finds a counterexample, which [ftss check] shrinks as a genome
+    ([Ftss_fuzz.Fuzz.shrink_genome]):
 
     - ["frozen-exchange"] (theorem 3): processes ignore every delivery
       and just increment — round agreement cannot reconcile distinct
@@ -53,18 +54,21 @@ type run = {
 module Fingerprint_table : Hashtbl.S with type key = int
 
 (** The adversary interface the theorem runners consume — what any case,
-    catalogued or fuzzed, compiles down to: a fault schedule, the raw
-    integer corruption used by the synchronous theorems, the (rng seed,
-    magnitude bound) corruption used by the asynchronous theorem 5
-    ([None] = clean). Theorem 5 reads only the schedule's crashes and
-    rejects a schedule that omits a message in any of [adv_rounds]. *)
+    catalogued or fuzzed, compiles down to: a fault schedule and one
+    per-pid view of the corruption, [adv_corrupt p] being [p]'s
+    corrupted value or [None] for a clean [p]. Theorems 3 and 4 rewrite
+    a corrupted pid's round variable to its value. Theorem 5 draws a
+    corrupted pid's detector state with {!Ftss_async.Esfd.Layer.corrupt}
+    [~num_bound:(v + 1)], every pid from one generator of a fixed seed,
+    and corrupts nothing when no pid has a value. Theorem 5 reads only
+    the schedule's crashes and rejects a schedule that omits a message
+    in any of [adv_rounds]. *)
 type adversary = {
   adv_n : int;
   adv_rounds : int;
   adv_f : int;
   adv_faults : Ftss_sync.Faults.t;
-  adv_corrupt_int : Ftss_util.Pid.t -> int -> int;
-  adv_corrupt_bound : (int * int) option;
+  adv_corrupt : Ftss_util.Pid.t -> int option;
 }
 
 type t = {
@@ -106,7 +110,3 @@ val theorem4 : ?suspect_filter:bool -> unit -> t
 (** [find ~name ~inject] resolves a CLI / replay-file selector, e.g.
     [find ~name:"theorem3" ~inject:"frozen-exchange"]. *)
 val find : name:string -> inject:string -> (t, string) result
-
-(** [fails t case] forces the verdict and reports whether the case is a
-    counterexample. *)
-val fails : t -> Schedule_enum.t -> bool

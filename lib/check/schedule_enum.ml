@@ -292,12 +292,7 @@ let canonical t =
         ranked
         (permutations (List.init m Fun.id))
 
-let behavior_size ~rounds = function
-  | Crash r -> rounds - r + 1
-  | Mute (a, b) | Deaf (a, b) -> b - a + 1
-  | Isolate (a, b) -> 2 * (b - a + 1)
-  | Send_drop _ | Recv_drop _ -> 1
-
+(* The corruption class's rank: the key [prefix_order] sorts round 0 by. *)
 let corruption_weight = function
   | Clean -> 0
   | Zero -> 1
@@ -547,12 +542,6 @@ let prefix_order cases =
     !order
   end
 
-let size t =
-  List.fold_left
-    (fun acc (_, b) -> acc + behavior_size ~rounds:t.params.rounds b)
-    (corruption_weight t.corruption)
-    t.behaviors
-
 let pp_behavior ~rounds ppf b =
   match b with
   | Crash r -> Format.fprintf ppf "crash@r%d(+%d)" r (rounds - r + 1)
@@ -577,4 +566,4 @@ let pp ppf t =
       if i > 0 then Format.fprintf ppf ", ";
       Format.fprintf ppf "%a:%a" Pid.pp p (pp_behavior ~rounds:t.params.rounds) b)
     t.behaviors;
-  Format.fprintf ppf "} size=%d@]" (size t)
+  Format.fprintf ppf "}@]"

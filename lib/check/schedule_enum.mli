@@ -146,18 +146,9 @@ val shared_prefix : t -> t -> int
     sorting them by their digits, round 0 first, so that cases sharing
     a prefix are adjacent. It is a stable LSD radix sort: O(cases ×
     rounds) integer work and O(cases × f) extra words, where f bounds
-    the behaviours per case. Round 0 is sorted by corruption weight
+    the behaviours per case. Round 0 is sorted by corruption class
     alone, which groups a single-params sweep exactly. The identity
     when a behaviour's rounds or pids reach 2^19. *)
 val prefix_order : t array -> int array
-
-(** {2 Sizes (the shrinking order)} *)
-
-(** [Clean] 0, [Zero] 1, [Parked _] 2, [Max] 3, [Distinct] 4. *)
-val corruption_weight : corruption -> int
-
-(** Total schedule size plus corruption weight — the measure
-    {!Shrink.shrink} strictly decreases. *)
-val size : t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -38,9 +38,10 @@ let genome_verdict (prop : P.t) g =
 
 let genome_fails prop g = not (genome_verdict prop g).P.ok
 
-let shrink_genome prop g =
-  Ftss_check.Shrink.fixpoint ~fails:(genome_fails prop)
-    ~candidates:Mutate.reductions g
+let rec shrink_genome prop g =
+  match List.find_opt (genome_fails prop) (Mutate.reductions g) with
+  | Some smaller -> shrink_genome prop smaller
+  | None -> g
 
 let run ?obs ?profile (config : config) (prop : P.t) =
   let module Prof = Ftss_profile.Profile in
@@ -59,20 +60,9 @@ let run ?obs ?profile (config : config) (prop : P.t) =
       r
   in
   let domains = Ftss_profile.Pool.domains config.domains in
-  (* The effective genome space: the property's [restrict] applied to the
-     catalogue view of [config.params], mapped back. Theorem 5 thereby
-     turns off drops exactly as it does for the exhaustive checker. *)
-  let sp =
-    prop.P.restrict
-      {
-        S.n = config.params.Mutate.n;
-        rounds = config.params.Mutate.rounds;
-        f = config.params.Mutate.f;
-        intervals = config.params.Mutate.allow_drops;
-        drops = config.params.Mutate.allow_drops;
-      }
-  in
-  S.validate sp;
+  (* The effective genome space: theorem 5 thereby turns off drops
+     exactly as it does for the exhaustive checker. *)
+  let sp = Mutate.catalogue prop config.params in
   let gp = Mutate.params_of_schedule sp in
   match
     match config.corpus_dir with
@@ -155,8 +145,7 @@ let run ?obs ?profile (config : config) (prop : P.t) =
     let t0 = Unix.gettimeofday () in
     (* Phase A: the exhaustive catalogue, injected, plus the persisted
        corpus — evaluated up front so the seed phase alone rediscovers
-       the exhaustive violation set on theorems 3 and 4 (the
-       differential oracle). *)
+       the exhaustive violation set (the differential oracle). *)
     let seeds =
       Array.append
         (Array.map Mutate.of_schedule (S.enumerate sp))

@@ -7,11 +7,10 @@
       enumeration is injected into the genome space
       ({!Mutate.of_schedule}) and executed, along with any persisted
       corpus entries, so the fuzzer starts from everything the
-      exhaustive checker would try (on theorems 3 and 4 the seed phase
+      exhaustive checker would try: an injected case runs the
+      catalogue's own execution on every theorem, so the seed phase
       alone finds {e exactly} the exhaustive violation set — the
-      differential oracle; theorem 5 realizes an injected corruption
-      differently from its catalogue class, so there it re-runs the
-      catalogue's schedules, not its exact executions);
+      differential oracle;
     + {b mutation} — batches of mutants of corpus parents (1–3 stacked
       {!Mutate.mutate} steps, occasionally a {!Mutate.splice}) are
       generated single-threaded from the seeded generator and evaluated
@@ -27,7 +26,7 @@
     figures vary.
 
     Every distinct violation is auto-shrunk to a genome local minimum
-    with {!Ftss_check.Shrink.fixpoint} over {!Mutate.reductions}. With
+    ({!shrink_genome}), the shrinker [ftss check] uses too. With
     an observability hub attached, each coverage growth emits a
     [Coverage] event (the event stream is the coverage-growth curve) and
     the end-of-run throughput lands in gauges. *)
@@ -85,8 +84,11 @@ val run :
   Ftss_check.Property.t ->
   (stats, string) result
 
-(** Shrink one failing genome to a local minimum (deterministic;
-    requires the genome to falsify the property). *)
+(** Shrink one failing genome to a local minimum: a greedy descent that
+    steps to the first of {!Mutate.reductions} still falsifying the
+    property until none does. Deterministic, and it terminates because
+    every reduction has a smaller {!Mutate.size}; requires the genome
+    to falsify the property. *)
 val shrink_genome : Ftss_check.Property.t -> Mutate.t -> Mutate.t
 
 (** True iff the genome falsifies the property. *)

@@ -121,6 +121,11 @@ let params_of_schedule (sp : S.params) =
     allow_drops = sp.S.intervals || sp.S.drops;
   }
 
+let catalogue (prop : P.t) { n; rounds; f; allow_drops } =
+  let sp = prop.P.restrict { S.n; rounds; f; intervals = allow_drops; drops = allow_drops } in
+  S.validate sp;
+  sp
+
 let of_schedule (case : S.t) =
   let params = params_of_schedule case.S.params in
   let n = params.n in
@@ -169,12 +174,7 @@ let to_adversary t =
     adv_rounds = t.params.rounds;
     adv_f = t.params.f;
     adv_faults = to_faults t;
-    adv_corrupt_int =
-      (fun p v -> match List.assoc_opt p t.corrupt with Some x -> x | None -> v);
-    adv_corrupt_bound =
-      (match t.corrupt with
-      | [] -> None
-      | entries -> Some (23, 1 + List.fold_left (fun a (_, v) -> max a v) 0 entries));
+    adv_corrupt = (fun p -> List.assoc_opt p t.corrupt);
   }
 
 (* --- sizes, equality --- *)
@@ -331,8 +331,8 @@ let splice rng a b =
 
 let reductions t =
   let remove_one l = List.mapi (fun i _ -> List.filteri (fun j _ -> j <> i) l) l in
-  (* Coarse group moves first, mirroring the catalogue shrinker's
-     whole-behaviour removals and corruption downgrades: they let the
+  (* Coarse group moves first, the analogues of whole-behaviour
+     removals and corruption downgrades of a catalogue case: they let the
      greedy descent tunnel past local minima where no single-entry
      removal still fails but removing a whole row/process/class does.
      Each is only offered when it strictly shrinks by more than the

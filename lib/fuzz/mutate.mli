@@ -57,17 +57,22 @@ type t = {
     [allow_drops] iff the catalogue included intervals or point drops. *)
 val params_of_schedule : Ftss_check.Schedule_enum.params -> params
 
+(** [catalogue property params] is the catalogue [property] enumerates
+    over [params]: its [restrict] applied to their catalogue view (for
+    theorem 5, crash schedules only). Raises [Invalid_argument] on
+    params {!Ftss_check.Schedule_enum.validate} rejects. *)
+val catalogue : Ftss_check.Property.t -> params -> Ftss_check.Schedule_enum.params
+
 (** Inject a catalogue case: intervals become their point-drop matrices,
     the corruption class its per-pid value table. The injected genome
     compiles ({!to_adversary}) to a fault schedule with the identical
-    drop semantics and declared faulty set, hence the identical
-    {!Ftss_sync.Trace.hash} on the synchronous theorems. *)
+    drop semantics and declared faulty set and to the identical per-pid
+    corruption, hence the identical execution fingerprint on every
+    theorem. *)
 val of_schedule : Ftss_check.Schedule_enum.t -> t
 
 (** Compile to the evaluator interface shared with the exhaustive
-    checker. [adv_corrupt_bound] is [Some (23, 1 + max value)] when any
-    corruption is present (the asynchronous theorem's magnitude view of
-    an unstructured corruption), [None] otherwise. *)
+    checker: [adv_corrupt p] is [p]'s entry in [corrupt]. *)
 val to_adversary : t -> Ftss_check.Property.adversary
 
 (** The shrinking measure: [|faulty|] plus each crash's remaining rounds
@@ -94,14 +99,12 @@ val splice : Rng.t -> t -> t -> t
 (** The strictly smaller genomes tried from [t], in the order tried:
     coarse group moves first — all drops at once, all corruptions at
     once, a faulty pid with everything touching it, whole
-    [(endpoint, round)] drop rows (the analogues of the catalogue
-    shrinker's behaviour removals, corruption downgrades and interval
-    weakenings, so the genome descent never gets stuck where the
-    catalogue descent would not) — then single drop removals, crash
-    removals, crash postponements, corruption removals, and removals of
-    uncharged faulty pids. Feeding this to
-    {!Ftss_check.Shrink.fixpoint} terminates because {!size} strictly
-    decreases along every candidate. *)
+    [(endpoint, round)] drop rows (the analogues of a catalogue case's
+    behaviour removals, corruption downgrades and interval weakenings)
+    — then single drop removals, crash removals, crash postponements,
+    corruption removals, and removals of uncharged faulty pids. The
+    greedy descent of {!Fuzz.shrink_genome} over these terminates
+    because {!size} strictly decreases along every candidate. *)
 val reductions : t -> t list
 
 val pp : Format.formatter -> t -> unit

@@ -1,9 +1,11 @@
 (* Tests for the ftss_check model-checker: closed-form enumeration
    counts, index decoding, fault compilation, explorer determinism
-   across domain counts, shrinking, and counterexample replay files. *)
+   across domain counts, and the counterexamples [ftss check] writes:
+   a violating case shrunk as a genome, and its replay file. *)
 
 open Ftss_util
 open Ftss_check
+open Ftss_fuzz
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -310,10 +312,11 @@ let test_theorem3_holds_exhaustively () =
   let stats, _ = Explore.run (theorem3 ~inject:"none") cases in
   check "no violations" true (stats.Explore.violations = [])
 
-(* --- Shrinking --- *)
+(* --- Shrinking: a catalogue counterexample shrinks as a genome --- *)
 
-let failing_cases prop cases =
-  Array.to_list cases |> List.filter (Property.fails prop)
+let fails prop case = not (Lazy.force (prop.Property.run case).Property.verdict).Property.ok
+
+let failing_cases prop cases = Array.to_list cases |> List.filter (fails prop)
 
 let test_shrink_reaches_minimum () =
   let prop = theorem3 ~inject:"frozen-exchange" in
@@ -323,33 +326,40 @@ let test_shrink_reaches_minimum () =
   | failures ->
     List.iter
       (fun case ->
-        let small = Shrink.shrink ~property:prop case in
-        check "shrunk still fails" true (Property.fails prop small);
-        check "shrunk no larger" true
-          (Schedule_enum.size small <= Schedule_enum.size case);
+        let g = Mutate.of_schedule case in
+        let small = Fuzz.shrink_genome prop g in
+        check "shrunk still fails" true (Fuzz.genome_fails prop small);
+        check "shrunk no larger" true (Mutate.size small <= Mutate.size g);
         (* Frozen exchange only breaks reconciliation of distinct round
            variables, so every counterexample bottoms out at the pure
-           systemic failure: empty schedule, distinct corruption. *)
-        check "minimal schedule" true (small.Schedule_enum.behaviors = []);
-        check "minimal corruption" true
-          (small.Schedule_enum.corruption = Schedule_enum.Distinct))
+           systemic failure: no faulty process, one corrupted pid. *)
+        check "minimal schedule" true
+          (Pidset.is_empty small.Mutate.faulty && small.Mutate.drops = []);
+        check_int "minimal corruption" 1 (List.length small.Mutate.corrupt))
       failures
 
+(* The shrinker [ftss check] runs offers only strictly smaller
+   candidates: against a property that fails on the injected case alone,
+   it tries every reduction once, accepts none, and returns the genome
+   unchanged. *)
 let test_candidates_strictly_smaller () =
-  let case =
-    {
-      Schedule_enum.params = full 3 3 1;
-      behaviors = [ (1, Schedule_enum.Isolate (1, 3)) ];
-      corruption = Schedule_enum.Max;
-    }
+  let g =
+    Mutate.of_schedule
+      {
+        Schedule_enum.params = full 3 3 1;
+        behaviors = [ (1, Schedule_enum.Isolate (1, 3)) ];
+        corruption = Schedule_enum.Max;
+      }
   in
-  (* A property that fails on [case] alone: shrinking offers it every
-     candidate once, accepts none, and returns [case] unchanged. *)
+  let key (a : Property.adversary) =
+    (a.Property.adv_faults, List.map a.Property.adv_corrupt (Pid.all a.Property.adv_n))
+  in
+  let target = key (Mutate.to_adversary g) in
   let offered = ref [] in
-  let base = theorem3 ~inject:"none" in
-  let judge ?obs:_ c =
-    if c <> case then offered := c :: !offered;
-    let ok = c <> case in
+  let judge ?obs:_ adv =
+    let k = key adv in
+    if k <> target then offered := k :: !offered;
+    let ok = k <> target in
     {
       Property.fingerprint = 0;
       states = 0;
@@ -357,14 +367,16 @@ let test_candidates_strictly_smaller () =
       verdict = lazy { Property.ok; detail = (fun () -> "") };
     }
   in
-  let property = { base with Property.run = judge } in
-  check "no candidate still fails" true (Shrink.shrink ~property case = case);
-  check "candidates were tried" true (!offered <> []);
+  let property = { (theorem3 ~inject:"none") with Property.run_adv = judge } in
+  check "no candidate still fails" true (Mutate.equal (Fuzz.shrink_genome property g) g);
+  let candidates = Mutate.reductions g in
+  check_int "every candidate tried once" (List.length candidates) (List.length !offered);
   List.iter
     (fun c ->
-      check "candidate strictly smaller" true
-        (Schedule_enum.size c < Schedule_enum.size case))
-    !offered
+      check "candidate strictly smaller" true (Mutate.size c < Mutate.size g);
+      check "candidate was offered" true
+        (List.mem (key (Mutate.to_adversary c)) !offered))
+    candidates
 
 (* --- Replay files --- *)
 
@@ -382,11 +394,13 @@ let roundtrip t =
   | Ok t' -> check "replay roundtrip" true (t = t')
   | Error msg -> Alcotest.failf "replay parse failed: %s" msg
 
+(* Every behaviour kind and corruption class, injected: the genomes
+   carry crashes, drop rows, point drops, bare blames and values. *)
 let test_replay_roundtrip_all_behaviours () =
   let params = full 4 3 2 in
   let mk behaviors corruption =
     { Replay.property = "theorem3"; inject = "none";
-      case = { Schedule_enum.params; behaviors; corruption } }
+      genome = Mutate.of_schedule { Schedule_enum.params; behaviors; corruption } }
   in
   List.iter roundtrip
     [
@@ -404,19 +418,23 @@ let test_replay_roundtrip_all_behaviours () =
    each case breaks one thing in an otherwise valid document, and the
    error must name that thing. *)
 let test_replay_rejects_malformed () =
-  let doc ?(format = {|"ftss-counterexample"|}) ?(version = "2") ?(property = "theorem3")
-      ?(inject = "none") ?(n = "3") ?(corruption = {|,"corruption":"clean"|})
-      ?(schedule = "[]") () =
-    Printf.sprintf
-      {|{"format":%s,"version":%s,"property":"%s","inject":"%s","params":{"n":%s,"rounds":3,"f":1,"intervals":true,"drops":true}%s,"schedule":%s}|}
-      format version property inject n corruption schedule
+  let doc ?(format = {|"ftss-counterexample"|}) ?(version = "3") ?(property = "theorem3")
+      ?(inject = "none") ?(n = "3") ?(faulty = "[0]") ?(crashes = "[]") ?(drops = "[]")
+      ?(genome = true) () =
+    Printf.sprintf {|{"format":%s,"version":%s,"property":"%s","inject":"%s"%s}|} format
+      version property inject
+      (if genome then
+         Printf.sprintf
+           {|,"genome":{"format":"ftss-genome","version":2,"params":{"n":%s,"rounds":3,"f":1,"allow_drops":true},"faulty":%s,"crashes":%s,"drops":%s,"corrupt":[]}|}
+           n faulty crashes drops
+       else "")
   in
   let contains ~affix s =
     let n = String.length affix and m = String.length s in
     let rec at i = i + n <= m && (String.sub s i n = affix || at (i + 1)) in
     at 0
   in
-  (match parse_replay (doc ()) with
+  (match parse_replay (doc ~drops:"[[1,0,1]]" ()) with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "base document rejected: %s" m);
   List.iter
@@ -429,34 +447,26 @@ let test_replay_rejects_malformed () =
     [
       ("unknown property", doc ~property:"theoremX" (), "unknown property/injection theoremX/none");
       ("unknown injection", doc ~inject:"bogus" (), "unknown property/injection theorem3/bogus");
-      ("missing field", doc ~corruption:"" (), {|missing field "corruption"|});
+      ("missing field", doc ~genome:false (), {|missing field "genome"|});
       ("mistyped field", doc ~n:{|"3"|} (), {|field "n" has the wrong type|});
-      ( "mistyped schedule entry",
-        doc ~schedule:{|[{"kind":"crash","pid":0,"round":"1"}]|} (),
-        {|field "round" has the wrong type|} );
-      ( "unknown behaviour kind",
-        doc ~schedule:{|[{"kind":"explode","pid":0}]|} (),
-        {|unknown behaviour kind "explode"|} );
-      ( "pid out of range",
-        doc ~schedule:{|[{"kind":"crash","pid":7,"round":1}]|} (),
-        "pid 7 out of range for n=3" );
-      ( "round out of range",
-        doc ~schedule:{|[{"kind":"crash","pid":0,"round":9}]|} (),
-        "behaviour has out-of-range rounds or pids" );
-      ( "fault budget exceeded",
-        doc
-          ~schedule:
-            {|[{"kind":"crash","pid":0,"round":1},{"kind":"crash","pid":1,"round":1}]|}
-          (),
-        "schedule touches 2 processes, budget f=1" );
+      ("mistyped genome entry", doc ~crashes:{|[[0,"1"]]|} (), {|field "crashes" has the wrong type|});
+      ("pid out of range", doc ~faulty:"[7]" (), "faulty pid 7 outside 0..2");
+      ("round out of range", doc ~crashes:"[[0,9]]" (), "crash round 9 outside 1..3");
+      ("fault budget exceeded", doc ~faulty:"[0,1]" (), "2 declared faulty, budget f=1");
+      ( "drops for a crash-only property",
+        doc ~property:"theorem5" ~drops:"[[1,0,1]]" (),
+        "theorem5/none runs crash schedules only; the genome drops 1 message" );
       ("trailing input", doc () ^ " {}", "trailing input after document");
       ("wrong format", doc ~format:{|"ftss-genome"|} (), "is not ftss-counterexample");
-      ("wrong version", doc ~version:"1" (), "unsupported version 1");
+      ("unknown version", doc ~version:"4" (), "unsupported version 4");
+      ( "version-2 catalogue-case file",
+        {|{"format":"ftss-counterexample","version":2,"property":"theorem3","inject":"none","params":{"n":3,"rounds":3,"f":1,"intervals":true,"drops":true},"corruption":"clean","schedule":[]}|},
+        "a version-2 counterexample, a format no longer read; re-run `ftss check --out`" );
       ( "version-1 S-expression file",
         "(ftss-counterexample (version 1) (property theorem3) (inject none)\n\
         \ (params (n 3) (rounds 3) (f 1) (intervals true) (drops true))\n\
         \ (corruption clean) (schedule))\n",
-        "version-1 S-expression counterexample, a format no longer read; re-run `ftss check --out`" );
+        "a version-1 counterexample, a format no longer read; re-run `ftss check --out`" );
     ]
 
 let test_replay_reproduces () =
@@ -467,7 +477,7 @@ let test_replay_reproduces () =
   | case :: _ ->
     let t =
       { Replay.property = "theorem3"; inject = "frozen-exchange";
-        case = Shrink.shrink ~property:prop case }
+        genome = Fuzz.shrink_genome prop (Mutate.of_schedule case) }
     in
     (match parse_replay (Replay.to_string t) with
     | Error msg -> Alcotest.failf "parse: %s" msg
@@ -985,8 +995,12 @@ let test_walk_equals_run_theorem5 () =
   let st, _ = Explore.run ~domains:1 prop cases in
   check_int "theorem5 steps every state" st.Explore.states st.Explore.stepped
 
-(* The printed fingerprint of one case per theorem. Fuzz corpus files
-   are named by it and [fuzz --json] prints it, so it must not move. *)
+(* The printed fingerprint of one case per theorem, through the
+   catalogue's [run], the explorer and the injected genome. Fuzz corpus
+   files are named by it and [fuzz --json] prints it, so it moves only
+   with a change to what a theorem executes: theorem 5's moved once,
+   when its corruption came to be realized per pid from one generator,
+   the same way for catalogue classes and genomes. *)
 let test_golden_fingerprints () =
   List.iter
     (fun (name, params, index, expected) ->
@@ -996,11 +1010,13 @@ let test_golden_fingerprints () =
       let r = prop.Property.run cases.(index) in
       Alcotest.(check string) (name ^ ": Property.run") expected (hex r.Property.fingerprint);
       let _, fingerprints = Explore.run prop cases in
-      Alcotest.(check string) (name ^ ": Explore.run") expected (hex fingerprints.(index)))
+      Alcotest.(check string) (name ^ ": Explore.run") expected (hex fingerprints.(index));
+      let g = prop.Property.run_adv (Mutate.to_adversary (Mutate.of_schedule cases.(index))) in
+      Alcotest.(check string) (name ^ ": injected genome") expected (hex g.Property.fingerprint))
     [
       ("theorem3", full 3 3 1, 137, "31446dc581c605dc");
       ("theorem4", full 3 4 1, 211, "1458c95139002610");
-      ("theorem5", full 3 3 1, 23, "335676dc-2a3b342a");
+      ("theorem5", full 3 3 1, 23, "0044c801-1f0e56af");
     ]
 
 let test_stepped_pinned () =
@@ -1079,10 +1095,10 @@ let prop_shrink_preserves_failure =
     QCheck.(int_range 0 (Schedule_enum.count params - 1))
     (fun i ->
       let case = Schedule_enum.get params i in
-      QCheck.assume (Property.fails prop case);
-      let small = Shrink.shrink ~property:prop case in
-      Property.fails prop small
-      && Schedule_enum.size small <= Schedule_enum.size case)
+      QCheck.assume (fails prop case);
+      let g = Mutate.of_schedule case in
+      let small = Fuzz.shrink_genome prop g in
+      Fuzz.genome_fails prop small && Mutate.size small <= Mutate.size g)
 
 (* A case decoded from any index stays inside its parameter space: at
    most [f] behaviours on distinct in-range pids, ascending, rounds in
@@ -1129,8 +1145,8 @@ let test_case_projections () =
     | Ok p -> p
     | Error msg -> failwith msg
   in
-  check "theorem 5 holds under crashes" false (Property.fails theorem5 crashes);
-  check "theorem 5 holds on the empty schedule" false (Property.fails theorem5 (case []));
+  check "theorem 5 holds under crashes" false (fails theorem5 crashes);
+  check "theorem 5 holds on the empty schedule" false (fails theorem5 (case []));
   check "crashes reach the simulator" true
     ((theorem5.Property.run crashes).Property.fingerprint
     <> (theorem5.Property.run (case [])).Property.fingerprint);
@@ -1138,9 +1154,6 @@ let test_case_projections () =
     (match theorem5.Property.run mixed with
     | _ -> false
     | exception Invalid_argument _ -> true);
-  Alcotest.(check (list int)) "corruption weights" [ 0; 1; 2; 3; 4 ]
-    (List.map Schedule_enum.corruption_weight
-       Schedule_enum.[ Clean; Zero; Parked 7; Max; Distinct ]);
   Schedule_enum.validate params;
   List.iter
     (fun (label, bad) ->

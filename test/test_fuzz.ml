@@ -9,7 +9,6 @@ open Ftss_util
 module S = Ftss_check.Schedule_enum
 module P = Ftss_check.Property
 module E = Ftss_check.Explore
-module Shrink = Ftss_check.Shrink
 module M = Ftss_fuzz.Mutate
 module C = Ftss_fuzz.Corpus
 module F = Ftss_fuzz.Fuzz
@@ -68,26 +67,35 @@ let test_of_schedule_valid () =
    catalogue case into the genome space and evaluating it through the
    adversary interface reproduces the exact execution fingerprint of the
    catalogue run — the compiled fault schedules answer every drop query
-   identically and declare the identical faulty set. *)
+   identically and declare the identical faulty set, and both front ends
+   hand each theorem the same per-pid corruption, which theorem 5
+   realizes one way. *)
 let test_roundtrip_fingerprints () =
   List.iter
-    (fun (name, inject) ->
+    (fun (name, inject, rounds) ->
       let prop = property ~name ~inject in
-      let sp = prop.P.restrict (full 3 2 1) in
+      let sp = prop.P.restrict (full 3 rounds 1) in
       Array.iteri
         (fun i case ->
           let direct = prop.P.run case in
           let injected = prop.P.run_adv (M.to_adversary (M.of_schedule case)) in
           if direct.P.fingerprint <> injected.P.fingerprint then
-            Alcotest.failf "%s/%s case %d: fingerprint changed under injection"
-              name inject i;
+            Alcotest.failf "%s/%s r=%d case %d: fingerprint changed under injection"
+              name inject rounds i;
           let dv = Lazy.force direct.P.verdict
           and iv = Lazy.force injected.P.verdict in
           if dv.P.ok <> iv.P.ok then
-            Alcotest.failf "%s/%s case %d: verdict changed under injection" name
-              inject i)
+            Alcotest.failf "%s/%s r=%d case %d: verdict changed under injection" name
+              inject rounds i)
         (S.enumerate sp))
-    [ ("theorem3", "frozen-exchange"); ("theorem4", "none") ]
+    [
+      ("theorem3", "none", 2);
+      ("theorem3", "frozen-exchange", 2);
+      ("theorem4", "none", 2);
+      ("theorem4", "no-suspect-filter", 2);
+      ("theorem5", "none", 2);
+      ("theorem5", "none", 3);
+    ]
 
 let random_genome rng =
   let p = full 3 4 1 in
@@ -303,14 +311,44 @@ let test_corpus_golden_format () =
 
 (* --- Shrinking --- *)
 
+(* The genome descent terminates on a strictly decreasing measure and
+   lands on the boundary of the failing region: against a property that
+   fails while at least two pids are corrupted, a genome with a crash and
+   three corrupted pids descends to exactly two corrupted pids and
+   nothing else; a genome with nothing to reduce is already minimal. *)
 let test_fixpoint_generic_termination () =
-  (* Candidates strictly decrease; fixpoint must land on the least
-     failing value reachable by single steps. *)
-  let candidates n = if n > 0 then [ n - 1 ] else [] in
-  check_int "descends to the boundary" 4
-    (Shrink.fixpoint ~fails:(fun n -> n > 3) ~candidates 10);
-  check_int "already minimal" 0
-    (Shrink.fixpoint ~fails:(fun _ -> true) ~candidates 0)
+  let corrupted (a : P.adversary) =
+    List.length (List.filter_map a.P.adv_corrupt (Pid.all a.P.adv_n))
+  in
+  let judging fails =
+    let run ?obs:_ adv =
+      let ok = not (fails adv) in
+      {
+        P.fingerprint = 0;
+        states = 0;
+        signature = lazy [||];
+        verdict = lazy { P.ok; detail = (fun () -> "") };
+      }
+    in
+    { (property ~name:"theorem3" ~inject:"none") with P.run_adv = run }
+  in
+  let g =
+    {
+      M.params = genome_params 3 3 1;
+      faulty = Pidset.singleton 0;
+      crashes = [ (0, 2) ];
+      drops = [];
+      corrupt = [ (0, 292); (1, 293); (2, 294) ];
+    }
+  in
+  check "start genome is valid" true (is_valid g);
+  let small = F.shrink_genome (judging (fun a -> corrupted a >= 2)) g in
+  check "descends to the boundary" true
+    (Pidset.is_empty small.M.faulty && small.M.crashes = []
+    && List.length small.M.corrupt = 2);
+  let empty = { g with M.faulty = Pidset.empty; crashes = []; corrupt = [] } in
+  check "already minimal" true
+    (M.equal empty (F.shrink_genome (judging (fun _ -> true)) empty))
 
 let test_reductions_strictly_decrease () =
   let rng = Rng.create 77 in
@@ -327,7 +365,7 @@ let first_violation prop sp =
   let cases = S.enumerate sp in
   let rec go i =
     if i >= Array.length cases then Alcotest.fail "no violation in space"
-    else if P.fails prop cases.(i) then cases.(i)
+    else if not (Lazy.force (prop.P.run cases.(i)).P.verdict).P.ok then cases.(i)
     else go (i + 1)
   in
   go 0
@@ -358,8 +396,8 @@ let exhaustive_violations prop sp =
 
 (* Seed phase only (budget = case count): the fuzzer must find exactly
    the violation set the exhaustive checker finds — both directions —
-   and its shrunken genomes must be no larger than the exhaustive
-   minima mapped into the genome space. *)
+   and shrink each to the genome [ftss check] writes for the first
+   catalogue case with that fingerprint. *)
 let oracle_one ~name ~inject ~n ~rounds ~f ~expect_violations =
   let prop = property ~name ~inject in
   let sp = prop.P.restrict (full n rounds f) in
@@ -388,15 +426,13 @@ let oracle_one ~name ~inject ~n ~rounds ~f ~expect_violations =
     (Printf.sprintf "%s/%s (%d,%d,%d): identical violation sets" name inject n
        rounds f)
     exhaustive_fps fuzz_fps;
-  (* Size comparison against the exhaustive minimum per fingerprint. *)
   List.iter
     (fun (v : F.violation) ->
       let i, _ =
         List.find (fun (_, fp) -> fp = v.F.v_fingerprint) exhaustive
       in
-      let catalogue_min = Shrink.shrink ~property:prop cases.(i) in
-      check "fuzz minimum no larger than the exhaustive minimum" true
-        (M.size v.F.v_shrunk <= M.size (M.of_schedule catalogue_min));
+      check "fuzz minimum = the minimum check writes" true
+        (M.equal v.F.v_shrunk (F.shrink_genome prop (M.of_schedule cases.(i))));
       check "shrunk genome replays as a violation" true
         (F.genome_fails prop v.F.v_shrunk))
     stats.F.violations
