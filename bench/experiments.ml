@@ -10,6 +10,8 @@ module M = Ftss_obs.Metrics
 
 let trials = 25
 
+let corrupt_all ~n corrupt = List.init n (fun p -> (0, p, corrupt p))
+
 (* ------------------------------------------------------------------ *)
 (* E1 — Figure 1 / Theorem 3: round agreement stabilizes in 1 round.   *)
 (* ------------------------------------------------------------------ *)
@@ -33,7 +35,7 @@ let e1 m =
             let faults = Faults.random_omission rng ~n ~f ~p_drop:0.45 ~rounds in
             let trace =
               Runner.run
-                ~corrupt:(Round_agreement.corrupt_uniform rng ~bound)
+                ~corrupt_at:(corrupt_all ~n (Round_agreement.corrupt_uniform rng ~bound))
                 ~faults ~rounds Round_agreement.protocol
             in
             let a = Solve.assess Round_agreement.spec ~stabilization:1 trace in
@@ -86,9 +88,9 @@ let e2 m =
         let faults = Faults.random_omission rng ~n ~f ~p_drop:0.4 ~rounds in
         let corrupt =
           Compiler.corrupt rng ~pi ~n ~c_bound:1000 ~corrupt_s:(fun rng p s ->
-              Omission_consensus.corrupt_state rng ~n ~value_bound:49 p s)
+              Omission_consensus.corrupt_state rng ~n p s)
         in
-        let trace = Runner.run ~corrupt ~faults ~rounds compiled in
+        let trace = Runner.run ~corrupt_at:(corrupt_all ~n corrupt) ~faults ~rounds compiled in
         let spec = Repeated.round_and_sigma ~final_round:pi.Canonical.final_round ~valid () in
         let a = Solve.assess spec ~stabilization:bound trace in
         let d = float_of_int a.Solve.measured in
@@ -241,10 +243,12 @@ let detector_sweep m ~title ~corrupt_column ~crash_spacing ~source ?trusted ~cor
             in
             let source = source ~n ~seed ~gst ~crashed:(fun p -> List.assoc_opt p crashes) in
             let rng = Rng.create (seed + corrupt_seed) in
-            let corrupt =
-              Option.map (fun num_bound _ t -> Esfd.Layer.corrupt rng ~num_bound t) num_bound
+            let corrupt_at =
+              match num_bound with
+              | Some num_bound -> corrupt_all ~n (fun _ -> Esfd.Layer.corrupt rng ~num_bound)
+              | None -> []
             in
-            let result = Sim.run ?corrupt config (Esfd.process ~n ~source ()) in
+            let result = Sim.run ~corrupt_at config (Esfd.process ~n ~source ()) in
             M.inc (M.counter m "trials");
             match (Esfd.analyze ?trusted result ~config).Esfd.convergence_time with
             | Some t ->
@@ -307,17 +311,17 @@ let consensus_run ~style ~corruption =
     Ewfd.make (Rng.create (seed + 7)) ~n ~crashed:(fun _ -> None) ~gst:config.Sim.gst
       ~trusted ~noise
   in
-  let corrupt =
+  let corrupt_at =
     match corruption with
-    | `None -> None
+    | `None -> []
     | `Random ->
-      Some
-        (Consensus.corrupt_random (Rng.create (seed + 3)) ~n ~instance_bound:20
+      corrupt_all ~n
+        (Consensus.corrupt_random (Rng.create (seed + 3)) ~instance_bound:20
            ~round_bound:30 ~value_bound:90)
-    | `Parked -> Some (Consensus.corrupt_parked ~round:6)
+    | `Parked -> corrupt_all ~n (Consensus.corrupt_parked ~round:6)
   in
   let result =
-    Sim.run ?corrupt config
+    Sim.run ~corrupt_at config
       (Consensus.process ~n ~style ~propose:consensus_propose ~detector:(Esfd.Oracle oracle)
          ())
   in
@@ -388,11 +392,11 @@ let e7 m =
         string_of_bool a.Solve.solves;
       ]
   in
+  let n = 4 in
   let round_agreement label reveal ~corrupt ~faults ~rounds =
     row label reveal Round_agreement.spec ~stabilization:1
-      (Runner.run ~corrupt ~faults ~rounds Round_agreement.protocol)
+      (Runner.run ~corrupt_at:(corrupt_all ~n corrupt) ~faults ~rounds Round_agreement.protocol)
   in
-  let n = 4 in
   let mute reveal = Faults.Mute { pid = n - 1; first = 1; last = reveal - 1 } in
   (* Round agreement under a late reveal, whole and *partial*: in the
      partial reveal the revealed message reaches only some correct
@@ -437,13 +441,11 @@ let e7 m =
   let spec = Repeated.round_and_sigma ~final_round:pi.Canonical.final_round ~valid () in
   List.iter
     (fun reveal ->
-      let corrupt p (st : _ Compiler.state) =
-        if p = n - 1 then { st with Compiler.c = 1_000_000 } else st
-      in
+      let corrupt_at = [ (0, n - 1, fun st -> { st with Compiler.c = 1_000_000 }) ] in
       let faults = Faults.of_events ~n [ mute reveal ] in
       row "compiled consensus" (string_of_int reveal) spec
         ~stabilization:(Compiler.stabilization_bound pi)
-        (Runner.run ~corrupt ~faults ~rounds:(reveal + 30) compiled))
+        (Runner.run ~corrupt_at ~faults ~rounds:(reveal + 30) compiled))
     reveal_rounds;
   Table.print table
 
@@ -494,13 +496,11 @@ let e8_compiler m =
   in
   (* q's round variable starts out of step and, being deaf, never
      reconciles. *)
-  let corrupt p (st : _ Compiler.state) =
-    if p = 0 then { st with Compiler.c = 5 } else st
-  in
+  let corrupt_at = [ (0, 0, fun st -> { st with Compiler.c = 5 }) ] in
   List.iter
     (fun suspect_filter ->
       let compiled = Compiler.compile ~suspect_filter ~n pi in
-      let trace = Runner.run ~corrupt ~faults ~rounds compiled in
+      let trace = Runner.run ~corrupt_at ~faults ~rounds compiled in
       let spec = Repeated.round_and_sigma ~final_round:pi.Canonical.final_round ~valid () in
       let holds =
         Solve.ftss_solves spec ~stabilization:(Compiler.stabilization_bound pi) trace
@@ -618,7 +618,8 @@ let e10 m =
         bound := Drift.spread_bound config;
         let rng = Rng.create (seed + 99) in
         let result =
-          Sim.run ~corrupt:(Drift.corrupt rng ~bound:1_000_000) config Drift.process
+          Sim.run ~corrupt_at:(corrupt_all ~n (Drift.corrupt rng ~bound:1_000_000)) config
+            Drift.process
         in
         let report = Drift.analyze result ~config in
         if report.Drift.converged_from <> None then begin

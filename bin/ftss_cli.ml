@@ -148,6 +148,10 @@ let explain_counterexample ?dot f =
       Format.printf "provenance cone written to %s (Graphviz)@." path
     | None -> ())
 
+(* The initial-state corruption schedule of a command that corrupts
+   every process: one entry per pid, in pid order. *)
+let corrupt_all ~n corrupt = List.init n (fun p -> (0, p, corrupt p))
+
 (* --- round-agreement --- *)
 
 let dump_arg =
@@ -160,7 +164,7 @@ let round_agreement_cmd =
     let faults = Faults.random_omission rng ~n ~f ~p_drop ~rounds in
     let trace =
       Runner.run ?obs
-        ~corrupt:(Round_agreement.corrupt_uniform rng ~bound:1_000_000)
+        ~corrupt_at:(corrupt_all ~n (Round_agreement.corrupt_uniform rng ~bound:1_000_000))
         ~faults ~rounds Round_agreement.protocol
     in
     Format.printf "%a@." Trace.pp_summary trace;
@@ -206,7 +210,7 @@ let compile_cmd =
         ~(valid : d -> bool) =
       let compiled = Compiler.compile ~n pi in
       let corrupt = Compiler.corrupt rng ~pi ~n ~c_bound:1000 ~corrupt_s in
-      let trace = Runner.run ?obs ~corrupt ~faults ~rounds compiled in
+      let trace = Runner.run ?obs ~corrupt_at:(corrupt_all ~n corrupt) ~faults ~rounds compiled in
       let spec = Repeated.round_and_sigma ~final_round:pi.Canonical.final_round ~valid () in
       let bound = Compiler.stabilization_bound pi in
       let ok = Solve.ftss_solves spec ~stabilization:bound trace in
@@ -229,7 +233,7 @@ let compile_cmd =
       let propose p = 50 + p in
       check
         (Omission_consensus.make ~n ~f ~propose)
-        ~corrupt_s:(fun rng p s -> Omission_consensus.corrupt_state rng ~n ~value_bound:49 p s)
+        ~corrupt_s:(fun rng p s -> Omission_consensus.corrupt_state rng ~n p s)
         ~valid:(fun d -> d >= 50 && d < 50 + n)
     | `Ic ->
       let propose p = 1000 + p in
@@ -276,16 +280,17 @@ let detector_arg =
 
 (* Runs [f] once the sizes every simulator-backed command shares are
    checked: -n within 1..4096 (the 12-bit pid fields of [Sim]'s event
-   tags), then each [(flag, value, least)] of [bounds] at least [least].
-   A bad argument is reported under [cmd] with its flag and exits 2. *)
+   tags), then each [(flag, value, least, most)] of [bounds] within
+   [least..most] ([most = max_int]: no upper bound). A bad argument is
+   reported under [cmd] with its flag and exits 2. *)
 let with_sizes ~cmd ~n bounds f =
   let bad =
-    if n < 1 || n > 4096 then Some (Printf.sprintf "-n %d: outside 1..4096" n)
-    else
-      List.find_map
-        (fun (flag, v, least) ->
-          if v < least then Some (Printf.sprintf "%s %d: below %d" flag v least) else None)
-        bounds
+    List.find_map
+      (fun (flag, v, least, most) ->
+        if v >= least && v <= most then None
+        else if most = max_int then Some (Printf.sprintf "%s %d: below %d" flag v least)
+        else Some (Printf.sprintf "%s %d: outside %d..%d" flag v least most))
+      (("-n", n, 1, 4096) :: bounds)
   in
   match bad with
   | Some msg ->
@@ -300,7 +305,7 @@ let with_sizes ~cmd ~n bounds f =
    process correct. A bad argument is reported under [cmd] with its flag
    and exits 2. *)
 let with_sim_args ~cmd ~n ~horizon crashes f =
-  with_sizes ~cmd ~n [ ("--horizon", horizon, 1) ] @@ fun () ->
+  with_sizes ~cmd ~n [ ("--horizon", horizon, 1, max_int) ] @@ fun () ->
   let fail msg =
     Format.eprintf "%s: %s@." cmd msg;
     2
@@ -338,8 +343,8 @@ let esfd_cmd =
       | `Heartbeats -> (Esfd.Heartbeats, None)
     in
     let rng = Rng.create (seed + 2) in
-    let corrupt _ t = Esfd.Layer.corrupt rng ~num_bound:10_000 t in
-    let result = Sim.run ?obs ~corrupt config (Esfd.process ?obs ~n ~source ()) in
+    let corrupt_at = corrupt_all ~n (fun _ -> Esfd.Layer.corrupt rng ~num_bound:10_000) in
+    let result = Sim.run ?obs ~corrupt_at config (Esfd.process ?obs ~n ~source ()) in
     let report = Esfd.analyze ?trusted result ~config in
     let show = function Some t -> string_of_int t | None -> "none" in
     Format.printf "messages delivered: %d@." result.Sim.delivered;
@@ -395,14 +400,14 @@ let consensus_cmd =
     let crashed p = List.assoc_opt p crashes in
     let noise = match corruption with `Parked -> 0.0 | `None | `Random -> 0.2 in
     let oracle = Ewfd.make (Rng.create (seed + 7)) ~n ~crashed ~gst ~trusted ~noise in
-    let corrupt =
+    let corrupt_at =
       match corruption with
-      | `None -> None
+      | `None -> []
       | `Random ->
-        Some
-          (Consensus.corrupt_random (Rng.create (seed + 3)) ~n ~instance_bound:20
+        corrupt_all ~n
+          (Consensus.corrupt_random (Rng.create (seed + 3)) ~instance_bound:20
              ~round_bound:30 ~value_bound:90)
-      | `Parked -> Some (Consensus.corrupt_parked ~round:(n + trusted))
+      | `Parked -> corrupt_all ~n (Consensus.corrupt_parked ~round:(n + trusted))
     in
     let detector =
       match detector_kind with
@@ -410,7 +415,7 @@ let consensus_cmd =
       | `Heartbeats -> Esfd.Heartbeats
     in
     let result =
-      Sim.run ?obs ?corrupt config (Consensus.process ?obs ~n ~style ~propose ~detector ())
+      Sim.run ?obs ~corrupt_at config (Consensus.process ?obs ~n ~style ~propose ~detector ())
     in
     let correct = Sim.correct_set config in
     let ds = Consensus.decisions result in
@@ -941,14 +946,17 @@ let tower_run ~cmd ~n ~seed ~ops ~sessions ~keys ~window ~baseline ~storm_at
   let open Ftss_service in
   let bounds =
     [
-      ("--ops", ops, 0);
-      ("--sessions", sessions, 1);
-      ("--keys", keys, 1);
-      ("--window", window, 1);
-      ("--prom-every", prom_every, 1);
+      ("--ops", ops, 0, max_int);
+      ("--sessions", sessions, 1, max_int);
+      ("--keys", keys, 1, max_int);
+      ("--window", window, 1, max_int);
+      ("--prom-every", prom_every, 1, max_int);
     ]
-    @ (match shards with Some s -> [ ("--shards", s, 1) ] | None -> [])
-    @ match watch with Some (every, _) -> [ ("--every", every, 1) ] | None -> []
+    @ (match shards with Some s -> [ ("--shards", s, 1, max_int) ] | None -> [])
+    @ (match storm_at with
+      | Some t -> [ ("--storm-at", t, 0, max_int); ("--storm-victims", storm_victims, 1, n) ]
+      | None -> [])
+    @ match watch with Some (every, _) -> [ ("--every", every, 1, max_int) ] | None -> []
   in
   with_sizes ~cmd ~n bounds @@ fun () ->
   match
@@ -1176,13 +1184,14 @@ let storm_at_arg =
   Arg.(
     value
     & opt (some int) None
-    & info [ "storm-at" ] ~docv:"T" ~doc:"Inject a corruption storm at time $(docv).")
+    & info [ "storm-at" ] ~docv:"T"
+        ~doc:"Inject a corruption storm at time $(docv) (0: corrupt the initial state).")
 
 let storm_victims_arg =
   Arg.(
     value & opt int 2
     & info [ "storm-victims" ] ~docv:"V"
-        ~doc:"Replicas scrambled by the storm (with $(b,--storm-at)).")
+        ~doc:"Replicas scrambled by the storm (with $(b,--storm-at)), 1 to $(b,-n).")
 
 let shards_arg =
   Arg.(
@@ -1278,7 +1287,8 @@ let watch_cmd =
 
 let profile_cmd =
   let run n seed ops window out folded_out summary =
-    with_sizes ~cmd:"profile" ~n [ ("--ops", ops, 0); ("--window", window, 1) ] @@ fun () ->
+    with_sizes ~cmd:"profile" ~n [ ("--ops", ops, 0, max_int); ("--window", window, 1, max_int) ]
+    @@ fun () ->
     let module Prof = Ftss_profile.Profile in
     let open Ftss_service in
     let prof = Prof.create () in

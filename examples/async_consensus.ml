@@ -22,7 +22,7 @@ open Ftss_async
 
 let propose p i = 100 + (((p * 13) + (i * 7)) mod 50)
 
-let run ?corrupt ?(noise = 0.2) ~style ~seed ~n ~trusted () =
+let run ~corrupt ?(noise = 0.2) ~style ~seed ~n ~trusted () =
   let config =
     {
       (Sim.default_config ~n ~seed) with
@@ -38,7 +38,7 @@ let run ?corrupt ?(noise = 0.2) ~style ~seed ~n ~trusted () =
       ~trusted ~noise
   in
   let result =
-    Sim.run ?corrupt config
+    Sim.run ~corrupt_at:(List.init n (fun p -> (0, p, corrupt p))) config
       (Consensus.process ~n ~style ~propose ~detector:(Esfd.Oracle oracle) ())
   in
   (config, result)
@@ -64,7 +64,7 @@ let () =
   Format.printf "=== 3. self-stabilizing protocol from random corruption ===@.";
   let rng = Rng.create 123 in
   let corrupt =
-    Consensus.corrupt_random rng ~n ~instance_bound:20 ~round_bound:30 ~value_bound:90
+    Consensus.corrupt_random rng ~instance_bound:20 ~round_bound:30 ~value_bound:90
   in
   let config, ss2 = run ~corrupt ~style:Consensus.self_stabilizing ~seed:31 ~n ~trusted () in
   let correct = Sim.correct_set config in

@@ -35,13 +35,13 @@ let () =
     Ewfd.make (Rng.create (seed + 1)) ~n ~crashed ~gst:config.Sim.gst ~trusted ~noise:0.3
   in
   let rng = Rng.create 99 in
-  let corrupt _ t = Esfd.Layer.corrupt rng ~num_bound:10_000 t in
+  let corrupt_at = List.init n (fun p -> (0, p, Esfd.Layer.corrupt rng ~num_bound:10_000)) in
 
   Format.printf "n=%d, crashes at t=150 (p4) and t=900 (p5), GST=%d, trusted=%a@."
     n config.Sim.gst Pid.pp trusted;
   Format.printf "every process starts with corrupted num/state tables@.@.";
 
-  let result = Sim.run ~corrupt config (Esfd.process ~n ~source:(Esfd.Oracle oracle) ()) in
+  let result = Sim.run ~corrupt_at config (Esfd.process ~n ~source:(Esfd.Oracle oracle) ()) in
 
   (* Print a sampled timeline of process 0's suspect set. *)
   Format.printf "=== suspect set of p0 over time (sampled) ===@.";

@@ -38,9 +38,9 @@ let () =
 
   (* First: the detector layer alone over heartbeats, fully corrupted. *)
   let rng = Rng.create 31 in
-  let corrupt_layer _ t = Esfd.Layer.corrupt rng ~num_bound:5_000 t in
+  let corrupt_at = List.init n (fun p -> (0, p, Esfd.Layer.corrupt rng ~num_bound:5_000)) in
   let layer_result =
-    Sim.run ~corrupt:corrupt_layer config (Esfd.process ~n ~source:Esfd.Heartbeats ())
+    Sim.run ~corrupt_at config (Esfd.process ~n ~source:Esfd.Heartbeats ())
   in
   let report = Esfd.analyze layer_result ~config in
   let show = function Some t -> string_of_int t | None -> "never" in
@@ -52,10 +52,10 @@ let () =
   (* Then: consensus over the same construction, also corrupted. *)
   let rng = Rng.create 32 in
   let corrupt =
-    Consensus.corrupt_random rng ~n ~instance_bound:15 ~round_bound:25 ~value_bound:90
+    Consensus.corrupt_random rng ~instance_bound:15 ~round_bound:25 ~value_bound:90
   in
   let result =
-    Sim.run ~corrupt config
+    Sim.run ~corrupt_at:(List.init n (fun p -> (0, p, corrupt p))) config
       (Consensus.process ~n ~style:Consensus.self_stabilizing ~propose
          ~detector:Esfd.Heartbeats ())
   in

@@ -32,7 +32,7 @@ let () =
   (* 3. A systemic failure: every process starts from garbage. *)
   let corrupt =
     Compiler.corrupt rng ~pi ~n ~c_bound:1000
-      ~corrupt_s:(fun rng p s -> Omission_consensus.corrupt_state rng ~n ~value_bound:49 p s)
+      ~corrupt_s:(fun rng p s -> Omission_consensus.corrupt_state rng ~n p s)
   in
 
   (* 4. Process failures on top: one process keeps omitting messages. *)
@@ -41,7 +41,8 @@ let () =
   Format.printf "adversary: %a@.@." Faults.pp faults;
 
   (* 5. Run and inspect. *)
-  let trace = Runner.run ~corrupt ~faults ~rounds compiled in
+  let corrupt_at = List.init n (fun p -> (0, p, corrupt p)) in
+  let trace = Runner.run ~corrupt_at ~faults ~rounds compiled in
   Format.printf "per-iteration decisions of each correct process:@.";
   List.iter
     (fun (round, cs) ->

@@ -34,16 +34,15 @@ let () =
 
   (* The systemic failure strikes mid-execution, at round 25. *)
   let corrupt_at =
-    [
-      ( 25,
-        fun p (st : _ Compiler.state) ->
-          ignore p;
-          {
-            st with
-            Compiler.c = 400 + Rng.int rng 100;
-            suspects = Pidset.of_pred n (fun _ -> Rng.bool rng);
-          } );
-    ]
+    List.init n (fun p ->
+        ( 25,
+          p,
+          fun (st : _ Compiler.state) ->
+            {
+              st with
+              Compiler.c = 400 + Rng.int rng 100;
+              suspects = Pidset.of_pred n (fun _ -> Rng.bool rng);
+            } ))
   in
 
   let trace = Runner.run ~corrupt_at ~faults ~rounds compiled in

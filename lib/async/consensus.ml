@@ -205,7 +205,7 @@ let process ?obs ~n ~style ~propose ~detector () =
     on_tick;
   }
 
-let corrupt_random rng ~n:_ ~instance_bound ~round_bound ~value_bound _pid st =
+let corrupt_random rng ~instance_bound ~round_bound ~value_bound _pid st =
   (* The draw order is fixed: seeded corruptions (the tests, E6, E8b)
      reproduce only under it. *)
   let prev_decision =

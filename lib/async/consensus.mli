@@ -102,14 +102,13 @@ val process :
 
 (** {2 Systemic failures} *)
 
-(** [corrupt_random rng ~n ~instance_bound ~round_bound ~value_bound]
+(** [corrupt_random rng ~instance_bound ~round_bound ~value_bound]
     draws an arbitrary state: random (instance, round) position, random
     estimate and timestamp (including timestamps far in the future, the
     adversarial case for estimate locking), random detector arrays, and a
     randomly forged previous-decision record. *)
 val corrupt_random :
   Rng.t ->
-  n:int ->
   instance_bound:int ->
   round_bound:int ->
   value_bound:int ->

@@ -18,9 +18,8 @@
    two structures never hold the same timestamp) and are promoted in
    bulk when the window rolls over them; a window that drains while
    overflow remains jumps the epoch straight to the earliest overflow
-   time. Pushes into the past — nothing in the simulator does it, but
-   the heap allowed it — flush the window back into overflow and rebase
-   the epoch at the new minimum. *)
+   time. A push may not precede the last popped event, so every push
+   lands at or past the window's base and the cursor never rewinds. *)
 
 type 'e t = {
   (* node arena, parallel arrays; [free] heads the freelist *)
@@ -34,7 +33,7 @@ type 'e t = {
   mutable btail : int array;
   mutable mask : int; (* nbuckets - 1, nbuckets a power of two *)
   mutable epoch : int; (* window base, aligned: epoch land mask = 0 *)
-  mutable cur : int; (* scan cursor; no bucketed node is earlier *)
+  mutable cur : int; (* scan cursor: the last popped time; no node is earlier *)
   mutable win : int; (* nodes in the window buckets *)
   (* overflow list: times >= epoch + nbuckets, insertion order *)
   mutable ohead : int;
@@ -173,28 +172,16 @@ let grow_buckets t =
   promote t
 
 let push_tagged t ~time ~tag payload =
-  if time < 0 then invalid_arg "Event_queue.push: negative time";
+  if time < t.o_time then invalid_arg "Event_queue.push: time before the last pop";
   if t.size >= 2 * (t.mask + 1) then grow_buckets t;
   let idx = alloc t in
   t.ntime.(idx) <- time;
   t.ntag.(idx) <- tag;
   t.npayload.(idx) <- Obj.repr payload;
   if time >= t.epoch + t.mask + 1 then overflow_append t idx
-  else if time >= t.epoch then begin
-    bucket_append t (time land t.mask) idx;
-    t.win <- t.win + 1;
-    if time < t.cur then t.cur <- time
-  end
   else begin
-    (* Push into the past: rebase the window at the new minimum. Both
-       epochs are aligned, so everything already queued — window nodes
-       at or past the old epoch, overflow past the old window — lands at
-       or past the new window's end and belongs in overflow. *)
-    flush_window t;
-    t.epoch <- time land lnot t.mask;
-    t.cur <- time;
     bucket_append t (time land t.mask) idx;
-    t.win <- 1
+    t.win <- t.win + 1
   end;
   t.size <- t.size + 1
 

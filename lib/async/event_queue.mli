@@ -24,7 +24,8 @@ val create : ?initial_capacity:int -> unit -> 'e t
 (** [push_tagged t ~time ~tag e] schedules [e] and stores an arbitrary
     [int] tag alongside it, read back through {!out_tag} — the
     allocation-free channel the simulator packs event kind and pids
-    into. Raises [Invalid_argument] on negative time. *)
+    into. [time] may not precede the last popped event's time (0 before
+    any pop): raises [Invalid_argument] on such a push. *)
 val push_tagged : 'e t -> time:int -> tag:int -> 'e -> unit
 
 (** [pop_step t] removes the earliest event without allocating: it

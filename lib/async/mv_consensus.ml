@@ -183,9 +183,9 @@ let tick t ~suspected ~retransmit =
    adversary relocates references, it does not fabricate well-typed
    batches) — a scrambled [ts] is already enough to make a stale estimate
    look locked and force a pre-stabilization disagreement. *)
-let corrupt rng ~round_bound t =
-  let ts = if Rng.chance rng 0.5 then Rng.int rng (max 1 round_bound) else -1 in
-  let round = Rng.int rng (max 1 round_bound) in
+let corrupt rng t =
+  let ts = if Rng.chance rng 0.5 then Rng.int rng 64 else -1 in
+  let round = Rng.int rng 64 in
   { t with round; ts; coord = None }
 
 let plant t ~round ~estimate ~ts = { t with round; estimate; ts; coord = None }

@@ -62,9 +62,8 @@ val tick :
   'v t * 'v out list * 'v verdict
 
 (** Systemic-failure scrambling: an arbitrary timestamp, then an
-    arbitrary round, both below [round_bound]; coordinator bookkeeping
-    lost. *)
-val corrupt : Rng.t -> round_bound:int -> 'v t -> 'v t
+    arbitrary round, both below 64; coordinator bookkeeping lost. *)
+val corrupt : Rng.t -> 'v t -> 'v t
 
 (** [plant t ~round ~estimate ~ts] is the state a corruption model
     chooses itself: mid-[round], holding [estimate] adopted in round

@@ -83,8 +83,7 @@ let crashed_set config =
 
 let correct_set config = Pidset.diff (Pidset.full config.n) (crashed_set config)
 
-let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) config
-    process =
+let run ?obs ?profile ?(corrupt_at = []) ?drop ?(spurious = []) config process =
   if config.tick_interval < 1 then invalid_arg "Sim.run: tick_interval < 1";
   if config.horizon < 1 then invalid_arg "Sim.run: horizon < 1";
   if config.n < 1 || config.n > max_n then
@@ -131,15 +130,7 @@ let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) config
         (Ftss_obs.Event.make ~time:crash_time.(p) (Ftss_obs.Event.Crash { pid = p }))
     end
   in
-  let initial p =
-    let s = process.init p in
-    match corrupt with None -> s | Some c -> c p s
-  in
-  if traced && corrupt <> None then
-    List.iter
-      (fun p -> emit (Ftss_obs.Event.make ~time:0 (Ftss_obs.Event.Corrupt { pid = p })))
-      (Pid.all config.n);
-  let states = Array.init config.n (fun p -> Some (initial p)) in
+  let states = Array.init config.n (fun p -> Some (process.init p)) in
   let log = ref [] in
   let delivered = ref 0 in
   let dropped_after_crash = ref 0 in
@@ -211,16 +202,18 @@ let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) config
   List.iter
     (fun p -> push_tick ~time:(1 + (p mod config.tick_interval)) p)
     (Pid.all config.n);
-  List.iter
-    (fun (t, src, dst, msg) -> push_deliver ~time:t ~src ~dst msg)
-    spurious;
+  (* Queued ahead of the planted messages, so a time-0 entry rewrites
+     the initial state before any delivery or tick (ticks start at 1). *)
   List.iter
     (fun (t, p, f) ->
-      if t < 1 then invalid_arg "Sim.run: corrupt_at time < 1";
+      if t < 0 then invalid_arg "Sim.run: corrupt_at time < 0";
       if not (Pid.is_valid ~n:config.n p) then
         invalid_arg "Sim.run: corrupt_at pid out of range";
       push_scramble ~time:t p f)
     corrupt_at;
+  List.iter
+    (fun (t, src, dst, msg) -> push_deliver ~time:t ~src ~dst msg)
+    spurious;
   let end_time = ref 0 in
   (* Profiling: like [obs], the bare path pays only an option test per
      event. Armed, the loop chains clock reads — the pop lap ends where
@@ -283,9 +276,9 @@ let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) config
             frame_leave ()
           end
         | _ -> (
-          (* A mid-run transient fault: the adversary rewrites p's state in
-             place. The victim takes no step — it only discovers the damage
-             (if its protocol can) at its next tick or delivery. *)
+          (* A transient fault: the adversary rewrites p's state in place.
+             The victim takes no step — it only discovers the damage (if
+             its protocol can) at its next tick or delivery. *)
           let p = tag_pid tag in
           match states.(p) with
           | Some s when alive p ~at:t ->

@@ -9,11 +9,11 @@
     seeded generator in the config, so runs are replayable.
 
     Systemic failures are modelled exactly as in the synchronous
-    substrate: an optional corruption function rewrites each process's
-    protocol-specified initial state; [spurious] additionally plants
-    adversarial messages in the channels (the KP90 concern that the
-    initial state "falsely indicates that every process has sent a
-    message"). *)
+    substrate: a per-pid corruption schedule rewrites a process's state,
+    at time 0 (the protocol-specified initial state) or mid-run;
+    [spurious] additionally plants adversarial messages in the channels
+    (the KP90 concern that the initial state "falsely indicates that
+    every process has sent a message"). *)
 
 open Ftss_util
 
@@ -76,39 +76,43 @@ type ('s, 'o) result = {
   end_time : time;
 }
 
-(** [run ?obs ?corrupt ?drop ?spurious config process] executes until the
-    horizon (or until the event queue drains). [spurious
-    (time, src, dst, msg)] events are injected into the channels at
-    start-up. [drop], when given, is an omission adversary consulted at
-    send time: a message from [src] to [dst] sent at [time] is silently
-    suppressed when the predicate holds. Self-messages are exempt (the
-    synchronous substrate's rule), and a suppressed message draws no
-    delay from the generator — the delivery schedule of the surviving
-    messages is therefore a function of the drop {e pattern} only, keeping
-    runs replayable under any deterministic matrix. When [obs] is given,
-    the engine emits the run's event stream: [Corrupt] per process at
-    time 0 when [corrupt] is present, one point [Send] per enqueued
-    message at its send time, [Deliver] at its delivery time, [Drop]
-    (blaming the receiver) for messages addressed to a crashed process and
-    [Drop] with no blame for adversary suppressions, and [Crash] once per
-    crashed process, timestamped with its crash time. With [obs] absent
-    the instrumentation allocates nothing.
+(** [run ?obs ?corrupt_at ?drop ?spurious config process] executes until
+    the horizon (or until the event queue drains).
 
-    [corrupt_at] extends the corruption model beyond time 0: each
-    [(time, pid, f)] entry rewrites [pid]'s state to [f state] at that
-    simulated time — a mid-run transient fault (a "corruption storm" is a
-    batch of such entries). The victim takes no step at the fault itself;
-    it runs on the scrambled state from its next delivery or tick. A
-    [Corrupt] event is emitted at the fault time when traced. Entries for
-    already-crashed processes are ignored. Raises [Invalid_argument] on
-    non-positive [tick_interval] or [horizon], an [n] outside
-    [1..4096], a crash or [corrupt_at] pid outside the system, or a
-    [corrupt_at] time < 1. *)
+    [corrupt_at] is the corruption schedule: each [(time, pid, f)] entry
+    rewrites [pid]'s state to [f state] at that simulated time. Time 0
+    is the initial state — the entry applies before any tick or
+    delivery; a later time is a mid-run transient fault (a "corruption
+    storm" is a batch of such entries). The victim takes no step at the
+    fault itself; it runs on the scrambled state from its next delivery
+    or tick. Entries at one time apply in list order, and an entry for a
+    process already crashed at its time is skipped.
+
+    [spurious (time, src, dst, msg)] events are injected into the
+    channels at start-up. [drop], when given, is an omission adversary
+    consulted at send time: a message from [src] to [dst] sent at [time]
+    is silently suppressed when the predicate holds. Self-messages are
+    exempt (the synchronous substrate's rule), and a suppressed message
+    draws no delay from the generator — the delivery schedule of the
+    surviving messages is therefore a function of the drop {e pattern}
+    only, keeping runs replayable under any deterministic matrix.
+
+    When [obs] is given, the engine emits the run's event stream: one
+    [Corrupt] per applied [corrupt_at] entry at its time, one point
+    [Send] per enqueued message at its send time, [Deliver] at its
+    delivery time, [Drop] (blaming the receiver) for messages addressed
+    to a crashed process and [Drop] with no blame for adversary
+    suppressions, and [Crash] once per crashed process, timestamped with
+    its crash time. With [obs] absent the instrumentation allocates
+    nothing.
+
+    Raises [Invalid_argument] on non-positive [tick_interval] or
+    [horizon], an [n] outside [1..4096], a crash or [corrupt_at] pid
+    outside the system, or a negative [corrupt_at] time. *)
 
 val run :
   ?obs:Ftss_obs.Obs.t ->
   ?profile:Ftss_profile.Profile.lane ->
-  ?corrupt:(Pid.t -> 's -> 's) ->
   ?corrupt_at:(time * Pid.t * ('s -> 's)) list ->
   ?drop:(time:time -> src:Pid.t -> dst:Pid.t -> bool) ->
   ?spurious:(time * Pid.t * Pid.t * 'm) list ->

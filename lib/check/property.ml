@@ -73,9 +73,12 @@ let adversary_of_case (case : S.t) =
   in
   { adv_n = n; adv_rounds = rounds; adv_f = f; adv_faults = S.to_faults case; adv_corrupt }
 
-(* The synchronous theorems' corruption: a pid with a value has its
-   round variable rewritten to it. *)
-let corrupt_round adv p c = match adv.adv_corrupt p with Some v -> v | None -> c
+(* The corruption schedule of an adversary: one initial-state entry per
+   pid with a value, in pid order, rewriting the state by [rewrite v]. *)
+let initial_entries adv rewrite =
+  List.filter_map
+    (fun p -> Option.map (fun v -> (0, p, rewrite v)) (adv.adv_corrupt p))
+    (Pid.all adv.adv_n)
 
 let make ~name ~inject ~restrict ~fingerprint_hex ?run_batch run_adv =
   let run ?obs case = run_adv ?obs (adversary_of_case case) in
@@ -94,14 +97,15 @@ let make ~name ~inject ~restrict ~fingerprint_hex ?run_batch run_adv =
   in
   { name; inject; restrict; run_adv; run; run_batch; fingerprint_hex }
 
-(* A synchronous theorem: per adversary, the protocol, its corruption
-   and the judgement of a trace. [instance] may read only the
-   adversary's n, f, rounds and corruption class — what
-   {!Schedule_enum.shared_prefix} compares at round 0 — because a batch
-   reuses one instance across the cases that share a prefix. *)
+(* A synchronous theorem: per adversary, the protocol, the rewrite of a
+   corrupted pid's round variable to its value, and the judgement of a
+   trace. [instance] may read only the adversary's n, f, rounds and
+   corruption class — what {!Schedule_enum.shared_prefix} compares at
+   round 0 — because a batch reuses one instance across the cases that
+   share a prefix. *)
 type ('s, 'm) instance = {
   protocol : ('s, 'm) Protocol.t;
-  corrupt : Pid.t -> 's -> 's;
+  set_round : int -> 's -> 's;
   judge : ?obs:Ftss_obs.Obs.t -> adversary -> ('s, 'm) Trace.t -> run;
 }
 
@@ -109,8 +113,9 @@ let sync_theorem ~name ~inject (instance : adversary -> ('s, 'm) instance) =
   let run_adv ?obs adv =
     let inst = instance adv in
     inst.judge ?obs adv
-      (Runner.run ?obs ~corrupt:inst.corrupt ~faults:adv.adv_faults ~rounds:adv.adv_rounds
-         inst.protocol)
+      (Runner.run ?obs
+         ~corrupt_at:(initial_entries adv inst.set_round)
+         ~faults:adv.adv_faults ~rounds:adv.adv_rounds inst.protocol)
   in
   (* The cursor walk: [path.(r)] is the runner state after round [r] of
      the previous case, valid through the depth the next case shares
@@ -133,7 +138,11 @@ let sync_theorem ~name ~inject (instance : adversary -> ('s, 'm) instance) =
           | Some (_, inst, path) when shared >= 0 -> (inst, path)
           | _ ->
             let inst = instance adv in
-            let start = Runner.start ~corrupt:inst.corrupt ~n:adv.adv_n inst.protocol in
+            let start =
+              Runner.start
+                ~corrupt_at:(initial_entries adv inst.set_round)
+                ~n:adv.adv_n inst.protocol
+            in
             (inst, Array.make (rounds + 1) start)
         in
         let from = max shared 0 in
@@ -192,8 +201,8 @@ let theorem3 ?(inject = `None) () =
            { ok; detail });
     }
   in
-  sync_theorem ~name:"theorem3" ~inject:inject_name (fun adv ->
-      { protocol; corrupt = corrupt_round adv; judge })
+  sync_theorem ~name:"theorem3" ~inject:inject_name (fun _ ->
+      { protocol; set_round = (fun v _ -> v); judge })
 
 (* --- Theorem 4: the Figure 3 compiler --- *)
 
@@ -262,9 +271,7 @@ let theorem4 ?(suspect_filter = true) () =
     in
     {
       protocol = Compiler.compile ~suspect_filter ~n pi;
-      corrupt =
-        (fun p (st : _ Compiler.state) ->
-          { st with Compiler.c = corrupt_round adv p st.Compiler.c });
+      set_round = (fun v (st : _ Compiler.state) -> { st with Compiler.c = v });
       judge;
     }
   in
@@ -312,21 +319,15 @@ let theorem5 () =
       | None -> assert false (* f < n leaves a correct process *)
     in
     let oracle = Ewfd.make (Rng.create 2) ~n ~crashed ~gst ~trusted ~noise:0.3 in
-    let corrupt =
+    let corrupt_at =
       (* Each pid with a value v has its detector state drawn through the
          detector's own corruption shape, counters below v + 1, all from
-         one generator; a clean adversary corrupts nothing. *)
-      if List.for_all (fun p -> adv.adv_corrupt p = None) (Pid.all n) then None
-      else
-        let rng = Rng.create 11 in
-        Some
-          (fun p l ->
-            match adv.adv_corrupt p with
-            | Some v -> Esfd.Layer.corrupt rng ~num_bound:(v + 1) l
-            | None -> l)
+         one generator. *)
+      let rng = Rng.create 11 in
+      initial_entries adv (fun v -> Esfd.Layer.corrupt rng ~num_bound:(v + 1))
     in
     let result =
-      Sim.run ?obs ?corrupt config (Esfd.process ?obs ~n ~source:(Esfd.Oracle oracle) ())
+      Sim.run ?obs ~corrupt_at config (Esfd.process ?obs ~n ~source:(Esfd.Oracle oracle) ())
     in
     let report = Esfd.analyze ~trusted result ~config in
     (match (obs, report.Esfd.convergence_time) with

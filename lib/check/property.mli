@@ -56,13 +56,14 @@ module Fingerprint_table : Hashtbl.S with type key = int
 (** The adversary interface the theorem runners consume — what any case,
     catalogued or fuzzed, compiles down to: a fault schedule and one
     per-pid view of the corruption, [adv_corrupt p] being [p]'s
-    corrupted value or [None] for a clean [p]. Theorems 3 and 4 rewrite
-    a corrupted pid's round variable to its value. Theorem 5 draws a
-    corrupted pid's detector state with {!Ftss_async.Esfd.Layer.corrupt}
-    [~num_bound:(v + 1)], every pid from one generator of a fixed seed,
-    and corrupts nothing when no pid has a value. Theorem 5 reads only
-    the schedule's crashes and rejects a schedule that omits a message
-    in any of [adv_rounds]. *)
+    corrupted value or [None] for a clean [p]. Each theorem runs its
+    substrate with one initial-state [corrupt_at] entry per pid that has
+    a value, in pid order, and none for a clean pid. Theorems 3 and 4
+    rewrite the pid's round variable to its value. Theorem 5 draws its
+    detector state with {!Ftss_async.Esfd.Layer.corrupt}
+    [~num_bound:(v + 1)], every pid from one generator of a fixed seed.
+    Theorem 5 reads only the schedule's crashes and rejects a schedule
+    that omits a message in any of [adv_rounds]. *)
 type adversary = {
   adv_n : int;
   adv_rounds : int;

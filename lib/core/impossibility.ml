@@ -21,6 +21,8 @@ let view trace p =
   in
   collect 1 []
 
+let corrupt_all ~n corrupt = List.map (fun p -> (0, p, corrupt p)) (Pid.all n)
+
 (* The rate-obeying strawman of Theorem 1's dichotomy: a process that
    honours c := c + 1 unconditionally can never reconcile a corrupted gap. *)
 let rate_obeying_protocol : (int, int) Protocol.t =
@@ -47,10 +49,10 @@ module Theorem1 = struct
     if c_p = c_q then invalid_arg "Theorem1.run: round variables must differ";
     if isolation < 1 || suffix < 2 then
       invalid_arg "Theorem1.run: need isolation >= 1 and suffix >= 2";
-    let corrupt p _ = if p = 0 then c_p else c_q in
+    let corrupt_at = corrupt_all ~n:2 (fun p _ -> if p = 0 then c_p else c_q) in
     let rounds = isolation + suffix in
     let faults = scenario_faults ~isolation in
-    let h = Runner.run ~corrupt ~faults ~rounds Round_agreement.protocol in
+    let h = Runner.run ~corrupt_at ~faults ~rounds Round_agreement.protocol in
     let start_of_suffix p =
       match Trace.state_before h ~round:(isolation + 1) p with
       | Some c -> c
@@ -61,7 +63,7 @@ module Theorem1 = struct
        initial state (itself a legal systemic-failure state). *)
     let g =
       Runner.run
-        ~corrupt:(fun p _ -> start_of_suffix p)
+        ~corrupt_at:(corrupt_all ~n:2 (fun p _ -> start_of_suffix p))
         ~faults:(Faults.none 2) ~rounds:suffix Round_agreement.protocol
     in
     let h_suffix = Trace.sub h ~first:(isolation + 1) ~last:rounds in
@@ -86,9 +88,7 @@ module Theorem1 = struct
       in
       scan 1
     in
-    let naive =
-      Runner.run ~corrupt ~faults ~rounds rate_obeying_protocol
-    in
+    let naive = Runner.run ~corrupt_at ~faults ~rounds rate_obeying_protocol in
     let rate_obeying_never_agrees =
       let rec scan round =
         if round > rounds then true
@@ -146,7 +146,8 @@ module Kp90 = struct
       { st with Canonical.halted = true; s = Pidset.empty }
     in
     let baseline_trace =
-      Runner.run ~corrupt:corrupt_halted ~faults:(Faults.none n) ~rounds ft
+      Runner.run ~corrupt_at:(corrupt_all ~n corrupt_halted) ~faults:(Faults.none n) ~rounds
+        ft
     in
     let decided_at_round r =
       List.exists
@@ -167,7 +168,8 @@ module Kp90 = struct
       { st with Compiler.s = Pidset.empty; c = 17 + p }
     in
     let compiled_trace =
-      Runner.run ~corrupt:corrupt_compiled ~faults:(Faults.none n) ~rounds compiled
+      Runner.run ~corrupt_at:(corrupt_all ~n corrupt_compiled) ~faults:(Faults.none n) ~rounds
+        compiled
     in
     let completions =
       List.filter
@@ -242,8 +244,9 @@ module Theorem2 = struct
     (* Scenario 1: process 1 is the faulty one. Scenario 2: process 0 is.
        The communication pattern — total silence — is identical. *)
     let run_with culprit =
-      Runner.run ~corrupt:corrupt_checking ~faults:(never_communicate culprit)
-        ~rounds protocol
+      Runner.run
+        ~corrupt_at:(corrupt_all ~n:2 corrupt_checking)
+        ~faults:(never_communicate culprit) ~rounds protocol
     in
     let h1 = run_with 1 in
     let h2 = run_with 0 in
@@ -262,8 +265,9 @@ module Theorem2 = struct
        process running and disagreeing: uniformity (Assumption 2) fails. *)
     let corrupt_plain p _ = if p = 0 then c_p else c_q in
     let plain =
-      Runner.run ~corrupt:corrupt_plain ~faults:(never_communicate 1) ~rounds
-        Round_agreement.protocol
+      Runner.run
+        ~corrupt_at:(corrupt_all ~n:2 corrupt_plain)
+        ~faults:(never_communicate 1) ~rounds Round_agreement.protocol
     in
     let uniformity_violated =
       let rec scan round =

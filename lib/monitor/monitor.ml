@@ -82,7 +82,6 @@ type t = {
      write barrier per push — measured at >10% of tower throughput; the
      flat encoding is plain immediate stores. *)
   ring_data : int array;
-  ring_cap : int;
   mutable ring_pos : int; (* next slot index *)
   mutable ring_pushed : int;
   (* fault-quiescence window tracker (stab) *)
@@ -138,15 +137,15 @@ type t = {
 
 let ring_stride = 4
 
-(* Default sized to stay L2-resident (8192 * 6 ints = 384KB): a ring
-   that cycles through megabytes of cache costs a miss per push. *)
-let create ?(ring_capacity = 8_192) ~n budgets =
-  if ring_capacity < 1 then invalid_arg "Monitor.create: ring_capacity < 1";
+(* Sized to stay L2-resident (8192 * 4 ints = 256KB): a ring that
+   cycles through megabytes of cache costs a miss per push. *)
+let ring_cap = 8_192
+
+let create ~n budgets =
   {
     n;
     budgets;
-    ring_data = Array.make (ring_capacity * ring_stride) 0;
-    ring_cap = ring_capacity;
+    ring_data = Array.make (ring_cap * ring_stride) 0;
     ring_pos = 0;
     ring_pushed = 0;
     last_fault = -1;
@@ -228,7 +227,7 @@ let ring_push t (ev : Event.t) =
   | Event.Apply { pid; slot; digest } -> set 17 pid slot digest
   | Event.Recover { pid; slots } -> set 18 pid slots 0);
   let p = t.ring_pos + 1 in
-  t.ring_pos <- (if p = t.ring_cap then 0 else p);
+  t.ring_pos <- (if p = ring_cap then 0 else p);
   t.ring_pushed <- t.ring_pushed + 1
 
 let decode_slot d base =
@@ -263,10 +262,10 @@ let decode_slot d base =
   Event.make ~time body
 
 let ring_events t =
-  let count = min t.ring_pushed t.ring_cap in
-  let start = if t.ring_pushed <= t.ring_cap then 0 else t.ring_pos in
+  let count = min t.ring_pushed ring_cap in
+  let start = if t.ring_pushed <= ring_cap then 0 else t.ring_pos in
   List.init count (fun i ->
-      decode_slot t.ring_data (((start + i) mod t.ring_cap) * ring_stride))
+      decode_slot t.ring_data (((start + i) mod ring_cap) * ring_stride))
 
 let ring_seen t = t.ring_pushed
 let set_on_alarm t f = t.on_alarm <- f

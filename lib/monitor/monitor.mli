@@ -61,10 +61,10 @@ type alarm = {
 type t
 
 (** [create ~n budgets] — [n] is the universe size (per-replica and
-    per-link state is preallocated); [ring_capacity] bounds the flight
-    recorder (default 8192 events — sized to keep the ring L2-resident;
-    larger rings trade throughput for history). *)
-val create : ?ring_capacity:int -> n:int -> budgets -> t
+    per-link state is preallocated). The flight recorder keeps the last
+    8192 events — sized to keep the ring L2-resident; larger rings trade
+    throughput for history. *)
+val create : n:int -> budgets -> t
 
 (** The per-event consumer, exposed for direct driving in tests;
     normally registered via {!attach}. *)

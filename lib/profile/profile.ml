@@ -108,11 +108,10 @@ type t = {
   on : bool;
   mutable lanes : lane list; (* reversed creation order *)
   mu : Mutex.t;
-  max_spans : int;
 }
 
-let create ?(enabled = true) ?(max_spans_per_lane = 65536) () =
-  { on = enabled; lanes = []; mu = Mutex.create (); max_spans = max_spans_per_lane }
+let max_spans_per_lane = 65536
+let create ?(enabled = true) () = { on = enabled; lanes = []; mu = Mutex.create () }
 
 let enabled t = t.on
 
@@ -137,9 +136,9 @@ let make_lane t name =
     st_cminor = Array.make max_depth 0.0;
     st_major0 = Array.make max_depth 0.0;
     depth = 0;
-    spans = Array.make (min (4096 * stride) (t.max_spans * stride)) 0;
+    spans = Array.make (min (4096 * stride) (max_spans_per_lane * stride)) 0;
     slen = 0;
-    max_ints = t.max_spans * stride;
+    max_ints = max_spans_per_lane * stride;
     dropped = 0;
     win_t0 = 0;
     win_ns = Array.make Phase.count 0;

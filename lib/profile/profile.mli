@@ -98,12 +98,12 @@ module Phase : sig
   val name : phase -> string
 end
 
-val create : ?enabled:bool -> ?max_spans_per_lane:int -> unit -> t
+val create : ?enabled:bool -> unit -> t
 (** [create ()] makes an armed profiler. [~enabled:false] makes every
-    lane operation a no-op. [max_spans_per_lane]
-    (default 65536) bounds each lane's span buffer — beyond it spans are
-    dropped (counted in the [profile_dropped_spans] gauge) while the
-    exact per-phase accumulators keep counting. *)
+    lane operation a no-op. Each lane's span buffer holds at most 65536
+    spans — beyond it spans are dropped (counted in the
+    [profile_dropped_spans] gauge) while the exact per-phase
+    accumulators keep counting. *)
 
 val enabled : t -> bool
 

@@ -29,11 +29,11 @@ let make ~n ~f ~propose =
     decide = (fun s -> Values.min_elt_opt s.values);
   }
 
-let corrupt_state rng ~n ~value_bound _pid _s =
+let corrupt_state rng ~n _pid _s =
   let size = Rng.int_in rng 1 3 in
   let values =
     List.fold_left
-      (fun acc _ -> Values.add (Rng.int rng value_bound) acc)
+      (fun acc _ -> Values.add (Rng.int rng 49) acc)
       Values.empty
       (List.init size Fun.id)
   in

@@ -30,7 +30,7 @@ type state = {
 val make :
   n:int -> f:int -> propose:(Pid.t -> int) -> (state, int) Ftss_core.Canonical.t
 
-(** [corrupt_state rng ~n ~value_bound] draws an arbitrary state: random
-    values and a random distrusted set — the systemic-failure corruption
-    used in experiments. *)
-val corrupt_state : Rng.t -> n:int -> value_bound:int -> Pid.t -> state -> state
+(** [corrupt_state rng ~n] draws an arbitrary state: one to three random
+    values below 49 and a random distrusted set — the systemic-failure
+    corruption used in experiments. *)
+val corrupt_state : Rng.t -> n:int -> Pid.t -> state -> state

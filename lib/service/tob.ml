@@ -817,7 +817,7 @@ let corrupt rng t =
     | 1 -> t.pdig.(Rng.int rng (min (Array.length t.pdig) (t.committed + 1))) <- Rng.int rng max_int
     | 2 -> Kv.corrupt rng ~keys:65536 t.kv
     | 3 -> t.applied <- Rng.int rng (max 1 (t.committed + 1))
-    | 4 -> t.engine <- Option.map (Mv_consensus.corrupt rng ~round_bound:64) t.engine
+    | 4 -> t.engine <- Option.map (Mv_consensus.corrupt rng) t.engine
     | _ -> if t.committed > 0 then t.log.(Rng.int rng t.committed) <- empty
   done;
   (* The guard is deliberately left stale: a transient fault does not

@@ -19,7 +19,7 @@ type ('s, 'm) t = {
   init : Pid.t -> 's;
       (** The initial state specified by the protocol. A systemic failure
           replaces this with an arbitrary state (see {!Runner.run}'s
-          [corrupt] argument). *)
+          round-0 [corrupt_at] entries). *)
   broadcast : Pid.t -> 's -> 'm;
       (** The message broadcast to all processes at the start of a round. *)
   step : Pid.t -> 's -> 'm delivery list -> 's;

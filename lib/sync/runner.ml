@@ -13,20 +13,34 @@ type ('s, 'm) cursor = {
 
 let emit obs ev = match obs with Some o -> Ftss_obs.Obs.emit o ev | None -> ()
 
-let start ?obs ?corrupt ~n (protocol : ('s, 'm) Protocol.t) =
-  let initial p =
-    let s = protocol.init p in
-    match corrupt with None -> s | Some c -> c p s
-  in
-  if Option.is_some obs && Option.is_some corrupt then
-    List.iter
-      (fun p -> emit obs (Ftss_obs.Event.make ~time:0 (Ftss_obs.Event.Corrupt { pid = p })))
-      (Pid.all n);
+(* Rewrites [states] by the schedule's entries for [round], in list
+   order, skipping a pid that is already crashed. Returns whether the
+   schedule names [round] at all. *)
+let apply_corruptions obs ~round corrupt_at states =
+  List.fold_left
+    (fun named (r, p, f) ->
+      if r < 0 || not (Pid.is_valid ~n:(Array.length states) p) then
+        invalid_arg "Runner: corrupt_at round < 0 or pid out of range";
+      if r <> round then named
+      else begin
+        (match states.(p) with
+        | Some s ->
+          states.(p) <- Some (f s);
+          if Option.is_some obs then
+            emit obs (Ftss_obs.Event.make ~time:round (Ftss_obs.Event.Corrupt { pid = p }))
+        | None -> ());
+        true
+      end)
+    false corrupt_at
+
+let start ?obs ?(corrupt_at = []) ~n (protocol : ('s, 'm) Protocol.t) =
+  let states = Array.init n (fun p -> Some (protocol.init p)) in
+  ignore (apply_corruptions obs ~round:0 corrupt_at states : bool);
   {
     protocol;
     n;
     round = 0;
-    states = Array.init n (fun p -> Some (initial p));
+    states;
     crashed_at = Array.make n None;
     rev_omissions = [];
     rev_records = [];
@@ -56,21 +70,7 @@ let step ?obs ?(corrupt_at = []) ~faults c =
     | _ -> ()
   done;
   (* Mid-execution systemic failure, if scheduled. *)
-  let rewritten = ref false in
-  List.iter
-    (fun (r, corrupt) ->
-      if r = round then begin
-        rewritten := true;
-        for p = 0 to n - 1 do
-          match states.(p) with
-          | Some s ->
-            states.(p) <- Some (corrupt p s);
-            if traced then
-              emit obs (Ftss_obs.Event.make ~time:round (Ftss_obs.Event.Corrupt { pid = p }))
-          | None -> ()
-        done
-      end)
-    corrupt_at;
+  let rewritten = apply_corruptions obs ~round corrupt_at states in
   let sent = Array.make n None in
   for p = 0 to n - 1 do
     match states.(p) with
@@ -176,7 +176,7 @@ let step ?obs ?(corrupt_at = []) ~faults c =
          round 1 plus any vector a mid-run corruption rewrote (see
          trace.mli): those are the content hash's generators, folded here
          once for every case that shares this cursor. *)
-      (if round = 1 || !rewritten then Trace.fold_generator c.generators states
+      (if round = 1 || rewritten then Trace.fold_generator c.generators states
        else c.generators);
   }
 
@@ -204,9 +204,9 @@ let finish ~faults c =
     windowed = false;
   }
 
-let run ?obs ?corrupt ?corrupt_at ~faults ~rounds protocol =
+let run ?obs ?corrupt_at ~faults ~rounds protocol =
   if rounds < 1 then invalid_arg "Runner.run: rounds < 1";
-  let c = ref (start ?obs ?corrupt ~n:(Faults.n faults) protocol) in
+  let c = ref (start ?obs ?corrupt_at ~n:(Faults.n faults) protocol) in
   for _ = 1 to rounds do
     c := step ?obs ?corrupt_at ~faults !c
   done;

@@ -48,19 +48,29 @@ let test_queue_interleaved_operations () =
   in
   check_int "drains all" 100 (drain 0 0)
 
-let test_queue_rejects_negative_time () =
+let rejected = Invalid_argument "Event_queue.push: time before the last pop"
+
+let test_queue_rejects_push_before_last_pop () =
   let q = Event_queue.create () in
-  Alcotest.check_raises "negative" (Invalid_argument "Event_queue.push: negative time")
-    (fun () -> push q ~time:(-1) ())
+  Alcotest.check_raises "negative, before any pop" rejected (fun () -> push q ~time:(-1) "x");
+  push q ~time:5 "a";
+  push q ~time:9 "b";
+  ignore (pop q);
+  Alcotest.check_raises "before the last pop" rejected (fun () -> push q ~time:4 "c");
+  (* At the last popped time is still legal, and keeps FIFO order. *)
+  push q ~time:5 "c";
+  Alcotest.(check (option (pair int string))) "same-time push" (Some (5, "c")) (pop q);
+  Alcotest.(check (option (pair int string))) "then the rest" (Some (9, "b")) (pop q)
 
 (* --- Differential suite: calendar queue vs. the reference heap ---
 
    The Reference module is the seed binary heap; the calendar queue must
    produce the identical (time, payload) stream on every schedule that
    exercises its structural cases: same-time FIFO runs, epoch rollover,
-   overflow promotion, pushes into the past (window rewind), and reuse
-   after a drain. Payloads are unique ints so FIFO order within a time
-   is pinned exactly, not just up to time. *)
+   overflow promotion, pushes at the last popped time, and reuse after a
+   drain. Every push lands at or past the last popped time, the
+   contract the simulator keeps. Payloads are unique ints so FIFO order
+   within a time is pinned exactly, not just up to time. *)
 
 let drain_both q r =
   let rec loop acc =
@@ -87,12 +97,11 @@ let test_queue_differential_random () =
         let r = Event_queue.Reference.create () in
         let now = ref 0 in
         for i = 0 to 2_000 do
-          (* Mostly future pushes; occasionally land exactly at [now] or
-             behind it (legal: only negative absolute time is rejected),
-             which drives the rewind path. *)
+          (* Mostly future pushes; occasionally exactly at [now], the
+             earliest legal time, into the bucket being drained. *)
           let time =
             match Rng.int rng 10 with
-            | 0 -> max 0 (!now - Rng.int rng 50)
+            | 0 -> !now
             | 1 -> !now + Rng.int rng 10_000 (* deep overflow *)
             | _ -> !now + Rng.int rng 300
           in
@@ -153,29 +162,33 @@ let test_queue_differential_epoch_rollover () =
 
 let test_queue_reuse_after_drain () =
   (* One queue drained to empty several times, far into its timeline:
-     each refill may land behind, inside or past the window the last
-     drain left, and must come out exactly as from a fresh heap. *)
+     each refill may land inside or past the window the last drain left,
+     and must come out exactly as from a fresh heap. *)
   let rng = Rng.create 41 in
   let q = Event_queue.create ~initial_capacity:16 () in
+  (* No earlier than the last pop: where this round's pushes start. *)
+  let floor = ref 0 in
   for round = 0 to 3 do
     let r = Event_queue.Reference.create () in
-    let base = Rng.int rng 100_000 in
+    floor := !floor + Rng.int rng 100_000;
     for i = 0 to 999 do
       let time =
         match Rng.int rng 4 with
-        | 0 -> Rng.int rng 50
-        | 1 -> base + Rng.int rng 20_000
-        | _ -> base + Rng.int rng 300
+        | 0 -> !floor
+        | 1 -> !floor + Rng.int rng 20_000
+        | _ -> !floor + Rng.int rng 300
       in
       let v = (round * 1_000) + i in
       push q ~time v;
       Event_queue.Reference.push r ~time v;
       if Rng.int rng 3 = 0 then
         match (pop q, Event_queue.Reference.pop r) with
-        | Some (t, a), Some (t', b) -> Alcotest.(check (pair int int)) "interleaved pop" (t', b) (t, a)
+        | Some (t, a), Some (t', b) ->
+          Alcotest.(check (pair int int)) "interleaved pop" (t', b) (t, a);
+          floor := max !floor t
         | _ -> Alcotest.fail "queues diverged on emptiness"
     done;
-    ignore (drain_both q r);
+    List.iter (fun (t, _) -> floor := max !floor t) (drain_both q r);
     check "drained" true (pop q = None)
   done
 
@@ -256,15 +269,70 @@ let test_sim_crashed_and_correct_sets () =
 
 let test_sim_corrupt_initial_state () =
   let config = small_config ~seed:4 in
-  let result =
-    Sim.run ~corrupt:(fun p s -> if p = 0 then 1000 else s) config echo_process
-  in
+  let result = Sim.run ~corrupt_at:[ (0, 0, fun _ -> 1000) ] config echo_process in
   (* Corrupted counter means process 0 never fires its count=0 send: no
      echoes at all. *)
   check "corruption suppressed the ping" true (result.Sim.log = []);
   match result.Sim.final_states.(0) with
   | Some c -> check "still ticking from corrupted value" true (c > 1000)
   | None -> Alcotest.fail "process 0 should be alive"
+
+(* A traced run's [Corrupt] events, as (time, pid). *)
+let corrupt_events run =
+  let evs = ref [] in
+  let obs = Ftss_obs.Obs.create () in
+  Ftss_obs.Obs.add_sink obs
+    (Ftss_obs.Sink.make ~emit:(fun ev -> evs := ev :: !evs) ~close:ignore);
+  let result = run obs in
+  ( result,
+    List.filter_map
+      (fun (ev : Ftss_obs.Event.t) ->
+        match ev.Ftss_obs.Event.body with
+        | Ftss_obs.Event.Corrupt { pid } -> Some (ev.Ftss_obs.Event.time, pid)
+        | _ -> None)
+      (List.rev !evs) )
+
+(* Each process logs the state it ticks from. *)
+let tick_logger : (int, int, int) Sim.process =
+  {
+    Sim.name = "tick-logger";
+    init = (fun _ -> 0);
+    on_tick =
+      (fun ctx count ->
+        Sim.observe ctx count;
+        count + 1);
+    on_message = (fun _ st ~src:_ _ -> st);
+  }
+
+let test_sim_time0_entry_precedes_first_tick () =
+  let config = { (small_config ~seed:4) with Sim.horizon = 30 } in
+  let result, corrupts =
+    corrupt_events (fun obs ->
+        Sim.run ~obs ~corrupt_at:[ (0, 1, fun _ -> 1000) ] config tick_logger)
+  in
+  let first p =
+    List.find_map (fun (_, q, c) -> if q = p then Some c else None) result.Sim.log
+  in
+  Alcotest.(check (option int)) "p1 ticks first from the rewritten state" (Some 1000) (first 1);
+  Alcotest.(check (option int)) "p0 untouched" (Some 0) (first 0);
+  Alcotest.(check (list (pair int int))) "one Corrupt, for p1 at t=0" [ (0, 1) ] corrupts
+
+let test_sim_time0_entry_skips_crashed () =
+  let applied = ref false in
+  let config = { (small_config ~seed:4) with Sim.crashes = [ (1, 0) ] } in
+  let _, corrupts =
+    corrupt_events (fun obs ->
+        Sim.run ~obs
+          ~corrupt_at:[ (0, 1, fun s -> applied := true; s) ]
+          config tick_logger)
+  in
+  check "rewrite not applied" false !applied;
+  Alcotest.(check (list (pair int int))) "no Corrupt" [] corrupts
+
+let test_sim_rejects_negative_corrupt_time () =
+  Alcotest.check_raises "time -1" (Invalid_argument "Sim.run: corrupt_at time < 0")
+    (fun () ->
+      ignore (Sim.run ~corrupt_at:[ (-1, 0, Fun.id) ] (small_config ~seed:0) tick_logger))
 
 let test_sim_spurious_messages_delivered () =
   let config = small_config ~seed:5 in
@@ -425,6 +493,10 @@ let esfd_config ~seed ~n ~crashes =
     crashes;
   }
 
+let corrupt_all ~n = function
+  | Some corrupt -> List.init n (fun p -> (0, p, corrupt p))
+  | None -> []
+
 let run_esfd ?corrupt ?drop ~seed ~n ~crashes ~trusted () =
   let config = esfd_config ~seed ~n ~crashes in
   let crashed p = List.assoc_opt p crashes in
@@ -432,7 +504,8 @@ let run_esfd ?corrupt ?drop ~seed ~n ~crashes ~trusted () =
     Ewfd.make (Rng.create (seed + 1)) ~n ~crashed ~gst:config.Sim.gst ~trusted ~noise:0.3
   in
   let result =
-    Sim.run ?corrupt ?drop config (Esfd.process ~n ~source:(Esfd.Oracle oracle) ())
+    Sim.run ~corrupt_at:(corrupt_all ~n corrupt) ?drop config
+      (Esfd.process ~n ~source:(Esfd.Oracle oracle) ())
   in
   Esfd.analyze ~trusted result ~config
 
@@ -544,7 +617,7 @@ let run_consensus ?corrupt ?drop ?(noise = 0.2) ~style ~seed ~n ~crashes ~truste
     Ewfd.make (Rng.create (seed + 7)) ~n ~crashed ~gst:config.Sim.gst ~trusted ~noise
   in
   let result =
-    Sim.run ?corrupt ?drop config
+    Sim.run ~corrupt_at:(corrupt_all ~n corrupt) ?drop config
       (Consensus.process ~n ~style ~propose ~detector:(Esfd.Oracle oracle) ())
   in
   (config, result)
@@ -586,7 +659,7 @@ let test_consensus_ss_recovers_from_random_corruption () =
   for seed = 0 to 8 do
     let rng = Rng.create (300 + seed) in
     let corrupt =
-      Consensus.corrupt_random rng ~n:5 ~instance_bound:20 ~round_bound:30 ~value_bound:90
+      Consensus.corrupt_random rng ~instance_bound:20 ~round_bound:30 ~value_bound:90
     in
     let config, result =
       run_consensus ~corrupt ~style:Consensus.self_stabilizing ~seed:(400 + seed) ~n:5
@@ -669,7 +742,7 @@ let prop_ss_consensus_random_corruption =
       let rng = Rng.create ((seed * 97) + 5) in
       let n = 3 + (seed mod 3) in
       let corrupt =
-        Consensus.corrupt_random rng ~n ~instance_bound:10 ~round_bound:20 ~value_bound:90
+        Consensus.corrupt_random rng ~instance_bound:10 ~round_bound:20 ~value_bound:90
       in
       let config, result =
         run_consensus ~corrupt ~style:Consensus.self_stabilizing ~seed:(seed + 800) ~n
@@ -689,7 +762,7 @@ let suite =
         tc "orders by time" `Quick test_queue_orders_by_time;
         tc "ties resolve by insertion" `Quick test_queue_ties_resolve_by_insertion;
         tc "interleaved operations" `Quick test_queue_interleaved_operations;
-        tc "rejects negative time" `Quick test_queue_rejects_negative_time;
+        tc "rejects a push before the last pop" `Quick test_queue_rejects_push_before_last_pop;
         tc "differential vs reference heap (random)" `Quick test_queue_differential_random;
         tc "differential same-time FIFO runs" `Quick test_queue_differential_same_time_runs;
         tc "differential epoch rollover + overflow" `Quick test_queue_differential_epoch_rollover;
@@ -703,6 +776,9 @@ let suite =
         tc "crash stops processing" `Quick test_sim_crash_stops_processing;
         tc "crashed and correct sets" `Quick test_sim_crashed_and_correct_sets;
         tc "corrupt initial state" `Quick test_sim_corrupt_initial_state;
+        tc "time-0 entry precedes the first tick" `Quick test_sim_time0_entry_precedes_first_tick;
+        tc "time-0 entry skips a process crashed at 0" `Quick test_sim_time0_entry_skips_crashed;
+        tc "rejects a negative corrupt_at time" `Quick test_sim_rejects_negative_corrupt_time;
         tc "spurious messages delivered" `Quick test_sim_spurious_messages_delivered;
         tc "validates config" `Quick test_sim_validates_config;
         tc "large-n ring routes every tag (n=200)" `Quick test_sim_large_n;

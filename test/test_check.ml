@@ -13,6 +13,9 @@ let to_alcotest = QCheck_alcotest.to_alcotest
 
 let full n rounds f = { Schedule_enum.n; rounds; f; intervals = true; drops = true }
 
+let corrupt_all (case : Schedule_enum.t) corrupt =
+  List.init case.Schedule_enum.params.Schedule_enum.n (fun p -> (0, p, corrupt p))
+
 let crash_only_params n rounds f =
   { Schedule_enum.n; rounds; f; intervals = false; drops = false }
 
@@ -486,6 +489,41 @@ let test_replay_reproduces () =
       | Ok v -> check "counterexample reproduces" false v.Property.ok
       | Error msg -> Alcotest.failf "replay: %s" msg))
 
+(* A traced replay records one [Corrupt] per corrupted pid of the
+   genome, and none for a clean one: the theorem-3 counterexample the
+   CLI's check writes, and a one-pid theorem-5 genome. *)
+let test_traced_replay_corrupts_only_genome_pids () =
+  let doc property corrupt =
+    Printf.sprintf
+      {|{"format":"ftss-counterexample","version":3,%s,"genome":{"format":"ftss-genome","version":2,"params":{"n":3,"rounds":3,"f":1,"allow_drops":true},"faulty":[],"crashes":[],"drops":[],"corrupt":%s}}|}
+      property corrupt
+  in
+  List.iter
+    (fun (label, text, expected) ->
+      let evs = ref [] in
+      let obs = Ftss_obs.Obs.create () in
+      Ftss_obs.Obs.add_sink obs
+        (Ftss_obs.Sink.make ~emit:(fun ev -> evs := ev :: !evs) ~close:ignore);
+      (match Result.bind (parse_replay text) (Replay.replay ~obs) with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s: %s" label msg);
+      let corrupted =
+        List.filter_map
+          (fun (ev : Ftss_obs.Event.t) ->
+            match ev.Ftss_obs.Event.body with
+            | Ftss_obs.Event.Corrupt { pid } -> Some (ev.Ftss_obs.Event.time, pid)
+            | _ -> None)
+          (List.rev !evs)
+      in
+      Alcotest.(check (list (pair int int))) label expected corrupted)
+    [
+      ( "theorem3 corrupt(p2=292)",
+        doc {|"property":"theorem3","inject":"frozen-exchange"|} "[[2,292]]",
+        [ (0, 2) ] );
+      ("theorem5 corrupt(p0=5)", doc {|"property":"theorem5","inject":"none"|} "[[0,5]]", [ (0, 0) ]);
+      ("theorem5 clean", doc {|"property":"theorem5","inject":"none"|} "[]", []);
+    ]
+
 (* --- Golden determinism: explorer verdicts pinned to the exact
    violation sets and dedup counts the pre-overhaul Marshal-digest
    fingerprints produced. --- *)
@@ -544,8 +582,8 @@ let test_theorem4_exhaustive_with_obligations () =
       }
     in
     let trace =
-      Ftss_sync.Runner.run ~corrupt ~faults:(Schedule_enum.to_faults case)
-        ~rounds:params.Schedule_enum.rounds compiled
+      Ftss_sync.Runner.run ~corrupt_at:(corrupt_all case corrupt)
+        ~faults:(Schedule_enum.to_faults case) ~rounds:params.Schedule_enum.rounds compiled
     in
     List.exists (fun (x, y) -> x + bound + 1 <= y) (Solve.stable_windows trace)
   in
@@ -717,7 +755,8 @@ let test_hash_partition_over_adversary_corpus () =
     Array.to_list (Schedule_enum.enumerate params)
     |> List.map (fun (case : Schedule_enum.t) ->
            Ftss_sync.Runner.run
-             ~corrupt:(Schedule_enum.corrupt_int case.Schedule_enum.corruption)
+             ~corrupt_at:
+               (corrupt_all case (Schedule_enum.corrupt_int case.Schedule_enum.corruption))
              ~faults:(Schedule_enum.to_faults case)
              ~rounds:params.Schedule_enum.rounds
              Ftss_core.Round_agreement.protocol)
@@ -737,7 +776,7 @@ let test_hash_partition_with_mid_run_corruption () =
               Faults.of_events ~n:3 [ Faults.Drop { src = 1; dst = 0; round = 2 } ]
             in
             Runner.run
-              ~corrupt_at:[ (r, fun p c -> c + (k * (p + 1))) ]
+              ~corrupt_at:(List.init 3 (fun p -> (r, p, fun c -> c + (k * (p + 1)))))
               ~faults ~rounds:5 Ftss_core.Round_agreement.protocol)
           [ 0; 1; 7; 100 ])
       [ 1; 2; 3; 4; 5 ]
@@ -840,8 +879,9 @@ let check_knowledge_walk (type s m) ~label
         | Some (_, path) when shared >= 0 -> path
         | _ ->
           Array.make (rounds + 1)
-            (R.start ~corrupt:(corrupt case) ~n:case.Schedule_enum.params.Schedule_enum.n
-               (protocol case))
+            (R.start
+               ~corrupt_at:(corrupt_all case (corrupt case))
+               ~n:case.Schedule_enum.params.Schedule_enum.n (protocol case))
       in
       for r = max shared 0 + 1 to rounds do
         path.(r) <- R.step ~faults path.(r - 1)
@@ -857,8 +897,10 @@ let check_knowledge_walk (type s m) ~label
   let { Schedule_enum.n; rounds; _ } = case.Schedule_enum.params in
   check_knowledge
     ~name:(label ^ " with a round-2 corruption")
-    (R.run ~corrupt:(corrupt case)
-       ~corrupt_at:[ (2, fun p s -> corrupt case ((p + 1) mod n) s) ]
+    (R.run
+       ~corrupt_at:
+         (corrupt_all case (corrupt case)
+         @ List.init n (fun p -> (2, p, corrupt case ((p + 1) mod n))))
        ~faults:(Schedule_enum.to_faults case) ~rounds (protocol case))
 
 (* The explorer's batch walk against [Property.run], case by case: every
@@ -1058,7 +1100,7 @@ let test_shared_prefix_is_exact () =
   let order = Schedule_enum.prefix_order cases in
   let run (c : Schedule_enum.t) =
     Ftss_sync.Runner.run
-      ~corrupt:(Schedule_enum.corrupt_int c.Schedule_enum.corruption)
+      ~corrupt_at:(corrupt_all c (Schedule_enum.corrupt_int c.Schedule_enum.corruption))
       ~faults:(Schedule_enum.to_faults c) ~rounds:params.Schedule_enum.rounds
       Ftss_core.Round_agreement.protocol
   in
@@ -1191,6 +1233,8 @@ let suite =
         tc "replay roundtrip covers every clause" `Quick test_replay_roundtrip_all_behaviours;
         tc "replay rejects malformed input" `Quick test_replay_rejects_malformed;
         tc "replayed counterexample reproduces" `Quick test_replay_reproduces;
+        tc "traced replay corrupts only the genome's pids" `Quick
+          test_traced_replay_corrupts_only_genome_pids;
         tc "golden: explorer verdicts" `Quick test_golden_explorer_verdicts;
         tc "theorem 4 holds exhaustively with obligations (n=3,r=8,f=1)" `Quick
           test_theorem4_exhaustive_with_obligations;

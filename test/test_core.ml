@@ -9,8 +9,12 @@ open Ftss_core
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let run_ra ?corrupt ?corrupt_at ~faults ~rounds () =
-  Runner.run ?corrupt ?corrupt_at ~faults ~rounds Round_agreement.protocol
+let corrupt_all ~n corrupt = List.init n (fun p -> (0, p, corrupt p))
+
+let run_ra ?corrupt ~faults ~rounds () =
+  Runner.run
+    ~corrupt_at:(Option.fold ~none:[] ~some:(corrupt_all ~n:(Faults.n faults)) corrupt)
+    ~faults ~rounds Round_agreement.protocol
 
 let c_exn trace ~round p =
   match Trace.state_before trace ~round p with
@@ -180,7 +184,9 @@ let toy_pi ~final_round : (Pidset.t, Pid.t) Canonical.t =
   }
 
 let run_compiled ?corrupt ~n ~faults ~rounds pi =
-  Runner.run ?corrupt ~faults ~rounds (Compiler.compile ~n pi)
+  Runner.run
+    ~corrupt_at:(Option.fold ~none:[] ~some:(corrupt_all ~n) corrupt)
+    ~faults ~rounds (Compiler.compile ~n pi)
 
 let compiled_state_exn trace ~round p =
   match Trace.state_before trace ~round p with
@@ -356,7 +362,7 @@ let prop_ra_ftss_random =
       let faults = Faults.random_omission rng ~n ~f:(Rng.int rng n) ~p_drop:0.6 ~rounds in
       let trace =
         Runner.run
-          ~corrupt:(Round_agreement.corrupt_uniform rng ~bound:100_000)
+          ~corrupt_at:(corrupt_all ~n (Round_agreement.corrupt_uniform rng ~bound:100_000))
           ~faults ~rounds Round_agreement.protocol
       in
       Solve.ftss_solves Round_agreement.spec ~stabilization:1 trace)
@@ -375,7 +381,7 @@ let prop_compiled_round_agreement_random =
         Compiler.corrupt rng ~pi ~n ~c_bound:500 ~corrupt_s:(fun rng _ _ ->
             Pidset.of_pred n (fun _ -> Rng.bool rng))
       in
-      let trace = Runner.run ~corrupt ~faults ~rounds (Compiler.compile ~n pi) in
+      let trace = run_compiled ~corrupt ~n ~faults ~rounds pi in
       Solve.ftss_solves (Compiler.round_spec ()) ~stabilization:1 trace)
 
 (* --- Golden determinism: seeded core executions pinned to the exact
@@ -390,7 +396,7 @@ let test_golden_round_agreement () =
   let faults = Faults.random_omission rng ~n:4 ~f:2 ~p_drop:0.45 ~rounds:12 in
   let trace =
     Runner.run
-      ~corrupt:(Round_agreement.corrupt_uniform rng ~bound:1000)
+      ~corrupt_at:(corrupt_all ~n:4 (Round_agreement.corrupt_uniform rng ~bound:1000))
       ~faults ~rounds:12 Round_agreement.protocol
   in
   let rendered = Format.asprintf "%a" (Trace.pp_rounds Format.pp_print_int) trace in
@@ -414,7 +420,7 @@ let test_golden_compiled_consensus () =
       ]
   in
   let corrupt p (st : _ Compiler.state) = { st with Compiler.c = 1 + ((p + 1) * 97) } in
-  let trace = Runner.run ~corrupt ~faults ~rounds:10 compiled in
+  let trace = Runner.run ~corrupt_at:(corrupt_all ~n:3 corrupt) ~faults ~rounds:10 compiled in
   let proj =
     String.concat "\n"
       (List.concat_map

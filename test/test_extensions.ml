@@ -9,6 +9,8 @@ open Ftss_async
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let corrupt_all ~n corrupt = List.init n (fun p -> (0, p, corrupt p))
+
 (* Every process's iteration completions, in round order (no process
    counted faulty). *)
 let completions trace =
@@ -113,7 +115,8 @@ let test_heartbeat_detector_converges_from_corruption () =
     let rng = Rng.create (seed + 900) in
     let corrupt _ t = Heartbeat.corrupt rng ~time_bound:10_000 ~timeout_bound:200 t in
     let result =
-      Sim.run ~corrupt config (hb_process ~n:4 ~initial_timeout:30 ~backoff:20)
+      Sim.run ~corrupt_at:(corrupt_all ~n:4 corrupt) config
+        (hb_process ~n:4 ~initial_timeout:30 ~backoff:20)
     in
     check_hb_settles (Printf.sprintf "corrupted start (seed %d)" seed) result ~config
   done
@@ -131,7 +134,10 @@ let test_stack_with_both_layers_corrupted () =
     let config = hb_config ~seed:(60 + seed) ~n:5 ~crashes:[ (4, 150) ] in
     let rng = Rng.create (seed + 77) in
     let corrupt _ t = Esfd.Layer.corrupt rng ~num_bound:5_000 t in
-    let result = Sim.run ~corrupt config (Esfd.process ~n:5 ~source:Esfd.Heartbeats ()) in
+    let result =
+      Sim.run ~corrupt_at:(corrupt_all ~n:5 corrupt) config
+        (Esfd.process ~n:5 ~source:Esfd.Heartbeats ())
+    in
     let report = Esfd.analyze result ~config in
     check
       (Printf.sprintf "corrupted stack converges (seed %d)" seed)
@@ -217,7 +223,7 @@ let test_trb_compiles () =
         if Rng.bool rng then { s with Reliable_broadcast.relayed = Some (Rng.int rng 1000) }
         else s)
   in
-  let trace = Runner.run ~corrupt ~faults:(Faults.none n) ~rounds:30 compiled in
+  let trace = Runner.run ~corrupt_at:(corrupt_all ~n corrupt) ~faults:(Faults.none n) ~rounds:30 compiled in
   let valid = function Some 42 | None -> true | Some _ -> false in
   let spec = Repeated.round_and_sigma ~final_round:pi.Canonical.final_round ~valid () in
   check "compiled TRB ftss-solves Σ⁺" true
@@ -249,9 +255,7 @@ let test_unfiltered_compiler_breaks_under_stale_messages () =
                  else []))
            (List.init rounds (fun i -> i + 1)))
   in
-  let corrupt p (st : _ Compiler.state) =
-    if p = 0 then { st with Compiler.c = 5 } else st
-  in
+  let corrupt_at = [ (0, 0, fun (st : _ Compiler.state) -> { st with Compiler.c = 5 }) ] in
   let spec =
     Repeated.round_and_sigma ~final_round:pi.Canonical.final_round
       ~valid:(fun d -> d >= 50 && d < 53)
@@ -259,7 +263,7 @@ let test_unfiltered_compiler_breaks_under_stale_messages () =
   in
   let run ~suspect_filter =
     let compiled = Compiler.compile ~suspect_filter ~n pi in
-    let trace = Runner.run ~corrupt ~faults ~rounds compiled in
+    let trace = Runner.run ~corrupt_at ~faults ~rounds compiled in
     Solve.ftss_solves spec ~stabilization:(Compiler.stabilization_bound pi) trace
   in
   check "with filter: Theorem 4 holds" true (run ~suspect_filter:true);
@@ -284,7 +288,9 @@ let run_style ?corrupt ?spurious ?(noise = 0.2) ~style ~seed () =
       ~trusted:1 ~noise
   in
   let result =
-    Sim.run ?corrupt ?spurious config
+    Sim.run
+      ~corrupt_at:(Option.fold ~none:[] ~some:(corrupt_all ~n) corrupt)
+      ?spurious config
       (Consensus.process ~n ~style ~propose:propose_async ~detector:(Esfd.Oracle oracle) ())
   in
   (config, result)
@@ -367,10 +373,10 @@ let test_consensus_over_heartbeats () =
   in
   let rng = Rng.create 19 in
   let corrupt =
-    Consensus.corrupt_random rng ~n ~instance_bound:15 ~round_bound:20 ~value_bound:90
+    Consensus.corrupt_random rng ~instance_bound:15 ~round_bound:20 ~value_bound:90
   in
   let result =
-    Sim.run ~corrupt config
+    Sim.run ~corrupt_at:(corrupt_all ~n corrupt) config
       (Consensus.process ~n ~style:Consensus.self_stabilizing ~propose:propose_async
          ~detector:Esfd.Heartbeats ())
   in
@@ -500,7 +506,9 @@ let test_round_agreement_under_repeated_destabilization () =
     let rounds = 8 * period in
     let faults = Faults.rolling_mute ~n ~victim:(n - 1) ~period ~rounds in
     let corrupt p c = c + (p * 1000) in
-    let trace = Runner.run ~corrupt ~faults ~rounds Round_agreement.protocol in
+    let trace =
+      Runner.run ~corrupt_at:(corrupt_all ~n corrupt) ~faults ~rounds Round_agreement.protocol
+    in
     let windows = Solve.stable_windows trace in
     check (Printf.sprintf "multiple stable windows (period %d)" period) true
       (List.length windows >= 3);
@@ -521,9 +529,9 @@ let test_compiled_consensus_under_repeated_destabilization () =
   let rng = Rng.create 5 in
   let corrupt =
     Compiler.corrupt rng ~pi ~n ~c_bound:1000 ~corrupt_s:(fun rng p s ->
-        Omission_consensus.corrupt_state rng ~n ~value_bound:49 p s)
+        Omission_consensus.corrupt_state rng ~n p s)
   in
-  let trace = Runner.run ~corrupt ~faults ~rounds compiled in
+  let trace = Runner.run ~corrupt_at:(corrupt_all ~n corrupt) ~faults ~rounds compiled in
   let spec = Repeated.round_and_sigma ~final_round:pi.Canonical.final_round ~valid () in
   check "Theorem 4 across repeated destabilizations" true
     (Solve.ftss_solves spec ~stabilization:(Compiler.stabilization_bound pi) trace)
@@ -548,7 +556,8 @@ let test_drift_converges_from_corruption () =
     let config = drift_config ~seed:(seed + 70) ~n:5 ~crashes:[] in
     let rng = Rng.create (seed + 7) in
     let result =
-      Sim.run ~corrupt:(Drift.corrupt rng ~bound:1_000_000) config Drift.process
+      Sim.run ~corrupt_at:(corrupt_all ~n:5 (Drift.corrupt rng ~bound:1_000_000)) config
+        Drift.process
     in
     let report = Drift.analyze result ~config in
     check
@@ -564,7 +573,9 @@ let test_drift_converges_from_corruption () =
 let test_drift_tolerates_crashes () =
   let config = drift_config ~seed:3 ~n:5 ~crashes:[ (4, 300); (0, 900) ] in
   let rng = Rng.create 17 in
-  let result = Sim.run ~corrupt:(Drift.corrupt rng ~bound:5_000) config Drift.process in
+  let result =
+    Sim.run ~corrupt_at:(corrupt_all ~n:5 (Drift.corrupt rng ~bound:5_000)) config Drift.process
+  in
   let report = Drift.analyze result ~config in
   check "survivors reach neighbourhood agreement" true (report.Drift.converged_from <> None)
 
@@ -585,7 +596,10 @@ let test_compiler_final_round_one () =
   in
   let rng = Rng.create 77 in
   let corrupt = Compiler.corrupt rng ~pi ~n ~c_bound:100 ~corrupt_s:(fun _ _ s -> s) in
-  let trace = Runner.run ~corrupt ~faults:(Faults.none n) ~rounds:10 (Compiler.compile ~n pi) in
+  let trace =
+    Runner.run ~corrupt_at:(corrupt_all ~n corrupt) ~faults:(Faults.none n) ~rounds:10
+      (Compiler.compile ~n pi)
+  in
   check "round agreement ftss with fr=1" true
     (Solve.ftss_solves (Compiler.round_spec ()) ~stabilization:1 trace);
   (* Every process completes an iteration every round. *)

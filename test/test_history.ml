@@ -15,8 +15,7 @@ let counter : (int, int) Protocol.t =
     step = (fun _ c _ -> c + 1);
   }
 
-let analyze ?corrupt ~faults ~rounds () =
-  Causality.analyze (Runner.run ?corrupt ~faults ~rounds counter)
+let analyze ~faults ~rounds () = Causality.analyze (Runner.run ~faults ~rounds counter)
 
 let test_failure_free_coterie_fills_in_one_round () =
   let a = analyze ~faults:(Faults.none 4) ~rounds:3 () in

@@ -664,11 +664,12 @@ let test_heartbeat_layer_events () =
   in
   let run ?obs ~corrupted () =
     let rng = Rng.create 18 in
-    let corrupt =
-      if corrupted then Some (fun _ t -> Esfd.Layer.corrupt rng ~num_bound:5_000 t) else None
+    let corrupt_at =
+      if corrupted then List.init n (fun p -> (0, p, Esfd.Layer.corrupt rng ~num_bound:5_000))
+      else []
     in
     let result =
-      Sim.run ?obs ?corrupt config (Esfd.process ?obs ~n ~source:Esfd.Heartbeats ())
+      Sim.run ?obs ~corrupt_at config (Esfd.process ?obs ~n ~source:Esfd.Heartbeats ())
     in
     (result, Esfd.analyze result ~config)
   in

@@ -137,9 +137,10 @@ let test_armed_pair_allocation_free () =
 (* --- span-buffer cap --- *)
 
 let test_buffer_cap_drops_spans_not_calls () =
-  let t = P.create ~max_spans_per_lane:64 () in
+  let t = P.create () in
   let l = P.lane t "fuzz" in
-  let n = 200 in
+  (* 100 spans past the per-lane cap of 65536. *)
+  let n = 65_536 + 100 in
   for _ = 1 to n do
     P.enter l P.Phase.fuzz_verify;
     ignore (P.leave l)
@@ -148,7 +149,7 @@ let test_buffer_cap_drops_spans_not_calls () =
   | None -> Alcotest.fail "fuzz_verify missing from totals"
   | Some pt -> check_int "accumulators keep exact calls" n pt.P.pt_calls);
   match List.assoc_opt "profile_dropped_spans" (P.gauges t) with
-  | Some d -> check "gauge mirrors drop counter" true (int_of_float d > 0)
+  | Some d -> check_int "gauge mirrors drop counter" 100 (int_of_float d)
   | None -> Alcotest.fail "profile_dropped_spans gauge missing"
 
 (* --- exports --- *)

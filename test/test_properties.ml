@@ -10,6 +10,8 @@ open Ftss_protocols
 
 let to_alcotest = QCheck_alcotest.to_alcotest
 
+let corrupt_all ~n corrupt = List.init n (fun p -> (0, p, corrupt p))
+
 (* --- Compiler arithmetic --- *)
 
 let prop_normalize_range =
@@ -49,7 +51,8 @@ let prop_iteration_increments_at_wrap =
     (fun (fr, c0) ->
       let corrupt p (st : (unit, unit) Compiler.state) = { st with Compiler.c = c0 + p } in
       let trace =
-        Runner.run ~corrupt ~faults:(Faults.none 3) ~rounds:((2 * fr) + 2)
+        Runner.run ~corrupt_at:(corrupt_all ~n:3 corrupt) ~faults:(Faults.none 3)
+          ~rounds:((2 * fr) + 2)
           (Compiler.compile ~n:3 (idle_pi ~final_round:fr))
       in
       Array.for_all
@@ -161,7 +164,7 @@ let prop_ftss_monotone_in_stabilization =
       let faults = Faults.random_omission rng ~n ~f:(Rng.int rng n) ~p_drop:0.5 ~rounds in
       let trace =
         Runner.run
-          ~corrupt:(Round_agreement.corrupt_uniform rng ~bound:100)
+          ~corrupt_at:(corrupt_all ~n (Round_agreement.corrupt_uniform rng ~bound:100))
           ~faults ~rounds Round_agreement.protocol
       in
       let holds r = Solve.ftss_solves Round_agreement.spec ~stabilization:r trace in
@@ -179,7 +182,7 @@ let prop_measured_stabilization_is_tight =
       let faults = Faults.random_omission rng ~n ~f:(Rng.int rng n) ~p_drop:0.5 ~rounds in
       let trace =
         Runner.run
-          ~corrupt:(Round_agreement.corrupt_uniform rng ~bound:100)
+          ~corrupt_at:(corrupt_all ~n (Round_agreement.corrupt_uniform rng ~bound:100))
           ~faults ~rounds Round_agreement.protocol
       in
       let d = Solve.measured_stabilization Round_agreement.spec trace in
@@ -209,10 +212,9 @@ let prop_suffix_after_corruption_equals_fresh_run =
       let len = Rng.int_in rng 6 20 in
       let cut = Rng.int_in rng 2 (len - 1) in
       let offset = Rng.int rng 1000 in
-      let corruption _ c = c + offset in
       let with_corruption =
         Runner.run
-          ~corrupt_at:[ (cut, corruption) ]
+          ~corrupt_at:(List.init n (fun p -> (cut, p, fun c -> c + offset)))
           ~faults:(Faults.none n) ~rounds:len Round_agreement.protocol
       in
       let suffix = Trace.sub with_corruption ~first:cut ~last:len in
@@ -224,7 +226,7 @@ let prop_suffix_after_corruption_equals_fresh_run =
       in
       let fresh =
         Runner.run
-          ~corrupt:(fun p _ -> start p)
+          ~corrupt_at:(corrupt_all ~n (fun p _ -> start p))
           ~faults:(Faults.none n)
           ~rounds:(len - cut + 1)
           Round_agreement.protocol
@@ -301,7 +303,7 @@ let theorem4_holds (type s d) ~seed ~n ~f (pi : (s, d) Canonical.t)
   let rounds = Rng.int_in rng 20 50 in
   let faults = Faults.random_omission rng ~n ~f ~p_drop:0.4 ~rounds in
   let corrupt = Compiler.corrupt rng ~pi ~n ~c_bound:1000 ~corrupt_s in
-  let trace = Runner.run ~corrupt ~faults ~rounds (Compiler.compile ~n pi) in
+  let trace = Runner.run ~corrupt_at:(corrupt_all ~n corrupt) ~faults ~rounds (Compiler.compile ~n pi) in
   let spec = Repeated.round_and_sigma ~final_round:pi.Canonical.final_round ~valid () in
   Solve.ftss_solves spec ~stabilization:(Compiler.stabilization_bound pi) trace
 

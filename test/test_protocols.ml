@@ -11,6 +11,8 @@ open Ftss_protocols
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let corrupt_all ~n corrupt = List.init n (fun p -> (0, p, corrupt p))
+
 (* Every process's iteration completions, in round order (no process
    counted faulty). *)
 let completions trace =
@@ -280,7 +282,7 @@ let test_ac_compiles_with_corrupted_votes () =
               Pidmap.empty (Pid.all n);
         })
   in
-  let trace = Runner.run ~corrupt ~faults:(Faults.none n) ~rounds:30 compiled in
+  let trace = Runner.run ~corrupt_at:(corrupt_all ~n corrupt) ~faults:(Faults.none n) ~rounds:30 compiled in
   let spec =
     Repeated.round_and_sigma ~final_round:pi.Canonical.final_round ~valid:(fun _ -> true) ()
   in
@@ -313,7 +315,7 @@ let compiled_omission_consensus ~n ~f =
 
 let corrupt_compiled rng ~n ~pi =
   Compiler.corrupt rng ~pi ~n ~c_bound:997
-    ~corrupt_s:(fun rng p s -> Omission_consensus.corrupt_state rng ~n ~value_bound:49 p s)
+    ~corrupt_s:(fun rng p s -> Omission_consensus.corrupt_state rng ~n p s)
 
 let test_theorem4_failure_free_from_corruption () =
   let n = 4 in
@@ -321,7 +323,7 @@ let test_theorem4_failure_free_from_corruption () =
   let rng = Rng.create 77 in
   let trace =
     Runner.run
-      ~corrupt:(corrupt_compiled rng ~n ~pi)
+      ~corrupt_at:(corrupt_all ~n (corrupt_compiled rng ~n ~pi))
       ~faults:(Faults.none n) ~rounds:30 compiled
   in
   let spec = Repeated.round_and_sigma ~final_round:pi.Canonical.final_round ~valid () in
@@ -344,7 +346,7 @@ let test_theorem4_random_adversaries () =
     let rounds = Rng.int_in rng 10 60 in
     let faults = Faults.random_omission rng ~n ~f ~p_drop:0.4 ~rounds in
     let trace =
-      Runner.run ~corrupt:(corrupt_compiled rng ~n ~pi) ~faults ~rounds compiled
+      Runner.run ~corrupt_at:(corrupt_all ~n (corrupt_compiled rng ~n ~pi)) ~faults ~rounds compiled
     in
     let spec = Repeated.round_and_sigma ~final_round:pi.Canonical.final_round ~valid () in
     check
@@ -362,7 +364,7 @@ let test_theorem4_late_reveal_destabilizes_briefly () =
     if p = 3 then { st with Compiler.c = 1_000_000 } else st
   in
   let faults = Faults.of_events ~n [ Faults.Mute { pid = 3; first = 1; last = 12 } ] in
-  let trace = Runner.run ~corrupt ~faults ~rounds:40 compiled in
+  let trace = Runner.run ~corrupt_at:(corrupt_all ~n corrupt) ~faults ~rounds:40 compiled in
   let spec = Repeated.round_and_sigma ~final_round:pi.Canonical.final_round ~valid () in
   check "ftss across the reveal" true
     (Solve.ftss_solves spec ~stabilization:(Compiler.stabilization_bound pi) trace);
@@ -402,7 +404,7 @@ let test_sigma_plus_detects_disagreement () =
       { st with Compiler.s = { st.Compiler.s with Omission_consensus.distrusted = Pidset.singleton 1 } }
     else st
   in
-  let trace = Runner.run ~corrupt ~faults:(Faults.none n) ~rounds:pi.Canonical.final_round compiled in
+  let trace = Runner.run ~corrupt_at:(corrupt_all ~n corrupt) ~faults:(Faults.none n) ~rounds:pi.Canonical.final_round compiled in
   (* The round variables start good, so only the Σ⁺ conjunct can fail. *)
   let spec =
     Repeated.round_and_sigma ~final_round:pi.Canonical.final_round ~valid:(fun _ -> true) ()
@@ -421,7 +423,7 @@ let prop_theorem4_sweep =
       let rounds = Rng.int_in rng 5 50 in
       let faults = Faults.random_omission rng ~n ~f ~p_drop:0.6 ~rounds in
       let trace =
-        Runner.run ~corrupt:(corrupt_compiled rng ~n ~pi) ~faults ~rounds compiled
+        Runner.run ~corrupt_at:(corrupt_all ~n (corrupt_compiled rng ~n ~pi)) ~faults ~rounds compiled
       in
       let spec = Repeated.round_and_sigma ~final_round:pi.Canonical.final_round ~valid () in
       Solve.ftss_solves spec ~stabilization:(Compiler.stabilization_bound pi) trace)

@@ -137,19 +137,46 @@ let test_random_omission_spares_correct_links () =
         correct)
     correct
 
+let corrupt_all ~n corrupt = List.init n (fun p -> (0, p, corrupt p))
+
 let test_corruption_applies_at_round_1 () =
   let trace =
     Runner.run
-      ~corrupt:(fun p _ -> Pidset.of_list [ p; 61 ])
+      ~corrupt_at:(corrupt_all ~n:2 (fun p _ -> Pidset.of_list [ p; 61 ]))
       ~faults:(Faults.none 2) ~rounds:1 gossip
   in
   check "corrupted state visible in round 1" true
     (Pidset.mem 61 (state_exn trace ~round:1 0))
 
+(* Round-0 entries are the initial state: the trace, and so its content
+   hash, equals that of a protocol whose [init] returns those states —
+   for a partial schedule too, where the clean pids keep [init]. *)
+let test_round0_entries_are_initial_states () =
+  let n = 4 in
+  let faults = Faults.of_events ~n [ Faults.Drop { src = 1; dst = 2; round = 2 } ] in
+  let corrupt p s = Pidset.add ((p + 2) mod n) s in
+  List.iter
+    (fun victims ->
+      let corrupt_at = List.map (fun p -> (0, p, corrupt p)) victims in
+      let planted =
+        {
+          gossip with
+          Protocol.init =
+            (fun p ->
+              let s = gossip.Protocol.init p in
+              if List.mem p victims then corrupt p s else s);
+        }
+      in
+      let a = Runner.run ~corrupt_at ~faults ~rounds:3 gossip in
+      let b = Runner.run ~faults ~rounds:3 planted in
+      check "equal traces" true (a = b);
+      check_int "equal hashes" (Trace.hash b) (Trace.hash a))
+    [ [ 0; 1; 2; 3 ]; [ 2 ]; [ 1; 3 ] ]
+
 let test_corrupt_at_mid_run () =
   let trace =
     Runner.run
-      ~corrupt_at:[ (3, fun _ _ -> 100) ]
+      ~corrupt_at:[ (3, 0, fun _ -> 100); (3, 1, fun _ -> 100) ]
       ~faults:(Faults.none 2) ~rounds:5 counter
   in
   check_int "counter reset mid-run" 100 (state_exn trace ~round:3 0);
@@ -495,23 +522,27 @@ let test_cursor_composes_run () =
       Faults.random_omission (Rng.create 7) ~n ~f:2 ~p_drop:0.4 ~rounds;
     ]
   in
-  let corrupt p s = Pidset.add ((p + 1) mod n) s in
+  let initial = corrupt_all ~n (fun p s -> Pidset.add ((p + 1) mod n) s) in
   List.iter
     (fun faults ->
       List.iter
-        (fun corrupt_at ->
+        (fun later ->
+          let corrupt_at = initial @ later in
           let o1, events1 = recording () and o2, events2 = recording () in
-          let a = Runner.run ~obs:o1 ~corrupt ?corrupt_at ~faults ~rounds gossip in
+          let a = Runner.run ~obs:o1 ~corrupt_at ~faults ~rounds gossip in
           let b =
             Runner.finish ~faults
-              (step_to ~obs:o2 ?corrupt_at ~faults ~rounds ~from:0
-                 (Runner.start ~obs:o2 ~corrupt ~n gossip))
+              (step_to ~obs:o2 ~corrupt_at ~faults ~rounds ~from:0
+                 (Runner.start ~obs:o2 ~corrupt_at ~n gossip))
           in
           check "structurally equal traces" true (a = b);
           check_int "equal hashes" (Trace.hash a) (Trace.hash b);
           check "byte-identical event streams" true (events1 () = events2 ());
           check "events were recorded" true (events1 () <> []))
-        [ None; Some [ (3, fun _ s -> Pidset.add 0 s); (5, fun p s -> Pidset.add p s) ] ])
+        [
+          [];
+          List.init n (fun p -> (3, p, Pidset.add 0)) @ List.init n (fun p -> (5, p, Pidset.add p));
+        ])
     schedules
 
 let test_cursor_is_persistent () =
@@ -526,9 +557,9 @@ let test_cursor_is_persistent () =
   let late ev = Faults.of_events ~n (base @ [ ev ]) in
   let late_crash = late (Faults.Crash { pid = 1; round = 5 }) in
   let late_mute = late (Faults.Mute { pid = 2; first = 4; last = 6 }) in
-  let corrupt p c = c + (10 * p) in
+  let corrupt_at = corrupt_all ~n (fun p c -> c + (10 * p)) in
   let shared =
-    step_to ~faults:late_crash ~rounds:3 ~from:0 (Runner.start ~corrupt ~n counter)
+    step_to ~faults:late_crash ~rounds:3 ~from:0 (Runner.start ~corrupt_at ~n counter)
   in
   let resume faults = Runner.finish ~faults (step_to ~faults ~rounds ~from:3 shared) in
   let crash = resume late_crash in
@@ -536,7 +567,7 @@ let test_cursor_is_persistent () =
   let again = resume late_crash in
   List.iter
     (fun (name, faults, trace) ->
-      let fresh = Runner.run ~corrupt ~faults ~rounds counter in
+      let fresh = Runner.run ~corrupt_at ~faults ~rounds counter in
       check (name ^ ": resumed trace = fresh run") true (trace = fresh);
       check_int (name ^ ": hash") (Trace.hash fresh) (Trace.hash trace))
     [
@@ -572,7 +603,7 @@ let test_trace_hash_pins () =
   in
   let t =
     Runner.run
-      ~corrupt:(fun p c -> c + (97 * (p + 1)))
+      ~corrupt_at:(corrupt_all ~n:5 (fun p c -> c + (97 * (p + 1))))
       ~faults ~rounds:5 Round_agreement.protocol
   in
   pin "round agreement n=5 corrupt+faults" 0xea8038d455e64d4 (Trace.hash t);
@@ -624,6 +655,7 @@ let suite =
         tc "pp_summary and pp_rounds" `Quick test_pp_summary_and_rounds;
         tc "corruption applies at round 1" `Quick test_corruption_applies_at_round_1;
         tc "mid-run corruption" `Quick test_corrupt_at_mid_run;
+        tc "round-0 entries are initial states" `Quick test_round0_entries_are_initial_states;
         tc "sub-trace" `Quick test_sub_trace;
         tc "sub-trace rejects empty interval" `Quick test_sub_trace_bad_interval_raises;
         tc "runner rejects zero rounds" `Quick test_runner_rejects_zero_rounds;
