@@ -250,13 +250,13 @@ let detector_sweep m ~title ~corrupt_column ~crash_spacing ~source ?trusted ~cor
             in
             let result = Sim.run ~corrupt_at config (Esfd.process ~n ~source ()) in
             M.inc (M.counter m "trials");
-            match (Esfd.analyze ?trusted result ~config).Esfd.convergence_time with
-            | Some t ->
+            match (Esfd.analyze ?trusted result ~config).Esfd.convergence with
+            | Sim.Stabilized t ->
               incr converged;
               M.inc (M.counter m "converged");
               M.lobserve (M.lhist m "convergence_after_gst") (float_of_int (max 0 (t - gst)));
               convs := float_of_int (max 0 (t - gst)) :: !convs
-            | None -> ()
+            | Sim.Not_within_horizon | Sim.Vacuous -> ()
           done;
           Table.add_row table
             [
@@ -345,11 +345,12 @@ let e6 m =
           let correct = Sim.correct_set config in
           let ds = Consensus.decisions result in
           let grouped = Consensus.per_instance ds ~correct in
-          let stab = Consensus.stabilization_time result ~correct ~propose ~n in
+          let stab = Consensus.stabilization_time result ~config ~propose in
           M.add (M.counter m "decided_instances") (List.length grouped);
           (match stab with
-          | Some t -> M.lobserve (M.lhist m "stabilized_at") (float_of_int t)
-          | None -> M.inc (M.counter m "never_stabilized"));
+          | Sim.Stabilized t -> M.lobserve (M.lhist m "stabilized_at") (float_of_int t)
+          | Sim.Not_within_horizon -> M.inc (M.counter m "never_stabilized")
+          | Sim.Vacuous -> M.inc (M.counter m "vacuous"));
           Table.add_row table
             [
               style_name;
@@ -357,10 +358,14 @@ let e6 m =
               string_of_int (List.length grouped);
               string_of_int (List.length (Consensus.disagreements grouped));
               string_of_int (List.length (Consensus.invalid_instances grouped ~propose ~n));
-              (match stab with Some t -> "t=" ^ string_of_int t | None -> "never");
               (match stab with
-              | Some t -> string_of_int (Consensus.fully_decided_after ds ~correct ~from:t)
-              | None -> "-");
+              | Sim.Stabilized t -> "t=" ^ string_of_int t
+              | Sim.Not_within_horizon -> "never"
+              | Sim.Vacuous -> "vacuous");
+              (match stab with
+              | Sim.Stabilized t ->
+                string_of_int (Consensus.fully_decided_after ds ~correct ~from:t)
+              | Sim.Not_within_horizon | Sim.Vacuous -> "-");
             ])
         [ (`None, "none"); (`Random, "random"); (`Parked, "parked (deadlock)") ])
     [ (Consensus.baseline, "baseline"); (Consensus.self_stabilizing, "self-stab") ];
@@ -622,10 +627,11 @@ let e10 m =
             Drift.process
         in
         let report = Drift.analyze result ~config in
-        if report.Drift.converged_from <> None then begin
+        (match report.Drift.converged with
+        | Sim.Stabilized _ ->
           incr converged;
           M.inc (M.counter m "converged")
-        end;
+        | Sim.Not_within_horizon | Sim.Vacuous -> ());
         M.lobserve (M.lhist m "final_spread") (float_of_int report.Drift.final_spread);
         worst := max !worst report.Drift.final_spread
       done;

@@ -346,12 +346,16 @@ let esfd_cmd =
     let corrupt_at = corrupt_all ~n (fun _ -> Esfd.Layer.corrupt rng ~num_bound:10_000) in
     let result = Sim.run ?obs ~corrupt_at config (Esfd.process ?obs ~n ~source ()) in
     let report = Esfd.analyze ?trusted result ~config in
-    let show = function Some t -> string_of_int t | None -> "none" in
+    let show = function
+      | Sim.Stabilized t -> string_of_int t
+      | Sim.Not_within_horizon -> "never"
+      | Sim.Vacuous -> "vacuous"
+    in
     Format.printf "messages delivered: %d@." result.Sim.delivered;
-    Format.printf "strong completeness from: %s@." (show report.Esfd.completeness_from);
-    Format.printf "eventual weak accuracy from: %s@." (show report.Esfd.accuracy_from);
-    Format.printf "Theorem 5 convergence: %s@." (show report.Esfd.convergence_time);
-    if report.Esfd.convergence_time <> None then 0 else 1
+    Format.printf "strong completeness from: %s@." (show report.Esfd.completeness);
+    Format.printf "eventual weak accuracy from: %s@." (show report.Esfd.accuracy);
+    Format.printf "Theorem 5 convergence: %s@." (show report.Esfd.convergence);
+    match report.Esfd.convergence with Sim.Stabilized _ -> 0 | _ -> 1
   in
   let term =
     Term.(
@@ -424,29 +428,30 @@ let consensus_cmd =
     Format.printf "disagreeing instances: %d@." (List.length (Consensus.disagreements grouped));
     Format.printf "invalid-value instances: %d@."
       (List.length (Consensus.invalid_instances grouped ~propose ~n));
-    let stab = Consensus.stabilization_time result ~correct ~propose ~n in
+    let stab = Consensus.stabilization_time result ~config ~propose in
     (* One whole-run stability window: the async analogue of a coterie-stable
        interval is the full horizon, with the measured d from Definition
        2.4's piece-wise reading — the last agreement/validity violation
        plus one. *)
     (match (obs, stab) with
-    | Some o, Some t -> Ftss_obs.Obs.emit_windows o [ ((0, result.Sim.end_time), t) ]
+    | Some o, Sim.Stabilized t -> Ftss_obs.Obs.emit_windows o [ ((0, result.Sim.end_time), t) ]
     | _ -> ());
     (match stab with
-    | Some t ->
+    | Sim.Stabilized t ->
       Format.printf "stabilized at: t=%d@." t;
       Format.printf "instances fully decided after stabilization: %d@."
         (Consensus.fully_decided_after ds ~correct ~from:t)
-    | None -> Format.printf "did not stabilize within the horizon@.");
+    | Sim.Not_within_horizon -> Format.printf "did not stabilize within the horizon@."
+    | Sim.Vacuous -> Format.printf "stabilization vacuous: a correct process never decided@.");
     (* CI gate: pre-stabilization debris (invalid or disagreeing
        decisions before the measured stabilization time) is exactly what
        Definition 2.4 tolerates; the failure modes are not stabilizing
-       within the horizon, or making no progress afterwards. The baseline
-       style under corruption is *expected* to exit non-zero — that is
-       the paper's point. *)
+       within the horizon, a correct process never deciding, or making
+       no progress afterwards. The baseline style under corruption is
+       *expected* to exit non-zero — that is the paper's point. *)
     match stab with
-    | Some t when Consensus.fully_decided_after ds ~correct ~from:t > 0 -> 0
-    | Some _ | None -> 1
+    | Sim.Stabilized t when Consensus.fully_decided_after ds ~correct ~from:t > 0 -> 0
+    | Sim.Stabilized _ | Sim.Not_within_horizon | Sim.Vacuous -> 1
   in
   let term =
     Term.(

@@ -73,12 +73,15 @@ let () =
   Format.printf "instances decided: %d@." (List.length grouped);
   Format.printf "disagreeing instances (stabilization debris): %d@."
     (List.length (Consensus.disagreements grouped));
-  (match Consensus.stabilization_time ss2 ~correct ~propose ~n with
-  | Some t ->
+  (match Consensus.stabilization_time ss2 ~config ~propose with
+  | Sim.Stabilized t ->
     Format.printf "stabilized at: t=%d (GST was %d)@." t config.Sim.gst;
     Format.printf "instances fully decided after stabilization: %d@."
       (Consensus.fully_decided_after ds ~correct ~from:t)
-  | None ->
+  | Sim.Not_within_horizon ->
     Format.printf "did not stabilize within the horizon@.";
+    exit 1
+  | Sim.Vacuous ->
+    Format.printf "stabilization vacuous: a correct process never decided@.";
     exit 1);
   if List.length (Consensus.decisions base) > 0 then exit 1

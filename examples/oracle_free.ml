@@ -43,11 +43,15 @@ let () =
     Sim.run ~corrupt_at config (Esfd.process ~n ~source:Esfd.Heartbeats ())
   in
   let report = Esfd.analyze layer_result ~config in
-  let show = function Some t -> string_of_int t | None -> "never" in
+  let show = function
+    | Sim.Stabilized t -> "t=" ^ string_of_int t
+    | Sim.Not_within_horizon -> "never"
+    | Sim.Vacuous -> "vacuous"
+  in
   Format.printf "=== detector stack (heartbeat ◇W -> Figure 4 ◇S), all state corrupted ===@.";
-  Format.printf "strong completeness from: t=%s@." (show report.Esfd.completeness_from);
-  Format.printf "eventual weak accuracy from: t=%s@." (show report.Esfd.accuracy_from);
-  Format.printf "◇S convergence: t=%s@.@." (show report.Esfd.convergence_time);
+  Format.printf "strong completeness from: %s@." (show report.Esfd.completeness);
+  Format.printf "eventual weak accuracy from: %s@." (show report.Esfd.accuracy);
+  Format.printf "◇S convergence: %s@.@." (show report.Esfd.convergence);
 
   (* Then: consensus over the same construction, also corrupted. *)
   let rng = Rng.create 32 in
@@ -65,12 +69,12 @@ let () =
   Format.printf "=== oracle-free self-stabilizing repeated consensus ===@.";
   Format.printf "instances decided by correct processes: %d@." (List.length grouped);
   Format.printf "disagreeing instances: %d@." (List.length (Consensus.disagreements grouped));
-  (match Consensus.stabilization_time result ~correct ~propose ~n with
-  | Some t ->
+  (match Consensus.stabilization_time result ~config ~propose with
+  | Sim.Stabilized t ->
     Format.printf "stabilized at: t=%d (GST %d, crash at 700)@." t config.Sim.gst;
     Format.printf "instances fully decided after stabilization: %d@."
       (Consensus.fully_decided_after ds ~correct ~from:t)
-  | None ->
-    Format.printf "did not stabilize within the horizon@.";
+  | v ->
+    Format.printf "stabilized at: %s@." (show v);
     exit 1);
-  if report.Esfd.convergence_time = None then exit 1
+  match report.Esfd.convergence with Sim.Stabilized _ -> () | _ -> exit 1

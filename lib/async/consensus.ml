@@ -271,19 +271,11 @@ let invalid_instances grouped ~propose ~n =
       if List.for_all (fun d -> legal d.d_value) ds then None else Some i)
     grouped
 
-let stabilization_time result ~correct ~propose ~n =
+let stabilization_time result ~config ~propose =
   let ds = decisions result in
-  let grouped = per_instance ds ~correct in
-  let bad_instances = disagreements grouped @ invalid_instances grouped ~propose ~n in
-  let last_bad =
-    List.fold_left
-      (fun acc d -> if List.mem d.d_instance bad_instances then max acc d.d_time else acc)
-      (-1) ds
-  in
-  let t = last_bad + 1 in
-  (* A violation still occurring in the final tenth of the run is evidence
-     the system had not stabilized within the horizon. *)
-  if t > result.Sim.end_time * 9 / 10 then None else Some t
+  let grouped = per_instance ds ~correct:(Sim.correct_set config) in
+  let bad = disagreements grouped @ invalid_instances grouped ~propose ~n:config.Sim.n in
+  Sim.settle config (List.map (fun d -> (d.d_time, d.d_pid, List.mem d.d_instance bad)) ds)
 
 let fully_decided_after ds ~correct ~from =
   let tbl = Hashtbl.create 64 in

@@ -142,17 +142,15 @@ val disagreements : (int * decision list) list -> int list
 val invalid_instances :
   (int * decision list) list -> propose:(Pid.t -> int -> value) -> n:int -> int list
 
-(** [stabilization_time result ~correct ~propose ~n] is the time of the
-    last decision that violated agreement or validity, plus one — i.e.,
-    the measured moment from which the protocol's visible behaviour is
-    indistinguishable from a correctly-initialized run. [Some 0] when no
-    violation ever occurred. *)
+(** [stabilization_time result ~config ~propose] is {!Sim.settle} over
+    every decision, which violates when its instance disagrees or is
+    invalid: the moment from which the protocol's visible behaviour is
+    indistinguishable from a correctly-initialized run. *)
 val stabilization_time :
   (state, observation) Sim.result ->
-  correct:Pidset.t ->
+  config:Sim.config ->
   propose:(Pid.t -> int -> value) ->
-  n:int ->
-  int option
+  Sim.verdict
 
 (** [fully_decided_after ds ~correct ~from] counts instances for which
     every correct process decided at a time >= [from] — the

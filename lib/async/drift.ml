@@ -25,7 +25,7 @@ let corrupt rng ~bound _pid _st =
   let c = Rng.int rng bound in
   { c; seen_max = c }
 
-type report = { converged_from : int option; final_spread : int }
+type report = { converged : Sim.verdict; final_spread : int }
 
 (* One unit for the +1 adoption lag, ceil(delay/round) for message
    staleness, and one more for the phase stagger: processes step at
@@ -39,31 +39,26 @@ let analyze (result : (state, observation) Sim.result) ~config =
   let bound = spread_bound config in
   let correct = Sim.correct_set config in
   let latest = Hashtbl.create 8 in
-  let last_violation = ref (-1) in
   let spread () =
-    let values = Hashtbl.fold (fun _ v acc -> v :: acc) latest [] in
-    match values with
-    | [] -> 0
-    | v :: rest ->
-      let lo = List.fold_left min v rest and hi = List.fold_left max v rest in
-      hi - lo
+    let lo, hi =
+      Hashtbl.fold (fun _ v (lo, hi) -> (min lo v, max hi v)) latest (max_int, min_int)
+    in
+    if hi < lo then 0 else hi - lo
   in
   let final = ref 0 in
-  List.iter
-    (fun (time, pid, Round_variable c) ->
-      if Pidset.mem pid correct then begin
-        Hashtbl.replace latest pid c;
-        (* Only judge once every correct process has reported. *)
-        if Hashtbl.length latest = Pidset.cardinal correct then begin
-          let s = spread () in
-          final := s;
-          if s > bound then last_violation := max !last_violation time
-        end
-      end)
-    result.Sim.log;
-  let converged_from =
-    let t = !last_violation + 1 in
-    if Hashtbl.length latest < Pidset.cardinal correct || t >= result.Sim.end_time then None
-    else Some t
+  let judged =
+    List.filter_map
+      (fun (time, pid, Round_variable c) ->
+        if not (Pidset.mem pid correct) then None
+        else begin
+          Hashtbl.replace latest pid c;
+          (* Only judge once every correct process has reported. *)
+          if Hashtbl.length latest < Pidset.cardinal correct then None
+          else begin
+            final := spread ();
+            Some (time, pid, !final > bound)
+          end
+        end)
+      result.Sim.log
   in
-  { converged_from; final_spread = !final }
+  { converged = Sim.settle config judged; final_spread = !final }

@@ -33,9 +33,10 @@ val process : (state, msg, observation) Sim.process
 val corrupt : Rng.t -> bound:int -> Pid.t -> state -> state
 
 type report = {
-  converged_from : int option;
-      (** earliest time from which the correct processes' latest round
-          variables always span at most [spread_bound] *)
+  converged : Sim.verdict;
+      (** {!Sim.settle} over each correct process's round variable once
+          every correct process has reported: it violates when the
+          latest round variables span more than [spread_bound] *)
   final_spread : int;  (** spread over the run's last samples *)
 }
 

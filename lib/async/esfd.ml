@@ -143,53 +143,33 @@ let process ?obs ~n ~source () =
   }
 
 type report = {
-  convergence_time : int option;
-  completeness_from : int option;
-  accuracy_from : int option;
+  convergence : Sim.verdict;
+  completeness : Sim.verdict;
+  accuracy : Sim.verdict;
 }
 
 let analyze ?trusted (result : (_, observation) Sim.result) ~config =
-  let crashed = Sim.crashed_set config in
   let correct = Sim.correct_set config in
-  (* Over the correct processes: the last completeness violation (a
-     suspect set not covering the crashed set) and, per subject, the last
-     time it was suspected. *)
-  let last_completeness_violation = ref (-1) in
-  let last_suspected = Array.make config.Sim.n (-1) in
-  let seen = ref Pidset.empty in
-  List.iter
-    (fun (time, pid, Suspects set) ->
-      if Pidset.mem pid correct then begin
-        seen := Pidset.add pid !seen;
-        if not (Pidset.subset crashed set) then
-          last_completeness_violation := max !last_completeness_violation time;
-        Pidset.iter (fun s -> last_suspected.(s) <- max last_suspected.(s) time) set
-      end)
-    result.Sim.log;
-  if not (Pidset.subset correct !seen) then
-    { convergence_time = None; completeness_from = None; accuracy_from = None }
-  else begin
-    (* A violation at the very end of the run means no convergence was
-       observed within the horizon. *)
-    let settle t = if t >= result.Sim.end_time then None else Some t in
-    let completeness_from = settle (!last_completeness_violation + 1) in
-    let accuracy_from =
-      match trusted with
-      | Some p -> settle (last_suspected.(p) + 1)
-      | None ->
-        (* The literal form: the earliest-cleared correct candidate. *)
-        Pidset.fold
-          (fun candidate best ->
-            match (settle (last_suspected.(candidate) + 1), best) with
-            | Some t, Some b -> Some (min t b)
-            | Some t, None -> Some t
-            | None, best -> best)
-          correct None
+  let crashed = Pidset.diff (Pidset.full config.Sim.n) correct in
+  let judge violates =
+    Sim.settle config
+      (List.map (fun (time, pid, Suspects set) -> (time, pid, violates set)) result.Sim.log)
+  in
+  let incomplete set = not (Pidset.subset crashed set) in
+  (* Accuracy clears the trusted process or, in the literal form, the
+     earliest-cleared correct candidate. Every candidate is judged on the
+     same observations, so either all of them are vacuous or none is. *)
+  let earliest violates =
+    let verdicts =
+      List.map (fun c -> judge (fun set -> violates set c))
+        (match trusted with Some p -> [ p ] | None -> Pidset.to_list correct)
     in
-    let convergence_time =
-      match (completeness_from, accuracy_from) with
-      | Some a, Some b -> Some (max a b)
-      | None, _ | _, None -> None
-    in
-    { convergence_time; completeness_from; accuracy_from }
-  end
+    match List.filter_map (function Sim.Stabilized t -> Some t | _ -> None) verdicts with
+    | t :: ts -> Sim.Stabilized (List.fold_left min t ts)
+    | [] -> ( match verdicts with v :: _ -> v | [] -> Sim.Not_within_horizon)
+  in
+  {
+    convergence = earliest (fun set c -> incomplete set || Pidset.mem c set);
+    completeness = judge incomplete;
+    accuracy = earliest (fun set c -> Pidset.mem c set);
+  }

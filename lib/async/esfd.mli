@@ -104,16 +104,15 @@ val process :
   unit ->
   (Layer.t, Layer.msg, observation) Sim.process
 
+(** Each field is {!Sim.settle} over the correct processes' suspect
+    sets. *)
 type report = {
-  convergence_time : int option;
-      (** earliest time from which both ◇S properties hold through the end
-          of the run, if any *)
-  completeness_from : int option;
-      (** earliest time from which every correct process permanently
-          suspects every crashed process *)
-  accuracy_from : int option;
-      (** earliest time from which no correct process ever suspects the
-          trusted process or, without one, some correct process *)
+  convergence : Sim.verdict;  (** both ◇S properties at once *)
+  completeness : Sim.verdict;
+      (** a suspect set violates when it misses a crashed process *)
+  accuracy : Sim.verdict;
+      (** a suspect set violates when it holds the trusted process or,
+          without one, the candidate: the earliest-cleared correct one *)
 }
 
 (** [analyze ?trusted result ~config] evaluates the ◇S properties on a

@@ -76,12 +76,26 @@ let max_n = 4096
 let tag_pid tag = (tag lsr 2) land 0xfff
 let tag_dst tag = (tag lsr 14) land 0xfff
 
-let crashed_set config =
+let correct_set config =
   List.fold_left
-    (fun acc (p, t) -> if t <= config.horizon then Pidset.add p acc else acc)
-    Pidset.empty config.crashes
+    (fun acc (p, t) -> if t <= config.horizon then Pidset.remove p acc else acc)
+    (Pidset.full config.n) config.crashes
 
-let correct_set config = Pidset.diff (Pidset.full config.n) (crashed_set config)
+type verdict = Stabilized of time | Not_within_horizon | Vacuous
+
+let settle config observations =
+  let correct = correct_set config in
+  let observations = List.filter (fun (_, p, _) -> Pidset.mem p correct) observations in
+  let from =
+    1 + List.fold_left (fun acc (t, _, v) -> if v then max acc t else acc) (-1) observations
+  in
+  let judged ~since =
+    List.fold_left (fun acc (t, p, _) -> if t >= since then Pidset.add p acc else acc)
+      Pidset.empty observations
+  in
+  if not (Pidset.equal (judged ~since:0) correct) then Vacuous
+  else if Pidset.equal (judged ~since:from) correct then Stabilized from
+  else Not_within_horizon
 
 let run ?obs ?profile ?(corrupt_at = []) ?drop ?(spurious = []) config process =
   if config.tick_interval < 1 then invalid_arg "Sim.run: tick_interval < 1";

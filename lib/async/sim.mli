@@ -127,9 +127,23 @@ val run :
     Unset, the loop runs exactly as before up to one option test per
     event — the same zero-cost discipline as [?obs]. *)
 
-(** [crashed_set config] is the set of processes that crash within the
-    horizon — the faulty set of an asynchronous run. *)
-val crashed_set : config -> Pidset.t
-
-(** [correct_set config] is its complement. *)
+(** [correct_set config] is the set of processes that do not crash
+    within the horizon: the correct processes of an asynchronous run. *)
 val correct_set : config -> Pidset.t
+
+(** When a run behaves correctly for good (Definition 2.4, Theorem 5). *)
+type verdict =
+  | Stabilized of time  (** from this time on, through the run's end *)
+  | Not_within_horizon
+  | Vacuous  (** some correct process was never judged *)
+
+(** [settle config observations] is the one settle rule of the
+    asynchronous analyzers ({!Esfd.analyze},
+    {!Consensus.stabilization_time}, {!Drift.analyze}). Each observation
+    [(time, pid, violates)] is one judged observation of [pid]; those of
+    processes outside [correct_set config] are ignored. Let [from] be the
+    time of the last violation plus 1, or 0 if nothing violates. The
+    verdict is [Vacuous] if some correct process made no observation,
+    [Stabilized from] if every correct process made one at or after
+    [from], and [Not_within_horizon] otherwise. *)
+val settle : config -> (time * Pid.t * bool) list -> verdict

@@ -7,6 +7,7 @@ open Ftss_async
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let stabilized = function Sim.Stabilized _ -> true | _ -> false
 
 (* --- Event queue --- *)
 
@@ -256,7 +257,6 @@ let test_sim_crashed_and_correct_sets () =
   let config =
     { (small_config ~seed:3) with Sim.n = 4; crashes = [ (1, 60); (3, 1_000) ] }
   in
-  Alcotest.(check (list int)) "crashed" [ 1 ] (Pidset.to_list (Sim.crashed_set config));
   Alcotest.(check (list int)) "correct" [ 0; 2; 3 ] (Pidset.to_list (Sim.correct_set config));
   let result = Sim.run config echo_process in
   List.iter
@@ -266,6 +266,36 @@ let test_sim_crashed_and_correct_sets () =
         (Pidset.mem p (Sim.correct_set config))
         (result.Sim.final_states.(p) <> None))
     (Pid.all 4)
+
+(* The one settle rule, case by case: p2 crashes within the horizon, so
+   p0 and p1 are the correct processes. *)
+let test_sim_settle_rule () =
+  let config = { (small_config ~seed:1) with Sim.n = 3; crashes = [ (2, 50) ] } in
+  let show = function
+    | Sim.Stabilized t -> Printf.sprintf "stabilized from %d" t
+    | Sim.Not_within_horizon -> "not within horizon"
+    | Sim.Vacuous -> "vacuous"
+  in
+  List.iter
+    (fun (label, observations, expected) ->
+      Alcotest.(check string) label (show expected) (show (Sim.settle config observations)))
+    [
+      ("no violation", [ (10, 0, false); (12, 1, false) ], Sim.Stabilized 0);
+      ( "clean after the last violation",
+        [ (10, 0, true); (12, 1, false); (20, 0, false); (22, 1, false) ],
+        Sim.Stabilized 11 );
+      ( "violation at a process's final observation",
+        [ (10, 0, false); (12, 1, false); (20, 0, false); (30, 1, true) ],
+        Sim.Not_within_horizon );
+      ( "a correct process silent after the last violation",
+        [ (10, 0, false); (12, 1, true); (20, 1, false); (40, 1, false) ],
+        Sim.Not_within_horizon );
+      ("a correct process never observed", [ (10, 0, false); (20, 0, false) ], Sim.Vacuous);
+      ("nothing observed", [], Sim.Vacuous);
+      ( "crashed pids are ignored",
+        [ (10, 0, false); (12, 1, false); (40, 2, true) ],
+        Sim.Stabilized 0 );
+    ]
 
 let test_sim_corrupt_initial_state () =
   let config = small_config ~seed:4 in
@@ -518,9 +548,9 @@ let drop_matrix ~seed ~gst ~rate ~time ~src ~dst =
 
 let test_theorem5_clean_start () =
   let report = run_esfd ~seed:11 ~n:5 ~crashes:[ (3, 150); (4, 700) ] ~trusted:1 () in
-  check "converged" true (report.Esfd.convergence_time <> None);
-  check "completeness" true (report.Esfd.completeness_from <> None);
-  check "accuracy" true (report.Esfd.accuracy_from <> None)
+  check "converged" true (stabilized report.Esfd.convergence);
+  check "completeness" true (stabilized report.Esfd.completeness);
+  check "accuracy" true (stabilized report.Esfd.accuracy)
 
 let test_theorem5_corrupted_start () =
   (* Figure 4 requires no initialization: corrupt every counter and status
@@ -534,7 +564,7 @@ let test_theorem5_corrupted_start () =
     check
       (Printf.sprintf "Theorem 5 under corruption (seed %d)" seed)
       true
-      (report.Esfd.convergence_time <> None)
+      (stabilized report.Esfd.convergence)
   done
 
 let test_theorem5_strong_completeness_is_the_transforms_work () =
@@ -564,7 +594,7 @@ let test_theorem5_strong_completeness_is_the_transforms_work () =
 
 let test_theorem5_no_crashes () =
   let report = run_esfd ~seed:31 ~n:4 ~crashes:[] ~trusted:0 () in
-  check "accuracy alone also converges" true (report.Esfd.convergence_time <> None)
+  check "accuracy alone also converges" true (stabilized report.Esfd.convergence)
 
 let test_sim_adversary_drops_are_counted_and_deterministic () =
   let config = small_config ~seed:8 in
@@ -591,9 +621,9 @@ let prop_theorem5_under_random_drop_matrices =
       (* Drops cease at the GST, so the transform must still converge:
          every correct process eventually suspects the crashed one and
          permanently trusts the correct ones. *)
-      report.Esfd.convergence_time <> None
-      && report.Esfd.completeness_from <> None
-      && report.Esfd.accuracy_from <> None)
+      stabilized report.Esfd.convergence
+      && stabilized report.Esfd.completeness
+      && stabilized report.Esfd.accuracy)
 
 (* --- Repeated consensus --- *)
 
@@ -666,13 +696,14 @@ let test_consensus_ss_recovers_from_random_corruption () =
         ~crashes:[ (4, 600) ] ~trusted:2 ()
     in
     let correct = Sim.correct_set config in
-    let stab = Consensus.stabilization_time result ~correct ~propose ~n:5 in
-    check (Printf.sprintf "stabilizes (seed %d)" seed) true (stab <> None);
-    let from = Option.get stab in
-    check
-      (Printf.sprintf "useful work after stabilization (seed %d)" seed)
-      true
-      (Consensus.fully_decided_after (Consensus.decisions result) ~correct ~from >= 1)
+    match Consensus.stabilization_time result ~config ~propose with
+    | Sim.Not_within_horizon | Sim.Vacuous ->
+      Alcotest.failf "does not stabilize (seed %d)" seed
+    | Sim.Stabilized from ->
+      check
+        (Printf.sprintf "useful work after stabilization (seed %d)" seed)
+        true
+        (Consensus.fully_decided_after (Consensus.decisions result) ~correct ~from >= 1)
   done
 
 let test_consensus_baseline_deadlocks_when_parked () =
@@ -693,6 +724,16 @@ let test_consensus_baseline_deadlocks_when_parked () =
       ~noise:0.0 ~style:Consensus.baseline ~seed:9 ~n ~crashes:[] ~trusted ()
   in
   check_int "no decisions at all" 0 (List.length (Consensus.decisions result))
+
+(* E6's baseline/parked run: no correct process ever decides, so there
+   is nothing to judge, and the verdict says so rather than t=0. *)
+let test_consensus_baseline_parked_verdict_is_vacuous () =
+  let config, result =
+    run_consensus
+      ~corrupt:(Consensus.corrupt_parked ~round:6)
+      ~noise:0.0 ~style:Consensus.baseline ~seed:9 ~n:5 ~crashes:[] ~trusted:1 ()
+  in
+  check "vacuous" true (Consensus.stabilization_time result ~config ~propose = Sim.Vacuous)
 
 let test_consensus_ss_dissolves_the_same_deadlock () =
   let n = 5 in
@@ -749,9 +790,9 @@ let prop_ss_consensus_random_corruption =
           ~crashes:[] ~trusted:(seed mod n) ()
       in
       let correct = Sim.correct_set config in
-      match Consensus.stabilization_time result ~correct ~propose ~n with
-      | None -> false
-      | Some from ->
+      match Consensus.stabilization_time result ~config ~propose with
+      | Sim.Not_within_horizon | Sim.Vacuous -> false
+      | Sim.Stabilized from ->
         Consensus.fully_decided_after (Consensus.decisions result) ~correct ~from >= 1)
 
 let suite =
@@ -775,6 +816,7 @@ let suite =
         tc "seed changes schedule only" `Quick test_sim_seed_changes_schedule;
         tc "crash stops processing" `Quick test_sim_crash_stops_processing;
         tc "crashed and correct sets" `Quick test_sim_crashed_and_correct_sets;
+        tc "settle rule" `Quick test_sim_settle_rule;
         tc "corrupt initial state" `Quick test_sim_corrupt_initial_state;
         tc "time-0 entry precedes the first tick" `Quick test_sim_time0_entry_precedes_first_tick;
         tc "time-0 entry skips a process crashed at 0" `Quick test_sim_time0_entry_skips_crashed;
@@ -811,6 +853,8 @@ let suite =
         tc "ss tolerates crashes" `Quick test_consensus_ss_tolerates_crashes;
         tc "ss recovers from random corruption" `Quick test_consensus_ss_recovers_from_random_corruption;
         tc "baseline deadlocks when parked" `Quick test_consensus_baseline_deadlocks_when_parked;
+        tc "baseline parked verdict is vacuous" `Quick
+          test_consensus_baseline_parked_verdict_is_vacuous;
         tc "ss dissolves the same deadlock" `Quick test_consensus_ss_dissolves_the_same_deadlock;
         tc "deterministic" `Quick test_consensus_deterministic;
         QCheck_alcotest.to_alcotest prop_ss_consensus_random_corruption;

@@ -8,6 +8,7 @@ open Ftss_async
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let stabilized = function Sim.Stabilized _ -> true | _ -> false
 
 let corrupt_all ~n corrupt = List.init n (fun p -> (0, p, corrupt p))
 
@@ -84,7 +85,8 @@ let hb_process ~n ~initial_timeout ~backoff =
    correct process suspects every crashed process (completeness) and no
    correct one (eventual strong accuracy), through to the end of the run. *)
 let hb_settle_times (result : (_, hb_observation) Sim.result) ~config =
-  let crashed = Sim.crashed_set config and correct = Sim.correct_set config in
+  let correct = Sim.correct_set config in
+  let crashed = Pidset.diff (Pidset.full config.Sim.n) correct in
   let last_incomplete = ref (-1) and last_inaccurate = ref (-1) in
   List.iter
     (fun (time, pid, Hb_suspects set) ->
@@ -127,7 +129,7 @@ let test_stack_clean () =
   let config = hb_config ~seed:5 ~n:5 ~crashes:[ (4, 200); (3, 700) ] in
   let result = Sim.run config (Esfd.process ~n:5 ~source:Esfd.Heartbeats ()) in
   let report = Esfd.analyze result ~config in
-  check "stack converges to ◇S" true (report.Esfd.convergence_time <> None)
+  check "stack converges to ◇S" true (stabilized report.Esfd.convergence)
 
 let test_stack_with_both_layers_corrupted () =
   for seed = 0 to 8 do
@@ -142,7 +144,7 @@ let test_stack_with_both_layers_corrupted () =
     check
       (Printf.sprintf "corrupted stack converges (seed %d)" seed)
       true
-      (report.Esfd.convergence_time <> None)
+      (stabilized report.Esfd.convergence)
   done
 
 (* --- Terminating reliable broadcast --- *)
@@ -381,9 +383,10 @@ let test_consensus_over_heartbeats () =
          ~detector:Esfd.Heartbeats ())
   in
   let correct = Sim.correct_set config in
-  match Consensus.stabilization_time result ~correct ~propose:propose_async ~n with
-  | None -> Alcotest.fail "oracle-free consensus did not stabilize"
-  | Some from ->
+  match Consensus.stabilization_time result ~config ~propose:propose_async with
+  | Sim.Not_within_horizon | Sim.Vacuous ->
+    Alcotest.fail "oracle-free consensus did not stabilize"
+  | Sim.Stabilized from ->
     check "oracle-free consensus does useful work" true
       (Consensus.fully_decided_after (Consensus.decisions result) ~correct ~from >= 2)
 
@@ -478,9 +481,10 @@ let test_ss_consensus_survives_forged_decide () =
          ~detector:(Esfd.Oracle oracle) ())
   in
   let correct = Sim.correct_set config in
-  match Consensus.stabilization_time result ~correct ~propose:propose_async ~n with
-  | None -> Alcotest.fail "did not stabilize after the forged decide"
-  | Some from ->
+  match Consensus.stabilization_time result ~config ~propose:propose_async with
+  | Sim.Not_within_horizon | Sim.Vacuous ->
+    Alcotest.fail "did not stabilize after the forged decide"
+  | Sim.Stabilized from ->
     check "useful work after the forgery" true
       (Consensus.fully_decided_after (Consensus.decisions result) ~correct ~from >= 1)
 
@@ -563,7 +567,7 @@ let test_drift_converges_from_corruption () =
     check
       (Printf.sprintf "neighbourhood agreement (seed %d)" seed)
       true
-      (report.Drift.converged_from <> None);
+      (stabilized report.Drift.converged);
     check
       (Printf.sprintf "final spread within bound (seed %d)" seed)
       true
@@ -577,7 +581,21 @@ let test_drift_tolerates_crashes () =
     Sim.run ~corrupt_at:(corrupt_all ~n:5 (Drift.corrupt rng ~bound:5_000)) config Drift.process
   in
   let report = Drift.analyze result ~config in
-  check "survivors reach neighbourhood agreement" true (report.Drift.converged_from <> None)
+  check "survivors reach neighbourhood agreement" true (stabilized report.Drift.converged)
+
+(* E10's row n=9, max delay 8 (bound 3), seed 8: the spread breaks the
+   bound 89 times after t=1000, the last at t=1995 of 2,000, so no
+   process is seen clean for good. *)
+let test_drift_late_violation_is_not_converged () =
+  let n = 9 and seed = 8 in
+  let config = drift_config ~seed ~n ~crashes:[] in
+  let rng = Rng.create (seed + 99) in
+  let result =
+    Sim.run ~corrupt_at:(corrupt_all ~n (Drift.corrupt rng ~bound:1_000_000)) config
+      Drift.process
+  in
+  let report = Drift.analyze result ~config in
+  check "not converged" true (report.Drift.converged = Sim.Not_within_horizon)
 
 (* --- Compiler corner cases --- *)
 
@@ -676,6 +694,8 @@ let suite =
       [
         tc "converges from corruption" `Quick test_drift_converges_from_corruption;
         tc "tolerates crashes" `Quick test_drift_tolerates_crashes;
+        tc "late violation is not converged (E10, n=9)" `Quick
+          test_drift_late_violation_is_not_converged;
       ] );
     ( "repeated-destabilization",
       [
