@@ -941,12 +941,18 @@ let e14 m =
     let params =
       { (S.default_params ~n ~seed:202) with S.style; batch_max; faults }
     in
-    let minor0, promoted0, _ = Gc.counters () in
+    let minor0, promoted0, major0 = Gc.counters () in
     let r = S.run ~wl params in
-    let minor1, promoted1, _ = Gc.counters () in
+    let minor1, promoted1, major1 = Gc.counters () in
     if is_headline then begin
       let per_op w = w /. float_of_int (max 1 r.S.unique_ops) in
-      headline := Some (r, per_op (minor1 -. minor0), per_op (promoted1 -. promoted0))
+      let direct0 = major0 -. promoted0 and direct1 = major1 -. promoted1 in
+      headline :=
+        Some
+          ( r,
+            per_op (minor1 -. minor0),
+            per_op (promoted1 -. promoted0),
+            per_op (direct1 -. direct0) )
     end;
     let lat f = match r.S.latency with Some l -> f l | None -> Float.nan in
     let heal =
@@ -1029,22 +1035,31 @@ let e14 m =
     ~headline:false ();
   Table.print table;
   (* Allocation per committed op on the headline call (one domain, so the
-     domain's GC counters see all of it). Both are deterministic for a
-     given build and minor heap size, and bench/main.ml fixes the minor
-     heap whatever OCAMLRUNPARAM says, so they are gated here rather than
-     by bench-diff. *)
+     domain's GC counters see all of it): minor words, words promoted out
+     of the minor heap, and words allocated directly in the major heap
+     (major minus promoted: blocks above the minor heap's size limit).
+     All three are deterministic for a given build and minor heap size,
+     and bench/main.ml fixes the minor heap whatever OCAMLRUNPARAM says,
+     so they are gated here rather than by bench-diff. *)
   match !headline with
   | None -> ()
-  | Some (r, minor, promoted) ->
+  | Some (r, minor, promoted, major) ->
     Format.printf "@.%a@." S.pp_report r;
     M.set (M.gauge m "minor_words_per_op.headline") minor;
     M.set (M.gauge m "promoted_words_per_op.headline") promoted;
-    Format.printf "headline allocation: %.1f minor / %.2f promoted words per committed op \
-                   (gates: 50 / 2)@." minor promoted;
+    M.set (M.gauge m "major_words_per_op.headline") major;
+    Format.printf
+      "headline allocation: %.1f minor / %.2f promoted / %.2f direct-major words per \
+       committed op (gates: 50 / 2 / 3)@."
+      minor promoted major;
     if minor > 50.0 then
       failwith (Printf.sprintf "E14: %.1f minor words per committed op (> 50)" minor);
     if promoted > 2.0 then
-      failwith (Printf.sprintf "E14: %.2f promoted words per committed op (> 2)" promoted)
+      failwith (Printf.sprintf "E14: %.2f promoted words per committed op (> 2)" promoted);
+    if major > 3.0 then
+      failwith
+        (Printf.sprintf "E14: %.2f words per committed op allocated directly in the major heap (> 3)"
+           major)
 
 (* ------------------------------------------------------------------ *)
 (* Interleaved A/B trials, shared by the overhead experiments E15/E17. *)

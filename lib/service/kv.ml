@@ -182,10 +182,12 @@ let apply t o =
 
 (* A loop rather than [Array.iter (apply t)], whose partial application
    allocates a closure per batch. *)
-let apply_batch t ops =
-  for i = 0 to Array.length ops - 1 do
+let apply_range t ops ~lo ~hi =
+  for i = lo to hi - 1 do
     apply t ops.(i)
   done
+
+let apply_batch t ops = apply_range t ops ~lo:0 ~hi:(Array.length ops)
 
 (* A scan of the live entries, ignoring the incremental field — the
    ground truth a corrupted [dig] is audited against. The sum wraps at

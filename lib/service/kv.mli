@@ -57,6 +57,11 @@ val digest : t -> int
     key. *)
 val apply_batch : t -> op array -> unit
 
+(** [apply_range t ops ~lo ~hi] is [apply_batch t (Array.sub ops lo (hi
+    - lo))] without the copy: the way a replica applies a log entry, a
+    run of slices of the submitted op arrays. *)
+val apply_range : t -> op array -> lo:int -> hi:int -> unit
+
 (** Recompute the digest from the table contents, ignoring the
     incremental field — the audit a transient corruption of either the
     table or the field cannot survive. *)

@@ -339,11 +339,9 @@ let run_measured ?obs ?profile ~wl (params : params) =
   in
   (match reference with
   | Some r ->
-    for s = 0 to Tob.committed r.tob - 1 do
-      let entry = Tob.log_entry r.tob s in
-      committed_ops := !committed_ops + Array.length entry;
-      for k = 0 to Array.length entry - 1 do
-        let id = entry.(k).Kv.id in
+    Tob.iter_log r.tob (fun s (o : Kv.op) ->
+        incr committed_ops;
+        let id = o.Kv.id in
         if first_seen id then begin
           incr unique_ops;
           if s < slots then begin
@@ -359,9 +357,7 @@ let run_measured ?obs ?profile ~wl (params : params) =
               incr measured
             end
           end
-        end
-      done
-    done
+        end)
   | None -> ());
   let lat = Ftss_obs.Metrics.lhist_create () in
   Array.iteri (fun l k -> Ftss_obs.Metrics.lobserve_n lat (float_of_int l) k) counts;

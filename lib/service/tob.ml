@@ -13,20 +13,45 @@ type style = { stabilizing : bool }
 let self_stabilizing = { stabilizing = true }
 let baseline = { stabilizing = false }
 
-(* A batch is immutable once built, so its digest belongs to the value:
-   it is computed at most once, by whichever replica first chains it, and
-   every replica holding the same batch reuses it. A batch lives inside
-   one run, on one domain, except [empty]. *)
-type batch = { ops : Kv.op array; digest : int Lazy.t }
+(* A batch is a run of slices of op arrays: slice [k] is
+   [arrs.(k).(los.(k)) .. arrs.(k).(his.(k) - 1)]. The arrays are the ones
+   clients handed to [submit] or [Fwd] carried, shared by reference and
+   never written, so a proposal copies no op. A batch is immutable once
+   built, so its digest belongs to the value: it is computed at most
+   once, by whichever replica first chains it, and every replica holding
+   the same batch reuses it. A batch lives inside one run, on one domain,
+   except [empty], whose digest is set up front. *)
+type batch = {
+  arrs : Kv.op array array;
+  los : int array;
+  his : int array;
+  size : int;
+  mutable digest : int; (* -1 until first read; digests are non-negative *)
+}
 
-let batch ops = { ops; digest = lazy (Kv.batch_digest ops) }
-let ops b = b.ops
-let batch_digest b = Lazy.force b.digest
-let size b = Array.length b.ops
+let slices arrs los his size = { arrs; los; his; size; digest = -1 }
 
-(* Forced up front: [empty] is shared by every replica of every domain,
-   and two domains forcing one lazy value at once is an error. *)
-let empty = { ops = [||]; digest = Lazy.from_val (Kv.batch_digest [||]) }
+let batch ops = slices [| ops |] [| 0 |] [| Array.length ops |] (Array.length ops)
+
+let size b = b.size
+
+(* The ground truth: [Kv.batch_digest] of the ops the slices hold, in
+   order, hashed from the ops themselves. *)
+let hash_ops b =
+  let h = ref 1 in
+  for k = 0 to Array.length b.arrs - 1 do
+    let a = b.arrs.(k) in
+    for j = b.los.(k) to b.his.(k) - 1 do
+      h := Kv.chain !h (Kv.op_digest a.(j))
+    done
+  done;
+  !h
+
+let batch_digest b =
+  if b.digest < 0 then b.digest <- hash_ops b;
+  b.digest
+
+let empty = { (batch [||]) with digest = Kv.batch_digest [||] }
 
 type msg =
   | Cons of { slot : int; m : batch Mv_consensus.msg }
@@ -61,10 +86,13 @@ type t = {
   mutable applied : int;
   mutable kvh : int; (* height of the last KV checkpoint snapshot *)
   mutable kv_cp : int; (* table-recomputed KV digest at that height *)
-  (* pending client operations: a flat FIFO, live in [pend.(head) ..
-     pend.(tail - 1)], plus bitsets (indexed by op id) for dedup and
-     committed-filtering *)
-  mutable pend : Kv.op array;
+  (* pending client operations: a FIFO of slices of the submitted
+     arrays, slice [k] for [head <= k < tail] being [parr.(k).(plo.(k))
+     .. parr.(k).(phi.(k) - 1)], plus bitsets (indexed by op id) for
+     dedup and committed-filtering *)
+  mutable parr : Kv.op array array;
+  mutable plo : int array;
+  mutable phi : int array;
   mutable head : int;
   mutable tail : int;
   mutable queued : Bytes.t;
@@ -90,7 +118,7 @@ type t = {
   mutable recoveries : int;
 }
 
-let pending_capacity = 256 (* initial FIFO slots; doubled only when full *)
+let pending_capacity = 256 (* initial FIFO slices; doubled only when full *)
 let no_op = { Kv.id = -1; kind = Kv.Get; key = 0; v1 = 0; v2 = 0 } (* filler *)
 let pull_patience = 5 (* ticks before an unanswered pull may be retried *)
 let audit_interval = 64 (* ticks between self-audits *)
@@ -122,14 +150,17 @@ let ensure_bits t i =
 
 let is_done t (o : Kv.op) = bit_get t.donebits o.Kv.id
 
-(* Marks every op of a batch done: a loop rather than [Array.iter] over
-   a per-op function, whose partial application allocates a closure per
+(* Marks every op of a batch done: a loop rather than an iterator over a
+   per-op function, whose partial application allocates a closure per
    batch. *)
-let mark_done t ops =
-  for i = 0 to Array.length ops - 1 do
-    let id = ops.(i).Kv.id in
-    ensure_bits t id;
-    bit_set t.donebits id
+let mark_done t b =
+  for k = 0 to Array.length b.arrs - 1 do
+    let a = b.arrs.(k) in
+    for j = b.los.(k) to b.his.(k) - 1 do
+      let id = a.(j).Kv.id in
+      ensure_bits t id;
+      bit_set t.donebits id
+    done
   done
 
 (* --- log storage --- *)
@@ -200,7 +231,9 @@ let create ?obs ?profile ~n ~self ~style ~batch_max ?(id_hint = 1024) ?key_hint 
       applied = 0;
       kvh = 0;
       kv_cp = 0;
-      pend = Array.make pending_capacity no_op;
+      parr = Array.make pending_capacity [||];
+      plo = Array.make pending_capacity 0;
+      phi = Array.make pending_capacity 0;
       head = 0;
       tail = 0;
       queued = Bytes.make bytes '\000';
@@ -229,7 +262,29 @@ let committed t = t.committed
 let log_digest t = t.pdig.(t.committed)
 let kv_recomputed t = Kv.recompute_digest t.kv
 let recoveries t = t.recoveries
-let log_entry t i = t.log.(i).ops
+
+(* A log entry's ops in one fresh array, for readers outside the hot
+   path; [iter_log] walks the slices in place. *)
+let log_entry t i =
+  let b = t.log.(i) in
+  let ops = Array.make b.size no_op and w = ref 0 in
+  for k = 0 to Array.length b.arrs - 1 do
+    let len = b.his.(k) - b.los.(k) in
+    Array.blit b.arrs.(k) b.los.(k) ops !w len;
+    w := !w + len
+  done;
+  ops
+
+let iter_log t f =
+  for s = 0 to t.committed - 1 do
+    let b = t.log.(s) in
+    for k = 0 to Array.length b.arrs - 1 do
+      let a = b.arrs.(k) in
+      for j = b.los.(k) to b.his.(k) - 1 do
+        f s a.(j)
+      done
+    done
+  done
 
 (* Recompute the log-content digest chain from scratch, hashing the ops
    rather than trusting the batches' cached digests — the ground truth
@@ -237,26 +292,25 @@ let log_entry t i = t.log.(i).ops
 let content_digest t =
   let h = ref 0 in
   for i = 0 to t.committed - 1 do
-    h := Kv.chain !h (Kv.batch_digest t.log.(i).ops)
+    h := Kv.chain !h (hash_ops t.log.(i))
   done;
   !h
 
 (* [content_digest] for several replicas at once. Every replica that
-   committed a decision holds the proposer's ops array itself, so a
-   slot whose array is physically the first replica's reuses that
-   replica's batch digest; any other array is hashed on its own. *)
+   committed a decision holds the decided batch itself, so a slot whose
+   batch is physically the first replica's reuses that replica's content
+   hash; any other batch is hashed on its own. *)
 let content_digests = function
   | [] -> []
   | first :: _ as ts ->
-    let shared = Array.init first.committed (fun i -> Kv.batch_digest first.log.(i).ops) in
+    let shared = Array.init first.committed (fun i -> hash_ops first.log.(i)) in
     List.map
       (fun t ->
         let h = ref 0 in
         for i = 0 to t.committed - 1 do
-          let ops = t.log.(i).ops in
+          let b = t.log.(i) in
           let d =
-            if i < Array.length shared && ops == first.log.(i).ops then shared.(i)
-            else Kv.batch_digest ops
+            if i < Array.length shared && b == first.log.(i) then shared.(i) else hash_ops b
           in
           h := Kv.chain !h d
         done;
@@ -275,72 +329,118 @@ let cached_chain entries len =
 
 (* --- pending queue --- *)
 
-(* The FIFO never allocates per op: [prune] only moves [head], the live
-   range slides back to index 0 once [head] passes half the array, and
-   the array doubles only when the live range fills it. *)
+(* The FIFO holds slices, never single ops: [prune] only moves [head]
+   and the front slice's [plo], the live slices slide back to index 0
+   once [head] passes half the arrays, and the arrays double only when
+   the live slices fill them. *)
 let compact t =
   let live = t.tail - t.head in
-  Array.blit t.pend t.head t.pend 0 live;
+  Array.blit t.parr t.head t.parr 0 live;
+  Array.blit t.plo t.head t.plo 0 live;
+  Array.blit t.phi t.head t.phi 0 live;
   t.head <- 0;
   t.tail <- live
 
 let prune t =
-  while t.head < t.tail && is_done t t.pend.(t.head) do
-    t.head <- t.head + 1
+  let stop = ref false in
+  while (not !stop) && t.head < t.tail do
+    let a = t.parr.(t.head) and hi = t.phi.(t.head) in
+    let lo = ref t.plo.(t.head) in
+    while !lo < hi && is_done t a.(!lo) do
+      incr lo
+    done;
+    if !lo = hi then t.head <- t.head + 1
+    else begin
+      t.plo.(t.head) <- !lo;
+      stop := true
+    end
   done;
-  if 2 * t.head > Array.length t.pend then compact t
+  if 2 * t.head > Array.length t.parr then compact t
 
 let has_pending t =
   prune t;
   t.head < t.tail
 
-let push_pending t o =
-  if t.tail = Array.length t.pend then begin
-    let pend = Array.make (2 * Array.length t.pend) no_op in
-    Array.blit t.pend t.head pend 0 (t.tail - t.head);
-    t.pend <- pend;
+let push_slice t a lo hi =
+  if t.tail = Array.length t.parr then begin
+    let cap = 2 * Array.length t.parr in
+    let grow old fill =
+      let fresh = Array.make cap fill in
+      Array.blit old t.head fresh 0 (t.tail - t.head);
+      fresh
+    in
+    t.parr <- grow t.parr [||];
+    t.plo <- grow t.plo 0;
+    t.phi <- grow t.phi 0;
     t.tail <- t.tail - t.head;
     t.head <- 0
   end;
-  t.pend.(t.tail) <- o;
+  t.parr.(t.tail) <- a;
+  t.plo.(t.tail) <- lo;
+  t.phi.(t.tail) <- hi;
   t.tail <- t.tail + 1
 
-(* After [ensure_bits] the op's byte lies in both bitsets, which always
-   have the same length: one checked read of [queued] covers the other
-   accesses. *)
-let enqueue_ops t ops =
-  for i = 0 to Array.length ops - 1 do
-    let o = ops.(i) in
-    let id = o.Kv.id in
+(* Queues the ops of [a.(lo) .. a.(hi - 1)] that are neither queued nor
+   done, one slice per run of them. After [ensure_bits] the op's byte
+   lies in both bitsets, which always have the same length: one checked
+   read of [queued] covers the other accesses. *)
+let enqueue t a lo hi =
+  let run = ref (-1) in
+  for i = lo to hi - 1 do
+    let id = a.(i).Kv.id in
     ensure_bits t id;
     let byte = id lsr 3 and bit = 1 lsl (id land 7) in
     let q = Char.code (Bytes.get t.queued byte) in
     if (q lor Char.code (Bytes.unsafe_get t.donebits byte)) land bit = 0 then begin
       Bytes.unsafe_set t.queued byte (Char.unsafe_chr (q lor bit));
-      push_pending t o
+      if !run < 0 then run := i
     end
+    else if !run >= 0 then begin
+      push_slice t a !run i;
+      run := -1
+    end
+  done;
+  if !run >= 0 then push_slice t a !run hi
+
+(* Calls [emit a lo hi] on each run of not-done ops among the first
+   [batch_max] not-done ops of the FIFO, in FIFO order. *)
+let proposal_runs t emit =
+  let count = ref 0 and k = ref t.head in
+  while !count < t.batch_max && !k < t.tail do
+    let a = t.parr.(!k) and hi = t.phi.(!k) in
+    let j = ref t.plo.(!k) in
+    while !count < t.batch_max && !j < hi do
+      if is_done t a.(!j) then incr j
+      else begin
+        let lo = !j in
+        while !j < hi && !count < t.batch_max && not (is_done t a.(!j)) do
+          incr j;
+          incr count
+        done;
+        emit a lo !j
+      end
+    done;
+    incr k
   done
 
-(* The proposal: the first [batch_max] not-done ops in FIFO order. One
-   pass counts them, a second fills an array of exactly that length. *)
+(* The proposal: the first [batch_max] not-done ops in FIFO order, as
+   slices of the arrays the FIFO holds. One pass counts the runs, a
+   second fills arrays of exactly that length: the proposal costs
+   O(slices) words, whatever its size. *)
 let make_batch t =
   prune t;
-  let count = ref 0 and i = ref t.head in
-  while !count < t.batch_max && !i < t.tail do
-    if not (is_done t t.pend.(!i)) then incr count;
-    incr i
-  done;
-  let ops = Array.make !count no_op in
-  let k = ref 0 and i = ref t.head in
-  while !k < !count do
-    let o = t.pend.(!i) in
-    if not (is_done t o) then begin
-      ops.(!k) <- o;
-      incr k
-    end;
-    incr i
-  done;
-  batch ops
+  let runs = ref 0 and size = ref 0 in
+  proposal_runs t (fun _ lo hi ->
+      incr runs;
+      size := !size + hi - lo);
+  let arrs = Array.make !runs [||] and los = Array.make !runs 0 and his = Array.make !runs 0 in
+  let r = ref 0 in
+  proposal_runs t (fun a lo hi ->
+      arrs.(!r) <- a;
+      los.(!r) <- lo;
+      his.(!r) <- hi;
+      incr r);
+  slices arrs los his !size
 
 (* --- applying the log --- *)
 
@@ -350,7 +450,10 @@ let make_batch t =
 let apply_forward t ~now =
   let last_cp = cp_of t.committed in
   while t.applied < t.committed do
-    Kv.apply_batch t.kv t.log.(t.applied).ops;
+    let b = t.log.(t.applied) in
+    for k = 0 to Array.length b.arrs - 1 do
+      Kv.apply_range t.kv b.arrs.(k) ~lo:b.los.(k) ~hi:b.his.(k)
+    done;
     t.applied <- t.applied + 1;
     let digest = Kv.digest t.kv in
     note t (Applied { slot = t.applied - 1; digest });
@@ -363,12 +466,12 @@ let apply_forward t ~now =
 
 (* --- the consensus engine for slot [committed] --- *)
 
-let map_outs slot outs =
-  List.map
-    (function
-      | Mv_consensus.To (d, m) -> Send (d, Cons { slot; m })
-      | Mv_consensus.All m -> Bcast (Cons { slot; m }))
-    outs
+(* The engine's messages for [slot], in order, in front of [tail]. *)
+let rec map_outs slot outs tail =
+  match outs with
+  | [] -> tail
+  | Mv_consensus.To (d, m) :: rest -> Send (d, Cons { slot; m }) :: map_outs slot rest tail
+  | Mv_consensus.All m :: rest -> Bcast (Cons { slot; m }) :: map_outs slot rest tail
 
 let enter_engine t =
   let proposal = make_batch t in
@@ -377,7 +480,7 @@ let enter_engine t =
       ~proposal
   in
   t.engine <- Some eng;
-  map_outs t.committed outs
+  map_outs t.committed outs []
 
 (* --- growing the log --- *)
 
@@ -399,7 +502,7 @@ let commit_next t ~now batch =
   t.log.(slot) <- batch;
   t.pdig.(slot + 1) <- Kv.chain t.pdig.(slot) (batch_digest batch);
   t.committed <- slot + 1;
-  mark_done t batch.ops;
+  mark_done t batch;
   note t (Committed { slot; ops = size batch });
   emit t ~now (Ftss_obs.Event.Commit { pid = t.self; slot; ops = size batch });
   advance t ~now
@@ -428,21 +531,21 @@ let recover t ~now =
   Bytes.fill t.queued 0 (Bytes.length t.queued) '\000';
   Bytes.fill t.donebits 0 (Bytes.length t.donebits) '\000';
   for i = 0 to t.committed - 1 do
-    mark_done t t.log.(i).ops
+    mark_done t t.log.(i)
   done;
-  (* Refilter the FIFO in place, to the front of the array: the write
-     index never passes the read index. *)
-  let w = ref 0 in
-  for r = t.head to t.tail - 1 do
-    let o = t.pend.(r) in
-    if not (is_done t o) && not (bit_get t.queued o.Kv.id) then begin
-      bit_set t.queued o.Kv.id;
-      t.pend.(!w) <- o;
-      incr w
-    end
-  done;
+  (* Refilter the FIFO: re-enqueue every held slice into fresh arrays,
+     which keeps the first copy of each op not done (a slice may split
+     into several). *)
+  let parr = t.parr and plo = t.plo and phi = t.phi and head = t.head and tail = t.tail in
+  let cap = max pending_capacity (tail - head) in
+  t.parr <- Array.make cap [||];
+  t.plo <- Array.make cap 0;
+  t.phi <- Array.make cap 0;
   t.head <- 0;
-  t.tail <- !w;
+  t.tail <- 0;
+  for k = head to tail - 1 do
+    enqueue t parr.(k) plo.(k) phi.(k)
+  done;
   t.engine <- None;
   t.pull <- None;
   t.log_conflict <- Pidset.empty;
@@ -480,7 +583,7 @@ let audit t ~now =
       let stop = min t.committed (t.audit_cursor + audit_window) in
       let h = ref t.pdig.(t.audit_cursor) in
       for i = t.audit_cursor to stop - 1 do
-        h := Kv.chain !h (Kv.batch_digest t.log.(i).ops)
+        h := Kv.chain !h (hash_ops t.log.(i))
       done;
       let ok = !h = t.pdig.(stop) in
       t.audit_cursor <- stop;
@@ -502,7 +605,7 @@ let submit t ~now ops =
   integrity_check t ~now;
   if Array.length ops = 0 then []
   else begin
-    enqueue_ops t ops;
+    enqueue t ops 0 (Array.length ops);
     note t (Submitted { ops = Array.length ops });
     emit t ~now (Ftss_obs.Event.Submit { pid = t.self; ops = Array.length ops });
     refresh_guard t;
@@ -514,17 +617,18 @@ let submit t ~now ops =
 (* [slot = committed]: [deliver] answers stale slots and drops later
    ones before opening a span. *)
 let on_cons t ~now ~src ~slot m =
-  let outs = if t.engine = None then enter_engine t else [] in
+  let entered = if t.engine = None then enter_engine t else [] in
   match t.engine with
-  | None -> outs (* unreachable: enter_engine just installed one *)
+  | None -> entered (* unreachable: enter_engine just installed one *)
   | Some eng ->
     let eng, mouts, verdict = Mv_consensus.receive eng ~src m in
     t.engine <- Some eng;
-    let outs = outs @ map_outs slot mouts in
-    (match verdict with
-    | Mv_consensus.Decided batch ->
-      outs @ (Bcast (Decide { slot; batch }) :: commit_next t ~now batch)
-    | Mv_consensus.Continue -> outs)
+    let decided =
+      match verdict with
+      | Mv_consensus.Decided batch -> Bcast (Decide { slot; batch }) :: commit_next t ~now batch
+      | Mv_consensus.Continue -> []
+    in
+    entered @ map_outs slot mouts decided
 
 (* Most [Tag]s change nothing: the peer is not on our next slot's
    engine, and its checkpoint verdict is the one already recorded. The
@@ -588,7 +692,7 @@ let on_tag t ~src ~len ~round ~cp ~cp_log ~kvh ~kv_d =
         | Some eng ->
           let eng, mouts = Mv_consensus.jump eng ~round in
           t.engine <- Some eng;
-          map_outs t.committed mouts
+          map_outs t.committed mouts []
         | None -> enter_engine t
     in
     pf_leave t;
@@ -630,7 +734,7 @@ let on_pull_rep t ~now ~src ~from ~entries =
     t.committed <- from + len;
     for i = from + offset to t.committed - 1 do
       t.pdig.(i + 1) <- Kv.chain t.pdig.(i) (batch_digest t.log.(i));
-      mark_done t t.log.(i).ops
+      mark_done t t.log.(i)
     done;
     advance t ~now
   end
@@ -641,7 +745,7 @@ let deliver t ~now ~src msg =
   let outs =
     match msg with
     | Fwd ops ->
-      enqueue_ops t ops;
+      enqueue t ops 0 (Array.length ops);
       []
     | Cons { slot; _ } when slot < t.committed ->
       [ Send (src, Decide { slot; batch = t.log.(slot) }) ]
@@ -695,8 +799,6 @@ let tick t ~now ~suspected =
   (match t.pull with
   | Some (_, since, _) when t.ticks - since > pull_patience -> t.pull <- None
   | _ -> ());
-  let outs = ref [] in
-  let push os = outs := !outs @ os in
   let suspects = ref 0 in
   for p = 0 to t.n - 1 do
     if (not (Pid.equal p t.self)) && suspected p then incr suspects
@@ -715,11 +817,14 @@ let tick t ~now ~suspected =
     then longer := (t.peer_len.(p), p) :: !longer
   done;
   let cnt = List.length !longer in
-  if 2 * cnt > alive_others then begin
-    let sorted = List.sort compare !longer in
-    let _, peer = List.nth sorted (cnt / 2) in
-    push (request_pull t peer ~from:t.committed)
-  end;
+  let catchup =
+    if 2 * cnt > alive_others then begin
+      let sorted = List.sort compare !longer in
+      let _, peer = List.nth sorted (cnt / 2) in
+      request_pull t peer ~from:t.committed
+    end
+    else []
+  in
   (* Cross-replica repair: a replica adopts another camp's log only when
      the largest group of conflicting peers that agree {e among
      themselves} outweighs its own camp (itself plus the peers agreeing
@@ -729,8 +834,9 @@ let tick t ~now ~suspected =
      (camps of equal weight) are broken by the camps' advertised
      checkpoint digests, so exactly one side moves. A KV conflict under
      an agreeing log is repaired by replaying our own log. *)
-  if t.style.stabilizing then begin
-    if not (Pidset.is_empty t.log_conflict) then begin
+  let repair =
+    if not t.style.stabilizing then []
+    else if not (Pidset.is_empty t.log_conflict) then begin
       let groups = Hashtbl.create 8 in
       Pidset.iter
         (fun p ->
@@ -751,60 +857,69 @@ let tick t ~now ~suspected =
           groups None
       in
       let my_camp = 1 + Pidset.cardinal t.log_agree in
-      (match best with
+      match best with
       | Some (theirs, (peer :: _ as ps)) ->
         let mine = (cp_of t.committed, t.pdig.(cp_of t.committed)) in
         if
           List.length ps > my_camp
           || (List.length ps = my_camp && compare theirs mine > 0)
         then begin
-          push (request_pull t peer ~from:0);
+          let pull = request_pull t peer ~from:0 in
           t.log_conflict <- Pidset.empty;
-          t.kv_conflict <- Pidset.empty
+          t.kv_conflict <- Pidset.empty;
+          pull
         end
-      | Some (_, []) | None -> ())
+        else []
+      | Some (_, []) | None -> []
     end
-    else if 2 * Pidset.cardinal t.kv_conflict > alive_others then recover t ~now
-  end;
+    else begin
+      if 2 * Pidset.cardinal t.kv_conflict > alive_others then recover t ~now;
+      []
+    end
+  in
   (* Drive the current slot's consensus. *)
   pf_enter t Prof.Phase.svc_slot;
-  (match t.engine with
-  | None -> if has_pending t then push (enter_engine t)
-  | Some eng ->
-    let slot = t.committed in
-    let eng, mouts, verdict =
-      Mv_consensus.tick eng ~suspected ~retransmit:t.style.stabilizing
-    in
-    t.engine <- Some eng;
-    push (map_outs slot mouts);
-    (match verdict with
-    | Mv_consensus.Decided batch ->
-      push (Bcast (Decide { slot; batch }) :: commit_next t ~now batch)
-    | Mv_consensus.Continue -> ()));
+  let slot_outs =
+    match t.engine with
+    | None -> if has_pending t then enter_engine t else []
+    | Some eng ->
+      let slot = t.committed in
+      let eng, mouts, verdict =
+        Mv_consensus.tick eng ~suspected ~retransmit:t.style.stabilizing
+      in
+      t.engine <- Some eng;
+      let decided =
+        match verdict with
+        | Mv_consensus.Decided batch -> Bcast (Decide { slot; batch }) :: commit_next t ~now batch
+        | Mv_consensus.Continue -> []
+      in
+      map_outs slot mouts decided
+  in
   pf_leave t;
-  (* The decision-retransmission superimposition: the latest committed
-     slot is re-broadcast every tick, healing single-slot gaps fast. *)
-  if t.style.stabilizing && t.committed > 0 then
-    push
-      [ Bcast (Decide { slot = t.committed - 1; batch = t.log.(t.committed - 1) }) ];
   (* The Tag heartbeat: combined round-agreement gossip (Figure 1 lifted
      to (slot, round)), catch-up beacon, and checkpoint digest exchange. *)
   let cp = cp_of t.committed in
-  push
-    [
-      Bcast
-        (Tag
-           {
-             len = t.committed;
-             round = (match t.engine with Some e -> Mv_consensus.round e | None -> -1);
-             cp;
-             cp_log = t.pdig.(cp);
-             kvh = t.kvh;
-             kv_d = t.kv_cp;
-           });
-    ];
+  let tag =
+    Bcast
+      (Tag
+         {
+           len = t.committed;
+           round = (match t.engine with Some e -> Mv_consensus.round e | None -> -1);
+           cp;
+           cp_log = t.pdig.(cp);
+           kvh = t.kvh;
+           kv_d = t.kv_cp;
+         })
+  in
+  (* The decision-retransmission superimposition: the latest committed
+     slot is re-broadcast every tick, healing single-slot gaps fast. *)
+  let heartbeat =
+    if t.style.stabilizing && t.committed > 0 then
+      [ Bcast (Decide { slot = t.committed - 1; batch = t.log.(t.committed - 1) }); tag ]
+    else [ tag ]
+  in
   refresh_guard t;
-  !outs
+  catchup @ repair @ slot_outs @ heartbeat
 
 (* --- the storm scrambler --- *)
 

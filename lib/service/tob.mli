@@ -51,36 +51,38 @@ type style = { stabilizing : bool }
 val self_stabilizing : style
 val baseline : style
 
-(** A decided batch: an immutable [Kv.op array] and its
-    {!Kv.batch_digest}, computed at most once — by whichever replica
-    first chains the batch into its log. Replicas exchange batches by
-    reference, so every replica committing a decision reuses the one
-    digest. Built only by {!batch}, so the digest always matches the ops
-    (the ops array must not be written afterwards).
+(** A proposed or decided batch: a short run of slices [(arr, lo, hi)]
+    of the op arrays clients handed to {!submit} and [Fwd] carried,
+    never a copy of the ops. A proposal of [batch_max] ops costs
+    O(slices) words (one slice per run of pending ops from one array),
+    and a replica's log keeps the submitted arrays themselves. The
+    contract that makes the sharing sound: an array given to {!submit}
+    or carried by [Fwd], and one given to {!batch}, is never written
+    afterwards — it becomes log storage.
 
-    The commit path, recovery's prefix re-chain, catch-up and a full
-    pull's adopted-versus-held comparison chain these cached digests, in
+    A batch carries its {!Kv.batch_digest} (of its ops in slice order),
+    computed at most once — by whichever replica first chains the batch
+    into its log. Replicas exchange batches by reference, so every
+    replica committing a decision reuses the one digest. The commit
+    path, recovery's prefix re-chain, catch-up and a full pull's
+    adopted-versus-held comparison chain these cached digests, in
     O(slots). The cyclic audit and {!content_digest}/{!content_digests}
     hash the ops themselves: they are the ground truth that would catch
     a batch whose ops and digest disagreed. *)
 type batch
 
-(** [batch] builds the payload of a hand-built [Decide] or [Pull_rep];
-    only the tests build messages outside this module. *)
+(** [batch ops] is the one-slice batch of all of [ops]: the payload of a
+    hand-built [Decide] or [Pull_rep]; only the tests build messages
+    outside this module. *)
 val batch : Kv.op array -> batch
-
-(** Test oracle for the cached digest: [batch_digest b = Kv.batch_digest
-    (ops b)] for every batch, which the cached-digest test checks on
-    every log entry. No production caller reads a batch from outside. *)
-val ops : batch -> Kv.op array
-
-val batch_digest : batch -> int
 
 type msg =
   | Cons of { slot : int; m : batch Ftss_async.Mv_consensus.msg }
       (** consensus traffic for one slot *)
   | Decide of { slot : int; batch : batch }  (** decision dissemination *)
-  | Fwd of Kv.op array  (** client-op forwarding to all replicas *)
+  | Fwd of Kv.op array
+      (** client-op forwarding to all replicas; the receiver keeps
+          slices of the array, which is never written afterwards *)
   | Tag of { len : int; round : int; cp : int; cp_log : int; kvh : int; kv_d : int }
       (** the gossip heartbeat: log length, current consensus round,
           checkpoint height + log digest there, KV snapshot height +
@@ -122,7 +124,9 @@ val create :
   t
 
 (** [submit t ~now ops] enqueues client operations at this replica and
-    forwards them to the others. *)
+    forwards them to the others. The pending queue, the proposals and the
+    log hold slices of [ops] itself, so it must not be written
+    afterwards. *)
 val submit : t -> now:int -> Kv.op array -> out list
 
 val deliver : t -> now:int -> src:Pid.t -> msg -> out list
@@ -144,11 +148,10 @@ val log_digest : t -> int
 val content_digest : t -> int
 
 (** [content_digests ts] is [List.map content_digest ts], computed
-    faster: a replica commits the decided batch array itself, and no
-    batch array is ever written after it is created, so a slot whose
-    array is physically the first replica's has that replica's batch
-    digest, and is hashed once for all of them. Any other array is
-    hashed from its content. *)
+    faster: a replica commits the decided batch itself, and no batch or
+    array it slices is ever written, so a slot whose batch is physically
+    the first replica's has that replica's content hash, and is hashed
+    once for all of them. Any other batch is hashed from its content. *)
 val content_digests : t list -> int list
 
 (** KV digest recomputed from the table — ground truth. *)
@@ -156,8 +159,14 @@ val kv_recomputed : t -> int
 
 val recoveries : t -> int
 
-(** [log_entry t i] is the ops of log slot [i]. *)
+(** [log_entry t i] is the ops of log slot [i], copied into a fresh
+    array. *)
 val log_entry : t -> int -> Kv.op array
+
+(** [iter_log t f] calls [f slot op] on every op of the committed log,
+    in slot order and in order within a slot, copying nothing. *)
+val iter_log : t -> (int -> Kv.op -> unit) -> unit
+
 val drain_notes : t -> note list
 
 (** Systemic-failure scrambling: counters, prefix digests, KV table, log

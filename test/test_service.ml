@@ -580,23 +580,31 @@ let test_mv_agreement () =
 (* The test oracle: the pending-op path as a [Stdlib.Queue] plus two id
    sets — enqueue dedup by id, head pruning of committed ops, the
    proposal as the first [batch_max] uncommitted ops in FIFO order, and
-   the recovery refilter. It is never used outside this test. *)
+   the recovery refilter. [src] records where each queued op sits in
+   the array it was submitted in: only to tell which runs the replica's
+   FIFO holds as one slice. It is never used outside this test. *)
 type fifo_model = {
   q : Kv.op Queue.t;
   queued : (int, unit) Hashtbl.t;
   done_ : (int, unit) Hashtbl.t;
+  src : (int, Kv.op array * int) Hashtbl.t;
 }
 
 let model_is_done m (o : Kv.op) = Hashtbl.mem m.done_ o.Kv.id
 
+(* Returns the positions of [ops] it queued, in order. *)
 let model_enqueue m ops =
-  Array.iter
-    (fun (o : Kv.op) ->
+  let kept = ref [] in
+  Array.iteri
+    (fun i (o : Kv.op) ->
       if not (model_is_done m o || Hashtbl.mem m.queued o.Kv.id) then begin
         Hashtbl.replace m.queued o.Kv.id ();
-        Queue.add o m.q
+        Hashtbl.replace m.src o.Kv.id (ops, i);
+        Queue.add o m.q;
+        kept := i :: !kept
       end)
-    ops
+    ops;
+  List.rev !kept
 
 let rec model_prune m =
   match Queue.peek_opt m.q with
@@ -673,6 +681,26 @@ let fifo_action =
         (1, map (fun seed -> Corrupt seed) (int_bound 1_000_000));
       ])
 
+(* Whether [y] follows [x] directly in the array both were submitted in:
+   then the replica's FIFO holds them in one slice. *)
+let model_adjacent m (x : Kv.op) (y : Kv.op) =
+  match (Hashtbl.find_opt m.src x.Kv.id, Hashtbl.find_opt m.src y.Kv.id) with
+  | Some (a, i), Some (b, j) -> a == b && j = i + 1
+  | _ -> false
+
+(* How often a run met each case that splits or cuts a slice: a [Fwd]
+   whose new ops are not contiguous in its array, a proposal that
+   [batch_max] ends inside a slice, and a recovery refilter that drops
+   ops from inside a slice, keeping ops on both sides. *)
+type fifo_cover = { mutable split_fwd : int; mutable cut : int; mutable split_refilter : int }
+
+(* A batch's ops, read through the public API: a fresh replica commits
+   the batch as its slot 0. *)
+let batch_ops b =
+  let t = Tob.create ~n:3 ~self:0 ~style:Tob.self_stabilizing ~batch_max:1 () in
+  ignore (Tob.deliver t ~now:0 ~src:1 (Tob.Decide { slot = 0; batch = b }));
+  Tob.log_entry t 0
+
 (* The proposals a call emitted: every fresh engine sends its proposal
    as the estimate of a round-0 [Est]. *)
 let proposals outs =
@@ -680,7 +708,7 @@ let proposals outs =
     (function
       | Tob.Send (_, Tob.Cons { m = Ftss_async.Mv_consensus.Est { estimate; _ }; _ })
       | Tob.Bcast (Tob.Cons { m = Ftss_async.Mv_consensus.Est { estimate; _ }; _ }) ->
-        Some (Tob.ops estimate)
+        Some (batch_ops estimate)
       | _ -> None)
     outs
 
@@ -691,129 +719,211 @@ let proposals outs =
    ahead (dropped: no messages and no commit), [Tag]s that make an idle
    replica propose, and corruptions followed by recovery. Ids span far
    more than the initial FIFO and bitset sizes, so the run crosses grow
-   and compaction steps. Every
-   proposal must equal the model's; at the end, committing each
-   proposal in turn must walk the whole FIFO in the model's order. *)
+   and compaction steps. The replica's FIFO holds slices of the
+   submitted arrays, and [cover] counts the cases that split or cut
+   them. Every proposal must equal the model's; at the end, committing
+   each proposal in turn must walk the whole FIFO in the model's order. *)
+let fifo_drive ?(cover = { split_fwd = 0; cut = 0; split_refilter = 0 }) (actions, batch_max) =
+  let t =
+    Tob.create ~n:3 ~self:0 ~style:Tob.self_stabilizing ~batch_max ~id_hint:64 ()
+  in
+  let m =
+    {
+      q = Queue.create ();
+      queued = Hashtbl.create 64;
+      done_ = Hashtbl.create 64;
+      src = Hashtbl.create 64;
+    }
+  in
+  let next = ref 0 in
+  let op age salt =
+    let id = if age = 0 then (incr next; !next - 1) else max 0 (!next - age) in
+    { Kv.id; kind = Kv.Put; key = id; v1 = salt; v2 = 0 }
+  in
+  let now = ref 0 in
+  (* Whether the replica holds an engine for its next slot: set by
+     every proposal, cleared by every commit and every recovery. *)
+  let engine = ref false in
+  let ok = ref true in
+  let pending () =
+    List.filter (fun o -> not (model_is_done m o)) (List.of_seq (Queue.to_seq m.q))
+  in
+  let expect outs want =
+    let got = proposals outs in
+    (match (got, want) with
+    | [], None -> ()
+    | [ b ], Some w when b = w -> ()
+    | _ -> ok := false);
+    (match want with
+    | Some w when Array.length w = batch_max -> (
+      match List.nth_opt (pending ()) batch_max with
+      | Some next when model_adjacent m w.(batch_max - 1) next -> cover.cut <- cover.cut + 1
+      | _ -> ())
+    | _ -> ());
+    if got <> [] then engine := true
+  in
+  (* Whether the refilter split a slice: two ops it kept next to each
+     other were one run before it, with ops between them dropped. *)
+  let refilter () =
+    let run = Hashtbl.create 64 and prev = ref None and r = ref 0 in
+    Queue.iter
+      (fun (o : Kv.op) ->
+        (match !prev with Some p when model_adjacent m p o -> () | _ -> incr r);
+        Hashtbl.replace run o.Kv.id !r;
+        prev := Some o)
+      m.q;
+    model_rebuild m (List.init (Tob.committed t) (Tob.log_entry t));
+    let kept = List.of_seq (Queue.to_seq m.q) in
+    let rec split = function
+      | (x : Kv.op) :: ((y : Kv.op) :: _ as rest) ->
+        (Hashtbl.find_opt run x.Kv.id = Hashtbl.find_opt run y.Kv.id
+        && not (model_adjacent m x y))
+        || split rest
+      | _ -> false
+    in
+    if split kept then cover.split_refilter <- cover.split_refilter + 1
+  in
+  let step call =
+    incr now;
+    let committed = Tob.committed t and recoveries = Tob.recoveries t in
+    let outs = call () in
+    if Tob.recoveries t <> recoveries then begin
+      engine := false;
+      refilter ()
+    end
+    else
+      for slot = committed to Tob.committed t - 1 do
+        engine := false;
+        Array.iter
+          (fun (o : Kv.op) -> Hashtbl.replace m.done_ o.Kv.id ())
+          (Tob.log_entry t slot)
+      done;
+    ignore (Tob.drain_notes t);
+    outs
+  in
+  let decide slot batch =
+    let before = Tob.committed t in
+    let outs =
+      step (fun () ->
+          Tob.deliver t ~now:!now ~src:1 (Tob.Decide { slot; batch = Tob.batch batch }))
+    in
+    expect outs
+      (if Tob.committed t > before && model_has_pending m then
+         Some (model_batch m ~batch_max)
+       else None)
+  in
+  List.iter
+    (fun act ->
+      if !ok then
+        match act with
+        | Fwd (via_submit, aged) ->
+          let ops = Array.of_list (List.map (fun (age, salt) -> op age salt) aged) in
+          let outs =
+            step (fun () ->
+                if via_submit then Tob.submit t ~now:!now ops
+                else Tob.deliver t ~now:!now ~src:2 (Tob.Fwd ops))
+          in
+          (match model_enqueue m ops with
+          | first :: _ :: _ as kept ->
+            if List.nth kept (List.length kept - 1) - first >= List.length kept then
+              cover.split_fwd <- cover.split_fwd + 1
+          | _ -> ());
+          expect outs None
+        | Decide (ahead, front, picks, ages) ->
+          model_prune m;
+          let pending = Array.of_list (pending ()) in
+          let len = Array.length pending in
+          let picked =
+            if len = 0 then []
+            else
+              Array.to_list (Array.sub pending 0 (min front len))
+              @ List.map (fun p -> pending.(p mod len)) picks
+          in
+          let batch = Array.of_list (picked @ List.map (fun age -> op age 9) ages) in
+          let before = Tob.committed t in
+          if ahead then begin
+            let outs =
+              step (fun () ->
+                  Tob.deliver t ~now:!now ~src:1
+                    (Tob.Decide { slot = before + 1; batch = Tob.batch batch }))
+            in
+            if outs <> [] || Tob.committed t <> before then ok := false
+          end
+          else decide before batch
+        | Tag ->
+          let idle = not !engine in
+          let outs =
+            step (fun () ->
+                Tob.deliver t ~now:!now ~src:1
+                  (Tob.Tag
+                     { len = Tob.committed t; round = 0; cp = -1; cp_log = 0; kvh = 0; kv_d = 0 }))
+          in
+          expect outs (if idle then Some (model_batch m ~batch_max) else None)
+        | Corrupt seed ->
+          ignore (Tob.corrupt (Rng.create seed) t);
+          expect (step (fun () -> Tob.submit t ~now:!now [||])) None)
+    actions;
+  (* Drain: commit each proposal as decided until nothing is pending. *)
+  let rounds = ref 0 in
+  while !ok && model_has_pending m && !rounds < 10_000 do
+    incr rounds;
+    decide (Tob.committed t) (model_batch m ~batch_max)
+  done;
+  !ok && not (model_has_pending m)
+
+let fifo_case =
+  QCheck.(
+    pair
+      (make ~print:(fun acts -> Printf.sprintf "%d actions" (List.length acts))
+         Gen.(list_size (int_range 100 400) fifo_action))
+      (make ~print:string_of_int Gen.(int_range 1 48)))
+
 let prop_tob_fifo_matches_queue =
   QCheck.Test.make ~name:"Tob pending FIFO proposes like a Stdlib.Queue model" ~count:50
-    QCheck.(
-      pair
-        (make ~print:(fun acts -> Printf.sprintf "%d actions" (List.length acts))
-           Gen.(list_size (int_range 100 400) fifo_action))
-        (make ~print:string_of_int Gen.(int_range 1 48)))
-    (fun (actions, batch_max) ->
-      let t =
-        Tob.create ~n:3 ~self:0 ~style:Tob.self_stabilizing ~batch_max ~id_hint:64 ()
-      in
-      let m =
-        { q = Queue.create (); queued = Hashtbl.create 64; done_ = Hashtbl.create 64 }
-      in
-      let next = ref 0 in
-      let op age salt =
-        let id = if age = 0 then (incr next; !next - 1) else max 0 (!next - age) in
-        { Kv.id; kind = Kv.Put; key = id; v1 = salt; v2 = 0 }
-      in
-      let now = ref 0 in
-      (* Whether the replica holds an engine for its next slot: set by
-         every proposal, cleared by every commit and every recovery. *)
-      let engine = ref false in
-      let ok = ref true in
-      let expect outs want =
-        let got = proposals outs in
-        (match (got, want) with
-        | [], None -> ()
-        | [ b ], Some w when b = w -> ()
-        | _ -> ok := false);
-        if got <> [] then engine := true
-      in
-      let step call =
-        incr now;
-        let committed = Tob.committed t and recoveries = Tob.recoveries t in
-        let outs = call () in
-        if Tob.recoveries t <> recoveries then begin
-          engine := false;
-          model_rebuild m (List.init (Tob.committed t) (Tob.log_entry t))
-        end
-        else
-          for slot = committed to Tob.committed t - 1 do
-            engine := false;
-            Array.iter
-              (fun (o : Kv.op) -> Hashtbl.replace m.done_ o.Kv.id ())
-              (Tob.log_entry t slot)
-          done;
-        ignore (Tob.drain_notes t);
-        outs
-      in
-      let decide slot batch =
-        let before = Tob.committed t in
-        let outs =
-          step (fun () ->
-              Tob.deliver t ~now:!now ~src:1 (Tob.Decide { slot; batch = Tob.batch batch }))
-        in
-        expect outs
-          (if Tob.committed t > before && model_has_pending m then
-             Some (model_batch m ~batch_max)
-           else None)
-      in
-      List.iter
-        (fun act ->
-          if !ok then
-            match act with
-            | Fwd (via_submit, aged) ->
-              let ops = Array.of_list (List.map (fun (age, salt) -> op age salt) aged) in
-              let outs =
-                step (fun () ->
-                    if via_submit then Tob.submit t ~now:!now ops
-                    else Tob.deliver t ~now:!now ~src:2 (Tob.Fwd ops))
-              in
-              model_enqueue m ops;
-              expect outs None
-            | Decide (ahead, front, picks, ages) ->
-              model_prune m;
-              let pending =
-                Array.of_list
-                  (List.filter
-                     (fun o -> not (model_is_done m o))
-                     (List.of_seq (Queue.to_seq m.q)))
-              in
-              let len = Array.length pending in
-              let picked =
-                if len = 0 then []
-                else
-                  Array.to_list (Array.sub pending 0 (min front len))
-                  @ List.map (fun p -> pending.(p mod len)) picks
-              in
-              let batch = Array.of_list (picked @ List.map (fun age -> op age 9) ages) in
-              let before = Tob.committed t in
-              if ahead then begin
-                let outs =
-                  step (fun () ->
-                      Tob.deliver t ~now:!now ~src:1
-                        (Tob.Decide { slot = before + 1; batch = Tob.batch batch }))
-                in
-                if outs <> [] || Tob.committed t <> before then ok := false
-              end
-              else decide before batch
-            | Tag ->
-              let idle = not !engine in
-              let outs =
-                step (fun () ->
-                    Tob.deliver t ~now:!now ~src:1
-                      (Tob.Tag
-                         { len = Tob.committed t; round = 0; cp = -1; cp_log = 0; kvh = 0; kv_d = 0 }))
-              in
-              expect outs (if idle then Some (model_batch m ~batch_max) else None)
-            | Corrupt seed ->
-              ignore (Tob.corrupt (Rng.create seed) t);
-              expect (step (fun () -> Tob.submit t ~now:!now [||])) None)
-        actions;
-      (* Drain: commit each proposal as decided until nothing is pending. *)
-      let rounds = ref 0 in
-      while !ok && model_has_pending m && !rounds < 10_000 do
-        incr rounds;
-        decide (Tob.committed t) (model_batch m ~batch_max)
-      done;
-      !ok && not (model_has_pending m))
+    fifo_case (fun case -> fifo_drive case)
+
+(* The property's cases reach every slice case: 20 cases drawn from a
+   fixed seed, each driven as the property drives it, must split a
+   [Fwd] array, cut a slice at [batch_max] and split a slice in a
+   recovery refilter, each at least once. *)
+let test_tob_fifo_slice_cases () =
+  let cover = { split_fwd = 0; cut = 0; split_refilter = 0 } in
+  let rand = Random.State.make [| 41 |] in
+  let cases = QCheck.Gen.generate ~rand ~n:20 (QCheck.gen fifo_case) in
+  List.iter (fun case -> check "FIFO matches the model" true (fifo_drive ~cover case)) cases;
+  check "a Fwd array splits into slices" true (cover.split_fwd > 0);
+  check "batch_max cuts a slice" true (cover.cut > 0);
+  check "a recovery refilter splits a slice" true (cover.split_refilter > 0)
+
+(* A replica entering its next slot's engine with 2,048 ops pending in
+   16 arrays proposes the first 1,024 as 8 slices of those arrays: a few
+   hundred words, none of them directly in the major heap, where a
+   copied 1,024-op proposal would be one 1,025-word block. *)
+let test_tob_proposal_allocates_slices () =
+  let t =
+    Tob.create ~n:3 ~self:0 ~style:Tob.self_stabilizing ~batch_max:1_024 ~id_hint:4_096 ()
+  in
+  for a = 0 to 15 do
+    let ops =
+      Array.init 128 (fun j ->
+          { Kv.id = (a * 128) + j; kind = Kv.Put; key = j; v1 = a; v2 = 0 })
+    in
+    ignore (Tob.deliver t ~now:0 ~src:1 (Tob.Fwd ops))
+  done;
+  let tag = Tob.Tag { len = 0; round = 0; cp = -1; cp_log = 0; kvh = 0; kv_d = 0 } in
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let outs = Tob.deliver t ~now:1 ~src:1 tag in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  let words = minor1 -. minor0 and direct = major1 -. promoted1 -. (major0 -. promoted0) in
+  if words > 400. then Alcotest.failf "entering the engine took %.0f minor words (> 400)" words;
+  Alcotest.(check (float 0.)) "words allocated directly in the major heap" 0. direct;
+  match proposals outs with
+  | [ p ] ->
+    check "the proposal is the first 1,024 pending ops" true
+      (Array.map (fun (o : Kv.op) -> o.Kv.id) p = Array.init 1_024 Fun.id)
+  | ps -> Alcotest.failf "%d proposals, expected one" (List.length ps)
 
 (* [corrupt] may scramble [committed] to any height up to the log's
    capacity, and the guard reads the prefix digest at that height before
@@ -1042,13 +1152,19 @@ let test_tob_cached_digests_match_content () =
       (Tob.deliver t ~now:slots ~src:1 (Tob.Pull_req { from = 0 }))
     |> Option.value ~default:[||]
   in
+  (* A fresh replica committing the shipped entries chains their cached
+     digests, which must match the held log's content digest. *)
   let consistent name t =
     check (name ^ ": log digest = content digest") true
       (Tob.log_digest t = Tob.content_digest t);
     let held = entries t in
     check_int (name ^ ": whole log shipped") (Tob.committed t) (Array.length held);
+    let fresh = Tob.create ~n ~self:0 ~style:Tob.self_stabilizing ~batch_max:8 () in
+    Array.iteri
+      (fun slot batch -> ignore (Tob.deliver fresh ~now:slot ~src:1 (Tob.Decide { slot; batch })))
+      held;
     check (name ^ ": cached digests = content digests") true
-      (Array.for_all (fun b -> Tob.batch_digest b = Kv.batch_digest (Tob.ops b)) held)
+      (Tob.log_digest fresh = Tob.content_digest t)
   in
   (* Both peers advertise [camp]'s checkpoint digest; the replica pulls
      the whole log from one of them. *)
@@ -1290,6 +1406,10 @@ let suite =
         Alcotest.test_case "workload memory per op" `Quick test_workload_memory;
         Alcotest.test_case "mv consensus agreement" `Quick test_mv_agreement;
         QCheck_alcotest.to_alcotest prop_tob_fifo_matches_queue;
+        Alcotest.test_case "tob FIFO property reaches every slice case" `Quick
+          test_tob_fifo_slice_cases;
+        Alcotest.test_case "tob proposal allocates O(slices) words" `Quick
+          test_tob_proposal_allocates_slices;
         Alcotest.test_case "tob recovers any corrupted height" `Quick
           test_tob_corrupt_height_recovers;
         Alcotest.test_case "tob holds nothing ahead of its log" `Quick
