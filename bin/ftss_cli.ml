@@ -596,7 +596,13 @@ let check_cmd =
             (List.length (Schedule_enum.corruptions params))
             (Array.length cases)
         end;
+        let words = Gc.minor_words () in
         let stats, _ = Explore.run ?obs ~domains ~canonical prop cases in
+        (* The sweep's minor allocation per case, as the calling domain
+           counts it: every word at --domains 1, so a count that repeats. *)
+        let minor_words_per_case =
+          (Gc.minor_words () -. words) /. float_of_int (max 1 (Array.length cases))
+        in
         if json then begin
           (* The major heap's high-water mark over the whole command, the
              sweep included: what a memory gate reads. *)
@@ -606,7 +612,12 @@ let check_cmd =
           let out =
             match Explore.to_json stats with
             | Ftss_obs.Json.Obj fields ->
-              Ftss_obs.Json.Obj (fields @ [ ("heap_peak_mb", Ftss_obs.Json.Float heap_peak_mb) ])
+              Ftss_obs.Json.Obj
+                (fields
+                @ [
+                    ("heap_peak_mb", Ftss_obs.Json.Float heap_peak_mb);
+                    ("minor_words_per_case", Ftss_obs.Json.Float minor_words_per_case);
+                  ])
             | j -> j
           in
           print_endline (Ftss_obs.Json.to_string out);

@@ -55,11 +55,12 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
      verdict bits are a byte each and are dropped at the merge. *)
   let fingerprints = Array.make len 0 in
   let passed = Bytes.make len '\001' in
-  (* Cases sharing their first rounds are adjacent in [order], so a batch
-     simulates each shared prefix once. Each chunk starts its prefix walk
-     afresh; the pool's chunks depend on [len] alone, so the rounds
-     simulated do not depend on the domain count. *)
-  let order = Schedule_enum.prefix_order cases in
+  (* Cases sharing their first rounds are adjacent in the walk, which
+     carries each neighbour's depth, so a batch simulates each shared
+     prefix once. Each chunk starts its prefix walk afresh; the pool's
+     chunks depend on [len] alone, so the rounds simulated do not depend
+     on the domain count. *)
+  let walk = Schedule_enum.prefix_order ~domains cases in
   let stepped = Atomic.make 0 in
   (* The verdict cache, one per domain — no lock on the per-case path.
      Equal fingerprints imply equal verdicts, so a domain recomputing a
@@ -67,7 +68,7 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
      bit, and per-domain caching costs at most that recomputation. The
      dedup statistics read only the union of the caches' keys, which is
      the same however the domains split the cases. *)
-  let caches = Array.init domains (fun _ -> Property.Fingerprint_table.create 256) in
+  let caches = Array.init domains (fun _ -> Verdicts.create ()) in
   (* Per-domain counters, updated once per chunk so that domains do not
      write neighbouring slots once per case. *)
   let d_cases = Array.make domains 0 and d_states = Array.make domains 0 in
@@ -95,27 +96,22 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
         | None -> ()
       end;
       incr pos;
-      let fp = r.Property.fingerprint in
-      let hit, case_ok =
-        match Property.Fingerprint_table.find cache fp with
-        | b -> (true, b)
-        | exception Not_found ->
-          let b = (Lazy.force r.Property.verdict).Property.ok in
-          Property.Fingerprint_table.add cache fp b;
-          (false, b)
-      in
+      let case_ok = Verdicts.memo cache r in
       chunk_states := !chunk_states + r.Property.states;
       if traced then
         emit
           (Ftss_obs.Event.make ~time:i
              (Ftss_obs.Event.Case_verdict
-                { case = i; ok = case_ok; dedup = hit; states = r.Property.states }));
-      fingerprints.(i) <- fp;
+                {
+                  case = i;
+                  ok = case_ok;
+                  dedup = not (Lazy.is_val r.Property.verdict) (* a hit leaves it unforced *);
+                  states = r.Property.states;
+                }));
+      fingerprints.(i) <- r.Property.fingerprint;
       if not case_ok then Bytes.unsafe_set passed i '\000'
     in
-    let s =
-      property.Property.run_batch cases (Array.sub order first (limit - first)) case
-    in
+    let s = property.Property.run_batch cases walk ~first ~limit case in
     ignore (Atomic.fetch_and_add stepped s);
     d_cases.(domain) <- d_cases.(domain) + (limit - first);
     d_states.(domain) <- d_states.(domain) + !chunk_states;
@@ -139,21 +135,8 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
      then scattered to every orbit member so the returned array and
      violation indices stay aligned with the caller's case array. Every
      executed fingerprint is a key of the table of the domain that ran
-     it, so the distinct count is the size of the tables' union: each key
-     counts in the first table holding it. The tables go after. *)
-  let distinct = ref 0 in
-  Array.iteri
-    (fun d cache ->
-      Property.Fingerprint_table.iter
-        (fun fp _ ->
-          let rec earlier e =
-            e < d && (Property.Fingerprint_table.mem caches.(e) fp || earlier (e + 1))
-          in
-          if not (earlier 0) then incr distinct)
-        cache)
-    caches;
-  Array.iter Property.Fingerprint_table.reset caches;
-  let distinct = !distinct in
+     it, so the distinct count is the size of the tables' union. *)
+  let distinct = Verdicts.distinct caches in
   let rep i = if canonical then rep_of.(i) else i in
   let violations = ref [] in
   for i = full_len - 1 downto 0 do

@@ -8,7 +8,7 @@
     state after the last round it shares with the case before it, so a
     shared prefix is simulated once per chunk. For each case the domain
     consults its {e own} table of verdict bits keyed by fingerprint
-    ({!Property.Fingerprint_table}) — no lock anywhere on the per-case
+    ({!Verdicts}) — no lock anywhere on the per-case
     path — and either reuses the bit of an isomorphic earlier run (a
     {e dedup hit}) or evaluates the property and stores its [ok].
     Verdicts are pure functions of the fingerprinted execution, so
@@ -22,7 +22,7 @@
 
     {b What a sweep retains.} A finished sweep keeps one int per case
     (the returned fingerprint array) and the violation list; the
-    per-domain tables are emptied once the distinct count is read. A
+    per-domain tables go once the distinct count is read. A
     verdict's explanation is not kept: a caller that prints one re-runs
     that case through the property's [run] and formats the verdict's
     [detail]. *)

@@ -13,15 +13,6 @@ type run = {
   verdict : verdict Lazy.t;
 }
 
-(* Fingerprints are already well-mixed hashes, so a table indexes them
-   by their own low bits. *)
-module Fingerprint_table = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash fp = fp
-end)
-
 (* The adversary interface the theorem runners actually consume: a
    compiled fault schedule plus one per-pid view of the corruption.
    [Schedule_enum.t] cases compile into this via {!adversary_of_case};
@@ -42,7 +33,8 @@ type t = {
   restrict : S.params -> S.params;
   run_adv : ?obs:Ftss_obs.Obs.t -> adversary -> run;
   run : ?obs:Ftss_obs.Obs.t -> S.t -> run;
-  run_batch : S.t array -> int array -> (int -> run -> unit) -> int;
+  run_batch :
+    S.t array -> S.walk -> first:int -> limit:int -> (int -> run -> unit) -> int;
   fingerprint_hex : int -> string;
 }
 
@@ -87,22 +79,23 @@ let make ~name ~inject ~restrict ~fingerprint_hex ?run_batch run_adv =
     | Some b -> b
     | None ->
       (* No rounds to share: each case runs whole. *)
-      fun cases order k ->
-        Array.fold_left
-          (fun stepped i ->
-            let r = run cases.(i) in
-            k i r;
-            stepped + r.states)
-          0 order
+      fun cases { S.order; _ } ~first ~limit k ->
+        let stepped = ref 0 in
+        for pos = first to limit - 1 do
+          let i = order.(pos) in
+          let r = run cases.(i) in
+          k i r;
+          stepped := !stepped + r.states
+        done;
+        !stepped
   in
   { name; inject; restrict; run_adv; run; run_batch; fingerprint_hex }
 
 (* A synchronous theorem: per adversary, the protocol, the rewrite of a
    corrupted pid's round variable to its value, and the judgement of a
    trace. [instance] may read only the adversary's n, f, rounds and
-   corruption class — what {!Schedule_enum.shared_prefix} compares at
-   round 0 — because a batch reuses one instance across the cases that
-   share a prefix. *)
+   corruption class — what round 0's digit holds — because a batch
+   reuses one instance across the cases that share a prefix. *)
 type ('s, 'm) instance = {
   protocol : ('s, 'm) Protocol.t;
   set_round : int -> 's -> 's;
@@ -119,42 +112,38 @@ let sync_theorem ~name ~inject (instance : adversary -> ('s, 'm) instance) =
   in
   (* The cursor walk: [path.(r)] is the runner state after round [r] of
      the previous case, valid through the depth the next case shares
-     with it, so each case steps only the rounds past that depth. *)
-  let run_batch cases order k =
+     with it, so each case steps only the rounds past that depth. The
+     walk's first case starts afresh. *)
+  let run_batch cases { S.order; depth } ~first ~limit k =
     let stepped = ref 0 in
     let current = ref None in
-    Array.iter
-      (fun i ->
-        let case = cases.(i) in
-        let adv = adversary_of_case case in
-        let rounds = adv.adv_rounds and faults = adv.adv_faults in
-        let shared =
-          match !current with
-          | Some (prev, _, _) -> S.shared_prefix prev case
-          | None -> -1
-        in
-        let inst, path =
-          match !current with
-          | Some (_, inst, path) when shared >= 0 -> (inst, path)
-          | _ ->
-            let inst = instance adv in
-            let start =
-              Runner.start
-                ~corrupt_at:(initial_entries adv inst.set_round)
-                ~n:adv.adv_n inst.protocol
-            in
-            (inst, Array.make (rounds + 1) start)
-        in
-        let from = max shared 0 in
-        if from < rounds then begin
-          for r = from + 1 to rounds do
-            path.(r) <- Runner.step ~faults path.(r - 1)
-          done;
-          stepped := !stepped + (adv.adv_n * (rounds - from))
-        end;
-        current := Some (case, inst, path);
-        k i (inst.judge adv (Runner.finish ~faults path.(rounds))))
-      order;
+    for pos = first to limit - 1 do
+      let i = order.(pos) in
+      let adv = adversary_of_case cases.(i) in
+      let rounds = adv.adv_rounds and faults = adv.adv_faults in
+      let shared = if pos = first then -1 else depth.(pos) in
+      let inst, path =
+        match !current with
+        | Some (inst, path) when shared >= 0 -> (inst, path)
+        | _ ->
+          let inst = instance adv in
+          let start =
+            Runner.start
+              ~corrupt_at:(initial_entries adv inst.set_round)
+              ~n:adv.adv_n inst.protocol
+          in
+          (inst, Array.make (rounds + 1) start)
+      in
+      let from = Int.max shared 0 in
+      if from < rounds then begin
+        for r = from + 1 to rounds do
+          path.(r) <- Runner.step ~faults path.(r - 1)
+        done;
+        stepped := !stepped + (adv.adv_n * (rounds - from))
+      end;
+      current := Some (inst, path);
+      k i (inst.judge adv (Runner.finish ~faults path.(rounds)))
+    done;
     !stepped
   in
   make ~name ~inject ~restrict:no_restrict ~fingerprint_hex:trace_fingerprint_hex ~run_batch
@@ -230,17 +219,16 @@ let theorem4 ?(suspect_filter = true) () =
       let verdict =
         lazy
           (let ok = Solve.ftss_solves spec ~stabilization:bound trace in
-           (* Counted here, with the verdict, rather than inside [detail]
-              where alone it is read: a [detail] closure over [trace]
-              would keep every judged trace alive as long as its
-              verdict. Tried once, that retention slowed the one-domain
-              n=4 r=6 f=2 theorem4 sweep on a shared 2-vCPU VM from
-              2.7–3.6 s to 6.6–6.9 s. *)
-           let completed, agreeing =
-             Repeated.count_agreeing_iterations trace
-               ~faulty:(Faults.faulty adv.adv_faults) ~valid
-           in
+           (* Counted only when the explanation is read, for a sweep's
+              first counterexample. [detail] holds [trace] alive as long
+              as its verdict; no sweep keeps a verdict past its case (the
+              explorer and the fuzzer keep its bit), so none pays for
+              that. *)
            let detail () =
+             let completed, agreeing =
+               Repeated.count_agreeing_iterations trace
+                 ~faulty:(Faults.faulty adv.adv_faults) ~valid
+             in
              Format.asprintf
                "ftss_solves Σ⁺ stabilization=%d: %b (final_round %d, iterations %d, agreeing %d)"
                bound ok final_round completed agreeing

@@ -28,8 +28,10 @@
       disabled, re-admitting §2.4's insidious out-of-date messages. *)
 
 (** [detail ()] formats the verdict's one-line explanation on demand: a
-    sweep reads it for its first counterexample only. The thunk holds the
-    few numbers it prints, never the trace. *)
+    sweep reads it for its first counterexample only, so what it prints
+    is computed then. The thunk may hold the run's trace: a caller that
+    keeps a verdict keeps that trace, which is why the explorer and the
+    fuzzer keep only [ok]. *)
 type verdict = { ok : bool; detail : unit -> string }
 
 (** One executed case. [fingerprint] is a content digest of the recorded
@@ -47,11 +49,6 @@ type run = {
   signature : int array Lazy.t;
   verdict : verdict Lazy.t;
 }
-
-(** Hash tables keyed by fingerprint. The explorer and the fuzzer keep
-    one per domain mapping a fingerprint to its verdict's [ok]: by the
-    contract above a hit gives the bit [r.verdict] would have produced. *)
-module Fingerprint_table : Hashtbl.S with type key = int
 
 (** The adversary interface the theorem runners consume — what any case,
     catalogued or fuzzed, compiles down to: a fault schedule and one
@@ -85,16 +82,23 @@ type t = {
           a counterexample *)
   run : ?obs:Ftss_obs.Obs.t -> Schedule_enum.t -> run;
       (** [run_adv] on the case's compiled adversary *)
-  run_batch : Schedule_enum.t array -> int array -> (int -> run -> unit) -> int;
-      (** [run_batch cases order k] evaluates [cases.(i)] for each [i] of
-          [order], in that order, and calls [k i r] with the [r] that
+  run_batch :
+    Schedule_enum.t array ->
+    Schedule_enum.walk ->
+    first:int ->
+    limit:int ->
+    (int -> run -> unit) ->
+    int;
+      (** [run_batch cases walk ~first ~limit k] evaluates, for each
+          position [p] from [first] to [limit - 1], the case
+          [i = walk.order.(p)], and calls [k i r] with the [r] that
           [run cases.(i)] returns. It returns the process-round states it
           actually computed. The synchronous theorems walk one runner
-          cursor: each case resumes from the state after the last round
-          it shares with the previous case ({!Schedule_enum.shared_prefix}),
-          so an [order] from {!Schedule_enum.prefix_order} simulates each
-          distinct prefix about once. Theorem 5 has no rounds to share and
-          runs case by case. *)
+          cursor: each case after the first resumes from the state after
+          the [walk.depth.(p)] rounds it shares with the case before it,
+          so a walk from {!Schedule_enum.prefix_order} simulates each
+          distinct prefix about once. Theorem 5 has no rounds to share
+          and runs case by case. *)
   fingerprint_hex : int -> string;
       (** the printed form of this property's fingerprints: 16 hex
           digits for a trace hash, two 8-digit halves ["%08x-%08x"] for

@@ -190,22 +190,30 @@ let enumerate params =
   done;
   cases
 
+(* The last round a behaviour's omissions name. *)
+let omits_until = function
+  | Crash _ -> 0
+  | Mute (_, last) | Deaf (_, last) | Isolate (_, last) -> last
+  | Send_drop (round, _) | Recv_drop (round, _) -> round
+
+(* The events are handed to the rows one by one, never listed. *)
 let to_faults t =
-  let events =
-    List.concat_map
-      (fun (pid, behavior) ->
-        match behavior with
-        | Crash round -> [ Faults.Crash { pid; round } ]
-        | Mute (first, last) -> [ Faults.Mute { pid; first; last } ]
-        | Deaf (first, last) -> [ Faults.Deaf { pid; first; last } ]
-        | Isolate (first, last) -> [ Faults.Isolate { pid; first; last } ]
-        | Send_drop (round, dst) ->
-          [ Faults.Blame { pid }; Faults.Drop { src = pid; dst; round } ]
-        | Recv_drop (round, src) ->
-          [ Faults.Blame { pid }; Faults.Drop { src; dst = pid; round } ])
-      t.behaviors
-  in
-  Faults.of_events ~n:t.params.n events
+  let rounds = List.fold_left (fun acc (_, b) -> Int.max acc (omits_until b)) 0 t.behaviors in
+  Faults.build ~n:t.params.n ~rounds (fun add ->
+      List.iter
+        (fun (pid, behavior) ->
+          match behavior with
+          | Crash round -> add (Faults.Crash { pid; round })
+          | Mute (first, last) -> add (Faults.Mute { pid; first; last })
+          | Deaf (first, last) -> add (Faults.Deaf { pid; first; last })
+          | Isolate (first, last) -> add (Faults.Isolate { pid; first; last })
+          | Send_drop (round, dst) ->
+            add (Faults.Blame { pid });
+            add (Faults.Drop { src = pid; dst; round })
+          | Recv_drop (round, src) ->
+            add (Faults.Blame { pid });
+            add (Faults.Drop { src; dst = pid; round }))
+        t.behaviors)
 
 (* A prime far above every round horizon used in experiments, so Max
    never collides with a legitimately reachable round variable. *)
@@ -218,11 +226,6 @@ let corrupt_int corruption p v =
   | Max -> huge
   | Parked k -> k
   | Distinct -> 1 + ((p + 1) * 97)
-
-let crashes t =
-  List.filter_map
-    (fun (pid, b) -> match b with Crash r -> Some (pid, r) | _ -> None)
-    t.behaviors
 
 (* --- Canonicalization under pid permutation --- *)
 
@@ -314,8 +317,8 @@ let corruption_weight = function
    atoms.
 
    A behaviour is first packed into one int — kind, owner and two
-   round/peer fields of [field_bits] each — so the radix passes read a
-   flat int array instead of chasing the case's list. *)
+   round/peer fields of [field_bits] each — so a case's digits are read
+   off a few ints instead of its list. *)
 let field_bits = 19
 
 let field_mask = (1 lsl field_bits) - 1
@@ -358,9 +361,9 @@ let acts code r =
 
 (* A drop on src->dst at [r] realizes nothing when another behaviour of
    the schedule crashes an endpoint, mutes [src] or deafens [dst] then. *)
-let covered codes base slots r ~src ~dst =
+let covered codes slots r ~src ~dst =
   let hit = ref false in
-  for j = base to base + slots - 1 do
+  for j = 0 to slots - 1 do
     let c = codes.(j) in
     if acts c r then begin
       let p = pid_of c in
@@ -375,11 +378,11 @@ let covered codes base slots r ~src ~dst =
   !hit
 
 (* Writes round [r]'s atoms for the packed behaviours
-   [codes.(base .. base + slots - 1)] into [out], ascending, and returns
-   how many there are. *)
-let round_atoms ~n codes base slots r out =
+   [codes.(0 .. slots - 1)] into [out], ascending, and returns how many
+   there are. *)
+let round_atoms ~n codes slots r out =
   let k = ref 0 in
-  for j = base to base + slots - 1 do
+  for j = 0 to slots - 1 do
     let c = codes.(j) in
     if acts c r then begin
       let kind = kind_of c and pid = pid_of c in
@@ -387,7 +390,7 @@ let round_atoms ~n codes base slots r out =
         if kind <= 4 then atom_code ~n (kind - 1) pid 0
         else
           let src, dst = if kind = 5 then (pid, y_of c) else (y_of c, pid) in
-          if covered codes base slots r ~src ~dst then 0 else atom_code ~n 4 src dst
+          if covered codes slots r ~src ~dst then 0 else atom_code ~n 4 src dst
       in
       if a <> 0 then begin
         (* insertion into the sorted prefix *)
@@ -403,35 +406,39 @@ let round_atoms ~n codes base slots r out =
   done;
   !k
 
-(* [t]'s behaviours packed into [codes.(0 .. k-1)]; [k], or -1 when one
-   does not pack. *)
-let pack_into t codes =
-  let rec go j = function
-    | [] -> j
-    | b :: l ->
+(* Packs the behaviours [bs] into [codes] from slot [j] on: the number
+   of behaviours, or -1 when one does not pack. Behaviours past the end of
+   [codes] are counted, not packed. *)
+let rec pack_list codes j = function
+  | [] -> j
+  | b :: l as bs ->
+    if j = Array.length codes then j + List.length bs
+    else
       let p = pack b in
       if p < 0 then -1
       else begin
         codes.(j) <- p;
-        go (j + 1) l
+        pack_list codes (j + 1) l
       end
-  in
-  go 0 t.behaviors
+
+(* Round 0's digit: the params and the corruption class. *)
+let same_start a b =
+  (a.params == b.params || a.params = b.params) && a.corruption = b.corruption
 
 let shared_prefix a b =
-  if not ((a.params == b.params || a.params = b.params) && a.corruption = b.corruption) then -1
+  if not (same_start a b) then -1
   else begin
     let sa = List.length a.behaviors and sb = List.length b.behaviors in
     let pa = Array.make sa 0 and pb = Array.make sb 0 in
-    if pack_into a pa < 0 || pack_into b pb < 0 then 0
+    if pack_list pa 0 a.behaviors < 0 || pack_list pb 0 b.behaviors < 0 then 0
     else begin
       let n = a.params.n in
       let oa = Array.make sa 0 and ob = Array.make sb 0 in
       let rec depth r =
         if r > a.params.rounds then r - 1
         else begin
-          let k = round_atoms ~n pa 0 sa r oa in
-          if k <> round_atoms ~n pb 0 sb r ob then r - 1
+          let k = round_atoms ~n pa sa r oa in
+          if k <> round_atoms ~n pb sb r ob then r - 1
           else begin
             let i = ref 0 in
             while !i < k && oa.(!i) = ob.(!i) do
@@ -445,102 +452,335 @@ let shared_prefix a b =
     end
   end
 
-let prefix_order cases =
+type walk = { order : int array; depth : int array }
+
+(* Where a case's digits go once decoded. Round [r]'s digit is its atoms
+   (at most [slots]) packed [abits] apiece into [ngroups] group keys of
+   at most [per_group] atoms, so that numeric order on a group key is
+   lexicographic order on its atoms; for enumerated cases of up to ~10^3
+   processes and f <= 2 a round is one group. The group keys of rounds
+   [1 .. rounds], in that order, are the case's levels: [kbits] bits
+   each, [per_word] to a word, [words] words per case. *)
+type layout = {
+  n : int;
+  rounds : int;
+  slots : int;
+  abits : int;
+  per_group : int;
+  ngroups : int;
+  kbits : int;
+  per_word : int;
+  words : int;
+}
+
+let layout ~n ~rounds ~slots =
+  let rec bits v = if v = 0 then 0 else 1 + bits (v lsr 1) in
+  let abits = bits (atom_bound ~n) in
+  let per_group = max 1 (62 / abits) in
+  let ngroups = (slots + per_group - 1) / per_group in
+  let kbits = max 1 (min slots per_group * abits) in
+  let per_word = 62 / kbits in
+  {
+    n;
+    rounds;
+    slots;
+    abits;
+    per_group;
+    ngroups;
+    kbits;
+    per_word;
+    words = ((rounds * ngroups) + per_word - 1) / per_word;
+  }
+
+(* Writes case [i]'s levels under [l] into [digits], from its [nb]
+   behaviours packed in [codes]. Behaviour [j] puts the atom [atom.(j)]
+   in the digit of every round from [first.(j)] to [last.(j)], as
+   {!round_atoms} would: a point drop acts in its one round, where another
+   behaviour may already account for it (its atom is then 0 and it puts
+   none). [out] collects a round's atoms. *)
+let write_levels l digits i codes nb (atom, first, last, out) =
+  let n = l.n in
+  for j = 0 to nb - 1 do
+    let c = codes.(j) in
+    let kind = kind_of c and pid = pid_of c and x = x_of c in
+    first.(j) <- x;
+    if kind <= 4 then begin
+      atom.(j) <- atom_code ~n (kind - 1) pid 0;
+      last.(j) <- (if kind = 1 then l.rounds else y_of c)
+    end
+    else begin
+      let src = if kind = 5 then pid else y_of c and dst = if kind = 5 then y_of c else pid in
+      atom.(j) <- (if covered codes nb x ~src ~dst then 0 else atom_code ~n 4 src dst);
+      last.(j) <- x
+    end
+  done;
+  let abits = l.abits and kbits = l.kbits and per_group = l.per_group in
+  let w = ref (i * l.words) and word = ref 0 and filled = ref 0 in
+  for r = 1 to l.rounds do
+    let k = ref 0 in
+    for j = 0 to nb - 1 do
+      let a = atom.(j) in
+      if a <> 0 && first.(j) <= r && r <= last.(j) then begin
+        (* insertion into the sorted prefix *)
+        let q = ref !k in
+        while !q > 0 && out.(!q - 1) > a do
+          out.(!q) <- out.(!q - 1);
+          decr q
+        done;
+        out.(!q) <- a;
+        incr k
+      end
+    done;
+    for g = 0 to l.ngroups - 1 do
+      let lo = g * per_group in
+      let key = ref 0 in
+      for j = lo to Int.min l.slots (lo + per_group) - 1 do
+        key := (!key lsl abits) lor if j < !k then out.(j) else 0
+      done;
+      word := !word lor (!key lsl (!filled * kbits));
+      incr filled;
+      if !filled = l.per_word then begin
+        digits.(!w) <- !word;
+        incr w;
+        word := 0;
+        filled := 0
+      end
+    done
+  done;
+  if !filled > 0 then digits.(!w) <- !word
+
+(* The stable MSD radix sort of positions [0, len) by their levels
+   ([digits], under [l]) after their corruption weights ([weight]),
+   filling [order] and, for each position's pair, [depth] (rounds shared,
+   or -1 across corruption classes). Level 0 is the weight, level [v >= 1]
+   the case's [v]-th group key. Each level sorts, in place, every run of
+   positions that agrees on all earlier levels, so the order is that of a
+   sort by the whole key with ties kept in index order. Where a run splits
+   on a key of round [r] its neighbours share rounds [1 .. r-1]; a run that
+   never splits shares every round. *)
+let sort_levels ~domains l weight digits order depth =
+  let len = Array.length order in
+  let levels = 1 + (l.rounds * l.ngroups) in
+  Array.fill depth 1 (len - 1) l.rounds;
+  (* [key.(p)] is the level's key of the case at position [p]; a run's
+     keys move with its cases, through the spare arrays. *)
+  let key = Array.make len 0 in
+  let spare_order = Array.make len 0 and spare_key = Array.make len 0 in
+  let set_keys lo hi level =
+    if level = 0 then
+      for p = lo to hi - 1 do
+        key.(p) <- Char.code (Bytes.unsafe_get weight order.(p))
+      done
+    else begin
+      let word = (level - 1) / l.per_word and shift = (level - 1) mod l.per_word * l.kbits in
+      let mask = (1 lsl l.kbits) - 1 in
+      for p = lo to hi - 1 do
+        key.(p) <- (digits.((order.(p) * l.words) + word) lsr shift) land mask
+      done
+    end
+  in
+  (* One stable counting pass over positions [lo, hi) by the digit
+     [(key - least) lsr shift] of [width] bits, in the domain's [count]
+     buckets. *)
+  let pass count lo hi ~least ~shift ~width =
+    let mask = (1 lsl width) - 1 in
+    Array.fill count 0 (mask + 2) 0;
+    for p = lo to hi - 1 do
+      let d = (((key.(p) - least) lsr shift) land mask) + 1 in
+      count.(d) <- count.(d) + 1
+    done;
+    for d = 1 to mask do
+      count.(d) <- count.(d) + count.(d - 1)
+    done;
+    for p = lo to hi - 1 do
+      let d = ((key.(p) - least) lsr shift) land mask in
+      let q = lo + count.(d) in
+      count.(d) <- count.(d) + 1;
+      spare_order.(q) <- order.(p);
+      spare_key.(q) <- key.(p)
+    done;
+    Array.blit spare_order lo order lo (hi - lo);
+    Array.blit spare_key lo key lo (hi - lo)
+  in
+  (* Stable sort of positions [lo, hi) by key: insertion for short runs,
+     else counting passes, one when the keys span few values per case
+     and bytes from the lowest up otherwise. *)
+  let sort_run count lo hi =
+    if hi - lo <= 32 then
+      for p = lo + 1 to hi - 1 do
+        let k = key.(p) and i = order.(p) in
+        let q = ref p in
+        while !q > lo && key.(!q - 1) > k do
+          key.(!q) <- key.(!q - 1);
+          order.(!q) <- order.(!q - 1);
+          decr q
+        done;
+        key.(!q) <- k;
+        order.(!q) <- i
+      done
+    else begin
+      let least = ref max_int and most = ref 0 in
+      for p = lo to hi - 1 do
+        let k = key.(p) in
+        if k < !least then least := k;
+        if k > !most then most := k
+      done;
+      let least = !least and span = !most - !least in
+      let rec bits v = if v = 0 then 0 else 1 + bits (v lsr 1) in
+      let b = bits span in
+      if span <= 8 * (hi - lo) && b <= 16 then pass count lo hi ~least ~shift:0 ~width:b
+      else
+        for byte = 0 to (b - 1) / 8 do
+          pass count lo hi ~least ~shift:(8 * byte) ~width:8
+        done
+    end
+  in
+  (* Splits the run [lo, hi) from [level] on, deferring to [runs] every
+     run that reaches level [cut]. *)
+  let runs = ref [] in
+  let rec split count ~cut lo hi level =
+    if hi - lo > 1 && level < levels then
+      if level = cut then runs := (lo, hi) :: !runs
+      else begin
+        set_keys lo hi level;
+        sort_run count lo hi;
+        let r = if level = 0 then 0 else ((level - 1) / l.ngroups) + 1 in
+        (* Each sub-run is found whole before it is split further, which
+           rewrites only its own keys. *)
+        let start = ref lo in
+        for p = lo + 1 to hi do
+          if p = hi || key.(p) <> key.(p - 1) then begin
+            if p < hi then depth.(p) <- r - 1;
+            split count ~cut !start p (level + 1);
+            start := p
+          end
+        done
+      end
+  in
+  (* The corruption classes and the first level split the whole array
+     here; the runs below them, disjoint ranges of every array, split in
+     parallel. *)
+  let counts =
+    (* A counting pass over a run of s positions takes at most
+       min(2^16, 16 s) + 1 buckets, and a byte pass 257. *)
+    let size = Int.min ((1 lsl 16) + 1) (Int.max 257 ((16 * len) + 1)) in
+    Array.init domains (fun _ -> Array.make size 0)
+  in
+  split counts.(0) ~cut:2 0 len 0;
+  let deferred = Array.of_list !runs in
+  Ftss_profile.Pool.run ~lane:"prefix_order" ~domains (Array.length deferred)
+    (fun ~domain ~first ~limit ->
+      for j = first to limit - 1 do
+        let lo, hi = deferred.(j) in
+        split counts.(domain) ~cut:(-1) lo hi 2
+      done)
+
+(* What a read of every case found: the largest system, horizon and
+   behaviour count, whether every behaviour packed, and whether every
+   case shares case 0's params and parks, if at all, at its horizon (then
+   equal corruption weights mean equal round-0 digits). *)
+type found = {
+  mutable most_n : int;
+  mutable most_rounds : int;
+  mutable most_slots : int;
+  mutable packs : bool;
+  mutable alike : bool;
+}
+
+(* One read of every case, on [domains] domains: its corruption weight
+   into [weight.[i]] and, when it fits [l], its levels into the returned
+   digits, at [i * l.words]. *)
+let decode ~domains cases weight l =
+  let len = Array.length cases in
+  let p0 = cases.(0).params in
+  let digits = Array.make (len * l.words) 0 in
+  let fresh () = { most_n = 0; most_rounds = 0; most_slots = 0; packs = true; alike = true } in
+  let per_domain = Array.init domains (fun _ -> fresh ()) in
+  Ftss_profile.Pool.run ~lane:"prefix_order" ~domains len (fun ~domain ~first ~limit ->
+      let codes = Array.make l.slots 0 and buffer () = Array.make l.slots 0 in
+      let spans = (buffer (), buffer (), buffer (), buffer ()) in
+      (* Counted here, and into the domain's record once per chunk. *)
+      let n = ref 0 and rounds = ref 0 and slots = ref 0 in
+      let packs = ref true and alike = ref true in
+      for i = first to limit - 1 do
+        let c = cases.(i) in
+        (match c.corruption with
+        | _ when c.params != p0 -> alike := false
+        | Parked k when k <> p0.rounds -> alike := false
+        | _ -> ());
+        Bytes.unsafe_set weight i (Char.unsafe_chr (corruption_weight c.corruption));
+        n := Int.max !n c.params.n;
+        rounds := Int.max !rounds c.params.rounds;
+        let nb = pack_list codes 0 c.behaviors in
+        if nb < 0 then packs := false
+        else begin
+          slots := Int.max !slots nb;
+          if nb <= l.slots && c.params.n <= l.n && c.params.rounds <= l.rounds then
+            write_levels l digits i codes nb spans
+        end
+      done;
+      let f = per_domain.(domain) in
+      f.most_n <- Int.max f.most_n !n;
+      f.most_rounds <- Int.max f.most_rounds !rounds;
+      f.most_slots <- Int.max f.most_slots !slots;
+      f.packs <- f.packs && !packs;
+      f.alike <- f.alike && !alike);
+  let all = fresh () in
+  Array.iter
+    (fun f ->
+      all.most_n <- Int.max all.most_n f.most_n;
+      all.most_rounds <- Int.max all.most_rounds f.most_rounds;
+      all.most_slots <- Int.max all.most_slots f.most_slots;
+      all.packs <- all.packs && f.packs;
+      all.alike <- all.alike && f.alike)
+    per_domain;
+  (digits, all)
+
+(* Starting a domain costs about what it saves on tens of thousands of
+   cases (0.7 ms on a shared 2-vCPU VM, 3 ms on a CI runner, against
+   ~0.1 µs of decoding and sorting per case), so shorter arrays are
+   walked on the calling domain alone. *)
+let parallel_from = 1 lsl 16
+
+let prefix_order ?(domains = 1) cases =
   let len = Array.length cases in
   let order = Array.init len Fun.id in
-  (* One read of every case: its behaviours, packed, at
-     [codes.(i * slots + j)] and its corruption weight at [weight.[i]].
-     [slots] starts at the first case's fault budget and the pass starts
-     over, wider, if a later case carries more behaviours. *)
-  let weight = Bytes.create len in
-  let rec pack_all slots =
-    let codes = Array.make (len * slots) 0 in
-    let rounds = ref 0 and n = ref 0 and packable = ref true and wider = ref slots in
-    let rec fill base j = function
-      | [] -> ()
-      | b :: l ->
-        let p = pack b in
-        if p < 0 then packable := false
-        else if j >= slots then wider := max !wider (j + 1)
-        else codes.(base + j) <- p;
-        fill base (j + 1) l
+  let depth = Array.make len (-1) in
+  if len > 1 then begin
+    let domains = if len < parallel_from then 1 else Ftss_profile.Pool.domains domains in
+    let weight = Bytes.create len in
+    (* The layout is read off case 0 first, and widened for all when a
+       case has more behaviours, processes or rounds. *)
+    let p0 = cases.(0).params in
+    let l = layout ~n:p0.n ~rounds:p0.rounds ~slots:p0.f in
+    let digits, found = decode ~domains cases weight l in
+    let l, digits, found =
+      if (not found.packs)
+         || (found.most_n <= l.n && found.most_rounds <= l.rounds && found.most_slots <= l.slots)
+      then (l, digits, found)
+      else
+        let l = layout ~n:found.most_n ~rounds:found.most_rounds ~slots:found.most_slots in
+        let digits, found = decode ~domains cases weight l in
+        (l, digits, found)
     in
-    for i = 0 to len - 1 do
-      let c = cases.(i) in
-      if c.params.rounds > !rounds then rounds := c.params.rounds;
-      if c.params.n > !n then n := c.params.n;
-      Bytes.unsafe_set weight i (Char.unsafe_chr (corruption_weight c.corruption));
-      fill (i * slots) 0 c.behaviors
-    done;
-    if !wider > slots && !packable then pack_all !wider
-    else (slots, codes, !rounds, !n, !packable)
-  in
-  let slots, codes, rounds, n, packable =
-    pack_all (if len = 0 then 0 else cases.(0).params.f)
-  in
-  if not (packable && len > 1) then order
-  else begin
-    (* Stable LSD radix sort, least significant digit first: round
-       [rounds], ..., round 1, then round 0's corruption class. A round's
-       digit is its atoms, packed [abits] apiece into group keys of at
-       most 62 bits and sorted in chunks of at most 16 bits, so the count
-       array stays small whatever [n] is; for enumerated cases of up to
-       ~10^3 processes and f <= 2 a round is one group. *)
-    let rec bits v = if v = 0 then 0 else 1 + bits (v lsr 1) in
-    let abits = bits (atom_bound ~n) in
-    let per_group = max 1 (62 / abits) in
-    let count = Array.make ((1 lsl 16) + 1) 0 in
-    let order = ref order and spare = ref (Array.make len 0) in
-    let pass ~width digit =
-      let src = !order and dst = !spare in
-      let buckets = (1 lsl width) + 1 in
-      Array.fill count 0 buckets 0;
-      for pos = 0 to len - 1 do
-        let d = digit src.(pos) + 1 in
-        count.(d) <- count.(d) + 1
-      done;
-      for d = 1 to buckets - 1 do
-        count.(d) <- count.(d) + count.(d - 1)
-      done;
-      for pos = 0 to len - 1 do
-        let i = src.(pos) in
-        let d = digit i in
-        dst.(count.(d)) <- i;
-        count.(d) <- count.(d) + 1
-      done;
-      order := dst;
-      spare := src
-    in
-    (* [key.(i)] is case [i]'s group key for the round being sorted,
-       computed in case order: sequential reads of [codes]. *)
-    let key = Array.make len 0 in
-    let atoms = Array.make slots 0 in
-    for r = rounds downto 1 do
-      let g = ref (((slots + per_group - 1) / per_group) - 1) in
-      while !g >= 0 do
-        let lo = !g * per_group in
-        let hi = min slots (lo + per_group) in
-        for i = 0 to len - 1 do
-          let k = round_atoms ~n codes (i * slots) slots r atoms in
-          let acc = ref 0 in
-          for j = lo to hi - 1 do
-            acc := (!acc lsl abits) lor if j < k then atoms.(j) else 0
-          done;
-          key.(i) <- !acc
-        done;
-        let gbits = (hi - lo) * abits in
-        let nchunks = max 1 ((gbits + 15) / 16) in
-        let width = (gbits + nchunks - 1) / nchunks in
-        let mask = (1 lsl width) - 1 in
-        for c = 0 to nchunks - 1 do
-          pass ~width (fun i -> (key.(i) lsr (c * width)) land mask)
-        done;
-        decr g
+    if not found.packs then
+      for p = 1 to len - 1 do
+        depth.(p) <- shared_prefix cases.(p - 1) cases.(p)
       done
-    done;
-    pass ~width:3 (fun i -> Char.code (Bytes.unsafe_get weight i));
-    !order
-  end
+    else begin
+      sort_levels ~domains l weight digits order depth;
+      (* The weights group corruption classes, not the params or a parked
+         round, and a case simulates no round past its own horizon. *)
+      if not found.alike then
+        for p = 1 to len - 1 do
+          if depth.(p) >= 0 then begin
+            let a = cases.(order.(p - 1)) and b = cases.(order.(p)) in
+            depth.(p) <- (if same_start a b then Int.min depth.(p) b.params.rounds else -1)
+          end
+        done
+    end
+  end;
+  { order; depth }
 
 let pp_behavior ~rounds ppf b =
   match b with

@@ -89,20 +89,17 @@ val get : params -> int -> t
 (** The whole space, [Array.init (count params) (get params)]. *)
 val enumerate : params -> t array
 
-(** Compile a case's schedule into a {!Ftss_sync.Faults.t}. Point drops
-    are charged to the behaviour's owner (a [Blame] event precedes the
-    [Drop]), so receive omissions blame the receiver as the paper's
-    general-omission model requires. *)
+(** Compile a case's schedule into a {!Ftss_sync.Faults.t}: the rows
+    {!Ftss_sync.Faults.of_events} builds from the behaviours' events, in
+    behaviour order, handed over through {!Ftss_sync.Faults.build}
+    without a list. Point drops are charged to the behaviour's owner (a
+    [Blame] event precedes the [Drop]), so receive omissions blame the
+    receiver as the paper's general-omission model requires. *)
 val to_faults : t -> Ftss_sync.Faults.t
 
 (** [corrupt_int corruption p v] applies the class to an integer round
     variable ([v] is the clean value, returned unchanged by [Clean]). *)
 val corrupt_int : corruption -> Pid.t -> int -> int
-
-(** [crashes t] is the [(pid, round)] crash events of the schedule, in
-    pid order — the projection used by the asynchronous (Theorem 5)
-    adapter. *)
-val crashes : t -> (Pid.t * int) list
 
 (** {2 Canonicalization under pid permutation}
 
@@ -139,16 +136,32 @@ val canonical : t -> t
 
 (** [shared_prefix a b] is the largest [k <= rounds] such that [a] and
     [b] have equal digits for rounds [0..k], or [-1] when their params
-    or corruption classes differ. *)
+    or corruption classes differ. Nothing in a sweep calls it: the walk
+    reads its neighbours' depths off {!prefix_order}, and this pairwise
+    comparison is the oracle the tests hold those depths to. *)
 val shared_prefix : t -> t -> int
 
-(** [prefix_order cases] is a permutation of the indices of [cases]
-    sorting them by their digits, round 0 first, so that cases sharing
-    a prefix are adjacent. It is a stable LSD radix sort: O(cases ×
-    rounds) integer work and O(cases × f) extra words, where f bounds
-    the behaviours per case. Round 0 is sorted by corruption class
-    alone, which groups a single-params sweep exactly. The identity
-    when a behaviour's rounds or pids reach 2^19. *)
-val prefix_order : t array -> int array
+(** A walk over a case array: [order] is a permutation of its indices,
+    and [depth.(p)], for [p >= 1], is the depth the case at position [p]
+    shares with the one before it,
+    [shared_prefix cases.(order.(p - 1)) cases.(order.(p))];
+    [depth.(0) = -1]. *)
+type walk = { order : int array; depth : int array }
+
+(** [prefix_order cases] sorts the indices of [cases] by their digits,
+    round 0 first, so that cases sharing a prefix are adjacent, and reads
+    each neighbouring pair's depth off the sort. It is a stable MSD radix
+    sort: each level splits the runs of positions that agree on every
+    earlier digit, and where a run splits at round [r] its neighbours
+    share [r - 1] rounds. O(cases × rounds) integer work and
+    O(cases × f) extra words, where f bounds the behaviours per case.
+    Round 0 is sorted by corruption class alone, which groups a
+    single-params sweep exactly. An array of at least 2^16 cases is
+    decoded, and its runs below round 1 are split, on [domains] domains
+    ({!Ftss_profile.Pool.domains}, default 1); the result does not depend
+    on their count. The order is the identity,
+    and each depth is read pair by pair, when a behaviour's rounds or
+    pids reach 2^19. *)
+val prefix_order : ?domains:int -> t array -> walk
 
 val pp : Format.formatter -> t -> unit

@@ -20,6 +20,25 @@ type ('s, 'd) state = {
 
 type 's message = { state : 's; round : int }
 
+(* One pass collects both delivery aggregates: S's evidence (who sent a
+   message tagged with round [c]) and the Figure 1 round-agreement
+   maximum. *)
+let rec scan c heard max_round = function
+  | [] -> (heard, max_round)
+  | { Protocol.src; payload } :: rest ->
+    scan c
+      (if payload.round = c then Pidset.add src heard else heard)
+      (if payload.round > max_round then payload.round else max_round)
+      rest
+
+(* The Π-level messages (sender states), without the senders in
+   [suspects] when [suspect_filter] holds. *)
+let rec project ~suspect_filter suspects = function
+  | [] -> []
+  | { Protocol.src; payload } :: rest ->
+    if suspect_filter && Pidset.mem src suspects then project ~suspect_filter suspects rest
+    else { Protocol.src; payload = payload.state } :: project ~suspect_filter suspects rest
+
 let compile ?(suspect_filter = true) ~n (pi : ('s, 'd) Canonical.t) =
   let pi = Canonical.check pi in
   let final_round = pi.Canonical.final_round in
@@ -28,18 +47,7 @@ let compile ?(suspect_filter = true) ~n (pi : ('s, 'd) Canonical.t) =
     { s = pi.Canonical.s_init p; c; suspects = Pidset.empty; last_decision; completed }
   in
   let step p st (deliveries : 's message Protocol.delivery list) =
-    (* One pass collects both delivery aggregates: S's evidence (who sent a
-       message tagged with p's current round number) and the Figure 1
-       round-agreement maximum. *)
-    let rec scan heard max_round = function
-      | [] -> (heard, max_round)
-      | { Protocol.src; payload } :: rest ->
-        scan
-          (if payload.round = st.c then Pidset.add src heard else heard)
-          (if payload.round > max_round then payload.round else max_round)
-          rest
-    in
-    let heard_current, max_round = scan Pidset.empty min_int deliveries in
+    let heard_current, max_round = scan st.c Pidset.empty min_int deliveries in
     (* S: previously suspected processes, plus every process from which no
        message tagged with p's current round number arrived this round
        (whether omitted entirely or tagged with a disagreeing round). *)
@@ -47,13 +55,7 @@ let compile ?(suspect_filter = true) ~n (pi : ('s, 'd) Canonical.t) =
     (* M: the Π-level messages (sender states), with suspects filtered out.
        The [suspect_filter = false] variant exists only for the E8 ablation:
        it lets the "insidious" out-of-date messages of §2.4 through. *)
-    let m =
-      List.filter_map
-        (fun { Protocol.src; payload } ->
-          if suspect_filter && Pidset.mem src suspects then None
-          else Some { Protocol.src; payload = payload.state })
-        deliveries
-    in
+    let m = project ~suspect_filter suspects deliveries in
     let k = normalize ~final_round st.c in
     let s = pi.Canonical.transition p st.s m k in
     (* Round agreement superimposed on Π (Figure 1 embedded in Figure 3). *)

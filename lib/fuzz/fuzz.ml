@@ -83,7 +83,7 @@ let run ?obs ?profile (config : config) (prop : P.t) =
        runs in one dedup class can differ in it), so it is recomputed for
        every genome — which keeps the merge below deterministic whatever
        the domain count or interleaving. *)
-    let caches = Array.init domains (fun _ -> P.Fingerprint_table.create 256) in
+    let caches = Array.init domains (fun _ -> Ftss_check.Verdicts.create ()) in
     let evaluate genomes =
       let results = Array.make (Array.length genomes) None in
       Ftss_profile.Pool.run ~lane:"fuzz" ~domains (Array.length genomes)
@@ -91,16 +91,9 @@ let run ?obs ?profile (config : config) (prop : P.t) =
           let cache = caches.(domain) in
           for i = first to limit - 1 do
             let r = prop.P.run_adv (Mutate.to_adversary genomes.(i)) in
-            let fp = r.P.fingerprint in
-            let ok =
-              match P.Fingerprint_table.find cache fp with
-              | ok -> ok
-              | exception Not_found ->
-                let ok = (Lazy.force r.P.verdict).P.ok in
-                P.Fingerprint_table.add cache fp ok;
-                ok
-            in
-            results.(i) <- Some (prop.P.fingerprint_hex fp, Lazy.force r.P.signature, ok)
+            let ok = Ftss_check.Verdicts.memo cache r in
+            results.(i) <-
+              Some (prop.P.fingerprint_hex r.P.fingerprint, Lazy.force r.P.signature, ok)
           done);
       Array.map Option.get results
     in

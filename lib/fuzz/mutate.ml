@@ -152,7 +152,12 @@ let of_schedule (case : S.t) =
     | S.Clean -> []
     | c -> List.map (fun p -> (p, S.corrupt_int c p 0)) (Pid.all n)
   in
-  norm { params; faulty; crashes = S.crashes case; drops; corrupt }
+  let crashes =
+    List.filter_map
+      (fun (p, b) -> match b with S.Crash r -> Some (p, r) | _ -> None)
+      case.S.behaviors
+  in
+  norm { params; faulty; crashes; drops; corrupt }
 
 (* --- compilation to the evaluator interface --- *)
 

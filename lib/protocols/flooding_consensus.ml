@@ -12,7 +12,14 @@ let make ~f ~propose =
     transition =
       (fun _ s deliveries _k ->
         List.fold_left
-          (fun acc { Protocol.payload; _ } -> Values.union acc payload)
+          (fun acc { Protocol.payload; _ } ->
+            (* A held set's union is skipped, as in [Omission_consensus]. *)
+            if
+              Values.is_empty payload
+              || Values.min_elt payload <> Values.max_elt payload
+                 && Values.subset payload acc
+            then acc
+            else Values.union acc payload)
           s deliveries);
     decide = (fun s -> Values.min_elt_opt s);
   }

@@ -9,120 +9,144 @@ type event =
   | Blame of { pid : Pid.t }
 
 (* One representation, built once per schedule: per-round rows of the
-   pids whose messages the adversary omits, indexed by the 1-based round
-   (slot 0 unused). Each link query is then a few [Pidset.mem] tests.
-   The rows stop at the last round any omission names, so every later
-   round is quiet, and a crash-only schedule has empty arrays. *)
+   pids whose messages the adversary omits. Round [r]'s rows sit at
+   [r * (n + 2)] in one array (rounds are 1-based, so the first [n + 2]
+   slots are unused): the pids send-omitting, the pids receive-omitting,
+   then for each src the dsts its point drops reach. Each link query is
+   then a few [Pidset.mem] tests. The rows stop at the horizon the
+   schedule is built with, so every later round is quiet; a schedule
+   without omissions has no rows, and one without crashes no crash
+   table. A schedule is filled in place while it is built and never
+   written afterwards. *)
 type t = {
   n : int;
-  faulty : Pidset.t;
-  crash : int option array; (* pid -> crash round *)
-  muted : Pidset.t array; (* round -> pids send-omitting *)
-  deafened : Pidset.t array; (* round -> pids receive-omitting *)
-  point : Pidset.t array; (* round * n + src -> dsts point-dropped *)
-  quiet : bool array; (* round -> no omission of any kind *)
+  mutable faulty : Pidset.t;
+  mutable crash : int option array; (* pid -> crash round, or empty *)
+  mutable rows : Pidset.t array;
 }
 
 let n t = t.n
 let faulty t = t.faulty
 let f t = Pidset.cardinal t.faulty
-let crash_round t p = t.crash.(p)
+let crash_round t p = if Array.length t.crash = 0 then None else t.crash.(p)
 
-let quiet_round t ~round = round < 1 || round >= Array.length t.quiet || t.quiet.(round)
+(* Where round [round]'s rows start, or -1 past the last. *)
+let base t round =
+  let b = round * (t.n + 2) in
+  if round >= 1 && b < Array.length t.rows then b else -1
+
+let quiet_round t ~round =
+  let b = base t round in
+  let quiet = ref true and i = ref 0 in
+  if b >= 0 then
+    while !quiet && !i < t.n + 2 do
+      quiet := Pidset.is_empty t.rows.(b + !i);
+      incr i
+    done;
+  !quiet
 
 let drops t ~round ~src ~dst =
   src <> dst
-  && round >= 1
-  && round < Array.length t.quiet
-  && (Pidset.mem src t.muted.(round)
-     || Pidset.mem dst t.deafened.(round)
-     || Pidset.mem dst t.point.((round * t.n) + src))
+  &&
+  let b = base t round in
+  b >= 0
+  && (Pidset.mem src t.rows.(b)
+     || Pidset.mem dst t.rows.(b + 1)
+     || Pidset.mem dst t.rows.(b + 2 + src))
 
-(* Rows for rounds [1..rounds], all quiet. *)
-let sized ~n ~faulty ~crash ~rounds =
-  let len = if rounds < 1 then 0 else rounds + 1 in
-  {
-    n;
-    faulty;
-    crash;
-    muted = Array.make len Pidset.empty;
-    deafened = Array.make len Pidset.empty;
-    point = Array.make (len * n) Pidset.empty;
-    quiet = Array.make len true;
-  }
+(* Quiet rows for rounds [1..rounds]. *)
+let size_rows t ~rounds = t.rows <- Array.make ((rounds + 1) * (t.n + 2)) Pidset.empty
 
-(* [p] joins row [i] of [rows], an omission in [round]. *)
-let omit t rows ~round i p =
-  rows.(i) <- Pidset.add p rows.(i);
-  t.quiet.(round) <- false
+let empty ~n ~faulty = { n; faulty; crash = [||]; rows = [||] }
 
-let none n = sized ~n ~faulty:Pidset.empty ~crash:(Array.make n None) ~rounds:0
+(* [p] joins row [i] of round [round]: 0 send omission, 1 receive
+   omission, [2 + src] a point drop from [src]. *)
+let omit t ~round i p =
+  let j = (round * (t.n + 2)) + i in
+  t.rows.(j) <- Pidset.add p t.rows.(j)
+
+let none n = empty ~n ~faulty:Pidset.empty
 
 let check_pid ~n p =
   if not (Pid.is_valid ~n p) then
     invalid_arg (Format.asprintf "Faults: pid %a out of range for n=%d" Pid.pp p n)
 
-let check_range first last =
-  if first < 1 || last < first then invalid_arg "Faults: bad round interval"
+let check_range ~rounds first last =
+  if first < 1 || last < first then invalid_arg "Faults: bad round interval";
+  if last > rounds then invalid_arg "Faults: omission past the horizon"
+
+let mark t p = t.faulty <- Pidset.add p t.faulty
+
+(* Checks an omission by [pid] in rounds [first..last]; the rows are
+   sized at the first one. *)
+let omission t ~rounds pid first last =
+  check_pid ~n:t.n pid;
+  check_range ~rounds first last;
+  if Array.length t.rows = 0 then size_rows t ~rounds
+
+let span t i pid first last =
+  for round = first to last do
+    omit t ~round i pid
+  done
+
+(* Adds one event to a schedule being built. *)
+let add t ~rounds = function
+  | Crash { pid; round } ->
+    check_pid ~n:t.n pid;
+    if round < 1 then invalid_arg "Faults: bad round interval";
+    mark t pid;
+    if Array.length t.crash = 0 then t.crash <- Array.make t.n None;
+    let sooner = match t.crash.(pid) with None -> round | Some r -> Int.min r round in
+    t.crash.(pid) <- Some sooner
+  | Drop { src; dst; round } ->
+    check_pid ~n:t.n dst;
+    omission t ~rounds src round round;
+    if Pid.equal src dst then invalid_arg "Faults: cannot drop a self-message";
+    (* The culprit is ambiguous between a send and a receive omission; we
+       conservatively declare both endpoints faulty only when neither is
+       already declared, preferring the sender. *)
+    if not (Pidset.mem src t.faulty || Pidset.mem dst t.faulty) then mark t src;
+    omit t ~round (2 + src) dst
+  | Mute { pid; first; last } ->
+    omission t ~rounds pid first last;
+    mark t pid;
+    span t 0 pid first last
+  | Deaf { pid; first; last } ->
+    omission t ~rounds pid first last;
+    mark t pid;
+    span t 1 pid first last
+  | Isolate { pid; first; last } ->
+    omission t ~rounds pid first last;
+    mark t pid;
+    span t 0 pid first last;
+    span t 1 pid first last
+  | Blame { pid } ->
+    check_pid ~n:t.n pid;
+    mark t pid
+
+let build ~n ~rounds fill =
+  let t = empty ~n ~faulty:Pidset.empty in
+  fill (add t ~rounds);
+  t
+
+(* The horizon of a list: the last round any of its omissions names. *)
+let horizon events =
+  List.fold_left
+    (fun acc -> function
+      | Drop { round; _ } -> Int.max acc round
+      | Mute { last; _ } | Deaf { last; _ } | Isolate { last; _ } -> Int.max acc last
+      | Crash _ | Blame _ -> acc)
+    0 events
 
 let of_events ~n events =
-  (* First pass: validate, declare the faulty set, record the crashes and
-     find the last round an omission names, which sizes the rows. *)
-  let crash = Array.make n None in
-  let faulty = ref Pidset.empty in
-  let mark p = faulty := Pidset.add p !faulty in
-  let rounds = ref 0 in
-  let absorb = function
-    | Crash { pid; round } ->
-      check_pid ~n pid;
-      check_range round round;
-      mark pid;
-      let sooner = match crash.(pid) with None -> round | Some r -> min r round in
-      crash.(pid) <- Some sooner
-    | Drop { src; dst; round } ->
-      check_pid ~n src;
-      check_pid ~n dst;
-      check_range round round;
-      if Pid.equal src dst then invalid_arg "Faults: cannot drop a self-message";
-      (* The culprit is ambiguous between a send and a receive omission; we
-         conservatively declare both endpoints faulty only when neither is
-         already declared, preferring the sender. *)
-      if not (Pidset.mem src !faulty || Pidset.mem dst !faulty) then mark src;
-      rounds := max !rounds round
-    | Mute { pid; first; last } | Deaf { pid; first; last } | Isolate { pid; first; last } ->
-      check_pid ~n pid;
-      check_range first last;
-      mark pid;
-      rounds := max !rounds last
-    | Blame { pid } ->
-      check_pid ~n pid;
-      mark pid
-  in
-  List.iter absorb events;
-  (* Second pass: fill the rows. *)
-  let t = sized ~n ~faulty:!faulty ~crash ~rounds:!rounds in
-  let span rows pid first last =
-    for round = first to last do
-      omit t rows ~round round pid
-    done
-  in
-  List.iter
-    (function
-      | Drop { src; dst; round } -> omit t t.point ~round ((round * n) + src) dst
-      | Mute { pid; first; last } -> span t.muted pid first last
-      | Deaf { pid; first; last } -> span t.deafened pid first last
-      | Isolate { pid; first; last } ->
-        span t.muted pid first last;
-        span t.deafened pid first last
-      | Crash _ | Blame _ -> ())
-    events;
-  t
+  build ~n ~rounds:(horizon events) (fun add -> List.iter add events)
 
 let random_omission rng ~n ~f ~p_drop ~rounds =
   if f < 0 || f > n then invalid_arg "Faults.random_omission: f out of range";
   let chosen = Rng.sample rng f (Pid.all n) in
   let faulty = Pidset.of_list chosen in
-  let t = sized ~n ~faulty ~crash:(Array.make n None) ~rounds in
+  let t = empty ~n ~faulty in
+  if rounds >= 1 then size_rows t ~rounds;
   for round = 1 to rounds do
     List.iter
       (fun src ->
@@ -132,7 +156,7 @@ let random_omission rng ~n ~f ~p_drop ~rounds =
               (not (Pid.equal src dst))
               && (Pidset.mem src faulty || Pidset.mem dst faulty)
               && Rng.chance rng p_drop
-            then omit t t.point ~round ((round * n) + src) dst)
+            then omit t ~round (2 + src) dst)
           (Pid.all n))
       (Pid.all n)
   done;

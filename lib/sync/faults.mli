@@ -5,7 +5,8 @@
     the execution, which failures the adversary injects in which round. The
     schedule also declares the set of faulty processes; {!Runner} records
     every injected failure in the trace so the declaration can be audited
-    against what actually happened (see {!Trace.blames_declared}). *)
+    against what actually happened (the tests audit every runner trace
+    this way). *)
 
 open Ftss_util
 
@@ -45,8 +46,7 @@ val crash_round : t -> Pid.t -> int option
     [src -> dst] message of [round]. Self-messages are never dropped
     (paper footnote 1). A schedule is compiled into per-round rows of
     pid sets when it is built, so a query is a few membership tests;
-    rows stop at the last round any omission names, and later rounds
-    drop nothing. *)
+    a round past the last one any omission names drops nothing. *)
 val drops : t -> round:int -> src:Pid.t -> dst:Pid.t -> bool
 
 (** [quiet_round t ~round] is true iff no omission of any kind is
@@ -61,6 +61,14 @@ val none : int -> t
 (** [of_events ~n events] compiles an event list. Raises [Invalid_argument]
     on pids outside [0..n-1] or empty/negative round ranges. *)
 val of_events : n:int -> event list -> t
+
+(** [build ~n ~rounds fill] is [of_events ~n] of the events [fill]
+    hands to its argument, in that order, without a list of them. Every
+    omission must lie within rounds [1..rounds]; the rows then span those
+    rounds, and queries answer as [of_events]'s, whose rows stop at the
+    last round an omission names. Raises [Invalid_argument] as
+    [of_events] does, and on an omission past [rounds]. *)
+val build : n:int -> rounds:int -> ((event -> unit) -> unit) -> t
 
 (** [random_omission rng ~n ~f ~p_drop ~rounds] draws [f] distinct faulty
     processes and, independently for each round and each directed link with

@@ -8,7 +8,7 @@ type ('s, 'm) cursor = {
   crashed_at : int option array;  (* copied before a crash is recorded *)
   rev_omissions : (int * Pid.t * Pid.t) list;
   rev_records : ('s, 'm) Trace.round_record list;
-  generators : int;  (* the content hash's fold of the generator vectors so far *)
+  generators : int;  (* the fold of the generator vectors so far, -1 before round 1 *)
 }
 
 let emit obs ev = match obs with Some o -> Ftss_obs.Obs.emit o ev | None -> ()
@@ -17,21 +17,24 @@ let emit obs ev = match obs with Some o -> Ftss_obs.Obs.emit o ev | None -> ()
    order, skipping a pid that is already crashed. Returns whether the
    schedule names [round] at all. *)
 let apply_corruptions obs ~round corrupt_at states =
-  List.fold_left
-    (fun named (r, p, f) ->
-      if r < 0 || not (Pid.is_valid ~n:(Array.length states) p) then
-        invalid_arg "Runner: corrupt_at round < 0 or pid out of range";
-      if r <> round then named
-      else begin
-        (match states.(p) with
-        | Some s ->
-          states.(p) <- Some (f s);
-          if Option.is_some obs then
-            emit obs (Ftss_obs.Event.make ~time:round (Ftss_obs.Event.Corrupt { pid = p }))
-        | None -> ());
-        true
-      end)
-    false corrupt_at
+  match corrupt_at with
+  | [] -> false
+  | _ ->
+    List.fold_left
+      (fun named (r, p, f) ->
+        if r < 0 || not (Pid.is_valid ~n:(Array.length states) p) then
+          invalid_arg "Runner: corrupt_at round < 0 or pid out of range";
+        if r <> round then named
+        else begin
+          (match states.(p) with
+          | Some s ->
+            states.(p) <- Some (f s);
+            if Option.is_some obs then
+              emit obs (Ftss_obs.Event.make ~time:round (Ftss_obs.Event.Corrupt { pid = p }))
+          | None -> ());
+          true
+        end)
+      false corrupt_at
 
 let start ?obs ?(corrupt_at = []) ~n (protocol : ('s, 'm) Protocol.t) =
   let states = Array.init n (fun p -> Some (protocol.init p)) in
@@ -44,7 +47,7 @@ let start ?obs ?(corrupt_at = []) ~n (protocol : ('s, 'm) Protocol.t) =
     crashed_at = Array.make n None;
     rev_omissions = [];
     rev_records = [];
-    generators = Trace.hash_seed;
+    generators = -1;
   }
 
 let step ?obs ?(corrupt_at = []) ~faults c =
@@ -187,20 +190,14 @@ let finish ~faults c =
   (* The trace gets its own crash table: the cursor's may be shared with
      sibling cursors. *)
   let crashed_at = Array.copy c.crashed_at in
-  let declared_faulty = Faults.faulty faults in
-  let name = c.protocol.name in
-  let hash =
-    Trace.seal_hash c.generators ~n:c.n ~protocol_name:name ~rounds:c.round ~crashed_at
-      ~omissions ~declared_faulty
-  in
   {
     Trace.n = c.n;
-    protocol_name = name;
+    protocol_name = c.protocol.name;
     records;
     crashed_at;
     omissions;
-    declared_faulty;
-    hash;
+    declared_faulty = Faults.faulty faults;
+    generators = c.generators;
     windowed = false;
   }
 

@@ -83,7 +83,7 @@ val step :
   ('s, 'm) cursor
 
 (** [finish ~faults c] is the trace of the rounds executed so far,
-    declaring [Faults.faulty faults]. Its content hash seals the fold of
+    declaring [Faults.faulty faults]. Its [generators] are the fold of
     the generator vectors the cursor carries — round 1's entering vector
     and every vector entering a round that [corrupt_at] names in {!step} (see
     {!Trace.fold_generator}) — so cases that share a cursor fold those

@@ -16,7 +16,7 @@ type ('s, 'm) t = {
   crashed_at : int option array;
   omissions : (int * Pid.t * Pid.t) list;
   declared_faulty : Pidset.t;
-  hash : int;
+  mutable generators : int;
   windowed : bool;
 }
 
@@ -38,12 +38,19 @@ let fold_value acc v =
     (Hashtbl.seeded_hash_param max_int 256 0x9e37 v)
 
 let hash_seed = 0x0FC935EED
-let fold_generator = fold_value
 
-let seal_hash acc ~n ~protocol_name ~rounds ~crashed_at ~omissions ~declared_faulty =
-  fold_value acc (n, protocol_name, rounds, crashed_at, omissions, declared_faulty)
+(* Folds are non-negative, so -1 marks an empty fold. *)
+let fold_generator acc states = fold_value (if acc < 0 then hash_seed else acc) states
 
-let hash t = t.hash
+let hash t =
+  if t.generators < 0 then
+    (* A window may start or end mid-corruption, so every entering state
+       vector is treated as a generator — sound whatever the original
+       execution did, at a cost only a window that is hashed pays. *)
+    t.generators <-
+      Array.fold_left (fun acc r -> fold_generator acc r.states_before) (-1) t.records;
+  fold_value t.generators
+    (t.n, t.protocol_name, Array.length t.records, t.crashed_at, t.omissions, t.declared_faulty)
 
 let round_signature ~project t =
   Array.map
@@ -73,15 +80,6 @@ let state_before t ~round p = (record t ~round).states_before.(p)
 let state_after t ~round p = (record t ~round).states_after.(p)
 
 let correct t = Pidset.diff (Pidset.full t.n) t.declared_faulty
-
-let crashed t = Pidset.of_pred t.n (fun p -> Option.is_some t.crashed_at.(p))
-
-let blames_declared t =
-  Pidset.subset (crashed t) t.declared_faulty
-  && List.for_all
-       (fun (_, src, dst) ->
-         Pidset.mem src t.declared_faulty || Pidset.mem dst t.declared_faulty)
-       t.omissions
 
 let alive t ~round p =
   match t.crashed_at.(p) with None -> true | Some r -> round < r
@@ -129,16 +127,7 @@ let sub t ~first ~last =
         if first <= r && r <= last then Some (r - first + 1, src, dst) else None)
       t.omissions
   in
-  let hash =
-    (* A window may start or end mid-corruption, so every entering state
-       vector is treated as a generator — sound whatever the original
-       execution did, at a cost only this cold path pays. *)
-    seal_hash
-      (Array.fold_left (fun acc r -> fold_generator acc r.states_before) hash_seed records)
-      ~n:t.n ~protocol_name:t.protocol_name ~rounds:(Array.length records) ~crashed_at
-      ~omissions ~declared_faulty:t.declared_faulty
-  in
-  { t with records; crashed_at; omissions; hash; windowed = true }
+  { t with records; crashed_at; omissions; generators = -1; windowed = true }
 
 let pp_summary ppf t =
   Format.fprintf ppf "%s: n=%d rounds=%d faulty=%a omissions=%d" t.protocol_name

@@ -35,9 +35,12 @@ type ('s, 'm) t = {
   declared_faulty : Pidset.t;
       (** the schedule's declared faulty set F (paper's bound f applies to
           this set) *)
-  hash : int;
-      (** content hash of the execution, folded as the trace is built; see
-          {!val:hash} *)
+  mutable generators : int;
+      (** the fold of the execution's generating state vectors
+          ({!fold_generator}), the part of {!val:hash} that the runner folds
+          as the trace is built. A {!sub} window holds -1 until its first
+          {!val:hash} read folds every entering vector and keeps the
+          result *)
   windowed : bool;
       (** [true] for a {!sub} window, whose records' [know] are not its
           own: a window restarts at K_0(p) = \{p\}, and
@@ -60,15 +63,6 @@ val record : ('s, 'm) t -> round:int -> ('s, 'm) round_record
 
 (** The declared correct set C(H, Π). *)
 val correct : ('s, 'm) t -> Pidset.t
-
-(** [blames_declared t] audits the declared faulty set against the
-    recorded failures: every crashed process must be declared faulty, and
-    every omission must have at least one declared-faulty endpoint (which
-    endpoint actually misbehaved — send or receive omission — is
-    inherently unobservable from the history alone). True for every trace
-    produced by {!Runner.run} under a well-formed schedule: a test oracle
-    for the runner's fault accounting, with no caller outside the tests. *)
-val blames_declared : ('s, 'm) t -> bool
 
 (** [alive t ~round p] is true iff [p] has not crashed before or in
     [round]. *)
@@ -105,11 +99,14 @@ val knowledge :
     digest — up to hash collisions, kept negligible by mixing two
     independently seeded structural-hash streams into one 62-bit word. *)
 
-(** The content hash of the trace, computed incrementally by {!Runner.run}
-    as the trace is built. Hashes are comparable between traces of the same
-    provenance (two runner traces, or two [sub] windows); a [sub] of a whole
-    trace hashes over more generators than the runner does and is not
-    comparable with the original's hash. *)
+(** The content hash of the trace: its [generators] fold sealed with the
+    trace metadata, crash pattern and omissions. {!Runner.run} folds the
+    generators as the trace is built; a window folds its own on the first
+    read, so a window that nothing hashes costs nothing for it. Hashes
+    are comparable between traces of the same provenance (two runner
+    traces, or two [sub] windows); a [sub] of a whole trace hashes over
+    more generators than the runner does and is not comparable with the
+    original's hash. *)
 val hash : ('s, 'm) t -> int
 
 (** [round_signature ~project t] is the per-round behavioural signature of
@@ -125,30 +122,12 @@ val hash : ('s, 'm) t -> int
     visited. *)
 val round_signature : project:(Pid.t -> 's -> int) -> ('s, 'm) t -> int array
 
-(** The content hash is folded in two parts, so that executions sharing
-    their generator vectors fold them once: {!hash_seed}, then
-    {!fold_generator} on each generating state vector in round order
-    (round 1's entering vector plus every vector a mid-run corruption
-    rewrote), then {!seal_hash} on the per-trace rest. Exposed for
-    {!Runner}; ordinary consumers read {!val:hash}. *)
-
-val hash_seed : int
-
-(** [fold_generator acc states] folds one generating state vector. *)
+(** [fold_generator acc states] folds one generating state vector into
+    [acc], the fold of the earlier ones, or -1 before the first. The
+    generators are round 1's entering vector plus every vector a mid-run
+    corruption rewrote, in round order; executions sharing them fold them
+    once. Exposed for {!Runner}; ordinary consumers read {!val:hash}. *)
 val fold_generator : int -> 's option array -> int
-
-(** [seal_hash acc ~n ~protocol_name ~rounds ~crashed_at ~omissions
-    ~declared_faulty] folds the trace metadata, crash pattern and
-    omissions into the generator fold [acc]: the trace's content hash. *)
-val seal_hash :
-  int ->
-  n:int ->
-  protocol_name:string ->
-  rounds:int ->
-  crashed_at:int option array ->
-  omissions:(int * Pid.t * Pid.t) list ->
-  declared_faulty:Pidset.t ->
-  int
 
 (** [pp_summary] prints a one-line summary (rounds, n, faults). *)
 val pp_summary : Format.formatter -> ('s, 'm) t -> unit

@@ -892,7 +892,7 @@ let check_knowledge_walk (type s m) ~label
       check_int (name ^ ": walked hash = fingerprint") (fingerprint i)
         (Ftss_sync.Trace.hash trace);
       check_knowledge ~name trace)
-    (Schedule_enum.prefix_order cases);
+    (Schedule_enum.prefix_order cases).Schedule_enum.order;
   let case = cases.(0) in
   let { Schedule_enum.n; rounds; _ } = case.Schedule_enum.params in
   check_knowledge
@@ -943,7 +943,8 @@ let check_walk_against_run ?knowledge ~label prop cases =
          every field of every run, the verdict's detail included. *)
       if not canonical then
         ignore
-          (prop.Property.run_batch cases (Schedule_enum.prefix_order cases) (fun i r ->
+          (prop.Property.run_batch cases (Schedule_enum.prefix_order cases) ~first:0
+             ~limit:len (fun i r ->
                let v = Lazy.force r.Property.verdict in
                if
                  (r.Property.fingerprint, v.Property.ok, v.Property.detail (), r.Property.states)
@@ -1075,7 +1076,7 @@ let test_stepped_pinned () =
    least shared by any neighbouring pair between them. *)
 let test_prefix_order_groups_prefixes () =
   let cases = shuffled 16 (Schedule_enum.enumerate (full 4 2 2)) in
-  let order = Schedule_enum.prefix_order cases in
+  let { Schedule_enum.order; _ } = Schedule_enum.prefix_order cases in
   let len = Array.length cases in
   check "a permutation" true
     (List.sort compare (Array.to_list order) = List.init len Fun.id);
@@ -1097,7 +1098,7 @@ let test_prefix_order_groups_prefixes () =
 let test_shared_prefix_is_exact () =
   let params = full 4 3 2 in
   let cases = shuffled 18 (Schedule_enum.enumerate params) in
-  let order = Schedule_enum.prefix_order cases in
+  let { Schedule_enum.order; _ } = Schedule_enum.prefix_order cases in
   let run (c : Schedule_enum.t) =
     Ftss_sync.Runner.run
       ~corrupt_at:(corrupt_all c (Schedule_enum.corrupt_int c.Schedule_enum.corruption))
@@ -1127,6 +1128,207 @@ let test_shared_prefix_is_exact () =
   Array.iteri
     (fun k c -> if c = 0 then Alcotest.failf "no neighbours share %d rounds" (k - 1))
     shared
+
+(* --- The walk's order and depths, fault rows and verdict tables, each
+   against an oracle --- *)
+
+(* Round [r]'s digit as schedule_enum.mli defines it, read straight off
+   the behaviour list: the sorted atoms (kind, pid, peer) — 0 crashed,
+   1 mute, 2 deaf, 3 isolate, 4 link src->dst — where a point drop that a
+   crashed endpoint, a mute sender or a deaf receiver accounts for adds
+   none. The packed atoms order as these tuples do. *)
+let digit_oracle (c : Schedule_enum.t) r =
+  let acts = function
+    | Schedule_enum.Crash x -> r >= x
+    | Schedule_enum.Mute (a, b) | Schedule_enum.Deaf (a, b) | Schedule_enum.Isolate (a, b) ->
+      a <= r && r <= b
+    | Schedule_enum.Send_drop (x, _) | Schedule_enum.Recv_drop (x, _) -> r = x
+  in
+  let active = List.filter (fun (_, b) -> acts b) c.Schedule_enum.behaviors in
+  let covers ~src ~dst (p, b) =
+    match b with
+    | Schedule_enum.Crash _ | Schedule_enum.Isolate _ -> p = src || p = dst
+    | Schedule_enum.Mute _ -> p = src
+    | Schedule_enum.Deaf _ -> p = dst
+    | Schedule_enum.Send_drop _ | Schedule_enum.Recv_drop _ -> false
+  in
+  List.sort compare
+    (List.filter_map
+       (fun (p, b) ->
+         let link src dst =
+           if List.exists (covers ~src ~dst) active then None else Some (4, src, dst)
+         in
+         match b with
+         | Schedule_enum.Crash _ -> Some (0, p, 0)
+         | Schedule_enum.Mute _ -> Some (1, p, 0)
+         | Schedule_enum.Deaf _ -> Some (2, p, 0)
+         | Schedule_enum.Isolate _ -> Some (3, p, 0)
+         | Schedule_enum.Send_drop (_, q) -> link p q
+         | Schedule_enum.Recv_drop (_, q) -> link q p)
+       active)
+
+(* The rank round 0 sorts corruption classes by. *)
+let corruption_rank = function
+  | Schedule_enum.Clean -> 0
+  | Schedule_enum.Zero -> 1
+  | Schedule_enum.Parked _ -> 2
+  | Schedule_enum.Max -> 3
+  | Schedule_enum.Distinct -> 4
+
+(* The walk is the stable sort of the cases by their digits, round 0
+   first: a permutation in which each neighbouring pair is in key order,
+   equal keys in index order (the one order an LSD radix sort, stable
+   from the identity, produces). Each depth is [shared_prefix] of its
+   pair. Two domains split the runs alike. *)
+let check_walk ~label cases =
+  let len = Array.length cases in
+  let walk = Schedule_enum.prefix_order cases in
+  let { Schedule_enum.order; depth } = walk in
+  check (label ^ ": a permutation") true
+    (List.sort compare (Array.to_list order) = List.init len Fun.id);
+  check (label ^ ": two domains, one walk") true
+    (Schedule_enum.prefix_order ~domains:2 cases = walk);
+  if len > 0 then check_int (label ^ ": the first depth") (-1) depth.(0);
+  let rounds = Array.fold_left (fun m c -> max m c.Schedule_enum.params.Schedule_enum.rounds) 0 cases in
+  for p = 1 to len - 1 do
+    let i = order.(p - 1) and j = order.(p) in
+    let a = cases.(i) and b = cases.(j) in
+    let expected = Schedule_enum.shared_prefix a b in
+    if depth.(p) <> expected then
+      Alcotest.failf "%s: depth %d at position %d, shared_prefix %d" label depth.(p) p expected;
+    let rec by_round r =
+      if r > rounds then compare i j
+      else
+        match compare (digit_oracle a r) (digit_oracle b r) with
+        | 0 -> by_round (r + 1)
+        | c -> c
+    in
+    let c = compare (corruption_rank a.Schedule_enum.corruption) (corruption_rank b.Schedule_enum.corruption) in
+    if (if c <> 0 then c else by_round 1) > 0 then
+      Alcotest.failf "%s: positions %d and %d are out of order" label (p - 1) p
+  done
+
+let test_walk_order_and_depths () =
+  check_walk ~label:"n=3 r=3 f=1" (Schedule_enum.enumerate (full 3 3 1));
+  check_walk ~label:"n=4 r=3 f=2" (Schedule_enum.enumerate (full 4 3 2));
+  check_walk ~label:"shuffled n=4 r=6 f=2" (shuffled 101 (Schedule_enum.enumerate (full 4 6 2)));
+  (* Two spaces in one array, with one horizon so that their parked
+     classes coincide: the layout widens to the larger, and pairs across
+     them share nothing. *)
+  check_walk ~label:"mixed params"
+    (shuffled 5
+       (Array.append
+          (Schedule_enum.enumerate (full 3 2 1))
+          (Schedule_enum.enumerate (crash_only_params 4 2 2))));
+  (* A round past 2^19 does not pack: the walk is the identity, with each
+     depth read pair by pair. *)
+  let params = full 3 2 1 in
+  let far = { Schedule_enum.params; behaviors = [ (1, Schedule_enum.Crash (1 lsl 19)) ]; corruption = Schedule_enum.Clean } in
+  let cases = Array.append [| far |] (Schedule_enum.enumerate params) in
+  let { Schedule_enum.order; depth } = Schedule_enum.prefix_order cases in
+  check "unpackable: the identity" true (order = Array.init (Array.length cases) Fun.id);
+  Array.iteri
+    (fun p d ->
+      if p > 0 then
+        check_int "unpackable: depth = shared_prefix"
+          (Schedule_enum.shared_prefix cases.(p - 1) cases.(p)) d)
+    depth;
+  check_int "unpackable: the far case shares round 0 only" 0 depth.(1)
+
+(* A case's schedule compiled the way it was before it was built in place:
+   its behaviours' events, listed, through [Faults.of_events]. *)
+let faults_oracle (c : Schedule_enum.t) =
+  let module F = Ftss_sync.Faults in
+  F.of_events ~n:c.Schedule_enum.params.Schedule_enum.n
+    (List.concat_map
+       (fun (pid, b) ->
+         match b with
+         | Schedule_enum.Crash round -> [ F.Crash { pid; round } ]
+         | Schedule_enum.Mute (first, last) -> [ F.Mute { pid; first; last } ]
+         | Schedule_enum.Deaf (first, last) -> [ F.Deaf { pid; first; last } ]
+         | Schedule_enum.Isolate (first, last) -> [ F.Isolate { pid; first; last } ]
+         | Schedule_enum.Send_drop (round, dst) ->
+           [ F.Blame { pid }; F.Drop { src = pid; dst; round } ]
+         | Schedule_enum.Recv_drop (round, src) ->
+           [ F.Blame { pid }; F.Drop { src; dst = pid; round } ])
+       c.Schedule_enum.behaviors)
+
+let test_fault_rows_match_events () =
+  let module F = Ftss_sync.Faults in
+  List.iter
+    (fun params ->
+      let { Schedule_enum.n; rounds; _ } = params in
+      let ncorr = List.length (Schedule_enum.corruptions params) in
+      let cases = Schedule_enum.enumerate params in
+      (* Every schedule once: the corruption classes share it. *)
+      for s = 0 to (Array.length cases / ncorr) - 1 do
+        let c = cases.(s * ncorr) in
+        let rows = Schedule_enum.to_faults c and events = faults_oracle c in
+        let fail what = Alcotest.failf "%s: %a" what Schedule_enum.pp c in
+        if not (Pidset.equal (F.faulty rows) (F.faulty events)) then fail "faulty set";
+        for p = 0 to n - 1 do
+          if F.crash_round rows p <> F.crash_round events p then fail "crash table"
+        done;
+        for round = 0 to rounds + 1 do
+          if F.quiet_round rows ~round <> F.quiet_round events ~round then fail "quiet_round";
+          for src = 0 to n - 1 do
+            for dst = 0 to n - 1 do
+              if F.drops rows ~round ~src ~dst <> F.drops events ~round ~src ~dst then fail "drops"
+            done
+          done
+        done
+      done)
+    [ full 3 4 1; full 4 3 2 ]
+
+(* The flat verdict table against a [Hashtbl] model: a miss forces the
+   run's verdict and keeps its bit, a hit returns the kept bit and leaves
+   the verdict unforced. The keys take in 0, [max_int] and [min_int], a
+   cluster sharing one home slot at every capacity up to 2^20, one that
+   wraps past the last slot of the first capacity, and enough random
+   keys to grow the table ten times. *)
+let test_verdict_table_matches_model () =
+  let run fp ok =
+    {
+      Property.fingerprint = fp;
+      states = 0;
+      signature = lazy [||];
+      verdict = lazy { Property.ok; detail = (fun () -> "") };
+    }
+  in
+  let memo t model fp ok =
+    let r = run fp ok in
+    let got = Verdicts.memo t r in
+    match Hashtbl.find_opt model fp with
+    | Some held ->
+      check "a hit returns the kept bit" held got;
+      check "a hit leaves the verdict unforced" false (Lazy.is_val r.Property.verdict)
+    | None ->
+      check "a miss returns the verdict's bit" ok got;
+      check "a miss forces the verdict" true (Lazy.is_val r.Property.verdict);
+      Hashtbl.add model fp ok
+  in
+  let rng = Rng.create 42 in
+  let keys =
+    [ 0; max_int; min_int; 1; -1 ]
+    @ List.init 200 (fun j -> j lsl 20)
+    @ List.init 40 (fun j -> (j lsl 20) lor 255)
+    @ List.init 100_000 (fun _ -> Rng.int rng max_int)
+  in
+  let bit fp = Hashtbl.hash fp land 1 = 0 in
+  let t = Verdicts.create () and model = Hashtbl.create 16 in
+  List.iter (fun fp -> memo t model fp (bit fp)) keys;
+  (* Every key again, its verdict now the other bit: the kept one wins. *)
+  List.iter (fun fp -> memo t model fp (not (bit fp))) keys;
+  check_int "one key per fingerprint" (Hashtbl.length model) (Verdicts.distinct [| t |]);
+  (* A second table sharing every other key and adding its own. *)
+  let u = Verdicts.create () and model_u = Hashtbl.create 16 in
+  List.iteri (fun i fp -> if i mod 2 = 0 then memo u model_u fp (bit fp)) keys;
+  List.iter (fun fp -> memo u model_u fp (bit fp)) (List.init 5_000 (fun j -> -2 - j));
+  let union = Hashtbl.copy model in
+  Hashtbl.iter (fun fp ok -> Hashtbl.replace union fp ok) model_u;
+  check_int "the union of two tables" (Hashtbl.length union) (Verdicts.distinct [| t; u |]);
+  check_int "the union, either order" (Hashtbl.length union) (Verdicts.distinct [| u; t |]);
+  check_int "no tables" 0 (Verdicts.distinct [||])
 
 (* --- QCheck: shrinking from random failing cases --- *)
 
@@ -1177,10 +1379,11 @@ let test_case_projections () =
   let case behaviors = { Schedule_enum.params; behaviors; corruption = Schedule_enum.Clean } in
   let crashes = case [ (1, Schedule_enum.Crash 2); (3, Schedule_enum.Crash 4) ] in
   let mixed = case [ (0, Schedule_enum.Crash 3); (2, Schedule_enum.Mute (1, 2)) ] in
+  let genome_crashes c = (Ftss_fuzz.Mutate.of_schedule c).Ftss_fuzz.Mutate.crashes in
   Alcotest.(check (list (pair int int))) "crash events" [ (1, 2); (3, 4) ]
-    (Schedule_enum.crashes crashes);
+    (genome_crashes crashes);
   Alcotest.(check (list (pair int int))) "only the crashes" [ (0, 3) ]
-    (Schedule_enum.crashes mixed);
+    (genome_crashes mixed);
   (* Theorem 5 reads a schedule's crashes and refuses any omission. *)
   let theorem5 =
     match Property.find ~name:"theorem5" ~inject:"none" with
@@ -1252,6 +1455,9 @@ let suite =
         tc "golden: rendered fingerprints" `Quick test_golden_fingerprints;
         tc "prefix order groups shared prefixes" `Quick test_prefix_order_groups_prefixes;
         tc "shared prefixes execute identically" `Quick test_shared_prefix_is_exact;
+        tc "walk order and depths against their oracles" `Quick test_walk_order_and_depths;
+        tc "fault rows = the rows of the listed events" `Quick test_fault_rows_match_events;
+        tc "verdict table = a Hashtbl model" `Quick test_verdict_table_matches_model;
         tc "hash partition = marshal partition (mid-run corruption)" `Quick
           test_hash_partition_with_mid_run_corruption;
         to_alcotest prop_shrink_preserves_failure;

@@ -119,7 +119,7 @@ let prop_sub_preserves_omissions =
 
 let prop_full_trace_blames_declared =
   QCheck.Test.make ~name:"runner traces always blame declared-faulty processes" ~count:200
-    QCheck.small_nat (fun seed -> Trace.blames_declared (random_trace seed))
+    QCheck.small_nat (fun seed -> Test_sync.blames_declared (random_trace seed))
 
 (* --- Causality --- *)
 
