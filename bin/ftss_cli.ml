@@ -878,9 +878,12 @@ let trace_cmd =
       & info [ "events" ] ~doc:"Dump every event, one per line, instead of the summary.")
   in
   let kind_arg =
+    let names =
+      Array.map (fun (s : Ftss_obs.Event.spec) -> (s.name, s.name)) Ftss_obs.Event.kinds
+    in
     Arg.(
       value
-      & opt (some (enum (List.map (fun k -> (k, k)) Ftss_obs.Event.kinds))) None
+      & opt (some (enum (Array.to_list names))) None
       & info [ "kind" ] ~docv:"KIND"
           ~doc:"With or without $(b,--events): dump only events of this kind.")
   in
@@ -896,11 +899,12 @@ let trace_cmd =
 
 let explain_cmd =
   let run path selector dot =
-    match Prov.load path with
+    match Ftss_obs.Trace_summary.load path with
     | Error msg ->
       Format.eprintf "explain: %s@." msg;
       2
-    | Ok t -> (
+    | Ok trace -> (
+      let t = Prov.of_events (Ftss_obs.Trace_summary.events trace) in
       match Prov.parse_target selector with
       | Error msg ->
         Format.eprintf "explain: %s@." msg;

@@ -76,11 +76,10 @@ type t = {
   n : int;
   budgets : budgets;
   (* flight-recorder ring: events stored UNBOXED in a flat int array
-     (stride 4: time and constructor tag packed in one word, 3 payload
-     ints), decoded only on snapshot. A boxed [Event.t array] ring
-     promotes every retained event out of the minor heap and pays a
-     write barrier per push — measured at >10% of tower throughput; the
-     flat encoding is plain immediate stores. *)
+     in [Event.pack_into]'s four-int form, decoded only on snapshot. A
+     boxed [Event.t array] ring promotes every retained event out of the
+     minor heap and pays a write barrier per push — measured at >10% of
+     tower throughput; the flat encoding is plain immediate stores. *)
   ring_data : int array;
   mutable ring_pos : int; (* next slot index *)
   mutable ring_pushed : int;
@@ -135,6 +134,7 @@ type t = {
   mutable on_interval : t -> time:int -> unit;
 }
 
+(* [Event.pack_into]'s width. *)
 let ring_stride = 4
 
 (* Sized to stay L2-resident (8192 * 4 ints = 256KB): a ring that
@@ -191,81 +191,20 @@ let create ~n budgets =
   }
 
 let alarm_count t = t.alarm_count
-(* Option-int payloads encode [None] as -1 (pids are non-negative);
-   bools as 0/1. Tag order matches the [Event.body] declaration. *)
-let ring_push t (ev : Event.t) =
-  let d = t.ring_data in
-  let base = t.ring_pos * ring_stride in
-  let time = ev.Event.time in
-  let set tag a b c =
-    d.(base) <- (time lsl 5) lor tag;
-    d.(base + 1) <- a;
-    d.(base + 2) <- b;
-    d.(base + 3) <- c
-  in
-  (match ev.Event.body with
-  | Event.Round_begin -> set 0 0 0 0
-  | Event.Round_end -> set 1 0 0 0
-  | Event.Send { src; dst } ->
-    set 2 src (match dst with Some p -> p | None -> -1) 0
-  | Event.Deliver { src; dst } -> set 3 src dst 0
-  | Event.Drop { src; dst; blame } ->
-    set 4 src dst (match blame with Some p -> p | None -> -1)
-  | Event.Crash { pid } -> set 5 pid 0 0
-  | Event.Corrupt { pid } -> set 6 pid 0 0
-  | Event.Suspect_add { observer; subject } -> set 7 observer subject 0
-  | Event.Suspect_remove { observer; subject } -> set 8 observer subject 0
-  | Event.Decide { pid; instance; value } -> set 9 pid instance value
-  | Event.Window_open -> set 10 0 0 0
-  | Event.Window_close { opened; measured } -> set 11 opened measured 0
-  | Event.Case_start { case } -> set 12 case 0 0
-  | Event.Case_verdict { case; ok; dedup; states } ->
-    set 13 case ((if ok then 1 else 0) lor if dedup then 2 else 0) states
-  | Event.Coverage { execs; corpus; points } -> set 14 execs corpus points
-  | Event.Submit { pid; ops } -> set 15 pid ops 0
-  | Event.Commit { pid; slot; ops } -> set 16 pid slot ops
-  | Event.Apply { pid; slot; digest } -> set 17 pid slot digest
-  | Event.Recover { pid; slots } -> set 18 pid slots 0);
+
+(* Inlined into [subscriber]: packing is already one cross-module call
+   per event. *)
+let[@inline] ring_push t ev =
+  Event.pack_into t.ring_data (t.ring_pos * ring_stride) ev;
   let p = t.ring_pos + 1 in
   t.ring_pos <- (if p = ring_cap then 0 else p);
   t.ring_pushed <- t.ring_pushed + 1
-
-let decode_slot d base =
-  let time = d.(base) asr 5 in
-  let a = d.(base + 1) and b = d.(base + 2) and c = d.(base + 3) in
-  let opt v = if v < 0 then None else Some v in
-  let body =
-    match d.(base) land 31 with
-    | 0 -> Event.Round_begin
-    | 1 -> Event.Round_end
-    | 2 -> Event.Send { src = a; dst = opt b }
-    | 3 -> Event.Deliver { src = a; dst = b }
-    | 4 -> Event.Drop { src = a; dst = b; blame = opt c }
-    | 5 -> Event.Crash { pid = a }
-    | 6 -> Event.Corrupt { pid = a }
-    | 7 -> Event.Suspect_add { observer = a; subject = b }
-    | 8 -> Event.Suspect_remove { observer = a; subject = b }
-    | 9 -> Event.Decide { pid = a; instance = b; value = c }
-    | 10 -> Event.Window_open
-    | 11 -> Event.Window_close { opened = a; measured = b }
-    | 12 -> Event.Case_start { case = a }
-    | 13 ->
-      Event.Case_verdict
-        { case = a; ok = b land 1 = 1; dedup = b land 2 = 2; states = c }
-    | 14 -> Event.Coverage { execs = a; corpus = b; points = c }
-    | 15 -> Event.Submit { pid = a; ops = b }
-    | 16 -> Event.Commit { pid = a; slot = b; ops = c }
-    | 17 -> Event.Apply { pid = a; slot = b; digest = c }
-    | 18 -> Event.Recover { pid = a; slots = b }
-    | tag -> invalid_arg (Printf.sprintf "Monitor: corrupt ring tag %d" tag)
-  in
-  Event.make ~time body
 
 let ring_events t =
   let count = min t.ring_pushed ring_cap in
   let start = if t.ring_pushed <= ring_cap then 0 else t.ring_pos in
   List.init count (fun i ->
-      decode_slot t.ring_data (((start + i) mod ring_cap) * ring_stride))
+      Event.unpack_from t.ring_data (((start + i) mod ring_cap) * ring_stride))
 
 let ring_seen t = t.ring_pushed
 let set_on_alarm t f = t.on_alarm <- f

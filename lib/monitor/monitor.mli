@@ -55,7 +55,7 @@ type alarm = {
   monitor : string;  (** [stab], [heal], [latency_p99], [drop_rate] or [churn] *)
   time : int;
   detail : string;
-  event : Event.t;  (** the triggering event, physically present in the ring *)
+  event : Event.t;  (** the triggering event; the ring holds an equal copy until it is evicted *)
 }
 
 type t

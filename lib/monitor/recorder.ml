@@ -25,6 +25,15 @@ let write_jsonl path events =
     events;
   close_out oc
 
+(* The alarm's event is the last ring entry equal to it ([None] once
+   evicted): the ring decodes fresh values, so identity cannot find it. *)
+let last_index_of ev events =
+  let rec go i found = function
+    | [] -> found
+    | e :: rest -> go (i + 1) (if e = ev then Some i else found) rest
+  in
+  go 0 None events
+
 let snapshot t (alarm : Monitor.alarm) ~prefix =
   let events = Monitor.ring_events t in
   let jsonl_path = prefix ^ ".jsonl" in
@@ -32,7 +41,7 @@ let snapshot t (alarm : Monitor.alarm) ~prefix =
   write_jsonl jsonl_path events;
   let prov = Prov.of_events events in
   let targets, target_found =
-    match Prov.find_event prov alarm.Monitor.event with
+    match last_index_of alarm.Monitor.event events with
     | Some id -> ([ id ], true)
     | None -> ([], false)
   in

@@ -25,187 +25,180 @@ type t = { time : int; body : body }
 
 let make ~time body = { time; body }
 
-let kind t =
-  match t.body with
-  | Round_begin -> "round_begin"
-  | Round_end -> "round_end"
-  | Send _ -> "send"
-  | Deliver _ -> "deliver"
-  | Drop _ -> "drop"
-  | Crash _ -> "crash"
-  | Corrupt _ -> "corrupt"
-  | Suspect_add _ -> "suspect_add"
-  | Suspect_remove _ -> "suspect_remove"
-  | Decide _ -> "decide"
-  | Window_open -> "window_open"
-  | Window_close _ -> "window_close"
-  | Case_start _ -> "case_start"
-  | Case_verdict _ -> "case_verdict"
-  | Coverage _ -> "coverage"
-  | Submit _ -> "submit"
-  | Commit _ -> "commit"
-  | Apply _ -> "apply"
-  | Recover _ -> "recover"
+type field = Int of string | Pid of string | Opt_pid of string | Flags of string list
+type spec = { name : string; fields : field list }
 
+(* Row [tag] is constructor [tag] of [body]; field [i] of a row lives in
+   packed slot [i + 1]. *)
 let kinds =
-  [
-    "round_begin"; "round_end"; "send"; "deliver"; "drop"; "crash"; "corrupt";
-    "suspect_add"; "suspect_remove"; "decide"; "window_open"; "window_close";
-    "case_start"; "case_verdict"; "coverage"; "submit"; "commit"; "apply";
-    "recover";
-  ]
+  [|
+    { name = "round_begin"; fields = [] };
+    { name = "round_end"; fields = [] };
+    { name = "send"; fields = [ Pid "src"; Opt_pid "dst" ] };
+    { name = "deliver"; fields = [ Pid "src"; Pid "dst" ] };
+    { name = "drop"; fields = [ Pid "src"; Pid "dst"; Opt_pid "blame" ] };
+    { name = "crash"; fields = [ Pid "pid" ] };
+    { name = "corrupt"; fields = [ Pid "pid" ] };
+    { name = "suspect_add"; fields = [ Pid "observer"; Pid "subject" ] };
+    { name = "suspect_remove"; fields = [ Pid "observer"; Pid "subject" ] };
+    { name = "decide"; fields = [ Pid "pid"; Int "instance"; Int "value" ] };
+    { name = "window_open"; fields = [] };
+    { name = "window_close"; fields = [ Int "opened"; Int "measured" ] };
+    { name = "case_start"; fields = [ Int "case" ] };
+    { name = "case_verdict"; fields = [ Int "case"; Flags [ "ok"; "dedup" ]; Int "states" ] };
+    { name = "coverage"; fields = [ Int "execs"; Int "corpus"; Int "points" ] };
+    { name = "submit"; fields = [ Pid "pid"; Int "ops" ] };
+    { name = "commit"; fields = [ Pid "pid"; Int "slot"; Int "ops" ] };
+    { name = "apply"; fields = [ Pid "pid"; Int "slot"; Int "digest" ] };
+    { name = "recover"; fields = [ Pid "pid"; Int "slots" ] };
+  |]
 
-let to_json t =
-  let fields =
-    match t.body with
-    | Round_begin | Round_end | Window_open -> []
-    | Send { src; dst } -> (
-      ("src", Json.Int src)
-      :: (match dst with None -> [] | Some d -> [ ("dst", Json.Int d) ]))
-    | Deliver { src; dst } -> [ ("src", Json.Int src); ("dst", Json.Int dst) ]
-    | Drop { src; dst; blame } -> (
-      ("src", Json.Int src) :: ("dst", Json.Int dst)
-      :: (match blame with None -> [] | Some b -> [ ("blame", Json.Int b) ]))
-    | Crash { pid } | Corrupt { pid } -> [ ("pid", Json.Int pid) ]
-    | Suspect_add { observer; subject } | Suspect_remove { observer; subject } ->
-      [ ("observer", Json.Int observer); ("subject", Json.Int subject) ]
-    | Decide { pid; instance; value } ->
-      [ ("pid", Json.Int pid); ("instance", Json.Int instance); ("value", Json.Int value) ]
-    | Window_close { opened; measured } ->
-      [ ("opened", Json.Int opened); ("measured", Json.Int measured) ]
-    | Case_start { case } -> [ ("case", Json.Int case) ]
-    | Case_verdict { case; ok; dedup; states } ->
-      [
-        ("case", Json.Int case); ("ok", Json.Bool ok); ("dedup", Json.Bool dedup);
-        ("states", Json.Int states);
-      ]
-    | Coverage { execs; corpus; points } ->
-      [
-        ("execs", Json.Int execs); ("corpus", Json.Int corpus);
-        ("points", Json.Int points);
-      ]
-    | Submit { pid; ops } -> [ ("pid", Json.Int pid); ("ops", Json.Int ops) ]
-    | Commit { pid; slot; ops } ->
-      [ ("pid", Json.Int pid); ("slot", Json.Int slot); ("ops", Json.Int ops) ]
-    | Apply { pid; slot; digest } ->
-      [ ("pid", Json.Int pid); ("slot", Json.Int slot); ("digest", Json.Int digest) ]
-    | Recover { pid; slots } ->
-      [ ("pid", Json.Int pid); ("slots", Json.Int slots) ]
+let tag_bits = 5
+let tag_mask = (1 lsl tag_bits) - 1
+let absent = -1
+
+(* Top-level, not local to [pack_into]: a local closure there would stop
+   ocamlopt from inlining the packer into the flight recorder. *)
+let[@inline] slot_of_opt = function Some p -> p | None -> absent
+
+let[@inline] pack_into d base { time; body } =
+  let set tag a b c =
+    d.(base) <- (time lsl tag_bits) lor tag;
+    d.(base + 1) <- a;
+    d.(base + 2) <- b;
+    d.(base + 3) <- c
   in
-  Json.Obj (("t", Json.Int t.time) :: ("ev", Json.String (kind t)) :: fields)
+  match body with
+  | Round_begin -> set 0 0 0 0
+  | Round_end -> set 1 0 0 0
+  | Send { src; dst } -> set 2 src (slot_of_opt dst) 0
+  | Deliver { src; dst } -> set 3 src dst 0
+  | Drop { src; dst; blame } -> set 4 src dst (slot_of_opt blame)
+  | Crash { pid } -> set 5 pid 0 0
+  | Corrupt { pid } -> set 6 pid 0 0
+  | Suspect_add { observer; subject } -> set 7 observer subject 0
+  | Suspect_remove { observer; subject } -> set 8 observer subject 0
+  | Decide { pid; instance; value } -> set 9 pid instance value
+  | Window_open -> set 10 0 0 0
+  | Window_close { opened; measured } -> set 11 opened measured 0
+  | Case_start { case } -> set 12 case 0 0
+  | Case_verdict { case; ok; dedup; states } ->
+    set 13 case (Bool.to_int ok lor (Bool.to_int dedup lsl 1)) states
+  | Coverage { execs; corpus; points } -> set 14 execs corpus points
+  | Submit { pid; ops } -> set 15 pid ops 0
+  | Commit { pid; slot; ops } -> set 16 pid slot ops
+  | Apply { pid; slot; digest } -> set 17 pid slot digest
+  | Recover { pid; slots } -> set 18 pid slots 0
+
+let body_at d base =
+  let a = d.(base + 1) and b = d.(base + 2) and c = d.(base + 3) in
+  let opt v = if v < 0 then None else Some v in
+  match d.(base) land tag_mask with
+  | 0 -> Round_begin
+  | 1 -> Round_end
+  | 2 -> Send { src = a; dst = opt b }
+  | 3 -> Deliver { src = a; dst = b }
+  | 4 -> Drop { src = a; dst = b; blame = opt c }
+  | 5 -> Crash { pid = a }
+  | 6 -> Corrupt { pid = a }
+  | 7 -> Suspect_add { observer = a; subject = b }
+  | 8 -> Suspect_remove { observer = a; subject = b }
+  | 9 -> Decide { pid = a; instance = b; value = c }
+  | 10 -> Window_open
+  | 11 -> Window_close { opened = a; measured = b }
+  | 12 -> Case_start { case = a }
+  | 13 -> Case_verdict { case = a; ok = b land 1 <> 0; dedup = b land 2 <> 0; states = c }
+  | 14 -> Coverage { execs = a; corpus = b; points = c }
+  | 15 -> Submit { pid = a; ops = b }
+  | 16 -> Commit { pid = a; slot = b; ops = c }
+  | 17 -> Apply { pid = a; slot = b; digest = c }
+  | 18 -> Recover { pid = a; slots = b }
+  | tag -> invalid_arg (Printf.sprintf "Event.unpack_from: unknown tag %d" tag)
+
+let unpack_from d base = { time = d.(base) asr tag_bits; body = body_at d base }
+
+let packed ev =
+  let d = Array.make 4 0 in
+  pack_into d 0 ev;
+  d
+
+let spec_of d = kinds.(d.(0) land tag_mask)
+let kind ev = (spec_of (packed ev)).name
+let flag v bit = v land (1 lsl bit) <> 0
+
+let to_json ev =
+  let d = packed ev in
+  let spec = spec_of d in
+  let field i f =
+    let v = d.(i + 1) in
+    match f with
+    | Int k | Pid k -> [ (k, Json.Int v) ]
+    | Opt_pid k -> if v < 0 then [] else [ (k, Json.Int v) ]
+    | Flags ks -> List.mapi (fun bit k -> (k, Json.Bool (flag v bit))) ks
+  in
+  Json.Obj
+    (("t", Json.Int ev.time)
+    :: ("ev", Json.String spec.name)
+    :: List.concat (List.mapi field spec.fields))
 
 let of_json json =
   let ( let* ) = Option.bind in
   let int k = Option.bind (Json.member k json) Json.to_int_opt in
-  let bool k = Option.bind (Json.member k json) Json.to_bool_opt in
-  let* time = int "t" in
-  let* ev = Option.bind (Json.member "ev" json) Json.to_string_opt in
-  let* body =
-    match ev with
-    | "round_begin" -> Some Round_begin
-    | "round_end" -> Some Round_end
-    | "window_open" -> Some Window_open
-    | "send" ->
-      let* src = int "src" in
-      Some (Send { src; dst = int "dst" })
-    | "deliver" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      Some (Deliver { src; dst })
-    | "drop" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      Some (Drop { src; dst; blame = int "blame" })
-    | "crash" ->
-      let* pid = int "pid" in
-      Some (Crash { pid })
-    | "corrupt" ->
-      let* pid = int "pid" in
-      Some (Corrupt { pid })
-    | "suspect_add" ->
-      let* observer = int "observer" in
-      let* subject = int "subject" in
-      Some (Suspect_add { observer; subject })
-    | "suspect_remove" ->
-      let* observer = int "observer" in
-      let* subject = int "subject" in
-      Some (Suspect_remove { observer; subject })
-    | "decide" ->
-      let* pid = int "pid" in
-      let* instance = int "instance" in
-      let* value = int "value" in
-      Some (Decide { pid; instance; value })
-    | "window_close" ->
-      let* opened = int "opened" in
-      let* measured = int "measured" in
-      Some (Window_close { opened; measured })
-    | "case_start" ->
-      let* case = int "case" in
-      Some (Case_start { case })
-    | "case_verdict" ->
-      let* case = int "case" in
-      let* ok = bool "ok" in
-      let* dedup = bool "dedup" in
-      let* states = int "states" in
-      Some (Case_verdict { case; ok; dedup; states })
-    | "coverage" ->
-      let* execs = int "execs" in
-      let* corpus = int "corpus" in
-      let* points = int "points" in
-      Some (Coverage { execs; corpus; points })
-    | "submit" ->
-      let* pid = int "pid" in
-      let* ops = int "ops" in
-      Some (Submit { pid; ops })
-    | "commit" ->
-      let* pid = int "pid" in
-      let* slot = int "slot" in
-      let* ops = int "ops" in
-      Some (Commit { pid; slot; ops })
-    | "apply" ->
-      let* pid = int "pid" in
-      let* slot = int "slot" in
-      let* digest = int "digest" in
-      Some (Apply { pid; slot; digest })
-    | "recover" ->
-      let* pid = int "pid" in
-      let* slots = int "slots" in
-      Some (Recover { pid; slots })
-    | _ -> None
+  let pid p = if 0 <= p && p <= Pidset.max_pid then Some p else None in
+  let field = function
+    | Int k -> int k
+    | Pid k -> Option.bind (int k) pid
+    | Opt_pid k -> ( match int k with None -> Some absent | Some p -> pid p)
+    | Flags ks ->
+      let rec bits bit = function
+        | [] -> Some 0
+        | k :: rest ->
+          let* b = Option.bind (Json.member k json) Json.to_bool_opt in
+          let* v = bits (bit + 1) rest in
+          Some (v lor (Bool.to_int b lsl bit))
+      in
+      bits 0 ks
   in
-  Some { time; body }
+  let* time = int "t" in
+  let* name = Option.bind (Json.member "ev" json) Json.to_string_opt in
+  let* tag = Array.find_index (fun s -> s.name = name) kinds in
+  (* The body is decoded from slots alone: [time] stays unpacked, so it
+     keeps its full range. *)
+  let d = Array.make 4 0 in
+  d.(0) <- tag;
+  let rec fill i = function
+    | [] -> Some { time; body = body_at d 0 }
+    | f :: rest ->
+      let* v = field f in
+      d.(i) <- v;
+      fill (i + 1) rest
+  in
+  fill 1 kinds.(tag).fields
 
-let pp ppf t =
-  Format.fprintf ppf "t=%-5d %s" t.time (kind t);
-  match t.body with
-  | Round_begin | Round_end | Window_open -> ()
-  | Send { src; dst } -> (
-    match dst with
-    | None -> Format.fprintf ppf " %a->*" Pid.pp src
-    | Some d -> Format.fprintf ppf " %a->%a" Pid.pp src Pid.pp d)
-  | Deliver { src; dst } -> Format.fprintf ppf " %a->%a" Pid.pp src Pid.pp dst
+let pp ppf ev =
+  let d = packed ev in
+  let spec = spec_of d in
+  Format.fprintf ppf "t=%-5d %s" ev.time spec.name;
+  match ev.body with
+  | Send { src; dst = None } -> Format.fprintf ppf " %a->*" Pid.pp src
+  | Send { src; dst = Some dst } | Deliver { src; dst } ->
+    Format.fprintf ppf " %a->%a" Pid.pp src Pid.pp dst
   | Drop { src; dst; blame } -> (
     Format.fprintf ppf " %a->%a" Pid.pp src Pid.pp dst;
     match blame with
     | Some b -> Format.fprintf ppf " blame=%a" Pid.pp b
     | None -> ())
-  | Crash { pid } | Corrupt { pid } -> Format.fprintf ppf " %a" Pid.pp pid
   | Suspect_add { observer; subject } ->
     Format.fprintf ppf " %a suspects %a" Pid.pp observer Pid.pp subject
   | Suspect_remove { observer; subject } ->
     Format.fprintf ppf " %a trusts %a" Pid.pp observer Pid.pp subject
-  | Decide { pid; instance; value } ->
-    Format.fprintf ppf " %a instance=%d value=%d" Pid.pp pid instance value
-  | Window_close { opened; measured } ->
-    Format.fprintf ppf " opened=%d measured=%d" opened measured
-  | Case_start { case } -> Format.fprintf ppf " case=%d" case
-  | Case_verdict { case; ok; dedup; states } ->
-    Format.fprintf ppf " case=%d ok=%b dedup=%b states=%d" case ok dedup states
-  | Coverage { execs; corpus; points } ->
-    Format.fprintf ppf " execs=%d corpus=%d points=%d" execs corpus points
-  | Submit { pid; ops } -> Format.fprintf ppf " %a ops=%d" Pid.pp pid ops
-  | Commit { pid; slot; ops } ->
-    Format.fprintf ppf " %a slot=%d ops=%d" Pid.pp pid slot ops
-  | Apply { pid; slot; digest } ->
-    Format.fprintf ppf " %a slot=%d digest=%d" Pid.pp pid slot digest
-  | Recover { pid; slots } -> Format.fprintf ppf " %a slots=%d" Pid.pp pid slots
+  | _ ->
+    List.iteri
+      (fun i f ->
+        let v = d.(i + 1) in
+        match f with
+        | Pid _ -> Format.fprintf ppf " %a" Pid.pp v
+        | Int k -> Format.fprintf ppf " %s=%d" k v
+        | Opt_pid k -> if v >= 0 then Format.fprintf ppf " %s=%a" k Pid.pp v
+        | Flags ks -> List.iteri (fun bit k -> Format.fprintf ppf " %s=%b" k (flag v bit)) ks)
+      spec.fields

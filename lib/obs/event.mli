@@ -65,20 +65,64 @@ type t = {
     on it: {!Ftss_prov.Prov} derives happened-before from the stream. *)
 val make : time:int -> body -> t
 
-(** Stable lowercase tag of the constructor ("drop", "suspect_add", ...),
-    used for filtering and summaries. *)
+(** {2 The event format}
+
+    The format is stated once, in {!kinds}: row [tag] describes the
+    [tag]-th constructor of {!body} (declaration order, [tag < 32]) by
+    its JSON name and its fields in JSON order. {!kind}, {!to_json},
+    {!of_json}, {!pp}, the monitor's flight-recorder ring and
+    [Prov]'s universe inference all read the row, so the format of a new
+    kind is the constructor, one row, and one line each of {!pack_into}
+    and {!unpack_from}. What a kind means stays with its consumers
+    ([Metrics.record_event], [Prov]'s lanes, the monitors), whose
+    exhaustive matches the compiler then lists. *)
+
+(** How a field is stored. A field occupies one packed slot. *)
+type field =
+  | Int of string  (** any int *)
+  | Pid of string  (** a pid in [0 .. Pidset.max_pid] *)
+  | Opt_pid of string
+      (** an optional pid: packed as [-1] when absent, and then left out
+          of the JSON object *)
+  | Flags of string list
+      (** named bools, the [i]-th as bit [i] of the slot; each is its own
+          JSON member *)
+
+type spec = { name : string; fields : field list }
+
+(** Every kind, indexed by tag. Row fields are at most three. *)
+val kinds : spec array
+
+(** Stable lowercase name of the constructor ("drop", "suspect_add",
+    ...): [kinds.(tag).name], used for filtering and summaries. *)
 val kind : t -> string
 
-(** Every tag, in declaration order. *)
-val kinds : string list
+(** [pack_into d base ev] writes [ev] as the four ints
+    [d.(base) .. d.(base + 3)] without allocating: word 0 is
+    [(time lsl 5) lor tag], field [i] of the row goes to
+    [d.(base + 1 + i)], and unused slots hold 0. The packed time is
+    exact for [-2^57 <= time < 2^57]; every producer's clock stays far
+    inside that. *)
+val pack_into : int array -> int -> t -> unit
+
+(** Inverse of {!pack_into}. Raises [Invalid_argument] on a tag outside
+    {!kinds}. *)
+val unpack_from : int array -> int -> t
 
 val to_json : t -> Json.t
 
 (** Decode one event; [None] when the document is not a recognizable
-    event record (unknown tag, missing field). Total inverse of
-    {!to_json}. Fields it does not know are ignored, so traces written
-    with the former per-event causal stamps ([eid], [vc]) still load. *)
+    event record: an unknown tag, a missing or mistyped required field,
+    or a pid field outside [0 .. Pidset.max_pid]. An absent optional
+    pid decodes to [None]. Total inverse of {!to_json}. Fields it does
+    not know are ignored, so traces written with the former per-event
+    causal stamps ([eid], [vc]) still load. *)
 val of_json : Json.t -> t option
 
-(** One human-readable line, e.g. [t=12 drop 0->2 blame=0]. *)
+(** One human-readable line: [t=<time> <kind>], then the fields. Send,
+    deliver and drop read [src->dst] ([->*] for a broadcast send) and a
+    drop's [blame=pN]; the suspicion kinds read [pA suspects pB] and
+    [pA trusts pB]. Every other kind renders its row: a pid as [pN], an
+    int as [key=v], a flag as [key=true]/[key=false]. E.g.
+    [t=12    drop p0->p2 blame=p0]. *)
 val pp : Format.formatter -> t -> unit

@@ -37,8 +37,8 @@ let kind_counts t =
       Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
     t.evs;
   List.filter_map
-    (fun k -> Option.map (fun c -> (k, c)) (Hashtbl.find_opt tbl k))
-    Event.kinds
+    (fun (s : Event.spec) -> Option.map (fun c -> (s.name, c)) (Hashtbl.find_opt tbl s.name))
+    (Array.to_list Event.kinds)
 
 let suspicion_timeline t =
   let tbl = Hashtbl.create 8 in

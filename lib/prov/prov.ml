@@ -28,26 +28,19 @@ let location (body : Event.body) =
 (* The universe is whatever the trace mentions: every endpoint of every
    event. *)
 let infer_n evs =
-  Array.fold_left
-    (fun acc (ev : Event.t) ->
-      match ev.Event.body with
-      | Event.Send { src; dst } ->
-        max acc (1 + max src (Option.value ~default:(-1) dst))
-      | Event.Deliver { src; dst } -> max acc (1 + max src dst)
-      | Event.Drop { src; dst; blame } ->
-        max acc (1 + max (max src dst) (Option.value ~default:(-1) blame))
-      | Event.Crash { pid } | Event.Corrupt { pid } | Event.Decide { pid; _ }
-      | Event.Submit { pid; _ } | Event.Commit { pid; _ } | Event.Apply { pid; _ }
-      | Event.Recover { pid; _ } ->
-        max acc (1 + pid)
-      | Event.Suspect_add { observer; subject }
-      | Event.Suspect_remove { observer; subject } ->
-        max acc (1 + max observer subject)
-      | Event.Round_begin | Event.Round_end | Event.Window_open
-      | Event.Window_close _ | Event.Case_start _ | Event.Case_verdict _
-      | Event.Coverage _ ->
-        acc)
-    0 evs
+  let d = Array.make 4 0 in
+  let n = ref 0 in
+  Array.iter
+    (fun ev ->
+      Event.pack_into d 0 ev;
+      List.iteri
+        (fun i (f : Event.field) ->
+          match f with
+          | Pid _ | Opt_pid _ -> n := max !n (1 + d.(i + 1))
+          | Int _ | Flags _ -> ())
+        Event.kinds.(d.(0) land 31).fields)
+    evs;
+  !n
 
 let of_events list =
   let evs = Array.of_list list in
@@ -136,30 +129,9 @@ let of_events list =
   let by_pid = Array.map List.rev by_pid_rev in
   { evs; n; parents; loc; by_pid; suppressed }
 
-let load path =
-  Result.map
-    (fun t -> of_events (Trace_summary.events t))
-    (Trace_summary.load path)
-
 let length t = Array.length t.evs
 let parents t i = t.parents.(i)
 let located t i = t.loc.(i)
-
-(* Locate a captured event in the indexed trace: physical equality first
-   (the common case — an alarm handed back an event it pulled off a live
-   ring that was then indexed wholesale), falling back to the last
-   structurally equal event. Only called on demand (a flight-recorder
-   snapshot), so the scan is fine. *)
-let find_event t ev =
-  let len = Array.length t.evs in
-  let rec phys i = if i < 0 then None else if t.evs.(i) == ev then Some i else phys (i - 1) in
-  match phys (len - 1) with
-  | Some _ as r -> r
-  | None ->
-    let rec structural i =
-      if i < 0 then None else if t.evs.(i) = ev then Some i else structural (i - 1)
-    in
-    structural (len - 1)
 
 let cone t targets =
   let len = Array.length t.evs in

@@ -30,10 +30,8 @@ open Ftss_obs
 
 type t
 
+(** Index a trace, e.g. the events of a {!Trace_summary.load}ed file. *)
 val of_events : Event.t list -> t
-
-(** Load a JSON Lines trace (via {!Trace_summary.load}) and index it. *)
-val load : string -> (t, string) result
 
 val length : t -> int
 
@@ -41,13 +39,6 @@ val length : t -> int
     hook: the DAG soundness test checks every edge against the event
     stream alone; production reads the DAG only through {!cone}. *)
 val parents : t -> int -> int list
-
-(** Stream index of [ev] in the indexed trace — physical equality first
-    (an event captured from a live ring and indexed with it), then the
-    last structurally equal event; [None] if the trace no longer holds
-    it (e.g. the ring evicted it). The cone-on-demand entry point for
-    the flight recorder. *)
-val find_event : t -> Event.t -> int option
 
 (** The process whose lane event [i] belongs to; [None] for drops and
     global events. *)

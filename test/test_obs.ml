@@ -90,13 +90,125 @@ let test_event_round_trip () =
     all_events;
   (* Every declared kind is exercised above. *)
   let seen = List.sort_uniq compare (List.map Event.kind all_events) in
-  check_int "all kinds covered" (List.length Event.kinds) (List.length seen)
+  check_int "all kinds covered" (Array.length Event.kinds) (List.length seen)
 
+(* A pid field outside [0 .. Pidset.max_pid] is not an event either: -1
+   is the packed form's "absent", and a huge pid would size per-pid
+   arrays. *)
 let test_event_rejects_unknown () =
   check "unknown tag" true
     (Event.of_json (Json.Obj [ ("t", Json.Int 0); ("ev", Json.String "warp") ]) = None);
   check "missing field" true
-    (Event.of_json (Json.Obj [ ("t", Json.Int 0); ("ev", Json.String "crash") ]) = None)
+    (Event.of_json (Json.Obj [ ("t", Json.Int 0); ("ev", Json.String "crash") ]) = None);
+  let decode s =
+    match Json.of_string s with
+    | Ok j -> Event.of_json j
+    | Error msg -> Alcotest.failf "fixture %s: %s" s msg
+  in
+  List.iter
+    (fun s -> check s true (decode s = None))
+    [
+      {|{"t":1,"ev":"crash","pid":-2}|};
+      {|{"t":1,"ev":"send","src":0,"dst":-4}|};
+      {|{"t":1,"ev":"send","src":0,"dst":-1}|};
+      {|{"t":1,"ev":"drop","src":0,"dst":1,"blame":-1}|};
+      {|{"t":1,"ev":"suspect_add","observer":-1,"subject":0}|};
+      {|{"t":1,"ev":"crash","pid":1152921504606846976}|};
+      Printf.sprintf {|{"t":1,"ev":"apply","pid":%d,"slot":0,"digest":0}|}
+        (Pidset.max_pid + 1);
+    ];
+  check "max_pid is a pid" true
+    (decode (Printf.sprintf {|{"t":1,"ev":"crash","pid":%d}|} Pidset.max_pid)
+    = Some (Event.make ~time:1 (Event.Crash { pid = Pidset.max_pid })));
+  check "int fields may be negative" true
+    (decode {|{"t":-3,"ev":"decide","pid":0,"instance":-1,"value":-7}|}
+    = Some (Event.make ~time:(-3) (Event.Decide { pid = 0; instance = -1; value = -7 })))
+
+(* Every line [Event.pp] renders for [all_events], pinned: most kinds
+   render from their [Event.kinds] row, so a row edit shows here. *)
+let test_event_pp () =
+  let want =
+    [
+      "t=1     round_begin";
+      "t=1     round_end";
+      "t=2     send p0->*";
+      "t=2     send p0->p1";
+      "t=3     deliver p0->p1";
+      "t=3     drop p0->p1 blame=p0";
+      "t=3     drop p1->p2";
+      "t=4     crash p2";
+      "t=0     corrupt p1";
+      "t=5     suspect_add p0 suspects p2";
+      "t=6     suspect_remove p0 trusts p2";
+      "t=7     decide p0 instance=3 value=55";
+      "t=8     window_open";
+      "t=9     window_close opened=8 measured=2";
+      "t=0     case_start case=7";
+      "t=0     case_verdict case=7 ok=true dedup=false states=12";
+      "t=0     coverage execs=100 corpus=9 points=42";
+      "t=10    submit p0 ops=5";
+      "t=11    commit p1 slot=0 ops=3";
+      "t=12    apply p1 slot=0 digest=99";
+      "t=13    recover p2 slots=4";
+    ]
+  in
+  check_int "one line per event" (List.length all_events) (List.length want);
+  List.iter2
+    (fun ev line -> check_string (Event.kind ev) line (Format.asprintf "%a" Event.pp ev))
+    all_events want;
+  check_string "both flags set" "t=123456 case_verdict case=6 ok=false dedup=true states=3"
+    (Format.asprintf "%a" Event.pp
+       (Event.make ~time:123456
+          (Event.Case_verdict { case = 6; ok = false; dedup = true; states = 3 })))
+
+(* Per kind: dropping any required member of its JSON record (the
+   envelope's [t] and [ev] included) rejects it, dropping an optional pid
+   decodes it as absent, and the legacy [eid]/[vc] stamps are ignored. *)
+let test_event_of_json_fields () =
+  let optional = [ ("send", "dst"); ("drop", "blame") ] in
+  List.iter
+    (fun ev ->
+      let kind = Event.kind ev in
+      let members = match Event.to_json ev with Json.Obj m -> m | _ -> assert false in
+      List.iter
+        (fun (key, _) ->
+          let without = Json.Obj (List.remove_assoc key members) in
+          let label = Printf.sprintf "%s without %s" kind key in
+          match Event.of_json without with
+          | None -> check label false (List.mem (kind, key) optional)
+          | Some ev' ->
+            check label true (List.mem (kind, key) optional);
+            check (label ^ " re-encodes without it") true
+              (Event.to_json ev' = without))
+        members;
+      let stamped =
+        Json.Obj
+          (members
+          @ [ ("eid", Json.Int 9); ("vc", Json.List [ Json.Int 1; Json.Int 0 ]) ])
+      in
+      check (kind ^ " ignores eid/vc") true (Event.of_json stamped = Some ev))
+    all_events
+
+(* The flight recorder packs every event it sees: packing must not
+   allocate, whatever the constructor. *)
+let test_event_pack_allocates_nothing () =
+  let evs = Array.of_list all_events in
+  let d = Array.make (4 * Array.length evs) 0 in
+  let pack_all () =
+    for _ = 1 to 1_000 do
+      for i = 0 to Array.length evs - 1 do
+        Event.pack_into d (4 * i) evs.(i)
+      done
+    done
+  in
+  pack_all ();
+  let w0 = Gc.minor_words () in
+  pack_all ();
+  let words = Gc.minor_words () -. w0 in
+  check (Printf.sprintf "0 minor words packing (read %.0f)" words) true (words = 0.);
+  Array.iteri
+    (fun i ev -> check (Event.kind ev ^ " unpacks") true (Event.unpack_from d (4 * i) = ev))
+    evs
 
 (* --- Sinks --- *)
 
@@ -865,6 +977,9 @@ let suite =
         tc "json accessors" `Quick test_json_accessors;
         tc "event json round-trips every kind" `Quick test_event_round_trip;
         tc "event decode is total" `Quick test_event_rejects_unknown;
+        tc "event pp pins every kind" `Quick test_event_pp;
+        tc "event decode requires every required field" `Quick test_event_of_json_fields;
+        tc "event packing allocates nothing" `Quick test_event_pack_allocates_nothing;
         tc "jsonl write/load round-trips" `Quick test_jsonl_and_load_round_trip;
         tc "golden jsonl fixture pins the wire format" `Quick test_golden_jsonl_writer;
         tc "golden jsonl legacy stamped lines still decode" `Quick

@@ -272,9 +272,10 @@ let test_jsonl_round_trip () =
       Obs.add_sink obs (Sink.jsonl_file path);
       let _trace = Runner.run ~obs ~faults ~rounds counter_protocol in
       Obs.close obs;
-      match Prov.load path with
+      match Trace_summary.load path with
       | Error msg -> Alcotest.failf "load: %s" msg
-      | Ok t ->
+      | Ok trace ->
+        let t = Prov.of_events (Trace_summary.events trace) in
         check "n inferred, crash recorded" true
           (Pidset.equal (Prov.inferred_correct t) (Pidset.remove 2 (Pidset.full n)));
         (* A numeric selector is the event's position in the stream. *)
