@@ -19,9 +19,10 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
     cases =
   let full_len = Array.length cases in
   (* Symmetry reduction: group the cases by their canonical form under
-     pid permutation and execute one representative per orbit. Grouping
-     by a canonical member is always sound as a partition (two cases
-     share a key iff one is a relabelling of the other); collapsing
+     pid permutation and execute one representative per group. Grouping
+     by a canonical member is always sound (two cases share a key only
+     if one is a relabelling of the other), and exact while the support
+     has at most 8 pids; above that an orbit may split. Collapsing
      {e verdicts} across an orbit additionally assumes the property is
      pid-symmetric — which is why the mode is opt-in and pinned by the
      golden equivalence suite rather than assumed. *)

@@ -35,8 +35,10 @@ type domain_stat = { d_cases : int; d_states : int; d_busy : float }
 type stats = {
   cases : int;  (** cases covered (the caller's whole array) *)
   orbits : int;
-      (** runs actually executed: orbit representatives under
-          [~canonical:true], every case otherwise (then [orbits = cases]) *)
+      (** runs actually executed: one per canonical form under
+          [~canonical:true] — the orbit count while every support has at
+          most 8 pids, an upper bound on it above — and every case
+          otherwise (then [orbits = cases]) *)
   distinct : int;  (** distinct execution fingerprints among executed runs *)
   dedup_hits : int;  (** [orbits - distinct] *)
   violations : int list;  (** failing case indices, ascending *)
@@ -63,12 +65,14 @@ type stats = {
 
     With [canonical = true] (default false), cases are first grouped by
     {!Schedule_enum.canonical} — their orbit under pid relabelling — and
-    only one representative per orbit is executed; its verdict and
+    only one representative per group is executed; its verdict and
     fingerprint are scattered to every member, so the fingerprint array
     and the violation indices remain aligned with [cases] and, for
-    pid-symmetric properties, identical to an uncanonical run's. The grouping itself is
-    always an exact partition into orbits; reusing the {e verdict} across
-    an orbit is what assumes pid symmetry of the property, which is why
+    pid-symmetric properties, identical to an uncanonical run's. A group
+    never spans two orbits, and it is a whole orbit while the case's
+    support has at most 8 pids; above that an orbit may split into
+    several groups, each executed. Reusing the {e verdict} across
+    a group is what assumes pid symmetry of the property, which is why
     the mode is opt-in (and pinned against the full enumeration by the
     golden equivalence suite). [stats.orbits] reports the collapse;
     [cases /. orbits] is the symmetry-reduction factor.

@@ -60,7 +60,10 @@ type t = {
 }
 
 (** [validate params] raises [Invalid_argument] unless [n >= 2],
-    [rounds >= 1] and [0 <= f < n]. *)
+    [rounds >= 1] and [0 <= f < n], pids and rounds stay below 2^19
+    ([n <= 2^19], [rounds < 2^19]: every case then packs into
+    {!prefix_order}'s key), and the space's case count fits an array
+    ([Sys.max_array_length]); the message names the sizes. *)
 val validate : params -> unit
 
 (** Size of the per-process behaviour catalogue:
@@ -113,11 +116,15 @@ val corrupt_int : corruption -> Pid.t -> int -> int
     corpora the checker gates on). *)
 
 (** The orbit representative: the support (behaviour owners plus the
-    peers of point drops) is packed onto pids
-    [0..m-1] and, for supports of at most 8 pids (always, at the
-    enumerated fault budgets), the structurally least case over all [m!]
-    relabellings is chosen. Two cases have equal canonical forms iff one
-    is a pid permutation of the other; [canonical] is idempotent. *)
+    peers of point drops) is packed onto pids [0..m-1] in rank order and,
+    for supports of at most 8 pids, the structurally least case over all
+    [m!] relabellings is chosen. Two cases with equal canonical forms are
+    pid permutations of each other; the converse holds while the support
+    has at most 8 pids, which a budget [f <= 4] guarantees (a support has
+    at most [2f] pids, [f] without point drops). Above 8 the form is the
+    rank-relabelled case alone, so one orbit may keep several forms:
+    theorem 5's crash-only n=10 r=2 f=9 space has such pairs.
+    [canonical] is idempotent. *)
 val canonical : t -> t
 
 (** {2 Shared prefixes}
@@ -150,18 +157,23 @@ type walk = { order : int array; depth : int array }
 
 (** [prefix_order cases] sorts the indices of [cases] by their digits,
     round 0 first, so that cases sharing a prefix are adjacent, and reads
-    each neighbouring pair's depth off the sort. It is a stable MSD radix
-    sort: each level splits the runs of positions that agree on every
-    earlier digit, and where a run splits at round [r] its neighbours
-    share [r - 1] rounds. O(cases × rounds) integer work and
-    O(cases × f) extra words, where f bounds the behaviours per case.
-    Round 0 is sorted by corruption class alone, which groups a
-    single-params sweep exactly. An array of at least 2^16 cases is
-    decoded, and its runs below round 1 are split, on [domains] domains
-    ({!Ftss_profile.Pool.domains}, default 1); the result does not depend
-    on their count. The order is the identity,
-    and each depth is read pair by pair, when a behaviour's rounds or
-    pids reach 2^19. *)
+    each neighbouring pair's depth off the sort. Every case must lie in
+    case 0's space: the same params, [Parked] only at their horizon, and
+    at most [f] behaviours whose pids lie below [n] and whose rounds lie
+    in [1..rounds]; otherwise it raises [Invalid_argument].
+
+    Each case gets one key, an atom sequence: atom 0 is the corruption
+    class, then come each round's atoms ascending, zero-padded to [f]
+    slots, at [bits (5n²)] bits apiece, packed big-endian several to a
+    word (a round may straddle two words), so numeric order on the words
+    is the digits' order. A stable LSD radix sort orders the keys, 16
+    bits a pass, skipping bits that no key sets; ties keep index order.
+    A pair's depth is read off its first differing word: the highest
+    differing atom there names the round where the pair parts. O(cases ×
+    key words) integer work and O(cases × key words) extra words. An
+    array of at least 2^16 cases has its keys filled on [domains]
+    domains ({!Ftss_profile.Pool.domains}, default 1); the result does
+    not depend on their count. *)
 val prefix_order : ?domains:int -> t array -> walk
 
 val pp : Format.formatter -> t -> unit

@@ -657,7 +657,21 @@ let test_canonical_well_defined () =
       (* The representative's support is packed onto an initial segment. *)
       let s = mentioned c in
       check "support packed onto 0..m-1" true (s = List.init (List.length s) Fun.id))
-    cases
+    cases;
+  (* Above 8 support pids the form is only the rank-relabelled case: two
+     members of one orbit of theorem 5's n=10 r=2 f=9 space, nine pids
+     crashing, one of them a round early, keep different forms. *)
+  let early first =
+    {
+      Schedule_enum.params = crash_only_params 10 2 9;
+      behaviors = List.init 9 (fun p -> (p, Schedule_enum.Crash (if p = first then 1 else 2)));
+      corruption = Schedule_enum.Clean;
+    }
+  in
+  let swap p = if p = 0 then 1 else if p = 1 then 0 else p in
+  check "a relabelling of the other" true (relabel swap (early 0) = early 1);
+  check "nine support pids: orbit members keep different forms" true
+    (Schedule_enum.canonical (early 0) <> Schedule_enum.canonical (early 1))
 
 let test_support_and_permute () =
   let case =
@@ -1212,28 +1226,33 @@ let test_walk_order_and_depths () =
   check_walk ~label:"n=3 r=3 f=1" (Schedule_enum.enumerate (full 3 3 1));
   check_walk ~label:"n=4 r=3 f=2" (Schedule_enum.enumerate (full 4 3 2));
   check_walk ~label:"shuffled n=4 r=6 f=2" (shuffled 101 (Schedule_enum.enumerate (full 4 6 2)));
-  (* Two spaces in one array, with one horizon so that their parked
-     classes coincide: the layout widens to the larger, and pairs across
-     them share nothing. *)
-  check_walk ~label:"mixed params"
+  (* Nine-bit atoms, six to a word: round 1's seven atoms straddle the
+     first two words of the key and round 2's the second and third. *)
+  check_walk ~label:"shuffled crash-only n=8 r=2 f=7"
+    (shuffled 103 (Schedule_enum.enumerate (crash_only_params 8 2 7)));
+  (* Every case must lie in case 0's space: one params, parked at its
+     horizon, at most f behaviours whose pids and rounds it bounds. *)
+  let rejected label cases =
+    (match Schedule_enum.prefix_order cases with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: prefix_order accepted it" label);
+    match Explore.run (theorem3 ~inject:"none") cases with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: Explore.run accepted it" label
+  in
+  rejected "mixed params"
     (shuffled 5
        (Array.append
           (Schedule_enum.enumerate (full 3 2 1))
           (Schedule_enum.enumerate (crash_only_params 4 2 2))));
-  (* A round past 2^19 does not pack: the walk is the identity, with each
-     depth read pair by pair. *)
   let params = full 3 2 1 in
-  let far = { Schedule_enum.params; behaviors = [ (1, Schedule_enum.Crash (1 lsl 19)) ]; corruption = Schedule_enum.Clean } in
-  let cases = Array.append [| far |] (Schedule_enum.enumerate params) in
-  let { Schedule_enum.order; depth } = Schedule_enum.prefix_order cases in
-  check "unpackable: the identity" true (order = Array.init (Array.length cases) Fun.id);
-  Array.iteri
-    (fun p d ->
-      if p > 0 then
-        check_int "unpackable: depth = shared_prefix"
-          (Schedule_enum.shared_prefix cases.(p - 1) cases.(p)) d)
-    depth;
-  check_int "unpackable: the far case shares round 0 only" 0 depth.(1)
+  let with_case behaviors =
+    Array.append
+      (Schedule_enum.enumerate params)
+      [| { Schedule_enum.params; behaviors; corruption = Schedule_enum.Clean } |]
+  in
+  rejected "a round past 2^19" (with_case [ (1, Schedule_enum.Crash (1 lsl 19)) ]);
+  rejected "a behaviour past the horizon" (with_case [ (1, Schedule_enum.Mute (2, 3)) ])
 
 (* A case's schedule compiled the way it was before it was built in place:
    its behaviours' events, listed, through [Faults.of_events]. *)
@@ -1411,6 +1430,10 @@ let test_case_projections () =
       ("rounds < 1 rejected", { params with Schedule_enum.rounds = 0 });
       ("f = n rejected", { params with Schedule_enum.f = 4 });
       ("negative f rejected", { params with Schedule_enum.f = -1 });
+      ("rounds at 2^19 rejected", { params with Schedule_enum.rounds = 1 lsl 19 });
+      ("n past 2^19 rejected", { params with Schedule_enum.n = (1 lsl 19) + 1 });
+      ("an overflowing count rejected", full 200 100 3);
+      ("a count past the longest array rejected", full 3 10_000 2);
     ]
 
 let suite =
