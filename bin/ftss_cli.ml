@@ -577,14 +577,12 @@ let check_cmd =
           prop.Property.restrict
             { Schedule_enum.n; rounds; f; intervals = true; drops = true }
         in
-        Schedule_enum.validate params;
-        params
+        (params, Schedule_enum.enumerate params)
       with
       | exception Invalid_argument msg ->
         Format.eprintf "check: %s@." msg;
         2
-      | params ->
-        let cases = Schedule_enum.enumerate params in
+      | params, cases ->
         if not json then begin
           Format.printf "property: %s (inject: %s)@." prop.Property.name
             prop.Property.inject;
@@ -592,7 +590,7 @@ let check_cmd =
             params.Schedule_enum.n params.Schedule_enum.rounds params.Schedule_enum.f
             params.Schedule_enum.intervals params.Schedule_enum.drops;
           Format.printf "adversary space: %d schedules x %d corruption classes = %d cases@."
-            (Schedule_enum.count_schedules params)
+            (Array.length cases / List.length (Schedule_enum.corruptions params))
             (List.length (Schedule_enum.corruptions params))
             (Array.length cases)
         end;

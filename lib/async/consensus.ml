@@ -11,8 +11,13 @@ let round_agreement_only = { retransmit = false; round_agreement = true }
 
 type tag = { instance : int; round : int }
 
+(* The one order on instance numbers: every instance comparison goes
+   through it, so a bounded order replaces it here. *)
+let compare_instance = Int.compare
+
 let tag_gt a b =
-  a.instance > b.instance || (a.instance = b.instance && a.round > b.round)
+  let c = compare_instance a.instance b.instance in
+  c > 0 || (c = 0 && a.round > b.round)
 
 (* The rounds of one instance are {!Mv_consensus}'s; the driver adds the
    instance number to its messages, and owns decision dissemination and
@@ -50,8 +55,7 @@ let fresh_engine ~n ~self ~proposal =
 
 let current_tag st = { instance = st.instance; round = Mv_consensus.round st.engine }
 
-let newer st ~instance ~round =
-  instance > st.instance || (instance = st.instance && round > Mv_consensus.round st.engine)
+let newer st ~instance ~round = tag_gt { instance; round } (current_tag st)
 
 (* The round a consensus message belongs to: the driver reads it to
    buffer or join, the engine alone acts on the message. *)
@@ -90,7 +94,7 @@ let emit_decide obs ctx ~instance ~value =
 let join ctx ~n ~propose st target =
   Sim.observe ctx (Joined target);
   let engine, outs =
-    if target.instance > st.instance then begin
+    if compare_instance target.instance st.instance > 0 then begin
       let self = Sim.self ctx in
       let engine, outs =
         fresh_engine ~n ~self ~proposal:(propose self target.instance)
@@ -137,7 +141,7 @@ let process ?obs ~n ~style ~propose ~detector () =
       drain ctx { st with engine }
     | Cons _ | Round _ | Detector _ | Decide _ -> st
   and on_decide ctx st ~instance ~value =
-    if instance >= st.instance then
+    if compare_instance instance st.instance >= 0 then
       drain ctx (learn_decision ?obs ctx ~n ~propose st ~instance ~value)
     else st
   (* Replay buffered messages that have become current; drop stale ones.

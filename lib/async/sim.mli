@@ -145,5 +145,11 @@ type verdict =
     time of the last violation plus 1, or 0 if nothing violates. The
     verdict is [Vacuous] if some correct process made no observation,
     [Stabilized from] if every correct process made one at or after
-    [from], and [Not_within_horizon] otherwise. *)
+    [from], and [Not_within_horizon] otherwise.
+
+    The synchronous [Ftss_core.Solve.measured_per_window] is another
+    quantity, not another settle rule: it judges Σ, a predicate on a
+    sub-history of all processes, afresh in each maximal coterie-stable
+    window, where a fault ends the window instead of pushing [from]
+    later, and it yields a per-window delay, not a time. *)
 val settle : config -> (time * Pid.t * bool) list -> verdict

@@ -25,13 +25,6 @@ type t = {
   corruption : corruption;
 }
 
-(* Behaviour fields (pids, peers, rounds) are packed [field_bits] to a
-   field, so a space whose pids or rounds reach 2^field_bits is refused:
-   every case it enumerates packs. *)
-let field_bits = 19
-
-let field_mask = (1 lsl field_bits) - 1
-
 let intervals_per_kind rounds = rounds * (rounds + 1) / 2
 
 let behaviors_per_process { n; rounds; intervals; drops; _ } =
@@ -73,10 +66,6 @@ let validate ({ n; rounds; f; _ } as params) =
   if n < 2 then invalid_arg "Schedule_enum: n < 2";
   if rounds < 1 then invalid_arg "Schedule_enum: rounds < 1";
   if f < 0 || f >= n then invalid_arg "Schedule_enum: f outside 0..n-1";
-  if n > 1 lsl field_bits || rounds >= 1 lsl field_bits then
-    invalid_arg
-      (Printf.sprintf "Schedule_enum: n=%d rounds=%d: pids or rounds reach 2^%d" n rounds
-         field_bits);
   match schedules params with
   | s when s <= Sys.max_array_length / List.length (corruptions params) -> ()
   | _ | (exception Overflow) ->
@@ -84,11 +73,9 @@ let validate ({ n; rounds; f; _ } as params) =
       (Printf.sprintf "Schedule_enum: n=%d rounds=%d f=%d spans more cases than an array holds"
          n rounds f)
 
-let count_schedules params =
+let count params =
   validate params;
-  schedules params
-
-let count params = count_schedules params * List.length (corruptions params)
+  schedules params * List.length (corruptions params)
 
 (* --- index decoding --- *)
 
@@ -198,9 +185,19 @@ let get params i =
     invalid_arg (Printf.sprintf "Schedule_enum.get: index %d outside 0..%d" i (ctx.total - 1));
   decode ctx i
 
+(* The largest space [enumerate] builds. The pinned theorem-4 sweep
+   (n=4 r=6 f=2) peaks at 71.8 MB of major heap for 332,855 cases, about
+   216 bytes a case, so a sweep at the cap fits in 4 GB. *)
+let max_cases = 4_000_000_000 / 216
+
 (* Each schedule is decoded once; its behaviour list is shared by the
    cases that pair it with each corruption class. *)
 let enumerate params =
+  let total = count params in
+  if total > max_cases then
+    invalid_arg
+      (Printf.sprintf "Schedule_enum: n=%d rounds=%d f=%d spans %d cases, above the %d-case cap"
+         params.n params.rounds params.f total max_cases);
   let ctx = context params in
   let ncorr = Array.length ctx.corrs in
   let cases = Array.make ctx.total (decode ctx 0) in
@@ -212,30 +209,31 @@ let enumerate params =
   done;
   cases
 
-(* The last round a behaviour's omissions name. *)
-let omits_until = function
-  | Crash _ -> 0
-  | Mute (_, last) | Deaf (_, last) | Isolate (_, last) -> last
-  | Send_drop (round, _) | Recv_drop (round, _) -> round
+(* Hands [add] the events of the behaviours [bs]; a point drop is
+   charged to its owner, even when that is the receiver. *)
+let rec events add = function
+  | [] -> ()
+  | (pid, b) :: bs ->
+    (match b with
+    | Crash round -> add (Faults.Crash { pid; round })
+    | Mute (first, last) -> add (Faults.Mute { pid; first; last })
+    | Deaf (first, last) -> add (Faults.Deaf { pid; first; last })
+    | Isolate (first, last) -> add (Faults.Isolate { pid; first; last })
+    | Send_drop (round, dst) ->
+      add (Faults.Blame { pid });
+      add (Faults.Drop { src = pid; dst; round })
+    | Recv_drop (round, src) ->
+      add (Faults.Blame { pid });
+      add (Faults.Drop { src; dst = pid; round }));
+    events add bs
 
-(* The events are handed to the rows one by one, never listed. *)
+(* Compiles [t]'s schedule into [faults] in place. *)
+let compile faults t = Faults.rebuild faults ~rounds:t.params.rounds events t.behaviors
+
 let to_faults t =
-  let rounds = List.fold_left (fun acc (_, b) -> Int.max acc (omits_until b)) 0 t.behaviors in
-  Faults.build ~n:t.params.n ~rounds (fun add ->
-      List.iter
-        (fun (pid, behavior) ->
-          match behavior with
-          | Crash round -> add (Faults.Crash { pid; round })
-          | Mute (first, last) -> add (Faults.Mute { pid; first; last })
-          | Deaf (first, last) -> add (Faults.Deaf { pid; first; last })
-          | Isolate (first, last) -> add (Faults.Isolate { pid; first; last })
-          | Send_drop (round, dst) ->
-            add (Faults.Blame { pid });
-            add (Faults.Drop { src = pid; dst; round })
-          | Recv_drop (round, src) ->
-            add (Faults.Blame { pid });
-            add (Faults.Drop { src; dst = pid; round }))
-        t.behaviors)
+  let faults = Faults.none t.params.n in
+  compile faults t;
+  faults
 
 (* A prime far above every round horizon used in experiments, so Max
    never collides with a legitimately reachable round variable. *)
@@ -330,144 +328,21 @@ let corruption_weight = function
 
 (* Round [r] of an execution depends on the schedule only through the
    processes crashed at [r] and the links dropped at [r] between live
-   processes (see [Runner.step]). A round's digit lists that as integer
-   atoms — crashed p, mute p, deaf p, isolate p, link src->dst dropped —
-   sorted, so two schedules whose atoms agree at [r] crash and drop
-   exactly the same there, whichever pids are declared faulty. A point
-   drop becomes a link atom only when no other atom of the round already
-   accounts for it (a crashed endpoint, a mute sender, a deaf receiver):
-   such drops realize nothing. No hashing: distinct effects get distinct
-   atoms.
-
-   A behaviour is first packed into one int — kind, owner and two
-   round/peer fields of [field_bits] each — so a case's digits are read
-   off a few ints instead of its list: -1 when a field falls outside
-   [0, 2^field_bits); 0 is never a packed behaviour. *)
-let encode kind pid x y =
-  if pid lor x lor y land lnot field_mask = 0 then
-    (((((kind lsl field_bits) lor pid) lsl field_bits) lor x) lsl field_bits) lor y
-  else -1
-
-let pack (pid, b) =
-  match b with
-  | Crash r -> encode 1 pid r 0
-  | Mute (a, z) -> encode 2 pid a z
-  | Deaf (a, z) -> encode 3 pid a z
-  | Isolate (a, z) -> encode 4 pid a z
-  | Send_drop (r, q) -> encode 5 pid r q
-  | Recv_drop (r, q) -> encode 6 pid r q
-
-let kind_of code = code lsr (3 * field_bits)
-let pid_of code = (code lsr (2 * field_bits)) land field_mask
-let x_of code = (code lsr field_bits) land field_mask
-let y_of code = code land field_mask
-
-(* Atom kinds: 0 crashed, 1 mute, 2 deaf, 3 isolate, 4 link. Atoms lie
-   in [1, 5n^2]. *)
-let atom_code ~n kind pid peer = (((((kind * n) + pid) * n) + peer) + 1)
-
-let atom_bound ~n = 5 * n * n
-
-(* Whether the packed behaviour does anything at round [r]. *)
-let acts code r =
-  let x = x_of code in
-  match kind_of code with
-  | 1 -> r >= x
-  | 2 | 3 | 4 -> x <= r && r <= y_of code
-  | 5 | 6 -> r = x
-  | _ -> false
-
-(* A drop on src->dst at [r] realizes nothing when another behaviour of
-   the schedule crashes an endpoint, mutes [src] or deafens [dst] then. *)
-let covered codes slots r ~src ~dst =
-  let hit = ref false in
-  for j = 0 to slots - 1 do
-    let c = codes.(j) in
-    if acts c r then begin
-      let p = pid_of c in
-      match kind_of c with
-      | 1 -> if p = src || p = dst then hit := true
-      | 2 -> if p = src then hit := true
-      | 3 -> if p = dst then hit := true
-      | 4 -> if p = src || p = dst then hit := true
-      | _ -> ()
-    end
-  done;
-  !hit
-
-(* Writes round [r]'s atoms for the packed behaviours
-   [codes.(0 .. slots - 1)] into [out], ascending, and returns how many
-   there are. *)
-let round_atoms ~n codes slots r out =
-  let k = ref 0 in
-  for j = 0 to slots - 1 do
-    let c = codes.(j) in
-    if acts c r then begin
-      let kind = kind_of c and pid = pid_of c in
-      let a =
-        if kind <= 4 then atom_code ~n (kind - 1) pid 0
-        else
-          let src, dst = if kind = 5 then (pid, y_of c) else (y_of c, pid) in
-          if covered codes slots r ~src ~dst then 0 else atom_code ~n 4 src dst
-      in
-      if a <> 0 then begin
-        (* insertion into the sorted prefix *)
-        let i = ref !k in
-        while !i > 0 && out.(!i - 1) > a do
-          out.(!i) <- out.(!i - 1);
-          decr i
-        done;
-        out.(!i) <- a;
-        incr k
-      end
-    end
-  done;
-  !k
-
-(* Packs the behaviours [bs] into [codes] from slot [j] on: the number
-   of behaviours, or -1 when one does not pack. Behaviours past the end of
-   [codes] are counted, not packed. *)
-let rec pack_list codes j = function
-  | [] -> j
-  | b :: l as bs ->
-    if j = Array.length codes then j + List.length bs
-    else
-      let p = pack b in
-      if p < 0 then -1
-      else begin
-        codes.(j) <- p;
-        pack_list codes (j + 1) l
-      end
-
-(* Round 0's digit: the params and the corruption class. *)
-let same_start a b =
-  (a.params == b.params || a.params = b.params) && a.corruption = b.corruption
-
+   processes (see [Runner.step]); [Faults.atoms] lists exactly that, off
+   the rows the runner consults. Round 0's digit is the params and the
+   corruption class. *)
 let shared_prefix a b =
-  if not (same_start a b) then -1
+  if (a.params != b.params && a.params <> b.params) || a.corruption <> b.corruption then -1
   else begin
-    let sa = List.length a.behaviors and sb = List.length b.behaviors in
-    let pa = Array.make sa 0 and pb = Array.make sb 0 in
-    if pack_list pa 0 a.behaviors < 0 || pack_list pb 0 b.behaviors < 0 then 0
-    else begin
-      let n = a.params.n in
-      let oa = Array.make sa 0 and ob = Array.make sb 0 in
-      let rec depth r =
-        if r > a.params.rounds then r - 1
-        else begin
-          let k = round_atoms ~n pa sa r oa in
-          if k <> round_atoms ~n pb sb r ob then r - 1
-          else begin
-            let i = ref 0 in
-            while !i < k && oa.(!i) = ob.(!i) do
-              incr i
-            done;
-            if !i < k then r - 1 else depth (r + 1)
-          end
-        end
-      in
-      depth 1
-    end
+    let digit c faults r =
+      let out = Array.make (List.length c.behaviors) 0 in
+      Array.sub out 0 (Faults.atoms faults ~round:r out)
+    in
+    let fa = to_faults a and fb = to_faults b in
+    let rec depth r =
+      if r > a.params.rounds || digit a fa r <> digit b fb r then r - 1 else depth (r + 1)
+    in
+    depth 1
   end
 
 type walk = { order : int array; depth : int array }
@@ -481,7 +356,8 @@ type key = { abits : int; per_word : int; words : int }
 
 let key_of { n; rounds; f; _ } =
   let rec bits v = if v = 0 then 0 else 1 + bits (v lsr 1) in
-  let abits = bits (atom_bound ~n) in
+  (* [Faults.atoms]' atoms lie in [1, 5n^2]. *)
+  let abits = bits (5 * n * n) in
   let per_word = 62 / abits in
   { abits; per_word; words = (1 + (rounds * f) + per_word - 1) / per_word }
 
@@ -490,35 +366,28 @@ let put k keys row t a =
   let w = row + (t / k.per_word) in
   keys.(w) <- keys.(w) lor (a lsl ((k.per_word - 1 - (t mod k.per_word)) * k.abits))
 
-(* Whether the packed behaviour [code] lies inside [params]: its pids
-   below [n], its rounds in [1, rounds]. *)
-let inside { n; rounds; _ } code =
-  let kind = kind_of code and x = x_of code and y = y_of code in
-  pid_of code < n && 1 <= x && x <= rounds
-  && (kind = 1 || if kind <= 4 then x <= y && y <= rounds else y < n)
-
-(* Writes case [c]'s key into row [i] of the zeroed [keys], from its
-   behaviours packed in [codes] and each round's atoms collected in
-   [out]; false, writing nothing, when [c] lies outside [params]. *)
-let fill params k keys i c (codes, out) =
+(* Writes case [c]'s key into row [i] of the zeroed [keys]: its schedule
+   is compiled into [faults] and each round's atoms collected in [out].
+   False, writing nothing, when [c] lies outside [params]. *)
+let fill params k keys i c (faults, out) =
   let { rounds; f; _ } = params in
-  let nb = pack_list codes 0 c.behaviors in
-  let rec all_inside j = j = nb || (inside params codes.(j) && all_inside (j + 1)) in
+  let row = i * k.words in
   if
     (c.params != params && c.params <> params)
     || (match c.corruption with Parked r -> r <> rounds | _ -> false)
-    || nb < 0 || nb > f || not (all_inside 0)
+    || List.compare_length_with c.behaviors f > 0
   then false
-  else begin
-    let row = i * k.words in
-    put k keys row 0 (corruption_weight c.corruption);
-    for r = 1 to rounds do
-      for s = 0 to round_atoms ~n:params.n codes nb r out - 1 do
-        put k keys row (1 + ((r - 1) * f) + s) out.(s)
-      done
-    done;
-    true
-  end
+  else
+    match compile faults c with
+    | exception Invalid_argument _ -> false
+    | () ->
+      put k keys row 0 (corruption_weight c.corruption);
+      for r = 1 to rounds do
+        for s = 0 to Faults.atoms faults ~round:r out - 1 do
+          put k keys row (1 + ((r - 1) * f) + s) out.(s)
+        done
+      done;
+      true
 
 (* The stable LSD radix sort of the rows of [keys], [words] apiece:
    16-bit passes from the last word's low bits to the first word's high
@@ -600,9 +469,9 @@ let prefix_order ?(domains = 1) cases =
     (* The least index of a case outside [params], per domain. *)
     let outside = Array.make domains len in
     Ftss_profile.Pool.run ~lane:"prefix_order" ~domains len (fun ~domain ~first ~limit ->
-        let buffers = (Array.make (f + 1) 0, Array.make (f + 1) 0) in
+        let scratch = (Faults.none params.n, Array.make f 0) in
         for i = first to limit - 1 do
-          if not (fill params k keys i cases.(i) buffers) then
+          if not (fill params k keys i cases.(i) scratch) then
             outside.(domain) <- Int.min outside.(domain) i
         done);
     let bad = Array.fold_left Int.min len outside in

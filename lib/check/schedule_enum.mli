@@ -60,10 +60,8 @@ type t = {
 }
 
 (** [validate params] raises [Invalid_argument] unless [n >= 2],
-    [rounds >= 1] and [0 <= f < n], pids and rounds stay below 2^19
-    ([n <= 2^19], [rounds < 2^19]: every case then packs into
-    {!prefix_order}'s key), and the space's case count fits an array
-    ([Sys.max_array_length]); the message names the sizes. *)
+    [rounds >= 1], [0 <= f < n] and the space's case count fits an
+    array ([Sys.max_array_length]); the message names the sizes. *)
 val validate : params -> unit
 
 (** Size of the per-process behaviour catalogue:
@@ -71,15 +69,12 @@ val validate : params -> unit
     intervals, plus (when [drops]) [2 * rounds * (n-1)] point drops. *)
 val behaviors_per_process : params -> int
 
-(** Number of distinct schedules:
-    [sum_{k=0..f} C(n,k) * behaviors_per_process^k]. *)
-val count_schedules : params -> int
-
 (** The corruption classes explored: clean, zero, max, parked at
     [params.rounds], distinct — 5 classes. *)
 val corruptions : params -> corruption list
 
-(** Total cases: [count_schedules * List.length corruptions]. *)
+(** Total cases: the [sum_{k=0..f} C(n,k) * behaviors_per_process^k]
+    schedules, each under every corruption class. *)
 val count : params -> int
 
 (** [get params i] is the [i]-th case, [0 <= i < count params].
@@ -89,15 +84,20 @@ val count : params -> int
     over spaces too large to enumerate. *)
 val get : params -> int -> t
 
-(** The whole space, [Array.init (count params) (get params)]. *)
+(** The whole space, [Array.init (count params) (get params)]. Raises
+    [Invalid_argument], naming the sizes, before it allocates anything
+    when the space spans more than 18,518,518 cases: about 216 bytes a
+    case (the pinned n=4 r=6 f=2 theorem-4 sweep peaks at 71.8 MB for
+    332,855), so a sweep at the cap fits in 4 GB. *)
 val enumerate : params -> t array
 
-(** Compile a case's schedule into a {!Ftss_sync.Faults.t}: the rows
-    {!Ftss_sync.Faults.of_events} builds from the behaviours' events, in
-    behaviour order, handed over through {!Ftss_sync.Faults.build}
-    without a list. Point drops are charged to the behaviour's owner (a
-    [Blame] event precedes the [Drop]), so receive omissions blame the
-    receiver as the paper's general-omission model requires. *)
+(** Compile a case's schedule into a {!Ftss_sync.Faults.t}: each
+    behaviour, in order, becomes its {!Ftss_sync.Faults.event}s, handed
+    to {!Ftss_sync.Faults.rebuild} over [rounds] without a list. Point
+    drops are charged to the behaviour's owner (a [Blame] event precedes
+    the [Drop]), so receive omissions blame the receiver as the paper's
+    general-omission model requires. Raises [Invalid_argument] on a
+    behaviour outside the case's pids or rounds. *)
 val to_faults : t -> Ftss_sync.Faults.t
 
 (** [corrupt_int corruption p v] applies the class to an integer round
@@ -131,15 +131,14 @@ val canonical : t -> t
 
     Cases that agree on their first rounds execute those rounds
     identically, so an explorer can simulate them once. Round [r >= 1]'s
-    {e digit} lists, as sorted integer atoms, what the schedule does at
-    [r]: crashed p, mute p, deaf p, isolate p, or link src->dst dropped.
-    A point drop that a crashed endpoint, a mute sender or a deaf
-    receiver already accounts for adds no atom, and a send drop and a
-    receive drop of one link are one atom. Round 0 is the params and
-    corruption class. The digits are exact, never hashed: equal digits
-    through round [k] imply that the two executions are identical
-    through round [k] (same states, deliveries, crashes and omissions),
-    whichever pids are declared faulty. *)
+    {e digit} is {!Ftss_sync.Faults.atoms} of the case's compiled
+    schedule: read off the rows the runner executes, it lists what the
+    schedule does at [r] (crashes, send and receive omissions, and the
+    point-dropped links nothing else accounts for, a link once per point
+    drop that names it) whichever pids are declared faulty. Round 0 is
+    the params and corruption class. Equal digits through round [k]
+    imply that the two executions are identical through round [k] (same
+    states, deliveries, crashes and omissions). *)
 
 (** [shared_prefix a b] is the largest [k <= rounds] such that [a] and
     [b] have equal digits for rounds [0..k], or [-1] when their params
@@ -159,21 +158,25 @@ type walk = { order : int array; depth : int array }
     round 0 first, so that cases sharing a prefix are adjacent, and reads
     each neighbouring pair's depth off the sort. Every case must lie in
     case 0's space: the same params, [Parked] only at their horizon, and
-    at most [f] behaviours whose pids lie below [n] and whose rounds lie
-    in [1..rounds]; otherwise it raises [Invalid_argument].
+    at most [f] behaviours that {!to_faults} compiles, so pids below [n]
+    and rounds in [1..rounds]; otherwise it raises [Invalid_argument]
+    naming the first case outside.
 
     Each case gets one key, an atom sequence: atom 0 is the corruption
-    class, then come each round's atoms ascending, zero-padded to [f]
-    slots, at [bits (5n²)] bits apiece, packed big-endian several to a
-    word (a round may straddle two words), so numeric order on the words
-    is the digits' order. A stable LSD radix sort orders the keys, 16
-    bits a pass, skipping bits that no key sets; ties keep index order.
-    A pair's depth is read off its first differing word: the highest
-    differing atom there names the round where the pair parts. O(cases ×
-    key words) integer work and O(cases × key words) extra words. An
-    array of at least 2^16 cases has its keys filled on [domains]
-    domains ({!Ftss_profile.Pool.domains}, default 1); the result does
-    not depend on their count. *)
+    class, then come each round's {!Ftss_sync.Faults.atoms} of its
+    schedule, compiled into a per-domain scratch
+    ({!Ftss_sync.Faults.rebuild}, whose rows are allocated once per
+    domain). The atoms come ascending, zero-padded to [f] slots, at
+    [bits (5n²)] bits apiece, packed big-endian several to a word (a
+    round may straddle two words), so numeric order on the words is the
+    digits' order. A stable LSD radix sort orders the keys, 16 bits a
+    pass, skipping bits that no key sets; ties keep index order. A
+    pair's depth is read off its first differing word: the highest
+    differing atom there names the round where the pair parts.
+    O(cases × (key words + (rounds + f) × n)) integer work and O(cases ×
+    key words) extra words. An array of at least 2^16 cases has its keys
+    filled on [domains] domains ({!Ftss_profile.Pool.domains}, default
+    1); the result does not depend on their count. *)
 val prefix_order : ?domains:int -> t array -> walk
 
 val pp : Format.formatter -> t -> unit

@@ -127,37 +127,34 @@ let catalogue (prop : P.t) { n; rounds; f; allow_drops } =
   sp
 
 let of_schedule (case : S.t) =
+  let module F = Ftss_sync.Faults in
   let params = params_of_schedule case.S.params in
-  let n = params.n in
-  let faulty = Pidset.of_list (List.map fst case.S.behaviors) in
-  let others p = List.filter (fun q -> not (Pid.equal p q)) (Pid.all n) in
-  let interval a b row = List.concat_map row (List.init (b - a + 1) (fun i -> a + i)) in
-  let drops =
-    List.concat_map
-      (fun (p, behavior) ->
-        match behavior with
-        | S.Crash _ -> []
-        | S.Mute (a, b) -> interval a b (fun r -> List.map (fun d -> (r, p, d)) (others p))
-        | S.Deaf (a, b) -> interval a b (fun r -> List.map (fun s -> (r, s, p)) (others p))
-        | S.Isolate (a, b) ->
-          interval a b (fun r ->
-              List.map (fun d -> (r, p, d)) (others p)
-              @ List.map (fun s -> (r, s, p)) (others p))
-        | S.Send_drop (r, dst) -> [ (r, p, dst) ]
-        | S.Recv_drop (r, src) -> [ (r, src, p) ])
-      case.S.behaviors
+  let { n; rounds; _ } = params in
+  let faults = S.to_faults case in
+  let faulty = F.faulty faults in
+  (* Every omitted message has a declared-faulty endpoint, so the drop
+     matrix is read off the rows a faulty pid's links at a time. *)
+  let drops = ref [] in
+  Pidset.iter
+    (fun p ->
+      for round = 1 to rounds do
+        for q = 0 to n - 1 do
+          if F.drops faults ~round ~src:p ~dst:q then drops := (round, p, q) :: !drops;
+          if F.drops faults ~round ~src:q ~dst:p then drops := (round, q, p) :: !drops
+        done
+      done)
+    faulty;
+  let crashes =
+    Pidset.fold
+      (fun p acc -> match F.crash_round faults p with Some r -> (p, r) :: acc | None -> acc)
+      faulty []
   in
   let corrupt =
     match case.S.corruption with
     | S.Clean -> []
     | c -> List.map (fun p -> (p, S.corrupt_int c p 0)) (Pid.all n)
   in
-  let crashes =
-    List.filter_map
-      (fun (p, b) -> match b with S.Crash r -> Some (p, r) | _ -> None)
-      case.S.behaviors
-  in
-  norm { params; faulty; crashes; drops; corrupt }
+  norm { params; faulty; crashes; drops = !drops; corrupt }
 
 (* --- compilation to the evaluator interface --- *)
 

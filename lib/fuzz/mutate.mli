@@ -16,8 +16,8 @@
     - an arbitrary per-pid raw corruption of the initial round variable.
 
     Every catalogue case injects into this space ({!of_schedule}) by
-    compiling its interval behaviours to the equivalent point-drop
-    matrix — the compiled {!Ftss_sync.Faults.t} answers every drop query
+    reading its drop matrix off the rows the runner executes — the
+    genome's compiled {!Ftss_sync.Faults.t} answers every drop query
     identically and declares the identical faulty set, so the injected
     genome's execution has the {e same} {!Ftss_sync.Trace.hash} as the
     catalogue case's (the seed-corpus round-trip the tests pin).
@@ -63,12 +63,16 @@ val params_of_schedule : Ftss_check.Schedule_enum.params -> params
     params {!Ftss_check.Schedule_enum.validate} rejects. *)
 val catalogue : Ftss_check.Property.t -> params -> Ftss_check.Schedule_enum.params
 
-(** Inject a catalogue case: intervals become their point-drop matrices,
-    the corruption class its per-pid value table. The injected genome
-    compiles ({!to_adversary}) to a fault schedule with the identical
-    drop semantics and declared faulty set and to the identical per-pid
-    corruption, hence the identical execution fingerprint on every
-    theorem. *)
+(** Inject a catalogue case: its schedule is compiled
+    ({!Ftss_check.Schedule_enum.to_faults}) and the genome takes that
+    schedule's declared faulty set, crash table and every link its rows
+    drop, queried only on links with a faulty endpoint (which every
+    dropped link has) — O(rounds × f × n) queries, never all n²; the
+    corruption class becomes its per-pid value table. The injected
+    genome compiles ({!to_adversary}) to a fault schedule with the
+    identical drop semantics and declared faulty set and to the
+    identical per-pid corruption, hence the identical execution
+    fingerprint on every theorem. *)
 val of_schedule : Ftss_check.Schedule_enum.t -> t
 
 (** Compile to the evaluator interface shared with the exhaustive

@@ -62,13 +62,33 @@ val none : int -> t
     on pids outside [0..n-1] or empty/negative round ranges. *)
 val of_events : n:int -> event list -> t
 
-(** [build ~n ~rounds fill] is [of_events ~n] of the events [fill]
-    hands to its argument, in that order, without a list of them. Every
-    omission must lie within rounds [1..rounds]; the rows then span those
-    rounds, and queries answer as [of_events]'s, whose rows stop at the
-    last round an omission names. Raises [Invalid_argument] as
-    [of_events] does, and on an omission past [rounds]. *)
-val build : n:int -> rounds:int -> ((event -> unit) -> unit) -> t
+(** [rebuild t ~rounds fill x] empties [t] and adds the events
+    [fill add x] hands to [add], in that order ([x] is passed so that
+    [fill] need not be a closure): [t] then answers every query as
+    [of_events] does for them. Every crash and omission must lie
+    within rounds [1..rounds]; raises [Invalid_argument] as [of_events]
+    does, and on one past [rounds]. Meant for a schedule nothing else
+    holds (say a fresh {!none}): its rows are allocated once, for the
+    horizon [rounds], and a later rebuild within it allocates only
+    [add], the events, the crash table of a schedule with crashes and a
+    repeated point drop. *)
+val rebuild : t -> rounds:int -> ((event -> unit) -> 'a -> unit) -> 'a -> unit
+
+(** [atoms t ~round out] writes round [round]'s {e digit}, what the
+    schedule does in that round, into [out] as ascending integer atoms
+    and returns how many there are: crashed p, then send-omitting p
+    (mute), receive-omitting p (deaf), both (isolate), then each link
+    src->dst that a point drop omits and no crashed endpoint,
+    send-omitting [src] or receive-omitting [dst] already accounts for,
+    once per point drop that names it (a send drop and a receive drop of
+    one link list it twice). Atom [((k n + p) n + q) + 1] has kind [k]
+    (0 crashed .. 4 link), pid [p] and peer [q] (0 but for links), so
+    atoms lie in [1, 5n²]. Read off the crash table and rows that
+    {!crash_round} and {!drops} consult, equal atoms at [round] mean
+    equal crashes and omissions there. [out] needs a slot per atom: at
+    most one per event added. O(n) a round plus O(n) per point-dropping
+    src: O((rounds + events) × n) over a compiled schedule's rounds. *)
+val atoms : t -> round:int -> int array -> int
 
 (** [random_omission rng ~n ~f ~p_drop ~rounds] draws [f] distinct faulty
     processes and, independently for each round and each directed link with

@@ -32,19 +32,19 @@ let test_counts () =
      schedules = C(3,0) + C(3,1)*33 = 100; cases = 100 * 5. *)
   let p = full 3 3 1 in
   check_int "behaviours (3,3,1)" 33 (Schedule_enum.behaviors_per_process p);
-  check_int "schedules (3,3,1)" 100 (Schedule_enum.count_schedules p);
+  check_int "schedules (3,3,1)" 100 (Schedule_enum.count p / 5);
   check_int "corruption classes" 5 (List.length (Schedule_enum.corruptions p));
   check_int "cases (3,3,1)" 500 (Schedule_enum.count p);
   (* Crash-only: 3 behaviours; 1 + 3*3 = 10 schedules; 50 cases. *)
   let p = crash_only_params 3 3 1 in
   check_int "crash-only behaviours" 3 (Schedule_enum.behaviors_per_process p);
-  check_int "crash-only schedules" 10 (Schedule_enum.count_schedules p);
+  check_int "crash-only schedules" 10 (Schedule_enum.count p / 5);
   check_int "crash-only cases" 50 (Schedule_enum.count p);
   (* n=4, rounds=2, f=2: 2 + 3*(2*3/2)=9 + 2*2*3=12 = 23 behaviours;
      schedules = 1 + 4*23 + C(4,2)*23^2 = 3267. *)
   let p = full 4 2 2 in
   check_int "behaviours (4,2,2)" 23 (Schedule_enum.behaviors_per_process p);
-  check_int "schedules (4,2,2)" 3267 (Schedule_enum.count_schedules p);
+  check_int "schedules (4,2,2)" 3267 (Schedule_enum.count p / 5);
   check_int "cases (4,2,2)" 16335 (Schedule_enum.count p)
 
 let test_enumerate_matches_count () =

@@ -69,32 +69,35 @@ let test_of_schedule_valid () =
    catalogue run — the compiled fault schedules answer every drop query
    identically and declare the identical faulty set, and both front ends
    hand each theorem the same per-pid corruption, which theorem 5
-   realizes one way. *)
+   realizes one way. At f=2 a point drop can fall inside another pid's
+   crash or interval, which no f=1 space exercises. *)
 let test_roundtrip_fingerprints () =
   List.iter
-    (fun (name, inject, rounds) ->
+    (fun (name, inject, (n, rounds, f)) ->
       let prop = property ~name ~inject in
-      let sp = prop.P.restrict (full 3 rounds 1) in
+      let sp = prop.P.restrict (full n rounds f) in
       Array.iteri
         (fun i case ->
           let direct = prop.P.run case in
           let injected = prop.P.run_adv (M.to_adversary (M.of_schedule case)) in
           if direct.P.fingerprint <> injected.P.fingerprint then
-            Alcotest.failf "%s/%s r=%d case %d: fingerprint changed under injection"
-              name inject rounds i;
+            Alcotest.failf "%s/%s (%d,%d,%d) case %d: fingerprint changed under injection"
+              name inject n rounds f i;
           let dv = Lazy.force direct.P.verdict
           and iv = Lazy.force injected.P.verdict in
           if dv.P.ok <> iv.P.ok then
-            Alcotest.failf "%s/%s r=%d case %d: verdict changed under injection" name
-              inject rounds i)
+            Alcotest.failf "%s/%s (%d,%d,%d) case %d: verdict changed under injection" name
+              inject n rounds f i)
         (S.enumerate sp))
     [
-      ("theorem3", "none", 2);
-      ("theorem3", "frozen-exchange", 2);
-      ("theorem4", "none", 2);
-      ("theorem4", "no-suspect-filter", 2);
-      ("theorem5", "none", 2);
-      ("theorem5", "none", 3);
+      ("theorem3", "none", (3, 2, 1));
+      ("theorem3", "frozen-exchange", (3, 2, 1));
+      ("theorem4", "none", (3, 2, 1));
+      ("theorem4", "no-suspect-filter", (3, 2, 1));
+      ("theorem5", "none", (3, 2, 1));
+      ("theorem5", "none", (3, 3, 1));
+      ("theorem3", "none", (4, 2, 2));
+      ("theorem4", "none", (4, 2, 2));
     ]
 
 let random_genome rng =
